@@ -1,40 +1,39 @@
-//! Plumbing shared by the four baseline engines.
+//! Lanes and run-wide request state, shared by both layouts and both
+//! batching policies of the baseline loop.
 //!
 //! The unit of admission is a [`Lane`]: one scheduler instance's private
-//! view of memory and its private queue of not-yet-prefilled requests.
-//! Tensor-parallel engines have a single lane; pipeline-parallel engines
-//! have one lane per virtual engine, with requests bound to a lane up
-//! front and KV blocks divided evenly — mirroring vLLM 0.5.x, where each
-//! virtual engine owns `num_gpu_blocks / pp` and requests never migrate
+//! view of memory, its private queue of not-yet-prefilled requests, and the
+//! decode cohort of its residents. The tensor layout has a single lane; the
+//! pipeline layout has one lane per virtual engine, with requests bound to a
+//! lane up front and KV blocks divided evenly — mirroring vLLM 0.5.x, where
+//! each virtual engine owns `num_gpu_blocks / pp` and requests never migrate
 //! between schedulers. (That static binding is precisely the inter-batch
 //! imbalance TD-Pipe's work stealing repairs.)
 
 use std::collections::{BinaryHeap, VecDeque};
 use tdpipe_core::cohort::{CohortMembers, DecodeCohort};
 use tdpipe_core::config::EngineConfig;
-use tdpipe_core::cost::StagedJob;
 use tdpipe_core::request::{Lifecycle, RequestPool};
 use tdpipe_kvcache::BlockAllocator;
 
-/// Per-run scratch buffers reused across scheduler iterations so the
-/// steady-state baseline loops allocate nothing per launch.
-#[derive(Default)]
-pub struct Scratch {
-    /// Prefill sequence lengths for the next launch.
-    pub lens: Vec<u32>,
-    /// Hybrid-batching `(chunk_len, cached_prefix)` pairs.
-    pub chunks: Vec<(u32, u32)>,
-    /// Staged pipeline job reused across launches.
-    pub job: StagedJob,
-}
-
-/// One scheduler instance's memory + admission queue.
+/// One scheduler instance's memory, admission queue and running set.
 pub struct Lane {
     /// This lane's KV block pool.
     pub alloc: BlockAllocator,
     /// Requests bound to this lane that still need (re-)prefilling.
     pub pending: VecDeque<usize>,
     watermark_blocks: u64,
+    /// Prefilled requests decoding one token per step, in admission order.
+    pub residents: Vec<usize>,
+    /// Running context-token total over `residents`, so decode launches
+    /// are priced without rescanning the running set.
+    pub ctx: u64,
+    /// Event-driven decode state for `residents`: a step is O(finishers),
+    /// not O(residents) — see `tdpipe_core::cohort`.
+    pub cohort: DecodeCohort,
+    /// Hybrid batching's admitted prompts still being chunked:
+    /// `(pool index, prompt tokens already chunked)`.
+    pub prefilling: VecDeque<(usize, u32)>,
 }
 
 impl Lane {
@@ -49,6 +48,10 @@ impl Lane {
             alloc,
             pending,
             watermark_blocks,
+            residents: Vec::new(),
+            ctx: 0,
+            cohort: DecodeCohort::new(block_size),
+            prefilling: VecDeque::new(),
         }
     }
 }
@@ -68,9 +71,8 @@ pub struct RunState {
     /// Lifetime recompute-eviction count (for the metrics plane; plain
     /// add, never branched on).
     pub evictions: u64,
-    /// Shared per-request cohort bookkeeping (see `tdpipe_core::cohort`):
-    /// engines that bank decode steps event-driven keep one
-    /// [`DecodeCohort`] per decode batch and index this from all of them.
+    /// Per-request cohort bookkeeping shared by every lane's
+    /// [`DecodeCohort`] (see `tdpipe_core::cohort`).
     pub cm: CohortMembers,
     /// Finisher scratch for [`Self::advance_decode_cohort`].
     finishers: Vec<(usize, u32)>,
@@ -128,6 +130,15 @@ impl RunState {
         }
     }
 
+    /// Whether `lane` can admit its queue head at `now`: it has arrived
+    /// and fits.
+    pub fn can_admit(&self, lane: &Lane, now: f64) -> bool {
+        lane.pending
+            .front()
+            .is_some_and(|&i| self.pool.arrival(i) <= now)
+            && self.head_fits(lane)
+    }
+
     /// Admit the head of `lane`'s queue: allocate its KV, mark it
     /// prefilled, stamp its admission sequence. Returns `(index, tokens)`.
     ///
@@ -145,34 +156,20 @@ impl RunState {
         (idx, t)
     }
 
-    /// Pack a separate-batching prefill batch from `lane`'s queue, up to
+    /// Pack a separate-batching prefill batch from `lane`'s queue into
+    /// `batch` (pool indices) and `lens` (sequence lengths), up to
     /// `token_budget` tokens and `max_new` sequences, stopping early when
-    /// memory runs out or the head has not yet arrived by `now`. Returns
-    /// `(pool indices, sequence lengths)`.
-    pub fn pack_prefill_batch(
-        &mut self,
-        lane: &mut Lane,
-        token_budget: u32,
-        max_new: usize,
-        now: f64,
-    ) -> (Vec<usize>, Vec<u32>) {
-        let mut lens = Vec::new();
-        let batch = self.pack_prefill_batch_into(lane, token_budget, max_new, now, &mut lens);
-        (batch, lens)
-    }
-
-    /// [`Self::pack_prefill_batch`] writing the sequence lengths into a
-    /// caller-owned scratch buffer (the batch itself is returned by value —
-    /// it travels into the engine's in-flight queue).
+    /// memory runs out or the head has not yet arrived by `now`.
     pub fn pack_prefill_batch_into(
         &mut self,
         lane: &mut Lane,
         token_budget: u32,
         max_new: usize,
         now: f64,
+        batch: &mut Vec<usize>,
         lens: &mut Vec<u32>,
-    ) -> Vec<usize> {
-        let mut batch = Vec::new();
+    ) {
+        batch.clear();
         lens.clear();
         let mut tokens = 0u32;
         while batch.len() < max_new && self.head_fits(lane) {
@@ -189,135 +186,46 @@ impl RunState {
             lens.push(t);
             tokens += t;
         }
-        batch
     }
 
-    /// Post-step bookkeeping for a decode batch living in `lane`: every
-    /// member generated one token — retire the finished (freeing KV),
-    /// extend survivors' KV, and on overflow evict the newest members back
-    /// to the lane's pending queue for recomputation (the §4.1 recompute
-    /// strategy).
+    /// `idx`'s prefill completed at `now`: stamp its first token and bank
+    /// it into `lane`'s decode cohort.
+    pub fn start_decoding(&mut self, lane: &mut Lane, idx: usize, now: f64) {
+        self.pool.note_first_token(idx, now);
+        let rt = self.pool.resident_tokens(idx);
+        let remaining = self.pool.output_len(idx) - self.pool.generated(idx);
+        lane.ctx += rt;
+        lane.cohort.join(&mut self.cm, idx, rt, remaining);
+        lane.residents.push(idx);
+    }
+
+    /// One decode step of `lane`'s residents, finishing at `now`: every
+    /// member generates one token, the finished retire (freeing KV), the
+    /// survivors' KV grows, and on overflow the newest members are evicted
+    /// back to the lane's pending queue for recomputation (the §4.1
+    /// recompute strategy). `lane.ctx` stays equal to the survivors'
+    /// resident tokens.
+    ///
+    /// The members are banked in `lane.cohort`, so a step is O(finishers)
+    /// instead of O(members): finishers drain from their finish-epoch
+    /// bucket with their banked state settled on the way out, and the
+    /// survivors' KV growth is one aggregate extend. Under memory pressure
+    /// the step evicts without un-banking the batch: the walk below visits
+    /// only the members that cross a block boundary this step and settles
+    /// just the victims, reproducing the per-member reference loop's
+    /// eviction schedule (victim choice, requeue order, allocator stats)
+    /// exactly.
     ///
     /// Returns the number of requests that finished.
-    pub fn advance_decode(&mut self, lane: &mut Lane, members: &mut Vec<usize>, now: f64) -> usize {
-        let mut ctx: u64 = members
-            .iter()
-            .map(|&m| self.pool.resident_tokens(m))
-            .sum();
-        self.advance_decode_ctx(lane, members, now, &mut ctx)
-    }
-
-    /// [`Self::advance_decode`] that also keeps the batch's running
-    /// context-token total consistent: on entry `ctx` must equal the sum of
-    /// `resident_tokens` over `members`; on exit it equals the sum over the
-    /// survivors. This is what lets the engines price decode launches
-    /// without rescanning their resident sets every step.
-    pub fn advance_decode_ctx(
-        &mut self,
-        lane: &mut Lane,
-        members: &mut Vec<usize>,
-        now: f64,
-        ctx: &mut u64,
-    ) -> usize {
-        let mut finished_now = 0usize;
-        // Every member generates one token this step.
-        *ctx += members.len() as u64;
-        let pool = &mut self.pool;
-        let alloc = &mut lane.alloc;
-        members.retain(|&idx| {
-            if pool.note_decode_step(idx, now) {
-                // The allocation lags the just-generated token by one.
-                let freed = alloc.free(idx as u64).expect("finished request resident");
-                *ctx -= freed + 1;
-                finished_now += 1;
-                false
-            } else {
-                true
-            }
-        });
-        // Extend survivors' KV; evict newest-first on overflow (§4.1
-        // recompute). Overflow is rare, so the victim order is built
-        // lazily: a max-heap over `admission_seq` (unique, so the peel
-        // order matches the old per-victim max scan exactly) with lazy
-        // deletion — O(log n) per eviction instead of O(n).
-        let mut heap_built = false;
-        if lane.alloc.free_blocks() >= members.len() as u64 {
-            // Overflow impossible (each member grows ≤ 1 block): one
-            // batched pass with the OOM branch hoisted out.
-            lane.alloc.extend_one_each(members.iter().map(|&m| m as u64));
-            return finished_now;
-        }
-        let mut i = 0;
-        while i < members.len() {
-            if heap_built && self.evicted[i] {
-                i += 1;
-                continue;
-            }
-            let idx = members[i];
-            if lane.alloc.extend_one(idx as u64).is_ok() {
-                i += 1;
-                continue;
-            }
-            if !heap_built {
-                self.evicted.clear();
-                self.evicted.resize(members.len(), false);
-                self.evict_heap.clear();
-                let seq = &self.admission_seq;
-                self.evict_heap
-                    .extend(members.iter().enumerate().map(|(p, &m)| (seq[m], p)));
-                heap_built = true;
-            }
-            // Evict the newest member (possibly `idx` itself).
-            let pos = loop {
-                let (_, p) = self.evict_heap.pop().expect("live member to evict");
-                if !self.evicted[p] {
-                    break p;
-                }
-            };
-            let victim = members[pos];
-            self.evicted[pos] = true;
-            lane.alloc.free(victim as u64).expect("victim resident");
-            *ctx -= self.pool.resident_tokens(victim);
-            self.pool.note_eviction(victim);
-            self.evictions += 1;
-            lane.pending.push_front(victim);
-            // `idx` may have been the victim; the `evicted` check at the
-            // loop head re-routes, otherwise retry this slot.
-        }
-        if heap_built {
-            // Compact the survivors in order (one pass, instead of a
-            // `Vec::remove` per victim).
-            let mut p = 0;
-            let evicted = &self.evicted;
-            members.retain(|_| {
-                let keep = !evicted[p];
-                p += 1;
-                keep
-            });
-        }
-        finished_now
-    }
-
-    /// Event-driven variant of [`Self::advance_decode_ctx`]: the batch's
-    /// members are banked in `coh` (joined at admission), so a step is
-    /// O(finishers) instead of O(members) — finishers drain from their
-    /// finish-epoch bucket with their banked state settled on the way
-    /// out, and the survivors' KV growth is one aggregate extend. Under
-    /// memory pressure the step evicts without un-banking the batch: the
-    /// walk below visits only the members that cross a block boundary
-    /// this step and settles just the victims, reproducing
-    /// [`Self::advance_decode_ctx`]'s eviction schedule (victim choice,
-    /// requeue order, allocator stats) exactly.
-    ///
-    /// Returns the number of requests that finished.
-    pub fn advance_decode_cohort(
-        &mut self,
-        lane: &mut Lane,
-        coh: &mut DecodeCohort,
-        members: &mut Vec<usize>,
-        now: f64,
-        ctx: &mut u64,
-    ) -> usize {
+    pub fn advance_decode_cohort(&mut self, lane: &mut Lane, now: f64) -> usize {
+        let Lane {
+            alloc,
+            pending,
+            residents: members,
+            ctx,
+            cohort: coh,
+            ..
+        } = lane;
         debug_assert_eq!(coh.live(), members.len());
         // Every member generates one token this step.
         *ctx += members.len() as u64;
@@ -325,15 +233,14 @@ impl RunState {
         coh.drain_finishers(&mut self.cm, &mut self.finishers);
         let finished_now = self.finishers.len();
         for &(m, extends) in &self.finishers {
-            lane.alloc.advance_tokens(m as u64, extends as u64);
+            alloc.advance_tokens(m as u64, extends as u64);
             self.pool.finish_decode(m, extends + 1, now);
             // The allocation lags the just-generated token by one.
-            let freed = lane.alloc.free(m as u64).expect("finished request resident");
+            let freed = alloc.free(m as u64).expect("finished request resident");
             *ctx -= freed + 1;
         }
-        if lane.alloc.free_blocks() >= coh.step_grows() as u64 {
-            lane.alloc
-                .extend_cohort(coh.live() as u64, coh.step_grows() as u64);
+        if alloc.free_blocks() >= coh.step_grows() as u64 {
+            alloc.extend_cohort(coh.live() as u64, coh.step_grows() as u64);
             if finished_now > 0 {
                 let pool = &self.pool;
                 members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
@@ -363,7 +270,7 @@ impl RunState {
                 i += 1;
                 continue;
             }
-            if lane.alloc.free_blocks() > grows_taken {
+            if alloc.free_blocks() > grows_taken {
                 grows_taken += 1;
                 i += 1;
                 continue;
@@ -397,14 +304,13 @@ impl RunState {
             let p = coh.leave(&mut self.cm, victim);
             let extended = (pos < i) as u32;
             self.pool.advance_decode_steps(victim, p);
-            lane.alloc
-                .advance_tokens(victim as u64, (p - 1 + extended) as u64);
+            alloc.advance_tokens(victim as u64, (p - 1 + extended) as u64);
             extra_extends += extended as u64;
-            lane.alloc.free(victim as u64).expect("victim resident");
+            alloc.free(victim as u64).expect("victim resident");
             *ctx -= self.pool.resident_tokens(victim);
             self.pool.note_eviction(victim);
             self.evictions += 1;
-            lane.pending.push_front(victim);
+            pending.push_front(victim);
             // The victim may be the member we were extending (it held
             // the newest admission): its demand is gone — move on.
             // Otherwise the freed blocks let the same member retry.
@@ -412,8 +318,7 @@ impl RunState {
                 i += 1;
             }
         }
-        lane.alloc
-            .extend_survivors(coh.live() as u64, grows_taken, extra_extends, rejections);
+        alloc.extend_survivors(coh.live() as u64, grows_taken, extra_extends, rejections);
         {
             let pool = &self.pool;
             members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
@@ -428,40 +333,95 @@ impl RunState {
     }
 }
 
-/// The engine-wide idle-advance invariant, shared with the TD engine's
-/// fast-forward (`crates/core/src/engine.rs`): when nothing is runnable
-/// and nothing is in flight, the earliest pending arrival must be finite
-/// and strictly in the future — otherwise the clock cannot advance and
-/// the scheduler would either spin or jump to `+inf`. Every baseline
-/// routes its online-idle jump through here so a bad arrival vector is
-/// rejected identically by all five engines. Returns the new clock.
-///
-/// # Panics
-/// Panics when `next_arrival` is non-finite (no pending request will
-/// ever arrive) or not strictly after `now` (an arrived request was
-/// refused — callers diagnose capacity before coming here).
-pub fn idle_advance(
-    next_arrival: f64,
-    now: f64,
-    pending: usize,
-    finished: usize,
-    total: usize,
-) -> f64 {
-    // analyzer: allow(no-panic) — deliberate fail-fast on a stuck
-    // virtual clock; continuing would spin forever.
-    assert!(
-        next_arrival.is_finite() && next_arrival > now,
-        "stuck: nothing runnable, nothing arriving \
-         (next_arrival={next_arrival}, now={now}, pending={pending}, \
-         finished={finished}/{total})"
-    );
-    next_arrival
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tdpipe_workload::ShareGptLikeConfig;
+
+    impl RunState {
+        /// The per-member reference for
+        /// [`RunState::advance_decode_cohort`]: the same step over
+        /// `lane.residents`, one request at a time, with no cohort
+        /// banking. `cohort_eviction_walk_matches_per_member_loop` checks
+        /// the two agree bit for bit.
+        fn advance_decode_ctx(&mut self, lane: &mut Lane, now: f64) -> usize {
+            let Lane {
+                alloc,
+                pending,
+                residents: members,
+                ctx,
+                ..
+            } = lane;
+            let mut finished_now = 0usize;
+            // Every member generates one token this step.
+            *ctx += members.len() as u64;
+            let pool = &mut self.pool;
+            members.retain(|&idx| {
+                if pool.note_decode_step(idx, now) {
+                    // The allocation lags the just-generated token by one.
+                    let freed = alloc.free(idx as u64).expect("finished request resident");
+                    *ctx -= freed + 1;
+                    finished_now += 1;
+                    false
+                } else {
+                    true
+                }
+            });
+            // Extend survivors' KV; evict newest-first on overflow via a lazy
+            // max-heap over `admission_seq` (unique, so the peel order is the
+            // per-victim max scan's).
+            if alloc.free_blocks() >= members.len() as u64 {
+                alloc.extend_one_each(members.iter().map(|&m| m as u64));
+                return finished_now;
+            }
+            let mut heap_built = false;
+            let mut i = 0;
+            while i < members.len() {
+                if heap_built && self.evicted[i] {
+                    i += 1;
+                    continue;
+                }
+                let idx = members[i];
+                if alloc.extend_one(idx as u64).is_ok() {
+                    i += 1;
+                    continue;
+                }
+                if !heap_built {
+                    self.evicted.clear();
+                    self.evicted.resize(members.len(), false);
+                    self.evict_heap.clear();
+                    let seq = &self.admission_seq;
+                    self.evict_heap
+                        .extend(members.iter().enumerate().map(|(p, &m)| (seq[m], p)));
+                    heap_built = true;
+                }
+                // Evict the newest member (possibly `idx` itself).
+                let pos = loop {
+                    let (_, p) = self.evict_heap.pop().expect("live member to evict");
+                    if !self.evicted[p] {
+                        break p;
+                    }
+                };
+                let victim = members[pos];
+                self.evicted[pos] = true;
+                alloc.free(victim as u64).expect("victim resident");
+                *ctx -= self.pool.resident_tokens(victim);
+                self.pool.note_eviction(victim);
+                self.evictions += 1;
+                pending.push_front(victim);
+            }
+            if heap_built {
+                let mut p = 0;
+                let evicted = &self.evicted;
+                members.retain(|_| {
+                    let keep = !evicted[p];
+                    p += 1;
+                    keep
+                });
+            }
+            finished_now
+        }
+    }
 
     fn state(requests: usize) -> RunState {
         let t = ShareGptLikeConfig::small(requests, 3).generate();
@@ -471,6 +431,16 @@ mod tests {
     fn single_lane(st: &RunState, blocks: u64) -> Lane {
         let mut lanes = st.make_lanes(1, blocks, &EngineConfig::default());
         lanes.pop().expect("one lane")
+    }
+
+    /// Admit every head that fits into `lane.residents` (per-member
+    /// reference state: no cohort banking).
+    fn admit_all(st: &mut RunState, lane: &mut Lane) {
+        while st.head_fits(lane) {
+            let (idx, tokens) = st.admit_head(lane);
+            lane.residents.push(idx);
+            lane.ctx += tokens as u64;
+        }
     }
 
     #[test]
@@ -489,7 +459,8 @@ mod tests {
     fn packing_respects_token_budget_and_memory() {
         let mut st = state(50);
         let mut lane = single_lane(&st, 100_000);
-        let (batch, lens) = st.pack_prefill_batch(&mut lane, 1024, usize::MAX, 0.0);
+        let (mut batch, mut lens) = (Vec::new(), Vec::new());
+        st.pack_prefill_batch_into(&mut lane, 1024, usize::MAX, 0.0, &mut batch, &mut lens);
         assert!(!batch.is_empty());
         let total: u32 = lens.iter().sum();
         assert!(total <= 2048 || batch.len() == 1);
@@ -502,7 +473,8 @@ mod tests {
     fn memory_exhaustion_stops_admission() {
         let mut st = state(50);
         let mut lane = single_lane(&st, 10); // 160 tokens of KV
-        let (batch, _) = st.pack_prefill_batch(&mut lane, u32::MAX, usize::MAX, 0.0);
+        let (mut batch, mut lens) = (Vec::new(), Vec::new());
+        st.pack_prefill_batch_into(&mut lane, u32::MAX, usize::MAX, 0.0, &mut batch, &mut lens);
         assert!(batch.len() < 50, "tiny pool cannot admit everything");
         assert!(!st.head_fits(&lane));
     }
@@ -511,42 +483,37 @@ mod tests {
     fn advance_decode_retires_and_extends() {
         let mut st = state(4);
         let mut lane = single_lane(&st, 100_000);
-        let mut members = Vec::new();
-        for _ in 0..4 {
-            members.push(st.admit_head(&mut lane).0);
-        }
-        let fin = st.advance_decode(&mut lane, &mut members, 1.0);
+        admit_all(&mut st, &mut lane);
+        assert_eq!(lane.residents.len(), 4);
+        let fin = st.advance_decode_ctx(&mut lane, 1.0);
         assert_eq!(st.pool.output_tokens, 4);
-        assert_eq!(members.len(), 4 - fin);
-        for &idx in &members {
+        assert_eq!(lane.residents.len(), 4 - fin);
+        for &idx in &lane.residents {
             assert_eq!(
                 lane.alloc.tokens_of(idx as u64).unwrap(),
                 st.pool.resident_tokens(idx)
             );
         }
-        assert_eq!(lane.alloc.num_residents(), members.len());
+        assert_eq!(lane.alloc.num_residents(), lane.residents.len());
     }
 
     #[test]
     fn overflow_evicts_newest_to_lane_pending() {
         let mut st = state(3);
         let mut lane = single_lane(&st, 64);
-        let mut members = Vec::new();
-        while st.head_fits(&lane) {
-            members.push(st.admit_head(&mut lane).0);
-        }
-        assert!(!members.is_empty());
+        admit_all(&mut st, &mut lane);
+        assert!(!lane.residents.is_empty());
         for _ in 0..5000 {
-            if members.is_empty() {
+            if lane.residents.is_empty() {
                 break;
             }
-            st.advance_decode(&mut lane, &mut members, 0.1);
+            st.advance_decode_ctx(&mut lane, 0.1);
             if (0..st.pool.len()).any(|i| st.pool.evictions(i) > 0) {
                 break;
             }
         }
         let any_evicted = (0..st.pool.len()).any(|i| st.pool.evictions(i) > 0);
-        assert!(any_evicted || members.is_empty());
+        assert!(any_evicted || lane.residents.is_empty());
         assert!(lane.alloc.used_blocks() <= lane.alloc.num_blocks());
     }
 
@@ -570,22 +537,15 @@ mod tests {
             let mut st = RunState::new(RequestPool::new(t.requests(), |r| r.output_len));
             let mut lanes = st.make_lanes(1, blocks, &cfg);
             let mut lane = lanes.pop().expect("one lane");
-            let mut members = Vec::new();
-            let mut ctx = 0u64;
-            while st.head_fits(&lane) {
-                let (idx, tokens) = st.admit_head(&mut lane);
-                members.push(idx);
-                ctx += tokens as u64;
-            }
-            assert!(members.len() >= 16, "scenario admits most requests");
-            (st, lane, members, ctx)
+            admit_all(&mut st, &mut lane);
+            assert!(lane.residents.len() >= 16, "scenario admits most requests");
+            (st, lane)
         };
 
-        let (mut st_a, mut lane_a, mut mem_a, mut ctx_a) = setup();
-        let (mut st_b, mut lane_b, mut mem_b, mut ctx_b) = setup();
-        let mut coh = DecodeCohort::new(cfg.block_size);
-        for &m in &mem_b {
-            coh.join(
+        let (mut st_a, mut lane_a) = setup();
+        let (mut st_b, mut lane_b) = setup();
+        for &m in &lane_b.residents {
+            lane_b.cohort.join(
                 &mut st_b.cm,
                 m,
                 st_b.pool.resident_tokens(m),
@@ -593,16 +553,22 @@ mod tests {
             );
         }
         for step in 0..600 {
-            if mem_a.is_empty() {
+            if lane_a.residents.is_empty() {
                 break;
             }
             let now = step as f64;
-            let fa = st_a.advance_decode_ctx(&mut lane_a, &mut mem_a, now, &mut ctx_a);
-            let fb = st_b.advance_decode_cohort(&mut lane_b, &mut coh, &mut mem_b, now, &mut ctx_b);
+            let fa = st_a.advance_decode_ctx(&mut lane_a, now);
+            let fb = st_b.advance_decode_cohort(&mut lane_b, now);
             assert_eq!(fa, fb, "finishers at step {step}");
-            assert_eq!(mem_a, mem_b, "survivor set at step {step}");
-            assert_eq!(ctx_a, ctx_b, "context total at step {step}");
-            assert_eq!(lane_a.pending, lane_b.pending, "requeue order at step {step}");
+            assert_eq!(
+                lane_a.residents, lane_b.residents,
+                "survivor set at step {step}"
+            );
+            assert_eq!(lane_a.ctx, lane_b.ctx, "context total at step {step}");
+            assert_eq!(
+                lane_a.pending, lane_b.pending,
+                "requeue order at step {step}"
+            );
             assert_eq!(
                 lane_a.alloc.free_blocks(),
                 lane_b.alloc.free_blocks(),
@@ -613,25 +579,40 @@ mod tests {
                 lane_b.alloc.resident_tokens(),
                 "resident tokens at step {step}"
             );
-            assert_eq!(lane_a.alloc.stats(), lane_b.alloc.stats(), "stats at step {step}");
+            assert_eq!(
+                lane_a.alloc.stats(),
+                lane_b.alloc.stats(),
+                "stats at step {step}"
+            );
             assert_eq!(st_a.evictions, st_b.evictions, "evictions at step {step}");
         }
-        assert!(st_a.evictions > 0, "scenario must exercise the eviction walk");
+        assert!(
+            st_a.evictions > 0,
+            "scenario must exercise the eviction walk"
+        );
         assert!(
             lane_a.alloc.stats().oom_rejections > 0,
             "scenario must hit the OOM path"
         );
         // Settle the cohort and compare every request's materialised state.
-        for &m in &mem_b.clone() {
-            let p = coh.leave(&mut st_b.cm, m);
+        for &m in &lane_b.residents {
+            let p = lane_b.cohort.leave(&mut st_b.cm, m);
             st_b.pool.advance_decode_steps(m, p);
             lane_b.alloc.advance_tokens(m as u64, p as u64);
         }
         for i in 0..st_a.pool.len() {
-            assert_eq!(st_a.pool.generated(i), st_b.pool.generated(i), "generated for {i}");
-            assert_eq!(st_a.pool.lifecycle(i), st_b.pool.lifecycle(i), "lifecycle for {i}");
+            assert_eq!(
+                st_a.pool.generated(i),
+                st_b.pool.generated(i),
+                "generated for {i}"
+            );
+            assert_eq!(
+                st_a.pool.lifecycle(i),
+                st_b.pool.lifecycle(i),
+                "lifecycle for {i}"
+            );
         }
-        for &m in &mem_a {
+        for &m in &lane_a.residents {
             assert_eq!(
                 lane_a.alloc.tokens_of(m as u64).unwrap(),
                 lane_b.alloc.tokens_of(m as u64).unwrap(),

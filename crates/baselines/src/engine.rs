@@ -1,0 +1,708 @@
+//! The baseline scheduling loop, built at run time from two policies.
+//!
+//! The paper's four baselines differ only in two scheduling decisions, so
+//! each one is a [`BaselineEngine`] over a cell of the policy grid:
+//!
+//! * [`Layout`] fixes the lanes and the pricing. Tensor parallelism is one
+//!   lane priced by [`TpCost`]; pipeline parallelism is `num_stages` lanes
+//!   priced by [`PpCost`], with at most `pp_inflight_limit` jobs in flight.
+//! * [`Batching`] picks an idle lane's next job. Separate batching runs a
+//!   prefill batch if one fits, else a decode step; hybrid batching runs
+//!   the resident decodes plus prefill chunks up to `chunk_token_budget`.
+//!
+//! Everything else is one loop: like TD-Pipe's, it launches jobs through a
+//! [`PipelineExecutor`] (the simulator by default, any plane through
+//! [`BaselineEngine::try_run_on`]), steps every decode batch on the
+//! event-driven cohort path, and returns a [`RunOutcome`].
+
+use crate::common::{Lane, RunState};
+use tdpipe_core::config::EngineConfig;
+use tdpipe_core::control::ControlPlane;
+use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
+use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};
+use tdpipe_core::exec::{ExecError, PipelineExecutor, SimExecutor};
+use tdpipe_core::metrics::EngineMetrics;
+use tdpipe_core::plan::MemoryPlan;
+use tdpipe_core::request::RequestPool;
+use tdpipe_hw::NodeSpec;
+use tdpipe_kvcache::{AllocStats, OccupancyTrace};
+use tdpipe_model::ModelSpec;
+use tdpipe_predictor::OutputLenPredictor;
+use tdpipe_sim::{RunReport, SegmentKind};
+use tdpipe_trace::{EvictMode, FlightRecorder};
+use tdpipe_workload::Trace;
+
+/// How the model is split over the node's GPUs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Tensor parallelism: every layer pays two all-reduces and the whole
+    /// node advances in lockstep, so it is one lane running one job at a
+    /// time. There are no pipeline bubbles — the cost is communication.
+    Tensor,
+    /// Pipeline parallelism: one lane per stage (vLLM's virtual engines),
+    /// whose jobs chase each other through the pipeline. Prefill/decode
+    /// imbalance between lanes produces the Figure 1 bubbles.
+    Pipeline,
+}
+
+impl Layout {
+    /// Both layouts, in the paper's order.
+    pub const ALL: [Layout; 2] = [Layout::Tensor, Layout::Pipeline];
+
+    /// `TP` or `PP`, as in the paper's scheduler names.
+    pub const fn abbrev(self) -> &'static str {
+        match self {
+            Layout::Tensor => "TP",
+            Layout::Pipeline => "PP",
+        }
+    }
+}
+
+/// How a lane composes its next job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Batching {
+    /// Separate batching (vLLM's default): a prefill-only batch whenever
+    /// the lane's queue head fits, otherwise one decode step over every
+    /// resident. Prefill and decode never mix.
+    Separate,
+    /// Hybrid batching with chunked prefill (Sarathi-style): every
+    /// iteration carries all resident decodes plus prefill chunks up to a
+    /// token budget. Chunks re-read their cached prefix, and the fused
+    /// iteration only partly overlaps prefill compute with decode memory
+    /// streaming (`EngineConfig::hybrid_overlap`).
+    Hybrid,
+}
+
+impl Batching {
+    /// Both policies, in the paper's order.
+    pub const ALL: [Batching; 2] = [Batching::Separate, Batching::Hybrid];
+
+    /// `SB` or `HB`, as in the paper's scheduler names.
+    pub const fn abbrev(self) -> &'static str {
+        match self {
+            Batching::Separate => "SB",
+            Batching::Hybrid => "HB",
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Cost {
+    Tensor(TpCost),
+    Pipeline(PpCost),
+}
+
+/// A lane's next job, in the cost models' terms.
+enum Work<'a> {
+    Prefill(&'a [u32]),
+    Decode {
+        batch: usize,
+        ctx: u64,
+    },
+    Hybrid {
+        batch: usize,
+        ctx: u64,
+        chunks: &'a [(u32, u32)],
+        completed: usize,
+    },
+}
+
+impl Cost {
+    /// Price `work` into `job`: per-stage times for a pipeline, one
+    /// lock-step stage for a tensor-parallel node.
+    fn price(&self, work: Work<'_>, overlap: f64, job: &mut StagedJob) {
+        match self {
+            Cost::Tensor(c) => {
+                let t = match work {
+                    Work::Prefill(lens) => c.prefill_time(lens),
+                    Work::Decode { batch, ctx } => c.decode_time(batch, ctx),
+                    Work::Hybrid {
+                        batch,
+                        ctx,
+                        chunks,
+                        completed,
+                    } => c.hybrid_time(batch, ctx, chunks, completed, overlap),
+                };
+                job.exec.clear();
+                job.exec.push(t);
+                job.xfer.clear();
+            }
+            Cost::Pipeline(c) => match work {
+                Work::Prefill(lens) => c.prefill_job_into(lens, job),
+                Work::Decode { batch, ctx } => c.decode_job_into(batch, ctx, job),
+                Work::Hybrid {
+                    batch,
+                    ctx,
+                    chunks,
+                    completed,
+                } => c.hybrid_job_into(batch, ctx, chunks, completed, overlap, job),
+            },
+        }
+    }
+}
+
+/// What a lane's in-flight job delivers when the plane reports it done.
+#[derive(Default)]
+struct Job {
+    busy: bool,
+    /// Whether it steps the lane's residents by one decode token.
+    decodes: bool,
+    /// Requests whose prompt it finishes prefilling.
+    prefilled: Vec<usize>,
+    /// Sequences the control plane processes when it returns.
+    seqs: usize,
+}
+
+/// Launch scratch reused across the run, so steady state allocates
+/// nothing per job.
+#[derive(Default)]
+struct Scratch {
+    lens: Vec<u32>,
+    chunks: Vec<(u32, u32)>,
+    staged: StagedJob,
+}
+
+/// A baseline engine: one [`Layout`] × one [`Batching`] policy over the
+/// shared lanes, cost models, KV allocator, recompute eviction and
+/// execution plane.
+#[derive(Debug, Clone)]
+pub struct BaselineEngine {
+    layout: Layout,
+    batching: Batching,
+    cfg: EngineConfig,
+    cost: Cost,
+    plan: MemoryPlan,
+}
+
+impl BaselineEngine {
+    /// Plan the engine; fails when the model's weights do not fit the
+    /// node in `layout`.
+    pub fn new(
+        layout: Layout,
+        batching: Batching,
+        model: ModelSpec,
+        node: &NodeSpec,
+        cfg: EngineConfig,
+    ) -> Result<Self, InfeasibleConfig> {
+        let (plan, shape) = match layout {
+            Layout::Tensor => (
+                MemoryPlan::tensor(&model, node, cfg.block_size, cfg.mem_reserve_bytes),
+                "tensor shards",
+            ),
+            Layout::Pipeline => (
+                MemoryPlan::pipeline(&model, node, cfg.block_size, cfg.mem_reserve_bytes),
+                "pipeline stages",
+            ),
+        };
+        let plan = plan.ok_or_else(|| InfeasibleConfig {
+            reason: format!(
+                "{} does not fit {}x{} {shape}",
+                model.name, node.num_gpus, node.gpu.name
+            ),
+        })?;
+        let cost = match layout {
+            Layout::Tensor => Cost::Tensor(TpCost::new(model, node)),
+            Layout::Pipeline => Cost::Pipeline(PpCost::new(model, node)),
+        };
+        Ok(BaselineEngine {
+            layout,
+            batching,
+            cfg,
+            cost,
+            plan,
+        })
+    }
+
+    /// The paper's name for this baseline (`TP+SB`, …, `PP+HB`).
+    pub fn name(&self) -> String {
+        format!("{}+{}", self.layout.abbrev(), self.batching.abbrev())
+    }
+
+    /// The planned KV pool (aggregate across lanes).
+    pub fn plan(&self) -> &MemoryPlan {
+        &self.plan
+    }
+
+    /// Lanes, which are also the execution plane's stages: one for the
+    /// tensor layout, one per GPU for the pipeline layout.
+    pub fn num_stages(&self) -> u32 {
+        match &self.cost {
+            Cost::Tensor(_) => 1,
+            Cost::Pipeline(c) => c.num_stages(),
+        }
+    }
+
+    /// Run over a trace with everything queued at t = 0. The predictor is
+    /// unused (the baselines schedule reactively) but accepted for
+    /// interface uniformity with TD-Pipe.
+    ///
+    /// # Panics
+    /// As [`Self::run_with_arrivals`].
+    pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, predictor: &P) -> RunOutcome {
+        self.run_with_arrivals(trace, &[], predictor)
+    }
+
+    /// Run with per-request arrival times on the deterministic simulator
+    /// (empty slice = everything queued at t = 0). Arrivals must be
+    /// non-decreasing and aligned with the trace; latencies come out
+    /// arrival-relative.
+    ///
+    /// # Panics
+    /// Panics if `arrivals` is misaligned or unsorted, if some request
+    /// cannot fit its lane's KV memory even alone, or if a pending request
+    /// never arrives.
+    pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
+        &self,
+        trace: &Trace,
+        arrivals: &[f64],
+        predictor: &P,
+    ) -> RunOutcome {
+        let plane = SimExecutor::new(
+            self.num_stages(),
+            self.cfg.transfer_mode,
+            self.cfg.record_timeline,
+        );
+        self.try_run_on(trace, arrivals, predictor, Box::new(plane))
+            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
+    }
+
+    /// The scheduling loop, against any execution plane with
+    /// [`Self::num_stages`] stages: an execution-plane failure surfaces as
+    /// an [`ExecError`].
+    ///
+    /// # Panics
+    /// As [`Self::run_with_arrivals`] (scheduling preconditions only).
+    pub fn try_run_on<P: OutputLenPredictor + ?Sized>(
+        &self,
+        trace: &Trace,
+        arrivals: &[f64],
+        _predictor: &P,
+        mut plane: Box<dyn PipelineExecutor>,
+    ) -> Result<RunOutcome, ExecError> {
+        assert!(
+            arrivals.is_empty() || arrivals.len() == trace.len(),
+            "one arrival per request"
+        );
+        assert!(
+            arrivals.windows(2).all(|w| w[1] >= w[0]),
+            "arrivals must be sorted"
+        );
+        let n = self.num_stages() as usize;
+        let pool = RequestPool::with_arrivals(trace.requests(), arrivals, |r| r.output_len);
+        let mut st = RunState::new(pool);
+        let mut lanes = st.make_lanes(n, self.plan.kv_blocks, &self.cfg);
+        let mut jobs: Vec<Job> = (0..n).map(|_| Job::default()).collect();
+        let mut scratch = Scratch::default();
+        let mut ctrl = ControlPlane::new(&self.cfg);
+        let mut metrics = EngineMetrics::new(self.cfg.record_metrics);
+        // A lane runs one job at a time, so the single tensor lane never
+        // exceeds one in flight whatever the limit.
+        let limit = self.cfg.pp_inflight_limit.max(1);
+        let mut now = 0.0f64;
+        // Where the round-robin scan starts: after the lane that last
+        // completed, or at lane 0 after an idle jump.
+        let mut first = 0;
+        loop {
+            for off in 0..n {
+                if plane.outstanding() >= limit {
+                    break;
+                }
+                let sid = (first + off) % n;
+                if !jobs[sid].busy {
+                    self.launch(
+                        sid,
+                        &mut lanes[sid],
+                        &mut jobs[sid],
+                        &mut st,
+                        plane.as_mut(),
+                        &mut scratch,
+                        &mut metrics,
+                        now,
+                    );
+                }
+            }
+            if plane.outstanding() == 0 {
+                if st.pool.all_finished() {
+                    break;
+                }
+                now = idle_advance(&st, &lanes, now);
+                first = 0;
+                continue;
+            }
+            let (tag, finish) = plane.try_next_completion()?;
+            let sid = tag as usize;
+            let (lane, job) = (&mut lanes[sid], &mut jobs[sid]);
+            now = ctrl.process(finish, job.seqs);
+            if job.decodes {
+                st.advance_decode_cohort(lane, finish);
+            }
+            for &idx in &job.prefilled {
+                st.start_decoding(lane, idx, finish);
+            }
+            job.busy = false;
+            if metrics.is_enabled() {
+                let used: u64 = lanes.iter().map(|l| l.alloc.used_blocks()).sum();
+                let total: u64 = lanes.iter().map(|l| l.alloc.num_blocks()).sum();
+                let occ = if total == 0 {
+                    1.0
+                } else {
+                    used as f64 / total as f64
+                };
+                metrics.sample(
+                    now,
+                    occ,
+                    plane.outstanding(),
+                    0,
+                    RunState::total_pending(&lanes),
+                );
+            }
+            first = sid + 1;
+        }
+
+        st.pool.assert_conserved();
+        metrics.on_evictions(EvictMode::Recompute, st.evictions);
+        let plane_stats = plane.plane_stats();
+        let (makespan, timeline) = plane.try_finish()?;
+        let report = RunReport {
+            scheduler: self.name(),
+            makespan,
+            num_requests: st.pool.len(),
+            input_tokens: st.pool.input_tokens,
+            output_tokens: st.pool.output_tokens,
+            recomputed_tokens: st.pool.recomputed_tokens,
+            swapped_tokens: st.pool.swapped_tokens,
+            phase_switches: 0,
+            mean_utilization: timeline.mean_utilization(),
+            latency: st.pool.latency_summary(),
+        };
+        let alloc = lanes
+            .iter()
+            .fold(AllocStats::default(), |a, l| a.merged(l.alloc.stats()));
+        let metrics = metrics.finish(&report, alloc, self.plan.kv_blocks, &timeline, plane_stats);
+        Ok(RunOutcome {
+            report,
+            timeline,
+            occupancy: OccupancyTrace::new(),
+            phases: Vec::new(),
+            journal: FlightRecorder::disabled(),
+            metrics,
+        })
+    }
+
+    /// Compose idle lane `sid`'s next job under the batching policy and
+    /// launch it at `now`; a lane with nothing runnable stays idle.
+    #[allow(clippy::too_many_arguments)] // one endpoint per run resource
+    fn launch(
+        &self,
+        sid: usize,
+        lane: &mut Lane,
+        job: &mut Job,
+        st: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        s: &mut Scratch,
+        metrics: &mut EngineMetrics,
+        now: f64,
+    ) {
+        let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
+        let decode_b = lane.residents.len();
+        job.prefilled.clear();
+        let (work, kind) = match self.batching {
+            Batching::Separate if decode_b < max_seqs && st.can_admit(lane, now) => {
+                st.pack_prefill_batch_into(
+                    lane,
+                    self.cfg.prefill_token_budget,
+                    max_seqs - decode_b,
+                    now,
+                    &mut job.prefilled,
+                    &mut s.lens,
+                );
+                metrics
+                    .on_prefill_batch(job.prefilled.len(), s.lens.iter().map(|&l| l as u64).sum());
+                job.decodes = false;
+                job.seqs = job.prefilled.len();
+                (Work::Prefill(&s.lens), SegmentKind::Prefill)
+            }
+            Batching::Separate if decode_b > 0 => {
+                metrics.on_decode_step(decode_b);
+                job.decodes = true;
+                job.seqs = decode_b;
+                let work = Work::Decode {
+                    batch: decode_b,
+                    ctx: lane.ctx,
+                };
+                (work, SegmentKind::Decode)
+            }
+            Batching::Separate => return,
+            Batching::Hybrid => {
+                self.fill_chunks(lane, st, &mut job.prefilled, &mut s.chunks, now);
+                if decode_b == 0 && s.chunks.is_empty() {
+                    return;
+                }
+                if metrics.is_enabled() {
+                    if decode_b > 0 {
+                        metrics.on_decode_step(decode_b);
+                    }
+                    for &(c, _) in &s.chunks {
+                        metrics.on_chunk(c as u64);
+                    }
+                    if !job.prefilled.is_empty() {
+                        let tokens = job
+                            .prefilled
+                            .iter()
+                            .map(|&i| st.pool.prefill_tokens(i) as u64)
+                            .sum();
+                        metrics.on_prefill_batch(job.prefilled.len(), tokens);
+                    }
+                }
+                job.decodes = decode_b > 0;
+                // The two layouts' control planes charge a hybrid
+                // iteration differently, and the Fig. 11 snapshot pins
+                // both: the tensor engine counts every chunk it scheduled,
+                // the pipeline engine only the prompts those chunks
+                // complete.
+                job.seqs = decode_b
+                    + match self.layout {
+                        Layout::Tensor => s.chunks.len(),
+                        Layout::Pipeline => job.prefilled.len(),
+                    };
+                let kind = match (decode_b > 0, s.chunks.is_empty()) {
+                    (true, false) => SegmentKind::Hybrid,
+                    (true, true) => SegmentKind::Decode,
+                    (false, _) => SegmentKind::Prefill,
+                };
+                let work = Work::Hybrid {
+                    batch: decode_b,
+                    ctx: lane.ctx,
+                    chunks: &s.chunks,
+                    completed: job.prefilled.len(),
+                };
+                (work, kind)
+            }
+        };
+        self.cost
+            .price(work, self.cfg.hybrid_overlap, &mut s.staged);
+        plane.launch(now, &s.staged.exec, &s.staged.xfer, kind, sid as u64);
+        job.busy = true;
+    }
+
+    /// Hybrid batching's prefill part: chunks of `lane`'s admitted prompts
+    /// (admitting queue heads as they arrive and fit) filling the token
+    /// budget left after one token per resident decode. Prompts whose
+    /// last chunk is scheduled land in `completed`.
+    fn fill_chunks(
+        &self,
+        lane: &mut Lane,
+        st: &mut RunState,
+        completed: &mut Vec<usize>,
+        chunks: &mut Vec<(u32, u32)>,
+        now: f64,
+    ) {
+        let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
+        let decode_b = lane.residents.len();
+        let mut budget = self.cfg.chunk_token_budget.saturating_sub(decode_b as u32);
+        chunks.clear();
+        while budget > 0 {
+            if lane.prefilling.is_empty()
+                && decode_b + completed.len() < max_seqs
+                && st.can_admit(lane, now)
+            {
+                let (idx, _) = st.admit_head(lane);
+                lane.prefilling.push_back((idx, 0));
+            }
+            let Some(&(idx, done)) = lane.prefilling.front() else {
+                break;
+            };
+            let total = st.pool.prefill_tokens(idx);
+            let c = (total - done).min(budget);
+            chunks.push((c, done));
+            budget -= c;
+            if done + c == total {
+                lane.prefilling.pop_front();
+                completed.push(idx);
+            } else {
+                lane.prefilling[0].1 = done + c;
+            }
+        }
+    }
+}
+
+/// Nothing is in flight and no lane can launch: jump the clock to the
+/// earliest pending arrival — the invariant TD-Pipe's fast-forward
+/// enforces too (`tdpipe_core::engine`).
+///
+/// # Panics
+/// Panics when a queue head has already arrived (an idle lane refused it,
+/// so it can never fit), and when no pending request will ever arrive —
+/// either way the clock cannot advance.
+fn idle_advance(st: &RunState, lanes: &[Lane], now: f64) -> f64 {
+    let pool = &st.pool;
+    let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
+    if let Some((lane, idx)) = heads().find(|&(_, i)| pool.arrival(i) <= now) {
+        panic!(
+            "request {} ({} tokens) exceeds KV capacity ({} tokens)",
+            pool.id(idx),
+            pool.prefill_tokens(idx),
+            lane.alloc.num_blocks() * lane.alloc.block_size() as u64
+        );
+    }
+    let next_arrival = heads()
+        .map(|(_, i)| pool.arrival(i))
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        next_arrival.is_finite() && next_arrival > now,
+        "stuck: nothing runnable, nothing arriving \
+         (next_arrival={next_arrival}, now={now}, pending={}, finished={}/{})",
+        RunState::total_pending(lanes),
+        pool.finished(),
+        pool.len()
+    );
+    next_arrival
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tdpipe_predictor::OraclePredictor;
+    use tdpipe_workload::ShareGptLikeConfig;
+
+    fn engine(
+        layout: Layout,
+        batching: Batching,
+        node: &NodeSpec,
+        cfg: EngineConfig,
+    ) -> BaselineEngine {
+        BaselineEngine::new(layout, batching, ModelSpec::llama2_13b(), node, cfg).unwrap()
+    }
+
+    fn tput(layout: Layout, batching: Batching, node: &NodeSpec, trace: &Trace) -> f64 {
+        engine(layout, batching, node, EngineConfig::default())
+            .run(trace, &OraclePredictor)
+            .report
+            .throughput_total()
+    }
+
+    #[test]
+    fn every_cell_completes_under_its_paper_name() {
+        let t = ShareGptLikeConfig::small(64, 9).generate();
+        let mut names = Vec::new();
+        for layout in Layout::ALL {
+            for batching in Batching::ALL {
+                let e = engine(layout, batching, &NodeSpec::l20(4), EngineConfig::default());
+                let out = e.run(&t, &OraclePredictor);
+                assert_eq!(out.report.num_requests, 64);
+                assert_eq!(out.report.scheduler, e.name());
+                assert!(out.report.throughput_total() > 0.0);
+                names.push(e.name());
+            }
+        }
+        assert_eq!(names, ["TP+SB", "TP+HB", "PP+SB", "PP+HB"]);
+    }
+
+    #[test]
+    fn infeasible_layouts_are_rejected_by_name() {
+        let node = NodeSpec::a100(1);
+        for (layout, shape) in [(Layout::Tensor, "tensor"), (Layout::Pipeline, "pipeline")] {
+            let err = BaselineEngine::new(
+                layout,
+                Batching::Separate,
+                ModelSpec::llama2_70b(),
+                &node,
+                EngineConfig::default(),
+            )
+            .unwrap_err();
+            assert!(err.reason.contains(shape), "{}", err.reason);
+        }
+    }
+
+    #[test]
+    fn deterministic() {
+        let t = ShareGptLikeConfig::small(100, 5).generate();
+        let e = engine(
+            Layout::Tensor,
+            Batching::Separate,
+            &NodeSpec::l20(2),
+            EngineConfig::default(),
+        );
+        assert_eq!(
+            e.run(&t, &OraclePredictor).report,
+            e.run(&t, &OraclePredictor).report
+        );
+    }
+
+    #[test]
+    fn seq_cap_binds_batch_size() {
+        // With a small max_num_seqs the run takes longer than unbounded.
+        let t = ShareGptLikeConfig::small(300, 7).generate();
+        let node = NodeSpec::a100(4);
+        let capped = EngineConfig {
+            max_num_seqs: Some(32),
+            ..EngineConfig::default()
+        };
+        let run = |cfg| {
+            engine(Layout::Tensor, Batching::Separate, &node, cfg)
+                .run(&t, &OraclePredictor)
+                .report
+                .makespan
+        };
+        assert!(run(capped) > run(EngineConfig::default()));
+    }
+
+    #[test]
+    fn chunking_tracks_prefill_progress() {
+        // Tighter chunk budgets mean more iterations per prompt and more
+        // prefix re-reads, so makespan must not improve.
+        let t = ShareGptLikeConfig::small(40, 11).generate();
+        let node = NodeSpec::l20(2);
+        let run = |chunk_token_budget| {
+            let cfg = EngineConfig {
+                chunk_token_budget,
+                ..EngineConfig::default()
+            };
+            engine(Layout::Tensor, Batching::Hybrid, &node, cfg)
+                .run(&t, &OraclePredictor)
+                .report
+                .makespan
+        };
+        assert!(run(256) > run(8192) * 0.8);
+    }
+
+    #[test]
+    fn pp_sb_suffers_visible_bubbles_at_four_stages() {
+        let t = ShareGptLikeConfig::small(400, 21).generate();
+        let cfg = EngineConfig {
+            record_timeline: true,
+            ..EngineConfig::default()
+        };
+        let out = engine(Layout::Pipeline, Batching::Separate, &NodeSpec::l20(4), cfg)
+            .run(&t, &OraclePredictor);
+        // The Figure 2 phenomenon: mixed prefill/decode pipelining with
+        // statically-bound lanes leaves real idle time.
+        assert!(
+            out.report.mean_utilization < 0.9,
+            "util {}",
+            out.report.mean_utilization
+        );
+    }
+
+    #[test]
+    fn single_stage_pp_sb_matches_tp_sb_shape() {
+        // With one GPU both layouts degenerate to the same continuous
+        // batching loop; throughputs should be almost identical.
+        let t = ShareGptLikeConfig::small(80, 13).generate();
+        let node = NodeSpec::l20(1);
+        let ratio = tput(Layout::Pipeline, Batching::Separate, &node, &t)
+            / tput(Layout::Tensor, Batching::Separate, &node, &t);
+        assert!((0.95..1.05).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn pp_hb_beats_pp_sb_at_scale() {
+        // §4.2: "the combination of hybrid batching and chunked-prefill...
+        // can indeed optimize the pipeline parallelism".
+        let t = ShareGptLikeConfig::small(600, 33).generate();
+        let node = NodeSpec::l20(4);
+        let hb = tput(Layout::Pipeline, Batching::Hybrid, &node, &t);
+        let sb = tput(Layout::Pipeline, Batching::Separate, &node, &t);
+        assert!(hb > 0.9 * sb, "hb={hb:.0} sb={sb:.0}");
+    }
+}

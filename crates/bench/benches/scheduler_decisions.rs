@@ -64,7 +64,8 @@ fn bench_decisions(c: &mut Criterion) {
 
     // Eviction storm: decode steps over a nearly-full lane, where extends
     // keep overflowing and newest-first recompute-eviction fires batch
-    // after batch — exercising the lazy max-heap victim selection.
+    // after batch — exercising the cohort's eviction walk and its lazy
+    // max-heap victim selection.
     c.bench_function("eviction_storm_advance_decode", |b| {
         let trace = ShareGptLikeConfig::small(64, 17).generate();
         b.iter_batched(
@@ -75,20 +76,20 @@ fn bench_decisions(c: &mut Criterion) {
                     .make_lanes(1, 600, &EngineConfig::default())
                     .pop()
                     .expect("one lane");
-                let mut members = Vec::new();
                 while st.head_fits(&lane) {
-                    members.push(st.admit_head(&mut lane).0);
+                    let (idx, _) = st.admit_head(&mut lane);
+                    st.start_decoding(&mut lane, idx, 0.0);
                 }
-                (st, lane, members)
+                (st, lane)
             },
-            |(mut st, mut lane, mut members)| {
+            |(mut st, mut lane)| {
                 for step in 1..=8 {
-                    if members.is_empty() {
+                    if lane.residents.is_empty() {
                         break;
                     }
-                    st.advance_decode(&mut lane, &mut members, black_box(step as f64 * 0.1));
+                    st.advance_decode_cohort(&mut lane, black_box(step as f64 * 0.1));
                 }
-                (st, lane, members)
+                (st, lane)
             },
             BatchSize::SmallInput,
         )

@@ -10,7 +10,7 @@
 
 use serde::Serialize;
 use std::path::PathBuf;
-use tdpipe_baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
+use tdpipe_baselines::{BaselineEngine, Batching, Layout};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::engine::RunOutcome;
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
@@ -82,13 +82,15 @@ impl Scheduler {
 
     /// Display name matching the paper.
     pub const fn name(self) -> &'static str {
-        match self {
-            Scheduler::TpSb => "TP+SB",
-            Scheduler::TpHb => "TP+HB",
-            Scheduler::PpSb => "PP+SB",
-            Scheduler::PpHb => "PP+HB",
-            Scheduler::TdPipe => "TD-Pipe",
-        }
+        ["TP+SB", "TP+HB", "PP+SB", "PP+HB", "TD-Pipe"][self as usize]
+    }
+
+    /// The baseline's `(layout, batching)` cell of the policy grid, or
+    /// `None` for TD-Pipe.
+    pub fn baseline(self) -> Option<(Layout, Batching)> {
+        // The four baselines walk the grid row by row.
+        let layout = *Layout::ALL.get(self as usize / 2)?;
+        Some((layout, Batching::ALL[self as usize % 2]))
     }
 }
 
@@ -101,30 +103,14 @@ pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
     trace: &Trace,
     predictor: &P,
 ) -> Option<RunReport> {
-    let cfg = EngineConfig::default();
-    match which {
-        Scheduler::TpSb => TpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::TpHb => TpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::PpSb => PpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::PpHb => PpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run(trace, predictor).report),
-        Scheduler::TdPipe => run_tdpipe(model, node, trace, predictor, TdPipeConfig::default())
-            .map(|o| o.report),
-    }
+    run_scheduler_with_arrivals(which, model, node, trace, &[], predictor)
 }
 
 /// [`run_scheduler`] with per-request arrival times (the online
 /// extension). All five engines share the `run_with_arrivals` contract:
-/// arrivals non-decreasing and aligned with the trace, latencies
-/// arrival-relative, and the same idle-advance invariant when nothing is
-/// runnable.
+/// arrivals non-decreasing (else `arrivals must be sorted`) and aligned
+/// with the trace, latencies arrival-relative, and the same panic for a
+/// request that exceeds KV capacity and for a clock that cannot advance.
 pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
     which: Scheduler,
     model: &ModelSpec,
@@ -133,21 +119,11 @@ pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
     arrivals: &[f64],
     predictor: &P,
 ) -> Option<RunReport> {
-    let cfg = EngineConfig::default();
-    match which {
-        Scheduler::TpSb => TpSbEngine::new(model.clone(), node, cfg)
+    match which.baseline() {
+        Some((l, b)) => BaselineEngine::new(l, b, model.clone(), node, EngineConfig::default())
             .ok()
             .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::TpHb => TpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::PpSb => PpSbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::PpHb => PpHbEngine::new(model.clone(), node, cfg)
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        Scheduler::TdPipe => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
+        None => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
             .ok()
             .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
     }
@@ -379,6 +355,13 @@ mod tests {
     fn scheduler_names() {
         assert_eq!(Scheduler::TdPipe.name(), "TD-Pipe");
         assert_eq!(Scheduler::ALL.len(), 5);
+        // Each baseline's grid cell spells its paper name.
+        for s in Scheduler::ALL {
+            let cell = s
+                .baseline()
+                .map(|(l, b)| format!("{}+{}", l.abbrev(), b.abbrev()));
+            assert_eq!(cell.as_deref().unwrap_or("TD-Pipe"), s.name());
+        }
     }
 
     #[test]

@@ -45,6 +45,9 @@
 #      (span components refold to TTFT/latency, attributed bubble
 #      seconds refold bit-exactly to total StageIdle per device) and
 #      exits 1 on any malformed or tampered report.
+#  11. benchmark package tests: `src/bin/benchmark` is its own package
+#      (empty `[workspace]`), so the workspace steps above never build
+#      it, yet it compiles against the engines' public API.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -157,4 +160,7 @@ target/release/tdpipe-cli bubble-report \
   --out "$trace_tmp/fleet.bubbles.json" > /dev/null
 target/release/tdpipe-cli bubble-report --check "$trace_tmp/fleet.bubbles.json"
 
-printf '\nci OK: build + tests + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke all green\n'
+step "benchmark package tests"
+cargo test --release --manifest-path src/bin/benchmark/Cargo.toml -q
+
+printf '\nci OK: build + tests + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests all green\n'

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
+use tdpipe::baselines::{BaselineEngine, Batching, Layout};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::fleet::{
@@ -193,6 +193,34 @@ fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
     })
 }
 
+/// TD-Pipe's own configuration (`TdPipeConfig::default()`: async
+/// transfers, decoupled control, no sequence cap, full pipelining) with
+/// only the observer and session switches set. Starting from
+/// `EngineConfig::default()` instead would hand TD-Pipe the baselines'
+/// conventional-engine settings.
+fn td_config(metrics: bool, trace: bool, timeline: bool, session_reuse: bool) -> TdPipeConfig {
+    let mut cfg = TdPipeConfig::default();
+    let e = &mut cfg.engine;
+    e.record_metrics = metrics;
+    e.record_trace = trace;
+    e.record_timeline = timeline;
+    e.session_reuse = session_reuse;
+    cfg
+}
+
+/// A `--scheduler` baseline name (`tp-sb`, …, `pp-hb`) as its layout ×
+/// batching cell.
+fn baseline_of(name: &str) -> Option<(Layout, Batching)> {
+    let (l, b) = name.split_once('-')?;
+    let layout = Layout::ALL
+        .into_iter()
+        .find(|x| x.abbrev().eq_ignore_ascii_case(l))?;
+    let batching = Batching::ALL
+        .into_iter()
+        .find(|x| x.abbrev().eq_ignore_ascii_case(b))?;
+    Some((layout, batching))
+}
+
 fn run_one(
     scheduler: &str,
     model: &ModelSpec,
@@ -202,56 +230,31 @@ fn run_one(
     predictor: &dyn OutputLenPredictor,
     record_metrics: bool,
 ) -> Result<(RunReport, MetricsSnapshot), String> {
-    let cfg = EngineConfig {
-        record_metrics,
-        ..EngineConfig::default()
-    };
     let feasibility = |e: tdpipe::core::engine::InfeasibleConfig| e.to_string();
-    Ok(match scheduler {
-        "td" => {
-            let td_cfg = TdPipeConfig {
-                engine: EngineConfig {
-                    // The span/bubble metrics are derived from the
-                    // journal, so a metrics-recording run switches the
-                    // (pure-observer, schedule-neutral) recorders on too.
-                    record_trace: record_metrics,
-                    record_timeline: record_metrics,
-                    ..cfg
-                },
-                ..TdPipeConfig::default()
+    match baseline_of(scheduler) {
+        Some((layout, batching)) => {
+            let cfg = EngineConfig {
+                record_metrics,
+                ..EngineConfig::default()
             };
-            let out = TdPipeEngine::new(model.clone(), node, td_cfg)
+            let out = BaselineEngine::new(layout, batching, model.clone(), node, cfg)
+                .map_err(feasibility)?
+                .run_with_arrivals(trace, arrivals, predictor);
+            Ok((out.report, out.metrics))
+        }
+        None if scheduler == "td" => {
+            // The span/bubble metrics are derived from the journal, so a
+            // metrics-recording run switches the (pure-observer,
+            // schedule-neutral) recorders on too.
+            let cfg = td_config(record_metrics, record_metrics, record_metrics, true);
+            let out = TdPipeEngine::new(model.clone(), node, cfg)
                 .map_err(feasibility)?
                 .run_with_arrivals(trace, arrivals, predictor);
             let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-            (out.report, metrics)
+            Ok((out.report, metrics))
         }
-        "tp-sb" => {
-            let out = TpSbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        "tp-hb" => {
-            let out = TpHbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        "pp-sb" => {
-            let out = PpSbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        "pp-hb" => {
-            let out = PpHbEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            (out.report, out.metrics)
-        }
-        other => return Err(format!("unknown scheduler '{other}'")),
-    })
+        None => Err(format!("unknown scheduler '{scheduler}'")),
+    }
 }
 
 /// Fold the span/bubble analysis of one or more journals into a run's
@@ -331,16 +334,7 @@ fn run_sessions_cmd(
     sc.arrival = arrival;
     let sessions = sc.generate();
     let record = record_metrics || trace_out.is_some() || journal_out.is_some();
-    let cfg = TdPipeConfig {
-        engine: EngineConfig {
-            record_metrics,
-            record_trace: record,
-            record_timeline: record,
-            session_reuse: reuse,
-            ..EngineConfig::default()
-        },
-        ..TdPipeConfig::default()
-    };
+    let cfg = td_config(record_metrics, record, record, reuse);
     let out = TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
         .run_sessions(&sessions, predictor);
@@ -389,15 +383,7 @@ fn run_td_instrumented(
     timeline: bool,
     metrics: bool,
 ) -> Result<tdpipe::core::engine::RunOutcome, String> {
-    let cfg = TdPipeConfig {
-        engine: EngineConfig {
-            record_trace: true,
-            record_timeline: timeline,
-            record_metrics: metrics,
-            ..EngineConfig::default()
-        },
-        ..TdPipeConfig::default()
-    };
+    let cfg = td_config(metrics, true, timeline, true);
     Ok(TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
         .run(trace, predictor))
@@ -422,28 +408,14 @@ fn run_fleet_cmd(
 ) -> Result<FleetOutcome, String> {
     let policy = RouterPolicy::parse(router)?;
     let record = want_metrics || trace_out.is_some() || journal_out.is_some();
-    let engine = EngineConfig {
-        record_metrics: want_metrics,
-        record_trace: record,
-        record_timeline: record,
-        session_reuse: reuse,
-        ..EngineConfig::default()
-    };
+    let td = td_config(want_metrics, record, record, reuse);
     let pool = parse_pool(pool_spec, gpus)?;
     let labels: Vec<String> = pool.iter().map(|(label, _)| label.clone()).collect();
     let replicas: Vec<Replica> = pool
         .into_iter()
         .map(|(label, node)| {
-            Replica::new(ReplicaSpec::new(
-                &label,
-                model.clone(),
-                node,
-                TdPipeConfig {
-                    engine: engine.clone(),
-                    ..TdPipeConfig::default()
-                },
-            ))
-            .map_err(|e| format!("replica {label}: {e}"))
+            Replica::new(ReplicaSpec::new(&label, model.clone(), node, td.clone()))
+                .map_err(|e| format!("replica {label}: {e}"))
         })
         .collect::<Result<_, _>>()?;
     let cfg = FleetConfig {
@@ -1013,6 +985,25 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("infeasible"));
+    }
+
+    /// `run --scheduler td` runs TD-Pipe as configured by
+    /// `TdPipeConfig::default()` — not with the baselines' engine
+    /// settings — whether or not the observers are on.
+    #[test]
+    fn td_run_uses_tdpipe_defaults() {
+        let trace = ShareGptLikeConfig::small(60, 42).generate();
+        let model = model_of("13b").unwrap();
+        let node = node_of("l20", 4).unwrap();
+        let direct = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
+            .unwrap()
+            .run(&trace, &OraclePredictor)
+            .report;
+        for metrics in [false, true] {
+            let (r, _) =
+                run_one("td", &model, &node, &trace, &[], &OraclePredictor, metrics).unwrap();
+            assert_eq!(r, direct, "record_metrics={metrics}");
+        }
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn recompute_is_counted_not_lost() {
 #[test]
 fn huge_single_request_is_a_clean_panic() {
     // A request that cannot fit KV memory even alone must fail loudly,
-    // not hang.
+    // not hang — with the same diagnostic from every scheduler.
     let mut requests = ShareGptLikeConfig::small(3, 1).generate().requests().to_vec();
     requests[1].input_len = 2_000_000; // no KV pool holds this
     let trace = Trace::new(requests);
@@ -94,8 +94,29 @@ fn huge_single_request_is_a_clean_panic() {
     let mut cfg = TdPipeConfig::default();
     cfg.engine.mem_reserve_bytes = 1 << 30;
     let engine = TdPipeEngine::new(ModelSpec::tiny_test(), &node, cfg).unwrap();
-    let result = std::panic::catch_unwind(move || engine.run(&trace, &OraclePredictor));
+    let t = trace.clone();
+    let result = std::panic::catch_unwind(move || engine.run(&t, &OraclePredictor));
     assert!(result.is_err(), "oversized request must panic, not hang");
+
+    use tdpipe_bench::{run_scheduler, Scheduler};
+    for s in Scheduler::ALL {
+        let trace = trace.clone();
+        let err = std::panic::catch_unwind(move || {
+            let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(2));
+            run_scheduler(s, &model, &node, &trace, &OraclePredictor)
+        })
+        .expect_err("oversized request must panic, not hang");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("(2000000 tokens) exceeds KV capacity ("),
+            "{} rejected with the wrong diagnostic: {msg:?}",
+            s.name()
+        );
+    }
 }
 
 #[test]

@@ -259,6 +259,42 @@ fn cross_engine_arrival_rejection_is_uniform() {
     }
 }
 
+/// The other half of the shared arrival contract: an unsorted arrival
+/// vector is rejected up front by every engine with the same message.
+#[test]
+fn cross_engine_unsorted_arrivals_are_rejected_uniformly() {
+    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
+
+    let trace = ShareGptLikeConfig::small(8, 33).generate();
+    let mut arrivals: Vec<f64> = (0..trace.len()).map(|i| i as f64).collect();
+    arrivals.swap(2, 5);
+    for s in Scheduler::ALL {
+        let trace = trace.clone();
+        let arrivals = arrivals.clone();
+        let err = std::panic::catch_unwind(move || {
+            run_scheduler_with_arrivals(
+                s,
+                &ModelSpec::llama2_13b(),
+                &NodeSpec::l20(2),
+                &trace,
+                &arrivals,
+                &OraclePredictor,
+            )
+        })
+        .expect_err("unsorted arrivals must be rejected");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("arrivals must be sorted"),
+            "{} rejected with the wrong diagnostic: {msg:?}",
+            s.name()
+        );
+    }
+}
+
 /// Pin: the session knobs must be invisible to non-session entry points —
 /// flipping them cannot move a byte of an offline run's serialized report.
 #[test]

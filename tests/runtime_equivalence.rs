@@ -182,6 +182,39 @@ fn full_tdpipe_engine_runs_identically_on_real_threads() {
 }
 
 #[test]
+fn every_baseline_runs_identically_on_real_threads() {
+    // The baselines share TD-Pipe's execution-plane seam: each one's
+    // scheduling loop, driving the threaded hierarchy-controller, must
+    // reproduce its simulator report exactly.
+    use tdpipe::baselines::{BaselineEngine, Batching, Layout};
+    use tdpipe::core::config::EngineConfig;
+    use tdpipe::predictor::OraclePredictor;
+    use tdpipe::runtime::ThreadedExecutor;
+    use tdpipe::workload::ShareGptLikeConfig;
+
+    let trace = ShareGptLikeConfig::small(120, 42).generate();
+    let cfg = EngineConfig::default();
+    for layout in Layout::ALL {
+        for batching in Batching::ALL {
+            let engine = BaselineEngine::new(
+                layout,
+                batching,
+                ModelSpec::llama2_13b(),
+                &NodeSpec::l20(4),
+                cfg.clone(),
+            )
+            .expect("13B fits 4xL20");
+            let sim = engine.run(&trace, &OraclePredictor);
+            let plane = ThreadedExecutor::spawn(engine.num_stages(), cfg.transfer_mode, false);
+            let threaded = engine
+                .try_run_on(&trace, &[], &OraclePredictor, Box::new(plane))
+                .expect("healthy plane");
+            assert_eq!(sim.report, threaded.report, "{}", engine.name());
+        }
+    }
+}
+
+#[test]
 fn threaded_engine_utilization_matches_sim() {
     use tdpipe::core::exec::SimExecutor;
     use tdpipe::core::{TdPipeConfig, TdPipeEngine};
