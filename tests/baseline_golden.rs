@@ -1,20 +1,32 @@
-//! Byte-level golden for the four baseline schedulers.
+//! Byte-level goldens for all five schedulers.
 //!
 //! `tests/determinism.rs` only compares runs with themselves and the Fig. 11
 //! smoke snapshot covers offline reports only, so this file pins what the
-//! baselines produce against a committed fixture: for seven scenarios
-//! (offline on three node shapes, Poisson arrivals, KV pressure, a
-//! sequence cap, a tight chunk budget) × {TP+SB, TP+HB, PP+SB, PP+HB}, all
-//! with timeline and metrics recording on, it stores
+//! schedulers produce against committed fixtures, with timeline and metrics
+//! recording on:
+//!
+//! * `baseline_golden.txt`: seven scenarios (offline on three node shapes,
+//!   Poisson arrivals, KV pressure, a sequence cap, a tight chunk budget)
+//!   × {TP+SB, TP+HB, PP+SB, PP+HB};
+//! * `tdpipe_golden.txt`: TD-Pipe on eight scenarios chosen to drive every
+//!   branch of its decode step — offline and Poisson runs, recompute and
+//!   swap preemption under an underpredicting predictor, closed-loop
+//!   sessions whose retained KV is reclaimed mid-step, KV pressure on the
+//!   tiny test node, and the fixed-ratio switch policies without work
+//!   stealing. TD-Pipe also records its journal.
+//!
+//! Each record keeps
 //!
 //! * the serialized `RunReport`, in full;
 //! * a digest of the timeline segments over `(device, start, end, kind)`;
 //! * every metrics-plane entry (everything but the `series_*` samples), in
 //!   full;
-//! * a digest of the sampled series.
+//! * a digest of the sampled series;
+//! * for TD-Pipe, digests of the journal, the phase log and the occupancy
+//!   trace.
 //!
-//! After an intended schedule change, regenerate the fixture deliberately
-//! and review its diff:
+//! After an intended schedule change, regenerate the fixtures deliberately
+//! and review their diff:
 //!
 //! ```text
 //! cargo test --release --test baseline_golden -- --ignored bless
@@ -22,15 +34,17 @@
 
 use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
 use tdpipe::core::config::EngineConfig;
-use tdpipe::core::engine::InfeasibleConfig;
+use tdpipe::core::engine::{InfeasibleConfig, RunOutcome};
+use tdpipe::core::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::metrics::MetricsSnapshot;
 use tdpipe::model::ModelSpec;
-use tdpipe::predictor::OraclePredictor;
+use tdpipe::predictor::{MeanPredictor, OraclePredictor, OutputLenPredictor};
 use tdpipe::sim::{RunReport, SegmentKind, Timeline};
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Trace};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/baseline_golden.txt");
+const TD_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tdpipe_golden.txt");
 
 struct Case {
     name: &'static str,
@@ -95,6 +109,98 @@ fn cases() -> Vec<Case> {
     ]
 }
 
+/// What a TD-Pipe case runs: an open-loop trace or closed-loop sessions.
+enum TdWork {
+    Trace(Trace, Vec<f64>),
+    Sessions(SessionTrace),
+}
+
+struct TdCase {
+    name: &'static str,
+    model: ModelSpec,
+    node: NodeSpec,
+    work: TdWork,
+    cfg: TdPipeConfig,
+    /// Predict one output token for every request, so Algorithm 1 admits
+    /// far more than fits and the decode phase must preempt. Such a case
+    /// must then actually preempt, which keeps the fixture covering the
+    /// eviction walk.
+    underpredict: bool,
+}
+
+fn td_cases() -> Vec<TdCase> {
+    let mut recorded = TdPipeConfig::default();
+    recorded.engine.record_timeline = true;
+    recorded.engine.record_metrics = true;
+    recorded.engine.record_trace = true;
+    let with = |f: &dyn Fn(&mut TdPipeConfig)| {
+        let mut cfg = recorded.clone();
+        f(&mut cfg);
+        cfg
+    };
+    let trace = ShareGptLikeConfig::small(150, 5).generate();
+    let offline = || TdWork::Trace(trace.clone(), vec![]);
+    let case = |name, node, work, cfg, underpredict| TdCase {
+        name,
+        model: ModelSpec::llama2_13b(),
+        node,
+        work,
+        cfg,
+        underpredict,
+    };
+    let poisson = ArrivalProcess::Poisson {
+        rate_per_s: 2.0,
+        seed: 3,
+    }
+    .sample(trace.len());
+    let swap = with(&|c| c.engine.preemption = PreemptionMode::Swap);
+    let reuse = with(&|c| c.engine.session_reuse = true);
+    // Sessions starting almost at once, so retained prefixes sit in a KV
+    // pool the decode phase overflows.
+    let sessions = SessionConfig {
+        arrival: ArrivalProcess::Poisson {
+            rate_per_s: 64.0,
+            seed: 7,
+        },
+        ..SessionConfig::small(256, 19)
+    }
+    .generate();
+    let ablated = with(&|c| {
+        c.work_stealing = false;
+        c.p2d = P2dPolicy::FixedOccupancy(0.95);
+        c.d2p = D2pPolicy::FixedFinishRatio(0.5);
+    });
+    vec![
+        case("offline-l20x1", NodeSpec::l20(1), offline(), recorded.clone(), false),
+        case("offline-l20x4", NodeSpec::l20(4), offline(), recorded.clone(), false),
+        case(
+            "poisson2-l20x4",
+            NodeSpec::l20(4),
+            TdWork::Trace(trace.clone(), poisson),
+            recorded.clone(),
+            false,
+        ),
+        case("recompute-l20x1", NodeSpec::l20(1), offline(), recorded.clone(), true),
+        case("swap-l20x1", NodeSpec::l20(1), offline(), swap, true),
+        case(
+            "sessions-reuse-l20x1",
+            NodeSpec::l20(1),
+            TdWork::Sessions(sessions),
+            reuse,
+            true,
+        ),
+        TdCase {
+            name: "pressure-tiny4",
+            model: ModelSpec::tiny_test(),
+            node: NodeSpec::tiny_test(4),
+            work: TdWork::Trace(ShareGptLikeConfig::small(60, 11).generate(), vec![]),
+            cfg: recorded,
+            underpredict: false,
+        },
+        case("ablated-l20x4", NodeSpec::l20(4), offline(), ablated, false),
+    ]
+}
+
 /// 64-bit FNV-1a, fed field by field.
 struct Fnv(u64);
 
@@ -113,6 +219,13 @@ impl Fnv {
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
+}
+
+/// `label count digest` over a serialized artifact.
+fn digest_line(label: &str, count: usize, text: &str) -> String {
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    format!("{label} {count} {:016x}", h.0)
 }
 
 fn timeline_line(t: &Timeline) -> String {
@@ -145,19 +258,24 @@ fn series_line(m: &MetricsSnapshot) -> String {
     format!("series {} {:016x}", m.series.len(), h.0)
 }
 
-type Outcome = (RunReport, Timeline, MetricsSnapshot);
+/// The record lines every scheduler shares.
+fn push_record(out: &mut String, report: &RunReport, timeline: &Timeline, m: &MetricsSnapshot) {
+    let report = serde_json::to_string(report).expect("serialize report");
+    let entries = serde_json::to_string(&m.metrics).expect("serialize metrics");
+    out.push_str(&format!("report {report}\n"));
+    out.push_str(&format!("{}\n", timeline_line(timeline)));
+    out.push_str(&format!("metrics {entries}\n"));
+    out.push_str(&format!("{}\n", series_line(m)));
+}
 
-fn run_all(c: &Case) -> Vec<(&'static str, Result<Outcome, InfeasibleConfig>)> {
+fn run_all(c: &Case) -> Vec<(&'static str, Result<RunOutcome, InfeasibleConfig>)> {
     let p = &OraclePredictor;
     let (m, n, cfg, t, a) = (&c.model, &c.node, &c.cfg, &c.trace, &c.arrivals);
     macro_rules! run {
         ($name:literal, $engine:ty) => {
             (
                 $name,
-                <$engine>::new(m.clone(), n, cfg.clone()).map(|e| {
-                    let o = e.run_with_arrivals(t, a, p);
-                    (o.report, o.timeline, o.metrics)
-                }),
+                <$engine>::new(m.clone(), n, cfg.clone()).map(|e| e.run_with_arrivals(t, a, p)),
             )
         };
     }
@@ -176,25 +294,59 @@ fn render() -> String {
             out.push_str(&format!("## {} {name}\n", case.name));
             match result {
                 Err(e) => out.push_str(&format!("infeasible {}\n", e.reason)),
-                Ok((report, timeline, metrics)) => {
-                    let report = serde_json::to_string(&report).expect("serialize report");
-                    let entries =
-                        serde_json::to_string(&metrics.metrics).expect("serialize metrics");
-                    out.push_str(&format!("report {report}\n"));
-                    out.push_str(&format!("{}\n", timeline_line(&timeline)));
-                    out.push_str(&format!("metrics {entries}\n"));
-                    out.push_str(&format!("{}\n", series_line(&metrics)));
-                }
+                Ok(o) => push_record(&mut out, &o.report, &o.timeline, &o.metrics),
             }
         }
     }
     out
 }
 
-#[test]
-fn baselines_match_the_committed_golden() {
-    let want = std::fs::read_to_string(FIXTURE).expect("committed baseline golden fixture");
-    let got = render();
+fn run_td(c: &TdCase) -> Result<RunOutcome, InfeasibleConfig> {
+    let under = MeanPredictor { mean_len: 1 };
+    let p: &dyn OutputLenPredictor = if c.underpredict {
+        &under
+    } else {
+        &OraclePredictor
+    };
+    let e = TdPipeEngine::new(c.model.clone(), &c.node, c.cfg.clone())?;
+    Ok(match &c.work {
+        TdWork::Trace(t, a) => e.run_with_arrivals(t, a, p),
+        TdWork::Sessions(s) => e.run_sessions(s, p),
+    })
+}
+
+fn render_td() -> String {
+    let mut out = String::new();
+    for case in td_cases() {
+        out.push_str(&format!("## {} TD-Pipe\n", case.name));
+        let o = match run_td(&case) {
+            Err(e) => {
+                out.push_str(&format!("infeasible {}\n", e.reason));
+                continue;
+            }
+            Ok(o) => o,
+        };
+        if case.underpredict {
+            assert!(
+                o.report.recomputed_tokens + o.report.swapped_tokens > 0,
+                "{}: an underpredicted case must preempt",
+                case.name
+            );
+        }
+        push_record(&mut out, &o.report, &o.timeline, &o.metrics);
+        let journal = o.journal.to_json();
+        out.push_str(&format!("{}\n", digest_line("journal", o.journal.len(), &journal)));
+        let phases = format!("{:?}", o.phases);
+        out.push_str(&format!("{}\n", digest_line("phases", o.phases.len(), &phases)));
+        let occupancy = serde_json::to_string(&o.occupancy).expect("serialize occupancy");
+        let samples = o.occupancy.samples().len();
+        out.push_str(&format!("{}\n", digest_line("occupancy", samples, &occupancy)));
+    }
+    out
+}
+
+fn assert_matches_fixture(path: &str, got: &str) {
+    let want = std::fs::read_to_string(path).expect("committed golden fixture");
     let mut header = "";
     for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
         if w.starts_with("## ") {
@@ -215,12 +367,23 @@ fn baselines_match_the_committed_golden() {
     );
 }
 
-/// Rewrites the fixture from the current code. Ignored so it only runs when
-/// asked for by name (see the module docs).
 #[test]
-#[ignore = "rewrites the committed fixture; run deliberately after an intended schedule change"]
+fn baselines_match_the_committed_golden() {
+    assert_matches_fixture(FIXTURE, &render());
+}
+
+#[test]
+fn tdpipe_matches_the_committed_golden() {
+    assert_matches_fixture(TD_FIXTURE, &render_td());
+}
+
+/// Rewrites both fixtures from the current code. Ignored so it only runs
+/// when asked for by name (see the module docs).
+#[test]
+#[ignore = "rewrites the committed fixtures; run deliberately after an intended schedule change"]
 fn bless() {
     std::fs::create_dir_all(std::path::Path::new(FIXTURE).parent().expect("fixture dir"))
         .expect("create fixture dir");
     std::fs::write(FIXTURE, render()).expect("write fixture");
+    std::fs::write(TD_FIXTURE, render_td()).expect("write TD-Pipe fixture");
 }
