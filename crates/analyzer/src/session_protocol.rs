@@ -1,8 +1,8 @@
 //! Layer-2 model checker for the session-KV retention protocol.
 //!
 //! Mirrors the `SessionRetainer` contract between
-//! `crates/kvcache/src/session.rs` and the engine's
-//! `release_finished`/`reclaim_retained`/admission-claim paths
+//! `crates/kvcache/src/session.rs` and the engine's finish
+//! (`TdStepHooks::retire`), `reclaim_retained` and admission-claim paths
 //! (`crates/core/src/engine.rs`): when a turn finishes, its KV blocks may
 //! be *retained* for the session's next turn (the donor keeps its
 //! allocator slot); the successor's admission *claims* the entry (frees

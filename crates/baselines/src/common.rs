@@ -10,10 +10,10 @@
 //! between schedulers. (That static binding is precisely the inter-batch
 //! imbalance TD-Pipe's work stealing repairs.)
 
-use std::collections::{BinaryHeap, VecDeque};
-use tdpipe_core::cohort::{CohortMembers, DecodeCohort};
+use std::collections::VecDeque;
+use tdpipe_core::cohort::{DecodeCohort, DecodeStepper, Recompute, StepEnv};
 use tdpipe_core::config::EngineConfig;
-use tdpipe_core::request::{Lifecycle, RequestPool};
+use tdpipe_core::request::RequestPool;
 use tdpipe_kvcache::BlockAllocator;
 
 /// One scheduler instance's memory, admission queue and running set.
@@ -63,19 +63,10 @@ pub struct RunState {
     /// Admission sequence per request (newest-first eviction order).
     pub admission_seq: Vec<u64>,
     next_seq: u64,
-    /// Eviction scratch: lazy max-heap of `(admission_seq, position)` built
-    /// on the first overflow of a decode step.
-    evict_heap: BinaryHeap<(u64, usize)>,
-    /// Eviction scratch: positions already evicted this step.
-    evicted: Vec<bool>,
-    /// Lifetime recompute-eviction count (for the metrics plane; plain
-    /// add, never branched on).
-    pub evictions: u64,
-    /// Per-request cohort bookkeeping shared by every lane's
-    /// [`DecodeCohort`] (see `tdpipe_core::cohort`).
-    pub cm: CohortMembers,
-    /// Finisher scratch for [`Self::advance_decode_cohort`].
-    finishers: Vec<(usize, u32)>,
+    /// The decode step shared with TD-Pipe, holding the per-request cohort
+    /// bookkeeping of every lane's [`DecodeCohort`] and the lifetime
+    /// recompute-eviction count the metrics plane reports.
+    pub decode: DecodeStepper,
 }
 
 impl RunState {
@@ -86,11 +77,7 @@ impl RunState {
             pool,
             admission_seq: vec![0; n],
             next_seq: 0,
-            evict_heap: BinaryHeap::new(),
-            evicted: Vec::new(),
-            evictions: 0,
-            cm: CohortMembers::new(n),
-            finishers: Vec::new(),
+            decode: DecodeStepper::new(n),
         }
     }
 
@@ -192,139 +179,35 @@ impl RunState {
     /// it into `lane`'s decode cohort.
     pub fn start_decoding(&mut self, lane: &mut Lane, idx: usize, now: f64) {
         self.pool.note_first_token(idx, now);
-        let rt = self.pool.resident_tokens(idx);
-        let remaining = self.pool.output_len(idx) - self.pool.generated(idx);
-        lane.ctx += rt;
-        lane.cohort.join(&mut self.cm, idx, rt, remaining);
+        lane.ctx += self.pool.resident_tokens(idx);
+        self.decode.join(&mut lane.cohort, idx, &self.pool);
         lane.residents.push(idx);
     }
 
-    /// One decode step of `lane`'s residents, finishing at `now`: every
-    /// member generates one token, the finished retire (freeing KV), the
-    /// survivors' KV grows, and on overflow the newest members are evicted
-    /// back to the lane's pending queue for recomputation (the §4.1
-    /// recompute strategy). `lane.ctx` stays equal to the survivors'
-    /// resident tokens.
-    ///
-    /// The members are banked in `lane.cohort`, so a step is O(finishers)
-    /// instead of O(members): finishers drain from their finish-epoch
-    /// bucket with their banked state settled on the way out, and the
-    /// survivors' KV growth is one aggregate extend. Under memory pressure
-    /// the step evicts without un-banking the batch: the walk below visits
-    /// only the members that cross a block boundary this step and settles
-    /// just the victims, reproducing the per-member reference loop's
-    /// eviction schedule (victim choice, requeue order, allocator stats)
-    /// exactly.
+    /// One decode step of `lane`'s residents, finishing at `now`, through
+    /// the decode step every scheduler shares
+    /// ([`DecodeStepper::step`]): every member generates one token, the
+    /// finished retire (freeing KV), the survivors' KV grows, and on
+    /// overflow the newest members are evicted back to the lane's pending
+    /// queue for recomputation (the §4.1 recompute strategy). `lane.ctx`
+    /// stays equal to the survivors' resident tokens.
     ///
     /// Returns the number of requests that finished.
-    pub fn advance_decode_cohort(&mut self, lane: &mut Lane, now: f64) -> usize {
-        let Lane {
-            alloc,
-            pending,
-            residents: members,
-            ctx,
-            cohort: coh,
-            ..
-        } = lane;
-        debug_assert_eq!(coh.live(), members.len());
-        // Every member generates one token this step.
-        *ctx += members.len() as u64;
-        coh.begin_step();
-        coh.drain_finishers(&mut self.cm, &mut self.finishers);
-        let finished_now = self.finishers.len();
-        for &(m, extends) in &self.finishers {
-            alloc.advance_tokens(m as u64, extends as u64);
-            self.pool.finish_decode(m, extends + 1, now);
-            // The allocation lags the just-generated token by one.
-            let freed = alloc.free(m as u64).expect("finished request resident");
-            *ctx -= freed + 1;
-        }
-        if alloc.free_blocks() >= coh.step_grows() as u64 {
-            alloc.extend_cohort(coh.live() as u64, coh.step_grows() as u64);
-            if finished_now > 0 {
-                let pool = &self.pool;
-                members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
-            }
-            debug_assert_eq!(coh.live(), members.len());
-            return finished_now;
-        }
-        // Memory pressure: the survivors' block demand exceeds free
-        // memory even after the finishers' frees, so this step evicts
-        // (§4.1 recompute). Replaying the per-member loop would be
-        // O(members); instead walk only the members *growing* a block
-        // this step — they alone consume memory, so they alone shape the
-        // eviction schedule — and settle each victim individually.
-        // Victims are popped newest-admission-first, exactly the
-        // per-member loop's order; `pos < i` tells whether the loop
-        // would already have granted the victim its step token.
-        let mut heap_built = false;
-        let mut grows_taken = 0u64;
-        let mut extra_extends = 0u64;
-        let mut rejections = 0u64;
-        let mut i = 0;
-        while i < members.len() {
-            let m = members[i];
-            // Skip drained finishers, evicted members, and members whose
-            // residency is not block-aligned this step.
-            if !self.cm.in_cohort(m) || !coh.member_grows(&self.cm, m) {
-                i += 1;
-                continue;
-            }
-            if alloc.free_blocks() > grows_taken {
-                grows_taken += 1;
-                i += 1;
-                continue;
-            }
-            if !heap_built {
-                self.evicted.clear();
-                self.evicted.resize(members.len(), false);
-                self.evict_heap.clear();
-                let seq = &self.admission_seq;
-                let cm = &self.cm;
-                self.evict_heap.extend(
-                    members
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &m)| cm.in_cohort(m))
-                        .map(|(p, &m)| (seq[m], p)),
-                );
-                heap_built = true;
-            }
-            // The per-call path charges one OutOfMemory rejection per
-            // eviction (each failed extend evicts exactly one victim).
-            rejections += 1;
-            let pos = loop {
-                let (_, p) = self.evict_heap.pop().expect("live member to evict");
-                if !self.evicted[p] {
-                    break p;
-                }
-            };
-            let victim = members[pos];
-            self.evicted[pos] = true;
-            let p = coh.leave(&mut self.cm, victim);
-            let extended = (pos < i) as u32;
-            self.pool.advance_decode_steps(victim, p);
-            alloc.advance_tokens(victim as u64, (p - 1 + extended) as u64);
-            extra_extends += extended as u64;
-            alloc.free(victim as u64).expect("victim resident");
-            *ctx -= self.pool.resident_tokens(victim);
-            self.pool.note_eviction(victim);
-            self.evictions += 1;
-            pending.push_front(victim);
-            // The victim may be the member we were extending (it held
-            // the newest admission): its demand is gone — move on.
-            // Otherwise the freed blocks let the same member retry.
-            if pos == i {
-                i += 1;
-            }
-        }
-        alloc.extend_survivors(coh.live() as u64, grows_taken, extra_extends, rejections);
-        {
-            let pool = &self.pool;
-            members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
-        }
-        debug_assert_eq!(coh.live(), members.len());
-        finished_now
+    pub fn decode_step(&mut self, lane: &mut Lane, now: f64) -> usize {
+        let mut env = StepEnv {
+            pool: &mut self.pool,
+            alloc: &mut lane.alloc,
+            pending: &mut lane.pending,
+            admission_seq: &self.admission_seq,
+            now,
+        };
+        self.decode.step(
+            &mut lane.cohort,
+            &mut lane.residents,
+            &mut lane.ctx,
+            &mut env,
+            &mut Recompute,
+        )
     }
 
     /// Total pending requests across lanes (deadlock diagnostics).
@@ -338,91 +221,6 @@ mod tests {
     use super::*;
     use tdpipe_workload::ShareGptLikeConfig;
 
-    impl RunState {
-        /// The per-member reference for
-        /// [`RunState::advance_decode_cohort`]: the same step over
-        /// `lane.residents`, one request at a time, with no cohort
-        /// banking. `cohort_eviction_walk_matches_per_member_loop` checks
-        /// the two agree bit for bit.
-        fn advance_decode_ctx(&mut self, lane: &mut Lane, now: f64) -> usize {
-            let Lane {
-                alloc,
-                pending,
-                residents: members,
-                ctx,
-                ..
-            } = lane;
-            let mut finished_now = 0usize;
-            // Every member generates one token this step.
-            *ctx += members.len() as u64;
-            let pool = &mut self.pool;
-            members.retain(|&idx| {
-                if pool.note_decode_step(idx, now) {
-                    // The allocation lags the just-generated token by one.
-                    let freed = alloc.free(idx as u64).expect("finished request resident");
-                    *ctx -= freed + 1;
-                    finished_now += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-            // Extend survivors' KV; evict newest-first on overflow via a lazy
-            // max-heap over `admission_seq` (unique, so the peel order is the
-            // per-victim max scan's).
-            if alloc.free_blocks() >= members.len() as u64 {
-                alloc.extend_one_each(members.iter().map(|&m| m as u64));
-                return finished_now;
-            }
-            let mut heap_built = false;
-            let mut i = 0;
-            while i < members.len() {
-                if heap_built && self.evicted[i] {
-                    i += 1;
-                    continue;
-                }
-                let idx = members[i];
-                if alloc.extend_one(idx as u64).is_ok() {
-                    i += 1;
-                    continue;
-                }
-                if !heap_built {
-                    self.evicted.clear();
-                    self.evicted.resize(members.len(), false);
-                    self.evict_heap.clear();
-                    let seq = &self.admission_seq;
-                    self.evict_heap
-                        .extend(members.iter().enumerate().map(|(p, &m)| (seq[m], p)));
-                    heap_built = true;
-                }
-                // Evict the newest member (possibly `idx` itself).
-                let pos = loop {
-                    let (_, p) = self.evict_heap.pop().expect("live member to evict");
-                    if !self.evicted[p] {
-                        break p;
-                    }
-                };
-                let victim = members[pos];
-                self.evicted[pos] = true;
-                alloc.free(victim as u64).expect("victim resident");
-                *ctx -= self.pool.resident_tokens(victim);
-                self.pool.note_eviction(victim);
-                self.evictions += 1;
-                pending.push_front(victim);
-            }
-            if heap_built {
-                let mut p = 0;
-                let evicted = &self.evicted;
-                members.retain(|_| {
-                    let keep = !evicted[p];
-                    p += 1;
-                    keep
-                });
-            }
-            finished_now
-        }
-    }
-
     fn state(requests: usize) -> RunState {
         let t = ShareGptLikeConfig::small(requests, 3).generate();
         RunState::new(RequestPool::new(t.requests(), |r| r.output_len))
@@ -433,13 +231,11 @@ mod tests {
         lanes.pop().expect("one lane")
     }
 
-    /// Admit every head that fits into `lane.residents` (per-member
-    /// reference state: no cohort banking).
+    /// Admit and start decoding every head that fits.
     fn admit_all(st: &mut RunState, lane: &mut Lane) {
         while st.head_fits(lane) {
-            let (idx, tokens) = st.admit_head(lane);
-            lane.residents.push(idx);
-            lane.ctx += tokens as u64;
+            let (idx, _) = st.admit_head(lane);
+            st.start_decoding(lane, idx, 0.0);
         }
     }
 
@@ -480,14 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn advance_decode_retires_and_extends() {
+    fn decode_step_retires_and_extends() {
         let mut st = state(4);
         let mut lane = single_lane(&st, 100_000);
         admit_all(&mut st, &mut lane);
         assert_eq!(lane.residents.len(), 4);
-        let fin = st.advance_decode_ctx(&mut lane, 1.0);
-        assert_eq!(st.pool.output_tokens, 4);
+        let fin = st.decode_step(&mut lane, 1.0);
         assert_eq!(lane.residents.len(), 4 - fin);
+        // Settle the survivors' banked step before reading per-id state.
+        for &idx in &lane.residents {
+            st.decode
+                .leave(&mut lane.cohort, idx, &mut st.pool, &mut lane.alloc);
+        }
+        assert_eq!(st.pool.output_tokens, 4);
         for &idx in &lane.residents {
             assert_eq!(
                 lane.alloc.tokens_of(idx as u64).unwrap(),
@@ -504,120 +305,19 @@ mod tests {
         admit_all(&mut st, &mut lane);
         assert!(!lane.residents.is_empty());
         for _ in 0..5000 {
-            if lane.residents.is_empty() {
+            if lane.residents.is_empty() || st.decode.evictions > 0 {
                 break;
             }
-            st.advance_decode_ctx(&mut lane, 0.1);
-            if (0..st.pool.len()).any(|i| st.pool.evictions(i) > 0) {
-                break;
-            }
+            st.decode_step(&mut lane, 0.1);
         }
-        let any_evicted = (0..st.pool.len()).any(|i| st.pool.evictions(i) > 0);
-        assert!(any_evicted || lane.residents.is_empty());
+        assert!(st.decode.evictions > 0 || lane.residents.is_empty());
+        if let Some(&victim) = lane.pending.front() {
+            // The requeued victim is the newest admission that was live.
+            assert!(lane
+                .residents
+                .iter()
+                .all(|&m| st.admission_seq[m] < st.admission_seq[victim]));
+        }
         assert!(lane.alloc.used_blocks() <= lane.alloc.num_blocks());
-    }
-
-    /// The banked eviction walk must reproduce the per-member loop
-    /// bit-for-bit: same victims in the same requeue order, same
-    /// allocator aggregates and stats (including OOM rejections and the
-    /// saturated high-water mark), same survivor set, same context total.
-    #[test]
-    fn cohort_eviction_walk_matches_per_member_loop() {
-        let cfg = EngineConfig::default();
-        let t = ShareGptLikeConfig::small(24, 7).generate();
-        let pool0 = RequestPool::new(t.requests(), |r| r.output_len);
-        let bs = cfg.block_size as u64;
-        let need: u64 = (0..pool0.len())
-            .map(|i| (pool0.prefill_tokens(i) as u64).div_ceil(bs))
-            .sum();
-        // A handful of slack blocks: decode growth saturates the pool
-        // within a few steps, so the walk evicts repeatedly.
-        let blocks = need + 6;
-        let setup = || {
-            let mut st = RunState::new(RequestPool::new(t.requests(), |r| r.output_len));
-            let mut lanes = st.make_lanes(1, blocks, &cfg);
-            let mut lane = lanes.pop().expect("one lane");
-            admit_all(&mut st, &mut lane);
-            assert!(lane.residents.len() >= 16, "scenario admits most requests");
-            (st, lane)
-        };
-
-        let (mut st_a, mut lane_a) = setup();
-        let (mut st_b, mut lane_b) = setup();
-        for &m in &lane_b.residents {
-            lane_b.cohort.join(
-                &mut st_b.cm,
-                m,
-                st_b.pool.resident_tokens(m),
-                st_b.pool.output_len(m) - st_b.pool.generated(m),
-            );
-        }
-        for step in 0..600 {
-            if lane_a.residents.is_empty() {
-                break;
-            }
-            let now = step as f64;
-            let fa = st_a.advance_decode_ctx(&mut lane_a, now);
-            let fb = st_b.advance_decode_cohort(&mut lane_b, now);
-            assert_eq!(fa, fb, "finishers at step {step}");
-            assert_eq!(
-                lane_a.residents, lane_b.residents,
-                "survivor set at step {step}"
-            );
-            assert_eq!(lane_a.ctx, lane_b.ctx, "context total at step {step}");
-            assert_eq!(
-                lane_a.pending, lane_b.pending,
-                "requeue order at step {step}"
-            );
-            assert_eq!(
-                lane_a.alloc.free_blocks(),
-                lane_b.alloc.free_blocks(),
-                "free blocks at step {step}"
-            );
-            assert_eq!(
-                lane_a.alloc.resident_tokens(),
-                lane_b.alloc.resident_tokens(),
-                "resident tokens at step {step}"
-            );
-            assert_eq!(
-                lane_a.alloc.stats(),
-                lane_b.alloc.stats(),
-                "stats at step {step}"
-            );
-            assert_eq!(st_a.evictions, st_b.evictions, "evictions at step {step}");
-        }
-        assert!(
-            st_a.evictions > 0,
-            "scenario must exercise the eviction walk"
-        );
-        assert!(
-            lane_a.alloc.stats().oom_rejections > 0,
-            "scenario must hit the OOM path"
-        );
-        // Settle the cohort and compare every request's materialised state.
-        for &m in &lane_b.residents {
-            let p = lane_b.cohort.leave(&mut st_b.cm, m);
-            st_b.pool.advance_decode_steps(m, p);
-            lane_b.alloc.advance_tokens(m as u64, p as u64);
-        }
-        for i in 0..st_a.pool.len() {
-            assert_eq!(
-                st_a.pool.generated(i),
-                st_b.pool.generated(i),
-                "generated for {i}"
-            );
-            assert_eq!(
-                st_a.pool.lifecycle(i),
-                st_b.pool.lifecycle(i),
-                "lifecycle for {i}"
-            );
-        }
-        for &m in &lane_a.residents {
-            assert_eq!(
-                lane_a.alloc.tokens_of(m as u64).unwrap(),
-                lane_b.alloc.tokens_of(m as u64).unwrap(),
-                "per-resident tokens for {m}"
-            );
-        }
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! Everything else is one loop: like TD-Pipe's, it launches jobs through a
 //! [`PipelineExecutor`] (the simulator by default, any plane through
-//! [`BaselineEngine::try_run_on`]), steps every decode batch on the
-//! event-driven cohort path, and returns a [`RunOutcome`].
+//! [`BaselineEngine::try_run_on`]), steps every decode batch through the
+//! decode step TD-Pipe uses too (`tdpipe_core::cohort::DecodeStepper`),
+//! and returns a [`RunOutcome`].
 
 use crate::common::{Lane, RunState};
 use tdpipe_core::config::EngineConfig;
@@ -334,7 +335,7 @@ impl BaselineEngine {
             let (lane, job) = (&mut lanes[sid], &mut jobs[sid]);
             now = ctrl.process(finish, job.seqs);
             if job.decodes {
-                st.advance_decode_cohort(lane, finish);
+                st.decode_step(lane, finish);
             }
             for &idx in &job.prefilled {
                 st.start_decoding(lane, idx, finish);
@@ -360,7 +361,7 @@ impl BaselineEngine {
         }
 
         st.pool.assert_conserved();
-        metrics.on_evictions(EvictMode::Recompute, st.evictions);
+        metrics.on_evictions(EvictMode::Recompute, st.decode.evictions);
         let plane_stats = plane.plane_stats();
         let (makespan, timeline) = plane.try_finish()?;
         let report = RunReport {

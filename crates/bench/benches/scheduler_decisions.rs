@@ -87,7 +87,7 @@ fn bench_decisions(c: &mut Criterion) {
                     if lane.residents.is_empty() {
                         break;
                     }
-                    st.advance_decode_cohort(&mut lane, black_box(step as f64 * 0.1));
+                    st.decode_step(&mut lane, black_box(step as f64 * 0.1));
                 }
                 (st, lane)
             },

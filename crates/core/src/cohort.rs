@@ -32,12 +32,19 @@
 //!
 //! Bit-identity with the per-member loop is the design contract: every
 //! counter is exact integer arithmetic, and every settle applies exactly
-//! the increments the per-step loop would have applied. When KV memory
-//! pressure makes eviction possible, callers either settle the whole
-//! cohort and replay the step through the per-member loop (the TD
-//! engine), or walk just the members growing a block this step —
-//! [`DecodeCohort::member_grows`] — settling only the victims (the
-//! PP+SB baseline); both reproduce the eviction schedule exactly.
+//! the increments the per-step loop would have applied. Every scheduler —
+//! TD-Pipe and the four baselines — steps its decode batches through the
+//! one [`DecodeStepper::step`]. Under KV memory pressure it walks just the
+//! members growing a block this step ([`DecodeCohort::member_grows`]) and
+//! settles only the victims, which reproduces the per-member loop's
+//! eviction schedule exactly. What differs between schedulers (session KV
+//! retention, reclaiming retained KV before evicting, swap instead of
+//! recompute, journal and planner updates) plugs in through
+//! [`StepHooks`].
+
+use crate::request::RequestPool;
+use std::collections::{BinaryHeap, VecDeque};
+use tdpipe_kvcache::BlockAllocator;
 
 /// Shared per-request bookkeeping for any number of [`DecodeCohort`]s,
 /// indexed by pool id.
@@ -163,14 +170,6 @@ impl DecodeCohort {
         self.live += 1;
     }
 
-    /// Blocks the *next* step can demand (an upper bound: members
-    /// finishing on it are still counted). The engines compare this
-    /// against free blocks to decide fast path vs. per-member fallback.
-    #[inline]
-    pub fn next_grows(&self) -> u32 {
-        self.classes[((self.epoch + 1) % self.block_size) as usize]
-    }
-
     /// Advance the cohort by one decode step. Call
     /// [`drain_finishers`](Self::drain_finishers) next, then read
     /// [`step_grows`](Self::step_grows) for the survivors' block demand.
@@ -232,10 +231,250 @@ impl DecodeCohort {
     }
 }
 
+/// The run state one [`DecodeStepper::step`] reads and settles, borrowed
+/// from the engine for that step.
+pub struct StepEnv<'a> {
+    /// Request lifecycle tracker.
+    pub pool: &'a mut RequestPool,
+    /// The KV pool the stepped batch lives in.
+    pub alloc: &'a mut BlockAllocator,
+    /// Admission queue: the step requeues preempted members at its front.
+    pub pending: &'a mut VecDeque<usize>,
+    /// Admission sequence per request; the newest admission is evicted
+    /// first.
+    pub admission_seq: &'a [u64],
+    /// Virtual time the step completes, stamped on its finishers.
+    pub now: f64,
+}
+
+/// What a scheduler adds to the shared decode step. The defaults are plain
+/// vLLM semantics — a finisher frees its KV, nothing outside the batch can
+/// be reclaimed, a victim is recomputed — which is all the baselines need
+/// ([`Recompute`]).
+pub trait StepHooks {
+    /// Release finisher `m`'s KV (its pool and allocator records are
+    /// already settled) and return the tokens it held, as
+    /// [`BlockAllocator::free`] reports them.
+    fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+        env.alloc.free(m as u64).expect("finished request resident")
+    }
+
+    /// A member growing a block this step found none free: release memory
+    /// that no batch member holds until `env.alloc.free_blocks() >=
+    /// target`, and return whether that worked. `false` makes the step
+    /// evict.
+    fn reclaim(&mut self, _target: u64, _env: &mut StepEnv<'_>) -> bool {
+        false
+    }
+
+    /// Mark `victim` preempted. Its steps are settled and its KV is freed
+    /// already; the step requeues it afterwards.
+    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+        env.pool.note_eviction(victim);
+    }
+}
+
+/// The default [`StepHooks`]: free on finish, recompute on eviction.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Recompute;
+
+impl StepHooks for Recompute {}
+
+/// One run's decode step, shared by all of the run's cohorts: the
+/// per-request cohort bookkeeping plus the eviction walk's scratch.
+#[derive(Debug, Clone)]
+pub struct DecodeStepper {
+    /// Per-request bookkeeping shared by every cohort of the run.
+    pub cm: CohortMembers,
+    /// Lifetime evictions made by [`Self::step`].
+    pub evictions: u64,
+    /// Finisher scratch.
+    finishers: Vec<(usize, u32)>,
+    /// Lazy max-heap of `(admission_seq, position)`, built on a step's
+    /// first overflow.
+    evict_heap: BinaryHeap<(u64, usize)>,
+    /// Positions already evicted this step.
+    evicted: Vec<bool>,
+}
+
+impl DecodeStepper {
+    /// A stepper for a pool of `n` requests.
+    pub fn new(n: usize) -> Self {
+        DecodeStepper {
+            cm: CohortMembers::new(n),
+            evictions: 0,
+            finishers: Vec::new(),
+            evict_heap: BinaryHeap::new(),
+            evicted: Vec::new(),
+        }
+    }
+
+    /// Bank decoding request `m` into `coh` at its current pool state.
+    pub fn join(&mut self, coh: &mut DecodeCohort, m: usize, pool: &RequestPool) {
+        let remaining = pool.output_len(m) - pool.generated(m);
+        coh.join(&mut self.cm, m, pool.resident_tokens(m), remaining);
+    }
+
+    /// Take `m` out of `coh` early (work-stealing move, phase end) and
+    /// settle its banked steps into the pool and the allocator. Returns
+    /// the steps settled, for callers that track more per-request state.
+    pub fn leave(
+        &mut self,
+        coh: &mut DecodeCohort,
+        m: usize,
+        pool: &mut RequestPool,
+        alloc: &mut BlockAllocator,
+    ) -> u32 {
+        let steps = coh.leave(&mut self.cm, m);
+        pool.advance_decode_steps(m, steps);
+        alloc.advance_tokens(m as u64, steps as u64);
+        steps
+    }
+
+    /// One decode step of `members`, all banked in `coh`: every member
+    /// generates one token, the finished retire, the survivors' KV grows,
+    /// and on overflow the newest members are evicted and requeued (§4.1).
+    /// `ctx` is the batch's running context-token total and stays equal to
+    /// the survivors' resident tokens.
+    ///
+    /// The step is O(finishers), not O(members): finishers drain from
+    /// their finish-epoch bucket with their banked state settled on the
+    /// way out, and the survivors' KV growth is one aggregate extend.
+    /// Under memory pressure the batch stays banked: the walk below visits
+    /// only the members crossing a block boundary this step and settles
+    /// just the victims, reproducing the per-member loop (victim choice,
+    /// requeue order, hook calls, allocator stats) exactly.
+    ///
+    /// Returns the number of requests that finished.
+    pub fn step<H: StepHooks + ?Sized>(
+        &mut self,
+        coh: &mut DecodeCohort,
+        members: &mut Vec<usize>,
+        ctx: &mut u64,
+        env: &mut StepEnv<'_>,
+        hooks: &mut H,
+    ) -> usize {
+        debug_assert_eq!(coh.live(), members.len());
+        // Every member generates one token this step.
+        *ctx += members.len() as u64;
+        coh.begin_step();
+        coh.drain_finishers(&mut self.cm, &mut self.finishers);
+        let finished_now = self.finishers.len();
+        for &(m, extends) in &self.finishers {
+            env.alloc.advance_tokens(m as u64, extends as u64);
+            env.pool.finish_decode(m, extends + 1, env.now);
+            // The allocation lags the just-generated token by one.
+            *ctx -= hooks.retire(m, env) + 1;
+        }
+        if env.alloc.free_blocks() >= coh.step_grows() as u64 {
+            env.alloc
+                .extend_cohort(coh.live() as u64, coh.step_grows() as u64);
+        } else {
+            self.evict_walk(coh, members, ctx, env, hooks);
+        }
+        // Drop the members that left: finishers and victims.
+        if coh.live() < members.len() {
+            let cm = &self.cm;
+            members.retain(|&m| cm.in_cohort(m));
+        }
+        finished_now
+    }
+
+    /// The survivors' block demand exceeds free memory even after the
+    /// finishers' frees, so this step preempts. Only members *growing* a
+    /// block consume memory, so only they shape the eviction schedule:
+    /// each takes a free block if one is left, else the hooks may reclaim
+    /// memory outside the batch, else the newest admission is evicted.
+    /// Victims pop newest-first, the per-member loop's order, and
+    /// `pos < i` tells whether that loop would already have granted the
+    /// victim its step token.
+    fn evict_walk<H: StepHooks + ?Sized>(
+        &mut self,
+        coh: &mut DecodeCohort,
+        members: &[usize],
+        ctx: &mut u64,
+        env: &mut StepEnv<'_>,
+        hooks: &mut H,
+    ) {
+        let mut heap_built = false;
+        // Blocks granted this step; the allocator sees them only in the
+        // closing `extend_survivors`, so the real free count is
+        // `free_blocks() - grows_taken`.
+        let mut grows_taken = 0u64;
+        let mut extra_extends = 0u64;
+        let mut rejections = 0u64;
+        let mut i = 0;
+        while i < members.len() {
+            let m = members[i];
+            // Skip drained finishers, evicted members, and members whose
+            // residency is not block-aligned this step.
+            if !self.cm.in_cohort(m) || !coh.member_grows(&self.cm, m) {
+                i += 1;
+                continue;
+            }
+            if env.alloc.free_blocks() > grows_taken {
+                grows_taken += 1;
+                i += 1;
+                continue;
+            }
+            // The per-member loop's extend fails here: one OutOfMemory
+            // rejection, then memory outside the batch yields first.
+            rejections += 1;
+            if hooks.reclaim(grows_taken + 1, env) {
+                grows_taken += 1;
+                i += 1;
+                continue;
+            }
+            if !heap_built {
+                self.evicted.clear();
+                self.evicted.resize(members.len(), false);
+                self.evict_heap.clear();
+                let (seq, cm) = (env.admission_seq, &self.cm);
+                self.evict_heap.extend(
+                    members
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &m)| cm.in_cohort(m))
+                        .map(|(p, &m)| (seq[m], p)),
+                );
+                heap_built = true;
+            }
+            let pos = loop {
+                let (_, p) = self.evict_heap.pop().expect("live member to evict");
+                if !self.evicted[p] {
+                    break p;
+                }
+            };
+            let victim = members[pos];
+            self.evicted[pos] = true;
+            let steps = coh.leave(&mut self.cm, victim);
+            let extended = (pos < i) as u32;
+            env.pool.advance_decode_steps(victim, steps);
+            env.alloc
+                .advance_tokens(victim as u64, (steps - 1 + extended) as u64);
+            extra_extends += extended as u64;
+            env.alloc.free(victim as u64).expect("victim resident");
+            *ctx -= env.pool.resident_tokens(victim);
+            hooks.preempt(victim, env);
+            env.pending.push_front(victim);
+            self.evictions += 1;
+            // The victim may be the member we were extending (it held the
+            // newest admission): its demand is gone — move on. Otherwise
+            // the freed blocks let the same member retry.
+            if pos == i {
+                i += 1;
+            }
+        }
+        env.alloc
+            .extend_survivors(coh.live() as u64, grows_taken, extra_extends, rejections);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe_kvcache::BlockAllocator;
+    use crate::request::Lifecycle;
+    use tdpipe_workload::ShareGptLikeConfig;
 
     /// Reference per-member state for the equivalence check.
     #[derive(Clone)]
@@ -349,7 +588,13 @@ mod tests {
             );
         }
         assert_eq!(coh.live(), 0);
-        assert_eq!(fast.stats(), slow.stats(), "fast={:?} slow={:?}", fast.stats(), slow.stats());
+        assert_eq!(
+            fast.stats(),
+            slow.stats(),
+            "fast={:?} slow={:?}",
+            fast.stats(),
+            slow.stats()
+        );
     }
 
     #[test]
@@ -359,7 +604,6 @@ mod tests {
         let mut cm = CohortMembers::new(4);
         coh.join(&mut cm, 0, 8, 10); // 8 % 4 == 0: grows on step 1, 5, 9…
         coh.join(&mut cm, 1, 7, 10); // grows on step 2 (7→8 fills, 8 grows)…
-        assert_eq!(coh.next_grows(), 1);
         coh.begin_step();
         assert_eq!(coh.step_grows(), 1);
         coh.begin_step();
@@ -423,6 +667,201 @@ mod tests {
             coh.begin_step();
             coh.drain_finishers(&mut cm, &mut out);
             assert!(out.is_empty(), "stale finish entry resurfaced");
+        }
+    }
+
+    /// Test hooks exercising every extension point: finishers free, a
+    /// reserve of donor allocations (ids past the pool, like retained
+    /// session KV) is reclaimed oldest-first, and victims alternate
+    /// between recompute and swap. Every call is logged so both sides'
+    /// effect orders can be compared.
+    struct Logged {
+        donors: VecDeque<u64>,
+        log: Vec<(char, u64)>,
+    }
+
+    impl StepHooks for Logged {
+        fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+            self.log.push(('f', m as u64));
+            env.alloc.free(m as u64).unwrap()
+        }
+
+        fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_>) -> bool {
+            while env.alloc.free_blocks() < target {
+                let Some(d) = self.donors.pop_front() else {
+                    return false;
+                };
+                env.alloc.free(d).unwrap();
+                self.log.push(('r', d));
+            }
+            true
+        }
+
+        fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+            self.log.push(('e', victim as u64));
+            if victim.is_multiple_of(2) {
+                env.pool.note_eviction(victim);
+            } else {
+                env.pool.note_swap_out(victim);
+            }
+        }
+    }
+
+    /// The per-member reference for [`DecodeStepper::step`]: one request
+    /// at a time, no cohort banking, and a full rescan for every victim.
+    fn reference_step<H: StepHooks>(
+        members: &mut Vec<usize>,
+        ctx: &mut u64,
+        env: &mut StepEnv<'_>,
+        hooks: &mut H,
+    ) -> usize {
+        *ctx += members.len() as u64;
+        let mut finished = 0;
+        let mut k = 0;
+        while k < members.len() {
+            let m = members[k];
+            if env.pool.note_decode_step(m, env.now) {
+                *ctx -= hooks.retire(m, env) + 1;
+                members.remove(k);
+                finished += 1;
+            } else {
+                k += 1;
+            }
+        }
+        let mut i = 0;
+        while i < members.len() {
+            let m = members[i];
+            if env.alloc.extend_one(m as u64).is_ok()
+                || (hooks.reclaim(1, env) && env.alloc.extend_one(m as u64).is_ok())
+            {
+                i += 1;
+                continue;
+            }
+            let pos = (0..members.len())
+                .max_by_key(|&p| env.admission_seq[members[p]])
+                .unwrap();
+            let victim = members.remove(pos);
+            env.alloc.free(victim as u64).unwrap();
+            *ctx -= env.pool.resident_tokens(victim);
+            hooks.preempt(victim, env);
+            env.pending.push_front(victim);
+            if pos < i {
+                i -= 1;
+            }
+        }
+        finished
+    }
+
+    /// The banked eviction walk must reproduce the per-member loop bit for
+    /// bit: same finishers, victims and requeue order, same hook calls in
+    /// the same order, same allocator aggregates and stats (OOM rejections
+    /// and the saturated high-water mark included), same survivors and
+    /// context total, and the same per-request state once settled.
+    #[test]
+    fn step_matches_the_per_member_reference() {
+        for donors in [0u64, 4] {
+            let t = ShareGptLikeConfig::small(24, 7).generate();
+            let bs = 16u32;
+            let setup = || {
+                let mut pool = RequestPool::new(t.requests(), |r| r.output_len);
+                let n = pool.len();
+                let need: u64 = (0..n)
+                    .map(|i| (pool.prefill_tokens(i) as u64).div_ceil(bs as u64))
+                    .sum();
+                // A handful of slack blocks: decode growth saturates the
+                // pool within a few steps, so the walk evicts repeatedly.
+                let mut alloc = BlockAllocator::new(need + 6 + 3 * donors, bs);
+                let mut members = Vec::new();
+                let mut ctx = 0;
+                for i in 0..n {
+                    let tokens = pool.prefill_tokens(i);
+                    alloc.allocate(i as u64, tokens as u64).unwrap();
+                    pool.note_prefill(i, tokens);
+                    members.push(i);
+                    ctx += tokens as u64;
+                }
+                let donor_ids: VecDeque<u64> = (0..donors).map(|d| n as u64 + d).collect();
+                for &d in &donor_ids {
+                    alloc.allocate(d, 3 * bs as u64).unwrap();
+                }
+                let hooks = Logged {
+                    donors: donor_ids,
+                    log: Vec::new(),
+                };
+                (pool, alloc, members, ctx, VecDeque::new(), hooks)
+            };
+            // Admission order is reversed pool order, so victims are not
+            // simply the tail of the member list.
+            let seq: Vec<u64> = (0..t.len() as u64).rev().collect();
+            let (mut pool_a, mut alloc_a, mut members_a, mut ctx_a, mut pend_a, mut hooks_a) =
+                setup();
+            let (mut pool_b, mut alloc_b, mut members_b, mut ctx_b, mut pend_b, mut hooks_b) =
+                setup();
+            let mut stepper = DecodeStepper::new(pool_b.len());
+            let mut coh = DecodeCohort::new(bs);
+            for &m in &members_b {
+                stepper.join(&mut coh, m, &pool_b);
+            }
+            for step in 0..600 {
+                if members_a.is_empty() {
+                    break;
+                }
+                let now = step as f64;
+                let fa = reference_step(
+                    &mut members_a,
+                    &mut ctx_a,
+                    &mut StepEnv {
+                        pool: &mut pool_a,
+                        alloc: &mut alloc_a,
+                        pending: &mut pend_a,
+                        admission_seq: &seq,
+                        now,
+                    },
+                    &mut hooks_a,
+                );
+                let fb = stepper.step(
+                    &mut coh,
+                    &mut members_b,
+                    &mut ctx_b,
+                    &mut StepEnv {
+                        pool: &mut pool_b,
+                        alloc: &mut alloc_b,
+                        pending: &mut pend_b,
+                        admission_seq: &seq,
+                        now,
+                    },
+                    &mut hooks_b,
+                );
+                assert_eq!(fa, fb, "finishers at step {step}");
+                assert_eq!(members_a, members_b, "survivors at step {step}");
+                assert_eq!(ctx_a, ctx_b, "context total at step {step}");
+                assert_eq!(pend_a, pend_b, "requeue order at step {step}");
+                assert_eq!(hooks_a.log, hooks_b.log, "hook calls at step {step}");
+                assert_eq!(alloc_a.free_blocks(), alloc_b.free_blocks(), "step {step}");
+                assert_eq!(alloc_a.resident_tokens(), alloc_b.resident_tokens());
+                assert_eq!(alloc_a.stats(), alloc_b.stats(), "stats at step {step}");
+            }
+            let evictions = hooks_a.log.iter().filter(|(c, _)| *c == 'e').count();
+            assert!(evictions > 0, "scenario must exercise the eviction walk");
+            assert_eq!(stepper.evictions, evictions as u64);
+            assert!(alloc_a.stats().oom_rejections > 0);
+            let reclaimed = hooks_a.log.iter().any(|(c, _)| *c == 'r');
+            assert_eq!(reclaimed, donors > 0, "reclaim runs exactly when it can");
+            // Settle the cohort and compare every request's state.
+            for &m in &members_b {
+                stepper.leave(&mut coh, m, &mut pool_b, &mut alloc_b);
+            }
+            for i in 0..pool_a.len() {
+                assert_eq!(pool_a.generated(i), pool_b.generated(i), "generated {i}");
+                assert_eq!(pool_a.lifecycle(i), pool_b.lifecycle(i), "lifecycle {i}");
+                assert_eq!(pool_a.swapped(i), pool_b.swapped(i), "swapped {i}");
+                if pool_a.lifecycle(i) == Lifecycle::Decoding {
+                    let id = i as u64;
+                    assert_eq!(alloc_a.tokens_of(id), alloc_b.tokens_of(id), "tokens {i}");
+                }
+            }
+            assert_eq!(pool_a.output_tokens, pool_b.output_tokens);
+            assert_eq!(pool_a.swapped_tokens, pool_b.swapped_tokens);
         }
     }
 }

@@ -22,7 +22,7 @@
 //! pipeline would show.
 
 use crate::batch::{partition_even_into, DecodeBatch};
-use crate::cohort::{CohortMembers, DecodeCohort};
+use crate::cohort::{DecodeCohort, DecodeStepper, StepEnv, StepHooks};
 use crate::config::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig};
 use crate::control::ControlPlane;
 use crate::cost::PpCost;
@@ -145,114 +145,175 @@ fn reclaim_retained(
     true
 }
 
-/// Retire a finished request's KV: retain it for the session successor
-/// when reuse is on and the budget allows (evicting older retained
-/// prefixes first), free it otherwise; then release the successor's
-/// closed-loop arrival (finish + think time), moving it from the pending
-/// queue's unreleased tail to its sorted slot. Returns the tokens `m`
-/// held (its contribution to the departing batch's context), exactly as
-/// `alloc.free` would have reported.
-#[allow(clippy::too_many_arguments)]
-fn release_finished(
-    m: usize,
-    now: f64,
-    sess: &mut Option<SessionRun<'_>>,
-    pool: &mut RequestPool,
-    alloc: &mut BlockAllocator,
-    pending: &mut VecDeque<usize>,
-    est_cache: &mut PrefillEstimateCache,
-    journal: &mut FlightRecorder,
-) -> u64 {
-    // The lifecycle terminator: with arrival and first-token stamps
-    // copied in, a journal alone reconstructs every latency component
-    // (the span layer never needs the request pool).
-    journal.record(
-        now,
-        TraceEvent::RequestFinish {
-            request: pool.id(m).0,
-            arrival: pool.arrival(m),
-            first_token: pool.first_token_at(m),
-        },
-    );
-    let Some(s) = sess.as_mut() else {
-        // analyzer: allow(no-expect) — every batch member was allocated at
-        // admission and eviction removes it from its batch, so a finisher
-        // is resident.
-        return alloc.free(m as u64).expect("finished request resident");
-    };
-    let next = s.turns[m].next;
-    // analyzer: allow(no-expect) — finishers are resident (see above).
-    let held = alloc.tokens_of(m as u64).expect("finished request resident");
-    let mut retained = false;
-    if s.reuse {
+/// TD-Pipe's side of the shared decode step ([`DecodeStepper::step`]):
+/// finishers may retain their KV for a session successor, idle retained
+/// prefixes yield before any live member is evicted, victims follow the
+/// configured preemption mode, and the planner, estimate cache, journal
+/// and metrics follow every finisher and victim.
+struct TdStepHooks<'r, 's> {
+    engine: &'r TdPipeEngine,
+    sess: &'r mut Option<SessionRun<'s>>,
+    planner: &'r mut GreedyPrefillPlanner,
+    est_cache: &'r mut PrefillEstimateCache,
+    journal: &'r mut FlightRecorder,
+    metrics: &'r mut EngineMetrics,
+    /// Host-link time this step's swap-outs hold the batch back.
+    swap_out_delay: f64,
+}
+
+impl StepHooks for TdStepHooks<'_, '_> {
+    /// Retire a finished request's KV: retain it for the session
+    /// successor when reuse is on and the budget allows (evicting older
+    /// retained prefixes first), free it otherwise; then release the
+    /// successor's closed-loop arrival (finish + think time), moving it
+    /// from the pending queue's unreleased tail to its sorted slot.
+    fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+        // `remove_request` subtracts the *tracked* contribution, so the
+        // planner needs no settle first.
+        self.planner.remove_request(m);
+        let StepEnv {
+            pool,
+            alloc,
+            pending,
+            now,
+            ..
+        } = env;
+        let now = *now;
+        let journal = &mut *self.journal;
+        // The lifecycle terminator: with arrival and first-token stamps
+        // copied in, a journal alone reconstructs every latency component
+        // (the span layer never needs the request pool).
+        journal.record(
+            now,
+            TraceEvent::RequestFinish {
+                request: pool.id(m).0,
+                arrival: pool.arrival(m),
+                first_token: pool.first_token_at(m),
+            },
+        );
+        let Some(s) = self.sess.as_mut() else {
+            // analyzer: allow(no-expect) — every batch member was allocated
+            // at admission and eviction removes it from its batch, so a
+            // finisher is resident.
+            return alloc.free(m as u64).expect("finished request resident");
+        };
+        let next = s.turns[m].next;
+        // analyzer: allow(no-expect) — finishers are resident (see above).
+        let held = alloc.tokens_of(m as u64).expect("finished request resident");
+        let mut retained = false;
+        if s.reuse {
+            if let Some(succ) = next {
+                let blocks = held.div_ceil(s.block_size);
+                // Make room in the retention budget oldest-first; a budget
+                // too small for this prefix leaves `fits` false and we fall
+                // back to freeing.
+                while !s.retainer.fits(blocks) {
+                    let Some((other, e)) = s.retainer.pop_oldest() else {
+                        break;
+                    };
+                    // analyzer: allow(no-expect) — retained donors stay
+                    // resident until claimed or dropped here.
+                    alloc.free(e.donor).expect("retained donor resident");
+                    pool.clear_reuse_discount(other as usize);
+                    journal.record(
+                        now,
+                        TraceEvent::SessionDrop {
+                            request: other,
+                            tokens: e.tokens,
+                        },
+                    );
+                }
+                if s.retainer.retain(succ as u64, m as u64, held, blocks) {
+                    // The successor will prefill only its fresh suffix
+                    // while the prefix survives. `held` is the prior
+                    // transcript minus the final sampled token, so it is
+                    // strictly below the successor's prompt length.
+                    pool.set_reuse_discount(succ as usize, held as u32);
+                    journal.record(
+                        now,
+                        TraceEvent::SessionRetain {
+                            request: succ as u64,
+                            tokens: held,
+                        },
+                    );
+                    retained = true;
+                }
+            }
+        }
+        if !retained {
+            // analyzer: allow(no-expect) — still resident: nothing freed it.
+            alloc.free(m as u64).expect("finished request resident");
+        }
         if let Some(succ) = next {
-            let blocks = held.div_ceil(s.block_size);
-            // Make room in the retention budget oldest-first; a budget too
-            // small for this prefix leaves `fits` false and we fall back
-            // to freeing.
-            while !s.retainer.fits(blocks) {
-                let Some((other, e)) = s.retainer.pop_oldest() else {
-                    break;
-                };
-                // analyzer: allow(no-expect) — retained donors stay
-                // resident until claimed or dropped here.
-                alloc.free(e.donor).expect("retained donor resident");
-                pool.clear_reuse_discount(other as usize);
-                journal.record(
-                    now,
-                    TraceEvent::SessionDrop {
-                        request: other,
-                        tokens: e.tokens,
-                    },
-                );
+            let succ = succ as usize;
+            let at = now + s.turns[succ].think_s;
+            pool.set_arrival(succ, at);
+            // The successor has never arrived (infinite arrival), so it
+            // still sits in the pending queue's unreleased tail — scan from
+            // the back, where it lives.
+            let p = pending
+                .iter()
+                .rposition(|&i| i == succ)
+                // analyzer: allow(no-expect) — unreleased turns are never
+                // admitted (their arrival is infinite), so the successor
+                // must be pending.
+                .expect("unreleased turn pending");
+            pending.remove(p);
+            // Sorted re-insertion among released-but-future arrivals. The
+            // walk stops before the arrived head region (arrivals <= now
+            // <= at), so the eviction-ordered head layout is preserved.
+            let mut pos = pending.len();
+            while pos > 0 && pool.arrival(pending[pos - 1]) > at {
+                pos -= 1;
             }
-            if s.retainer.retain(succ as u64, m as u64, held, blocks) {
-                // The successor will prefill only its fresh suffix while
-                // the prefix survives. `held` is the prior transcript
-                // minus the final sampled token, so it is strictly below
-                // the successor's prompt length.
-                pool.set_reuse_discount(succ as usize, held as u32);
-                journal.record(
-                    now,
-                    TraceEvent::SessionRetain {
-                        request: succ as u64,
-                        tokens: held,
-                    },
-                );
-                retained = true;
-            }
+            pending.insert(pos, succ);
+            self.est_cache.invalidate();
+        }
+        held
+    }
+
+    fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_>) -> bool {
+        match self.sess.as_mut() {
+            Some(s) => reclaim_retained(
+                s,
+                target,
+                None,
+                env.now,
+                env.alloc,
+                env.pool,
+                self.est_cache,
+                self.journal,
+            ),
+            None => false,
         }
     }
-    if !retained {
-        // analyzer: allow(no-expect) — still resident: nothing freed it.
-        alloc.free(m as u64).expect("finished request resident");
+
+    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+        self.planner.remove_request(victim);
+        let mode = match self.engine.cfg.engine.preemption {
+            PreemptionMode::Recompute => {
+                env.pool.note_eviction(victim);
+                EvictMode::Recompute
+            }
+            PreemptionMode::Swap => {
+                // The victim's KV streams to host memory; the batch cannot
+                // relaunch until its share of the link is free.
+                let tokens = env.pool.resident_tokens(victim);
+                self.swap_out_delay += self.engine.swap_seconds(tokens);
+                env.pool.note_swap_out(victim);
+                EvictMode::Swap
+            }
+        };
+        self.journal.record(
+            env.now,
+            TraceEvent::Evict {
+                mode,
+                victim: env.pool.id(victim).0,
+            },
+        );
+        self.metrics.on_evict(mode);
+        self.est_cache.invalidate();
     }
-    if let Some(succ) = next {
-        let succ = succ as usize;
-        let at = now + s.turns[succ].think_s;
-        pool.set_arrival(succ, at);
-        // The successor has never arrived (infinite arrival), so it still
-        // sits in the pending queue's unreleased tail — scan from the
-        // back, where it lives.
-        let p = pending
-            .iter()
-            .rposition(|&i| i == succ)
-            // analyzer: allow(no-expect) — unreleased turns are never
-            // admitted (their arrival is infinite), so the successor
-            // must be pending.
-            .expect("unreleased turn pending");
-        pending.remove(p);
-        // Sorted re-insertion among released-but-future arrivals. The
-        // walk stops before the arrived head region (arrivals <= now <=
-        // at), so the eviction-ordered head layout is preserved.
-        let mut pos = pending.len();
-        while pos > 0 && pool.arrival(pending[pos - 1]) > at {
-            pos -= 1;
-        }
-        pending.insert(pos, succ);
-        est_cache.invalidate();
-    }
-    held
 }
 
 /// The TD-Pipe inference engine for one `(model, node)` configuration.
@@ -301,6 +362,13 @@ impl TdPipeEngine {
     /// The cost model in use.
     pub fn cost(&self) -> &PpCost {
         &self.cost
+    }
+
+    /// Host-link time to move `tokens` tokens of KV (swap preemption, out
+    /// or back in).
+    fn swap_seconds(&self, tokens: u64) -> f64 {
+        let kv_volume = tokens as f64 * self.cost.model().kv_bytes_per_token() as f64;
+        kv_volume / self.cfg.engine.host_link_bw
     }
 
     /// Build the offline decode profile for the spatial-intensity lookup,
@@ -523,9 +591,6 @@ impl TdPipeEngine {
         let mut prefill_meta: Vec<(usize, usize, f64)> = Vec::new();
         let mut est_cache = PrefillEstimateCache::default();
         let mut job = crate::cost::StagedJob::default();
-        let mut evict_heap: std::collections::BinaryHeap<(u64, usize)> =
-            std::collections::BinaryHeap::new();
-        let mut evicted: Vec<bool> = Vec::new();
         // Running per-batch context totals (`DecodeBatch::total_ctx`
         // maintained incrementally) and their sum over stored batches.
         let mut batch_ctx: Vec<u64> = vec![0; n_stages];
@@ -536,16 +601,15 @@ impl TdPipeEngine {
         let mut batches: Vec<DecodeBatch> = Vec::new();
         let mut initial_sizes: Vec<usize> = Vec::new();
         let mut stealer: Option<WorkStealer> = None;
-        // Event-driven decode cohorts, one per in-flight batch, plus their
-        // shared per-request bookkeeping: each banks its batch's per-step
-        // work (tokens generated, KV extends, finish retirement, planner
-        // advances) as arithmetic, settled per member only when a member
-        // leaves its batch — see `crate::cohort`.
+        // Event-driven decode cohorts, one per in-flight batch, stepped by
+        // the decode step every scheduler shares: each banks its batch's
+        // per-step work (tokens generated, KV extends, finish retirement,
+        // planner advances) as arithmetic, settled per member only when a
+        // member leaves its batch — see `crate::cohort`.
         let mut cohorts: Vec<DecodeCohort> = (0..n_stages)
             .map(|_| DecodeCohort::new(self.plan.block_size))
             .collect();
-        let mut cm = CohortMembers::new(pool.len());
-        let mut finishers: Vec<(usize, u32)> = Vec::new();
+        let mut stepper = DecodeStepper::new(pool.len());
         while !pool.all_finished() {
             // ===================== PREFILL PHASE =====================
             let phase_t0 = now;
@@ -635,9 +699,7 @@ impl TdPipeEngine {
                         alloc.allocate(idx as u64, tokens).expect("checked");
                         pending.pop_front();
                         pool.note_swap_in(idx, tokens);
-                        now += tokens as f64
-                            * self.cost.model().kv_bytes_per_token() as f64
-                            / e.host_link_bw;
+                        now += self.swap_seconds(tokens);
                         admission_seq[idx] = next_seq;
                         next_seq += 1;
                         residents.push(idx);
@@ -945,12 +1007,7 @@ impl TdPipeEngine {
                 let coh = &mut cohorts[bid];
                 coh.reset();
                 for &m in &b.members {
-                    coh.join(
-                        &mut cm,
-                        m,
-                        pool.resident_tokens(m),
-                        pool.output_len(m) - pool.generated(m),
-                    );
+                    stepper.join(coh, m, &pool);
                 }
                 if b.is_empty() {
                     continue;
@@ -973,229 +1030,57 @@ impl TdPipeEngine {
                 decode_steps += 1;
                 let mut members = std::mem::take(&mut batches[bid].members);
                 stored_ctx -= batch_ctx[bid];
-                // 1) One token generated per member; retire the finished.
-                //    Every member's context grows by one this step; the
-                //    finished leave with their post-step resident tokens
-                //    (one more than the allocator held for them).
-                // 2) Extend survivors' KV; evict newest-first on overflow
-                //    (the recompute strategy of §4.1).
-                //
-                // The fast path banks the whole step in the batch's
-                // cohort: finishers drain from their finish-epoch bucket
-                // (with their banked state settled on the way out), the
-                // survivors' growth is one aggregate extend, and no other
-                // member is touched. When free memory cannot cover the
-                // step's worst-case block demand, the cohort is settled
-                // and the per-member loop replays the step with the
-                // eviction machinery — identical semantics either way, so
-                // the switch between paths cannot perturb the schedule.
-                let mut ctx = batch_ctx[bid] + members.len() as u64;
-                let mut finished_now = 0usize;
-                let mut swap_out_delay = 0.0;
-                if alloc.free_blocks() >= cohorts[bid].next_grows() as u64 {
-                    let coh = &mut cohorts[bid];
-                    coh.begin_step();
-                    coh.drain_finishers(&mut cm, &mut finishers);
-                    finished_now = finishers.len();
-                    for &(m, extends) in &finishers {
-                        alloc.advance_tokens(m as u64, extends as u64);
-                        pool.finish_decode(m, extends + 1, now);
-                        // Retain-for-successor or free, plus the
-                        // closed-loop release (plain free on non-session
-                        // runs).
-                        let freed = release_finished(
-                            m,
-                            now,
-                            &mut sess,
-                            &mut pool,
-                            &mut alloc,
-                            &mut pending,
-                            &mut est_cache,
-                            &mut journal,
-                        );
-                        ctx -= freed + 1;
-                        // `remove_request` subtracts the *tracked*
-                        // contribution, so no settle is needed first.
-                        planner.remove_request(m);
-                    }
-                    alloc.extend_cohort(coh.live() as u64, coh.step_grows() as u64);
-                    if finished_now > 0 {
-                        members.retain(|&m| pool.lifecycle(m) == Lifecycle::Decoding);
-                    }
-                    debug_assert_eq!(cohorts[bid].live(), members.len());
-                } else {
-                    // Materialise every member, then replay the step with
-                    // the per-member loop. Overflow is rare, so the victim
-                    // order is built lazily: a max-heap over
-                    // `admission_seq` (unique, so the peel order matches
-                    // the old per-victim max scan exactly) with lazy
-                    // deletion — O(log n) per eviction instead of O(n).
-                    for &m in &members {
-                        let p = cohorts[bid].leave(&mut cm, m);
-                        planner.advance(m, p);
-                        pool.advance_decode_steps(m, p);
-                        alloc.advance_tokens(m as u64, p as u64);
-                    }
-                    members.retain(|&idx| {
-                        if pool.note_decode_step(idx, now) {
-                            let freed = release_finished(
-                                idx,
-                                now,
-                                &mut sess,
-                                &mut pool,
-                                &mut alloc,
-                                &mut pending,
-                                &mut est_cache,
-                                &mut journal,
-                            );
-                            ctx -= freed + 1;
-                            finished_now += 1;
-                            planner.remove_request(idx);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    let mut heap_built = false;
-                    let mut i = 0;
-                    while i < members.len() {
-                        if heap_built && evicted[i] {
-                            i += 1;
-                            continue;
-                        }
-                        let idx = members[i];
-                        if alloc.extend_one(idx as u64).is_ok() {
-                            i += 1;
-                            continue;
-                        }
-                        // Idle retained session prefixes yield before any
-                        // live member is evicted.
-                        if let Some(s) = sess.as_mut() {
-                            if reclaim_retained(
-                                s,
-                                1,
-                                None,
-                                now,
-                                &mut alloc,
-                                &mut pool,
-                                &mut est_cache,
-                                &mut journal,
-                            ) && alloc.extend_one(idx as u64).is_ok()
-                            {
-                                i += 1;
-                                continue;
-                            }
-                        }
-                        if !heap_built {
-                            evicted.clear();
-                            evicted.resize(members.len(), false);
-                            evict_heap.clear();
-                            evict_heap.extend(
-                                members
-                                    .iter()
-                                    .enumerate()
-                                    .map(|(p, &m)| (admission_seq[m], p)),
-                            );
-                            heap_built = true;
-                        }
-                        // Evict the newest member (possibly idx itself).
-                        let pos = loop {
-                            // analyzer: allow(no-expect) — the heap holds
-                            // every live member and `idx` itself is live, so
-                            // a victim always exists before exhaustion.
-                            let (_, p) = evict_heap.pop().expect("live member to evict");
-                            if !evicted[p] {
-                                break p;
-                            }
-                        };
-                        let victim = members[pos];
-                        evicted[pos] = true;
-                        // analyzer: allow(no-expect) — victims come from
-                        // `members`, all of which hold live allocations.
-                        alloc.free(victim as u64).expect("victim resident");
-                        ctx -= pool.resident_tokens(victim);
-                        planner.remove_request(victim);
-                        let mode = match e.preemption {
-                            PreemptionMode::Recompute => {
-                                pool.note_eviction(victim);
-                                EvictMode::Recompute
-                            }
-                            PreemptionMode::Swap => {
-                                // The victim's KV streams to host memory; the
-                                // batch cannot relaunch until its share of the
-                                // link is free.
-                                swap_out_delay += pool.resident_tokens(victim) as f64
-                                    * self.cost.model().kv_bytes_per_token() as f64
-                                    / e.host_link_bw;
-                                pool.note_swap_out(victim);
-                                EvictMode::Swap
-                            }
-                        };
-                        journal.record(
-                            now,
-                            TraceEvent::Evict {
-                                mode,
-                                victim: pool.id(victim).0,
-                            },
-                        );
-                        metrics.on_evict(mode);
-                        pending.push_front(victim);
-                        est_cache.invalidate();
-                        // `idx` may have been the victim; the `evicted` check at
-                        // the loop head re-routes, otherwise retry this slot.
-                    }
-                    if heap_built {
-                        // Compact the survivors in order (one pass, instead
-                        // of the old `Vec::remove` per victim).
-                        let mut p = 0;
-                        members.retain(|_| {
-                            let keep = !evicted[p];
-                            p += 1;
-                            keep
-                        });
-                    }
-                    // Credit the step each survivor just executed in full,
-                    // then re-bank the batch as a fresh cohort.
-                    let coh = &mut cohorts[bid];
-                    coh.reset();
-                    for &m in &members {
-                        planner.advance(m, 1);
-                        coh.join(
-                            &mut cm,
-                            m,
-                            pool.resident_tokens(m),
-                            pool.output_len(m) - pool.generated(m),
-                        );
-                    }
-                }
+                // 1) Step the batch: one token per member; the finished
+                //    retire (retaining KV for a session successor where
+                //    allowed), the survivors' KV grows, and on overflow
+                //    idle retained prefixes yield before the newest members
+                //    are preempted (§4.1). This is the decode step every
+                //    scheduler shares, with TD-Pipe's session, planner and
+                //    observer effects as its hooks.
+                let mut ctx = batch_ctx[bid];
+                let mut hooks = TdStepHooks {
+                    engine: self,
+                    sess: &mut sess,
+                    planner: &mut planner,
+                    est_cache: &mut est_cache,
+                    journal: &mut journal,
+                    metrics: &mut metrics,
+                    swap_out_delay: 0.0,
+                };
+                let finished_now = stepper.step(
+                    &mut cohorts[bid],
+                    &mut members,
+                    &mut ctx,
+                    &mut StepEnv {
+                        pool: &mut pool,
+                        alloc: &mut alloc,
+                        pending: &mut pending,
+                        admission_seq: &admission_seq,
+                        now,
+                    },
+                    &mut hooks,
+                );
                 finished_this_phase += finished_now;
-                now += swap_out_delay;
-                // 3) Rebalance.
+                now += hooks.swap_out_delay;
+                // 2) Rebalance.
                 if let Some(st) = stealer.as_mut() {
                     let epoch = cohorts[bid].epoch();
                     let moved = st.rebalance(&mut members, finished_now, &mut ctx, |m| {
                         // Banked members lag the pool by their banked
                         // steps; settled candidates (the withheld) read
                         // their pool state exactly.
-                        pool.resident_tokens(m) + cm.pending(m, epoch) as u64
+                        pool.resident_tokens(m) + stepper.cm.pending(m, epoch) as u64
                     });
                     // Newly withheld members leave this batch's step
                     // cadence: settle their banked steps now. Supplements
                     // join it: bank them into this batch's cohort.
                     let wh = st.withheld();
                     for &m in &wh[wh.len() - moved.withheld..] {
-                        let p = cohorts[bid].leave(&mut cm, m);
+                        let p = stepper.leave(&mut cohorts[bid], m, &mut pool, &mut alloc);
                         planner.advance(m, p);
-                        pool.advance_decode_steps(m, p);
-                        alloc.advance_tokens(m as u64, p as u64);
                     }
                     for &m in &members[members.len() - moved.supplemented..] {
-                        cohorts[bid].join(
-                            &mut cm,
-                            m,
-                            pool.resident_tokens(m),
-                            pool.output_len(m) - pool.generated(m),
-                        );
+                        stepper.join(&mut cohorts[bid], m, &pool);
                     }
                     if moved.withheld > 0 {
                         journal.record(
@@ -1220,7 +1105,7 @@ impl TdPipeEngine {
                 if e.record_occupancy {
                     occupancy.push(now, alloc.occupancy(), Phase::Decode);
                 }
-                // 4) Decode→prefill decision.
+                // 3) Decode→prefill decision.
                 if !switching && !pending.is_empty() {
                     switching = match self.cfg.d2p {
                         D2pPolicy::Intensity => {
@@ -1282,7 +1167,7 @@ impl TdPipeEngine {
                         }
                     };
                 }
-                // 5) Relaunch or retire the batch. If this is the last live
+                // 4) Relaunch or retire the batch. If this is the last live
                 //    batch and the stealer still withholds requests, absorb
                 //    them — otherwise they would strand with no batch left
                 //    to supplement.
@@ -1293,12 +1178,7 @@ impl TdPipeEngine {
                             ctx += pool.resident_tokens(m);
                             // Absorbed members rejoin this batch's cadence
                             // (they were settled when withheld).
-                            cohorts[bid].join(
-                                &mut cm,
-                                m,
-                                pool.resident_tokens(m),
-                                pool.output_len(m) - pool.generated(m),
-                            );
+                            stepper.join(&mut cohorts[bid], m, &pool);
                         }
                         st.take_withheld_into(&mut batches[bid].members);
                     }
@@ -1324,10 +1204,8 @@ impl TdPipeEngine {
             for (bid, b) in batches.iter().enumerate() {
                 let coh = &mut cohorts[bid];
                 for &m in &b.members {
-                    let p = coh.leave(&mut cm, m);
+                    let p = stepper.leave(coh, m, &mut pool, &mut alloc);
                     planner.advance(m, p);
-                    pool.advance_decode_steps(m, p);
-                    alloc.advance_tokens(m as u64, p as u64);
                 }
             }
             residents.retain(|&i| pool.lifecycle(i) == Lifecycle::Decoding);

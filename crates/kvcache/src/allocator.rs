@@ -296,53 +296,6 @@ impl BlockAllocator {
         Ok(())
     }
 
-    /// Append one token to each id in order — the batched form of
-    /// [`extend_one`](Self::extend_one) for a decode step where overflow is
-    /// impossible. The caller must check `free_blocks() >= ids.len()`
-    /// first: each id grows by at most one block, so under that guard the
-    /// per-call out-of-memory branch can be hoisted out of the loop while
-    /// producing a state (and stats) identical to the sequential calls.
-    ///
-    /// # Panics
-    /// Panics if an id is not resident, or if the batch overflows the pool
-    /// (the caller's guard was missing — a bug, not a schedulable event).
-    pub fn extend_one_each<I: IntoIterator<Item = u64>>(&mut self, ids: I) {
-        let block_size = self.block_size as u64;
-        let mut grown = 0u64;
-        let mut count = 0u64;
-        for id in ids {
-            let r = self
-                .residents
-                .get_mut(id as usize)
-                .and_then(Option::as_mut)
-                // analyzer: allow(no-expect) — same contract as the
-                // per-call path: batch members are always resident.
-                .expect("batch member resident");
-            if r.tokens == r.blocks * block_size {
-                r.blocks += 1;
-                grown += 1;
-            }
-            r.tokens += 1;
-            count += 1;
-        }
-        self.used_blocks += grown;
-        // analyzer: allow(no-panic) — guard violation is a caller bug;
-        // the per-call path would have rejected the overflowing extend.
-        assert!(
-            self.used_blocks <= self.num_blocks,
-            "extend_one_each caller must guard free_blocks() >= ids.len()"
-        );
-        // analyzer: allow(unit-mismatch) — each batch member gains
-        // exactly one token, so the extend count *is* the token delta.
-        self.resident_tokens += count;
-        self.stats.extends += count;
-        // Used blocks grow monotonically across the batch, so one final
-        // high-water update equals the sequential per-call updates.
-        if self.used_blocks > self.stats.used_blocks_high_water {
-            self.stats.used_blocks_high_water = self.used_blocks;
-        }
-    }
-
     /// Aggregate accounting for one event-driven decode step (see
     /// `tdpipe_core::cohort`): `live` residents each gained one token and
     /// `grows` of them crossed a block boundary. Pool counters and stats
@@ -574,28 +527,6 @@ mod tests {
         assert_eq!(s.extends, 1);
         assert_eq!(s.oom_rejections, 1);
         assert_eq!(s.used_blocks_high_water, 4);
-    }
-
-    #[test]
-    fn extend_one_each_matches_sequential_extends() {
-        let mut fast = BlockAllocator::new(100, 4);
-        let mut slow = BlockAllocator::new(100, 4);
-        for id in 0..3u64 {
-            fast.allocate(id, 3 + id).unwrap();
-            slow.allocate(id, 3 + id).unwrap();
-        }
-        for _ in 0..10 {
-            assert!(fast.free_blocks() >= 3);
-            fast.extend_one_each(0..3u64);
-            for id in 0..3u64 {
-                slow.extend_one(id).unwrap();
-            }
-        }
-        for id in 0..3u64 {
-            assert_eq!(fast.tokens_of(id).unwrap(), slow.tokens_of(id).unwrap());
-        }
-        assert_eq!(fast.used_blocks(), slow.used_blocks());
-        assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]
