@@ -11,7 +11,12 @@
 //! serially so each measurement is unshared; each cell is re-run
 //! `TDPIPE_PERF_REPS` times (default 5) and the minimum is kept.
 //!
-//! After the core cells, three *scale* cells time the simulator at 100k
+//! An *online* cell follows: TD-Pipe on L20+13B with the same requests
+//! arriving open-loop Poisson at 2 req/s. Phases are short there and
+//! switches frequent (several per request), so it times what every phase
+//! switch costs rather than the steady decode loop.
+//!
+//! After those, three *scale* cells time the simulator at 100k
 //! and 1M requests (single rep each — they exist to prove the hot path
 //! stays linear, not to be tight measurements). Set `TDPIPE_PERF_SCALE=0`
 //! to skip them (CI quick mode does).
@@ -28,12 +33,12 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use tdpipe_bench::{run_scheduler, Scheduler, SweepSpec, PAPER_SEED};
+use tdpipe_bench::{run_scheduler, run_scheduler_with_arrivals, Scheduler, SweepSpec, PAPER_SEED};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
-use tdpipe_workload::ShareGptLikeConfig;
+use tdpipe_workload::{ArrivalProcess, ShareGptLikeConfig};
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
 /// the PR *before* the million-request refactor (arena request storage,
@@ -270,6 +275,33 @@ fn main() {
             makespan,
         });
     }
+
+    // The online cell: no pre-refactor measurement, so it stays out of the
+    // headline ratio like the scale cells.
+    let rate = 2.0;
+    let arrivals = ArrivalProcess::Poisson {
+        rate_per_s: rate,
+        seed: PAPER_SEED,
+    }
+    .sample(trace.len());
+    let (model, node, td) = (ModelSpec::llama2_13b(), NodeSpec::l20(4), Scheduler::TdPipe);
+    let (best, makespan) = time_cell(reps, || {
+        run_scheduler_with_arrivals(td, &model, &node, &trace, &arrivals, &predictor)
+            .expect("canonical cell must be feasible")
+            .makespan
+    });
+    let key = format!("L20+13B/{}@{rate}rps", td.name());
+    println!("  {key:<18} wall {best:8.3}s");
+    total += best;
+    out.push(CellTime {
+        cell: key,
+        gpus: 4,
+        requests: n,
+        wall_s: best,
+        baseline_wall_s: None,
+        speedup_vs_baseline: None,
+        makespan,
+    });
 
     if scale_cells_enabled() {
         // Scale cells: prove the hot path stays near-linear up to 1M

@@ -30,6 +30,12 @@
 //! pool id so any number of cohorts (one per in-flight decode batch) can
 //! share them.
 //!
+//! A cohort is reset at every decode-phase start, and online serving
+//! switches phases several times per request, so the reset must cost what
+//! the phase filed, not what the run has seen: the bucket array reaches
+//! the longest finish epoch ever filed, but [`DecodeCohort::reset`] clears
+//! only the buckets filed since the last reset — O(filed buckets).
+//!
 //! Bit-identity with the per-member loop is the design contract: every
 //! counter is exact integer arithmetic, and every settle applies exactly
 //! the increments the per-step loop would have applied. Every scheduler —
@@ -100,6 +106,9 @@ pub struct DecodeCohort {
     classes: Vec<u32>,
     /// `(member, generation)` entries filed under their finish epoch.
     buckets: Vec<Vec<(u32, u32)>>,
+    /// Finish epochs whose bucket was filed since the last reset: the
+    /// only buckets [`Self::reset`] has to clear.
+    filed: Vec<u32>,
     /// Members currently banked in this cohort.
     live: usize,
 }
@@ -116,6 +125,7 @@ impl DecodeCohort {
             block_size,
             classes: vec![0; block_size as usize],
             buckets: Vec::new(),
+            filed: Vec::new(),
             live: 0,
         }
     }
@@ -136,12 +146,21 @@ impl DecodeCohort {
     /// [`leave`](Self::leave)) every member first — asserted via the live
     /// count in debug builds; entries still filed in finish buckets are
     /// cleared here, so no lazy invalidation debt survives a reset.
+    ///
+    /// Costs O(buckets filed since the last reset), not O(buckets ever
+    /// allocated): `buckets` reaches the longest finish epoch ever filed
+    /// (thousands of steps), while a short online decode phase files a
+    /// handful.
     pub fn reset(&mut self) {
         debug_assert_eq!(self.live, 0, "cohort reset with live members");
         debug_assert!(self.classes.iter().all(|&c| c == 0));
-        for bucket in &mut self.buckets {
-            bucket.clear();
+        for f in self.filed.drain(..) {
+            self.buckets[f as usize].clear();
         }
+        debug_assert!(
+            self.buckets.iter().all(Vec::is_empty),
+            "unfiled bucket held entries"
+        );
         self.epoch = 0;
         self.live = 0;
         self.classes.fill(0);
@@ -165,6 +184,11 @@ impl DecodeCohort {
         let f = (self.epoch + remaining) as usize;
         if self.buckets.len() <= f {
             self.buckets.resize_with(f + 1, Vec::new);
+        }
+        // A bucket is filed only ahead of the current epoch and drained
+        // only at it, so empty here means not yet filed since the reset.
+        if self.buckets[f].is_empty() {
+            self.filed.push(f as u32);
         }
         self.buckets[f].push((m as u32, cm.gen[m]));
         self.live += 1;
@@ -668,6 +692,59 @@ mod tests {
             coh.drain_finishers(&mut cm, &mut out);
             assert!(out.is_empty(), "stale finish entry resurfaced");
         }
+
+        // Many join → step → leave → reset cycles whose finish epochs sit
+        // far apart: `buckets` grows to the farthest epoch ever filed, yet
+        // each reset touches only the buckets its own cycle filed.
+        let n = 8usize;
+        let mut coh = DecodeCohort::new(16);
+        let mut cm = CohortMembers::new(n);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for cycle in 0..300u32 {
+            // Half the members finish within the cycle's few steps, half
+            // up to 50,000 steps out.
+            let remaining: Vec<u32> = (0..n)
+                .map(|m| {
+                    let span = if m % 2 == 0 { 4 } else { 50_000 };
+                    1 + (next() % span) as u32
+                })
+                .collect();
+            for (m, &r) in remaining.iter().enumerate() {
+                coh.join(&mut cm, m, 1 + m as u64, r);
+            }
+            let mut filed = remaining.clone();
+            filed.sort_unstable();
+            filed.dedup();
+            let mut touched = coh.filed.clone();
+            touched.sort_unstable();
+            assert_eq!(touched, filed, "cycle {cycle}: filed-bucket list drifted");
+            for step in 1..=1 + cycle % 4 {
+                coh.begin_step();
+                coh.drain_finishers(&mut cm, &mut out);
+                let mut got: Vec<usize> = out.iter().map(|&(m, _)| m).collect();
+                got.sort_unstable();
+                let want: Vec<usize> = (0..n).filter(|&m| remaining[m] == step).collect();
+                assert_eq!(got, want, "cycle {cycle} step {step}: wrong finishers");
+            }
+            for m in 0..n {
+                if cm.in_cohort(m) {
+                    coh.leave(&mut cm, m);
+                }
+            }
+            coh.reset();
+            assert!(coh.filed.is_empty());
+            assert!(
+                coh.buckets.iter().all(Vec::is_empty),
+                "cycle {cycle}: an entry survived the reset"
+            );
+        }
+        assert!(coh.buckets.len() > 40_000, "far finish epochs were filed");
     }
 
     /// Test hooks exercising every extension point: finishers free, a

@@ -470,7 +470,8 @@ impl TdPipeEngine {
             e.record_timeline,
         ));
         let arrivals = sessions.initial_arrivals();
-        self.run_impl(&sessions.trace, &arrivals, predictor, executor, Some(sessions))
+        let est_cache = &mut PrefillEstimateCache::default();
+        self.run_impl(&sessions.trace, &arrivals, predictor, executor, Some(sessions), est_cache)
             // analyzer: allow(no-panic) — the infallible convenience
             // surface, like `run_on`: panics with the execution-plane
             // root cause.
@@ -491,13 +492,15 @@ impl TdPipeEngine {
         predictor: &P,
         sim: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
-        self.run_impl(trace, arrivals, predictor, sim, None)
+        let est_cache = &mut PrefillEstimateCache::default();
+        self.run_impl(trace, arrivals, predictor, sim, None, est_cache)
     }
 
     /// The single scheduling loop behind every entry point; `sessions`
     /// threads the closed-loop linkage (arrival release, KV retention)
     /// through it, and `None` leaves all of that behind one branch so
-    /// non-session runs stay bit-identical.
+    /// non-session runs stay bit-identical. `est_cache` starts empty; it is
+    /// the caller's so tests can read its work counters afterwards.
     fn run_impl<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
@@ -505,6 +508,7 @@ impl TdPipeEngine {
         predictor: &P,
         mut sim: Box<dyn PipelineExecutor>,
         sessions: Option<&SessionTrace>,
+        est_cache: &mut PrefillEstimateCache,
     ) -> Result<RunOutcome, ExecError> {
         assert!(
             arrivals.is_empty() || arrivals.len() == trace.len(),
@@ -589,7 +593,6 @@ impl TdPipeEngine {
         let mut seq_lens: Vec<u32> = Vec::new();
         let mut prefill_members: Vec<usize> = Vec::new();
         let mut prefill_meta: Vec<(usize, usize, f64)> = Vec::new();
-        let mut est_cache = PrefillEstimateCache::default();
         let mut job = crate::cost::StagedJob::default();
         // Running per-batch context totals (`DecodeBatch::total_ctx`
         // maintained incrementally) and their sum over stored batches.
@@ -683,7 +686,7 @@ impl TdPipeEngine {
                                     now,
                                     &mut alloc,
                                     &mut pool,
-                                    &mut est_cache,
+                                    est_cache,
                                     &mut journal,
                                 ),
                                 None => false,
@@ -698,6 +701,7 @@ impl TdPipeEngine {
                         // this allocation infallible.
                         alloc.allocate(idx as u64, tokens).expect("checked");
                         pending.pop_front();
+                        est_cache.invalidate();
                         pool.note_swap_in(idx, tokens);
                         now += self.swap_seconds(tokens);
                         admission_seq[idx] = next_seq;
@@ -745,7 +749,7 @@ impl TdPipeEngine {
                                 now,
                                 &mut alloc,
                                 &mut pool,
-                                &mut est_cache,
+                                est_cache,
                                 &mut journal,
                             ),
                             None => false,
@@ -786,6 +790,7 @@ impl TdPipeEngine {
                     // this allocation cannot fail.
                     alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
                     pending.pop_front();
+                    est_cache.invalidate();
                     batch.push(idx);
                     seq_lens.push(t);
                     batch_tokens += t;
@@ -796,28 +801,28 @@ impl TdPipeEngine {
                     }
                 }
                 if batch.is_empty() {
-                    // Memory full, head not yet arrived, or a single
-                    // request exceeds capacity.
-                    // analyzer: allow(no-expect) — this branch is only
-                    // reachable from the admission loop's `break`s, all
-                    // of which require a non-empty pending queue.
-                    let idx = *pending.front().expect("pending nonempty");
-                    let head_arrived =
-                        pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
-                    if head_arrived && !admitted_any && residents.is_empty() {
-                        // analyzer: allow(no-panic) — unschedulable input
-                        // (one request larger than the whole KV pool):
-                        // a precondition documented under `# Panics` on
-                        // `run_with_arrivals`, not a runtime failure.
-                        panic!(
-                            "request {} ({} tokens) exceeds KV capacity ({} tokens)",
-                            pool.id(idx),
-                            pool.resident_tokens(idx),
-                            self.plan.token_capacity()
-                        );
+                    // Memory full, head not yet arrived, a single request
+                    // exceeds capacity, or swap-ins emptied the queue.
+                    if let Some(&idx) = pending.front() {
+                        let head_arrived =
+                            pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
+                        if head_arrived && !admitted_any && residents.is_empty() {
+                            // analyzer: allow(no-panic) — unschedulable
+                            // input (one request larger than the whole KV
+                            // pool): a precondition documented under
+                            // `# Panics` on `run_with_arrivals`, not a
+                            // runtime failure.
+                            panic!(
+                                "request {} ({} tokens) exceeds KV capacity ({} tokens)",
+                                pool.id(idx),
+                                pool.resident_tokens(idx),
+                                self.plan.token_capacity()
+                            );
+                        }
                     }
-                    // pack_stop is Arrival or Memory here: an empty batch
-                    // means the packer broke on its very first candidate.
+                    // pack_stop is Arrival or Memory when the packer broke
+                    // on its very first candidate, Exhausted when swap-ins
+                    // admitted the rest of the queue.
                     journal.record(
                         now,
                         TraceEvent::PrefillStop {
@@ -993,7 +998,6 @@ impl TdPipeEngine {
                     None => stealer = Some(WorkStealer::new(&initial_sizes)),
                 }
             }
-            est_cache.invalidate();
             let mut finished_this_phase = 0usize;
             let mut switching = false;
 
@@ -1042,7 +1046,7 @@ impl TdPipeEngine {
                     engine: self,
                     sess: &mut sess,
                     planner: &mut planner,
-                    est_cache: &mut est_cache,
+                    est_cache: &mut *est_cache,
                     journal: &mut journal,
                     metrics: &mut metrics,
                     swap_out_delay: 0.0,
@@ -1404,23 +1408,25 @@ mod tests {
         assert!(t4 > 1.5 * t1, "t1={t1:.0} t4={t4:.0}");
     }
 
+    /// Predicts the same output length for everything; a short one makes
+    /// admission overcommit KV, so decode growth has to preempt.
+    struct Fixed(u32);
+    impl tdpipe_predictor::OutputLenPredictor for Fixed {
+        fn predict(&self, _r: &tdpipe_workload::Request) -> u32 {
+            self.0
+        }
+    }
+
     #[test]
     fn swap_preemption_conserves_and_moves_kv() {
         use crate::config::PreemptionMode;
-        use tdpipe_workload::Request;
-        struct AlwaysOne;
-        impl tdpipe_predictor::OutputLenPredictor for AlwaysOne {
-            fn predict(&self, _r: &Request) -> u32 {
-                1
-            }
-        }
         let t = trace(400);
         let run = |mode| {
             let mut cfg = TdPipeConfig::default();
             cfg.engine.preemption = mode;
             TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg)
                 .unwrap()
-                .run(&t, &AlwaysOne)
+                .run(&t, &Fixed(1))
                 .report
         };
         let rec = run(PreemptionMode::Recompute);
@@ -1515,5 +1521,72 @@ mod tests {
             .throughput_total();
         let with = engine(4).run(&t, &OraclePredictor).report.throughput_total();
         assert!(with > 0.95 * without, "with={with:.0} without={without:.0}");
+    }
+
+    /// Online, most prefill phases admit nothing (the queue's head has not
+    /// arrived yet) and so keep the estimate cache valid across the phase
+    /// switch: the packing walk is rebuilt less often than a decode phase
+    /// starts. Debug builds also check every cached estimate against the
+    /// naive repack, so a missed admission invalidation fails here.
+    #[test]
+    fn estimate_cache_rebuilds_only_when_pending_changes() {
+        let t = trace(300);
+        let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
+            rate_per_s: 2.0,
+            seed: 42,
+        }
+        .sample(t.len());
+        let eng = engine(4);
+        let executor = Box::new(SimExecutor::new(
+            eng.cost.num_stages(),
+            eng.cfg.engine.transfer_mode,
+            false,
+        ));
+        let mut cache = PrefillEstimateCache::default();
+        let out = eng
+            .run_impl(&t, &arrivals, &OraclePredictor, executor, None, &mut cache)
+            .unwrap();
+        assert_eq!(out.report, eng.run_with_arrivals(&t, &arrivals, &OraclePredictor).report);
+        let decode_phases = out.phases.iter().filter(|p| p.phase == Phase::Decode).count() as u64;
+        assert!(cache.rebuilds > 0, "the intensity switch priced prefill phases");
+        assert!(
+            cache.rebuilds < decode_phases,
+            "rebuilds={} decode phases={decode_phases}",
+            cache.rebuilds
+        );
+    }
+
+    /// Swap preemption under heavy overcommit: some prefill phases admit
+    /// only swap-ins, and the decode phase after one prices a pending
+    /// queue whose old head is gone. The debug-build cross-check against
+    /// the naive repack fails here if a swap-in leaves the estimate cache
+    /// valid.
+    #[test]
+    fn swap_ins_invalidate_the_estimate_cache() {
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.preemption = PreemptionMode::Swap;
+        let out = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg)
+            .unwrap()
+            .run(&trace(800), &Fixed(200));
+        assert!(out.report.swapped_tokens > 0, "the scenario must swap");
+    }
+
+    /// Swap-ins can admit the rest of the pending queue on their own,
+    /// leaving the prefill packer an empty batch and an empty queue.
+    #[test]
+    fn swap_ins_may_drain_the_pending_queue() {
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.preemption = PreemptionMode::Swap;
+        let t = trace(200);
+        let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
+            rate_per_s: 4.0,
+            seed: 42,
+        }
+        .sample(t.len());
+        let out = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg)
+            .unwrap()
+            .run_with_arrivals(&t, &arrivals, &Fixed(1));
+        assert_eq!(out.report.num_requests, 200);
+        assert!(out.report.swapped_tokens > 0, "the scenario must swap");
     }
 }

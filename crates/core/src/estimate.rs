@@ -9,6 +9,17 @@
 //! much KV is currently free — so the packing walk can be cached once and
 //! each query reduced to a binary search plus one O(stages) job pricing.
 //!
+//! The walk reads only the pending queue's order and each pending
+//! request's prefill tokens and predicted remaining output, so the engine
+//! invalidates exactly where one of those changes: a prefill admission or
+//! swap-in popping the queue's front, an eviction pushing a victim back
+//! onto it, a session successor's release moving it within the queue (and
+//! granting it a reuse discount), and retained session KV being reclaimed
+//! (revoking discounts). Nothing else touches pending requests, so a
+//! prefill phase that admits nothing — the common case online, where the
+//! queue's head has not arrived yet — keeps the cache across the phase
+//! switch.
+//!
 //! Bit-identity with the naive walk is by construction: the per-position
 //! cache stores exactly the accumulators the naive loop would hold at that
 //! position (cumulative need in `u64`, per-batch token/attention-FLOP sums
@@ -47,13 +58,16 @@ struct PackPoint {
 
 /// Cache of the estimate-packing walk over the pending queue's prefix.
 ///
-/// Invalidate whenever the pending queue's front can have changed (decode
-/// phase start, every eviction push); queries lazily rebuild.
+/// Invalidate whenever the pending queue or a pending request's prices can
+/// have changed (see the module docs); queries lazily rebuild.
 #[derive(Debug, Default)]
 pub(crate) struct PrefillEstimateCache {
     valid: bool,
     points: Vec<PackPoint>,
     job: StagedJob,
+    /// Packing walks rebuilt over the cache's lifetime — a deterministic
+    /// work count for tests.
+    pub(crate) rebuilds: u64,
 }
 
 impl PrefillEstimateCache {
@@ -110,6 +124,7 @@ impl PrefillEstimateCache {
         prefill_token_budget: u32,
         token_capacity: u64,
     ) {
+        self.rebuilds += 1;
         self.points.clear();
         let model = cost.model();
         let mut pt = PackPoint {

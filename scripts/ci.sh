@@ -9,6 +9,12 @@
 #   2. release build of the whole workspace
 #   3. full test suite (unit + integration, all crates — includes the
 #      bounded protocol model checker)
+#  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
+#      (incremental planner vs a from-scratch rebuild, cached vs naive
+#      prefill estimate, cohort reset) compile out of release builds, so
+#      the core crate's tests and the root golden and determinism tests
+#      run again in the debug profile, where a missed estimate-cache
+#      invalidation or a drifted planner fails loudly
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
 #   5. flight-recorder smoke: a traced CLI run whose Chrome-trace export
 #      must pass the schema validator
@@ -65,6 +71,10 @@ cargo build --release --workspace
 
 step "tests (workspace)"
 cargo test --release --workspace -q
+
+step "tests (debug profile: engine oracles on)"
+cargo test -q -p tdpipe-core
+cargo test -q --test baseline_golden --test determinism
 
 step "smoke (bit-identical fig11 snapshot)"
 scripts/smoke.sh
@@ -163,4 +173,4 @@ target/release/tdpipe-cli bubble-report --check "$trace_tmp/fleet.bubbles.json"
 step "benchmark package tests"
 cargo test --release --manifest-path src/bin/benchmark/Cargo.toml -q
 
-printf '\nci OK: build + tests + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests all green\n'
+printf '\nci OK: build + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests all green\n'
