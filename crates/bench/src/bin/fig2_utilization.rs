@@ -16,13 +16,25 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
 use tdpipe_sim::{bubble_breakdown, Timeline};
 
+/// Mean utilization across devices in each of `windows` equal slices of
+/// the run.
 fn windowed(timeline: &Timeline, windows: usize) -> Vec<f64> {
     let span = timeline.makespan();
-    (0..windows)
-        .map(|w| {
-            let a = span * w as f64 / windows as f64;
-            let b = span * (w + 1) as f64 / windows as f64;
-            timeline.mean_utilization_in_window(a, b)
+    let edges: Vec<f64> = (0..=windows)
+        .map(|w| span * w as f64 / windows as f64)
+        .collect();
+    let busy = timeline.busy_by_window(&edges).busy;
+    let n = busy.len();
+    edges
+        .windows(2)
+        .enumerate()
+        .map(|(k, w)| {
+            let (a, b) = (w[0], w[1]);
+            if n == 0 || b <= a {
+                return 0.0;
+            }
+            let total: f64 = busy.iter().map(|row| row[k]).sum();
+            total / ((b - a) * n as f64)
         })
         .collect()
 }

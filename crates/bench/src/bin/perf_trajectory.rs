@@ -16,6 +16,10 @@
 //! switches frequent (several per request), so it times what every phase
 //! switch costs rather than the steady decode loop.
 //!
+//! An *observers-on* cell reruns the offline L20+13B TD-Pipe cell with
+//! the journal, timeline and metrics plane recording and exports the
+//! Chrome trace, so its gap to `L20+13B/TD-Pipe` is the observers' cost.
+//!
 //! After those, three *scale* cells time the simulator at 100k
 //! and 1M requests (single rep each — they exist to prove the hot path
 //! stays linear, not to be tight measurements). Set `TDPIPE_PERF_SCALE=0`
@@ -34,10 +38,12 @@
 use serde::Serialize;
 use std::time::Instant;
 use tdpipe_bench::{run_scheduler, run_scheduler_with_arrivals, Scheduler, SweepSpec, PAPER_SEED};
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
+use tdpipe_trace::chrome_trace;
 use tdpipe_workload::{ArrivalProcess, ShareGptLikeConfig};
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
@@ -291,6 +297,34 @@ fn main() {
             .makespan
     });
     let key = format!("L20+13B/{}@{rate}rps", td.name());
+    println!("  {key:<18} wall {best:8.3}s");
+    total += best;
+    out.push(CellTime {
+        cell: key,
+        gpus: 4,
+        requests: n,
+        wall_s: best,
+        baseline_wall_s: None,
+        speedup_vs_baseline: None,
+        makespan,
+    });
+
+    // The observers-on cell: the offline L20+13B TD-Pipe cell with the
+    // journal, timeline and metrics plane recording, plus the Chrome-trace
+    // export — what `tdpipe-cli run --metrics-out --trace-out` pays.
+    // Against `L20+13B/TD-Pipe` it prices the observers.
+    let mut observed = TdPipeConfig::default();
+    observed.engine.record_trace = true;
+    observed.engine.record_timeline = true;
+    observed.engine.record_metrics = true;
+    let (best, makespan) = time_cell(reps, || {
+        let run = TdPipeEngine::new(model.clone(), &node, observed.clone())
+            .expect("canonical cell must be feasible")
+            .run(&trace, &predictor);
+        std::hint::black_box(chrome_trace(&run.timeline, &run.journal));
+        run.report.makespan
+    });
+    let key = format!("L20+13B/{}+observers", td.name());
     println!("  {key:<18} wall {best:8.3}s");
     total += best;
     out.push(CellTime {

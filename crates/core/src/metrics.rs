@@ -14,7 +14,7 @@ use tdpipe_metrics::{
     Counter, HistogramId, MetricsSnapshot, Registry, Series, SeriesPoint, SeriesSampler,
     DEFAULT_INTERVAL,
 };
-use tdpipe_sim::{RunReport, SegmentKind, Timeline};
+use tdpipe_sim::{RunReport, Timeline};
 use tdpipe_trace::{AdmitReason, EvictMode, PrefillStopReason};
 
 fn admit_label(r: AdmitReason) -> &'static str {
@@ -467,14 +467,13 @@ impl EngineMetrics {
             );
             reg.set(g, timeline.utilization(d));
         }
+        // One sweep over the recorded segments yields both the per-stage
+        // comm seconds and the busy-fraction series on the sampler's grid.
+        let mut busy_series = Vec::new();
         if !timeline.segments().is_empty() {
-            for d in 0..timeline.num_devices() as u32 {
-                let comm: f64 = timeline
-                    .segments()
-                    .iter()
-                    .filter(|s| s.device == d && s.kind == SegmentKind::Comm)
-                    .map(|s| s.end - s.start)
-                    .sum();
+            let edges = grid_edges(span, DEFAULT_INTERVAL);
+            let swept = timeline.busy_by_window(&edges);
+            for (d, &comm) in swept.comm.iter().enumerate() {
                 let stage = d.to_string();
                 let g = reg.gauge(
                     "stage_comm_seconds",
@@ -483,6 +482,7 @@ impl EngineMetrics {
                 );
                 reg.set(g, comm);
             }
+            busy_series = stage_busy_series(&edges, swept.busy, DEFAULT_INTERVAL);
         }
         let g = reg.gauge(
             "plane_queue_depth_high_water",
@@ -495,38 +495,43 @@ impl EngineMetrics {
         // per-stage busy-fraction series derived on the same grid.
         self.sampler.finish(report.makespan);
         let mut series = self.sampler.into_series();
-        series.extend(stage_busy_series(timeline, DEFAULT_INTERVAL));
+        series.extend(busy_series);
         self.reg.snapshot_with(series)
     }
 }
 
-/// Per-stage busy fraction per grid interval, derived from recorded
-/// timeline segments (empty when `record_timeline` was off). Interval
+/// Edges of the grid intervals `[k·dt, (k+1)·dt)` that cover `[0, span)`,
+/// accumulated as `t += dt` so each interval starts exactly where the
+/// previous one ended.
+fn grid_edges(span: f64, dt: f64) -> Vec<f64> {
+    let mut edges = vec![0.0];
+    let mut t = 0.0;
+    while t < span {
+        t += dt;
+        edges.push(t);
+    }
+    edges
+}
+
+/// Per-stage busy fraction per grid interval, from recorded timeline
+/// segments swept onto `edges` ([`Timeline::busy_by_window`]). Interval
 /// `[k·dt, (k+1)·dt)` gets the fraction of it the stage spent busy,
 /// stamped at `k·dt` — the same virtual-time grid as the live sampler.
-pub fn stage_busy_series(timeline: &Timeline, dt: f64) -> Vec<Series> {
-    if timeline.segments().is_empty() {
-        return Vec::new();
-    }
-    let span = timeline.makespan();
-    let mut out = Vec::new();
-    for d in 0..timeline.num_devices() as u32 {
-        let mut points = Vec::new();
-        let mut t = 0.0;
-        while t < span {
-            let busy = timeline.busy_in_window(d, t, t + dt);
-            points.push(SeriesPoint {
-                t,
-                v: (busy / dt).clamp(0.0, 1.0),
-            });
-            t += dt;
-        }
-        out.push(Series {
+fn stage_busy_series(edges: &[f64], busy: Vec<Vec<f64>>, dt: f64) -> Vec<Series> {
+    busy.into_iter()
+        .enumerate()
+        .map(|(d, row)| Series {
             name: format!("series_stage_busy_fraction_{d}"),
-            points,
-        });
-    }
-    out
+            points: edges
+                .iter()
+                .zip(row)
+                .map(|(&t, busy)| SeriesPoint {
+                    t,
+                    v: (busy / dt).clamp(0.0, 1.0),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ pub use gantt::{render_gantt, GanttOptions};
 pub use pipeline::{JobTiming, PipelineSim, TransferMode};
 pub use queue::EventQueue;
 pub use report::{LatencySummary, RunReport};
-pub use timeline::{Segment, SegmentKind, Timeline};
+pub use timeline::{Segment, SegmentKind, Timeline, WindowedBusy};
 
 #[cfg(test)]
 mod proptests;

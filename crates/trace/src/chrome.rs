@@ -7,27 +7,15 @@
 //! Virtual seconds map to trace microseconds (the format's native unit).
 
 use serde::{Serialize, Value};
+use serde_json::{push_escaped, push_float, push_value};
 use std::collections::BTreeMap;
-use tdpipe_sim::Timeline;
+use std::fmt::Write as _;
+use tdpipe_sim::{Segment, Timeline};
 
 use crate::event::{FlightRecorder, TimedEvent, TraceEvent};
 
 /// Seconds → Chrome-trace microseconds.
 const SECS_TO_US: f64 = 1e6;
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn thread_name(tid: u64, name: &str) -> Value {
-    obj(vec![
-        ("name", Value::Str("thread_name".into())),
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::UInt(0)),
-        ("tid", Value::UInt(tid)),
-        ("args", obj(vec![("name", Value::Str(name.into()))])),
-    ])
-}
 
 /// The serde encoding of a struct variant is `{"VariantName": {fields}}`;
 /// the Chrome `args` object wants just the fields.
@@ -38,36 +26,64 @@ fn event_args(event: &TraceEvent) -> Value {
     }
 }
 
-fn instant(e: &TimedEvent) -> Value {
-    obj(vec![
-        ("name", Value::Str(e.event.label().into())),
-        ("ph", Value::Str("i".into())),
-        ("s", Value::Str("t".into())),
-        ("pid", Value::UInt(0)),
-        ("tid", Value::UInt(0)),
-        ("ts", Value::Float(e.t * SECS_TO_US)),
-        ("args", event_args(&e.event)),
-    ])
+// The writers below append compact JSON in the key order and number
+// formatting `serde_json::to_string` gives the equivalent `Value` tree;
+// writing into a `String` cannot fail, so `write!` results are dropped.
+
+fn push_thread_name(out: &mut String, tid: u64, name: &str) {
+    let _ = write!(
+        out,
+        r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"#
+    );
+    push_escaped(out, name);
+    out.push_str("}}");
+}
+
+fn push_instant(out: &mut String, e: &TimedEvent) {
+    out.push_str(r#"{"name":"#);
+    push_escaped(out, e.event.label());
+    out.push_str(r#","ph":"i","s":"t","pid":0,"tid":0,"ts":"#);
+    push_float(out, e.t * SECS_TO_US);
+    out.push_str(r#","args":"#);
+    push_value(out, &event_args(&e.event));
+    out.push('}');
+}
+
+fn push_complete(out: &mut String, s: &Segment) {
+    out.push_str(r#"{"name":"#);
+    push_escaped(out, s.kind.label());
+    let _ = write!(
+        out,
+        r#","ph":"X","pid":0,"tid":{},"ts":"#,
+        s.device as u64 + 1
+    );
+    push_float(out, s.start * SECS_TO_US);
+    out.push_str(r#","dur":"#);
+    push_float(out, (s.end - s.start) * SECS_TO_US);
+    let _ = write!(out, r#","args":{{"tag":{}}}}}"#, s.tag);
 }
 
 /// Export a run as Chrome-trace JSON.
 ///
 /// Deterministic: the output is a pure function of the timeline and the
-/// journal (insertion-ordered maps, stable per-track sorting via
-/// `total_cmp`), so identical runs export byte-identical traces.
+/// journal (fixed key order, stable per-track sorting via `total_cmp`),
+/// so identical runs export byte-identical traces. The text is written
+/// directly, one event at a time, with no intermediate `Value` tree.
 pub fn chrome_trace(timeline: &Timeline, journal: &FlightRecorder) -> String {
     let segs = timeline.segments();
-    let mut events: Vec<Value> =
-        Vec::with_capacity(segs.len() + journal.events().len() + timeline.num_devices() + 1);
+    let mut out = String::new();
 
-    events.push(thread_name(0, "engine"));
+    out.push_str(r#"{"traceEvents":["#);
+    push_thread_name(&mut out, 0, "engine");
     for d in 0..timeline.num_devices() as u64 {
-        events.push(thread_name(d + 1, &format!("gpu{d}")));
+        out.push(',');
+        push_thread_name(&mut out, d + 1, &format!("gpu{d}"));
     }
 
     // Engine track: journal order is already time order.
     for e in journal.events() {
-        events.push(instant(e));
+        out.push(',');
+        push_instant(&mut out, e);
     }
 
     // Device tracks: one complete event per segment, sorted per device by
@@ -80,23 +96,16 @@ pub fn chrome_trace(timeline: &Timeline, journal: &FlightRecorder) -> String {
             .then(segs[a].start.total_cmp(&segs[b].start))
     });
     for &i in &by_device {
-        let s = &segs[i];
-        events.push(obj(vec![
-            ("name", Value::Str(s.kind.label().into())),
-            ("ph", Value::Str("X".into())),
-            ("pid", Value::UInt(0)),
-            ("tid", Value::UInt(s.device as u64 + 1)),
-            ("ts", Value::Float(s.start * SECS_TO_US)),
-            ("dur", Value::Float((s.end - s.start) * SECS_TO_US)),
-            ("args", obj(vec![("tag", Value::UInt(s.tag))])),
-        ]));
+        out.push(',');
+        push_complete(&mut out, &segs[i]);
     }
 
-    let doc = obj(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", Value::Str("ms".into())),
-    ]);
-    serde_json::to_string(&doc).unwrap_or_else(|_| String::from("{}"))
+    out.push_str(r#"],"displayTimeUnit":"ms"}"#);
+    // Callers keep the export alive while they parse or write it; unused
+    // capacity (doubling slack, or any up-front reservation) would pin
+    // heap that the parse could otherwise reuse, raising peak RSS.
+    out.shrink_to_fit();
+    out
 }
 
 /// What [`validate_chrome_trace`] measured about a trace document.
@@ -247,6 +256,192 @@ mod tests {
     fn export_is_deterministic() {
         let (tl, r) = sample();
         assert_eq!(chrome_trace(&tl, &r), chrome_trace(&tl, &r));
+    }
+
+    /// The exporter [`chrome_trace`] replaced: build the whole document as
+    /// a `Value` tree, then print it with `serde_json::to_string`.
+    fn chrome_trace_via_value(timeline: &Timeline, journal: &FlightRecorder) -> String {
+        fn obj(fields: Vec<(&str, Value)>) -> Value {
+            Value::Map(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        }
+        fn thread_name(tid: u64, name: &str) -> Value {
+            obj(vec![
+                ("name", Value::Str("thread_name".into())),
+                ("ph", Value::Str("M".into())),
+                ("pid", Value::UInt(0)),
+                ("tid", Value::UInt(tid)),
+                ("args", obj(vec![("name", Value::Str(name.into()))])),
+            ])
+        }
+        let segs = timeline.segments();
+        let mut events = vec![thread_name(0, "engine")];
+        for d in 0..timeline.num_devices() as u64 {
+            events.push(thread_name(d + 1, &format!("gpu{d}")));
+        }
+        for e in journal.events() {
+            events.push(obj(vec![
+                ("name", Value::Str(e.event.label().into())),
+                ("ph", Value::Str("i".into())),
+                ("s", Value::Str("t".into())),
+                ("pid", Value::UInt(0)),
+                ("tid", Value::UInt(0)),
+                ("ts", Value::Float(e.t * SECS_TO_US)),
+                ("args", event_args(&e.event)),
+            ]));
+        }
+        let mut by_device: Vec<usize> = (0..segs.len()).collect();
+        by_device.sort_by(|&a, &b| {
+            segs[a]
+                .device
+                .cmp(&segs[b].device)
+                .then(segs[a].start.total_cmp(&segs[b].start))
+        });
+        for &i in &by_device {
+            let s = &segs[i];
+            events.push(obj(vec![
+                ("name", Value::Str(s.kind.label().into())),
+                ("ph", Value::Str("X".into())),
+                ("pid", Value::UInt(0)),
+                ("tid", Value::UInt(s.device as u64 + 1)),
+                ("ts", Value::Float(s.start * SECS_TO_US)),
+                ("dur", Value::Float((s.end - s.start) * SECS_TO_US)),
+                ("args", obj(vec![("tag", Value::UInt(s.tag))])),
+            ]));
+        }
+        let doc = obj(vec![
+            ("traceEvents", Value::Seq(events)),
+            ("displayTimeUnit", Value::Str("ms".into())),
+        ]);
+        serde_json::to_string(&doc).unwrap()
+    }
+
+    /// One of every `TraceEvent` variant, with awkward floats (integral,
+    /// negative zero, non-finite, tiny, huge) and extreme integers.
+    fn every_variant() -> FlightRecorder {
+        use crate::event::{AdmitReason, EvictMode};
+        use tdpipe_kvcache::Phase;
+        let events = [
+            TraceEvent::PrefillAdmit {
+                request: u64::MAX,
+                tokens: 512,
+                reason: AdmitReason::SwapIn,
+            },
+            TraceEvent::PrefillStop {
+                reason: PrefillStopReason::Overflow,
+                admitted: 0,
+            },
+            TraceEvent::PrefillLaunch {
+                seq: 1,
+                batch: usize::MAX,
+                tokens: 4096,
+                ready: 2.0,
+            },
+            TraceEvent::PrefillDone { request: 7 },
+            TraceEvent::RequestFinish {
+                request: 7,
+                arrival: -0.0,
+                first_token: 1e-9,
+            },
+            TraceEvent::ArrivalWait {
+                until: f64::INFINITY,
+            },
+            TraceEvent::StealWithhold { n: 3, target: 16 },
+            TraceEvent::StealSupplement { n: 2, target: 16 },
+            TraceEvent::Evict {
+                mode: EvictMode::Recompute,
+                victim: 9,
+            },
+            TraceEvent::SwitchDecision {
+                spatial: f64::NAN,
+                temporal: 0.1 + 0.2,
+                batch: 0,
+                est_longest: 1e300,
+                est_phase_len: f64::NEG_INFINITY,
+                switch: false,
+            },
+            TraceEvent::PhaseSwitch {
+                from: Phase::Decode,
+                to: Phase::Prefill,
+            },
+            TraceEvent::SessionRetain {
+                request: 11,
+                tokens: 300,
+            },
+            TraceEvent::SessionDrop {
+                request: 11,
+                tokens: 300,
+            },
+            TraceEvent::SessionReuseHit {
+                request: 12,
+                tokens: 0,
+            },
+            TraceEvent::SessionReuseMiss { request: 13 },
+            TraceEvent::StageBusy {
+                device: 3,
+                kind: SegmentKind::Comm,
+                dur: 0.25,
+            },
+            TraceEvent::StageIdle {
+                device: u32::MAX,
+                dur: 3.0,
+            },
+        ];
+        let mut r = FlightRecorder::with_capacity(events.len());
+        for (i, e) in events.into_iter().enumerate() {
+            r.record(i as f64 * 0.375, e);
+        }
+        r
+    }
+
+    #[test]
+    fn direct_writer_matches_the_value_tree_exporter() {
+        let mut tl = Timeline::new(true);
+        let kinds = [
+            SegmentKind::Prefill,
+            SegmentKind::Decode,
+            SegmentKind::Hybrid,
+            SegmentKind::Comm,
+        ];
+        // Out of start order across four devices, with a zero-length
+        // segment and a fractional-microsecond one.
+        for i in 0..40u64 {
+            let start = ((i * 7) % 13) as f64 * 0.1 + 1e-7 * i as f64;
+            let end = if i == 5 {
+                start
+            } else {
+                start + 0.05 * (i % 3 + 1) as f64
+            };
+            tl.record(
+                (i % 4) as u32,
+                start,
+                end,
+                kinds[i as usize % 4],
+                i * 1_000_003,
+            );
+        }
+        tl.record(2, 0.0, 1.0, SegmentKind::Decode, u64::MAX);
+        tl.record_busy(5, 1.0, 0.0, 2.0);
+        let journal = every_variant();
+        let cases = [
+            (&tl, &journal),
+            (&tl, &FlightRecorder::disabled()),
+            (&Timeline::new(true), &journal),
+            (&Timeline::new(true), &FlightRecorder::disabled()),
+        ];
+        for (tl, journal) in cases {
+            assert_eq!(
+                chrome_trace(tl, journal),
+                chrome_trace_via_value(tl, journal)
+            );
+        }
+        let check = validate_chrome_trace(&chrome_trace(&tl, &journal)).expect("valid trace");
+        assert_eq!(check.instant_events, 17);
+        assert_eq!(check.complete_events, 41);
     }
 
     #[test]

@@ -54,6 +54,9 @@
 #  11. benchmark package tests: `src/bin/benchmark` is its own package
 #      (empty `[workspace]`), so the workspace steps above never build
 #      it, yet it compiles against the engines' public API.
+#  12. vendored stand-in tests: `vendor/*` are not workspace members, so
+#      `--workspace` never runs their unit tests (serde_json's in-place
+#      number printing and linear-time string parsing among them).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -173,4 +176,9 @@ target/release/tdpipe-cli bubble-report --check "$trace_tmp/fleet.bubbles.json"
 step "benchmark package tests"
 cargo test --release --manifest-path src/bin/benchmark/Cargo.toml -q
 
-printf '\nci OK: build + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests all green\n'
+step "vendored stand-in tests"
+for crate in serde_json rand proptest; do
+  cargo test --release -q --manifest-path "vendor/$crate/Cargo.toml"
+done
+
+printf '\nci OK: build + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'
