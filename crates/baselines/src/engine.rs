@@ -1,4 +1,4 @@
-//! The baseline scheduling loop, built at run time from two policies.
+//! The baseline policy, built at run time from two scheduling decisions.
 //!
 //! The paper's four baselines differ only in two scheduling decisions, so
 //! each one is a [`BaselineEngine`] over a cell of the policy grid:
@@ -10,27 +10,26 @@
 //!   prefill batch if one fits, else a decode step; hybrid batching runs
 //!   the resident decodes plus prefill chunks up to `chunk_token_budget`.
 //!
-//! Everything else is one loop: like TD-Pipe's, it launches jobs through a
+//! Everything else is shared with TD-Pipe: the lanes are a policy on the
+//! one run loop (`tdpipe_core::driver`), which launches jobs through a
 //! [`PipelineExecutor`] (the simulator by default, any plane through
 //! [`BaselineEngine::try_run_on`]), steps every decode batch through the
-//! decode step TD-Pipe uses too (`tdpipe_core::cohort::DecodeStepper`),
-//! and returns a [`RunOutcome`].
+//! one decode step, and returns a [`RunOutcome`].
 
-use crate::common::{Lane, RunState};
+use crate::common::{make_lanes, Lane};
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
+use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
 use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};
 use tdpipe_core::exec::{ExecError, PipelineExecutor, SimExecutor};
-use tdpipe_core::metrics::EngineMetrics;
 use tdpipe_core::plan::MemoryPlan;
-use tdpipe_core::request::RequestPool;
 use tdpipe_hw::NodeSpec;
 use tdpipe_kvcache::{AllocStats, OccupancyTrace};
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_sim::{RunReport, SegmentKind};
-use tdpipe_trace::{EvictMode, FlightRecorder};
+use tdpipe_sim::SegmentKind;
+use tdpipe_trace::EvictMode;
 use tdpipe_workload::Trace;
 
 /// How the model is split over the node's GPUs.
@@ -154,15 +153,6 @@ struct Job {
     seqs: usize,
 }
 
-/// Launch scratch reused across the run, so steady state allocates
-/// nothing per job.
-#[derive(Default)]
-struct Scratch {
-    lens: Vec<u32>,
-    chunks: Vec<(u32, u32)>,
-    staged: StagedJob,
-}
-
 /// A baseline engine: one [`Layout`] × one [`Batching`] policy over the
 /// shared lanes, cost models, KV allocator, recompute eviction and
 /// execution plane.
@@ -219,11 +209,6 @@ impl BaselineEngine {
         format!("{}+{}", self.layout.abbrev(), self.batching.abbrev())
     }
 
-    /// The planned KV pool (aggregate across lanes).
-    pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
-    }
-
     /// Lanes, which are also the execution plane's stages: one for the
     /// tensor layout, one per GPU for the pipeline layout.
     pub fn num_stages(&self) -> u32 {
@@ -258,17 +243,15 @@ impl BaselineEngine {
         arrivals: &[f64],
         predictor: &P,
     ) -> RunOutcome {
-        let plane = SimExecutor::new(
-            self.num_stages(),
-            self.cfg.transfer_mode,
-            self.cfg.record_timeline,
-        );
+        let cfg = &self.cfg;
+        let plane = SimExecutor::new(self.num_stages(), cfg.transfer_mode, cfg.record_timeline);
         self.try_run_on(trace, arrivals, predictor, Box::new(plane))
             .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// The scheduling loop, against any execution plane with
-    /// [`Self::num_stages`] stages: an execution-plane failure surfaces as
+    /// Run against any execution plane with [`Self::num_stages`] stages:
+    /// the lanes are a policy on the loop every scheduler shares
+    /// (`tdpipe_core::driver`), and an execution-plane failure surfaces as
     /// an [`ExecError`].
     ///
     /// # Panics
@@ -278,212 +261,22 @@ impl BaselineEngine {
         trace: &Trace,
         arrivals: &[f64],
         _predictor: &P,
-        mut plane: Box<dyn PipelineExecutor>,
+        plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
-        assert!(
-            arrivals.is_empty() || arrivals.len() == trace.len(),
-            "one arrival per request"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[1] >= w[0]),
-            "arrivals must be sorted"
-        );
+        let run = RunState::new(trace, arrivals, |r| r.output_len, false, self.cfg.record_metrics);
         let n = self.num_stages() as usize;
-        let pool = RequestPool::with_arrivals(trace.requests(), arrivals, |r| r.output_len);
-        let mut st = RunState::new(pool);
-        let mut lanes = st.make_lanes(n, self.plan.kv_blocks, &self.cfg);
-        let mut jobs: Vec<Job> = (0..n).map(|_| Job::default()).collect();
-        let mut scratch = Scratch::default();
-        let mut ctrl = ControlPlane::new(&self.cfg);
-        let mut metrics = EngineMetrics::new(self.cfg.record_metrics);
-        // A lane runs one job at a time, so the single tensor lane never
-        // exceeds one in flight whatever the limit.
-        let limit = self.cfg.pp_inflight_limit.max(1);
-        let mut now = 0.0f64;
-        // Where the round-robin scan starts: after the lane that last
-        // completed, or at lane 0 after an idle jump.
-        let mut first = 0;
-        loop {
-            for off in 0..n {
-                if plane.outstanding() >= limit {
-                    break;
-                }
-                let sid = (first + off) % n;
-                if !jobs[sid].busy {
-                    self.launch(
-                        sid,
-                        &mut lanes[sid],
-                        &mut jobs[sid],
-                        &mut st,
-                        plane.as_mut(),
-                        &mut scratch,
-                        &mut metrics,
-                        now,
-                    );
-                }
-            }
-            if plane.outstanding() == 0 {
-                if st.pool.all_finished() {
-                    break;
-                }
-                now = idle_advance(&st, &lanes, now);
-                first = 0;
-                continue;
-            }
-            let (tag, finish) = plane.try_next_completion()?;
-            let sid = tag as usize;
-            let (lane, job) = (&mut lanes[sid], &mut jobs[sid]);
-            now = ctrl.process(finish, job.seqs);
-            if job.decodes {
-                st.decode_step(lane, finish);
-            }
-            for &idx in &job.prefilled {
-                st.start_decoding(lane, idx, finish);
-            }
-            job.busy = false;
-            if metrics.is_enabled() {
-                let used: u64 = lanes.iter().map(|l| l.alloc.used_blocks()).sum();
-                let total: u64 = lanes.iter().map(|l| l.alloc.num_blocks()).sum();
-                let occ = if total == 0 {
-                    1.0
-                } else {
-                    used as f64 / total as f64
-                };
-                metrics.sample(
-                    now,
-                    occ,
-                    plane.outstanding(),
-                    0,
-                    RunState::total_pending(&lanes),
-                );
-            }
-            first = sid + 1;
-        }
-
-        st.pool.assert_conserved();
-        metrics.on_evictions(EvictMode::Recompute, st.decode.evictions);
-        let plane_stats = plane.plane_stats();
-        let (makespan, timeline) = plane.try_finish()?;
-        let report = RunReport {
-            scheduler: self.name(),
-            makespan,
-            num_requests: st.pool.len(),
-            input_tokens: st.pool.input_tokens,
-            output_tokens: st.pool.output_tokens,
-            recomputed_tokens: st.pool.recomputed_tokens,
-            swapped_tokens: st.pool.swapped_tokens,
-            phase_switches: 0,
-            mean_utilization: timeline.mean_utilization(),
-            latency: st.pool.latency_summary(),
+        let policy = LaneRun {
+            engine: self,
+            lanes: make_lanes(run.pool.len(), n, self.plan.kv_blocks, &self.cfg),
+            jobs: (0..n).map(|_| Job::default()).collect(),
+            lens: Vec::new(),
+            chunks: Vec::new(),
+            staged: StagedJob::default(),
+            ctrl: ControlPlane::new(&self.cfg),
+            limit: self.cfg.pp_inflight_limit.max(1),
+            first: 0,
         };
-        let alloc = lanes
-            .iter()
-            .fold(AllocStats::default(), |a, l| a.merged(l.alloc.stats()));
-        let metrics = metrics.finish(&report, alloc, self.plan.kv_blocks, &timeline, plane_stats);
-        Ok(RunOutcome {
-            report,
-            timeline,
-            occupancy: OccupancyTrace::new(),
-            phases: Vec::new(),
-            journal: FlightRecorder::disabled(),
-            metrics,
-        })
-    }
-
-    /// Compose idle lane `sid`'s next job under the batching policy and
-    /// launch it at `now`; a lane with nothing runnable stays idle.
-    #[allow(clippy::too_many_arguments)] // one endpoint per run resource
-    fn launch(
-        &self,
-        sid: usize,
-        lane: &mut Lane,
-        job: &mut Job,
-        st: &mut RunState,
-        plane: &mut dyn PipelineExecutor,
-        s: &mut Scratch,
-        metrics: &mut EngineMetrics,
-        now: f64,
-    ) {
-        let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
-        let decode_b = lane.residents.len();
-        job.prefilled.clear();
-        let (work, kind) = match self.batching {
-            Batching::Separate if decode_b < max_seqs && st.can_admit(lane, now) => {
-                st.pack_prefill_batch_into(
-                    lane,
-                    self.cfg.prefill_token_budget,
-                    max_seqs - decode_b,
-                    now,
-                    &mut job.prefilled,
-                    &mut s.lens,
-                );
-                metrics
-                    .on_prefill_batch(job.prefilled.len(), s.lens.iter().map(|&l| l as u64).sum());
-                job.decodes = false;
-                job.seqs = job.prefilled.len();
-                (Work::Prefill(&s.lens), SegmentKind::Prefill)
-            }
-            Batching::Separate if decode_b > 0 => {
-                metrics.on_decode_step(decode_b);
-                job.decodes = true;
-                job.seqs = decode_b;
-                let work = Work::Decode {
-                    batch: decode_b,
-                    ctx: lane.ctx,
-                };
-                (work, SegmentKind::Decode)
-            }
-            Batching::Separate => return,
-            Batching::Hybrid => {
-                self.fill_chunks(lane, st, &mut job.prefilled, &mut s.chunks, now);
-                if decode_b == 0 && s.chunks.is_empty() {
-                    return;
-                }
-                if metrics.is_enabled() {
-                    if decode_b > 0 {
-                        metrics.on_decode_step(decode_b);
-                    }
-                    for &(c, _) in &s.chunks {
-                        metrics.on_chunk(c as u64);
-                    }
-                    if !job.prefilled.is_empty() {
-                        let tokens = job
-                            .prefilled
-                            .iter()
-                            .map(|&i| st.pool.prefill_tokens(i) as u64)
-                            .sum();
-                        metrics.on_prefill_batch(job.prefilled.len(), tokens);
-                    }
-                }
-                job.decodes = decode_b > 0;
-                // The two layouts' control planes charge a hybrid
-                // iteration differently, and the Fig. 11 snapshot pins
-                // both: the tensor engine counts every chunk it scheduled,
-                // the pipeline engine only the prompts those chunks
-                // complete.
-                job.seqs = decode_b
-                    + match self.layout {
-                        Layout::Tensor => s.chunks.len(),
-                        Layout::Pipeline => job.prefilled.len(),
-                    };
-                let kind = match (decode_b > 0, s.chunks.is_empty()) {
-                    (true, false) => SegmentKind::Hybrid,
-                    (true, true) => SegmentKind::Decode,
-                    (false, _) => SegmentKind::Prefill,
-                };
-                let work = Work::Hybrid {
-                    batch: decode_b,
-                    ctx: lane.ctx,
-                    chunks: &s.chunks,
-                    completed: job.prefilled.len(),
-                };
-                (work, kind)
-            }
-        };
-        self.cost
-            .price(work, self.cfg.hybrid_overlap, &mut s.staged);
-        plane.launch(now, &s.staged.exec, &s.staged.xfer, kind, sid as u64);
-        job.busy = true;
+        drive(policy, run, plane, 0.0)
     }
 
     /// Hybrid batching's prefill part: chunks of `lane`'s admitted prompts
@@ -493,7 +286,7 @@ impl BaselineEngine {
     fn fill_chunks(
         &self,
         lane: &mut Lane,
-        st: &mut RunState,
+        run: &mut RunState,
         completed: &mut Vec<usize>,
         chunks: &mut Vec<(u32, u32)>,
         now: f64,
@@ -505,15 +298,15 @@ impl BaselineEngine {
         while budget > 0 {
             if lane.prefilling.is_empty()
                 && decode_b + completed.len() < max_seqs
-                && st.can_admit(lane, now)
+                && lane.can_admit(&run.pool, now)
             {
-                let (idx, _) = st.admit_head(lane);
+                let (idx, _) = lane.admit_head(run);
                 lane.prefilling.push_back((idx, 0));
             }
             let Some(&(idx, done)) = lane.prefilling.front() else {
                 break;
             };
-            let total = st.pool.prefill_tokens(idx);
+            let total = run.pool.prefill_tokens(idx);
             let c = (total - done).min(budget);
             chunks.push((c, done));
             budget -= c;
@@ -527,37 +320,194 @@ impl BaselineEngine {
     }
 }
 
-/// Nothing is in flight and no lane can launch: jump the clock to the
-/// earliest pending arrival — the invariant TD-Pipe's fast-forward
-/// enforces too (`tdpipe_core::engine`).
-///
-/// # Panics
-/// Panics when a queue head has already arrived (an idle lane refused it,
-/// so it can never fit), and when no pending request will ever arrive —
-/// either way the clock cannot advance.
-fn idle_advance(st: &RunState, lanes: &[Lane], now: f64) -> f64 {
-    let pool = &st.pool;
-    let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
-    if let Some((lane, idx)) = heads().find(|&(_, i)| pool.arrival(i) <= now) {
-        panic!(
-            "request {} ({} tokens) exceeds KV capacity ({} tokens)",
-            pool.id(idx),
-            pool.prefill_tokens(idx),
-            lane.alloc.num_blocks() * lane.alloc.block_size() as u64
-        );
+/// One baseline run as a policy on the shared loop: the lanes, their
+/// in-flight jobs and the serialised control plane.
+struct LaneRun<'a> {
+    engine: &'a BaselineEngine,
+    lanes: Vec<Lane>,
+    jobs: Vec<Job>,
+    /// Launch scratch reused across the run, so steady state allocates
+    /// nothing per job.
+    lens: Vec<u32>,
+    chunks: Vec<(u32, u32)>,
+    staged: StagedJob,
+    ctrl: ControlPlane,
+    /// Jobs in flight at most. A lane runs one job at a time, so the
+    /// single tensor lane never exceeds one whatever the limit.
+    limit: usize,
+    /// Where the round-robin scan starts: after the lane that last
+    /// completed, or at lane 0 after an idle jump.
+    first: usize,
+}
+
+impl Policy for LaneRun<'_> {
+    fn launch(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) -> f64 {
+        let n = self.lanes.len();
+        for off in 0..n {
+            if plane.outstanding() >= self.limit {
+                break;
+            }
+            let sid = (self.first + off) % n;
+            if !self.jobs[sid].busy {
+                self.launch_lane(sid, run, plane, now);
+            }
+        }
+        now
     }
-    let next_arrival = heads()
-        .map(|(_, i)| pool.arrival(i))
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        next_arrival.is_finite() && next_arrival > now,
-        "stuck: nothing runnable, nothing arriving \
-         (next_arrival={next_arrival}, now={now}, pending={}, finished={}/{})",
-        RunState::total_pending(lanes),
-        pool.finished(),
-        pool.len()
-    );
-    next_arrival
+
+    fn complete(
+        &mut self,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        tag: u64,
+        finish: f64,
+        _now: f64,
+    ) -> f64 {
+        let sid = tag as usize;
+        let (lane, job) = (&mut self.lanes[sid], &mut self.jobs[sid]);
+        let now = self.ctrl.process(finish, job.seqs);
+        if job.decodes {
+            lane.decode_step(run, finish);
+        }
+        for &idx in &job.prefilled {
+            lane.start_decoding(run, idx, finish);
+        }
+        job.busy = false;
+        if run.metrics.is_enabled() {
+            let used: u64 = self.lanes.iter().map(|l| l.alloc.used_blocks()).sum();
+            let total: u64 = self.lanes.iter().map(|l| l.alloc.num_blocks()).sum();
+            let occ = if total == 0 { 1.0 } else { used as f64 / total as f64 };
+            let pending = self.lanes.iter().map(|l| l.pending.len()).sum();
+            run.metrics.sample(now, occ, plane.outstanding(), 0, pending);
+        }
+        self.first = sid + 1;
+        now
+    }
+
+    fn stall(&mut self, run: &RunState, now: f64) -> Stall {
+        self.first = 0;
+        let pool = &run.pool;
+        let heads = || self.lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
+        // An idle lane refused an arrived head: it can never fit.
+        let oversize = heads().find(|&(_, i)| pool.arrival(i) <= now).map(|(lane, i)| {
+            let capacity = lane.alloc.num_blocks() * lane.alloc.block_size() as u64;
+            (i, pool.prefill_tokens(i) as u64, capacity)
+        });
+        Stall {
+            oversize,
+            next_arrival: heads().map(|(_, i)| pool.arrival(i)).fold(f64::INFINITY, f64::min),
+        }
+    }
+
+    fn close(self, _run: &mut RunState) -> Close {
+        Close {
+            scheduler: self.engine.name(),
+            phase_switches: 0,
+            phases: Vec::new(),
+            occupancy: OccupancyTrace::new(),
+            alloc: self
+                .lanes
+                .iter()
+                .fold(AllocStats::default(), |a, l| a.merged(l.alloc.stats())),
+            kv_blocks: self.engine.plan.kv_blocks,
+            evict_mode: EvictMode::Recompute,
+        }
+    }
+}
+
+impl LaneRun<'_> {
+    /// Compose idle lane `sid`'s next job under the batching policy and
+    /// launch it at `now`; a lane with nothing runnable stays idle.
+    fn launch_lane(
+        &mut self,
+        sid: usize,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        now: f64,
+    ) {
+        let eng = self.engine;
+        let (lane, job) = (&mut self.lanes[sid], &mut self.jobs[sid]);
+        let (lens, chunks) = (&mut self.lens, &mut self.chunks);
+        let max_seqs = eng.cfg.max_num_seqs.unwrap_or(usize::MAX);
+        let decode_b = lane.residents.len();
+        job.prefilled.clear();
+        let (work, kind) = match eng.batching {
+            Batching::Separate if decode_b < max_seqs && lane.can_admit(&run.pool, now) => {
+                lane.pack_prefill_batch_into(
+                    run,
+                    eng.cfg.prefill_token_budget,
+                    max_seqs - decode_b,
+                    now,
+                    &mut job.prefilled,
+                    lens,
+                );
+                let tokens = lens.iter().map(|&l| l as u64).sum();
+                run.metrics.on_prefill_batch(job.prefilled.len(), tokens);
+                job.decodes = false;
+                job.seqs = job.prefilled.len();
+                (Work::Prefill(lens), SegmentKind::Prefill)
+            }
+            Batching::Separate if decode_b > 0 => {
+                run.metrics.on_decode_step(decode_b);
+                job.decodes = true;
+                job.seqs = decode_b;
+                let work = Work::Decode {
+                    batch: decode_b,
+                    ctx: lane.ctx,
+                };
+                (work, SegmentKind::Decode)
+            }
+            Batching::Separate => return,
+            Batching::Hybrid => {
+                eng.fill_chunks(lane, run, &mut job.prefilled, chunks, now);
+                if decode_b == 0 && chunks.is_empty() {
+                    return;
+                }
+                if run.metrics.is_enabled() {
+                    if decode_b > 0 {
+                        run.metrics.on_decode_step(decode_b);
+                    }
+                    for &(c, _) in chunks.iter() {
+                        run.metrics.on_chunk(c as u64);
+                    }
+                    if !job.prefilled.is_empty() {
+                        let tokens = job
+                            .prefilled
+                            .iter()
+                            .map(|&i| run.pool.prefill_tokens(i) as u64)
+                            .sum();
+                        run.metrics.on_prefill_batch(job.prefilled.len(), tokens);
+                    }
+                }
+                job.decodes = decode_b > 0;
+                // The two layouts' control planes charge a hybrid
+                // iteration differently, and the Fig. 11 snapshot pins
+                // both: the tensor engine counts every chunk it scheduled,
+                // the pipeline engine only the prompts those chunks
+                // complete.
+                job.seqs = decode_b
+                    + match eng.layout {
+                        Layout::Tensor => chunks.len(),
+                        Layout::Pipeline => job.prefilled.len(),
+                    };
+                let kind = match (decode_b > 0, chunks.is_empty()) {
+                    (true, false) => SegmentKind::Hybrid,
+                    (true, true) => SegmentKind::Decode,
+                    (false, _) => SegmentKind::Prefill,
+                };
+                let work = Work::Hybrid {
+                    batch: decode_b,
+                    ctx: lane.ctx,
+                    chunks,
+                    completed: job.prefilled.len(),
+                };
+                (work, kind)
+            }
+        };
+        eng.cost.price(work, eng.cfg.hybrid_overlap, &mut self.staged);
+        plane.launch(now, &self.staged.exec, &self.staged.xfer, kind, sid as u64);
+        job.busy = true;
+    }
 }
 
 #[cfg(test)]

@@ -19,11 +19,11 @@
 //!   balances stages better but pays chunked prefill's repeated KV reads.
 //!
 //! Each engine is a [`BaselineEngine`] built from its cell's [`Layout`]
-//! and [`Batching`]; the scheduling loop, lanes, cost models, KV
-//! allocator, recompute eviction, execution plane and result type
-//! ([`RunOutcome`]) are shared with each other and, beyond the loop
-//! itself, with TD-Pipe — the only differences are the scheduling
-//! decisions, exactly like the paper's single-codebase (vLLM) comparison.
+//! and [`Batching`]; the lanes are shared with each other, and the run
+//! loop, cost models, KV allocator, recompute eviction, execution plane
+//! and result type ([`RunOutcome`]) with TD-Pipe too — the only
+//! differences are the scheduling decisions, exactly like the paper's
+//! single-codebase (vLLM) comparison.
 
 #![forbid(unsafe_code)]
 

@@ -3,11 +3,11 @@
 //! benches quantify that for our implementation.
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use tdpipe_baselines::common::RunState;
+use tdpipe_baselines::common::make_lanes;
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::greedy::GreedyPrefillPlanner;
 use tdpipe_core::intensity::{IntensityComparator, PrefillPhaseEstimate};
-use tdpipe_core::request::RequestPool;
+use tdpipe_core::driver::RunState;
 use tdpipe_core::steal::WorkStealer;
 use tdpipe_hw::{DecodeProfile, GpuSpec, KernelModel};
 use tdpipe_model::ModelSpec;
@@ -70,15 +70,13 @@ fn bench_decisions(c: &mut Criterion) {
         let trace = ShareGptLikeConfig::small(64, 17).generate();
         b.iter_batched(
             || {
-                let mut st =
-                    RunState::new(RequestPool::new(trace.requests(), |r| r.output_len));
-                let mut lane = st
-                    .make_lanes(1, 600, &EngineConfig::default())
+                let mut st = RunState::new(&trace, &[], |r| r.output_len, false, false);
+                let mut lane = make_lanes(trace.len(), 1, 600, &EngineConfig::default())
                     .pop()
                     .expect("one lane");
-                while st.head_fits(&lane) {
-                    let (idx, _) = st.admit_head(&mut lane);
-                    st.start_decoding(&mut lane, idx, 0.0);
+                while lane.head_fits(&st.pool) {
+                    let (idx, _) = lane.admit_head(&mut st);
+                    lane.start_decoding(&mut st, idx, 0.0);
                 }
                 (st, lane)
             },
@@ -87,7 +85,7 @@ fn bench_decisions(c: &mut Criterion) {
                     if lane.residents.is_empty() {
                         break;
                     }
-                    st.decode_step(&mut lane, black_box(step as f64 * 0.1));
+                    lane.decode_step(&mut st, black_box(step as f64 * 0.1));
                 }
                 (st, lane)
             },

@@ -8,7 +8,6 @@
 //! prefill's aggressive-but-safe admission.
 
 use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json, save_text};
-use tdpipe_core::config::EngineConfig;
 use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_kvcache::Phase;
@@ -29,14 +28,11 @@ fn main() {
     // table that explains them.
     let model = ModelSpec::qwen2_5_32b();
     let node = NodeSpec::l20(4);
-    let cfg = TdPipeConfig {
-        engine: EngineConfig {
-            record_trace: true,
-            record_metrics: true,
-            ..EngineConfig::default()
-        },
-        ..TdPipeConfig::default()
-    };
+    // TD-Pipe's own defaults (async transfers, no sequence cap) with only
+    // the observers switched on.
+    let mut cfg = TdPipeConfig::default();
+    cfg.engine.record_trace = true;
+    cfg.engine.record_metrics = true;
     let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("32B fits 4xL20");
 
     println!(

@@ -23,18 +23,16 @@ pub struct EngineConfig {
     /// Token budget per hybrid-batching iteration (chunked prefill).
     pub chunk_token_budget: u32,
     /// Fixed control-plane cost per scheduling iteration (batch assembly,
-    /// launch RPCs).
+    /// launch RPCs). TD-Pipe's hierarchy-controller overlaps all other
+    /// control work with execution (§3.2), so this launch cost is all it
+    /// pays per batch.
     pub engine_overhead: f64,
     /// Per-sequence control-plane cost per iteration (sampling-result
     /// processing, detokenisation, scheduler bookkeeping — the Python-side
-    /// work a vLLM-0.5.x engine does between steps).
+    /// work a vLLM-0.5.x engine does between steps). Only the baselines
+    /// pay it, serialised with `engine_overhead` on one CPU thread on the
+    /// critical path (`crate::control::ControlPlane`).
     pub control_per_seq: f64,
-    /// Whether the control plane is decoupled from execution. Conventional
-    /// engines (`false`) serialise all iterations' CPU work on one thread
-    /// *on the critical path*; TD-Pipe's hierarchy-controller (`true`)
-    /// overlaps it with GPU execution (§3.2), leaving only
-    /// `engine_overhead` visible per launch.
-    pub decoupled_control: bool,
     /// Maximum concurrently running sequences per scheduler instance
     /// (vLLM's `max_num_seqs`; stock default 256 in 0.5.x — what the
     /// paper's baselines ran with). `None` removes the cap; TD-Pipe's
@@ -109,7 +107,6 @@ impl Default for EngineConfig {
             chunk_token_budget: 512,
             engine_overhead: 1.0e-3,
             control_per_seq: 30.0e-6,
-            decoupled_control: false,
             max_num_seqs: Some(1024),
             pp_inflight_limit: 2,
             hybrid_overlap: 0.55,
@@ -190,7 +187,6 @@ impl Default for TdPipeConfig {
                 // The hierarchy-controller's decoupled control plane makes
                 // stage-to-stage transfers non-blocking (§3.2).
                 transfer_mode: TransferMode::Async,
-                decoupled_control: true,
                 max_num_seqs: None,
                 pp_inflight_limit: usize::MAX,
                 ..EngineConfig::default()
@@ -243,14 +239,12 @@ mod tests {
     #[test]
     fn tdpipe_defaults_encode_the_architecture() {
         let c = TdPipeConfig::default();
-        // Hierarchy-controller: async transfers + decoupled control.
+        // Hierarchy-controller: async transfers, no sequence cap.
         assert_eq!(c.engine.transfer_mode, tdpipe_sim::TransferMode::Async);
-        assert!(c.engine.decoupled_control);
         assert!(c.engine.max_num_seqs.is_none());
         // Baseline defaults are the conventional-engine ones.
         let e = EngineConfig::default();
         assert_eq!(e.transfer_mode, tdpipe_sim::TransferMode::Rendezvous);
-        assert!(!e.decoupled_control);
         assert!(e.max_num_seqs.is_some());
         assert!(e.pp_inflight_limit < 4);
     }

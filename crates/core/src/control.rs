@@ -1,23 +1,23 @@
-//! Control-plane timing model (the hierarchy-controller's counterpart).
+//! Control-plane timing model of a conventional engine.
 //!
 //! Between a batch returning from the GPUs and its successor launching, an
 //! inference engine does CPU work: process sampled tokens, detokenise,
 //! update the scheduler, assemble and transmit the next batch. In a
 //! conventional engine (vLLM 0.5.x) this work is synchronous with
 //! execution and serialised on one driver thread across all virtual
-//! engines — with large decode batches it stalls the GPUs. TD-Pipe's
-//! hierarchy-controller (§3.2) decouples the control plane from the
-//! execution plane, overlapping that work with the other in-flight batches
-//! so only a small launch cost remains visible.
+//! engines — with large decode batches it stalls the GPUs. The baselines
+//! pay it through [`ControlPlane`]. TD-Pipe's hierarchy-controller (§3.2)
+//! decouples the control plane from the execution plane, overlapping that
+//! work with the other in-flight batches, so only the launch cost
+//! (`EngineConfig::engine_overhead`) remains visible.
 
 use crate::config::EngineConfig;
 
-/// Serialised (or decoupled) CPU control-plane resource.
+/// The serialised CPU control-plane resource of a conventional engine.
 #[derive(Debug, Clone)]
 pub struct ControlPlane {
     base: f64,
     per_seq: f64,
-    decoupled: bool,
     cpu_free: f64,
 }
 
@@ -27,26 +27,18 @@ impl ControlPlane {
         ControlPlane {
             base: cfg.engine_overhead,
             per_seq: cfg.control_per_seq,
-            decoupled: cfg.decoupled_control,
             cpu_free: 0.0,
         }
     }
 
     /// A batch of `batch` sequences returned at `ready`; returns the
-    /// earliest time a dependent successor job may launch.
-    ///
-    /// Coupled mode serialises `base + per_seq·batch` on the single CPU
-    /// thread; decoupled mode charges only `base` (the bookkeeping itself
-    /// overlaps with the other in-flight batches).
+    /// earliest time a dependent successor job may launch, after
+    /// `base + per_seq·batch` of work on the single CPU thread.
     pub fn process(&mut self, ready: f64, batch: usize) -> f64 {
-        if self.decoupled {
-            ready + self.base
-        } else {
-            let start = ready.max(self.cpu_free);
-            let done = start + self.base + self.per_seq * batch as f64;
-            self.cpu_free = done;
-            done
-        }
+        let start = ready.max(self.cpu_free);
+        let done = start + self.base + self.per_seq * batch as f64;
+        self.cpu_free = done;
+        done
     }
 }
 
@@ -54,18 +46,17 @@ impl ControlPlane {
 mod tests {
     use super::*;
 
-    fn cfg(decoupled: bool) -> EngineConfig {
-        EngineConfig {
+    fn plane() -> ControlPlane {
+        ControlPlane::new(&EngineConfig {
             engine_overhead: 1e-3,
             control_per_seq: 50e-6,
-            decoupled_control: decoupled,
             ..EngineConfig::default()
-        }
+        })
     }
 
     #[test]
     fn coupled_serialises_on_one_cpu() {
-        let mut c = ControlPlane::new(&cfg(false));
+        let mut c = plane();
         // Two batches of 100 seqs return at the same instant: the second
         // waits for the first's CPU work.
         let a = c.process(1.0, 100);
@@ -75,17 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn decoupled_is_flat_and_parallel() {
-        let mut c = ControlPlane::new(&cfg(true));
-        let a = c.process(1.0, 1000);
-        let b = c.process(1.0, 1000);
-        assert!((a - 1.001).abs() < 1e-12);
-        assert!((b - 1.001).abs() < 1e-12);
-    }
-
-    #[test]
     fn coupled_idles_between_sparse_events() {
-        let mut c = ControlPlane::new(&cfg(false));
+        let mut c = plane();
         c.process(0.0, 10);
         // Much later event does not queue behind stale work.
         let t = c.process(100.0, 10);

@@ -1,0 +1,210 @@
+//! The one run loop every scheduler shares.
+//!
+//! The paper's §3.2 hierarchy controller puts scheduling policy on a
+//! control plane above one shared execution plane; [`drive`] is that split
+//! in code. It owns the run state ([`RunState`]), the
+//! `launch → completion → complete` loop over a [`PipelineExecutor`], the
+//! idle fast-forward to the next arrival, and the outcome assembly. A
+//! [`Policy`] decides what to launch and when, and what each completion
+//! means: TD-Pipe's phase machine ([`crate::engine`]) and the baselines'
+//! lanes (`tdpipe-baselines`).
+
+use crate::cohort::DecodeStepper;
+use crate::engine::{PhaseRecord, RunOutcome};
+use crate::exec::{ExecError, PipelineExecutor};
+use crate::metrics::EngineMetrics;
+use crate::request::RequestPool;
+use tdpipe_kvcache::{AllocStats, OccupancyTrace};
+use tdpipe_sim::RunReport;
+use tdpipe_trace::{EvictMode, FlightRecorder, TraceEvent};
+use tdpipe_workload::{Request, Trace};
+
+/// Run-wide state every policy reads and writes.
+pub struct RunState {
+    /// Request lifecycle tracker.
+    pub pool: RequestPool,
+    /// Admission sequence per request (newest-first eviction order).
+    pub admission_seq: Vec<u64>,
+    next_seq: u64,
+    /// The decode step all schedulers share.
+    pub stepper: DecodeStepper,
+    /// Scheduling decision journal (a no-op unless recording).
+    pub journal: FlightRecorder,
+    /// Metrics plane (a no-op unless recording).
+    pub metrics: EngineMetrics,
+}
+
+impl RunState {
+    /// The state for one run over `trace`, with `predict` giving each
+    /// request's expected output length. `arrivals` is empty (everything
+    /// queued at t = 0) or one non-decreasing time per request.
+    ///
+    /// # Panics
+    /// Panics if `arrivals` is misaligned with the trace or unsorted.
+    pub fn new(
+        trace: &Trace,
+        arrivals: &[f64],
+        predict: impl FnMut(&Request) -> u32,
+        record_trace: bool,
+        record_metrics: bool,
+    ) -> Self {
+        assert!(arrivals.windows(2).all(|w| w[1] >= w[0]), "arrivals must be sorted");
+        let pool = RequestPool::with_arrivals(trace.requests(), arrivals, predict);
+        let n = pool.len();
+        RunState {
+            pool,
+            admission_seq: vec![0; n],
+            next_seq: 0,
+            stepper: DecodeStepper::new(n),
+            // Sized for admit + stop + launch + done + finish per request,
+            // plus slack for phase machinery and recompute episodes.
+            journal: if record_trace {
+                FlightRecorder::with_capacity(n * 8 + 64)
+            } else {
+                FlightRecorder::disabled()
+            },
+            metrics: EngineMetrics::new(record_metrics),
+        }
+    }
+
+    /// Stamp `idx`'s admission: later admissions are evicted first.
+    pub fn stamp_admission(&mut self, idx: usize) {
+        self.admission_seq[idx] = self.next_seq;
+        self.next_seq += 1;
+    }
+}
+
+/// What blocks a policy with nothing in flight that cannot launch.
+pub struct Stall {
+    /// An arrived pending request that an empty memory refused:
+    /// `(pool index, tokens, capacity in tokens)`.
+    pub oversize: Option<(usize, u64, u64)>,
+    /// Earliest arrival among pending requests (`+inf` when none).
+    pub next_arrival: f64,
+}
+
+/// A policy's share of the run's outcome: the report's scheduler name and
+/// phase switches, the phase log and KV occupancy samples, allocator
+/// statistics and KV blocks over every KV pool, and how the run's
+/// evictions ([`DecodeStepper::evictions`]) preempted.
+pub struct Close {
+    pub scheduler: String,
+    pub phase_switches: u32,
+    pub phases: Vec<PhaseRecord>,
+    pub occupancy: OccupancyTrace,
+    pub alloc: AllocStats,
+    pub kv_blocks: u64,
+    pub evict_mode: EvictMode,
+}
+
+/// A scheduler on the shared loop. The policy sets every launch time and
+/// keeps its own clock.
+pub trait Policy {
+    /// Launch whatever can start at `now`; returns the clock.
+    fn launch(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) -> f64;
+
+    /// The job tagged `tag` finished at `finish`; returns the clock.
+    fn complete(
+        &mut self,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        tag: u64,
+        finish: f64,
+        now: f64,
+    ) -> f64;
+
+    /// Nothing is in flight or launchable and requests remain: report what
+    /// blocks them. Called right before the clock jumps.
+    fn stall(&mut self, run: &RunState, now: f64) -> Stall;
+
+    /// The run is over: hand back the policy's share of the outcome.
+    fn close(self, run: &mut RunState) -> Close;
+}
+
+/// Run `policy` to completion on `plane`, starting the clock at `now`.
+///
+/// # Panics
+/// Panics when some request cannot fit in KV memory even alone, or when
+/// pending requests remain that will never arrive.
+pub fn drive<P: Policy>(
+    mut policy: P,
+    mut run: RunState,
+    mut plane: Box<dyn PipelineExecutor>,
+    mut now: f64,
+) -> Result<RunOutcome, ExecError> {
+    loop {
+        now = policy.launch(&mut run, plane.as_mut(), now);
+        if plane.outstanding() == 0 {
+            if run.pool.all_finished() {
+                break;
+            }
+            now = idle_advance(policy.stall(&run, now), &mut run, now);
+            continue;
+        }
+        let (tag, finish) = plane.try_next_completion()?;
+        now = policy.complete(&mut run, plane.as_mut(), tag, finish, now);
+    }
+    run.pool.assert_conserved();
+    let close = policy.close(&mut run);
+    run.metrics.on_evictions(close.evict_mode, run.stepper.evictions);
+    let plane_stats = plane.plane_stats();
+    let (makespan, timeline) = plane.try_finish()?;
+    // Device tracks for the Chrome export (only when the executor kept
+    // segments). Bounded: warm-up and drain idleness become explicit
+    // StageIdle events, so attributed bubble seconds close against the
+    // makespan.
+    run.journal.append_stage_events_bounded(&timeline, makespan);
+    let pool = &run.pool;
+    let report = RunReport {
+        scheduler: close.scheduler,
+        makespan,
+        num_requests: pool.len(),
+        input_tokens: pool.input_tokens,
+        output_tokens: pool.output_tokens,
+        recomputed_tokens: pool.recomputed_tokens,
+        swapped_tokens: pool.swapped_tokens,
+        phase_switches: close.phase_switches,
+        mean_utilization: timeline.mean_utilization(),
+        latency: pool.latency_summary(),
+    };
+    let metrics = run.metrics.finish(&report, close.alloc, close.kv_blocks, &timeline, plane_stats);
+    Ok(RunOutcome {
+        report,
+        timeline,
+        occupancy: close.occupancy,
+        phases: close.phases,
+        journal: run.journal,
+        metrics,
+    })
+}
+
+/// Jump the idle clock to the earliest pending arrival, journalled as
+/// declared arrival starvation: the bubble ledger attributes every
+/// device's idleness over the jump to arrivals.
+///
+/// # Panics
+/// Panics when an arrived request could not be admitted into an empty
+/// memory (it never fits), and when no pending request will ever arrive —
+/// either way the clock cannot advance.
+fn idle_advance(stall: Stall, run: &mut RunState, now: f64) -> f64 {
+    let pool = &run.pool;
+    if let Some((idx, tokens, capacity)) = stall.oversize {
+        // analyzer: allow(no-panic) — unschedulable input (one request
+        // larger than the whole KV pool): a precondition documented under
+        // `# Panics` on every `run_with_arrivals`, not a runtime failure.
+        panic!(
+            "request {} ({tokens} tokens) exceeds KV capacity ({capacity} tokens)",
+            pool.id(idx)
+        );
+    }
+    let until = stall.next_arrival;
+    assert!(
+        until.is_finite() && until > now,
+        "stuck: nothing runnable, nothing arriving (next_arrival={until}, now={now}, \
+         finished={}/{})",
+        pool.finished(),
+        pool.len()
+    );
+    run.journal.record(now, TraceEvent::ArrivalWait { until });
+    until
+}

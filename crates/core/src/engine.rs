@@ -15,22 +15,23 @@
 //!   spatial-temporal comparison decides whether to switch back to prefill
 //!   (see [`crate::intensity`]).
 //!
-//! The phase-switch bubble the paper talks about is not modelled — it
-//! *emerges*: the first decode batches queue behind the last prefill jobs
-//! at every stage, and the FIFO recurrence of
+//! The two phases are a [`Policy`] on the run loop every scheduler shares
+//! ([`crate::driver`]). The phase-switch bubble the paper talks about is
+//! not modelled — it *emerges*: the first decode batches are issued on the
+//! control clock right after the prefill launches, queue behind the last
+//! prefill jobs at every stage, and the FIFO recurrence of
 //! [`tdpipe_sim::PipelineSim`] produces exactly the idle gaps a real
 //! pipeline would show.
 
 use crate::batch::{partition_even_into, DecodeBatch};
-use crate::cohort::{DecodeCohort, DecodeStepper, StepEnv, StepHooks};
+use crate::cohort::{DecodeCohort, StepEnv, StepHooks};
 use crate::config::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig};
-use crate::control::ControlPlane;
-use crate::cost::PpCost;
+use crate::cost::{PpCost, StagedJob};
+use crate::driver::{drive, Close, Policy, RunState, Stall};
 use crate::estimate::PrefillEstimateCache;
 use crate::exec::{ExecError, PipelineExecutor, SimExecutor};
 use crate::greedy::GreedyPrefillPlanner;
 use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
-use crate::metrics::EngineMetrics;
 use crate::plan::MemoryPlan;
 use crate::request::{Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
@@ -101,22 +102,18 @@ struct SessionRun<'a> {
     /// The idle-prefix retention pool (budget already sized; zero budget
     /// when reuse is disabled, so `retain` always refuses).
     retainer: SessionRetainer,
-    /// Whether finished turns retain KV at all
-    /// ([`crate::config::EngineConfig::session_reuse`]).
-    reuse: bool,
-    /// Paged block size, for block math on retained allocations.
-    block_size: u64,
     /// Resumed turns admitted with no retained prefix (full prefill).
     reuse_misses: u64,
 }
 
 /// Drop idle retained session prefixes (oldest first, never the one
 /// reserved for `keep`) until the allocator has `target` free blocks or
-/// the retention pool runs dry. Returns whether the target was met.
+/// the retention pool runs dry (at once outside session runs). Returns
+/// whether the target was met.
 /// Dropping revokes the dropped successors' prefill discounts, which
 /// changes pending prefill costs — hence the estimate-cache invalidation.
 fn reclaim_retained(
-    sess: &mut SessionRun<'_>,
+    sess: &mut Option<SessionRun<'_>>,
     target: u64,
     keep: Option<u64>,
     now: f64,
@@ -125,6 +122,9 @@ fn reclaim_retained(
     est_cache: &mut PrefillEstimateCache,
     journal: &mut FlightRecorder,
 ) -> bool {
+    let Some(sess) = sess else {
+        return false;
+    };
     while alloc.free_blocks() < target {
         let Some((succ, e)) = sess.retainer.pop_oldest_except(keep) else {
             return false;
@@ -133,30 +133,37 @@ fn reclaim_retained(
         // allocator slot live until the entry is claimed or dropped here.
         alloc.free(e.donor).expect("retained donor resident");
         pool.clear_reuse_discount(succ as usize);
-        journal.record(
-            now,
-            TraceEvent::SessionDrop {
-                request: succ,
-                tokens: e.tokens,
-            },
-        );
+        journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
         est_cache.invalidate();
     }
     true
 }
 
-/// TD-Pipe's side of the shared decode step ([`DecodeStepper::step`]):
-/// finishers may retain their KV for a session successor, idle retained
-/// prefixes yield before any live member is evicted, victims follow the
-/// configured preemption mode, and the planner, estimate cache, journal
-/// and metrics follow every finisher and victim.
+/// Journal and count a prefill admission.
+fn record_admit(run: &mut RunState, now: f64, idx: usize, tokens: u64, reason: AdmitReason) {
+    let request = run.pool.id(idx).0;
+    run.journal.record(now, TraceEvent::PrefillAdmit { request, tokens, reason });
+    run.metrics.on_prefill_admit(reason, tokens);
+}
+
+/// Journal and count why prefill packing stopped.
+fn record_stop(run: &mut RunState, now: f64, reason: PrefillStopReason, admitted: u64) {
+    run.journal.record(now, TraceEvent::PrefillStop { reason, admitted });
+    run.metrics.on_prefill_stop(reason);
+}
+
+/// TD-Pipe's side of the shared decode step
+/// ([`crate::cohort::DecodeStepper::step`]): finishers may retain their KV
+/// for a session successor, idle retained prefixes yield before any live
+/// member is evicted, victims follow the configured preemption mode, and
+/// the planner, estimate cache and journal follow every finisher and
+/// victim.
 struct TdStepHooks<'r, 's> {
     engine: &'r TdPipeEngine,
     sess: &'r mut Option<SessionRun<'s>>,
     planner: &'r mut GreedyPrefillPlanner,
     est_cache: &'r mut PrefillEstimateCache,
     journal: &'r mut FlightRecorder,
-    metrics: &'r mut EngineMetrics,
     /// Host-link time this step's swap-outs hold the batch back.
     swap_out_delay: f64,
 }
@@ -183,14 +190,9 @@ impl StepHooks for TdStepHooks<'_, '_> {
         // The lifecycle terminator: with arrival and first-token stamps
         // copied in, a journal alone reconstructs every latency component
         // (the span layer never needs the request pool).
-        journal.record(
-            now,
-            TraceEvent::RequestFinish {
-                request: pool.id(m).0,
-                arrival: pool.arrival(m),
-                first_token: pool.first_token_at(m),
-            },
-        );
+        let (request, arrival) = (pool.id(m).0, pool.arrival(m));
+        let first_token = pool.first_token_at(m);
+        journal.record(now, TraceEvent::RequestFinish { request, arrival, first_token });
         let Some(s) = self.sess.as_mut() else {
             // analyzer: allow(no-expect) — every batch member was allocated
             // at admission and eviction removes it from its batch, so a
@@ -201,9 +203,11 @@ impl StepHooks for TdStepHooks<'_, '_> {
         // analyzer: allow(no-expect) — finishers are resident (see above).
         let held = alloc.tokens_of(m as u64).expect("finished request resident");
         let mut retained = false;
-        if s.reuse {
+        // Whether finished turns retain KV at all
+        // ([`crate::config::EngineConfig::session_reuse`]).
+        if self.engine.cfg.engine.session_reuse {
             if let Some(succ) = next {
-                let blocks = held.div_ceil(s.block_size);
+                let blocks = held.div_ceil(self.engine.plan.block_size as u64);
                 // Make room in the retention budget oldest-first; a budget
                 // too small for this prefix leaves `fits` false and we fall
                 // back to freeing.
@@ -215,13 +219,8 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // resident until claimed or dropped here.
                     alloc.free(e.donor).expect("retained donor resident");
                     pool.clear_reuse_discount(other as usize);
-                    journal.record(
-                        now,
-                        TraceEvent::SessionDrop {
-                            request: other,
-                            tokens: e.tokens,
-                        },
-                    );
+                    let (request, tokens) = (other, e.tokens);
+                    journal.record(now, TraceEvent::SessionDrop { request, tokens });
                 }
                 if s.retainer.retain(succ as u64, m as u64, held, blocks) {
                     // The successor will prefill only its fresh suffix
@@ -229,13 +228,8 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // transcript minus the final sampled token, so it is
                     // strictly below the successor's prompt length.
                     pool.set_reuse_discount(succ as usize, held as u32);
-                    journal.record(
-                        now,
-                        TraceEvent::SessionRetain {
-                            request: succ as u64,
-                            tokens: held,
-                        },
-                    );
+                    let (request, tokens) = (succ as u64, held);
+                    journal.record(now, TraceEvent::SessionRetain { request, tokens });
                     retained = true;
                 }
             }
@@ -273,19 +267,8 @@ impl StepHooks for TdStepHooks<'_, '_> {
     }
 
     fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_>) -> bool {
-        match self.sess.as_mut() {
-            Some(s) => reclaim_retained(
-                s,
-                target,
-                None,
-                env.now,
-                env.alloc,
-                env.pool,
-                self.est_cache,
-                self.journal,
-            ),
-            None => false,
-        }
+        let (est_cache, journal) = (&mut *self.est_cache, &mut *self.journal);
+        reclaim_retained(self.sess, target, None, env.now, env.alloc, env.pool, est_cache, journal)
     }
 
     fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
@@ -304,14 +287,8 @@ impl StepHooks for TdStepHooks<'_, '_> {
                 EvictMode::Swap
             }
         };
-        self.journal.record(
-            env.now,
-            TraceEvent::Evict {
-                mode,
-                victim: env.pool.id(victim).0,
-            },
-        );
-        self.metrics.on_evict(mode);
+        let victim = env.pool.id(victim).0;
+        self.journal.record(env.now, TraceEvent::Evict { mode, victim });
         self.est_cache.invalidate();
     }
 }
@@ -394,6 +371,16 @@ impl TdPipeEngine {
         })
     }
 
+    /// A simulator plane sized and configured for this engine.
+    fn sim_plane(&self) -> Box<dyn PipelineExecutor> {
+        let e = &self.cfg.engine;
+        Box::new(SimExecutor::new(
+            self.cost.num_stages(),
+            e.transfer_mode,
+            e.record_timeline,
+        ))
+    }
+
     /// Run the engine over a trace, consulting `predictor` for output
     /// lengths (pass [`tdpipe_predictor::OraclePredictor`] for the
     /// perfect-information ablation).
@@ -410,43 +397,17 @@ impl TdPipeEngine {
     /// latency metrics come out arrival-relative.
     ///
     /// # Panics
-    /// Panics if some request cannot fit in KV memory even alone, or if
-    /// `arrivals` is non-empty but misaligned/unsorted.
+    /// Panics if some request cannot fit in KV memory even alone, if
+    /// `arrivals` is non-empty but misaligned/unsorted, or if a pending
+    /// request never arrives.
     pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
         arrivals: &[f64],
         predictor: &P,
     ) -> RunOutcome {
-        let e = &self.cfg.engine;
-        let executor = Box::new(SimExecutor::new(
-            self.cost.num_stages(),
-            e.transfer_mode,
-            e.record_timeline,
-        ));
-        self.run_on(trace, arrivals, predictor, executor)
-    }
-
-    /// Run the engine against an arbitrary execution plane — the
-    /// deterministic simulator ([`SimExecutor`]) or the threaded
-    /// hierarchy-controller (`tdpipe-runtime`'s executor). This is the
-    /// single scheduling loop: only the execution substrate varies.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`], plus on an execution-plane
-    /// failure — use [`Self::try_run_on`] to observe those as structured
-    /// errors instead.
-    pub fn run_on<P: OutputLenPredictor + ?Sized>(
-        &self,
-        trace: &Trace,
-        arrivals: &[f64],
-        predictor: &P,
-        sim: Box<dyn PipelineExecutor>,
-    ) -> RunOutcome {
-        // analyzer: allow(no-panic) — the infallible convenience surface:
-        // its documented contract is to panic with the execution-plane
-        // root cause; fallible callers use `try_run_on`.
-        self.try_run_on(trace, arrivals, predictor, sim).unwrap_or_else(|e| panic!("{e}"))
+        self.try_run_on(trace, arrivals, predictor, self.sim_plane())
+            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
     /// Run a closed-loop multi-turn session workload: each resumed turn
@@ -456,32 +417,26 @@ impl TdPipeEngine {
     /// suffix. Latencies are measured from each turn's *released* arrival.
     ///
     /// # Panics
-    /// As [`Self::run_with_arrivals`], plus on an execution-plane failure
-    /// and on a session trace failing its structural invariants.
+    /// As [`Self::run_with_arrivals`], plus on a session trace failing its
+    /// structural invariants.
     pub fn run_sessions<P: OutputLenPredictor + ?Sized>(
         &self,
         sessions: &SessionTrace,
         predictor: &P,
     ) -> RunOutcome {
-        let e = &self.cfg.engine;
-        let executor = Box::new(SimExecutor::new(
-            self.cost.num_stages(),
-            e.transfer_mode,
-            e.record_timeline,
-        ));
         let arrivals = sessions.initial_arrivals();
         let est_cache = &mut PrefillEstimateCache::default();
-        self.run_impl(&sessions.trace, &arrivals, predictor, executor, Some(sessions), est_cache)
-            // analyzer: allow(no-panic) — the infallible convenience
-            // surface, like `run_on`: panics with the execution-plane
-            // root cause.
-            .unwrap_or_else(|err| panic!("{err}"))
+        let plane = self.sim_plane();
+        self.run_impl(&sessions.trace, &arrivals, predictor, plane, Some(sessions), est_cache)
+            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// Fallible [`Self::run_on`]: an execution-plane failure (worker
+    /// Run the engine against any execution plane — the deterministic
+    /// simulator ([`SimExecutor`]) or the threaded hierarchy-controller
+    /// (`tdpipe-runtime`'s executor). An execution-plane failure (worker
     /// panic, lost stage message, wedged shutdown) surfaces as a clean
     /// [`ExecError`] instead of a panic or a hang — the waits inside a
-    /// supervised plane (`tdpipe-runtime`) are all deadline-bounded.
+    /// supervised plane are all deadline-bounded.
     ///
     /// # Panics
     /// As [`Self::run_with_arrivals`] (scheduling preconditions only).
@@ -490,45 +445,39 @@ impl TdPipeEngine {
         trace: &Trace,
         arrivals: &[f64],
         predictor: &P,
-        sim: Box<dyn PipelineExecutor>,
+        plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
         let est_cache = &mut PrefillEstimateCache::default();
-        self.run_impl(trace, arrivals, predictor, sim, None, est_cache)
+        self.run_impl(trace, arrivals, predictor, plane, None, est_cache)
     }
 
-    /// The single scheduling loop behind every entry point; `sessions`
-    /// threads the closed-loop linkage (arrival release, KV retention)
-    /// through it, and `None` leaves all of that behind one branch so
-    /// non-session runs stay bit-identical. `est_cache` starts empty; it is
-    /// the caller's so tests can read its work counters afterwards.
+    /// Every entry point's run: TD-Pipe's phase machine on the shared
+    /// loop. `sessions` threads the closed-loop linkage (arrival release,
+    /// KV retention) through it, and `None` leaves all of that behind one
+    /// branch so non-session runs stay bit-identical. `est_cache` starts
+    /// empty; it is the caller's so tests can read its work counters
+    /// afterwards.
     fn run_impl<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
         arrivals: &[f64],
         predictor: &P,
-        mut sim: Box<dyn PipelineExecutor>,
+        plane: Box<dyn PipelineExecutor>,
         sessions: Option<&SessionTrace>,
         est_cache: &mut PrefillEstimateCache,
     ) -> Result<RunOutcome, ExecError> {
-        assert!(
-            arrivals.is_empty() || arrivals.len() == trace.len(),
-            "one arrival per request"
-        );
-        assert!(
-            arrivals.windows(2).all(|w| w[1] >= w[0]),
-            "arrivals must be sorted"
-        );
-        let n_stages = self.cost.num_stages() as usize;
         let e = &self.cfg.engine;
-        let mut pool =
-            RequestPool::with_arrivals(trace.requests(), arrivals, |r| predictor.predict(r));
+        let (journal, metrics) = (e.record_trace, e.record_metrics);
+        let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
+        let n = run.pool.len();
+        let n_stages = self.cost.num_stages() as usize;
         let mut alloc = BlockAllocator::new(self.plan.kv_blocks, self.plan.block_size);
-        alloc.reserve_ids(pool.len());
+        alloc.reserve_ids(n);
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
         // every finished turn frees normally).
-        let mut sess: Option<SessionRun<'_>> = sessions.map(|st| {
-            assert_eq!(st.len(), trace.len(), "session turn table matches trace");
+        let sess = sessions.map(|st| {
+            assert_eq!(st.len(), n, "session turn table matches trace");
             st.check_invariants();
             let frac = e.session_retain_frac.clamp(0.0, 1.0);
             // analyzer: allow(lossy-float-cast) — retain_frac is clamped
@@ -541,745 +490,41 @@ impl TdPipeEngine {
             SessionRun {
                 turns: &st.turns,
                 retainer,
-                reuse: e.session_reuse,
-                block_size: self.plan.block_size as u64,
                 reuse_misses: 0,
             }
         });
-        let mut occupancy = OccupancyTrace::new();
-        // The flight recorder (ISSUE 4): disabled is a single-branch no-op
-        // per `record` call, so default runs stay bit-identical. Sized for
-        // one admit + stop per request plus slack for phase machinery.
-        let mut journal = if e.record_trace {
-            // Admit + stop + launch + done + finish per request, plus
-            // slack for phase machinery and recompute episodes.
-            FlightRecorder::with_capacity(pool.len() * 8 + 64)
-        } else {
-            FlightRecorder::disabled()
-        };
-        // The metrics plane (ISSUE 5): same gating discipline as the
-        // recorder — disabled is a single-branch no-op per update.
-        let mut metrics = EngineMetrics::new(e.record_metrics);
-        let comparator = IntensityComparator::new(self.build_profile(trace));
         let mut planner =
             GreedyPrefillPlanner::new(self.cfg.future_points(), self.plan.token_capacity());
-        planner.reserve_ids(pool.len());
-
-        let mut ctrl = ControlPlane::new(e);
-        let mut pending: VecDeque<usize> = (0..pool.len()).collect();
-        // Admission order drives batch partitioning and eviction priority.
-        let mut admission_seq: Vec<u64> = vec![0; pool.len()];
-        let mut next_seq: u64 = 0;
-        let mut residents: Vec<usize> = Vec::new();
-
+        planner.reserve_ids(n);
+        let policy = TdRun {
+            engine: self,
+            est_cache,
+            sess,
+            comparator: IntensityComparator::new(self.build_profile(trace)),
+            alloc,
+            planner,
+            pending: (0..n).collect(),
+            residents: Vec::new(),
+            // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
+            // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
+            // round-up direction is the conservative one for admission.
+            watermark_blocks: (self.plan.kv_blocks as f64 * e.watermark).ceil() as u64,
+            occupancy: OccupancyTrace::new(),
+            phases: Vec::new(),
+            phase_switches: 0,
+            open: None,
+            prefill: PrefillPhase::default(),
+            decode: DecodePhase {
+                cohorts: (0..n_stages).map(|_| DecodeCohort::new(self.plan.block_size)).collect(),
+                batch_ctx: vec![0; n_stages],
+                ..DecodePhase::default()
+            },
+            job: StagedJob::default(),
+        };
         // Charge the (tiny) predictor cost up front, like the paper's
         // §4.4.1 accounting.
-        let mut now = pool.len() as f64 * predictor.per_request_overhead();
-        let mut phase_switches: u32 = 0;
-        // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
-        // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
-        // round-up direction is the conservative one for admission.
-        let watermark_blocks = (self.plan.kv_blocks as f64 * e.watermark).ceil() as u64;
-
-        let mut phases: Vec<PhaseRecord> = Vec::new();
-        // Prefill completions are consumed lazily (the executor reports in
-        // launch order); each entry indexes a member range in
-        // `prefill_members` plus the occupancy at launch.
-        const PREFILL_TAG: u64 = 1 << 32;
-        let mut prefill_seq: u64 = 0;
-        // Hot-loop scratch, reused across phases: the steady-state engine
-        // loop allocates nothing per prefill batch or decode step.
-        let mut batch: Vec<usize> = Vec::new();
-        let mut seq_lens: Vec<u32> = Vec::new();
-        let mut prefill_members: Vec<usize> = Vec::new();
-        let mut prefill_meta: Vec<(usize, usize, f64)> = Vec::new();
-        let mut job = crate::cost::StagedJob::default();
-        // Running per-batch context totals (`DecodeBatch::total_ctx`
-        // maintained incrementally) and their sum over stored batches.
-        let mut batch_ctx: Vec<u64> = vec![0; n_stages];
-        let mut inflight: VecDeque<usize> = VecDeque::new();
-        // Per-switch scratch, reused so the steady-state engine allocates
-        // nothing at a phase transition: the decode batches (member vectors
-        // keep their capacity), their initial sizes, and the work stealer.
-        let mut batches: Vec<DecodeBatch> = Vec::new();
-        let mut initial_sizes: Vec<usize> = Vec::new();
-        let mut stealer: Option<WorkStealer> = None;
-        // Event-driven decode cohorts, one per in-flight batch, stepped by
-        // the decode step every scheduler shares: each banks its batch's
-        // per-step work (tokens generated, KV extends, finish retirement,
-        // planner advances) as arithmetic, settled per member only when a
-        // member leaves its batch — see `crate::cohort`.
-        let mut cohorts: Vec<DecodeCohort> = (0..n_stages)
-            .map(|_| DecodeCohort::new(self.plan.block_size))
-            .collect();
-        let mut stepper = DecodeStepper::new(pool.len());
-        while !pool.all_finished() {
-            // ===================== PREFILL PHASE =====================
-            let phase_t0 = now;
-            let mut admitted = 0u64;
-            // The planner is maintained incrementally across phases
-            // (admit/remove/advance); in debug builds, rebuild it from
-            // scratch and check the usage grids agree exactly.
-            #[cfg(debug_assertions)]
-            {
-                let mut oracle = GreedyPrefillPlanner::new(
-                    self.cfg.future_points(),
-                    self.plan.token_capacity(),
-                );
-                for &i in &residents {
-                    oracle.admit(i, pool.resident_tokens(i), pool.predicted_remaining(i));
-                }
-                debug_assert_eq!(
-                    oracle.usage(),
-                    planner.usage(),
-                    "incremental planner drifted from a from-scratch rebuild"
-                );
-            }
-            let mut launched = 0u64;
-            let mut admitted_any = false;
-            prefill_members.clear();
-            prefill_meta.clear();
-            'prefill: while !pending.is_empty() {
-                let stop = match self.cfg.p2d {
-                    P2dPolicy::Greedy => planner.would_overflow(),
-                    P2dPolicy::FixedOccupancy(r) => alloc.occupancy() >= r,
-                };
-                if stop && admitted_any {
-                    journal.record(
-                        now,
-                        TraceEvent::PrefillStop {
-                            reason: PrefillStopReason::Overflow,
-                            admitted,
-                        },
-                    );
-                    metrics.on_prefill_stop(PrefillStopReason::Overflow);
-                    break;
-                }
-                // Pack the next prefill batch up to the token budget.
-                batch.clear();
-                seq_lens.clear();
-                let mut batch_tokens: u32 = 0;
-                // Why the packing loop below halted (journal; the loop
-                // running the queue dry leaves the default).
-                let mut pack_stop = PrefillStopReason::Exhausted;
-                while let Some(&idx) = pending.front() {
-                    // Online extension: a request can only be prefilled
-                    // after it has arrived.
-                    if pool.arrival(idx) > now + launched as f64 * e.engine_overhead {
-                        pack_stop = PrefillStopReason::Arrival;
-                        break;
-                    }
-                    // Swap-preempted requests re-enter via a host-link
-                    // transfer, not a prefill job.
-                    if pool.swapped(idx) {
-                        let tokens = pool.resident_tokens(idx);
-                        let needed =
-                            tokens.div_ceil(self.plan.block_size as u64);
-                        if alloc.free_blocks() < needed + watermark_blocks {
-                            // Idle retained session prefixes yield to live
-                            // re-admissions before the packer gives up.
-                            let met = match sess.as_mut() {
-                                Some(s) => reclaim_retained(
-                                    s,
-                                    needed + watermark_blocks,
-                                    None,
-                                    now,
-                                    &mut alloc,
-                                    &mut pool,
-                                    est_cache,
-                                    &mut journal,
-                                ),
-                                None => false,
-                            };
-                            if !met {
-                                pack_stop = PrefillStopReason::Memory;
-                                break;
-                            }
-                        }
-                        // analyzer: allow(no-expect) — guarded two lines
-                        // up: `free_blocks() >= needed + watermark` makes
-                        // this allocation infallible.
-                        alloc.allocate(idx as u64, tokens).expect("checked");
-                        pending.pop_front();
-                        est_cache.invalidate();
-                        pool.note_swap_in(idx, tokens);
-                        now += self.swap_seconds(tokens);
-                        admission_seq[idx] = next_seq;
-                        next_seq += 1;
-                        residents.push(idx);
-                        planner.admit(idx, tokens, pool.predicted_remaining(idx));
-                        admitted_any = true;
-                        admitted += 1;
-                        journal.record(
-                            now,
-                            TraceEvent::PrefillAdmit {
-                                request: pool.id(idx).0,
-                                tokens,
-                                reason: AdmitReason::SwapIn,
-                            },
-                        );
-                        metrics.on_prefill_admit(AdmitReason::SwapIn, tokens);
-                        continue;
-                    }
-                    // `t` is what the prefill must *compute* (fresh suffix
-                    // only on a session reuse hit); `full` is what the
-                    // request *occupies* once resident. Equal except on a
-                    // hit, where the donor's retained blocks come back
-                    // first, so they count toward the admission check.
-                    let t = pool.prefill_tokens(idx);
-                    if !batch.is_empty() && batch_tokens + t > e.prefill_token_budget {
-                        pack_stop = PrefillStopReason::Budget;
-                        break;
-                    }
-                    let full = pool.resident_tokens(idx);
-                    let needed = full.div_ceil(self.plan.block_size as u64);
-                    let donor_blocks = sess
-                        .as_ref()
-                        .and_then(|s| s.retainer.peek(idx as u64))
-                        .map_or(0, |c| c.blocks);
-                    let target = (needed + watermark_blocks).saturating_sub(donor_blocks);
-                    if alloc.free_blocks() < target {
-                        // Reclaim idle retained prefixes (never this
-                        // request's own) before giving up on memory.
-                        let met = match sess.as_mut() {
-                            Some(s) => reclaim_retained(
-                                s,
-                                target,
-                                Some(idx as u64),
-                                now,
-                                &mut alloc,
-                                &mut pool,
-                                est_cache,
-                                &mut journal,
-                            ),
-                            None => false,
-                        };
-                        if !met {
-                            pack_stop = PrefillStopReason::Memory;
-                            break; // memory admission stop
-                        }
-                    }
-                    // Session accounting at the moment admission is
-                    // certain: claim the retained prefix (hit) or record
-                    // the miss for a first-time resumed turn.
-                    if let Some(s) = sess.as_mut() {
-                        if let Some(c) = s.retainer.claim(idx as u64) {
-                            // analyzer: allow(no-expect) — retained donors
-                            // stay resident until claimed here or dropped.
-                            alloc.free(c.donor).expect("retained donor resident");
-                            journal.record(
-                                now,
-                                TraceEvent::SessionReuseHit {
-                                    request: pool.id(idx).0,
-                                    tokens: c.tokens,
-                                },
-                            );
-                        } else if s.turns[idx].prev.is_some() && pool.evictions(idx) == 0 {
-                            s.reuse_misses += 1;
-                            journal.record(
-                                now,
-                                TraceEvent::SessionReuseMiss {
-                                    request: pool.id(idx).0,
-                                },
-                            );
-                        }
-                    }
-                    // analyzer: allow(no-expect) — guarded above: the
-                    // admission check reserved `needed + watermark`
-                    // free blocks (counting the just-freed donor), so
-                    // this allocation cannot fail.
-                    alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
-                    pending.pop_front();
-                    est_cache.invalidate();
-                    batch.push(idx);
-                    seq_lens.push(t);
-                    batch_tokens += t;
-                    if sess.is_some() {
-                        // The discount was consumed by this admission; a
-                        // later eviction re-prefills at full cost.
-                        pool.clear_reuse_discount(idx);
-                    }
-                }
-                if batch.is_empty() {
-                    // Memory full, head not yet arrived, a single request
-                    // exceeds capacity, or swap-ins emptied the queue.
-                    if let Some(&idx) = pending.front() {
-                        let head_arrived =
-                            pool.arrival(idx) <= now + launched as f64 * e.engine_overhead;
-                        if head_arrived && !admitted_any && residents.is_empty() {
-                            // analyzer: allow(no-panic) — unschedulable
-                            // input (one request larger than the whole KV
-                            // pool): a precondition documented under
-                            // `# Panics` on `run_with_arrivals`, not a
-                            // runtime failure.
-                            panic!(
-                                "request {} ({} tokens) exceeds KV capacity ({} tokens)",
-                                pool.id(idx),
-                                pool.resident_tokens(idx),
-                                self.plan.token_capacity()
-                            );
-                        }
-                    }
-                    // pack_stop is Arrival or Memory when the packer broke
-                    // on its very first candidate, Exhausted when swap-ins
-                    // admitted the rest of the queue.
-                    journal.record(
-                        now,
-                        TraceEvent::PrefillStop {
-                            reason: pack_stop,
-                            admitted,
-                        },
-                    );
-                    metrics.on_prefill_stop(pack_stop);
-                    break 'prefill;
-                }
-                admitted_any = true;
-                self.cost.prefill_job_into(&seq_lens, &mut job);
-                let ready = now + launched as f64 * e.engine_overhead;
-                launched += 1;
-                prefill_seq += 1;
-                sim.launch(
-                    ready,
-                    &job.exec,
-                    &job.xfer,
-                    SegmentKind::Prefill,
-                    PREFILL_TAG + prefill_seq,
-                );
-                // Span anchor: records the packing clock, carries the
-                // executor-ready instant (the two differ by the serialised
-                // launch overhead — the per-request prefill-wait span).
-                journal.record(
-                    now,
-                    TraceEvent::PrefillLaunch {
-                        seq: prefill_seq,
-                        batch: batch.len(),
-                        tokens: batch_tokens as u64,
-                        ready,
-                    },
-                );
-                metrics.on_prefill_batch(batch.len(), batch_tokens as u64);
-                let start = prefill_members.len();
-                prefill_members.extend_from_slice(&batch);
-                prefill_meta.push((start, prefill_members.len(), alloc.occupancy()));
-                for (&idx, &t) in batch.iter().zip(&seq_lens) {
-                    pool.note_prefill(idx, t);
-                    // The planner tracks *residency*, not prefill work:
-                    // on a session reuse hit the two differ (`t` is the
-                    // fresh suffix; the request occupies its full
-                    // prompt). Identical to `t` on every other path.
-                    planner.admit(idx, pool.resident_tokens(idx), pool.predicted_remaining(idx));
-                    admission_seq[idx] = next_seq;
-                    next_seq += 1;
-                    residents.push(idx);
-                    admitted += 1;
-                    if journal.is_enabled() || metrics.is_enabled() {
-                        let reason = if pool.evictions(idx) > 0 {
-                            AdmitReason::Recompute
-                        } else {
-                            AdmitReason::FirstPrefill
-                        };
-                        journal.record(
-                            now,
-                            TraceEvent::PrefillAdmit {
-                                request: pool.id(idx).0,
-                                tokens: t as u64,
-                                reason,
-                            },
-                        );
-                        metrics.on_prefill_admit(reason, t as u64);
-                    }
-                }
-                journal.record(
-                    now,
-                    TraceEvent::PrefillStop {
-                        reason: pack_stop,
-                        admitted,
-                    },
-                );
-                metrics.on_prefill_stop(pack_stop);
-            }
-            // Collect this phase's prefill completions: first-token stamps
-            // and Fig. 12 occupancy samples.
-            let mut prefill_exec_end = now;
-            // Completion stamps are monotone (the pipeline retires jobs in
-            // launch order); `done_t` guards the journal's time order
-            // against any float jitter in the completion times.
-            let mut done_t = now;
-            for &(start, end, occ) in prefill_meta.iter() {
-                let (tag, finish) = sim.try_next_completion()?;
-                debug_assert!(tag > PREFILL_TAG, "prefills complete before decodes");
-                done_t = done_t.max(finish);
-                for &idx in &prefill_members[start..end] {
-                    pool.note_first_token(idx, finish);
-                    journal.record(
-                        done_t,
-                        TraceEvent::PrefillDone {
-                            request: pool.id(idx).0,
-                        },
-                    );
-                }
-                if e.record_occupancy {
-                    occupancy.push(finish, occ, Phase::Prefill);
-                }
-                metrics.sample(finish, occ, 0, 0, pending.len());
-                prefill_exec_end = prefill_exec_end.max(finish);
-            }
-            now += launched as f64 * e.engine_overhead;
-            phase_switches += 1; // prefill → decode
-            phases.push(PhaseRecord {
-                phase: Phase::Prefill,
-                start: phase_t0,
-                end: prefill_exec_end,
-                work_items: admitted,
-                finished: 0,
-            });
-            let phase_t0 = prefill_exec_end;
-            let mut decode_steps = 0u64;
-
-            // ===================== DECODE PHASE ======================
-            if residents.is_empty() {
-                // Nothing runnable. With arrivals this legitimately means
-                // the system is idle until the next request shows up:
-                // fast-forward and try the prefill phase again.
-                let next_arrival = pending
-                    .iter()
-                    .map(|&i| pool.arrival(i))
-                    .fold(f64::INFINITY, f64::min);
-                assert!(
-                    next_arrival.is_finite() && next_arrival > now,
-                    "stuck: nothing resident, nothing arriving (pending={}, finished={}/{})",
-                    pending.len(),
-                    pool.finished(),
-                    pool.len()
-                );
-                // Declared starvation: the bubble ledger attributes every
-                // device's idleness over [now, next_arrival] to arrivals.
-                journal.record(
-                    now,
-                    TraceEvent::ArrivalWait {
-                        until: next_arrival,
-                    },
-                );
-                now = next_arrival;
-                phases.pop(); // drop the empty prefill phase record
-                phase_switches -= 1;
-                continue;
-            }
-            // Journalled after the empty-residents check so the idle
-            // fast-forward path above produces no spurious switch events.
-            journal.record(
-                prefill_exec_end,
-                TraceEvent::PhaseSwitch {
-                    from: Phase::Prefill,
-                    to: Phase::Decode,
-                },
-            );
-            // Metrics-side phase close-out lives *after* the idle
-            // fast-forward `continue` above, mirroring the journal: the
-            // popped empty prefill record never reaches the registry.
-            metrics.on_phase_end(Phase::Prefill, phases[phases.len() - 1].start, prefill_exec_end);
-            // Partition in admission order (§3.4: equal batches, one per
-            // GPU). `residents` is kept in admission order by construction —
-            // prefill appends in increasing `admission_seq` and the
-            // phase-end retain preserves order — so no per-switch sort.
-            debug_assert!(
-                residents
-                    .windows(2)
-                    .all(|w| admission_seq[w[0]] < admission_seq[w[1]]),
-                "residents must stay in admission order"
-            );
-            partition_even_into(&residents, n_stages, &mut batches);
-            initial_sizes.clear();
-            initial_sizes.extend(batches.iter().map(DecodeBatch::len));
-            let phase_start_count: usize = initial_sizes.iter().sum();
-            if self.cfg.work_stealing {
-                match stealer.as_mut() {
-                    Some(st) => st.reset(&initial_sizes),
-                    None => stealer = Some(WorkStealer::new(&initial_sizes)),
-                }
-            }
-            let mut finished_this_phase = 0usize;
-            let mut switching = false;
-
-            debug_assert!(inflight.is_empty());
-            for (bid, b) in batches.iter().enumerate() {
-                // Scan each batch once at phase start; from here on
-                // `batch_ctx` is maintained incrementally. Bank every
-                // member into the batch's cohort: one join here replaces
-                // the per-step per-member walk for its whole residency.
-                batch_ctx[bid] = b.total_ctx(&pool);
-                let coh = &mut cohorts[bid];
-                coh.reset();
-                for &m in &b.members {
-                    stepper.join(coh, m, &pool);
-                }
-                if b.is_empty() {
-                    continue;
-                }
-                self.cost.decode_job_into(b.len(), batch_ctx[bid], &mut job);
-                let ready = now + inflight.len() as f64 * e.engine_overhead;
-                sim.launch(ready, &job.exec, &job.xfer, SegmentKind::Decode, bid as u64);
-                metrics.on_decode_step(b.len());
-                inflight.push_back(bid);
-            }
-            // Context-token sum over the batches currently stored in
-            // `batches` (the in-processing batch is subtracted while its
-            // members are taken out, mirroring the old per-step rescan).
-            let mut stored_ctx: u64 = batch_ctx.iter().sum();
-
-            while let Some(bid) = inflight.pop_front() {
-                let (tag, finish) = sim.try_next_completion()?;
-                debug_assert_eq!(tag, bid as u64, "completions follow launch order");
-                now = finish;
-                decode_steps += 1;
-                let mut members = std::mem::take(&mut batches[bid].members);
-                stored_ctx -= batch_ctx[bid];
-                // 1) Step the batch: one token per member; the finished
-                //    retire (retaining KV for a session successor where
-                //    allowed), the survivors' KV grows, and on overflow
-                //    idle retained prefixes yield before the newest members
-                //    are preempted (§4.1). This is the decode step every
-                //    scheduler shares, with TD-Pipe's session, planner and
-                //    observer effects as its hooks.
-                let mut ctx = batch_ctx[bid];
-                let mut hooks = TdStepHooks {
-                    engine: self,
-                    sess: &mut sess,
-                    planner: &mut planner,
-                    est_cache: &mut *est_cache,
-                    journal: &mut journal,
-                    metrics: &mut metrics,
-                    swap_out_delay: 0.0,
-                };
-                let finished_now = stepper.step(
-                    &mut cohorts[bid],
-                    &mut members,
-                    &mut ctx,
-                    &mut StepEnv {
-                        pool: &mut pool,
-                        alloc: &mut alloc,
-                        pending: &mut pending,
-                        admission_seq: &admission_seq,
-                        now,
-                    },
-                    &mut hooks,
-                );
-                finished_this_phase += finished_now;
-                now += hooks.swap_out_delay;
-                // 2) Rebalance.
-                if let Some(st) = stealer.as_mut() {
-                    let epoch = cohorts[bid].epoch();
-                    let moved = st.rebalance(&mut members, finished_now, &mut ctx, |m| {
-                        // Banked members lag the pool by their banked
-                        // steps; settled candidates (the withheld) read
-                        // their pool state exactly.
-                        pool.resident_tokens(m) + stepper.cm.pending(m, epoch) as u64
-                    });
-                    // Newly withheld members leave this batch's step
-                    // cadence: settle their banked steps now. Supplements
-                    // join it: bank them into this batch's cohort.
-                    let wh = st.withheld();
-                    for &m in &wh[wh.len() - moved.withheld..] {
-                        let p = stepper.leave(&mut cohorts[bid], m, &mut pool, &mut alloc);
-                        planner.advance(m, p);
-                    }
-                    for &m in &members[members.len() - moved.supplemented..] {
-                        stepper.join(&mut cohorts[bid], m, &pool);
-                    }
-                    if moved.withheld > 0 {
-                        journal.record(
-                            now,
-                            TraceEvent::StealWithhold {
-                                n: moved.withheld,
-                                target: moved.target,
-                            },
-                        );
-                    }
-                    if moved.supplemented > 0 {
-                        journal.record(
-                            now,
-                            TraceEvent::StealSupplement {
-                                n: moved.supplemented,
-                                target: moved.target,
-                            },
-                        );
-                    }
-                    metrics.on_steal(moved.withheld, moved.supplemented);
-                }
-                if e.record_occupancy {
-                    occupancy.push(now, alloc.occupancy(), Phase::Decode);
-                }
-                // 3) Decode→prefill decision.
-                if !switching && !pending.is_empty() {
-                    switching = match self.cfg.d2p {
-                        D2pPolicy::Intensity => {
-                            let live: usize =
-                                members.len() + batches.iter().map(DecodeBatch::len).sum::<usize>();
-                            let live_batches = inflight.len() + 1;
-                            let mean_batch = (live / live_batches.max(1)).max(1);
-                            // `stored_ctx` equals the old sum over stored
-                            // batches (this batch's slot is empty here).
-                            let mean_ctx = stored_ctx / live_batches.max(1) as u64;
-                            self.cost
-                                .decode_job_into(mean_batch, mean_ctx.max(1), &mut job);
-                            let step = job.latency();
-                            let est = est_cache.query(
-                                &pending,
-                                &pool,
-                                &self.cost,
-                                e.prefill_token_budget,
-                                self.plan.token_capacity(),
-                                alloc.free_blocks() * self.plan.block_size as u64,
-                            );
-                            // Debug cross-check: the memoized estimate must
-                            // be bit-identical to the naive repack.
-                            #[cfg(debug_assertions)]
-                            {
-                                let mut scratch = Vec::new();
-                                let naive = self.estimate_prefill_phase(
-                                    &pending,
-                                    &pool,
-                                    &alloc,
-                                    &mut scratch,
-                                );
-                                debug_assert_eq!(
-                                    est.longest_job.to_bits(),
-                                    naive.longest_job.to_bits()
-                                );
-                                debug_assert_eq!(
-                                    est.phase_len.to_bits(),
-                                    naive.phase_len.to_bits()
-                                );
-                            }
-                            let scores = comparator.decide(mean_batch, &est, step);
-                            journal.record(
-                                now,
-                                TraceEvent::SwitchDecision {
-                                    spatial: scores.spatial,
-                                    temporal: scores.temporal,
-                                    batch: mean_batch,
-                                    est_longest: est.longest_job,
-                                    est_phase_len: est.phase_len,
-                                    switch: scores.switch,
-                                },
-                            );
-                            metrics.on_switch_decision(scores.spatial, scores.temporal);
-                            scores.switch
-                        }
-                        D2pPolicy::FixedFinishRatio(r) => {
-                            finished_this_phase as f64 >= r * phase_start_count as f64
-                        }
-                    };
-                }
-                // 4) Relaunch or retire the batch. If this is the last live
-                //    batch and the stealer still withholds requests, absorb
-                //    them — otherwise they would strand with no batch left
-                //    to supplement.
-                batches[bid].members = members;
-                if !switching && inflight.is_empty() {
-                    if let Some(st) = stealer.as_mut() {
-                        for &m in st.withheld() {
-                            ctx += pool.resident_tokens(m);
-                            // Absorbed members rejoin this batch's cadence
-                            // (they were settled when withheld).
-                            stepper.join(&mut cohorts[bid], m, &pool);
-                        }
-                        st.take_withheld_into(&mut batches[bid].members);
-                    }
-                }
-                batch_ctx[bid] = ctx;
-                stored_ctx += ctx;
-                if !switching && !batches[bid].is_empty() {
-                    let b = &batches[bid];
-                    self.cost.decode_job_into(b.len(), ctx, &mut job);
-                    let ready = ctrl.process(now, b.len());
-                    sim.launch(ready, &job.exec, &job.xfer, SegmentKind::Decode, bid as u64);
-                    metrics.on_decode_step(b.len());
-                    inflight.push_back(bid);
-                }
-            }
-
-            // Settle the banked cohort state (pool tokens, KV residency,
-            // planner advances) for members that ran to phase end — the
-            // withheld were settled when they left their batch — then keep
-            // the survivors: `residents` was never cleared, so retaining
-            // the still-decoding entries preserves admission order for the
-            // next partition.
-            for (bid, b) in batches.iter().enumerate() {
-                let coh = &mut cohorts[bid];
-                for &m in &b.members {
-                    let p = stepper.leave(coh, m, &mut pool, &mut alloc);
-                    planner.advance(m, p);
-                }
-            }
-            residents.retain(|&i| pool.lifecycle(i) == Lifecycle::Decoding);
-            phases.push(PhaseRecord {
-                phase: Phase::Decode,
-                start: phase_t0,
-                end: now,
-                work_items: decode_steps,
-                finished: finished_this_phase,
-            });
-            metrics.on_phase_end(Phase::Decode, phase_t0, now);
-            if !pool.all_finished() {
-                phase_switches += 1; // decode → prefill
-                journal.record(
-                    now,
-                    TraceEvent::PhaseSwitch {
-                        from: Phase::Decode,
-                        to: Phase::Prefill,
-                    },
-                );
-                assert!(
-                    !pending.is_empty() || !residents.is_empty(),
-                    "stuck: unfinished requests but nothing runnable"
-                );
-            }
-        }
-
-        pool.assert_conserved();
-        let plane = sim.plane_stats();
-        let (makespan, timeline) = sim.try_finish()?;
-        // Device tracks for the Chrome export (only materialise when the
-        // executor kept segments, i.e. `record_timeline` was on too).
-        // Bounded: boundary idleness (pipeline warm-up before a device's
-        // first segment, drain after its last) becomes explicit StageIdle
-        // events, so attributed bubble seconds close against the makespan.
-        journal.append_stage_events_bounded(&timeline, makespan);
-        let report = RunReport {
-            scheduler: "TD-Pipe".into(),
-            makespan,
-            num_requests: pool.len(),
-            input_tokens: pool.input_tokens,
-            output_tokens: pool.output_tokens,
-            recomputed_tokens: pool.recomputed_tokens,
-            swapped_tokens: pool.swapped_tokens,
-            phase_switches,
-            mean_utilization: timeline.mean_utilization(),
-            latency: pool.latency_summary(),
-        };
-        if let Some(s) = &sess {
-            debug_assert!(
-                s.retainer.is_empty(),
-                "all retained session prefixes should be claimed by run end"
-            );
-            metrics.on_session_summary(s.retainer.stats(), s.reuse_misses);
-        }
-        let metrics = metrics.finish(
-            &report,
-            alloc.stats(),
-            self.plan.kv_blocks,
-            &timeline,
-            plane,
-        );
-        Ok(RunOutcome {
-            report,
-            timeline,
-            occupancy,
-            phases,
-            journal,
-            metrics,
-        })
+        let start = n as f64 * predictor.per_request_overhead();
+        drive(policy, run, plane, start)
     }
 
     /// Price the hypothetical next prefill phase for the temporal-intensity
@@ -1296,14 +541,12 @@ impl TdPipeEngine {
         pending: &VecDeque<usize>,
         pool: &RequestPool,
         alloc: &BlockAllocator,
-        scratch: &mut Vec<u32>,
     ) -> PrefillPhaseEstimate {
         let e = &self.cfg.engine;
         let mut free_tokens = alloc.free_blocks() * self.plan.block_size as u64;
         let mut longest = 0.0f64;
         let mut phase_len = 0.0f64;
-        let seq_lens = scratch;
-        seq_lens.clear();
+        let seq_lens = &mut Vec::new();
         let mut batch_tokens: u32 = 0;
         let flush = |seq_lens: &mut Vec<u32>, longest: &mut f64, phase_len: &mut f64| {
             if seq_lens.is_empty() {
@@ -1332,6 +575,656 @@ impl TdPipeEngine {
         PrefillPhaseEstimate {
             longest_job: longest,
             phase_len,
+        }
+    }
+}
+
+/// Prefill completions carry `PREFILL_TAG + seq`; decode batches carry
+/// their batch index.
+const PREFILL_TAG: u64 = 1 << 32;
+
+/// The prefill phase in progress. Its vectors keep their capacity across
+/// phases, so the steady state allocates nothing per prefill batch.
+#[derive(Default)]
+struct PrefillPhase {
+    /// Engine time the phase began.
+    t0: f64,
+    /// Requests admitted this phase (fresh, recomputed or swapped in).
+    admitted: u64,
+    /// Prefill launches over the whole run (completion tags).
+    seq: u64,
+    /// Members of this phase's batches, in launch order.
+    members: Vec<usize>,
+    /// Per launched batch: its range in `members` and the KV occupancy at
+    /// launch.
+    meta: Vec<(usize, usize, f64)>,
+    /// Batches whose completion has been collected.
+    collected: usize,
+    /// Latest completion so far, never before the packing clock: the
+    /// phase's end, and the journal clock of its completions.
+    end: f64,
+    /// Packing scratch: the next batch and its sequence lengths.
+    batch: Vec<usize>,
+    seq_lens: Vec<u32>,
+}
+
+/// The decode phase in progress: one batch per stage, each with its own
+/// event-driven cohort (see [`crate::cohort`]). Everything here is reused
+/// across phases, so a phase switch allocates nothing.
+#[derive(Default)]
+struct DecodePhase {
+    batches: Vec<DecodeBatch>,
+    /// Batch sizes at phase start.
+    initial_sizes: Vec<usize>,
+    stealer: Option<WorkStealer>,
+    cohorts: Vec<DecodeCohort>,
+    /// Running per-batch context totals (`DecodeBatch::total_ctx`
+    /// maintained incrementally).
+    batch_ctx: Vec<u64>,
+    /// Batches in flight, in launch order.
+    inflight: VecDeque<usize>,
+    steps: u64,
+    finished: usize,
+    /// The §3.5 decision fired: batches retire instead of relaunching.
+    switching: bool,
+}
+
+/// One TD-Pipe run as a policy on the shared loop: a two-state phase
+/// machine over one KV pool, the Algorithm-1 planner and the pending queue.
+struct TdRun<'a> {
+    engine: &'a TdPipeEngine,
+    est_cache: &'a mut PrefillEstimateCache,
+    sess: Option<SessionRun<'a>>,
+    comparator: IntensityComparator,
+    alloc: BlockAllocator,
+    planner: GreedyPrefillPlanner,
+    /// Requests waiting for (re-)admission: arrival order, with evicted
+    /// requests requeued at the front.
+    pending: VecDeque<usize>,
+    /// Admitted requests still decoding, in admission order.
+    residents: Vec<usize>,
+    watermark_blocks: u64,
+    occupancy: OccupancyTrace,
+    phases: Vec<PhaseRecord>,
+    phase_switches: u32,
+    /// The phase in progress; `None` between phases.
+    open: Option<Phase>,
+    prefill: PrefillPhase,
+    decode: DecodePhase,
+    job: StagedJob,
+}
+
+impl Policy for TdRun<'_> {
+    fn launch(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) -> f64 {
+        let mut now = now;
+        loop {
+            match self.open {
+                None if run.pool.all_finished() => return now,
+                None => now = self.open_prefill(run, plane, now),
+                Some(Phase::Prefill) if self.prefill.collected < self.prefill.meta.len() => {
+                    return now
+                }
+                Some(Phase::Prefill) => {
+                    // The control clock moves past the serialised launches.
+                    let overhead = self.engine.cfg.engine.engine_overhead;
+                    now += self.prefill.meta.len() as f64 * overhead;
+                    if self.residents.is_empty() {
+                        // Nothing runnable: the driver fast-forwards to the
+                        // next arrival, and the empty phase leaves no record.
+                        self.open = None;
+                    } else {
+                        self.open_decode(run, plane, now);
+                    }
+                    return now;
+                }
+                Some(Phase::Decode) if !self.decode.inflight.is_empty() => return now,
+                Some(Phase::Decode) => self.close_decode(run, now),
+            }
+        }
+    }
+
+    fn complete(
+        &mut self,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        tag: u64,
+        finish: f64,
+        now: f64,
+    ) -> f64 {
+        if self.open == Some(Phase::Prefill) {
+            debug_assert!(tag > PREFILL_TAG, "prefills complete before decodes");
+            self.prefill_done(run, finish);
+            now
+        } else {
+            self.decode_done(run, plane, tag as usize, finish)
+        }
+    }
+
+    fn stall(&mut self, run: &RunState, now: f64) -> Stall {
+        let pool = &run.pool;
+        let capacity = self.engine.plan.token_capacity();
+        let arrivals = self.pending.iter().map(|&i| pool.arrival(i));
+        Stall {
+            oversize: self
+                .pending
+                .front()
+                .filter(|&&i| pool.arrival(i) <= now)
+                .map(|&i| (i, pool.resident_tokens(i), capacity)),
+            next_arrival: arrivals.fold(f64::INFINITY, f64::min),
+        }
+    }
+
+    fn close(self, run: &mut RunState) -> Close {
+        if let Some(s) = &self.sess {
+            let drained = s.retainer.is_empty();
+            debug_assert!(drained, "all retained session prefixes should be claimed by run end");
+            run.metrics.on_session_summary(s.retainer.stats(), s.reuse_misses);
+        }
+        Close {
+            scheduler: "TD-Pipe".into(),
+            phase_switches: self.phase_switches,
+            phases: self.phases,
+            occupancy: self.occupancy,
+            alloc: self.alloc.stats(),
+            kv_blocks: self.engine.plan.kv_blocks,
+            evict_mode: match self.engine.cfg.engine.preemption {
+                PreemptionMode::Recompute => EvictMode::Recompute,
+                PreemptionMode::Swap => EvictMode::Swap,
+            },
+        }
+    }
+}
+
+impl TdRun<'_> {
+    /// Open a prefill phase: pack prompt batches up to the token budget
+    /// and stream them into the pipeline until Algorithm 1 (or the
+    /// fixed-occupancy ablation) stops admission, memory runs out, or the
+    /// queue's head has not arrived. Swap-preempted requests re-enter over
+    /// the host link instead. Returns the control clock.
+    fn open_prefill(
+        &mut self,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        mut now: f64,
+    ) -> f64 {
+        let eng = self.engine;
+        let e = &eng.cfg.engine;
+        let block_size = eng.plan.block_size as u64;
+        self.open = Some(Phase::Prefill);
+        // The planner is maintained incrementally across phases
+        // (admit/remove/advance); in debug builds, rebuild it from scratch
+        // and check the usage grids agree exactly.
+        #[cfg(debug_assertions)]
+        {
+            let mut oracle =
+                GreedyPrefillPlanner::new(eng.cfg.future_points(), eng.plan.token_capacity());
+            for &i in &self.residents {
+                oracle.admit(i, run.pool.resident_tokens(i), run.pool.predicted_remaining(i));
+            }
+            debug_assert_eq!(
+                oracle.usage(),
+                self.planner.usage(),
+                "incremental planner drifted from a from-scratch rebuild"
+            );
+        }
+        let pf = &mut self.prefill;
+        pf.t0 = now;
+        pf.members.clear();
+        pf.meta.clear();
+        pf.collected = 0;
+        pf.admitted = 0;
+        while !self.pending.is_empty() {
+            let stop = match eng.cfg.p2d {
+                P2dPolicy::Greedy => self.planner.would_overflow(),
+                P2dPolicy::FixedOccupancy(r) => self.alloc.occupancy() >= r,
+            };
+            if stop && !pf.meta.is_empty() {
+                record_stop(run, now, PrefillStopReason::Overflow, pf.admitted);
+                break;
+            }
+            // Pack the next prefill batch up to the token budget.
+            pf.batch.clear();
+            pf.seq_lens.clear();
+            let mut batch_tokens: u32 = 0;
+            // Why the packing loop below halted (journal; the loop running
+            // the queue dry leaves the default).
+            let mut pack_stop = PrefillStopReason::Exhausted;
+            while let Some(&idx) = self.pending.front() {
+                // Online extension: a request can only be prefilled after
+                // it has arrived.
+                if run.pool.arrival(idx) > now + pf.meta.len() as f64 * e.engine_overhead {
+                    pack_stop = PrefillStopReason::Arrival;
+                    break;
+                }
+                // `t` is what the prefill must *compute* (fresh suffix
+                // only on a session reuse hit); `full` is what the request
+                // *occupies* once resident. Equal except on a hit, where
+                // the donor's retained blocks come back first, so they
+                // count toward the admission check. Swap-preempted requests
+                // re-enter via a host-link transfer, not a prefill job, so
+                // the token budget does not bind them.
+                let swapped = run.pool.swapped(idx);
+                let t = run.pool.prefill_tokens(idx);
+                if !swapped && !pf.batch.is_empty() && batch_tokens + t > e.prefill_token_budget {
+                    pack_stop = PrefillStopReason::Budget;
+                    break;
+                }
+                let full = run.pool.resident_tokens(idx);
+                let donor_blocks = self
+                    .sess
+                    .as_ref()
+                    .and_then(|s| s.retainer.peek(idx as u64))
+                    .map_or(0, |c| c.blocks);
+                let needed = full.div_ceil(block_size) + self.watermark_blocks;
+                let target = needed.saturating_sub(donor_blocks);
+                // Idle retained session prefixes (never this request's own)
+                // yield to live admissions before the packer gives up.
+                if self.alloc.free_blocks() < target
+                    && !reclaim_retained(
+                        &mut self.sess,
+                        target,
+                        Some(idx as u64),
+                        now,
+                        &mut self.alloc,
+                        &mut run.pool,
+                        self.est_cache,
+                        &mut run.journal,
+                    )
+                {
+                    pack_stop = PrefillStopReason::Memory;
+                    break;
+                }
+                if swapped {
+                    // analyzer: allow(no-expect) — guarded above: the
+                    // admission check reserved `needed + watermark` free
+                    // blocks, so this allocation cannot fail.
+                    self.alloc.allocate(idx as u64, full).expect("checked");
+                    self.pending.pop_front();
+                    self.est_cache.invalidate();
+                    run.pool.note_swap_in(idx, full);
+                    now += eng.swap_seconds(full);
+                    run.stamp_admission(idx);
+                    self.residents.push(idx);
+                    self.planner.admit(idx, full, run.pool.predicted_remaining(idx));
+                    pf.admitted += 1;
+                    record_admit(run, now, idx, full, AdmitReason::SwapIn);
+                    continue;
+                }
+                // Session accounting at the moment admission is certain:
+                // claim the retained prefix (hit) or record the miss for a
+                // first-time resumed turn.
+                if let Some(s) = self.sess.as_mut() {
+                    let request = run.pool.id(idx).0;
+                    if let Some(c) = s.retainer.claim(idx as u64) {
+                        // analyzer: allow(no-expect) — retained donors stay
+                        // resident until claimed here or dropped.
+                        self.alloc.free(c.donor).expect("retained donor resident");
+                        let tokens = c.tokens;
+                        run.journal.record(now, TraceEvent::SessionReuseHit { request, tokens });
+                    } else if s.turns[idx].prev.is_some() && run.pool.evictions(idx) == 0 {
+                        s.reuse_misses += 1;
+                        run.journal.record(now, TraceEvent::SessionReuseMiss { request });
+                    }
+                }
+                // analyzer: allow(no-expect) — guarded above: the
+                // admission check reserved `needed + watermark` free blocks
+                // (counting the just-freed donor), so this allocation
+                // cannot fail.
+                self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
+                self.pending.pop_front();
+                self.est_cache.invalidate();
+                pf.batch.push(idx);
+                pf.seq_lens.push(t);
+                batch_tokens += t;
+                if self.sess.is_some() {
+                    // The discount was consumed by this admission; a later
+                    // eviction re-prefills at full cost.
+                    run.pool.clear_reuse_discount(idx);
+                }
+            }
+            if pf.batch.is_empty() {
+                // Memory full, head not yet arrived, or swap-ins emptied
+                // the queue: pack_stop is Arrival or Memory when the packer
+                // broke on its very first candidate, Exhausted when
+                // swap-ins admitted the rest of the queue. (A request
+                // larger than the whole pool leaves nothing resident and
+                // surfaces in the driver's idle fast-forward.)
+                record_stop(run, now, pack_stop, pf.admitted);
+                break;
+            }
+            eng.cost.prefill_job_into(&pf.seq_lens, &mut self.job);
+            let ready = now + pf.meta.len() as f64 * e.engine_overhead;
+            pf.seq += 1;
+            let tag = PREFILL_TAG + pf.seq;
+            plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Prefill, tag);
+            // Span anchor: records the packing clock, carries the
+            // executor-ready instant (the two differ by the serialised
+            // launch overhead — the per-request prefill-wait span).
+            run.journal.record(
+                now,
+                TraceEvent::PrefillLaunch {
+                    seq: pf.seq,
+                    batch: pf.batch.len(),
+                    tokens: batch_tokens as u64,
+                    ready,
+                },
+            );
+            run.metrics.on_prefill_batch(pf.batch.len(), batch_tokens as u64);
+            let start = pf.members.len();
+            pf.members.extend_from_slice(&pf.batch);
+            pf.meta.push((start, pf.members.len(), self.alloc.occupancy()));
+            for (&idx, &t) in pf.batch.iter().zip(&pf.seq_lens) {
+                run.pool.note_prefill(idx, t);
+                // The planner tracks *residency*, not prefill work: on a
+                // session reuse hit the two differ (`t` is the fresh
+                // suffix; the request occupies its full prompt). Identical
+                // to `t` on every other path.
+                let pool = &run.pool;
+                self.planner.admit(idx, pool.resident_tokens(idx), pool.predicted_remaining(idx));
+                run.stamp_admission(idx);
+                self.residents.push(idx);
+                pf.admitted += 1;
+                if run.journal.is_enabled() || run.metrics.is_enabled() {
+                    let reason = if run.pool.evictions(idx) > 0 {
+                        AdmitReason::Recompute
+                    } else {
+                        AdmitReason::FirstPrefill
+                    };
+                    record_admit(run, now, idx, t as u64, reason);
+                }
+            }
+            record_stop(run, now, pack_stop, pf.admitted);
+        }
+        // Completions are collected lazily, in launch order.
+        pf.end = now;
+        now
+    }
+
+    /// The next prefill batch returned at `finish`: stamp its members'
+    /// first tokens and take the Fig. 12 occupancy sample.
+    fn prefill_done(&mut self, run: &mut RunState, finish: f64) {
+        let pf = &mut self.prefill;
+        let (start, end, occ) = pf.meta[pf.collected];
+        pf.collected += 1;
+        // Completion stamps are monotone (the pipeline retires jobs in
+        // launch order); the running max guards the journal's time order
+        // against any float jitter in the completion times.
+        pf.end = pf.end.max(finish);
+        for &idx in &pf.members[start..end] {
+            run.pool.note_first_token(idx, finish);
+            let request = run.pool.id(idx).0;
+            run.journal.record(pf.end, TraceEvent::PrefillDone { request });
+        }
+        if self.engine.cfg.engine.record_occupancy {
+            self.occupancy.push(finish, occ, Phase::Prefill);
+        }
+        run.metrics.sample(finish, occ, 0, 0, self.pending.len());
+    }
+
+    /// Close the collected prefill phase and open a decode phase at control
+    /// time `now`: partition the residents into one batch per stage and
+    /// issue them right behind the prefill jobs.
+    fn open_decode(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) {
+        let eng = self.engine;
+        let e = &eng.cfg.engine;
+        let pf = &self.prefill;
+        let record = PhaseRecord {
+            phase: Phase::Prefill,
+            start: pf.t0,
+            end: pf.end,
+            work_items: pf.admitted,
+            finished: 0,
+        };
+        self.end_phase(run, record);
+        self.open = Some(Phase::Decode);
+        let dc = &mut self.decode;
+        dc.steps = 0;
+        dc.finished = 0;
+        dc.switching = false;
+        // Partition in admission order (§3.4: equal batches, one per GPU).
+        // `residents` is kept in admission order by construction — prefill
+        // appends in increasing `admission_seq` and the phase-end retain
+        // preserves order — so no per-switch sort.
+        debug_assert!(
+            self.residents
+                .windows(2)
+                .all(|w| run.admission_seq[w[0]] < run.admission_seq[w[1]]),
+            "residents must stay in admission order"
+        );
+        partition_even_into(&self.residents, eng.cost.num_stages() as usize, &mut dc.batches);
+        dc.initial_sizes.clear();
+        dc.initial_sizes.extend(dc.batches.iter().map(DecodeBatch::len));
+        if eng.cfg.work_stealing {
+            match dc.stealer.as_mut() {
+                Some(st) => st.reset(&dc.initial_sizes),
+                None => dc.stealer = Some(WorkStealer::new(&dc.initial_sizes)),
+            }
+        }
+        debug_assert!(dc.inflight.is_empty());
+        for (bid, b) in dc.batches.iter().enumerate() {
+            // Scan each batch once at phase start; from here on `batch_ctx`
+            // is maintained incrementally. Bank every member into the
+            // batch's cohort: one join here replaces the per-step
+            // per-member walk for its whole residency.
+            dc.batch_ctx[bid] = b.total_ctx(&run.pool);
+            let coh = &mut dc.cohorts[bid];
+            coh.reset();
+            for &m in &b.members {
+                run.stepper.join(coh, m, &run.pool);
+            }
+            if b.is_empty() {
+                continue;
+            }
+            eng.cost.decode_job_into(b.len(), dc.batch_ctx[bid], &mut self.job);
+            let ready = now + dc.inflight.len() as f64 * e.engine_overhead;
+            plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Decode, bid as u64);
+            run.metrics.on_decode_step(b.len());
+            dc.inflight.push_back(bid);
+        }
+    }
+
+    /// Decode batch `bid` returned at `finish`: step it, rebalance, make
+    /// the §3.5 decode→prefill decision, then relaunch or retire it.
+    /// Returns the clock.
+    fn decode_done(
+        &mut self,
+        run: &mut RunState,
+        plane: &mut dyn PipelineExecutor,
+        bid: usize,
+        finish: f64,
+    ) -> f64 {
+        let eng = self.engine;
+        let e = &eng.cfg.engine;
+        let dc = &mut self.decode;
+        let popped = dc.inflight.pop_front();
+        debug_assert_eq!(popped, Some(bid), "completions follow launch order");
+        let mut now = finish;
+        dc.steps += 1;
+        let mut members = std::mem::take(&mut dc.batches[bid].members);
+        // 1) Step the batch: one token per member; the finished retire
+        //    (retaining KV for a session successor where allowed), the
+        //    survivors' KV grows, and on overflow idle retained prefixes
+        //    yield before the newest members are preempted (§4.1). This is
+        //    the decode step every scheduler shares, with TD-Pipe's
+        //    session, planner and observer effects as its hooks.
+        let mut ctx = dc.batch_ctx[bid];
+        let mut hooks = TdStepHooks {
+            engine: eng,
+            sess: &mut self.sess,
+            planner: &mut self.planner,
+            est_cache: &mut *self.est_cache,
+            journal: &mut run.journal,
+            swap_out_delay: 0.0,
+        };
+        let finished_now = run.stepper.step(
+            &mut dc.cohorts[bid],
+            &mut members,
+            &mut ctx,
+            &mut StepEnv {
+                pool: &mut run.pool,
+                alloc: &mut self.alloc,
+                pending: &mut self.pending,
+                admission_seq: &run.admission_seq,
+                now,
+            },
+            &mut hooks,
+        );
+        dc.finished += finished_now;
+        now += hooks.swap_out_delay;
+        // 2) Rebalance.
+        if let Some(st) = dc.stealer.as_mut() {
+            let epoch = dc.cohorts[bid].epoch();
+            let (pool, cm) = (&run.pool, &run.stepper.cm);
+            let moved = st.rebalance(&mut members, finished_now, &mut ctx, |m| {
+                // Banked members lag the pool by their banked steps;
+                // settled candidates (the withheld) read their pool state
+                // exactly.
+                pool.resident_tokens(m) + cm.pending(m, epoch) as u64
+            });
+            // Newly withheld members leave this batch's step cadence:
+            // settle their banked steps now. Supplements join it: bank
+            // them into this batch's cohort.
+            let wh = st.withheld();
+            for &m in &wh[wh.len() - moved.withheld..] {
+                let p = run.stepper.leave(&mut dc.cohorts[bid], m, &mut run.pool, &mut self.alloc);
+                self.planner.advance(m, p);
+            }
+            for &m in &members[members.len() - moved.supplemented..] {
+                run.stepper.join(&mut dc.cohorts[bid], m, &run.pool);
+            }
+            let target = moved.target;
+            if moved.withheld > 0 {
+                let n = moved.withheld;
+                run.journal.record(now, TraceEvent::StealWithhold { n, target });
+            }
+            if moved.supplemented > 0 {
+                let n = moved.supplemented;
+                run.journal.record(now, TraceEvent::StealSupplement { n, target });
+            }
+            run.metrics.on_steal(moved.withheld, moved.supplemented);
+        }
+        if e.record_occupancy {
+            self.occupancy.push(now, self.alloc.occupancy(), Phase::Decode);
+        }
+        // 3) Decode→prefill decision.
+        if !dc.switching && !self.pending.is_empty() {
+            dc.switching = match eng.cfg.d2p {
+                D2pPolicy::Intensity => {
+                    let live: usize =
+                        members.len() + dc.batches.iter().map(DecodeBatch::len).sum::<usize>();
+                    let live_batches = dc.inflight.len() + 1;
+                    let mean_batch = (live / live_batches.max(1)).max(1);
+                    // Context over the other batches (this one's slot is
+                    // empty here, its `batch_ctx` not yet updated).
+                    let stored_ctx = dc.batch_ctx.iter().sum::<u64>() - dc.batch_ctx[bid];
+                    let mean_ctx = stored_ctx / live_batches.max(1) as u64;
+                    eng.cost.decode_job_into(mean_batch, mean_ctx.max(1), &mut self.job);
+                    let step = self.job.latency();
+                    let est = self.est_cache.query(
+                        &self.pending,
+                        &run.pool,
+                        &eng.cost,
+                        e.prefill_token_budget,
+                        eng.plan.token_capacity(),
+                        self.alloc.free_blocks() * eng.plan.block_size as u64,
+                    );
+                    // Debug cross-check: the memoized estimate must be
+                    // bit-identical to the naive repack.
+                    #[cfg(debug_assertions)]
+                    {
+                        let (pending, pool) = (&self.pending, &run.pool);
+                        let naive = eng.estimate_prefill_phase(pending, pool, &self.alloc);
+                        debug_assert_eq!(est.longest_job.to_bits(), naive.longest_job.to_bits());
+                        debug_assert_eq!(est.phase_len.to_bits(), naive.phase_len.to_bits());
+                    }
+                    let scores = self.comparator.decide(mean_batch, &est, step);
+                    run.journal.record(
+                        now,
+                        TraceEvent::SwitchDecision {
+                            spatial: scores.spatial,
+                            temporal: scores.temporal,
+                            batch: mean_batch,
+                            est_longest: est.longest_job,
+                            est_phase_len: est.phase_len,
+                            switch: scores.switch,
+                        },
+                    );
+                    run.metrics.on_switch_decision(scores.spatial, scores.temporal);
+                    scores.switch
+                }
+                D2pPolicy::FixedFinishRatio(r) => {
+                    let start_count: usize = dc.initial_sizes.iter().sum();
+                    dc.finished as f64 >= r * start_count as f64
+                }
+            };
+        }
+        // 4) Relaunch or retire the batch. If this is the last live batch
+        //    and the stealer still withholds requests, absorb them —
+        //    otherwise they would strand with no batch left to supplement.
+        dc.batches[bid].members = members;
+        if !dc.switching && dc.inflight.is_empty() {
+            if let Some(st) = dc.stealer.as_mut() {
+                for &m in st.withheld() {
+                    ctx += run.pool.resident_tokens(m);
+                    // Absorbed members rejoin this batch's cadence (they
+                    // were settled when withheld).
+                    run.stepper.join(&mut dc.cohorts[bid], m, &run.pool);
+                }
+                st.take_withheld_into(&mut dc.batches[bid].members);
+            }
+        }
+        dc.batch_ctx[bid] = ctx;
+        let b = &dc.batches[bid];
+        if !dc.switching && !b.is_empty() {
+            eng.cost.decode_job_into(b.len(), ctx, &mut self.job);
+            // The decoupled control plane charges only the launch cost: the
+            // bookkeeping overlaps the other in-flight batches (§3.2).
+            let ready = now + e.engine_overhead;
+            plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Decode, bid as u64);
+            run.metrics.on_decode_step(b.len());
+            dc.inflight.push_back(bid);
+        }
+        now
+    }
+
+    /// Every decode batch has retired: settle the banked cohort state
+    /// (pool tokens, KV residency, planner advances) for members that ran
+    /// to phase end — the withheld were settled when they left their
+    /// batch — then keep the survivors. `residents` was never cleared, so
+    /// retaining the still-decoding entries preserves admission order for
+    /// the next partition.
+    fn close_decode(&mut self, run: &mut RunState, now: f64) {
+        let dc = &mut self.decode;
+        for (bid, b) in dc.batches.iter().enumerate() {
+            let coh = &mut dc.cohorts[bid];
+            for &m in &b.members {
+                let p = run.stepper.leave(coh, m, &mut run.pool, &mut self.alloc);
+                self.planner.advance(m, p);
+            }
+        }
+        self.residents.retain(|&i| run.pool.lifecycle(i) == Lifecycle::Decoding);
+        // A decode phase starts where its prefill phase's last job ended.
+        let record = PhaseRecord {
+            phase: Phase::Decode,
+            start: self.prefill.end,
+            end: now,
+            work_items: dc.steps,
+            finished: dc.finished,
+        };
+        self.end_phase(run, record);
+        self.open = None;
+    }
+
+    /// Log a finished phase and, unless the run is over, switch to the
+    /// other phase.
+    fn end_phase(&mut self, run: &mut RunState, record: PhaseRecord) {
+        self.phases.push(record);
+        run.metrics.on_phase_end(record.phase, record.start, record.end);
+        if !run.pool.all_finished() {
+            self.phase_switches += 1;
+            let from = record.phase;
+            let to = if from == Phase::Prefill { Phase::Decode } else { Phase::Prefill };
+            run.journal.record(record.end, TraceEvent::PhaseSwitch { from, to });
         }
     }
 }

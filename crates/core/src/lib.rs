@@ -16,15 +16,15 @@
 //! * [`intensity::IntensityComparator`] — the spatial-temporal intensity
 //!   comparison that picks the decode→prefill switch point (§3.5).
 //!
-//! [`engine::TdPipeEngine`] ties them together over the deterministic
-//! pipeline simulator. Every mechanism has an ablation knob mirroring the
+//! [`engine::TdPipeEngine`] ties them together as a two-phase policy on
+//! the shared run loop. Every mechanism has an ablation knob mirroring the
 //! paper's §4.4 experiments (fixed KV-occupancy switch ratio, stealing
 //! on/off, fixed request-finish switch ratio).
 //!
-//! The crate also hosts the scheduler-agnostic plumbing the baseline
-//! engines reuse: analytical [`cost`] models per parallel layout, the
-//! [`request::RequestPool`] lifecycle tracker, and [`plan`]-level memory
-//! capacity math.
+//! The crate also hosts the scheduler-agnostic plumbing the baselines
+//! reuse: the one run loop every scheduler is a policy on ([`driver`]),
+//! analytical [`cost`] models per parallel layout, the [`request`] pool,
+//! and [`plan`]-level memory capacity math.
 
 #![forbid(unsafe_code)]
 
@@ -33,6 +33,7 @@ pub mod cohort;
 pub mod config;
 pub mod control;
 pub mod cost;
+pub mod driver;
 pub mod engine;
 mod estimate;
 pub mod exec;

@@ -266,12 +266,8 @@ impl EngineMetrics {
         self.reg.observe(self.decode_batch_size, batch as f64);
     }
 
-    pub fn on_evict(&mut self, mode: EvictMode) {
-        self.on_evictions(mode, 1);
-    }
-
-    /// Bulk eviction count — the baselines tally evictions inside their
-    /// shared decode-advance helper and report the total once at finish.
+    /// Evictions made by the run's decode steps, reported once at finish
+    /// (a run preempts in one mode).
     pub fn on_evictions(&mut self, mode: EvictMode, n: u64) {
         match mode {
             EvictMode::Recompute => self.reg.add(self.evict_recompute, n),
@@ -543,7 +539,7 @@ mod tests {
         let mut m = EngineMetrics::new(false);
         m.on_prefill_admit(AdmitReason::FirstPrefill, 100);
         m.on_decode_step(32);
-        m.on_evict(EvictMode::Recompute);
+        m.on_evictions(EvictMode::Recompute, 1);
         m.sample(5.0, 0.5, 4, 2, 10);
         let report = RunReport {
             scheduler: "x".into(),

@@ -12,9 +12,10 @@
 #  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
 #      (incremental planner vs a from-scratch rebuild, cached vs naive
 #      prefill estimate, cohort reset) compile out of release builds, so
-#      the core crate's tests and the root golden and determinism tests
-#      run again in the debug profile, where a missed estimate-cache
-#      invalidation or a drifted planner fails loudly
+#      the core crate's tests and the root golden, determinism and
+#      runtime-equivalence tests run again in the debug profile, where a
+#      missed estimate-cache invalidation or a drifted planner fails
+#      loudly — on the simulator and on the threaded plane alike
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
 #   5. flight-recorder smoke: a traced CLI run whose Chrome-trace export
 #      must pass the schema validator
@@ -77,7 +78,7 @@ cargo test --release --workspace -q
 
 step "tests (debug profile: engine oracles on)"
 cargo test -q -p tdpipe-core
-cargo test -q --test baseline_golden --test determinism
+cargo test -q --test baseline_golden --test determinism --test runtime_equivalence
 
 step "smoke (bit-identical fig11 snapshot)"
 scripts/smoke.sh

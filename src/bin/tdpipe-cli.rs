@@ -22,6 +22,7 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 use tdpipe::baselines::{BaselineEngine, Batching, Layout};
 use tdpipe::core::config::EngineConfig;
+use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::fleet::{
     parse_pool, run_fleet, FleetConfig, FleetOutcome, FleetWorkload, Replica, ReplicaSpec,
@@ -33,13 +34,14 @@ use tdpipe::model::ModelSpec;
 use tdpipe::predictor::classifier::TrainConfig;
 use tdpipe::predictor::eval::ConfusionMatrix;
 use tdpipe::predictor::{LengthPredictor, OraclePredictor, OutputLenPredictor};
-use tdpipe::sim::RunReport;
 use tdpipe::spans::{
     analyze, bubble_report_json, bubble_table, span_chrome_trace, span_metrics, span_report_json,
     span_table, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, FlightRecorder};
-use tdpipe::workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, Trace, TraceStats};
+use tdpipe::workload::{
+    ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, TraceStats,
+};
 
 const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
@@ -221,6 +223,11 @@ fn baseline_of(name: &str) -> Option<(Layout, Batching)> {
     Some((layout, batching))
 }
 
+/// One engine run over a request workload: a baseline cell, or TD-Pipe
+/// from its own defaults. `record` switches TD-Pipe's (pure-observer,
+/// schedule-neutral) flight recorder and timeline on; the baselines keep
+/// neither.
+#[allow(clippy::too_many_arguments)]
 fn run_one(
     scheduler: &str,
     model: &ModelSpec,
@@ -229,7 +236,8 @@ fn run_one(
     arrivals: &[f64],
     predictor: &dyn OutputLenPredictor,
     record_metrics: bool,
-) -> Result<(RunReport, MetricsSnapshot), String> {
+    record: bool,
+) -> Result<RunOutcome, String> {
     let feasibility = |e: tdpipe::core::engine::InfeasibleConfig| e.to_string();
     match baseline_of(scheduler) {
         Some((layout, batching)) => {
@@ -237,21 +245,15 @@ fn run_one(
                 record_metrics,
                 ..EngineConfig::default()
             };
-            let out = BaselineEngine::new(layout, batching, model.clone(), node, cfg)
+            Ok(BaselineEngine::new(layout, batching, model.clone(), node, cfg)
                 .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            Ok((out.report, out.metrics))
+                .run_with_arrivals(trace, arrivals, predictor))
         }
         None if scheduler == "td" => {
-            // The span/bubble metrics are derived from the journal, so a
-            // metrics-recording run switches the (pure-observer,
-            // schedule-neutral) recorders on too.
-            let cfg = td_config(record_metrics, record_metrics, record_metrics, true);
-            let out = TdPipeEngine::new(model.clone(), node, cfg)
+            let cfg = td_config(record_metrics, record, record, true);
+            Ok(TdPipeEngine::new(model.clone(), node, cfg)
                 .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor);
-            let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-            Ok((out.report, metrics))
+                .run_with_arrivals(trace, arrivals, predictor))
         }
         None => Err(format!("unknown scheduler '{scheduler}'")),
     }
@@ -317,76 +319,26 @@ fn load_journals(
 
 /// `run --sessions N`: a closed-loop multi-turn session run on the
 /// TD-Pipe scheduler, with session-KV reuse controlled by `--reuse`.
-#[allow(clippy::too_many_arguments)]
 fn run_sessions_cmd(
-    num_sessions: usize,
-    arrival: ArrivalProcess,
+    sessions: &SessionTrace,
     reuse: bool,
-    seed: u64,
     model: &ModelSpec,
     node: &NodeSpec,
     predictor: &dyn OutputLenPredictor,
     record_metrics: bool,
-    trace_out: Option<&str>,
-    journal_out: Option<&str>,
-) -> Result<(RunReport, MetricsSnapshot), String> {
-    let mut sc = SessionConfig::small(num_sessions, seed);
-    sc.arrival = arrival;
-    let sessions = sc.generate();
-    let record = record_metrics || trace_out.is_some() || journal_out.is_some();
+    record: bool,
+) -> Result<RunOutcome, String> {
     let cfg = td_config(record_metrics, record, record, reuse);
     let out = TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
-        .run_sessions(&sessions, predictor);
+        .run_sessions(sessions, predictor);
     println!(
         "sessions: {} sessions -> {} turns, reuse {}",
         sessions.num_sessions,
         sessions.len(),
         if reuse { "on" } else { "off" }
     );
-    if let Some(path) = trace_out {
-        std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
-            .map_err(|e| format!("--trace-out {path}: {e}"))?;
-        println!(
-            "trace: {} engine events + {} timeline segments -> {path}",
-            out.journal.events().len(),
-            out.timeline.segments().len()
-        );
-    }
-    if let Some(path) = journal_out {
-        std::fs::write(path, out.journal.to_json())
-            .map_err(|e| format!("--journal-out {path}: {e}"))?;
-        println!("journal: {} event(s) -> {path}", out.journal.len());
-    }
-    let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-    Ok((out.report, metrics))
-}
-
-/// A TD-Pipe run with the flight recorder (and, when `timeline` is set,
-/// per-segment recording for the Chrome export) switched on.
-fn run_td_traced(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &dyn OutputLenPredictor,
-    timeline: bool,
-) -> Result<tdpipe::core::engine::RunOutcome, String> {
-    run_td_instrumented(model, node, trace, predictor, timeline, false)
-}
-
-/// [`run_td_traced`] with the metrics plane optionally switched on too.
-fn run_td_instrumented(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &dyn OutputLenPredictor,
-    timeline: bool,
-    metrics: bool,
-) -> Result<tdpipe::core::engine::RunOutcome, String> {
-    let cfg = td_config(metrics, true, timeline, true);
-    Ok(TdPipeEngine::new(model.clone(), node, cfg)
-        .map_err(|e| e.to_string())?
-        .run(trace, predictor))
+    Ok(out)
 }
 
 /// `run --replicas/--pool/--router`: route one workload across a replica
@@ -539,6 +491,28 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             let arrival_kind = args.get("arrival", "offline");
             let rate = args.f64("rate", 8.0)?;
             let arrival = arrival_of(&arrival_kind, rate, seed ^ 0xA881)?;
+            let reuse = match args.get("reuse", "on").as_str() {
+                "on" => true,
+                "off" => false,
+                other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
+            };
+            let sessions = match args.opt("sessions") {
+                Some(ns) => {
+                    let num_sessions: usize = ns
+                        .parse()
+                        .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
+                    let mut sc = SessionConfig::small(num_sessions, seed);
+                    sc.arrival = arrival;
+                    Some(sc.generate())
+                }
+                None => None,
+            };
+            let arrivals = match arrival {
+                ArrivalProcess::Offline => Vec::new(),
+                p => p.sample(trace.len()),
+            };
+            let trace_out = args.opt("trace-out");
+            let journal_out = args.opt("journal-out");
             let fleet_mode = ["replicas", "pool", "router"]
                 .iter()
                 .any(|k| args.opt(k).is_some());
@@ -556,64 +530,35 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 let pool_spec = args.get("pool", &format!("{node_name}:{num_replicas}"));
                 let router = args.get("router", "jsq");
                 let slo_ttft = args.f64("slo-ttft", 10.0)?;
-                let trace_out = args.opt("trace-out");
-                let journal_out = args.opt("journal-out");
-                let outcome = if let Some(ns) = args.opt("sessions") {
-                    let num_sessions: usize = ns
-                        .parse()
-                        .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
-                    let reuse = match args.get("reuse", "on").as_str() {
-                        "on" => true,
-                        "off" => false,
-                        other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
-                    };
-                    let mut sc = SessionConfig::small(num_sessions, seed);
-                    sc.arrival = arrival;
-                    let sessions = sc.generate();
-                    let outcome = run_fleet_cmd(
-                        &pool_spec,
-                        gpus,
-                        &router,
-                        slo_ttft,
-                        &model,
-                        seed,
-                        &FleetWorkload::Sessions(&sessions),
-                        predictor,
-                        want_metrics,
-                        reuse,
-                        trace_out,
-                        journal_out,
-                    )?;
+                let workload = match &sessions {
+                    Some(s) => FleetWorkload::Sessions(s),
+                    None => FleetWorkload::Requests {
+                        trace: &trace,
+                        arrivals: &arrivals,
+                    },
+                };
+                let outcome = run_fleet_cmd(
+                    &pool_spec,
+                    gpus,
+                    &router,
+                    slo_ttft,
+                    &model,
+                    seed,
+                    &workload,
+                    predictor,
+                    want_metrics,
+                    reuse,
+                    trace_out,
+                    journal_out,
+                )?;
+                if let Some(s) = &sessions {
                     println!(
                         "sessions: {} sessions -> {} turns across {} replicas",
-                        sessions.num_sessions,
-                        sessions.len(),
+                        s.num_sessions,
+                        s.len(),
                         outcome.report.num_replicas
                     );
-                    outcome
-                } else {
-                    let arrivals = match arrival {
-                        ArrivalProcess::Offline => Vec::new(),
-                        p => p.sample(trace.len()),
-                    };
-                    run_fleet_cmd(
-                        &pool_spec,
-                        gpus,
-                        &router,
-                        slo_ttft,
-                        &model,
-                        seed,
-                        &FleetWorkload::Requests {
-                            trace: &trace,
-                            arrivals: &arrivals,
-                        },
-                        predictor,
-                        want_metrics,
-                        true,
-                        trace_out,
-                        journal_out,
-                    )?
-                };
+                }
                 let metrics = match &trained {
                     Some(p) if want_metrics => outcome
                         .metrics
@@ -624,63 +569,21 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 write_metrics_outputs(&metrics, metrics_out, prom_out)?;
                 return Ok(ExitCode::SUCCESS);
             }
-            let (report, metrics) = if let Some(ns) = args.opt("sessions") {
-                if scheduler != "td" {
-                    return Err(format!(
-                        "--sessions runs the TD-Pipe scheduler only (got --scheduler {scheduler})"
-                    ));
+            // The span/bubble metrics are derived from the journal, so a
+            // metrics-recording run switches the recorders on too.
+            let traced = trace_out.is_some() || journal_out.is_some();
+            let record = want_metrics || traced;
+            if scheduler != "td" && (sessions.is_some() || traced) {
+                return Err(format!(
+                    "--sessions/--trace-out/--journal-out run the TD-Pipe scheduler only \
+                     (got --scheduler {scheduler})"
+                ));
+            }
+            let out = match &sessions {
+                Some(s) => {
+                    run_sessions_cmd(s, reuse, &model, &node, predictor, want_metrics, record)?
                 }
-                let num_sessions: usize = ns
-                    .parse()
-                    .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
-                let reuse = match args.get("reuse", "on").as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--reuse: 'on' or 'off', got '{other}'")),
-                };
-                run_sessions_cmd(
-                    num_sessions,
-                    arrival,
-                    reuse,
-                    seed,
-                    &model,
-                    &node,
-                    predictor,
-                    want_metrics,
-                    args.opt("trace-out"),
-                    args.opt("journal-out"),
-                )?
-            } else if args.opt("trace-out").is_some() || args.opt("journal-out").is_some() {
-                if scheduler != "td" {
-                    return Err(format!(
-                        "--trace-out/--journal-out only record the TD-Pipe scheduler \
-                         (got --scheduler {scheduler})"
-                    ));
-                }
-                let out =
-                    run_td_instrumented(&model, &node, &trace, predictor, true, want_metrics)?;
-                if let Some(path) = args.opt("trace-out") {
-                    std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
-                        .map_err(|e| format!("--trace-out {path}: {e}"))?;
-                    println!(
-                        "trace: {} engine events + {} timeline segments -> {path}",
-                        out.journal.events().len(),
-                        out.timeline.segments().len()
-                    );
-                }
-                if let Some(path) = args.opt("journal-out") {
-                    std::fs::write(path, out.journal.to_json())
-                        .map_err(|e| format!("--journal-out {path}: {e}"))?;
-                    println!("journal: {} event(s) -> {path}", out.journal.len());
-                }
-                let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
-                (out.report, metrics)
-            } else {
-                let arrivals = match arrival {
-                    ArrivalProcess::Offline => Vec::new(),
-                    p => p.sample(trace.len()),
-                };
-                run_one(
+                None => run_one(
                     &scheduler,
                     &model,
                     &node,
@@ -688,10 +591,28 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                     &arrivals,
                     predictor,
                     want_metrics,
-                )?
+                    record,
+                )?,
             };
-            // Fold the predictor's per-bucket hit/miss counters into the
-            // export when a trained predictor steered the run.
+            if let Some(path) = trace_out {
+                std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
+                    .map_err(|e| format!("--trace-out {path}: {e}"))?;
+                println!(
+                    "trace: {} engine events + {} timeline segments -> {path}",
+                    out.journal.events().len(),
+                    out.timeline.segments().len()
+                );
+            }
+            if let Some(path) = journal_out {
+                std::fs::write(path, out.journal.to_json())
+                    .map_err(|e| format!("--journal-out {path}: {e}"))?;
+                println!("journal: {} event(s) -> {path}", out.journal.len());
+            }
+            let report = out.report;
+            // Fold the span/bubble analysis of the journal and, when a
+            // trained predictor steered the run, its per-bucket hit/miss
+            // counters into the export.
+            let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
             let metrics = match &trained {
                 Some(p) if want_metrics => {
                     metrics.merged(ConfusionMatrix::compute(p, &trace).to_metrics())
@@ -750,7 +671,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             } else {
                 let trace = ShareGptLikeConfig::small(requests, seed).generate();
-                let out = run_td_traced(&model, &node, &trace, &OraclePredictor, false)?;
+                let out = run_one("td", &model, &node, &trace, &[], &OraclePredictor, false, true)?;
                 println!("{}", out.report);
                 print!("{}", decision_table(&out.journal));
             }
@@ -849,8 +770,8 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
         "sweep" => {
             let trace = ShareGptLikeConfig::small(requests, seed).generate();
             for s in ["tp-sb", "tp-hb", "pp-sb", "pp-hb", "td"] {
-                match run_one(s, &model, &node, &trace, &[], &OraclePredictor, false) {
-                    Ok((r, _)) => println!("{r}"),
+                match run_one(s, &model, &node, &trace, &[], &OraclePredictor, false, false) {
+                    Ok(out) => println!("{}", out.report),
                     Err(e) => println!("{s:<10} {e}"),
                 }
             }
@@ -940,7 +861,7 @@ mod tests {
         let trace = ShareGptLikeConfig::small(24, 3).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let out = run_td_traced(&model, &node, &trace, &OraclePredictor, true).unwrap();
+        let out = run_one("td", &model, &node, &trace, &[], &OraclePredictor, false, true).unwrap();
         assert!(!out.journal.is_empty(), "recorder was on");
         assert!(!out.timeline.segments().is_empty(), "timeline was on");
         let check = validate_chrome_trace(&chrome_trace(&out.timeline, &out.journal)).unwrap();
@@ -953,6 +874,42 @@ mod tests {
         // The decision table renders a header plus one row per phase.
         let table = decision_table(&out.journal);
         assert!(table.lines().count() >= 1 + out.report.phase_switches as usize);
+    }
+
+    /// A traced run is the same run with its recorders on: under Poisson
+    /// arrivals, `--journal-out` reports the makespan and phase switches of
+    /// the untraced run, and its journal records the idle waits for
+    /// arrivals.
+    #[test]
+    fn traced_poisson_run_matches_the_untraced_run() {
+        let dir = std::env::temp_dir().join("tdpipe-cli-traced-poisson-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (j, m) = (dir.join("run.journal.json"), dir.join("run.metrics.json"));
+        let code = real_main(&args(&format!(
+            "run --requests 200 --arrival poisson --rate 2 --journal-out {} --metrics-out {}",
+            j.display(),
+            m.display()
+        )))
+        .unwrap();
+        assert_eq!(code, ExitCode::SUCCESS);
+        let trace = ShareGptLikeConfig::small(200, 42).generate();
+        let arrivals = arrival_of("poisson", 2.0, 42 ^ 0xA881).unwrap().sample(trace.len());
+        let (model, node) = (model_of("13b").unwrap(), node_of("l20", 4).unwrap());
+        let untraced =
+            run_one("td", &model, &node, &trace, &arrivals, &OraclePredictor, false, false)
+                .unwrap()
+                .report;
+        let metrics: MetricsSnapshot =
+            serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
+        assert_eq!(metrics.scalar("makespan"), Some(untraced.makespan));
+        let switches = metrics.scalar("phase_switches");
+        assert_eq!(switches, Some(untraced.phase_switches as f64));
+        let journal: FlightRecorder =
+            serde_json::from_str(&std::fs::read_to_string(&j).unwrap()).unwrap();
+        assert!(journal
+            .events()
+            .iter()
+            .any(|e| matches!(e.event, tdpipe::trace::TraceEvent::ArrivalWait { .. })));
     }
 
     #[test]
@@ -969,11 +926,12 @@ mod tests {
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
         for s in ["td", "tp-sb", "tp-hb", "pp-sb", "pp-hb"] {
-            let (r, m) = run_one(s, &model, &node, &trace, &[], &OraclePredictor, true).unwrap();
-            assert_eq!(r.num_requests, 12, "{s}");
-            assert!(m.scalar("throughput_total").is_some(), "{s} exports metrics");
+            let out = run_one(s, &model, &node, &trace, &[], &OraclePredictor, true, true).unwrap();
+            assert_eq!(out.report.num_requests, 12, "{s}");
+            assert!(out.metrics.scalar("throughput_total").is_some(), "{s} exports metrics");
         }
-        assert!(run_one("magic", &model, &node, &trace, &[], &OraclePredictor, false).is_err());
+        let magic = run_one("magic", &model, &node, &trace, &[], &OraclePredictor, false, false);
+        assert!(magic.is_err());
         let err = run_one(
             "td",
             &model_of("70b").unwrap(),
@@ -981,6 +939,7 @@ mod tests {
             &trace,
             &[],
             &OraclePredictor,
+            false,
             false,
         )
         .unwrap_err();
@@ -1000,9 +959,9 @@ mod tests {
             .run(&trace, &OraclePredictor)
             .report;
         for metrics in [false, true] {
-            let (r, _) =
-                run_one("td", &model, &node, &trace, &[], &OraclePredictor, metrics).unwrap();
-            assert_eq!(r, direct, "record_metrics={metrics}");
+            let out =
+                run_one("td", &model, &node, &trace, &[], &OraclePredictor, metrics, metrics);
+            assert_eq!(out.unwrap().report, direct, "record_metrics={metrics}");
         }
     }
 
@@ -1106,12 +1065,15 @@ mod tests {
     fn session_run_reports_all_turns_and_reuse_cuts_prefill() {
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let arrival = arrival_of("poisson", 4.0, 3).unwrap();
+        let mut sc = SessionConfig::small(16, 3);
+        sc.arrival = arrival_of("poisson", 4.0, 3).unwrap();
+        let sessions = sc.generate();
         let run = |reuse| {
-            run_sessions_cmd(
-                16, arrival, reuse, 3, &model, &node, &OraclePredictor, true, None, None,
-            )
-            .unwrap()
+            let out =
+                run_sessions_cmd(&sessions, reuse, &model, &node, &OraclePredictor, true, true)
+                    .unwrap();
+            let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
+            (out.report, metrics)
         };
         let (on, m) = run(true);
         let (off, _) = run(false);

@@ -371,12 +371,14 @@ mod engine_level {
             use tdpipe::core::exec::SimExecutor;
             let (engine, cfg) = engine();
             let trace = ShareGptLikeConfig::small(80, 42).generate();
-            let sim_out = engine.run_on(
-                &trace,
-                &[],
-                &OraclePredictor,
-                Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
-            );
+            let sim_out = engine
+                .try_run_on(
+                    &trace,
+                    &[],
+                    &OraclePredictor,
+                    Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
+                )
+                .expect("the simulator cannot fail");
             let thr_out = engine
                 .try_run_on(
                     &trace,

@@ -15,31 +15,26 @@ use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
 use tdpipe::workload::{ShareGptLikeConfig, Trace};
 
-fn run(trace: &Trace, engine_cfg: EngineConfig) -> RunOutcome {
-    TdPipeEngine::new(
-        ModelSpec::llama2_13b(),
-        &NodeSpec::l20(4),
-        TdPipeConfig {
-            engine: engine_cfg,
-            ..TdPipeConfig::default()
-        },
-    )
-    .expect("13B fits 4xL20")
-    .run(trace, &OraclePredictor)
+fn run(trace: &Trace, cfg: TdPipeConfig) -> RunOutcome {
+    TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
+        .expect("13B fits 4xL20")
+        .run(trace, &OraclePredictor)
 }
 
-fn metered_cfg() -> EngineConfig {
-    EngineConfig {
-        record_metrics: true,
-        ..EngineConfig::default()
-    }
+/// TD-Pipe's own defaults with only the metrics plane (and optionally the
+/// timeline) switched on.
+fn metered_cfg(record_timeline: bool) -> TdPipeConfig {
+    let mut cfg = TdPipeConfig::default();
+    cfg.engine.record_metrics = true;
+    cfg.engine.record_timeline = record_timeline;
+    cfg
 }
 
 #[test]
 fn snapshot_is_byte_identical_across_identical_runs() {
     let trace = ShareGptLikeConfig::small(150, 23).generate();
-    let a = run(&trace, metered_cfg());
-    let b = run(&trace, metered_cfg());
+    let a = run(&trace, metered_cfg(false));
+    let b = run(&trace, metered_cfg(false));
     assert!(!a.metrics.is_empty());
     assert_eq!(
         serde_json::to_string(&a.metrics).unwrap(),
@@ -53,8 +48,8 @@ fn recording_metrics_does_not_perturb_the_schedule() {
     // The metrics plane must be a pure observer, exactly like the flight
     // recorder: reports and phase structure match with the gate on or off.
     let trace = ShareGptLikeConfig::small(150, 7).generate();
-    let on = run(&trace, metered_cfg());
-    let off = run(&trace, EngineConfig::default());
+    let on = run(&trace, metered_cfg(false));
+    let off = run(&trace, TdPipeConfig::default());
     assert_eq!(on.report, off.report);
     assert_eq!(on.phases, off.phases);
     assert!(!on.metrics.is_empty());
@@ -64,13 +59,7 @@ fn recording_metrics_does_not_perturb_the_schedule() {
 #[test]
 fn snapshot_carries_the_run_headlines_and_series() {
     let trace = ShareGptLikeConfig::small(120, 11).generate();
-    let out = run(
-        &trace,
-        EngineConfig {
-            record_timeline: true,
-            ..metered_cfg()
-        },
-    );
+    let out = run(&trace, metered_cfg(true));
     let m = &out.metrics;
     assert_eq!(
         m.scalar("throughput_total"),
@@ -128,7 +117,7 @@ fn snapshot_carries_the_run_headlines_and_series() {
 #[test]
 fn prom_rendering_passes_the_validator() {
     let trace = ShareGptLikeConfig::small(120, 11).generate();
-    let out = run(&trace, metered_cfg());
+    let out = run(&trace, metered_cfg(false));
     let text = to_prom(&out.metrics);
     let check = validate_prom(&text).expect("valid exposition format");
     assert!(check.samples > 0);
@@ -145,7 +134,10 @@ fn all_four_baselines_export_the_shared_taxonomy() {
     let trace = ShareGptLikeConfig::small(64, 9).generate();
     let model = ModelSpec::llama2_13b();
     let node = NodeSpec::l20(4);
-    let cfg = metered_cfg();
+    let cfg = EngineConfig {
+        record_metrics: true,
+        ..EngineConfig::default()
+    };
     let outs: Vec<(&str, MetricsSnapshot)> = vec![
         (
             "TP+SB",
@@ -201,7 +193,7 @@ fn all_four_baselines_export_the_shared_taxonomy() {
 #[test]
 fn diff_gate_passes_self_and_fails_doctored_throughput() {
     let trace = ShareGptLikeConfig::small(100, 5).generate();
-    let out = run(&trace, metered_cfg());
+    let out = run(&trace, metered_cfg(false));
     let rules = default_rules();
 
     let clean = diff_snapshots(&out.metrics, &out.metrics, &rules);

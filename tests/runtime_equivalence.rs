@@ -151,34 +151,24 @@ fn full_tdpipe_engine_runs_identically_on_real_threads() {
     )
     .unwrap();
 
-    let sim_out = engine.run_on(
-        &trace,
-        &[],
-        &OraclePredictor,
-        Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
-    );
-    let thr_out = engine.run_on(
-        &trace,
-        &[],
-        &OraclePredictor,
-        Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, false)),
-    );
-
-    assert_eq!(sim_out.report.num_requests, thr_out.report.num_requests);
-    assert_eq!(sim_out.report.output_tokens, thr_out.report.output_tokens);
-    assert_eq!(sim_out.report.phase_switches, thr_out.report.phase_switches);
-    assert!(
-        (sim_out.report.makespan - thr_out.report.makespan).abs() < 1e-6,
-        "sim {} vs threads {}",
-        sim_out.report.makespan,
-        thr_out.report.makespan
-    );
-    let (sl, tl) = (
-        sim_out.report.latency.unwrap(),
-        thr_out.report.latency.unwrap(),
-    );
-    assert!((sl.completion_mean - tl.completion_mean).abs() < 1e-6);
-    assert!((sl.ttft_mean - tl.ttft_mean).abs() < 1e-6);
+    let sim_out = engine
+        .try_run_on(
+            &trace,
+            &[],
+            &OraclePredictor,
+            Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
+        )
+        .expect("the simulator cannot fail");
+    let thr_out = engine
+        .try_run_on(
+            &trace,
+            &[],
+            &OraclePredictor,
+            Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, false)),
+        )
+        .expect("healthy plane");
+    assert_eq!(sim_out.report, thr_out.report);
+    assert_eq!(sim_out.phases, thr_out.phases);
 }
 
 #[test]
@@ -214,6 +204,72 @@ fn every_baseline_runs_identically_on_real_threads() {
     }
 }
 
+/// Online arrivals exercise the shared loop's idle fast-forward and the
+/// arrival checks on real threads: every scheduler, driving the threaded
+/// hierarchy-controller under Poisson arrivals, reproduces its simulator
+/// report exactly (and TD-Pipe its phase log too).
+#[test]
+fn every_scheduler_runs_poisson_arrivals_identically_on_real_threads() {
+    use tdpipe::baselines::{BaselineEngine, Batching, Layout};
+    use tdpipe::core::config::EngineConfig;
+    use tdpipe::core::exec::SimExecutor;
+    use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+    use tdpipe::predictor::OraclePredictor;
+    use tdpipe::runtime::ThreadedExecutor;
+    use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+
+    let poisson = |n: usize| {
+        let trace = ShareGptLikeConfig::small(n, 42).generate();
+        let arrivals = ArrivalProcess::Poisson {
+            rate_per_s: 4.0,
+            seed: 42,
+        }
+        .sample(n);
+        (trace, arrivals)
+    };
+
+    let (trace, arrivals) = poisson(200);
+    let cfg = TdPipeConfig::default();
+    let engine = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg.clone())
+        .expect("13B fits 4xL20");
+    let mode = cfg.engine.transfer_mode;
+    let sim = engine
+        .try_run_on(&trace, &arrivals, &OraclePredictor, Box::new(SimExecutor::new(4, mode, false)))
+        .expect("the simulator cannot fail");
+    let threaded = engine
+        .try_run_on(
+            &trace,
+            &arrivals,
+            &OraclePredictor,
+            Box::new(ThreadedExecutor::spawn(4, mode, false)),
+        )
+        .expect("healthy plane");
+    assert!(sim.report.phase_switches > 2, "arrivals must split the run into phases");
+    assert_eq!(sim.report, threaded.report, "TD-Pipe");
+    assert_eq!(sim.phases, threaded.phases, "TD-Pipe");
+
+    let (trace, arrivals) = poisson(120);
+    let cfg = EngineConfig::default();
+    for layout in Layout::ALL {
+        for batching in Batching::ALL {
+            let engine = BaselineEngine::new(
+                layout,
+                batching,
+                ModelSpec::llama2_13b(),
+                &NodeSpec::l20(4),
+                cfg.clone(),
+            )
+            .expect("13B fits 4xL20");
+            let sim = engine.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+            let plane = ThreadedExecutor::spawn(engine.num_stages(), cfg.transfer_mode, false);
+            let threaded = engine
+                .try_run_on(&trace, &arrivals, &OraclePredictor, Box::new(plane))
+                .expect("healthy plane");
+            assert_eq!(sim.report, threaded.report, "{}", engine.name());
+        }
+    }
+}
+
 #[test]
 fn threaded_engine_utilization_matches_sim() {
     use tdpipe::core::exec::SimExecutor;
@@ -227,18 +283,22 @@ fn threaded_engine_utilization_matches_sim() {
     cfg.engine.record_timeline = true;
     let engine =
         TdPipeEngine::new(ModelSpec::qwen2_5_32b(), &NodeSpec::a100(4), cfg.clone()).unwrap();
-    let sim_out = engine.run_on(
-        &trace,
-        &[],
-        &OraclePredictor,
-        Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, true)),
-    );
-    let thr_out = engine.run_on(
-        &trace,
-        &[],
-        &OraclePredictor,
-        Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, true)),
-    );
+    let sim_out = engine
+        .try_run_on(
+            &trace,
+            &[],
+            &OraclePredictor,
+            Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, true)),
+        )
+        .expect("the simulator cannot fail");
+    let thr_out = engine
+        .try_run_on(
+            &trace,
+            &[],
+            &OraclePredictor,
+            Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, true)),
+        )
+        .expect("healthy plane");
     assert!(
         (sim_out.report.mean_utilization - thr_out.report.mean_utilization).abs() < 1e-6,
         "sim {} vs threads {}",

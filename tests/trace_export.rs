@@ -2,7 +2,6 @@
 //! and deterministic, and turning recording on or off never changes the
 //! schedule itself.
 
-use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
@@ -11,25 +10,23 @@ use tdpipe::predictor::OraclePredictor;
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, TraceEvent};
 use tdpipe::workload::{ShareGptLikeConfig, Trace};
 
-fn run(trace: &Trace, engine_cfg: EngineConfig) -> RunOutcome {
-    TdPipeEngine::new(
-        ModelSpec::llama2_13b(),
-        &NodeSpec::l20(4),
-        TdPipeConfig {
-            engine: engine_cfg,
-            ..TdPipeConfig::default()
-        },
-    )
-    .expect("13B fits 4xL20")
-    .run(trace, &OraclePredictor)
+fn run(trace: &Trace, cfg: TdPipeConfig) -> RunOutcome {
+    TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
+        .expect("13B fits 4xL20")
+        .run(trace, &OraclePredictor)
 }
 
-fn traced_cfg() -> EngineConfig {
-    EngineConfig {
-        record_trace: true,
-        record_timeline: true,
-        ..EngineConfig::default()
-    }
+/// TD-Pipe's own defaults with only the observer switches set.
+fn observed(record_trace: bool, record_timeline: bool, record_occupancy: bool) -> TdPipeConfig {
+    let mut cfg = TdPipeConfig::default();
+    cfg.engine.record_trace = record_trace;
+    cfg.engine.record_timeline = record_timeline;
+    cfg.engine.record_occupancy = record_occupancy;
+    cfg
+}
+
+fn traced_cfg() -> TdPipeConfig {
+    observed(true, true, true)
 }
 
 #[test]
@@ -73,15 +70,7 @@ fn recording_does_not_perturb_the_schedule() {
     // occupancy) on must equal the report with everything off.
     let trace = ShareGptLikeConfig::small(150, 7).generate();
     let on = run(&trace, traced_cfg());
-    let off = run(
-        &trace,
-        EngineConfig {
-            record_trace: false,
-            record_timeline: false,
-            record_occupancy: false,
-            ..EngineConfig::default()
-        },
-    );
+    let off = run(&trace, observed(false, false, false));
     assert_eq!(on.report, off.report);
     assert_eq!(on.phases, off.phases);
     assert!(on.journal.events().len() > 0);
@@ -91,14 +80,8 @@ fn recording_does_not_perturb_the_schedule() {
 #[test]
 fn occupancy_gate_controls_sampling_without_changing_results() {
     let trace = ShareGptLikeConfig::small(120, 5).generate();
-    let on = run(&trace, EngineConfig::default());
-    let off = run(
-        &trace,
-        EngineConfig {
-            record_occupancy: false,
-            ..EngineConfig::default()
-        },
-    );
+    let on = run(&trace, TdPipeConfig::default());
+    let off = run(&trace, observed(false, false, false));
     // Default keeps Fig. 12 data flowing; the gate only drops the samples.
     assert!(!on.occupancy.samples().is_empty());
     assert!(off.occupancy.samples().is_empty());
