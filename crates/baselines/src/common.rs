@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 use tdpipe_core::cohort::{DecodeCohort, Recompute, StepEnv};
-use tdpipe_core::config::EngineConfig;
+use tdpipe_core::config::{BLOCK_SIZE, WATERMARK};
 use tdpipe_core::driver::RunState;
 use tdpipe_core::request::RequestPool;
 use tdpipe_kvcache::BlockAllocator;
@@ -41,16 +41,16 @@ pub struct Lane {
 /// requests round-robin (vLLM assigns each arriving request to the
 /// scheduler with the fewest unfinished requests; for an offline
 /// all-at-once trace that is round-robin).
-pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64, cfg: &EngineConfig) -> Vec<Lane> {
+pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
     assert!(lanes > 0, "need at least one lane");
     let blocks = total_blocks / lanes as u64;
     // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and blocks ≤
     // 2^32, so the ceil stays inside u64; rounding up is the conservative
     // direction for admission.
-    let watermark_blocks = (blocks as f64 * cfg.watermark).ceil() as u64;
+    let watermark_blocks = (blocks as f64 * WATERMARK).ceil() as u64;
     (0..lanes)
         .map(|lane| {
-            let mut alloc = BlockAllocator::new(blocks, cfg.block_size);
+            let mut alloc = BlockAllocator::new(blocks, BLOCK_SIZE);
             // Ids are pool indices; pre-size each lane's residency table
             // so allocation never grows it mid-run.
             alloc.reserve_ids(n);
@@ -60,7 +60,7 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64, cfg: &EngineConfig)
                 watermark_blocks,
                 residents: Vec::new(),
                 ctx: 0,
-                cohort: DecodeCohort::new(cfg.block_size),
+                cohort: DecodeCohort::new(BLOCK_SIZE),
                 prefilling: VecDeque::new(),
             }
         })
@@ -181,7 +181,7 @@ mod tests {
     }
 
     fn single_lane(st: &RunState, blocks: u64) -> Lane {
-        let mut lanes = make_lanes(st.pool.len(), 1, blocks, &EngineConfig::default());
+        let mut lanes = make_lanes(st.pool.len(), 1, blocks);
         lanes.pop().expect("one lane")
     }
 
@@ -195,7 +195,7 @@ mod tests {
 
     #[test]
     fn lanes_split_blocks_and_requests_evenly() {
-        let lanes = make_lanes(10, 4, 1000, &EngineConfig::default());
+        let lanes = make_lanes(10, 4, 1000);
         assert_eq!(lanes.len(), 4);
         assert!(lanes.iter().all(|l| l.alloc.num_blocks() == 250));
         let sizes: Vec<usize> = lanes.iter().map(|l| l.pending.len()).collect();

@@ -5,7 +5,7 @@
 //!
 //! * [`Layout`] fixes the lanes and the pricing. Tensor parallelism is one
 //!   lane priced by [`TpCost`]; pipeline parallelism is `num_stages` lanes
-//!   priced by [`PpCost`], with at most `pp_inflight_limit` jobs in flight.
+//!   priced by [`PpCost`], with at most `PP_INFLIGHT_LIMIT` jobs in flight.
 //! * [`Batching`] picks an idle lane's next job. Separate batching runs a
 //!   prefill batch if one fits, else a decode step; hybrid batching runs
 //!   the resident decodes plus prefill chunks up to `chunk_token_budget`.
@@ -17,7 +17,7 @@
 //! one decode step, and returns a [`RunOutcome`].
 
 use crate::common::{make_lanes, Lane};
-use tdpipe_core::config::EngineConfig;
+use tdpipe_core::config::{EngineConfig, PREFILL_TOKEN_BUDGET};
 use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
 use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
@@ -31,6 +31,24 @@ use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::SegmentKind;
 use tdpipe_trace::EvictMode;
 use tdpipe_workload::Trace;
+
+/// Maximum micro-batches a pipeline-parallel baseline keeps in flight.
+/// vLLM 0.5.x's virtual engines could overlap in principle, but its
+/// Python driver processed outputs synchronously between steps, so in
+/// practice only a shallow overlap was achieved — the root of the paper's
+/// finding that PP baselines trail even TP on PCIe. `1` would be strictly
+/// serial; `>= num_stages` an idealised fully pipelined executor (what
+/// TD-Pipe's hierarchy-controller achieves).
+const PP_INFLIGHT_LIMIT: usize = 2;
+
+/// Fraction of the *ideal* compute/memory overlap a fused hybrid
+/// (chunked-prefill + decode) iteration achieves. 1.0 would hide the
+/// chunk's compute perfectly under the decode's memory streaming; 0.0
+/// would serialise the two parts (separate attention kernels, mixed
+/// batches falling off the paged-decode fast path). Real engines sit in
+/// between: the GEMMs genuinely fuse, the attention paths and ragged
+/// batching do not.
+const HYBRID_OVERLAP: f64 = 0.55;
 
 /// How the model is split over the node's GPUs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +87,7 @@ pub enum Batching {
     /// iteration carries all resident decodes plus prefill chunks up to a
     /// token budget. Chunks re-read their cached prefix, and the fused
     /// iteration only partly overlaps prefill compute with decode memory
-    /// streaming (`EngineConfig::hybrid_overlap`).
+    /// streaming (`HYBRID_OVERLAP`).
     Hybrid,
 }
 
@@ -177,11 +195,11 @@ impl BaselineEngine {
     ) -> Result<Self, InfeasibleConfig> {
         let (plan, shape) = match layout {
             Layout::Tensor => (
-                MemoryPlan::tensor(&model, node, cfg.block_size, cfg.mem_reserve_bytes),
+                MemoryPlan::tensor(&model, node, cfg.mem_reserve_bytes),
                 "tensor shards",
             ),
             Layout::Pipeline => (
-                MemoryPlan::pipeline(&model, node, cfg.block_size, cfg.mem_reserve_bytes),
+                MemoryPlan::pipeline(&model, node, cfg.mem_reserve_bytes),
                 "pipeline stages",
             ),
         };
@@ -267,13 +285,12 @@ impl BaselineEngine {
         let n = self.num_stages() as usize;
         let policy = LaneRun {
             engine: self,
-            lanes: make_lanes(run.pool.len(), n, self.plan.kv_blocks, &self.cfg),
+            lanes: make_lanes(run.pool.len(), n, self.plan.kv_blocks),
             jobs: (0..n).map(|_| Job::default()).collect(),
             lens: Vec::new(),
             chunks: Vec::new(),
             staged: StagedJob::default(),
             ctrl: ControlPlane::new(&self.cfg),
-            limit: self.cfg.pp_inflight_limit.max(1),
             first: 0,
         };
         drive(policy, run, plane, 0.0)
@@ -332,9 +349,6 @@ struct LaneRun<'a> {
     chunks: Vec<(u32, u32)>,
     staged: StagedJob,
     ctrl: ControlPlane,
-    /// Jobs in flight at most. A lane runs one job at a time, so the
-    /// single tensor lane never exceeds one whatever the limit.
-    limit: usize,
     /// Where the round-robin scan starts: after the lane that last
     /// completed, or at lane 0 after an idle jump.
     first: usize,
@@ -344,7 +358,9 @@ impl Policy for LaneRun<'_> {
     fn launch(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) -> f64 {
         let n = self.lanes.len();
         for off in 0..n {
-            if plane.outstanding() >= self.limit {
+            // A lane runs one job at a time, so the single tensor lane
+            // never exceeds one whatever the limit.
+            if plane.outstanding() >= PP_INFLIGHT_LIMIT {
                 break;
             }
             let sid = (self.first + off) % n;
@@ -435,7 +451,7 @@ impl LaneRun<'_> {
             Batching::Separate if decode_b < max_seqs && lane.can_admit(&run.pool, now) => {
                 lane.pack_prefill_batch_into(
                     run,
-                    eng.cfg.prefill_token_budget,
+                    PREFILL_TOKEN_BUDGET,
                     max_seqs - decode_b,
                     now,
                     &mut job.prefilled,
@@ -504,7 +520,7 @@ impl LaneRun<'_> {
                 (work, kind)
             }
         };
-        eng.cost.price(work, eng.cfg.hybrid_overlap, &mut self.staged);
+        eng.cost.price(work, HYBRID_OVERLAP, &mut self.staged);
         plane.launch(now, &self.staged.exec, &self.staged.xfer, kind, sid as u64);
         job.busy = true;
     }
@@ -515,6 +531,13 @@ mod tests {
     use super::*;
     use tdpipe_predictor::OraclePredictor;
     use tdpipe_workload::ShareGptLikeConfig;
+
+    #[test]
+    fn pp_executor_overlaps_shallowly() {
+        // vLLM 0.5.x could not keep a 4-deep pipeline fed (see
+        // `PP_INFLIGHT_LIMIT`).
+        const { assert!(PP_INFLIGHT_LIMIT < 4) };
+    }
 
     fn engine(
         layout: Layout,

@@ -2,8 +2,9 @@
 //! threaded hierarchy-controller runtime it models.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::time::Duration;
 use tdpipe_runtime::{Cluster, JobSpec};
-use tdpipe_sim::{EventQueue, PipelineSim, SegmentKind, TransferMode};
+use tdpipe_sim::{PipelineSim, SegmentKind, TransferMode};
 
 fn bench_sim(c: &mut Criterion) {
     c.bench_function("pipeline_launch_4stage", |b| {
@@ -28,37 +29,28 @@ fn bench_sim(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("event_queue_push_pop", |b| {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for i in 0..1000 {
-            q.push(i as f64, i);
-        }
-        let mut t = 1000.0;
-        b.iter(|| {
-            t += 1.0;
-            q.push(t, 0);
-            black_box(q.pop())
-        })
-    });
-
     // Real threads: 1000 jobs through the 4-worker hierarchy-controller
     // (measures channel + virtual-clock overhead per job).
     c.bench_function("threaded_cluster_1000_jobs", |b| {
+        let deadline = Duration::from_secs(10);
         b.iter(|| {
-            let cluster = Cluster::spawn(4, TransferMode::Async);
+            let mut cluster = Cluster::spawn(4, TransferMode::Async);
             for id in 0..1000u64 {
-                cluster.launch(JobSpec {
+                let exec = vec![0.01; 4];
+                let xfer = vec![0.001; 3];
+                let job = JobSpec {
                     id,
                     ready: 0.0,
-                    exec: vec![0.01; 4],
-                    xfer: vec![0.001; 3],
+                    exec,
+                    xfer,
                     kind: SegmentKind::Decode,
-                });
+                };
+                cluster.launch(job).unwrap();
             }
             for _ in 0..1000 {
-                cluster.completions().recv().unwrap();
+                cluster.next_completion(deadline).unwrap();
             }
-            cluster.shutdown()
+            cluster.shutdown(deadline).unwrap()
         })
     });
 }

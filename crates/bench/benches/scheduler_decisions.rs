@@ -4,7 +4,6 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use tdpipe_baselines::common::make_lanes;
-use tdpipe_core::config::EngineConfig;
 use tdpipe_core::greedy::GreedyPrefillPlanner;
 use tdpipe_core::intensity::{IntensityComparator, PrefillPhaseEstimate};
 use tdpipe_core::driver::RunState;
@@ -71,9 +70,7 @@ fn bench_decisions(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut st = RunState::new(&trace, &[], |r| r.output_len, false, false);
-                let mut lane = make_lanes(trace.len(), 1, 600, &EngineConfig::default())
-                    .pop()
-                    .expect("one lane");
+                let mut lane = make_lanes(trace.len(), 1, 600).pop().expect("one lane");
                 while lane.head_fits(&st.pool) {
                     let (idx, _) = lane.admit_head(&mut st);
                     lane.start_decoding(&mut st, idx, 0.0);

@@ -175,22 +175,6 @@ where
         .collect()
 }
 
-/// [`run_cells_parallel_with_threads`] for online sweeps: every cell runs
-/// over the same trace *and* the same arrival vector. Same lock-free
-/// claim-off-a-counter shape; results come back in input order and are
-/// byte-identical to a serial pass.
-pub fn run_cells_parallel_arrivals_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    cells: &[(Scheduler, ModelSpec, NodeSpec)],
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
-    map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler_with_arrivals(*s, model, node, trace, arrivals, predictor)
-    })
-}
-
 /// Run TD-Pipe with an explicit configuration (ablations).
 pub fn run_tdpipe<P: OutputLenPredictor + ?Sized>(
     model: &ModelSpec,
@@ -216,11 +200,13 @@ pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    run_cells_parallel_with_threads(cells, trace, predictor, threads)
+    run_cells_parallel_with_threads(cells, trace, &[], predictor, threads)
 }
 
 /// [`run_cells_parallel`] with an explicit worker count (the determinism
-/// tests sweep this to prove thread count cannot affect results).
+/// tests sweep this to prove thread count cannot affect results) and
+/// per-request `arrivals` shared by every cell (empty = offline, all at
+/// t = 0; see [`run_scheduler_with_arrivals`]).
 ///
 /// Lock-free: workers claim cells off a shared atomic counter (so long
 /// cells do not serialise behind short ones), buffer `(index, report)`
@@ -230,11 +216,12 @@ pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
 pub fn run_cells_parallel_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
     cells: &[(Scheduler, ModelSpec, NodeSpec)],
     trace: &Trace,
+    arrivals: &[f64],
     predictor: &P,
     threads: usize,
 ) -> Vec<Option<RunReport>> {
     map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler(*s, model, node, trace, predictor)
+        run_scheduler_with_arrivals(*s, model, node, trace, arrivals, predictor)
     })
 }
 
@@ -280,24 +267,13 @@ impl SweepSpec {
     }
 }
 
-/// Run a multi-cell, multi-seed sweep in parallel with scoped threads.
+/// Run a multi-cell, multi-seed sweep on `threads` scoped workers.
 ///
 /// Each spec is an independent deterministic simulation over its own
 /// generated trace, so the results are byte-identical to calling
-/// [`SweepSpec::run`] on each spec in order — only the wall time shrinks.
-/// Results come back in input order.
-pub fn run_sweep_parallel<P: OutputLenPredictor + Sync + ?Sized>(
-    specs: &[SweepSpec],
-    predictor: &P,
-) -> Vec<Option<RunReport>> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    run_sweep_parallel_with_threads(specs, predictor, threads)
-}
-
-/// [`run_sweep_parallel`] with an explicit worker count (the determinism
-/// tests sweep this to prove thread count cannot affect results).
+/// [`SweepSpec::run`] on each spec in order for any `threads` (the
+/// determinism tests sweep it) — only the wall time shrinks. Results come
+/// back in input order.
 ///
 /// Same lock-free shape as [`run_cells_parallel_with_threads`]: workers
 /// claim specs off a shared atomic counter, generate the spec's trace
@@ -405,7 +381,7 @@ mod tests {
                 ));
             }
         }
-        let par = run_sweep_parallel(&specs, &OraclePredictor);
+        let par = run_sweep_parallel_with_threads(&specs, &OraclePredictor, 4);
         for (spec, got) in specs.iter().zip(&par) {
             let serial = spec.run(&OraclePredictor);
             assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));

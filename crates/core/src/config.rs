@@ -1,8 +1,42 @@
 //! Engine configuration shared by TD-Pipe and the baselines, plus the
-//! TD-Pipe-specific policy knobs the ablation studies sweep.
+//! TD-Pipe-specific policy knobs the ablation studies sweep. Values the
+//! paper's setup fixes and nothing sweeps are constants, not fields.
 
 use serde::{Deserialize, Serialize};
 use tdpipe_sim::TransferMode;
+
+/// Paged-attention block size in tokens: vLLM's default, which the
+/// paper's §4.1 vLLM setup runs TD-Pipe and every baseline with.
+pub const BLOCK_SIZE: u32 = tdpipe_model::DEFAULT_BLOCK_SIZE;
+
+/// Maximum tokens packed into one separate-batching prefill batch. A
+/// calibration constant shared by every separate-batching scheduler, so
+/// prefill batch shapes stay comparable across them.
+pub const PREFILL_TOKEN_BUDGET: u32 = 4096;
+
+/// Fraction of KV blocks kept free as admission watermark during prefill
+/// (vLLM's 1% guard against immediate thrashing).
+pub const WATERMARK: f64 = 0.01;
+
+/// Effective host-link bandwidth for KV swapping, bytes/s (only used by
+/// [`PreemptionMode::Swap`]): roughly what the nodes' PCIe Gen4 ×16 links
+/// sustain for host copies.
+pub const HOST_LINK_BW: f64 = 20.0e9;
+
+/// Spacing of Algorithm 1's `futurePoints` in decode steps (the paper's
+/// example grid, §3.3).
+pub const FUTURE_POINT_STRIDE: u32 = 32;
+
+/// Last `futurePoint` Algorithm 1 checks (the paper's example uses
+/// 32…1024).
+pub const FUTURE_POINT_MAX: u32 = 1024;
+
+/// Algorithm 1's `futurePoints` grid: 32, 64, …, 1024.
+pub fn future_points() -> Vec<u32> {
+    (1..=FUTURE_POINT_MAX / FUTURE_POINT_STRIDE)
+        .map(|i| i * FUTURE_POINT_STRIDE)
+        .collect()
+}
 
 /// Scheduler-agnostic engine parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -13,13 +47,9 @@ pub struct EngineConfig {
     /// from execution and overrides this to [`TransferMode::Async`]
     /// (see [`TdPipeConfig::default`]).
     pub transfer_mode: TransferMode,
-    /// Paged-attention block size in tokens.
-    pub block_size: u32,
     /// Per-GPU bytes reserved for activations/workspace (subtracted from
     /// the KV budget, like vLLM's `gpu_memory_utilization` headroom).
     pub mem_reserve_bytes: u64,
-    /// Maximum tokens packed into one separate-batching prefill batch.
-    pub prefill_token_budget: u32,
     /// Token budget per hybrid-batching iteration (chunked prefill).
     pub chunk_token_budget: u32,
     /// Fixed control-plane cost per scheduling iteration (batch assembly,
@@ -38,33 +68,9 @@ pub struct EngineConfig {
     /// paper's baselines ran with). `None` removes the cap; TD-Pipe's
     /// scheduler sizes batches from memory alone.
     pub max_num_seqs: Option<usize>,
-    /// Maximum micro-batches a pipeline-parallel baseline keeps in flight
-    /// simultaneously. vLLM 0.5.x's virtual engines could overlap in
-    /// principle, but its Python driver processed outputs synchronously
-    /// between steps, so in practice only a shallow overlap was achieved —
-    /// the root of the paper's finding that PP baselines trail even TP on
-    /// PCIe. `1` = strictly serial; `>= num_stages` = an idealised fully
-    /// pipelined executor (what TD-Pipe's hierarchy-controller achieves).
-    pub pp_inflight_limit: usize,
-    /// Fraction of the *ideal* compute/memory overlap a fused hybrid
-    /// (chunked-prefill + decode) iteration achieves. 1.0 = the chunk's
-    /// compute hides perfectly under the decode's memory streaming;
-    /// 0.0 = the two parts serialise (separate attention kernels, mixed
-    /// batches falling off the paged-decode fast path). Real engines sit
-    /// in between.
-    pub hybrid_overlap: f64,
-    /// Fraction of KV blocks kept free as admission watermark during
-    /// prefill (guards against immediate thrashing).
-    pub watermark: f64,
     /// Whether the pipeline simulator records per-segment timelines
     /// (needed for utilization-in-window and Gantt exports; costs memory).
     pub record_timeline: bool,
-    /// Whether the engine samples the KV-occupancy trace (Fig. 12's data:
-    /// one sample per prefill-batch completion and per decode-batch
-    /// return). On by default to preserve figure artifacts; turn off for
-    /// multi-million-request runs where the unbounded sample log is the
-    /// largest allocation in the engine.
-    pub record_occupancy: bool,
     /// Whether the scheduling flight recorder keeps a structured decision
     /// journal (`tdpipe-trace`). Off by default: a disabled recorder is a
     /// single-branch no-op, so default runs stay bit-identical. Enable
@@ -92,33 +98,23 @@ pub struct EngineConfig {
     pub session_retain_frac: f64,
     /// Overflow strategy during decode.
     pub preemption: PreemptionMode,
-    /// Effective host-link bandwidth for KV swapping, bytes/s (only used
-    /// by [`PreemptionMode::Swap`]).
-    pub host_link_bw: f64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             transfer_mode: TransferMode::Rendezvous,
-            block_size: 16,
             mem_reserve_bytes: 2 * (1 << 30),
-            prefill_token_budget: 4096,
             chunk_token_budget: 512,
             engine_overhead: 1.0e-3,
             control_per_seq: 30.0e-6,
             max_num_seqs: Some(1024),
-            pp_inflight_limit: 2,
-            hybrid_overlap: 0.55,
-            watermark: 0.01,
             record_timeline: false,
-            record_occupancy: true,
             record_trace: false,
             record_metrics: false,
             session_reuse: true,
             session_retain_frac: 0.5,
             preemption: PreemptionMode::Recompute,
-            host_link_bw: 20.0e9,
         }
     }
 }
@@ -174,10 +170,6 @@ pub struct TdPipeConfig {
     /// which otherwise bottlenecks every decode round for large-vocab or
     /// small-hidden models). Off by default for paper fidelity.
     pub lm_head_aware_partition: bool,
-    /// Spacing of Algorithm 1's `futurePoints` in decode steps.
-    pub future_point_stride: u32,
-    /// Last `futurePoint` checked (the paper's example uses 32…1024).
-    pub future_point_max: u32,
 }
 
 impl Default for TdPipeConfig {
@@ -188,25 +180,13 @@ impl Default for TdPipeConfig {
                 // stage-to-stage transfers non-blocking (§3.2).
                 transfer_mode: TransferMode::Async,
                 max_num_seqs: None,
-                pp_inflight_limit: usize::MAX,
                 ..EngineConfig::default()
             },
             p2d: P2dPolicy::Greedy,
             d2p: D2pPolicy::Intensity,
             work_stealing: true,
             lm_head_aware_partition: false,
-            future_point_stride: 32,
-            future_point_max: 1024,
         }
-    }
-}
-
-impl TdPipeConfig {
-    /// The `futurePoints` grid (32, 64, …, 1024 by default).
-    pub fn future_points(&self) -> Vec<u32> {
-        (1..=self.future_point_max / self.future_point_stride)
-            .map(|i| i * self.future_point_stride)
-            .collect()
     }
 }
 
@@ -216,8 +196,7 @@ mod tests {
 
     #[test]
     fn default_future_points_match_paper_example() {
-        let c = TdPipeConfig::default();
-        let fp = c.future_points();
+        let fp = future_points();
         assert_eq!(fp.first(), Some(&32));
         assert_eq!(fp.last(), Some(&1024));
         assert_eq!(fp.len(), 32);
@@ -246,14 +225,12 @@ mod tests {
         let e = EngineConfig::default();
         assert_eq!(e.transfer_mode, tdpipe_sim::TransferMode::Rendezvous);
         assert!(e.max_num_seqs.is_some());
-        assert!(e.pp_inflight_limit < 4);
     }
 
     #[test]
     fn defaults_are_sane() {
-        let e = EngineConfig::default();
-        assert!(e.block_size > 0);
-        assert!(e.watermark < 0.5);
-        assert!(e.engine_overhead < 0.1);
+        const { assert!(BLOCK_SIZE > 0) };
+        const { assert!(WATERMARK < 0.5) };
+        assert!(EngineConfig::default().engine_overhead < 0.1);
     }
 }

@@ -25,7 +25,10 @@
 
 use crate::batch::{partition_even_into, DecodeBatch};
 use crate::cohort::{DecodeCohort, StepEnv, StepHooks};
-use crate::config::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig};
+use crate::config::{
+    future_points, D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, BLOCK_SIZE, HOST_LINK_BW,
+    PREFILL_TOKEN_BUDGET, WATERMARK,
+};
 use crate::cost::{PpCost, StagedJob};
 use crate::driver::{drive, Close, Policy, RunState, Stall};
 use crate::estimate::PrefillEstimateCache;
@@ -82,8 +85,7 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// Per-device activity log (empty unless `record_timeline`).
     pub timeline: Timeline,
-    /// KV occupancy over time (paper Fig. 12; empty unless
-    /// `record_occupancy`, which defaults on).
+    /// KV occupancy over time (paper Fig. 12).
     pub occupancy: OccupancyTrace,
     /// Chronological phase log.
     pub phases: Vec<PhaseRecord>,
@@ -207,7 +209,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
         // ([`crate::config::EngineConfig::session_reuse`]).
         if self.engine.cfg.engine.session_reuse {
             if let Some(succ) = next {
-                let blocks = held.div_ceil(self.engine.plan.block_size as u64);
+                let blocks = held.div_ceil(BLOCK_SIZE as u64);
                 // Make room in the retention budget oldest-first; a budget
                 // too small for this prefix leaves `fits` false and we fall
                 // back to freeing.
@@ -302,13 +304,22 @@ pub struct TdPipeEngine {
 }
 
 impl TdPipeEngine {
-    /// Plan an engine; fails when some pipeline stage cannot hold its
-    /// weights plus at least one KV block.
+    /// Plan an engine; fails when the model has fewer layers than the node
+    /// has GPUs, or when some pipeline stage cannot hold its weights plus
+    /// at least one KV block.
     pub fn new(
         model: ModelSpec,
         node: &NodeSpec,
         cfg: TdPipeConfig,
     ) -> Result<Self, InfeasibleConfig> {
+        if node.num_gpus > model.layers {
+            return Err(InfeasibleConfig {
+                reason: format!(
+                    "{} has {} layers, too few for {} pipeline stages",
+                    model.name, model.layers, node.num_gpus
+                ),
+            });
+        }
         let partition = if cfg.lm_head_aware_partition {
             PpCost::lm_head_aware_partition(&model, node, 256)
         } else {
@@ -318,7 +329,6 @@ impl TdPipeEngine {
             &model,
             node,
             &partition,
-            cfg.engine.block_size,
             cfg.engine.mem_reserve_bytes,
         )
         .ok_or_else(|| InfeasibleConfig {
@@ -345,7 +355,7 @@ impl TdPipeEngine {
     /// or back in).
     fn swap_seconds(&self, tokens: u64) -> f64 {
         let kv_volume = tokens as f64 * self.cost.model().kv_bytes_per_token() as f64;
-        kv_volume / self.cfg.engine.host_link_bw
+        kv_volume / HOST_LINK_BW
     }
 
     /// Build the offline decode profile for the spatial-intensity lookup,
@@ -471,7 +481,7 @@ impl TdPipeEngine {
         let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
         let n = run.pool.len();
         let n_stages = self.cost.num_stages() as usize;
-        let mut alloc = BlockAllocator::new(self.plan.kv_blocks, self.plan.block_size);
+        let mut alloc = BlockAllocator::new(self.plan.kv_blocks, BLOCK_SIZE);
         alloc.reserve_ids(n);
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
@@ -493,8 +503,7 @@ impl TdPipeEngine {
                 reuse_misses: 0,
             }
         });
-        let mut planner =
-            GreedyPrefillPlanner::new(self.cfg.future_points(), self.plan.token_capacity());
+        let mut planner = GreedyPrefillPlanner::new(future_points(), self.plan.token_capacity());
         planner.reserve_ids(n);
         let policy = TdRun {
             engine: self,
@@ -508,14 +517,14 @@ impl TdPipeEngine {
             // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
             // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
             // round-up direction is the conservative one for admission.
-            watermark_blocks: (self.plan.kv_blocks as f64 * e.watermark).ceil() as u64,
+            watermark_blocks: (self.plan.kv_blocks as f64 * WATERMARK).ceil() as u64,
             occupancy: OccupancyTrace::new(),
             phases: Vec::new(),
             phase_switches: 0,
             open: None,
             prefill: PrefillPhase::default(),
             decode: DecodePhase {
-                cohorts: (0..n_stages).map(|_| DecodeCohort::new(self.plan.block_size)).collect(),
+                cohorts: (0..n_stages).map(|_| DecodeCohort::new(BLOCK_SIZE)).collect(),
                 batch_ctx: vec![0; n_stages],
                 ..DecodePhase::default()
             },
@@ -542,8 +551,7 @@ impl TdPipeEngine {
         pool: &RequestPool,
         alloc: &BlockAllocator,
     ) -> PrefillPhaseEstimate {
-        let e = &self.cfg.engine;
-        let mut free_tokens = alloc.free_blocks() * self.plan.block_size as u64;
+        let mut free_tokens = alloc.free_blocks() * BLOCK_SIZE as u64;
         let mut longest = 0.0f64;
         let mut phase_len = 0.0f64;
         let seq_lens = &mut Vec::new();
@@ -564,7 +572,7 @@ impl TdPipeEngine {
                 break;
             }
             free_tokens -= need;
-            if batch_tokens + t > e.prefill_token_budget && !seq_lens.is_empty() {
+            if batch_tokens + t > PREFILL_TOKEN_BUDGET && !seq_lens.is_empty() {
                 flush(&mut *seq_lens, &mut longest, &mut phase_len);
                 batch_tokens = 0;
             }
@@ -749,15 +757,14 @@ impl TdRun<'_> {
     ) -> f64 {
         let eng = self.engine;
         let e = &eng.cfg.engine;
-        let block_size = eng.plan.block_size as u64;
+        let block_size = BLOCK_SIZE as u64;
         self.open = Some(Phase::Prefill);
         // The planner is maintained incrementally across phases
         // (admit/remove/advance); in debug builds, rebuild it from scratch
         // and check the usage grids agree exactly.
         #[cfg(debug_assertions)]
         {
-            let mut oracle =
-                GreedyPrefillPlanner::new(eng.cfg.future_points(), eng.plan.token_capacity());
+            let mut oracle = GreedyPrefillPlanner::new(future_points(), eng.plan.token_capacity());
             for &i in &self.residents {
                 oracle.admit(i, run.pool.resident_tokens(i), run.pool.predicted_remaining(i));
             }
@@ -805,7 +812,7 @@ impl TdRun<'_> {
                 // the token budget does not bind them.
                 let swapped = run.pool.swapped(idx);
                 let t = run.pool.prefill_tokens(idx);
-                if !swapped && !pf.batch.is_empty() && batch_tokens + t > e.prefill_token_budget {
+                if !swapped && !pf.batch.is_empty() && batch_tokens + t > PREFILL_TOKEN_BUDGET {
                     pack_stop = PrefillStopReason::Budget;
                     break;
                 }
@@ -955,9 +962,7 @@ impl TdRun<'_> {
             let request = run.pool.id(idx).0;
             run.journal.record(pf.end, TraceEvent::PrefillDone { request });
         }
-        if self.engine.cfg.engine.record_occupancy {
-            self.occupancy.push(finish, occ, Phase::Prefill);
-        }
+        self.occupancy.push(finish, occ, Phase::Prefill);
         run.metrics.sample(finish, occ, 0, 0, self.pending.len());
     }
 
@@ -1103,9 +1108,7 @@ impl TdRun<'_> {
             }
             run.metrics.on_steal(moved.withheld, moved.supplemented);
         }
-        if e.record_occupancy {
-            self.occupancy.push(now, self.alloc.occupancy(), Phase::Decode);
-        }
+        self.occupancy.push(now, self.alloc.occupancy(), Phase::Decode);
         // 3) Decode→prefill decision.
         if !dc.switching && !self.pending.is_empty() {
             dc.switching = match eng.cfg.d2p {
@@ -1124,9 +1127,8 @@ impl TdRun<'_> {
                         &self.pending,
                         &run.pool,
                         &eng.cost,
-                        e.prefill_token_budget,
                         eng.plan.token_capacity(),
-                        self.alloc.free_blocks() * eng.plan.block_size as u64,
+                        self.alloc.free_blocks() * BLOCK_SIZE as u64,
                     );
                     // Debug cross-check: the memoized estimate must be
                     // bit-identical to the naive repack.

@@ -28,6 +28,7 @@
 //! with the slice-based pricing. A debug assertion in the engine compares
 //! the cached estimate against the naive recomputation on every query.
 
+use crate::config::PREFILL_TOKEN_BUDGET;
 use crate::cost::{PpCost, StagedJob};
 use crate::intensity::PrefillPhaseEstimate;
 use crate::request::RequestPool;
@@ -86,12 +87,11 @@ impl PrefillEstimateCache {
         pending: &VecDeque<usize>,
         pool: &RequestPool,
         cost: &PpCost,
-        prefill_token_budget: u32,
         token_capacity: u64,
         free_tokens: u64,
     ) -> PrefillPhaseEstimate {
         if !self.valid {
-            self.rebuild(pending, pool, cost, prefill_token_budget, token_capacity);
+            self.rebuild(pending, pool, cost, token_capacity);
         }
         let packed = self
             .points
@@ -121,7 +121,6 @@ impl PrefillEstimateCache {
         pending: &VecDeque<usize>,
         pool: &RequestPool,
         cost: &PpCost,
-        prefill_token_budget: u32,
         token_capacity: u64,
     ) {
         self.rebuilds += 1;
@@ -139,7 +138,7 @@ impl PrefillEstimateCache {
         for &idx in pending {
             let t = pool.prefill_tokens(idx);
             pt.cum_need += (t + pool.predicted_remaining(idx)) as u64;
-            if pt.open_seqs > 0 && pt.open_budget + t > prefill_token_budget {
+            if pt.open_seqs > 0 && pt.open_budget + t > PREFILL_TOKEN_BUDGET {
                 // Flush the open batch, exactly where the naive packer
                 // would (same u32 budget arithmetic).
                 cost.prefill_job_from_parts(

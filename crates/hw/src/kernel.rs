@@ -104,21 +104,6 @@ impl KernelModel {
         }
         t
     }
-
-    /// Same as [`Self::stage_time`] but for tensor-parallel shards.
-    pub fn stage_time_tp(
-        &self,
-        per_layer: &LayerWork,
-        layer_count: u32,
-        extras: &[LayerWork],
-        degree: u32,
-    ) -> f64 {
-        let mut t = self.layer_time_tp(per_layer, degree) * layer_count as f64;
-        for e in extras {
-            t += self.layer_time_tp(e, degree);
-        }
-        t
-    }
 }
 
 #[cfg(test)]

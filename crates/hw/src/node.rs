@@ -70,11 +70,6 @@ impl NodeSpec {
     pub fn kernel(&self) -> KernelModel {
         KernelModel::calibrated(self.gpu.clone())
     }
-
-    /// Aggregate device memory across the node in bytes.
-    pub fn total_mem_bytes(&self) -> u64 {
-        self.gpu.mem_bytes * self.num_gpus as u64
-    }
 }
 
 #[cfg(test)]
@@ -85,11 +80,11 @@ mod tests {
     fn paper_testbeds() {
         let l = NodeSpec::l20(4);
         assert_eq!(l.num_gpus, 4);
-        assert_eq!(l.total_mem_bytes(), 4 * 48 * (1u64 << 30));
+        assert_eq!(l.gpu.mem_bytes, 48 * (1u64 << 30));
         assert_eq!(l.interconnect.allreduce_bw, 14.65e9);
 
         let a = NodeSpec::a100(4);
-        assert_eq!(a.total_mem_bytes(), 4 * 80 * (1u64 << 30));
+        assert_eq!(a.gpu.mem_bytes, 80 * (1u64 << 30));
         assert_eq!(a.interconnect.allreduce_bw, 14.82e9);
     }
 

@@ -18,7 +18,7 @@
 //! The allocator is *scope-agnostic*: one instance manages the binding
 //! stage of a pipeline (the stage whose blocks run out first), or a TP
 //! shard's pooled view — the caller decides what a block means physically
-//! via `tdpipe_model::KvCacheGeometry`.
+//! (`tdpipe_core::plan::MemoryPlan` sizes the pool per layout).
 
 #![forbid(unsafe_code)]
 

@@ -223,18 +223,6 @@ impl Registry {
         self.gauges[g.0 as usize] = v;
     }
 
-    /// Raise a gauge to `v` if `v` exceeds its current value (high-water).
-    #[inline]
-    pub fn set_max(&mut self, g: Gauge, v: f64) {
-        if !self.enabled {
-            return;
-        }
-        assert!(!v.is_nan(), "gauge value must not be NaN");
-        if v > self.gauges[g.0 as usize] {
-            self.gauges[g.0 as usize] = v;
-        }
-    }
-
     /// Record a histogram observation.
     #[inline]
     pub fn observe(&mut self, h: HistogramId, v: f64) {
@@ -242,15 +230,6 @@ impl Registry {
             return;
         }
         self.hists[h.0 as usize].observe(v);
-    }
-
-    /// Current value of a counter (0 when disabled) — for tests and for
-    /// exporting derived quantities.
-    pub fn counter_value(&self, c: Counter) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        self.counters[c.0 as usize]
     }
 
     /// Export every registered metric, sorted by `(name, labels)`, with no
@@ -320,10 +299,8 @@ mod tests {
         r.inc(c);
         r.add(c, 10);
         r.set(g, 3.0);
-        r.set_max(g, 9.0);
         r.observe(h, 1.0);
         assert!(r.snapshot().is_empty());
-        assert_eq!(r.counter_value(c), 0);
     }
 
     #[test]

@@ -71,19 +71,6 @@ impl LayerWork {
             tokens: self.tokens + other.tokens,
         }
     }
-
-    /// Scale all per-invocation quantities by a constant number of layers.
-    pub fn scale_layers(&self, layers: u32) -> LayerWork {
-        let f = layers as f64;
-        LayerWork {
-            flops: self.flops * f,
-            weight_bytes: self.weight_bytes * f,
-            kv_read_bytes: self.kv_read_bytes * f,
-            kv_write_bytes: self.kv_write_bytes * f,
-            act_bytes: self.act_bytes * f,
-            tokens: self.tokens,
-        }
-    }
 }
 
 /// Number of activation read/write passes we charge per layer (rough
@@ -291,15 +278,6 @@ mod tests {
         let head = qwen.lm_head_work(1);
         // 152k x 5120 x 2B ≈ 1.56 GB of weights per invocation.
         assert!(head.weight_bytes > 1.4e9);
-    }
-
-    #[test]
-    fn scale_layers_multiplies_costs() {
-        let m = ModelSpec::tiny_test();
-        let w = m.decode_layer_work(4, 100);
-        let s = w.scale_layers(8);
-        assert!((s.flops - 8.0 * w.flops).abs() < 1e-6);
-        assert_eq!(s.tokens, w.tokens);
     }
 
     #[test]

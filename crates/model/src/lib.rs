@@ -31,7 +31,7 @@ pub mod precision;
 pub mod spec;
 
 pub use flops::LayerWork;
-pub use memory::{kv_budget_bytes, KvCacheGeometry, DEFAULT_BLOCK_SIZE};
+pub use memory::{kv_budget_bytes, DEFAULT_BLOCK_SIZE};
 pub use partition::{PipelinePartition, StageAssignment, TensorShard};
 pub use precision::Precision;
 pub use spec::ModelSpec;

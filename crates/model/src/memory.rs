@@ -1,87 +1,12 @@
-//! KV-cache geometry: translating byte budgets into paged-block capacities.
+//! KV-cache memory budget: how many bytes of a GPU are left for paged KV.
 //!
 //! The KV-cache manager (crate `tdpipe-kvcache`) works in *blocks* of
-//! `block_size` tokens, mirroring vLLM's paged attention. This module owns
-//! the pure arithmetic that converts a GPU memory budget into a number of
-//! blocks for a particular parallel layout.
-
-use crate::partition::{PipelinePartition, TensorShard};
-use crate::spec::ModelSpec;
-use serde::{Deserialize, Serialize};
+//! `block_size` tokens, mirroring vLLM's paged attention; turning the
+//! budget into blocks per parallel layout is `tdpipe_core::plan::MemoryPlan`'s
+//! job.
 
 /// Default paged-attention block size in tokens (vLLM default).
 pub const DEFAULT_BLOCK_SIZE: u32 = 16;
-
-/// Geometry of a paged KV cache: how many tokens per block and how many
-/// bytes one block occupies *in the scope being managed* (a pipeline stage,
-/// a TP shard, or a whole single-GPU model).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KvCacheGeometry {
-    /// Tokens per block.
-    pub block_size: u32,
-    /// Bytes one block occupies in the managed scope.
-    pub block_bytes: u64,
-    /// Number of blocks the memory budget affords.
-    pub num_blocks: u64,
-}
-
-impl KvCacheGeometry {
-    /// Geometry for a **single GPU running the whole model** with
-    /// `budget_bytes` available for KV cache.
-    pub fn single_gpu(model: &ModelSpec, block_size: u32, budget_bytes: u64) -> Self {
-        let block_bytes = model.kv_bytes_per_token() * block_size as u64;
-        Self::from_budget(block_size, block_bytes, budget_bytes)
-    }
-
-    /// Geometry for one **pipeline stage**: the stage stores KV only for its
-    /// own layers, so the per-token cost shrinks with the stage's layer
-    /// count, and the *binding* capacity across the pipeline is the stage
-    /// with the smallest block count (a token must reside on all stages).
-    pub fn pipeline_stage(
-        model: &ModelSpec,
-        partition: &PipelinePartition,
-        stage: u32,
-        block_size: u32,
-        budget_bytes: u64,
-    ) -> Self {
-        let block_bytes = partition.stage_kv_bytes_per_token(model, stage) * block_size as u64;
-        Self::from_budget(block_size, block_bytes, budget_bytes)
-    }
-
-    /// Geometry for one **tensor-parallel shard**: heads are split, so each
-    /// GPU stores `1/degree` of every token.
-    pub fn tensor_shard(
-        model: &ModelSpec,
-        shard: &TensorShard,
-        block_size: u32,
-        budget_bytes: u64,
-    ) -> Self {
-        let block_bytes = shard.kv_bytes_per_token_per_gpu(model) * block_size as u64;
-        Self::from_budget(block_size, block_bytes, budget_bytes)
-    }
-
-    fn from_budget(block_size: u32, block_bytes: u64, budget_bytes: u64) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(block_bytes > 0, "block must occupy memory");
-        KvCacheGeometry {
-            block_size,
-            block_bytes,
-            num_blocks: budget_bytes / block_bytes,
-        }
-    }
-
-    /// Token capacity of the cache.
-    #[inline]
-    pub fn token_capacity(&self) -> u64 {
-        self.num_blocks * self.block_size as u64
-    }
-
-    /// Blocks needed to hold `tokens` tokens of one request.
-    #[inline]
-    pub fn blocks_for(&self, tokens: u64) -> u64 {
-        tokens.div_ceil(self.block_size as u64)
-    }
-}
 
 /// How much of a GPU's memory is left for KV cache after weights and an
 /// activation/workspace reserve, mirroring vLLM's `gpu_memory_utilization`
@@ -98,55 +23,9 @@ pub fn kv_budget_bytes(gpu_mem_bytes: u64, weight_bytes: u64, reserve_bytes: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::ModelSpec;
 
     const GIB: u64 = 1 << 30;
-
-    #[test]
-    fn single_gpu_capacity_matches_hand_math() {
-        let m = ModelSpec::llama2_13b();
-        // 13B on an 80 GB A100: 80e9 - 26GB weights - 2GB reserve.
-        let budget = kv_budget_bytes(80 * GIB, m.weight_bytes(), 2 * GIB);
-        let g = KvCacheGeometry::single_gpu(&m, 16, budget);
-        // kv/token = 2*40*40*128*2 = 819200 B; block = 16 tokens.
-        assert_eq!(g.block_bytes, 819_200 * 16);
-        assert_eq!(g.token_capacity(), g.num_blocks * 16);
-        assert!(g.token_capacity() > 60_000, "got {}", g.token_capacity());
-    }
-
-    #[test]
-    fn pipeline_stages_fit_more_tokens_than_single_gpu() {
-        // A 4-stage partition stores only 1/4 of each token per GPU, so with
-        // the same per-GPU budget each stage holds ~4x the tokens.
-        let m = ModelSpec::llama2_13b();
-        let p = PipelinePartition::balanced(&m, 4);
-        let budget = 10 * GIB;
-        let single = KvCacheGeometry::single_gpu(&m, 16, budget);
-        let stage = KvCacheGeometry::pipeline_stage(&m, &p, 0, 16, budget);
-        assert_eq!(stage.token_capacity(), single.token_capacity() * 4);
-    }
-
-    #[test]
-    fn tensor_shard_matches_pipeline_aggregate() {
-        // With even layer splits and even head splits, PP and TP give the
-        // same aggregate KV capacity for the same total budget.
-        let m = ModelSpec::llama2_70b();
-        let p = PipelinePartition::balanced(&m, 4);
-        let t = TensorShard::new(4);
-        let budget = 40 * GIB;
-        let stage = KvCacheGeometry::pipeline_stage(&m, &p, 0, 16, budget);
-        let shard = KvCacheGeometry::tensor_shard(&m, &t, 16, budget);
-        assert_eq!(stage.token_capacity(), shard.token_capacity());
-    }
-
-    #[test]
-    fn blocks_for_rounds_up() {
-        let m = ModelSpec::tiny_test();
-        let g = KvCacheGeometry::single_gpu(&m, 16, GIB);
-        assert_eq!(g.blocks_for(0), 0);
-        assert_eq!(g.blocks_for(1), 1);
-        assert_eq!(g.blocks_for(16), 1);
-        assert_eq!(g.blocks_for(17), 2);
-    }
 
     #[test]
     fn infeasible_budget_is_zero_not_panic() {

@@ -128,16 +128,6 @@ impl PipelinePartition {
     pub fn stage_kv_bytes_per_token(&self, model: &ModelSpec, s: u32) -> u64 {
         model.kv_bytes_per_token_per_layer() * self.stage(s).layer_count as u64
     }
-
-    /// The largest per-token KV footprint across stages. Capacity planning
-    /// must use this: the stage with the most layers fills up first, and a
-    /// token must be resident on *every* stage to be decodable.
-    pub fn max_stage_kv_bytes_per_token(&self, model: &ModelSpec) -> u64 {
-        (0..self.num_stages())
-            .map(|s| self.stage_kv_bytes_per_token(model, s))
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Intra-layer (tensor-parallel) sharding of a model over `degree` GPUs.
@@ -247,7 +237,6 @@ mod tests {
         let p = PipelinePartition::balanced(&m, 4);
         let sum: u64 = (0..4).map(|s| p.stage_kv_bytes_per_token(&m, s)).sum();
         assert_eq!(sum, m.kv_bytes_per_token());
-        assert_eq!(p.max_stage_kv_bytes_per_token(&m), m.kv_bytes_per_token() / 4);
     }
 
     #[test]

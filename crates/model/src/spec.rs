@@ -111,12 +111,6 @@ impl ModelSpec {
         self.hidden / self.heads as u64
     }
 
-    /// KV-head to query-head ratio (1.0 for MHA, e.g. 0.125 for 8/64 GQA).
-    #[inline]
-    pub fn gqa_ratio(&self) -> f64 {
-        self.kv_heads as f64 / self.heads as f64
-    }
-
     /// Parameter count of one transformer layer.
     ///
     /// Attention: `q,o` are `h×h`, `k,v` are `h×(g·head_dim)`; MLP (SwiGLU):

@@ -3,7 +3,7 @@
 
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
-use tdpipe_core::config::EngineConfig;
+use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, PREFILL_TOKEN_BUDGET, WATERMARK};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::request::RequestPool;
 use tdpipe_hw::NodeSpec;
@@ -59,15 +59,14 @@ impl OffloadEngine {
     pub fn run_at_bandwidth(&self, trace: &Trace, host_bw: f64) -> RunReport {
         let mut pool = RequestPool::new(trace.requests(), |r| r.output_len);
         let blocks = self.host_kv_bytes
-            / (self.cost.model().kv_bytes_per_token() * self.cfg.block_size as u64);
-        let mut alloc = BlockAllocator::new(blocks, self.cfg.block_size);
+            / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64);
+        let mut alloc = BlockAllocator::new(blocks, BLOCK_SIZE);
         let mut sim = PipelineSim::new(1, TransferMode::Async, self.cfg.record_timeline);
         let mut pending: std::collections::VecDeque<usize> = (0..pool.len()).collect();
         let mut residents: Vec<usize> = Vec::new();
         let mut now = 0.0f64;
         let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
-        let watermark =
-            (blocks as f64 * self.cfg.watermark).ceil() as u64;
+        let watermark = (blocks as f64 * WATERMARK).ceil() as u64;
 
         let head_fits = |pending: &std::collections::VecDeque<usize>,
                          pool: &RequestPool,
@@ -75,7 +74,7 @@ impl OffloadEngine {
             None => false,
             Some(&idx) => {
                 let t = pool.prefill_tokens(idx) as u64;
-                alloc.free_blocks() >= t.div_ceil(self.cfg.block_size as u64) + watermark
+                alloc.free_blocks() >= t.div_ceil(BLOCK_SIZE as u64) + watermark
             }
         };
 
@@ -90,7 +89,7 @@ impl OffloadEngine {
                 {
                     let idx = *pending.front().expect("head fits");
                     let t = pool.prefill_tokens(idx);
-                    if !batch.is_empty() && tokens + t > self.cfg.prefill_token_budget {
+                    if !batch.is_empty() && tokens + t > PREFILL_TOKEN_BUDGET {
                         break;
                     }
                     pending.pop_front();

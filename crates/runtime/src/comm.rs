@@ -42,12 +42,6 @@ pub struct CommContext {
 }
 
 impl CommContext {
-    /// Whether this worker runs the first stage.
-    #[inline]
-    pub fn is_first(&self) -> bool {
-        self.rank == 0
-    }
-
     /// Whether this worker runs the last stage.
     #[inline]
     pub fn is_last(&self) -> bool {
@@ -88,8 +82,8 @@ mod tests {
         let first = CommContext { rank: 0, world: 4 };
         let last = CommContext { rank: 3, world: 4 };
         let only = CommContext { rank: 0, world: 1 };
-        assert!(first.is_first() && !first.is_last());
-        assert!(!last.is_first() && last.is_last());
-        assert!(only.is_first() && only.is_last());
+        assert!(!first.is_last());
+        assert!(last.is_last());
+        assert!(only.is_last());
     }
 }

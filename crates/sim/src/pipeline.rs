@@ -91,12 +91,6 @@ impl PipelineSim {
         &self.stage_free
     }
 
-    /// The earliest time a new job could begin on stage 0.
-    #[inline]
-    pub fn stage0_free(&self) -> f64 {
-        self.stage_free[0]
-    }
-
     /// The time the whole pipeline drains (max over stages).
     pub fn drained_at(&self) -> f64 {
         self.stage_free.iter().cloned().fold(0.0, f64::max)

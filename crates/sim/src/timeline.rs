@@ -178,12 +178,6 @@ impl Timeline {
         self.busy.iter().sum::<f64>() / (span * self.busy.len() as f64)
     }
 
-    /// Bubble ratio: 1 − mean utilization.
-    #[inline]
-    pub fn bubble_ratio(&self) -> f64 {
-        1.0 - self.mean_utilization()
-    }
-
     /// Per-device busy seconds clipped to consecutive windows
     /// `[edges[k], edges[k + 1]]` (ascending edges), plus each device's
     /// total `Comm` seconds — one pass over the segment log, so the cost
@@ -264,7 +258,6 @@ mod tests {
         assert_eq!(t.busy_time(1), 1.5);
         assert_eq!(t.makespan(), 2.0);
         assert!((t.mean_utilization() - (1.0 + 1.5) / (2.0 * 2.0)).abs() < 1e-12);
-        assert!((t.bubble_ratio() - 0.375).abs() < 1e-12);
     }
 
     #[test]

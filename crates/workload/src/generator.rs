@@ -119,14 +119,14 @@ impl ShareGptLikeConfig {
         (self.input_min + self.input_max) / 2
     }
 
-    /// Sample an output length for `category` (shared with the
-    /// conversation generator).
+    /// Sample an output length for `category` (shared with the session
+    /// generator).
     pub(crate) fn sample_output_for(&self, rng: &mut StdRng, category: usize) -> u32 {
         self.sample_output(rng, category)
     }
 
-    /// Sample a feature vector for `category` (shared with the
-    /// conversation generator).
+    /// Sample a feature vector for `category` (shared with the session
+    /// generator).
     pub(crate) fn sample_features_for(&self, rng: &mut StdRng, category: usize) -> Vec<f32> {
         self.sample_features(rng, category)
     }

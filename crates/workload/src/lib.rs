@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod arrival;
-pub mod conversation;
 pub mod generator;
 pub mod request;
 pub mod session;
@@ -29,7 +28,6 @@ pub mod stats;
 pub mod trace;
 
 pub use arrival::ArrivalProcess;
-pub use conversation::ConversationConfig;
 pub use session::{SessionConfig, SessionTrace, SessionTurn};
 pub use generator::{ShareGptLikeConfig, CATEGORY_COUNT, FEATURE_DIM};
 pub use request::{Request, RequestId};

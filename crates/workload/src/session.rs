@@ -10,10 +10,9 @@
 //! session KV is still resident only needs its fresh suffix prefilled,
 //! which is what the engine's session-affine reuse path exploits.
 //!
-//! Unlike [`crate::conversation`], which flattens rounds into independent
-//! requests, this module keeps the turn linkage (session id, turn index,
-//! shared-prefix length, think time) so an engine can replay the closed
-//! loop and reuse KV across turns.
+//! Each turn keeps its linkage (session id, turn index, shared-prefix
+//! length, think time) so an engine can replay the closed loop and reuse
+//! KV across turns.
 
 use crate::arrival::ArrivalProcess;
 use crate::generator::{sample_category, sample_std_normal, ShareGptLikeConfig};

@@ -58,6 +58,8 @@
 #  12. vendored stand-in tests: `vendor/*` are not workspace members, so
 #      `--workspace` never runs their unit tests (serde_json's in-place
 #      number printing and linear-time string parsing among them).
+#  13. non-test line count per crate (`scripts/loc.sh`): advisory only,
+#      never gates — it lets every change report net lines the same way.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -181,5 +183,8 @@ step "vendored stand-in tests"
 for crate in serde_json rand proptest; do
   cargo test --release -q --manifest-path "vendor/$crate/Cargo.toml"
 done
+
+step "non-test lines per crate (advisory)"
+scripts/loc.sh || true
 
 printf '\nci OK: build + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'

@@ -196,10 +196,9 @@ fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
 }
 
 /// TD-Pipe's own configuration (`TdPipeConfig::default()`: async
-/// transfers, decoupled control, no sequence cap, full pipelining) with
-/// only the observer and session switches set. Starting from
-/// `EngineConfig::default()` instead would hand TD-Pipe the baselines'
-/// conventional-engine settings.
+/// transfers, no sequence cap) with only the observer and session
+/// switches set. Starting from `EngineConfig::default()` instead would
+/// hand TD-Pipe the baselines' conventional-engine settings.
 fn td_config(metrics: bool, trace: bool, timeline: bool, session_reuse: bool) -> TdPipeConfig {
     let mut cfg = TdPipeConfig::default();
     let e = &mut cfg.engine;
@@ -457,7 +456,11 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
     };
     let args = Args::parse(rest)?;
     let model = model_of(&args.get("model", "13b"))?;
-    let gpus = args.usize("gpus", 4)? as u32;
+    let gpus = args.usize("gpus", 4)?;
+    let gpus = u32::try_from(gpus)
+        .ok()
+        .filter(|&g| g > 0)
+        .ok_or_else(|| format!("--gpus: need 1..={}, got {gpus}", u32::MAX))?;
     let node = node_of(&args.get("node", "l20"), gpus)?;
     let requests = args.usize("requests", 1000)?;
     let seed = args.usize("seed", 42)? as u64;
@@ -501,6 +504,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                     let num_sessions: usize = ns
                         .parse()
                         .map_err(|_| format!("--sessions: bad number '{ns}'"))?;
+                    if num_sessions == 0 {
+                        return Err("--sessions: need at least one session".into());
+                    }
                     let mut sc = SessionConfig::small(num_sessions, seed);
                     sc.arrival = arrival;
                     Some(sc.generate())
@@ -633,15 +639,17 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             println!("model  : {} ({:.1} GB weights)", model.name, model.weight_bytes() as f64 / 1e9);
             println!("node   : {}x {} ({} GB each)", gpus, node.gpu.name, node.gpu.mem_bytes >> 30);
             let e = EngineConfig::default();
-            match MemoryPlan::pipeline(&model, &node, e.block_size, e.mem_reserve_bytes) {
+            match MemoryPlan::pipeline(&model, &node, e.mem_reserve_bytes) {
                 Some(p) => println!(
                     "PP plan: {} KV blocks = {} tokens (binding stage)",
                     p.kv_blocks,
                     p.token_capacity()
                 ),
-                None => println!("PP plan: infeasible (stage weights overflow)"),
+                None => println!(
+                    "PP plan: infeasible (more stages than layers, or stage weights overflow)"
+                ),
             }
-            match MemoryPlan::tensor(&model, &node, e.block_size, e.mem_reserve_bytes) {
+            match MemoryPlan::tensor(&model, &node, e.mem_reserve_bytes) {
                 Some(p) => println!(
                     "TP plan: {} KV blocks = {} tokens (pooled)",
                     p.kv_blocks,
@@ -998,6 +1006,27 @@ mod tests {
         // Rate-free kinds stay usable whatever the (ignored) rate value.
         assert!(arrival_of("offline", 0.0, 7).is_ok());
         assert!(arrival_of("waves", -1.0, 7).is_ok());
+    }
+
+    #[test]
+    fn degenerate_sizes_are_rejected_with_a_clean_error() {
+        let too_many = u64::from(u32::MAX) + 1;
+        for cmd in [
+            "run --requests 8 --gpus 0".to_string(),
+            "sweep --requests 8 --gpus 0".to_string(),
+            "run --requests 8 --pool l20:1 --gpus 0".to_string(),
+            format!("run --requests 8 --gpus {too_many}"),
+        ] {
+            let err = real_main(&args(&cmd)).unwrap_err();
+            assert!(err.contains("--gpus"), "{cmd}: {err}");
+        }
+        let err = real_main(&args("run --sessions 0")).unwrap_err();
+        assert!(err.contains("--sessions"), "--sessions 0: {err}");
+        // More GPUs than the model has layers: PP engines are infeasible,
+        // not a panic.
+        let err = real_main(&args("run --requests 8 --gpus 41")).unwrap_err();
+        assert!(err.contains("too few for 41 pipeline stages"), "{err}");
+        assert!(real_main(&args("plan --gpus 41")).is_ok());
     }
 
     #[test]

@@ -83,7 +83,8 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
     // The parallel sweep must reproduce the golden bytes in input order,
     // no matter how many workers carve up the cells.
     for threads in [1, 2, 3, 8] {
-        let reports = run_cells_parallel_with_threads(&cells, &trace, &OraclePredictor, threads);
+        let reports =
+            run_cells_parallel_with_threads(&cells, &trace, &[], &OraclePredictor, threads);
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread sweep differs");
     }
@@ -137,9 +138,7 @@ fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
 #[test]
 fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads() {
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{
-        run_cells_parallel_arrivals_with_threads, run_scheduler_with_arrivals, Scheduler,
-    };
+    use tdpipe_bench::{run_cells_parallel_with_threads, run_scheduler_with_arrivals, Scheduler};
 
     let trace = ShareGptLikeConfig::small(96, 5).generate();
     let arrivals = ArrivalProcess::Poisson {
@@ -181,13 +180,8 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
         assert_eq!(&again, want, "{} online rerun differs", s.name());
     }
     for threads in [1, 2, 8] {
-        let reports = run_cells_parallel_arrivals_with_threads(
-            &cells,
-            &trace,
-            &arrivals,
-            &OraclePredictor,
-            threads,
-        );
+        let reports =
+            run_cells_parallel_with_threads(&cells, &trace, &arrivals, &OraclePredictor, threads);
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread online sweep differs");
     }

@@ -17,16 +17,15 @@ fn run(trace: &Trace, cfg: TdPipeConfig) -> RunOutcome {
 }
 
 /// TD-Pipe's own defaults with only the observer switches set.
-fn observed(record_trace: bool, record_timeline: bool, record_occupancy: bool) -> TdPipeConfig {
+fn observed(record_trace: bool, record_timeline: bool) -> TdPipeConfig {
     let mut cfg = TdPipeConfig::default();
     cfg.engine.record_trace = record_trace;
     cfg.engine.record_timeline = record_timeline;
-    cfg.engine.record_occupancy = record_occupancy;
     cfg
 }
 
 fn traced_cfg() -> TdPipeConfig {
-    observed(true, true, true)
+    observed(true, true)
 }
 
 #[test]
@@ -66,11 +65,11 @@ fn journal_is_byte_identical_across_identical_runs() {
 
 #[test]
 fn recording_does_not_perturb_the_schedule() {
-    // The recorder must be a pure observer: the report with tracing (and
-    // occupancy) on must equal the report with everything off.
+    // The recorder must be a pure observer: the report with tracing on
+    // must equal the report with it off.
     let trace = ShareGptLikeConfig::small(150, 7).generate();
     let on = run(&trace, traced_cfg());
-    let off = run(&trace, observed(false, false, false));
+    let off = run(&trace, observed(false, false));
     assert_eq!(on.report, off.report);
     assert_eq!(on.phases, off.phases);
     assert!(on.journal.events().len() > 0);
@@ -78,14 +77,15 @@ fn recording_does_not_perturb_the_schedule() {
 }
 
 #[test]
-fn occupancy_gate_controls_sampling_without_changing_results() {
+fn occupancy_is_sampled_whatever_the_recorder_switches() {
+    // Fig. 12's data flows on every run; the recorder switches neither
+    // add nor drop samples.
     let trace = ShareGptLikeConfig::small(120, 5).generate();
-    let on = run(&trace, TdPipeConfig::default());
-    let off = run(&trace, observed(false, false, false));
-    // Default keeps Fig. 12 data flowing; the gate only drops the samples.
-    assert!(!on.occupancy.samples().is_empty());
-    assert!(off.occupancy.samples().is_empty());
-    assert_eq!(on.report, off.report);
+    let traced = run(&trace, traced_cfg());
+    let plain = run(&trace, observed(false, false));
+    assert!(!plain.occupancy.samples().is_empty());
+    assert_eq!(traced.occupancy.samples(), plain.occupancy.samples());
+    assert_eq!(traced.report, plain.report);
 }
 
 #[test]
