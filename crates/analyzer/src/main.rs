@@ -173,19 +173,19 @@ fn main() -> ExitCode {
 
     if opts.json {
         // Machine-readable: the new findings plus suppression inventory.
-        use serde::{Serialize, Value};
-        let report = Value::Map(vec![
-            ("new_findings".to_string(), diff.new.to_value()),
-            ("suppressed".to_string(), analysis.suppressed.to_value()),
-            (
-                "files_scanned".to_string(),
-                Value::UInt(analysis.files_scanned as u64),
-            ),
-            (
-                "baseline_total".to_string(),
-                Value::UInt(baseline.total() as u64),
-            ),
-        ]);
+        #[derive(serde::Serialize)]
+        struct JsonReport {
+            new_findings: Vec<analyzer::Finding>,
+            suppressed: Vec<analyzer::findings::Suppressed>,
+            files_scanned: usize,
+            baseline_total: usize,
+        }
+        let report = JsonReport {
+            new_findings: diff.new.clone(),
+            suppressed: analysis.suppressed.clone(),
+            files_scanned: analysis.files_scanned,
+            baseline_total: baseline.total(),
+        };
         match serde_json::to_string_pretty(&report) {
             Ok(s) => println!("{s}"),
             Err(e) => {

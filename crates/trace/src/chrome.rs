@@ -6,8 +6,7 @@
 //! (`ph:"X"`) event whose duration is the segment's busy interval.
 //! Virtual seconds map to trace microseconds (the format's native unit).
 
-use serde::{Serialize, Value};
-use serde_json::{push_escaped, push_float, push_value};
+use serde::{push_escaped, push_float, Deserializer, Serialize, Serializer, Token};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tdpipe_sim::{Segment, Timeline};
@@ -17,18 +16,22 @@ use crate::event::{FlightRecorder, TimedEvent, TraceEvent};
 /// Seconds → Chrome-trace microseconds.
 const SECS_TO_US: f64 = 1e6;
 
-/// The serde encoding of a struct variant is `{"VariantName": {fields}}`;
-/// the Chrome `args` object wants just the fields.
-fn event_args(event: &TraceEvent) -> Value {
-    match event.to_value() {
-        Value::Map(mut entries) if entries.len() == 1 => entries.remove(0).1,
-        other => other,
+/// Append the Chrome `args` object of `event`: its fields. The serde
+/// encoding of a struct variant is `{"VariantName":{fields}}`, so the
+/// event is serialized in place and its one-key wrapper cut away.
+fn push_args(out: &mut String, event: &TraceEvent) {
+    let start = out.len();
+    event.serialize(&mut Serializer::new(out, false));
+    // Variant names are identifiers, so the first `:` ends the key.
+    if let Some(colon) = out[start..].strip_prefix('{').and_then(|s| s.find(':')) {
+        out.replace_range(start..start + colon + 2, "");
+        out.pop();
     }
 }
 
 // The writers below append compact JSON in the key order and number
-// formatting `serde_json::to_string` gives the equivalent `Value` tree;
-// writing into a `String` cannot fail, so `write!` results are dropped.
+// formatting `serde_json::to_string` gives the same document; writing
+// into a `String` cannot fail, so `write!` results are dropped.
 
 fn push_thread_name(out: &mut String, tid: u64, name: &str) {
     let _ = write!(
@@ -45,7 +48,7 @@ fn push_instant(out: &mut String, e: &TimedEvent) {
     out.push_str(r#","ph":"i","s":"t","pid":0,"tid":0,"ts":"#);
     push_float(out, e.t * SECS_TO_US);
     out.push_str(r#","args":"#);
-    push_value(out, &event_args(&e.event));
+    push_args(out, &e.event);
     out.push('}');
 }
 
@@ -121,24 +124,40 @@ pub struct ChromeTraceCheck {
     pub instant_events: usize,
 }
 
-fn lookup<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// An event's `ph`, classified as it is read.
+enum Ph {
+    Metadata,
+    Complete,
+    Instant,
+    Other(String),
 }
 
-fn as_u64(v: &Value) -> Option<u64> {
-    match *v {
-        Value::UInt(u) => Some(u),
-        Value::Int(i) if i >= 0 => Some(i as u64),
+fn as_u64(t: Token<'_>) -> Option<u64> {
+    match t {
+        Token::UInt(u) => Some(u),
+        Token::Int(i) if i >= 0 => Some(i as u64),
         _ => None,
     }
 }
 
-fn as_f64(v: &Value) -> Option<f64> {
-    match *v {
-        Value::Float(f) => Some(f),
-        Value::UInt(u) => Some(u as f64),
-        Value::Int(i) => Some(i as f64),
+fn as_f64(t: Token<'_>) -> Option<f64> {
+    match t {
+        Token::Float(f) => Some(f),
+        Token::UInt(u) => Some(u as f64),
+        Token::Int(i) => Some(i as f64),
         _ => None,
+    }
+}
+
+/// Read the next value with `read` (a container reads as `None`).
+fn scalar<T>(
+    de: &mut Deserializer<'_>,
+    read: impl Fn(Token<'_>) -> Option<T>,
+) -> Result<Option<T>, serde::DeError> {
+    match de.next_token()? {
+        Token::Seq => de.skip_seq().map(|()| None),
+        Token::Map => de.skip_map().map(|()| None),
+        t => Ok(read(t)),
     }
 }
 
@@ -146,35 +165,74 @@ fn as_f64(v: &Value) -> Option<f64> {
 /// `traceEvents` array, and every non-metadata event needs a finite,
 /// per-track monotone (non-decreasing) `ts`. This is the check
 /// `scripts/ci.sh` runs against the CLI's `--trace-out` output.
+///
+/// One pass over the text with the `serde` tokenizer: the state kept is
+/// the last `ts` per track, never the document.
 pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceCheck, String> {
-    let doc: Value = serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
-    let Value::Map(top) = doc else {
+    let invalid = |e: serde::DeError| format!("invalid JSON: {e}");
+    let mut de = Deserializer::new(json);
+    if de.next_token().map_err(invalid)? != Token::Map {
         return Err("top level is not an object".into());
-    };
-    let Some(Value::Seq(events)) = lookup(&top, "traceEvents") else {
-        return Err("missing traceEvents array".into());
-    };
+    }
+    let mut check = None;
+    while let Some(key) = de.map_key().map_err(invalid)? {
+        if key == "traceEvents" && check.is_none() {
+            if de.next_token().map_err(invalid)? != Token::Seq {
+                return Err("missing traceEvents array".into());
+            }
+            check = Some(validate_events(&mut de)?);
+        } else {
+            de.skip().map_err(invalid)?;
+        }
+    }
+    de.end().map_err(invalid)?;
+    check.ok_or_else(|| "missing traceEvents array".into())
+}
 
+/// Check the elements of an opened `traceEvents` array.
+fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String> {
+    let invalid = |e: serde::DeError| format!("invalid JSON: {e}");
     let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut events = 0usize;
     let mut complete = 0usize;
     let mut instants = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        let Value::Map(fields) = ev else {
+    while de.seq_next().map_err(invalid)? {
+        let i = events;
+        events += 1;
+        if de.next_token().map_err(invalid)? != Token::Map {
             return Err(format!("event {i} is not an object"));
-        };
-        let ph = match lookup(fields, "ph") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return Err(format!("event {i} has no ph")),
-        };
-        if ph == "M" {
+        }
+        // The first occurrence of each key counts; `Some(None)` marks one
+        // of the wrong type.
+        let (mut ph, mut tid, mut ts, mut dur) = (None, None, None, None);
+        while let Some(key) = de.map_key().map_err(invalid)? {
+            match key {
+                "ph" if ph.is_none() => {
+                    ph = Some(
+                        scalar(de, |t| match t {
+                            Token::Str("M") => Some(Ph::Metadata),
+                            Token::Str("X") => Some(Ph::Complete),
+                            Token::Str("i") => Some(Ph::Instant),
+                            Token::Str(other) => Some(Ph::Other(other.to_string())),
+                            _ => None,
+                        })
+                        .map_err(invalid)?,
+                    )
+                }
+                "tid" if tid.is_none() => tid = Some(scalar(de, as_u64).map_err(invalid)?),
+                "ts" if ts.is_none() => ts = Some(scalar(de, as_f64).map_err(invalid)?),
+                "dur" if dur.is_none() => dur = Some(scalar(de, as_f64).map_err(invalid)?),
+                _ => de.skip().map_err(invalid)?,
+            }
+        }
+        let ph = ph.flatten().ok_or_else(|| format!("event {i} has no ph"))?;
+        if let Ph::Metadata = ph {
             continue;
         }
-        let tid = lookup(fields, "tid")
-            .and_then(as_u64)
+        let tid = tid
+            .flatten()
             .ok_or_else(|| format!("event {i} has no tid"))?;
-        let ts = lookup(fields, "ts")
-            .and_then(as_f64)
-            .ok_or_else(|| format!("event {i} has no ts"))?;
+        let ts = ts.flatten().ok_or_else(|| format!("event {i} has no ts"))?;
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {i} has non-finite or negative ts {ts}"));
         }
@@ -187,21 +245,22 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceCheck, String> {
         }
         last_ts.insert(tid, ts);
         match ph {
-            "X" => {
-                let dur = lookup(fields, "dur")
-                    .and_then(as_f64)
+            Ph::Complete => {
+                let dur = dur
+                    .flatten()
                     .ok_or_else(|| format!("event {i}: complete event has no dur"))?;
                 if !dur.is_finite() || dur < 0.0 {
                     return Err(format!("event {i} has invalid dur {dur}"));
                 }
                 complete += 1;
             }
-            "i" => instants += 1,
-            other => return Err(format!("event {i} has unsupported ph {other:?}")),
+            Ph::Instant => instants += 1,
+            Ph::Other(other) => return Err(format!("event {i} has unsupported ph {other:?}")),
+            Ph::Metadata => unreachable!(),
         }
     }
     Ok(ChromeTraceCheck {
-        events: events.len(),
+        events,
         tracks: last_ts.len(),
         complete_events: complete,
         instant_events: instants,
@@ -211,7 +270,9 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::tests::every_variant;
     use crate::event::{PrefillStopReason, TraceEvent};
+    use serde::Value;
     use tdpipe_sim::SegmentKind;
 
     fn sample() -> (Timeline, FlightRecorder) {
@@ -256,6 +317,16 @@ mod tests {
     fn export_is_deterministic() {
         let (tl, r) = sample();
         assert_eq!(chrome_trace(&tl, &r), chrome_trace(&tl, &r));
+    }
+
+    /// The event's fields as a tree: its serde encoding, parsed, without
+    /// the `{"VariantName": ..}` wrapper.
+    fn event_args(event: &TraceEvent) -> Value {
+        let tree = serde_json::from_str(&serde_json::to_string(event).unwrap()).unwrap();
+        match tree {
+            Value::Map(mut entries) if entries.len() == 1 => entries.remove(0).1,
+            other => other,
+        }
     }
 
     /// The exporter [`chrome_trace`] replaced: build the whole document as
@@ -318,84 +389,6 @@ mod tests {
             ("displayTimeUnit", Value::Str("ms".into())),
         ]);
         serde_json::to_string(&doc).unwrap()
-    }
-
-    /// One of every `TraceEvent` variant, with awkward floats (integral,
-    /// negative zero, non-finite, tiny, huge) and extreme integers.
-    fn every_variant() -> FlightRecorder {
-        use crate::event::{AdmitReason, EvictMode};
-        use tdpipe_kvcache::Phase;
-        let events = [
-            TraceEvent::PrefillAdmit {
-                request: u64::MAX,
-                tokens: 512,
-                reason: AdmitReason::SwapIn,
-            },
-            TraceEvent::PrefillStop {
-                reason: PrefillStopReason::Overflow,
-                admitted: 0,
-            },
-            TraceEvent::PrefillLaunch {
-                seq: 1,
-                batch: usize::MAX,
-                tokens: 4096,
-                ready: 2.0,
-            },
-            TraceEvent::PrefillDone { request: 7 },
-            TraceEvent::RequestFinish {
-                request: 7,
-                arrival: -0.0,
-                first_token: 1e-9,
-            },
-            TraceEvent::ArrivalWait {
-                until: f64::INFINITY,
-            },
-            TraceEvent::StealWithhold { n: 3, target: 16 },
-            TraceEvent::StealSupplement { n: 2, target: 16 },
-            TraceEvent::Evict {
-                mode: EvictMode::Recompute,
-                victim: 9,
-            },
-            TraceEvent::SwitchDecision {
-                spatial: f64::NAN,
-                temporal: 0.1 + 0.2,
-                batch: 0,
-                est_longest: 1e300,
-                est_phase_len: f64::NEG_INFINITY,
-                switch: false,
-            },
-            TraceEvent::PhaseSwitch {
-                from: Phase::Decode,
-                to: Phase::Prefill,
-            },
-            TraceEvent::SessionRetain {
-                request: 11,
-                tokens: 300,
-            },
-            TraceEvent::SessionDrop {
-                request: 11,
-                tokens: 300,
-            },
-            TraceEvent::SessionReuseHit {
-                request: 12,
-                tokens: 0,
-            },
-            TraceEvent::SessionReuseMiss { request: 13 },
-            TraceEvent::StageBusy {
-                device: 3,
-                kind: SegmentKind::Comm,
-                dur: 0.25,
-            },
-            TraceEvent::StageIdle {
-                device: u32::MAX,
-                dur: 3.0,
-            },
-        ];
-        let mut r = FlightRecorder::with_capacity(events.len());
-        for (i, e) in events.into_iter().enumerate() {
-            r.record(i as f64 * 0.375, e);
-        }
-        r
     }
 
     #[test]

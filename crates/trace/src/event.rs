@@ -386,8 +386,111 @@ impl FlightRecorder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// One of every `TraceEvent` variant, with awkward floats (integral,
+    /// negative zero, non-finite, tiny, huge) and extreme integers.
+    pub(crate) fn every_variant() -> FlightRecorder {
+        let events = [
+            TraceEvent::PrefillAdmit {
+                request: u64::MAX,
+                tokens: 512,
+                reason: AdmitReason::SwapIn,
+            },
+            TraceEvent::PrefillStop {
+                reason: PrefillStopReason::Overflow,
+                admitted: 0,
+            },
+            TraceEvent::PrefillLaunch {
+                seq: 1,
+                batch: usize::MAX,
+                tokens: 4096,
+                ready: 2.0,
+            },
+            TraceEvent::PrefillDone { request: 7 },
+            TraceEvent::RequestFinish {
+                request: 7,
+                arrival: -0.0,
+                first_token: 1e-9,
+            },
+            TraceEvent::ArrivalWait {
+                until: f64::INFINITY,
+            },
+            TraceEvent::StealWithhold { n: 3, target: 16 },
+            TraceEvent::StealSupplement { n: 2, target: 16 },
+            TraceEvent::Evict {
+                mode: EvictMode::Recompute,
+                victim: 9,
+            },
+            TraceEvent::SwitchDecision {
+                spatial: f64::NAN,
+                temporal: 0.1 + 0.2,
+                batch: 0,
+                est_longest: 1e300,
+                est_phase_len: f64::NEG_INFINITY,
+                switch: false,
+            },
+            TraceEvent::PhaseSwitch {
+                from: Phase::Decode,
+                to: Phase::Prefill,
+            },
+            TraceEvent::SessionRetain {
+                request: 11,
+                tokens: 300,
+            },
+            TraceEvent::SessionDrop {
+                request: 11,
+                tokens: 300,
+            },
+            TraceEvent::SessionReuseHit {
+                request: 12,
+                tokens: 0,
+            },
+            TraceEvent::SessionReuseMiss { request: 13 },
+            TraceEvent::StageBusy {
+                device: 3,
+                kind: SegmentKind::Comm,
+                dur: 0.25,
+            },
+            TraceEvent::StageIdle {
+                device: u32::MAX,
+                dur: 3.0,
+            },
+        ];
+        let mut r = FlightRecorder::with_capacity(events.len());
+        for (i, e) in events.into_iter().enumerate() {
+            r.record(i as f64 * 0.375, e);
+        }
+        r
+    }
+
+    /// The journal's bytes, pinned: each event compact, and the whole
+    /// recorder pretty-printed.
+    #[test]
+    fn every_variant_serializes_to_committed_bytes() {
+        let r = every_variant();
+        let compact: String = r
+            .events()
+            .iter()
+            .map(|e| serde_json::to_string(e).unwrap() + "\n")
+            .collect();
+        assert_eq!(
+            compact,
+            include_str!("../testdata/every_variant.compact.jsonl")
+        );
+        let pretty = serde_json::to_string_pretty(&r).unwrap();
+        assert_eq!(
+            pretty,
+            include_str!("../testdata/every_variant.pretty.json")
+        );
+        // Both read back to the same journal (NaN and the infinities
+        // print as `null` and read back as NaN).
+        for json in [r.to_json(), pretty] {
+            let back: FlightRecorder = serde_json::from_str(&json).unwrap();
+            assert_eq!(back.to_json(), r.to_json());
+        }
+    }
 
     #[test]
     fn disabled_recorder_drops_everything() {

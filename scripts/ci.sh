@@ -180,7 +180,7 @@ step "benchmark package tests"
 cargo test --release --manifest-path src/bin/benchmark/Cargo.toml -q
 
 step "vendored stand-in tests"
-for crate in serde_json rand proptest; do
+for crate in serde serde_json rand proptest; do
   cargo test --release -q --manifest-path "vendor/$crate/Cargo.toml"
 done
 

@@ -19,6 +19,8 @@
 //! its small dependency set).
 
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use tdpipe::baselines::{BaselineEngine, Batching, Layout};
 use tdpipe::core::config::EngineConfig;
@@ -393,7 +395,7 @@ fn run_fleet_cmd(
     if let Some(path) = journal_out {
         for (i, out) in outcome.outcomes.iter().enumerate() {
             let p = format!("{path}.r{i}");
-            std::fs::write(&p, out.journal.to_json())
+            write_json(&p, |w| serde_json::to_writer(w, &out.journal))
                 .map_err(|e| format!("--journal-out {p}: {e}"))?;
         }
         println!(
@@ -411,6 +413,17 @@ fn run_fleet_cmd(
     Ok(outcome)
 }
 
+/// Create `path` and let `write` stream JSON into it through a buffer,
+/// so the document is never held in memory whole.
+fn write_json(
+    path: &str,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), serde_json::Error>,
+) -> Result<(), String> {
+    let mut w = BufWriter::new(File::create(path).map_err(|e| e.to_string())?);
+    write(&mut w).map_err(|e| e.to_string())?;
+    w.flush().map_err(|e| e.to_string())
+}
+
 /// Write the metrics snapshot to `--metrics-out` (JSON) and/or
 /// `--prom-out` (Prometheus text), shared by the single-engine and fleet
 /// run paths.
@@ -420,8 +433,8 @@ fn write_metrics_outputs(
     prom_out: Option<&str>,
 ) -> Result<(), String> {
     if let Some(path) = metrics_out {
-        let json = serde_json::to_string(metrics).map_err(|e| e.to_string())?;
-        std::fs::write(path, &json).map_err(|e| format!("--metrics-out {path}: {e}"))?;
+        write_json(path, |w| serde_json::to_writer(w, metrics))
+            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
         println!(
             "metrics: {} metrics + {} series -> {path}",
             metrics.metrics.len(),
@@ -610,7 +623,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             }
             if let Some(path) = journal_out {
-                std::fs::write(path, out.journal.to_json())
+                write_json(path, |w| serde_json::to_writer(w, &out.journal))
                     .map_err(|e| format!("--journal-out {path}: {e}"))?;
                 println!("journal: {} event(s) -> {path}", out.journal.len());
             }

@@ -1,0 +1,42 @@
+//! The CLI's file readers fail cleanly on hostile JSON: a document nested
+//! far past the parser's depth limit ends the process with exit code 1
+//! and a message, never a stack-overflow abort.
+
+use std::process::Command;
+
+#[test]
+fn deeply_nested_inputs_exit_1_with_a_message() {
+    let dir = std::env::temp_dir().join(format!("tdpipe-cli-hostile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = "[".repeat(200_000);
+    // A bare nest is turned away at its first token (no reader expects a
+    // top-level array); under an unknown key, which readers skip, it
+    // meets the depth limit.
+    for (name, doc, needle) in [
+        ("bare.json", deep.clone(), ""),
+        (
+            "keyed.json",
+            format!(r#"{{"x":{deep}"#),
+            "recursion limit exceeded",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).unwrap();
+        let file = path.to_str().unwrap();
+        for cmd in [
+            ["span-report", "--journal", file],
+            ["bubble-report", "--journal", file],
+            ["trace-summary", "--journal", file],
+            ["validate-trace", "--file", file],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+                .args(cmd)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} on {name}: {stderr}");
+            assert!(stderr.contains(needle), "{cmd:?} on {name}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
