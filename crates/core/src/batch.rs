@@ -1,7 +1,5 @@
 //! Decode batches: the unit the decode phase pipelines.
 
-use crate::request::RequestPool;
-
 /// A decode batch: a set of resident requests that step together. With `n`
 /// pipeline stages the engine keeps `n` batches in flight so every stage
 /// has work (paper §3.4: "we divide the requests into batches equal to the
@@ -29,14 +27,6 @@ impl DecodeBatch {
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
-
-    /// Total context tokens (KV the next step must read).
-    pub fn total_ctx(&self, pool: &RequestPool) -> u64 {
-        self.members
-            .iter()
-            .map(|&i| pool.resident_tokens(i))
-            .sum()
-    }
 }
 
 /// Partition `members` into `n` batches as evenly as possible, preserving
@@ -56,27 +46,23 @@ pub fn partition_even(members: &[usize], n: usize) -> Vec<DecodeBatch> {
 pub fn partition_even_into(members: &[usize], n: usize, out: &mut Vec<DecodeBatch>) {
     assert!(n > 0, "need at least one batch");
     out.resize_with(n, DecodeBatch::new);
-    for b in out.iter_mut() {
-        b.members.clear();
-    }
-    if members.is_empty() {
-        return;
-    }
-    let base = members.len() / n;
-    let extra = members.len() % n;
-    let mut cursor = 0;
     for (i, batch) in out.iter_mut().enumerate() {
-        let take = base + usize::from(i < extra);
-        batch.members.extend_from_slice(&members[cursor..cursor + take]);
-        cursor += take;
+        batch.members.clear();
+        batch.members.extend_from_slice(&members[even_range(members.len(), n, i)]);
     }
-    debug_assert_eq!(cursor, members.len());
+}
+
+/// The positions batch `i` of [`partition_even`]'s `n` takes from `len`
+/// members: contiguous, with the first `len % n` batches one longer.
+pub fn even_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
+    let (base, extra) = (len / n, len % n);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe_workload::ShareGptLikeConfig;
 
     #[test]
     fn partition_is_even_and_complete() {
@@ -119,22 +105,6 @@ mod tests {
         for (a, b) in out.iter().zip(&fresh) {
             assert_eq!(a.members, b.members);
         }
-    }
-
-    #[test]
-    fn total_ctx_sums_resident_tokens() {
-        let t = ShareGptLikeConfig::small(4, 2).generate();
-        let mut pool = crate::request::RequestPool::new(t.requests(), |r| r.output_len);
-        for i in 0..4 {
-            let tokens = pool.input_len(i);
-            pool.note_prefill(i, tokens);
-        }
-        pool.note_decode_step(0, 0.0);
-        let b = DecodeBatch {
-            members: vec![0, 1],
-        };
-        let expect = pool.resident_tokens(0) + pool.resident_tokens(1);
-        assert_eq!(b.total_ctx(&pool), expect);
     }
 
     #[test]

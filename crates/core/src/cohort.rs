@@ -15,13 +15,15 @@
 //!   fixed residue of the step counter.
 //!
 //! A [`DecodeCohort`] therefore banks a whole batch's per-step work as
-//! arithmetic: finishers drain from a per-epoch bucket, the batch's block
+//! arithmetic: finishers drain from a finish bucket, the batch's block
 //! demand is one counter lookup feeding
 //! `BlockAllocator::extend_cohort`-style aggregate accounting, and
 //! per-member state (pool `generated`, allocator tokens, planner
 //! advances) is materialised only when a member *leaves* — finish,
-//! eviction, work-stealing move, or phase end — with `epoch − join_epoch`
-//! pending steps. A quiet step touches zero members.
+//! eviction, work-stealing move, or a batch change at a phase switch — or
+//! when a reader needs it settled in place ([`DecodeStepper::settle`]),
+//! with `epoch − join_epoch` pending steps. A quiet step touches zero
+//! members.
 //!
 //! Members that leave early invalidate their finish-bucket entry lazily:
 //! [`CohortMembers`] keeps a per-request generation counter, bumped on
@@ -30,11 +32,18 @@
 //! pool id so any number of cohorts (one per in-flight decode batch) can
 //! share them.
 //!
-//! A cohort is reset at every decode-phase start, and online serving
-//! switches phases several times per request, so the reset must cost what
-//! the phase filed, not what the run has seen: the bucket array reaches
-//! the longest finish epoch ever filed, but [`DecodeCohort::reset`] clears
-//! only the buckets filed since the last reset — O(filed buckets).
+//! A cohort lives as long as its batch slot: TD-Pipe's members stay banked
+//! across phase switches (the baselines' lanes never re-partition at
+//! all), so a switch costs the members that change batch, not every
+//! resident. Storage must therefore not grow with the run: the finish
+//! buckets form a ring indexed relative to the current epoch, and each
+//! step rotates the drained front bucket to the back, so the ring is as
+//! long as the longest remaining output ever filed, plus one. Entries
+//! filed in different phases share a bucket, so bucket order is not
+//! batch order: every member carries a join ticket, renumbered in batch
+//! order whenever the batch is re-partitioned
+//! ([`DecodeStepper::bank`]), and each step's finishers drain in ticket
+//! order.
 //!
 //! Bit-identity with the per-member loop is the design contract: every
 //! counter is exact integer arithmetic, and every settle applies exactly
@@ -64,6 +73,9 @@ pub struct CohortMembers {
     gen: Vec<u32>,
     /// Block-growth residue class the request occupies in its cohort.
     class: Vec<u16>,
+    /// Finisher order within the request's cohort: a member's position
+    /// in its batch at the last re-partition, or its join order after.
+    ticket: Vec<u32>,
 }
 
 impl CohortMembers {
@@ -73,6 +85,7 @@ impl CohortMembers {
             join_epoch: vec![u32::MAX; n],
             gen: vec![0; n],
             class: vec![0; n],
+            ticket: vec![0; n],
         }
     }
 
@@ -104,11 +117,11 @@ pub struct DecodeCohort {
     /// Live members per block-growth residue class; the members growing a
     /// block on epoch `s` are exactly class `s % block_size`.
     classes: Vec<u32>,
-    /// `(member, generation)` entries filed under their finish epoch.
-    buckets: Vec<Vec<(u32, u32)>>,
-    /// Finish epochs whose bucket was filed since the last reset: the
-    /// only buckets [`Self::reset`] has to clear.
-    filed: Vec<u32>,
+    /// `(member, generation)` entries by finish epoch, relative to the
+    /// current one: `buckets[k]` finishes on epoch `epoch + k`.
+    buckets: VecDeque<Vec<(u32, u32)>>,
+    /// The ticket the next joining member draws.
+    next_ticket: u32,
     /// Members currently banked in this cohort.
     live: usize,
 }
@@ -124,8 +137,8 @@ impl DecodeCohort {
             epoch: 0,
             block_size,
             classes: vec![0; block_size as usize],
-            buckets: Vec::new(),
-            filed: Vec::new(),
+            buckets: VecDeque::new(),
+            next_ticket: 0,
             live: 0,
         }
     }
@@ -142,28 +155,16 @@ impl DecodeCohort {
         self.epoch
     }
 
-    /// Forget all members and return to epoch 0. Callers settle (or
-    /// [`leave`](Self::leave)) every member first — asserted via the live
-    /// count in debug builds; entries still filed in finish buckets are
-    /// cleared here, so no lazy invalidation debt survives a reset.
-    ///
-    /// Costs O(buckets filed since the last reset), not O(buckets ever
-    /// allocated): `buckets` reaches the longest finish epoch ever filed
-    /// (thousands of steps), while a short online decode phase files a
-    /// handful.
+    /// Return an empty cohort to epoch 0 and restart its tickets. Callers
+    /// settle (or [`leave`](Self::leave)) every member first — asserted
+    /// via the live count in debug builds. O(1): entries of members that
+    /// left stay filed and are skipped by generation when their bucket
+    /// drains, exactly as they are in a live cohort.
     pub fn reset(&mut self) {
         debug_assert_eq!(self.live, 0, "cohort reset with live members");
         debug_assert!(self.classes.iter().all(|&c| c == 0));
-        for f in self.filed.drain(..) {
-            self.buckets[f as usize].clear();
-        }
-        debug_assert!(
-            self.buckets.iter().all(Vec::is_empty),
-            "unfiled bucket held entries"
-        );
         self.epoch = 0;
-        self.live = 0;
-        self.classes.fill(0);
+        self.next_ticket = 0;
     }
 
     /// Bank request `m` into this cohort: it currently holds
@@ -181,17 +182,24 @@ impl DecodeCohort {
         self.classes[r] += 1;
         cm.class[m] = r as u16;
         cm.join_epoch[m] = self.epoch;
-        let f = (self.epoch + remaining) as usize;
-        if self.buckets.len() <= f {
-            self.buckets.resize_with(f + 1, Vec::new);
+        cm.ticket[m] = self.next_ticket;
+        self.next_ticket += 1;
+        let k = remaining as usize;
+        if self.buckets.len() <= k {
+            self.buckets.resize_with(k + 1, Vec::new);
         }
-        // A bucket is filed only ahead of the current epoch and drained
-        // only at it, so empty here means not yet filed since the reset.
-        if self.buckets[f].is_empty() {
-            self.filed.push(f as u32);
-        }
-        self.buckets[f].push((m as u32, cm.gen[m]));
+        self.buckets[k].push((m as u32, cm.gen[m]));
         self.live += 1;
+    }
+
+    /// Order this cohort's finishers by `members`, its batch's member
+    /// list: the `i`-th member draws ticket `i`, later joins draw on from
+    /// `members.len()`.
+    fn renumber(&mut self, cm: &mut CohortMembers, members: &[usize]) {
+        for (i, &m) in members.iter().enumerate() {
+            cm.ticket[m] = i as u32;
+        }
+        self.next_ticket = members.len() as u32;
     }
 
     /// Advance the cohort by one decode step. Call
@@ -200,6 +208,10 @@ impl DecodeCohort {
     #[inline]
     pub fn begin_step(&mut self) {
         self.epoch += 1;
+        if !self.buckets.is_empty() {
+            debug_assert!(self.buckets[0].is_empty(), "finish bucket left undrained");
+            self.buckets.rotate_left(1);
+        }
     }
 
     /// Blocks the *current* step's survivors demand (finishers already
@@ -217,14 +229,15 @@ impl DecodeCohort {
         cm.class[m] as u32 == self.epoch % self.block_size
     }
 
-    /// Drain the members finishing on the current epoch into `out` as
-    /// `(member, banked_extends)` pairs, where `banked_extends` counts the
-    /// single-token KV extends to settle — the steps *before* the finish
-    /// step, which frees instead of extending. Each drained member leaves
-    /// the cohort (class removed, generation bumped, marked settled).
+    /// Drain the members finishing on the current epoch into `out`, in
+    /// ticket order, as `(member, banked_extends)` pairs, where
+    /// `banked_extends` counts the single-token KV extends to settle — the
+    /// steps *before* the finish step, which frees instead of extending.
+    /// Each drained member leaves the cohort (class removed, generation
+    /// bumped, marked settled).
     pub fn drain_finishers(&mut self, cm: &mut CohortMembers, out: &mut Vec<(usize, u32)>) {
         out.clear();
-        let Some(bucket) = self.buckets.get_mut(self.epoch as usize) else {
+        let Some(bucket) = self.buckets.front_mut() else {
             return;
         };
         for (m, g) in bucket.drain(..) {
@@ -239,10 +252,13 @@ impl DecodeCohort {
             self.live -= 1;
             out.push((m, banked_extends));
         }
+        if out.len() > 1 {
+            out.sort_unstable_by_key(|&(m, _)| cm.ticket[m]);
+        }
     }
 
     /// Remove `m` from the cohort early (eviction, work-stealing move,
-    /// phase end); returns its banked decode steps, which the caller
+    /// batch change); returns its banked decode steps, which the caller
     /// settles into pool/allocator/planner state.
     pub fn leave(&mut self, cm: &mut CohortMembers, m: usize) -> u32 {
         debug_assert!(cm.in_cohort(m), "member not banked in a cohort");
@@ -252,6 +268,25 @@ impl DecodeCohort {
         cm.join_epoch[m] = u32::MAX;
         self.live -= 1;
         pending
+    }
+
+    /// Mark `m`'s banked steps settled without taking it out of the
+    /// cohort; returns them for the caller to materialise. Its class and
+    /// finish entry stay valid: both depend only on `join_epoch − tokens`
+    /// and `join_epoch + remaining`, which a settle leaves unchanged.
+    fn settle(&self, cm: &mut CohortMembers, m: usize) -> u32 {
+        debug_assert!(cm.in_cohort(m), "member not banked in a cohort");
+        let pending = self.epoch - cm.join_epoch[m];
+        cm.join_epoch[m] = self.epoch;
+        pending
+    }
+
+    /// The members banked in this cohort, in filing order — a scan of
+    /// every finish bucket, for debug oracles and tests.
+    pub fn banked(&self, cm: &CohortMembers) -> Vec<usize> {
+        let current = |&&(m, g): &&(u32, u32)| cm.gen[m as usize] == g;
+        let live = self.buckets.iter().flatten().filter(current);
+        live.map(|&(m, _)| m as usize).collect()
     }
 }
 
@@ -312,6 +347,12 @@ pub struct DecodeStepper {
     pub cm: CohortMembers,
     /// Lifetime evictions made by [`Self::step`].
     pub evictions: u64,
+    /// Lifetime [`Self::join`]s: members banked into a cohort.
+    pub joins: u64,
+    /// Lifetime [`Self::leave`]s: members taken out of a cohort early.
+    pub leaves: u64,
+    /// Lifetime [`Self::settle`]s: members settled in place.
+    pub settles: u64,
     /// Finisher scratch.
     finishers: Vec<(usize, u32)>,
     /// Lazy max-heap of `(admission_seq, position)`, built on a step's
@@ -327,6 +368,9 @@ impl DecodeStepper {
         DecodeStepper {
             cm: CohortMembers::new(n),
             evictions: 0,
+            joins: 0,
+            leaves: 0,
+            settles: 0,
             finishers: Vec::new(),
             evict_heap: BinaryHeap::new(),
             evicted: Vec::new(),
@@ -337,9 +381,10 @@ impl DecodeStepper {
     pub fn join(&mut self, coh: &mut DecodeCohort, m: usize, pool: &RequestPool) {
         let remaining = pool.output_len(m) - pool.generated(m);
         coh.join(&mut self.cm, m, pool.resident_tokens(m), remaining);
+        self.joins += 1;
     }
 
-    /// Take `m` out of `coh` early (work-stealing move, phase end) and
+    /// Take `m` out of `coh` early (work-stealing move, batch change) and
     /// settle its banked steps into the pool and the allocator. Returns
     /// the steps settled, for callers that track more per-request state.
     pub fn leave(
@@ -352,7 +397,47 @@ impl DecodeStepper {
         let steps = coh.leave(&mut self.cm, m);
         pool.advance_decode_steps(m, steps);
         alloc.advance_tokens(m as u64, steps as u64);
+        self.leaves += 1;
         steps
+    }
+
+    /// Settle `m`'s banked steps into the pool and the allocator, keeping
+    /// it banked in `coh` (its finish entry and growth class stay valid).
+    /// Returns the steps settled, as [`Self::leave`] does.
+    pub fn settle(
+        &mut self,
+        coh: &DecodeCohort,
+        m: usize,
+        pool: &mut RequestPool,
+        alloc: &mut BlockAllocator,
+    ) -> u32 {
+        let steps = coh.settle(&mut self.cm, m);
+        pool.advance_decode_steps(m, steps);
+        alloc.advance_tokens(m as u64, steps as u64);
+        self.settles += 1;
+        steps
+    }
+
+    /// Make `members` — a batch fresh from a re-partition — exactly the
+    /// members of `coh`: join the ones not yet banked, and order the
+    /// cohort's finishers by `members`. Members banked in `coh` from an
+    /// earlier phase stay put; members banked elsewhere must have left
+    /// first. An empty cohort is reset first. Returns the batch's context
+    /// total, banked steps included.
+    pub fn bank(&mut self, coh: &mut DecodeCohort, members: &[usize], pool: &RequestPool) -> u64 {
+        if coh.live() == 0 {
+            coh.reset();
+        }
+        let mut ctx = 0;
+        for &m in members {
+            if !self.cm.in_cohort(m) {
+                self.join(coh, m, pool);
+            }
+            ctx += pool.resident_tokens(m) + self.cm.pending(m, coh.epoch()) as u64;
+        }
+        debug_assert_eq!(coh.live(), members.len(), "a member is banked elsewhere");
+        coh.renumber(&mut self.cm, members);
+        ctx
     }
 
     /// One decode step of `members`, all banked in `coh`: every member
@@ -675,7 +760,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_buckets_and_epoch() {
+    fn reset_leaves_no_stale_entry_to_resurface() {
         let mut coh = DecodeCohort::new(4);
         let mut cm = CohortMembers::new(1);
         coh.join(&mut cm, 0, 5, 7);
@@ -685,20 +770,28 @@ mod tests {
         assert_eq!(coh.epoch(), 0);
         assert_eq!(coh.live(), 0);
         let mut out = Vec::new();
-        // The old entry at epoch 7 must not resurface after a rejoin.
+        // The old entry, six steps out, must not resurface after a rejoin.
         coh.join(&mut cm, 0, 5, 9);
-        for _ in 0..7 {
+        for _ in 0..8 {
             coh.begin_step();
             coh.drain_finishers(&mut cm, &mut out);
             assert!(out.is_empty(), "stale finish entry resurfaced");
         }
+        coh.begin_step();
+        coh.drain_finishers(&mut cm, &mut out);
+        assert_eq!(out, vec![(0, 8)]);
+    }
 
-        // Many join → step → leave → reset cycles whose finish epochs sit
-        // far apart: `buckets` grows to the farthest epoch ever filed, yet
-        // each reset touches only the buckets its own cycle filed.
+    /// A cohort that is never reset — a baseline lane, or a TD-Pipe batch
+    /// slot across phase switches — keeps its finish buckets bounded by
+    /// the longest remaining output ever filed, however far its epoch
+    /// runs, and still drains every member exactly on its finish epoch.
+    #[test]
+    fn buckets_stay_bounded_without_a_reset() {
         let n = 8usize;
         let mut coh = DecodeCohort::new(16);
         let mut cm = CohortMembers::new(n);
+        let mut out = Vec::new();
         let mut rng = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
             rng ^= rng << 13;
@@ -706,45 +799,107 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        for cycle in 0..300u32 {
-            // Half the members finish within the cycle's few steps, half
-            // up to 50,000 steps out.
-            let remaining: Vec<u32> = (0..n)
-                .map(|m| {
-                    let span = if m % 2 == 0 { 4 } else { 50_000 };
-                    1 + (next() % span) as u32
-                })
-                .collect();
-            for (m, &r) in remaining.iter().enumerate() {
-                coh.join(&mut cm, m, 1 + m as u64, r);
+        // Half the members finish within a few steps, half up to 3,000
+        // steps out; every finisher or early leaver rejoins at once.
+        // Files `m` to finish `r` steps out; returns its finish epoch and
+        // the longest remaining filed so far.
+        let mut longest = 0u32;
+        let mut file = |coh: &mut DecodeCohort, cm: &mut CohortMembers, m: usize, r: u32| {
+            coh.join(cm, m, 1 + m as u64, r);
+            longest = longest.max(r);
+            (coh.epoch() + r, longest)
+        };
+        let span = |m: usize| if m.is_multiple_of(2) { 4 } else { 3_000 };
+        let mut due = vec![0u32; n];
+        let mut bound = 0;
+        for (m, d) in due.iter_mut().enumerate() {
+            (*d, bound) = file(&mut coh, &mut cm, m, 1 + (next() % span(m)) as u32);
+        }
+        for step in 1..=50_000u32 {
+            if step % 7 == 0 {
+                let m = (next() % n as u64) as usize;
+                coh.leave(&mut cm, m);
+                (due[m], bound) = file(&mut coh, &mut cm, m, 1 + (next() % 4) as u32);
             }
-            let mut filed = remaining.clone();
-            filed.sort_unstable();
-            filed.dedup();
-            let mut touched = coh.filed.clone();
-            touched.sort_unstable();
-            assert_eq!(touched, filed, "cycle {cycle}: filed-bucket list drifted");
-            for step in 1..=1 + cycle % 4 {
-                coh.begin_step();
-                coh.drain_finishers(&mut cm, &mut out);
-                let mut got: Vec<usize> = out.iter().map(|&(m, _)| m).collect();
-                got.sort_unstable();
-                let want: Vec<usize> = (0..n).filter(|&m| remaining[m] == step).collect();
-                assert_eq!(got, want, "cycle {cycle} step {step}: wrong finishers");
+            coh.begin_step();
+            coh.drain_finishers(&mut cm, &mut out);
+            let mut got: Vec<usize> = out.iter().map(|&(m, _)| m).collect();
+            got.sort_unstable();
+            let want: Vec<usize> = (0..n).filter(|&m| due[m] == step).collect();
+            assert_eq!(got, want, "step {step}: wrong finishers");
+            for m in got {
+                (due[m], bound) = file(&mut coh, &mut cm, m, 1 + (next() % span(m)) as u32);
             }
-            for m in 0..n {
-                if cm.in_cohort(m) {
-                    coh.leave(&mut cm, m);
-                }
-            }
-            coh.reset();
-            assert!(coh.filed.is_empty());
             assert!(
-                coh.buckets.iter().all(Vec::is_empty),
-                "cycle {cycle}: an entry survived the reset"
+                coh.buckets.len() as u32 <= bound + 1,
+                "step {step}: {} buckets for a longest remaining of {bound}",
+                coh.buckets.len()
             );
         }
-        assert!(coh.buckets.len() > 40_000, "far finish epochs were filed");
+        assert_eq!(coh.epoch(), 50_000);
+        assert_eq!(coh.live(), n);
+    }
+
+    /// Entries filed in different phases share a bucket, so a bucket's
+    /// filing order is not its batch's member order: finishers must drain
+    /// in ticket order, which a re-partition renumbers to member order.
+    #[test]
+    fn finishers_drain_in_member_order_not_filing_order() {
+        let mut coh = DecodeCohort::new(4);
+        let mut cm = CohortMembers::new(3);
+        let mut out = Vec::new();
+        // Filed 0, 1, 2 — all finishing on epoch 3.
+        coh.join(&mut cm, 0, 5, 3);
+        coh.begin_step();
+        coh.drain_finishers(&mut cm, &mut out);
+        coh.join(&mut cm, 1, 6, 2);
+        coh.join(&mut cm, 2, 7, 2);
+        // A re-partition lists the batch as [2, 0, 1].
+        coh.renumber(&mut cm, &[2, 0, 1]);
+        coh.begin_step();
+        coh.drain_finishers(&mut cm, &mut out);
+        assert!(out.is_empty());
+        coh.begin_step();
+        coh.drain_finishers(&mut cm, &mut out);
+        let order: Vec<usize> = out.iter().map(|&(m, _)| m).collect();
+        assert_eq!(order, vec![2, 0, 1], "finishers must follow member order");
+    }
+
+    /// Settling in place materialises the banked steps but keeps the
+    /// member's finish epoch and growth class: the cohort steps exactly as
+    /// an unsettled twin, and the finisher settles only what is left.
+    #[test]
+    fn settle_in_place_keeps_finish_and_growth() {
+        let mut a = DecodeCohort::new(4);
+        let mut b = DecodeCohort::new(4);
+        let mut cm_a = CohortMembers::new(3);
+        let mut cm_b = CohortMembers::new(3);
+        for (m, (tokens, remaining)) in [(5, 9), (8, 6), (3, 11)].into_iter().enumerate() {
+            a.join(&mut cm_a, m, tokens, remaining);
+            b.join(&mut cm_b, m, tokens, remaining);
+        }
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        let mut settled = [0u32; 3];
+        for step in 1..=11 {
+            if step == 4 {
+                for (m, s) in settled.iter_mut().enumerate() {
+                    *s = b.settle(&mut cm_b, m);
+                    assert_eq!(cm_b.pending(m, b.epoch()), 0);
+                }
+                assert_eq!(settled, [3, 3, 3]);
+            }
+            a.begin_step();
+            b.begin_step();
+            a.drain_finishers(&mut cm_a, &mut out_a);
+            b.drain_finishers(&mut cm_b, &mut out_b);
+            assert_eq!(a.step_grows(), b.step_grows(), "step {step}");
+            assert_eq!(out_a.len(), out_b.len(), "step {step}");
+            for (&(ma, ea), &(mb, eb)) in out_a.iter().zip(&out_b) {
+                assert_eq!(ma, mb);
+                assert_eq!(ea, eb + settled[mb], "settled steps counted twice");
+            }
+        }
+        assert_eq!((a.live(), b.live()), (0, 0));
     }
 
     /// Test hooks exercising every extension point: finishers free, a

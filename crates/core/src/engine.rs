@@ -23,8 +23,8 @@
 //! [`tdpipe_sim::PipelineSim`] produces exactly the idle gaps a real
 //! pipeline would show.
 
-use crate::batch::{partition_even_into, DecodeBatch};
-use crate::cohort::{DecodeCohort, StepEnv, StepHooks};
+use crate::batch::{even_range, partition_even_into, DecodeBatch};
+use crate::cohort::{DecodeCohort, DecodeStepper, StepEnv, StepHooks};
 use crate::config::{
     future_points, D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, BLOCK_SIZE, HOST_LINK_BW,
     PREFILL_TOKEN_BUDGET, WATERMARK,
@@ -435,9 +435,9 @@ impl TdPipeEngine {
         predictor: &P,
     ) -> RunOutcome {
         let arrivals = sessions.initial_arrivals();
-        let est_cache = &mut PrefillEstimateCache::default();
+        let probe = &mut RunProbe::default();
         let plane = self.sim_plane();
-        self.run_impl(&sessions.trace, &arrivals, predictor, plane, Some(sessions), est_cache)
+        self.run_impl(&sessions.trace, &arrivals, predictor, plane, Some(sessions), probe)
             .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
@@ -457,16 +457,16 @@ impl TdPipeEngine {
         predictor: &P,
         plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
-        let est_cache = &mut PrefillEstimateCache::default();
-        self.run_impl(trace, arrivals, predictor, plane, None, est_cache)
+        let probe = &mut RunProbe::default();
+        self.run_impl(trace, arrivals, predictor, plane, None, probe)
     }
 
     /// Every entry point's run: TD-Pipe's phase machine on the shared
     /// loop. `sessions` threads the closed-loop linkage (arrival release,
     /// KV retention) through it, and `None` leaves all of that behind one
-    /// branch so non-session runs stay bit-identical. `est_cache` starts
-    /// empty; it is the caller's so tests can read its work counters
-    /// afterwards.
+    /// branch so non-session runs stay bit-identical. `probe` starts
+    /// empty; it is the caller's so tests can read the run's work
+    /// counters afterwards.
     fn run_impl<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
@@ -474,8 +474,9 @@ impl TdPipeEngine {
         predictor: &P,
         plane: Box<dyn PipelineExecutor>,
         sessions: Option<&SessionTrace>,
-        est_cache: &mut PrefillEstimateCache,
+        probe: &mut RunProbe,
     ) -> Result<RunOutcome, ExecError> {
+        let RunProbe { est_cache, work } = probe;
         let e = &self.cfg.engine;
         let (journal, metrics) = (e.record_trace, e.record_metrics);
         let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
@@ -508,6 +509,7 @@ impl TdPipeEngine {
         let policy = TdRun {
             engine: self,
             est_cache,
+            work,
             sess,
             comparator: IntensityComparator::new(self.build_profile(trace)),
             alloc,
@@ -587,6 +589,24 @@ impl TdPipeEngine {
     }
 }
 
+/// What a run leaves its caller to read back: the prefill-estimate cache
+/// with its rebuild counter, and the decode cohorts' phase-switch work.
+#[derive(Default)]
+struct RunProbe {
+    est_cache: PrefillEstimateCache,
+    work: SwitchWork,
+}
+
+/// Decode-cohort work over one run, next to what re-banking every resident
+/// at every decode-phase open would cost.
+#[derive(Default)]
+struct SwitchWork {
+    /// Residents summed over decode-phase opens.
+    residents_at_open: u64,
+    /// The run's [`DecodeStepper`] joins, leaves and in-place settles.
+    cohort_ops: u64,
+}
+
 /// Prefill completions carry `PREFILL_TAG + seq`; decode batches carry
 /// their batch index.
 const PREFILL_TAG: u64 = 1 << 32;
@@ -618,7 +638,8 @@ struct PrefillPhase {
 
 /// The decode phase in progress: one batch per stage, each with its own
 /// event-driven cohort (see [`crate::cohort`]). Everything here is reused
-/// across phases, so a phase switch allocates nothing.
+/// across phases, so a phase switch allocates nothing, and the cohorts
+/// keep their members banked from one decode phase to the next.
 #[derive(Default)]
 struct DecodePhase {
     batches: Vec<DecodeBatch>,
@@ -637,11 +658,31 @@ struct DecodePhase {
     switching: bool,
 }
 
+impl DecodePhase {
+    /// Settle every banked member's steps in place — pool, allocator and
+    /// planner — keeping it banked in its batch's cohort.
+    fn settle_banked(
+        &self,
+        stepper: &mut DecodeStepper,
+        pool: &mut RequestPool,
+        alloc: &mut BlockAllocator,
+        planner: &mut GreedyPrefillPlanner,
+    ) {
+        for (b, coh) in self.batches.iter().zip(&self.cohorts) {
+            for &m in &b.members {
+                let steps = stepper.settle(coh, m, pool, alloc);
+                planner.advance(m, steps);
+            }
+        }
+    }
+}
+
 /// One TD-Pipe run as a policy on the shared loop: a two-state phase
 /// machine over one KV pool, the Algorithm-1 planner and the pending queue.
 struct TdRun<'a> {
     engine: &'a TdPipeEngine,
     est_cache: &'a mut PrefillEstimateCache,
+    work: &'a mut SwitchWork,
     sess: Option<SessionRun<'a>>,
     comparator: IntensityComparator,
     alloc: BlockAllocator,
@@ -723,6 +764,8 @@ impl Policy for TdRun<'_> {
     }
 
     fn close(self, run: &mut RunState) -> Close {
+        let st = &run.stepper;
+        self.work.cohort_ops = st.joins + st.leaves + st.settles;
         if let Some(s) = &self.sess {
             let drained = s.retainer.is_empty();
             debug_assert!(drained, "all retained session prefixes should be claimed by run end");
@@ -759,28 +802,49 @@ impl TdRun<'_> {
         let e = &eng.cfg.engine;
         let block_size = BLOCK_SIZE as u64;
         self.open = Some(Phase::Prefill);
-        // The planner is maintained incrementally across phases
-        // (admit/remove/advance); in debug builds, rebuild it from scratch
-        // and check the usage grids agree exactly.
-        #[cfg(debug_assertions)]
-        {
-            let mut oracle = GreedyPrefillPlanner::new(future_points(), eng.plan.token_capacity());
-            for &i in &self.residents {
-                oracle.admit(i, run.pool.resident_tokens(i), run.pool.predicted_remaining(i));
-            }
-            debug_assert_eq!(
-                oracle.usage(),
-                self.planner.usage(),
-                "incremental planner drifted from a from-scratch rebuild"
-            );
-        }
         let pf = &mut self.prefill;
         pf.t0 = now;
         pf.members.clear();
         pf.meta.clear();
         pf.collected = 0;
         pf.admitted = 0;
-        while !self.pending.is_empty() {
+        // Decode members stay banked across the switch, so the planner
+        // lags their banked steps until this phase first reads it: after
+        // its first launch, where the stop check starts to bind. Most
+        // online prefill phases admit nothing and never get there. Of the
+        // rest, most then find the queue head not yet arrived, which ends
+        // the phase whatever the planner says; only observers record
+        // which of the two stopped it, so an unobserved phase skips the
+        // read.
+        let observed = run.journal.is_enabled() || run.metrics.is_enabled();
+        let mut settled = false;
+        while let Some(&head) = self.pending.front() {
+            if !settled && !pf.meta.is_empty() {
+                let clock = now + pf.meta.len() as f64 * e.engine_overhead;
+                if !observed && run.pool.arrival(head) > clock {
+                    break;
+                }
+                settled = true;
+                let (stepper, pool) = (&mut run.stepper, &mut run.pool);
+                self.decode.settle_banked(stepper, pool, &mut self.alloc, &mut self.planner);
+                // The planner is maintained incrementally across phases
+                // (admit/remove/advance); in debug builds, rebuild it from
+                // scratch and check the usage grids agree exactly.
+                #[cfg(debug_assertions)]
+                {
+                    let cap = eng.plan.token_capacity();
+                    let mut oracle = GreedyPrefillPlanner::new(future_points(), cap);
+                    for &i in &self.residents {
+                        let pool = &run.pool;
+                        oracle.admit(i, pool.resident_tokens(i), pool.predicted_remaining(i));
+                    }
+                    debug_assert_eq!(
+                        oracle.usage(),
+                        self.planner.usage(),
+                        "incremental planner drifted from a from-scratch rebuild"
+                    );
+                }
+            }
             let stop = match eng.cfg.p2d {
                 P2dPolicy::Greedy => self.planner.would_overflow(),
                 P2dPolicy::FixedOccupancy(r) => self.alloc.occupancy() >= r,
@@ -968,7 +1032,9 @@ impl TdRun<'_> {
 
     /// Close the collected prefill phase and open a decode phase at control
     /// time `now`: partition the residents into one batch per stage and
-    /// issue them right behind the prefill jobs.
+    /// issue them right behind the prefill jobs. Members the partition
+    /// keeps in their batch stay banked in its cohort; only the ones it
+    /// moves leave and settle, and the newly admitted join.
     fn open_decode(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) {
         let eng = self.engine;
         let e = &eng.cfg.engine;
@@ -996,7 +1062,24 @@ impl TdRun<'_> {
                 .all(|w| run.admission_seq[w[0]] < run.admission_seq[w[1]]),
             "residents must stay in admission order"
         );
-        partition_even_into(&self.residents, eng.cost.num_stages() as usize, &mut dc.batches);
+        self.work.residents_at_open += self.residents.len() as u64;
+        let n_stages = eng.cost.num_stages() as usize;
+        // Each new batch is an admission-order interval of `residents`, so
+        // whether a banked member stays in its batch is one range test.
+        let seq = &run.admission_seq;
+        for (bid, b) in dc.batches.iter().enumerate() {
+            let span = &self.residents[even_range(self.residents.len(), n_stages, bid)];
+            let stays = |m: usize| match (span.first(), span.last()) {
+                (Some(&first), Some(&last)) => (seq[first]..=seq[last]).contains(&seq[m]),
+                _ => false,
+            };
+            for &m in b.members.iter().filter(|&&m| !stays(m)) {
+                let coh = &mut dc.cohorts[bid];
+                let steps = run.stepper.leave(coh, m, &mut run.pool, &mut self.alloc);
+                self.planner.advance(m, steps);
+            }
+        }
+        partition_even_into(&self.residents, n_stages, &mut dc.batches);
         dc.initial_sizes.clear();
         dc.initial_sizes.extend(dc.batches.iter().map(DecodeBatch::len));
         if eng.cfg.work_stealing {
@@ -1007,15 +1090,28 @@ impl TdRun<'_> {
         }
         debug_assert!(dc.inflight.is_empty());
         for (bid, b) in dc.batches.iter().enumerate() {
-            // Scan each batch once at phase start; from here on `batch_ctx`
-            // is maintained incrementally. Bank every member into the
-            // batch's cohort: one join here replaces the per-step
-            // per-member walk for its whole residency.
-            dc.batch_ctx[bid] = b.total_ctx(&run.pool);
+            // Sum each batch once at phase start; from here on `batch_ctx`
+            // is maintained incrementally. Bank the members not yet in the
+            // batch's cohort: one join replaces the per-step per-member walk
+            // for as long as the request stays in this batch.
             let coh = &mut dc.cohorts[bid];
-            coh.reset();
-            for &m in &b.members {
-                run.stepper.join(coh, m, &run.pool);
+            dc.batch_ctx[bid] = run.stepper.bank(coh, &b.members, &run.pool);
+            // Debug oracle: the batch is exactly its cohort's banked set,
+            // and its context total matches the allocator's per-request
+            // records plus the banked steps.
+            #[cfg(debug_assertions)]
+            {
+                let cm = &run.stepper.cm;
+                let (mut banked, mut members) = (coh.banked(cm), b.members.clone());
+                banked.sort_unstable();
+                members.sort_unstable();
+                debug_assert_eq!(banked, members, "batch {bid} is not its cohort's banked set");
+                // analyzer: allow(no-expect) — every batch member was
+                // allocated at admission and is still decoding.
+                let held = |m: usize| self.alloc.tokens_of(m as u64).expect("member resident");
+                let ctx: u64 =
+                    b.members.iter().map(|&m| held(m) + cm.pending(m, coh.epoch()) as u64).sum();
+                debug_assert_eq!(dc.batch_ctx[bid], ctx, "batch {bid} context drifted");
             }
             if b.is_empty() {
                 continue;
@@ -1189,21 +1285,14 @@ impl TdRun<'_> {
         now
     }
 
-    /// Every decode batch has retired: settle the banked cohort state
-    /// (pool tokens, KV residency, planner advances) for members that ran
-    /// to phase end — the withheld were settled when they left their
-    /// batch — then keep the survivors. `residents` was never cleared, so
-    /// retaining the still-decoding entries preserves admission order for
-    /// the next partition.
+    /// Every decode batch has retired: keep the survivors. Batch members
+    /// stay banked in their cohorts across the switch — the next partition
+    /// settles only the ones it moves, and a prefill phase that reads the
+    /// planner settles the rest in place. `residents` was never cleared,
+    /// so retaining the still-decoding entries preserves admission order
+    /// for the next partition.
     fn close_decode(&mut self, run: &mut RunState, now: f64) {
-        let dc = &mut self.decode;
-        for (bid, b) in dc.batches.iter().enumerate() {
-            let coh = &mut dc.cohorts[bid];
-            for &m in &b.members {
-                let p = run.stepper.leave(coh, m, &mut run.pool, &mut self.alloc);
-                self.planner.advance(m, p);
-            }
-        }
+        let dc = &self.decode;
         self.residents.retain(|&i| run.pool.lifecycle(i) == Lifecycle::Decoding);
         // A decode phase starts where its prefill phase's last job ended.
         let record = PhaseRecord {
@@ -1437,10 +1526,11 @@ mod tests {
             eng.cfg.engine.transfer_mode,
             false,
         ));
-        let mut cache = PrefillEstimateCache::default();
+        let mut probe = RunProbe::default();
         let out = eng
-            .run_impl(&t, &arrivals, &OraclePredictor, executor, None, &mut cache)
+            .run_impl(&t, &arrivals, &OraclePredictor, executor, None, &mut probe)
             .unwrap();
+        let cache = probe.est_cache;
         assert_eq!(out.report, eng.run_with_arrivals(&t, &arrivals, &OraclePredictor).report);
         let decode_phases = out.phases.iter().filter(|p| p.phase == Phase::Decode).count() as u64;
         assert!(cache.rebuilds > 0, "the intensity switch priced prefill phases");
@@ -1448,6 +1538,33 @@ mod tests {
             cache.rebuilds < decode_phases,
             "rebuilds={} decode phases={decode_phases}",
             cache.rebuilds
+        );
+    }
+
+    /// Online, decode phases end every few steps, yet most residents stay
+    /// in the same batch from one decode phase to the next: they stay
+    /// banked in its cohort, so a switch joins, leaves and settles far
+    /// fewer members than it has residents. (Re-banking every resident
+    /// would cost a join and a leave per resident per decode phase.)
+    #[test]
+    fn phase_switches_touch_only_movers() {
+        let t = trace(300);
+        let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
+            rate_per_s: 2.0,
+            seed: 42,
+        }
+        .sample(t.len());
+        let eng = engine(4);
+        let mut probe = RunProbe::default();
+        let out = eng
+            .run_impl(&t, &arrivals, &OraclePredictor, eng.sim_plane(), None, &mut probe)
+            .unwrap();
+        assert_eq!(out.report, eng.run_with_arrivals(&t, &arrivals, &OraclePredictor).report);
+        let SwitchWork { residents_at_open, cohort_ops } = probe.work;
+        assert!(residents_at_open > 0, "the run opened decode phases");
+        assert!(
+            4 * cohort_ops < residents_at_open,
+            "{cohort_ops} cohort operations for {residents_at_open} residents at decode-phase opens"
         );
     }
 

@@ -10,13 +10,19 @@
 //! than a naive "stop at X% occupancy" rule, without overflowing later.
 //!
 //! The planner is **incremental**: it tracks each admitted request's exact
-//! contribution, so finishing/evicting a request ([`GreedyPrefillPlanner::
-//! remove_request`]) or advancing it by a batch of decode steps
-//! ([`GreedyPrefillPlanner::advance`]) costs O(futurePoints) — phase
-//! re-seeding is O(changes), not O(residents × futurePoints). All
-//! arithmetic is exact `u64` adds/subtracts, so the incremental state is
-//! bit-identical to a from-scratch rebuild (the equivalence proptest and a
-//! debug assertion in the engine both pin this).
+//! contribution, so admitting, finishing/evicting ([`GreedyPrefillPlanner::
+//! remove_request`]) or advancing a request by a batch of decode steps
+//! ([`GreedyPrefillPlanner::advance`]) is O(1) difference-array updates
+//! plus one O(log futurePoints) search. A request is live at a prefix of
+//! the grid, so the grid is kept as two difference arrays over the
+//! future-point index — resident-token sums and live counts — and point
+//! `k`'s usage is `tokens[k] + count[k] × fp_k`. Only the readers
+//! ([`GreedyPrefillPlanner::would_overflow`], [`GreedyPrefillPlanner::
+//! peak_usage`], [`GreedyPrefillPlanner::usage`]) materialise the grid, in
+//! O(futurePoints). All arithmetic is exact wrapping `u64`, and the true
+//! sums never leave `u64`, so the prefix sums are bit-identical to a
+//! from-scratch rebuild (the equivalence proptest and a debug assertion in
+//! the engine both pin this).
 
 /// The future-usage simulator behind Algorithm 1.
 ///
@@ -31,13 +37,16 @@
 pub struct GreedyPrefillPlanner {
     /// Future decode-step offsets (e.g. 32, 64, …, 1024).
     future_points: Vec<u32>,
-    /// Predicted resident tokens at each future point.
-    usage: Vec<u64>,
+    /// Difference array of the resident tokens live at each future point
+    /// (one entry past the grid, where every live prefix ends).
+    tokens: Vec<u64>,
+    /// Difference array of the requests live at each future point.
+    counts: Vec<u64>,
     /// Token capacity of the KV pool.
     token_capacity: u64,
     /// Per-request tracked contribution, id-indexed: `(current_tokens,
-    /// predicted_remaining)` exactly as accounted into `usage`. `None` for
-    /// requests the planner is not currently tracking.
+    /// predicted_remaining)` exactly as accounted into the grid. `None`
+    /// for requests the planner is not currently tracking.
     tracked: Vec<Option<(u64, u32)>>,
 }
 
@@ -52,10 +61,11 @@ impl GreedyPrefillPlanner {
             future_points.windows(2).all(|w| w[0] < w[1]),
             "future points must be strictly increasing"
         );
-        let n = future_points.len();
+        let n = future_points.len() + 1;
         GreedyPrefillPlanner {
             future_points,
-            usage: vec![0; n],
+            tokens: vec![0; n],
+            counts: vec![0; n],
             token_capacity,
             tracked: Vec::new(),
         }
@@ -71,8 +81,9 @@ impl GreedyPrefillPlanner {
 
     /// Forget every tracked request and zero the usage grid.
     pub fn clear(&mut self) {
-        self.usage.iter_mut().for_each(|u| *u = 0);
-        self.tracked.iter_mut().for_each(|t| *t = None);
+        self.tokens.fill(0);
+        self.counts.fill(0);
+        self.tracked.fill(None);
     }
 
     /// Algorithm 1's `UpdateUsage`: account one just-admitted request with
@@ -87,14 +98,11 @@ impl GreedyPrefillPlanner {
         }
         debug_assert!(self.tracked[id].is_none(), "request {id} already tracked");
         self.tracked[id] = Some((current_tokens, predicted_remaining));
-        let live = self.live_prefix(predicted_remaining);
-        for (u, &fp) in self.usage[..live].iter_mut().zip(&self.future_points[..live]) {
-            *u += current_tokens + fp as u64;
-        }
+        self.add(current_tokens, predicted_remaining);
     }
 
     /// Remove a tracked request (it finished, or was evicted/swapped out):
-    /// its exact stored contribution is subtracted, so `usage` returns to
+    /// its exact stored contribution is subtracted, so the grid returns to
     /// the state it would have had without the request. No settling is
     /// required first — the stored `(c, p)` pair is whatever was last
     /// admitted/advanced, and that is exactly what was accounted.
@@ -104,16 +112,12 @@ impl GreedyPrefillPlanner {
             // the debug-assert oracle in the engine catches drift earlier.
             panic!("removing untracked request {id}")
         });
-        let live = self.live_prefix(p);
-        for (u, &fp) in self.usage[..live].iter_mut().zip(&self.future_points[..live]) {
-            *u -= c + fp as u64;
-        }
+        self.sub(c, p);
     }
 
     /// Advance a tracked request by `steps` decode steps: its resident
     /// tokens grow by `steps` and its predicted remaining output shrinks
-    /// (saturating). Cost is O(live future points), and saturating-sub
-    /// chains compose, so advancing by `a` then `b` equals advancing by
+    /// (saturating), so advancing by `a` then `b` equals advancing by
     /// `a + b`.
     pub fn advance(&mut self, id: usize, steps: u32) {
         if steps == 0 {
@@ -124,24 +128,30 @@ impl GreedyPrefillPlanner {
             // the debug-assert oracle in the engine catches drift earlier.
             panic!("advancing untracked request {id}")
         };
-        let new_p = p.saturating_sub(steps);
-        let new_c = c + steps as u64;
+        let (new_c, new_p) = (c + steps as u64, p.saturating_sub(steps));
         self.tracked[id] = Some((new_c, new_p));
-        let live_old = self.live_prefix(p);
-        let live_new = self.live_prefix(new_p);
-        debug_assert!(live_new <= live_old);
-        // Still-live points: contribution goes from c + fp to c' + fp.
-        for u in &mut self.usage[..live_new] {
-            *u += steps as u64;
-        }
-        // Points the request is now predicted to have finished by: its old
-        // contribution leaves entirely.
-        for (u, &fp) in self.usage[live_new..live_old]
-            .iter_mut()
-            .zip(&self.future_points[live_new..live_old])
-        {
-            *u -= c + fp as u64;
-        }
+        self.sub(c, p);
+        self.add(new_c, new_p);
+    }
+
+    /// Account `c + fp` tokens at every future point `fp ≤ p`.
+    #[inline]
+    fn add(&mut self, c: u64, p: u32) {
+        let live = self.live_prefix(p);
+        self.tokens[0] = self.tokens[0].wrapping_add(c);
+        self.tokens[live] = self.tokens[live].wrapping_sub(c);
+        self.counts[0] = self.counts[0].wrapping_add(1);
+        self.counts[live] = self.counts[live].wrapping_sub(1);
+    }
+
+    /// Undo [`Self::add`]`(c, p)`.
+    #[inline]
+    fn sub(&mut self, c: u64, p: u32) {
+        let live = self.live_prefix(p);
+        self.tokens[0] = self.tokens[0].wrapping_sub(c);
+        self.tokens[live] = self.tokens[live].wrapping_add(c);
+        self.counts[0] = self.counts[0].wrapping_sub(1);
+        self.counts[live] = self.counts[live].wrapping_add(1);
     }
 
     /// The future points a request with `predicted_remaining` output is
@@ -152,23 +162,33 @@ impl GreedyPrefillPlanner {
             .partition_point(|&fp| fp <= predicted_remaining)
     }
 
+    /// Predicted resident tokens at each future point, in grid order: the
+    /// difference arrays' running sums.
+    fn grid(&self) -> impl Iterator<Item = u64> + '_ {
+        let (mut tokens, mut count) = (0u64, 0u64);
+        self.future_points.iter().enumerate().map(move |(k, &fp)| {
+            tokens = tokens.wrapping_add(self.tokens[k]);
+            count = count.wrapping_add(self.counts[k]);
+            tokens + count * fp as u64
+        })
+    }
+
     /// Algorithm 1's `CheckSwitch`: `true` when the simulated peak usage
     /// exceeds capacity — time to switch to decode.
     pub fn would_overflow(&self) -> bool {
-        self.peak_usage() > self.token_capacity
+        self.grid().any(|u| u > self.token_capacity)
     }
 
     /// The simulated peak across future points.
     pub fn peak_usage(&self) -> u64 {
-        self.usage.iter().copied().max().unwrap_or(0)
+        self.grid().max().unwrap_or(0)
     }
 
     /// The usage grid itself (one entry per future point) — exposed so
     /// tests and the engine's debug oracle can compare incremental state
     /// against a from-scratch rebuild.
-    #[inline]
-    pub fn usage(&self) -> &[u64] {
-        &self.usage
+    pub fn usage(&self) -> Vec<u64> {
+        self.grid().collect()
     }
 
     /// Capacity the planner guards.
