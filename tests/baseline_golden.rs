@@ -1,4 +1,4 @@
-//! Byte-level goldens for all five schedulers.
+//! Byte-level goldens for all five schedulers and the offload engine.
 //!
 //! `tests/determinism.rs` only compares runs with themselves and the Fig. 11
 //! smoke snapshot covers offline reports only, so this file pins what the
@@ -13,7 +13,11 @@
 //!   swap preemption under an underpredicting predictor, closed-loop
 //!   sessions whose retained KV is reclaimed mid-step, KV pressure on the
 //!   tiny test node, and the fixed-ratio switch policies without work
-//!   stealing. TD-Pipe also records its journal.
+//!   stealing. TD-Pipe also records its journal;
+//! * `offload_golden.txt`: the §2.2.2 KV-offloading engine at two host
+//!   bandwidths on three traces (one under a sequence cap), and node runs
+//!   of 1, 2 and 4 replicas behind a contended and an uncontended host
+//!   link.
 //!
 //! Each record keeps
 //!
@@ -24,6 +28,8 @@
 //! * a digest of the sampled series;
 //! * for TD-Pipe, digests of the journal, the phase log and the occupancy
 //!   trace.
+//!
+//! An offload record is its serialized `RunReport` or `NodeOffloadRun`.
 //!
 //! After an intended schedule change, regenerate the fixtures deliberately
 //! and review their diff:
@@ -39,12 +45,15 @@ use tdpipe::core::{D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, TdPipeEng
 use tdpipe::hw::NodeSpec;
 use tdpipe::metrics::MetricsSnapshot;
 use tdpipe::model::ModelSpec;
+use tdpipe::offload::{HostLink, OffloadEngine};
 use tdpipe::predictor::{MeanPredictor, OraclePredictor, OutputLenPredictor};
 use tdpipe::sim::{RunReport, SegmentKind, Timeline};
 use tdpipe::workload::{ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/baseline_golden.txt");
 const TD_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tdpipe_golden.txt");
+const OFFLOAD_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/offload_golden.txt");
 
 struct Case {
     name: &'static str,
@@ -345,6 +354,41 @@ fn render_td() -> String {
     out
 }
 
+fn render_offload() -> String {
+    let engine = |cfg| {
+        OffloadEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), 256 << 30, cfg)
+            .expect("13B weights fit one L20")
+    };
+    let plain = engine(EngineConfig::default());
+    let capped = engine(EngineConfig {
+        max_num_seqs: Some(32),
+        ..EngineConfig::default()
+    });
+    let mut out = String::new();
+    for (name, e, trace) in [
+        ("sharegpt150", &plain, ShareGptLikeConfig::small(150, 5).generate()),
+        ("sharegpt80", &plain, ShareGptLikeConfig::small(80, 4).generate()),
+        ("seqcap32-sharegpt120", &capped, ShareGptLikeConfig::small(120, 9).generate()),
+    ] {
+        for bw in [20.0e9, 5.0e9] {
+            let report = serde_json::to_string(&e.run_at_bandwidth(&trace, bw)).expect("report");
+            out.push_str(&format!("## {name} {bw:e}\nreport {report}\n"));
+        }
+    }
+    let trace = ShareGptLikeConfig::small(240, 8).generate();
+    for (name, link) in [
+        ("commodity-gen4", HostLink::commodity_gen4()),
+        ("uncontended", HostLink::uncontended()),
+    ] {
+        for replicas in [1, 2, 4] {
+            let node = serde_json::to_string(&plain.run_node(&trace, replicas, &link))
+                .expect("node run");
+            out.push_str(&format!("## node {name} x{replicas}\nnode {node}\n"));
+        }
+    }
+    out
+}
+
 fn assert_matches_fixture(path: &str, got: &str) {
     let want = std::fs::read_to_string(path).expect("committed golden fixture");
     let mut header = "";
@@ -377,7 +421,12 @@ fn tdpipe_matches_the_committed_golden() {
     assert_matches_fixture(TD_FIXTURE, &render_td());
 }
 
-/// Rewrites both fixtures from the current code. Ignored so it only runs
+#[test]
+fn offload_matches_the_committed_golden() {
+    assert_matches_fixture(OFFLOAD_FIXTURE, &render_offload());
+}
+
+/// Rewrites every fixture from the current code. Ignored so it only runs
 /// when asked for by name (see the module docs).
 #[test]
 #[ignore = "rewrites the committed fixtures; run deliberately after an intended schedule change"]
@@ -386,4 +435,5 @@ fn bless() {
         .expect("create fixture dir");
     std::fs::write(FIXTURE, render()).expect("write fixture");
     std::fs::write(TD_FIXTURE, render_td()).expect("write TD-Pipe fixture");
+    std::fs::write(OFFLOAD_FIXTURE, render_offload()).expect("write offload fixture");
 }
