@@ -13,7 +13,7 @@
 use std::collections::VecDeque;
 use tdpipe_core::cohort::{DecodeCohort, Recompute, StepEnv};
 use tdpipe_core::config::{BLOCK_SIZE, WATERMARK};
-use tdpipe_core::driver::RunState;
+use tdpipe_core::driver::{RunState, Stall};
 use tdpipe_core::request::RequestPool;
 use tdpipe_kvcache::BlockAllocator;
 
@@ -65,6 +65,21 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
             }
         })
         .collect()
+}
+
+/// What blocks `lanes` when nothing is in flight at `now`: an arrived
+/// queue head that an idle lane refused can never fit its lane's memory;
+/// otherwise the clock waits for the earliest pending arrival.
+pub fn stall(lanes: &[Lane], pool: &RequestPool, now: f64) -> Stall {
+    let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
+    let oversize = heads().find(|&(_, i)| pool.arrival(i) <= now).map(|(lane, i)| {
+        let capacity = lane.alloc.num_blocks() * lane.alloc.block_size() as u64;
+        (i, pool.prefill_tokens(i) as u64, capacity)
+    });
+    Stall {
+        oversize,
+        next_arrival: heads().map(|(_, i)| pool.arrival(i)).fold(f64::INFINITY, f64::min),
+    }
 }
 
 impl Lane {

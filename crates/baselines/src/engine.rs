@@ -16,7 +16,7 @@
 //! [`BaselineEngine::try_run_on`]), steps every decode batch through the
 //! one decode step, and returns a [`RunOutcome`].
 
-use crate::common::{make_lanes, Lane};
+use crate::common::{make_lanes, stall, Lane};
 use tdpipe_core::config::{EngineConfig, PREFILL_TOKEN_BUDGET};
 use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
@@ -402,17 +402,7 @@ impl Policy for LaneRun<'_> {
 
     fn stall(&mut self, run: &RunState, now: f64) -> Stall {
         self.first = 0;
-        let pool = &run.pool;
-        let heads = || self.lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
-        // An idle lane refused an arrived head: it can never fit.
-        let oversize = heads().find(|&(_, i)| pool.arrival(i) <= now).map(|(lane, i)| {
-            let capacity = lane.alloc.num_blocks() * lane.alloc.block_size() as u64;
-            (i, pool.prefill_tokens(i) as u64, capacity)
-        });
-        Stall {
-            oversize,
-            next_arrival: heads().map(|(_, i)| pool.arrival(i)).fold(f64::INFINITY, f64::min),
-        }
+        stall(&self.lanes, &run.pool, now)
     }
 
     fn close(self, _run: &mut RunState) -> Close {

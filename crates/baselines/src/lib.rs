@@ -23,14 +23,23 @@
 //! loop, cost models, KV allocator, recompute eviction, execution plane
 //! and result type ([`RunOutcome`]) with TD-Pipe too — the only
 //! differences are the scheduling decisions, exactly like the paper's
-//! single-codebase (vLLM) comparison.
+//! single-codebase (vLLM) comparison. The KV-offloading engine
+//! (`tdpipe-offload`) runs one [`common::Lane`] on the same loop.
+//!
+//! As the lowest crate that knows both TD-Pipe and the baselines, this one
+//! also holds the one [`Scheduler`] table: each of the five schedulers'
+//! paper name, command-line spelling, and the configuration it runs with
+//! ([`Scheduler::run`]). The figure harness and the CLI both
+//! dispatch through it.
 
 #![forbid(unsafe_code)]
 
 pub mod common;
 pub mod engine;
+pub mod scheduler;
 
 pub use engine::{BaselineEngine, Batching, Layout};
+pub use scheduler::{tdpipe_config, Scheduler};
 
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};

@@ -37,7 +37,7 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use tdpipe_bench::{run_scheduler, run_scheduler_with_arrivals, Scheduler, SweepSpec, PAPER_SEED};
+use tdpipe_bench::{run_scheduler, run_scheduler_with_arrivals, Scheduler, PAPER_SEED};
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
@@ -348,17 +348,11 @@ fn main() {
             ("L20+13B", Scheduler::TdPipe, 100_000),
             ("L20+13B", Scheduler::TdPipe, 1_000_000),
         ];
+        let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
         for (combo, sched, requests) in scale {
-            let spec = SweepSpec::paper_cell(
-                sched,
-                ModelSpec::llama2_13b(),
-                NodeSpec::l20(4),
-                requests,
-                PAPER_SEED,
-            );
-            let big = spec.workload.generate();
+            let big = ShareGptLikeConfig::small(requests, PAPER_SEED).generate();
             let (best, makespan) = time_cell(1, || {
-                run_scheduler(sched, &spec.model, &spec.node, &big, &predictor)
+                run_scheduler(sched, &model, &node, &big, &predictor)
                     .expect("scale cell must be feasible")
                     .makespan
             });

@@ -3,16 +3,17 @@
 //! Every binary in `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md §4 for the index). This library holds the pieces
 //! they share: the standard 5,000-request ShareGPT-like workload, the four
-//! node/model combinations, a scheduler dispatch wrapper, and small
-//! plumbing for emitting results as aligned text and JSON.
+//! node/model combinations, run wrappers over the [`Scheduler`] table
+//! (`tdpipe-baselines`), and small plumbing for emitting results as
+//! aligned text and JSON.
 
 #![forbid(unsafe_code)]
 
 use serde::Serialize;
 use std::path::PathBuf;
-use tdpipe_baselines::{BaselineEngine, Batching, Layout};
-use tdpipe_core::config::EngineConfig;
+pub use tdpipe_baselines::Scheduler;
 use tdpipe_core::engine::RunOutcome;
+use tdpipe_core::parallel::map_indexed_parallel;
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
@@ -55,47 +56,9 @@ pub fn paper_combos() -> Vec<Combo> {
     ]
 }
 
-/// The five schedulers of Figure 11.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum Scheduler {
-    /// Tensor parallel + separate batching.
-    TpSb,
-    /// Tensor parallel + hybrid batching (chunked prefill).
-    TpHb,
-    /// Pipeline parallel + separate batching.
-    PpSb,
-    /// Pipeline parallel + hybrid batching (chunked prefill).
-    PpHb,
-    /// This paper's system.
-    TdPipe,
-}
-
-impl Scheduler {
-    /// All five, in the paper's presentation order.
-    pub const ALL: [Scheduler; 5] = [
-        Scheduler::TpSb,
-        Scheduler::TpHb,
-        Scheduler::PpSb,
-        Scheduler::PpHb,
-        Scheduler::TdPipe,
-    ];
-
-    /// Display name matching the paper.
-    pub const fn name(self) -> &'static str {
-        ["TP+SB", "TP+HB", "PP+SB", "PP+HB", "TD-Pipe"][self as usize]
-    }
-
-    /// The baseline's `(layout, batching)` cell of the policy grid, or
-    /// `None` for TD-Pipe.
-    pub fn baseline(self) -> Option<(Layout, Batching)> {
-        // The four baselines walk the grid row by row.
-        let layout = *Layout::ALL.get(self as usize / 2)?;
-        Some((layout, Batching::ALL[self as usize % 2]))
-    }
-}
-
-/// Run one scheduler on one configuration. Returns `None` when the model
-/// does not fit the node in the scheduler's layout.
+/// Run one scheduler on one configuration from its defaults (the
+/// [`Scheduler`] table). Returns `None` when the model does not fit the
+/// node in the scheduler's layout.
 pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
     which: Scheduler,
     model: &ModelSpec,
@@ -107,10 +70,7 @@ pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
 }
 
 /// [`run_scheduler`] with per-request arrival times (the online
-/// extension). All five engines share the `run_with_arrivals` contract:
-/// arrivals non-decreasing (else `arrivals must be sorted`) and aligned
-/// with the trace, latencies arrival-relative, and the same panic for a
-/// request that exceeds KV capacity and for a clock that cannot advance.
+/// extension; see [`Scheduler::run`] for the contract).
 pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
     which: Scheduler,
     model: &ModelSpec,
@@ -119,60 +79,8 @@ pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
     arrivals: &[f64],
     predictor: &P,
 ) -> Option<RunReport> {
-    match which.baseline() {
-        Some((l, b)) => BaselineEngine::new(l, b, model.clone(), node, EngineConfig::default())
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-        None => TdPipeEngine::new(model.clone(), node, TdPipeConfig::default())
-            .ok()
-            .map(|e| e.run_with_arrivals(trace, arrivals, predictor).report),
-    }
-}
-
-/// The lock-free parallel-map substrate every sweep in this crate runs on
-/// (and `tdpipe-fleet` reuses for replica execution): workers claim item
-/// indices off a shared atomic counter (so long items do not serialise
-/// behind short ones), buffer `(index, result)` pairs locally, and the
-/// scope's join handles deliver each worker's buffer back to the caller,
-/// which scatters them into input order. No mutex is held anywhere, and
-/// nothing is contended but the counter. Because each item's computation
-/// is independent and deterministic, the result vector is byte-identical
-/// to a serial map for *any* `threads`.
-pub fn map_indexed_parallel<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = threads.max(1).min(items.len().max(1));
-    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        done.push((i, f(i, &items[i])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (i, r) in h.join().expect("worker panicked") {
-                results[i] = Some(r);
-            }
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every index claimed exactly once"))
-        .collect()
+    let out = which.run(model.clone(), node, trace, arrivals, predictor, false, false);
+    out.ok().map(|o| o.report)
 }
 
 /// Run TD-Pipe with an explicit configuration (ablations).
@@ -188,10 +96,10 @@ pub fn run_tdpipe<P: OutputLenPredictor + ?Sized>(
         .map(|e| e.run(trace, predictor))
 }
 
-/// Run many `(scheduler, model, node)` cells in parallel with scoped
-/// threads. Each cell is an independent deterministic simulation, so the
-/// results are identical to a serial sweep — only the wall time shrinks.
-/// Results come back in input order.
+/// Run many `(scheduler, model, node)` cells over one trace on every host
+/// core through [`map_indexed_parallel`]. Each cell is an independent
+/// deterministic simulation, so the results are identical to a serial
+/// sweep — only the wall time shrinks. Results come back in input order.
 pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
     cells: &[(Scheduler, ModelSpec, NodeSpec)],
     trace: &Trace,
@@ -200,91 +108,9 @@ pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    run_cells_parallel_with_threads(cells, trace, &[], predictor, threads)
-}
-
-/// [`run_cells_parallel`] with an explicit worker count (the determinism
-/// tests sweep this to prove thread count cannot affect results) and
-/// per-request `arrivals` shared by every cell (empty = offline, all at
-/// t = 0; see [`run_scheduler_with_arrivals`]).
-///
-/// Lock-free: workers claim cells off a shared atomic counter (so long
-/// cells do not serialise behind short ones), buffer `(index, report)`
-/// pairs locally, and the scope's join handles deliver each worker's
-/// buffer back to the caller, which scatters them into input order. No
-/// mutex is held anywhere, and nothing is contended but the counter.
-pub fn run_cells_parallel_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    cells: &[(Scheduler, ModelSpec, NodeSpec)],
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
     map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler_with_arrivals(*s, model, node, trace, arrivals, predictor)
+        run_scheduler(*s, model, node, trace, predictor)
     })
-}
-
-/// One unit of a multi-cell, multi-seed sweep: a scheduler/model/node cell
-/// plus the workload configuration it runs on. Unlike
-/// [`run_cells_parallel`], which shares one pre-generated trace across all
-/// cells, a sweep generates each spec's trace *inside* the claiming worker,
-/// so trace construction for large (100k–1M request) workloads parallelises
-/// along with the simulation itself.
-#[derive(Debug, Clone)]
-pub struct SweepSpec {
-    /// Which scheduler to run.
-    pub scheduler: Scheduler,
-    /// Model weights/shape.
-    pub model: ModelSpec,
-    /// Node the model is placed on.
-    pub node: NodeSpec,
-    /// Workload generator configuration (request count + seed + shape).
-    pub workload: ShareGptLikeConfig,
-}
-
-impl SweepSpec {
-    /// The standard paper workload at `num_requests` requests under `seed`.
-    pub fn paper_cell(
-        scheduler: Scheduler,
-        model: ModelSpec,
-        node: NodeSpec,
-        num_requests: usize,
-        seed: u64,
-    ) -> Self {
-        SweepSpec {
-            scheduler,
-            model,
-            node,
-            workload: ShareGptLikeConfig::small(num_requests, seed),
-        }
-    }
-
-    /// Run this spec serially: generate the trace, then run the scheduler.
-    pub fn run<P: OutputLenPredictor + ?Sized>(&self, predictor: &P) -> Option<RunReport> {
-        let trace = self.workload.generate();
-        run_scheduler(self.scheduler, &self.model, &self.node, &trace, predictor)
-    }
-}
-
-/// Run a multi-cell, multi-seed sweep on `threads` scoped workers.
-///
-/// Each spec is an independent deterministic simulation over its own
-/// generated trace, so the results are byte-identical to calling
-/// [`SweepSpec::run`] on each spec in order for any `threads` (the
-/// determinism tests sweep it) — only the wall time shrinks. Results come
-/// back in input order.
-///
-/// Same lock-free shape as [`run_cells_parallel_with_threads`]: workers
-/// claim specs off a shared atomic counter, generate the spec's trace
-/// locally, run it, buffer `(index, report)` pairs, and the caller
-/// scatters the buffers back into input order.
-pub fn run_sweep_parallel_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
-    specs: &[SweepSpec],
-    predictor: &P,
-    threads: usize,
-) -> Vec<Option<RunReport>> {
-    map_indexed_parallel(specs, threads, |_, spec| spec.run(predictor))
 }
 
 /// Directory the binaries drop machine-readable results into.
@@ -316,31 +142,6 @@ mod tests {
     use tdpipe_predictor::OraclePredictor;
 
     #[test]
-    fn map_indexed_parallel_preserves_input_order_for_any_thread_count() {
-        let items: Vec<usize> = (0..37).collect();
-        let want: Vec<usize> = (0..37).map(|i| i * 1001).collect();
-        for threads in [1, 2, 5, 64] {
-            let out = map_indexed_parallel(&items, threads, |i, &x| i * 1000 + x);
-            assert_eq!(out, want, "{threads} threads");
-        }
-        let empty: Vec<usize> = Vec::new();
-        assert!(map_indexed_parallel(&empty, 4, |i, _| i).is_empty());
-    }
-
-    #[test]
-    fn scheduler_names() {
-        assert_eq!(Scheduler::TdPipe.name(), "TD-Pipe");
-        assert_eq!(Scheduler::ALL.len(), 5);
-        // Each baseline's grid cell spells its paper name.
-        for s in Scheduler::ALL {
-            let cell = s
-                .baseline()
-                .map(|(l, b)| format!("{}+{}", l.abbrev(), b.abbrev()));
-            assert_eq!(cell.as_deref().unwrap_or("TD-Pipe"), s.name());
-        }
-    }
-
-    #[test]
     fn dispatch_runs_every_scheduler_on_a_tiny_trace() {
         let trace = ShareGptLikeConfig::small(24, 1).generate();
         let model = ModelSpec::llama2_13b();
@@ -364,33 +165,6 @@ mod tests {
             let serial = run_scheduler(*s, m, n, &trace, &OraclePredictor);
             assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));
         }
-    }
-
-    #[test]
-    fn multi_seed_sweep_matches_serial() {
-        // Mixed cells *and* seeds: every spec generates its own trace.
-        let mut specs = Vec::new();
-        for seed in [1u64, 2, 3] {
-            for s in [Scheduler::PpSb, Scheduler::TdPipe] {
-                specs.push(SweepSpec::paper_cell(
-                    s,
-                    ModelSpec::llama2_13b(),
-                    NodeSpec::l20(2),
-                    32,
-                    seed,
-                ));
-            }
-        }
-        let par = run_sweep_parallel_with_threads(&specs, &OraclePredictor, 4);
-        for (spec, got) in specs.iter().zip(&par) {
-            let serial = spec.run(&OraclePredictor);
-            assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));
-        }
-        // Different seeds genuinely produce different workloads.
-        assert_ne!(
-            par[0].as_ref().map(|r| r.makespan),
-            par[2].as_ref().map(|r| r.makespan),
-        );
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //! The crate also hosts the scheduler-agnostic plumbing the baselines
 //! reuse: the one run loop every scheduler is a policy on ([`driver`]),
 //! analytical [`cost`] models per parallel layout, the [`request`] pool,
-//! and [`plan`]-level memory capacity math.
+//! [`plan`]-level memory capacity math, and the [`parallel`] map that
+//! sweeps and fleets run independent engine runs on.
 
 #![forbid(unsafe_code)]
 
@@ -40,6 +41,7 @@ pub mod exec;
 pub mod greedy;
 pub mod intensity;
 pub mod metrics;
+pub mod parallel;
 pub mod plan;
 pub mod request;
 pub mod steal;

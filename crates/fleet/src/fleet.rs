@@ -6,11 +6,11 @@
 //! 1. **Route** (serial, pure): feed every dispatch unit — a request, or a
 //!    whole session — through the seeded [`Router`] in arrival order.
 //! 2. **Execute** (parallel, independent): each replica runs its
-//!    self-contained sub-workload on its own engine via the same
-//!    claim/scatter substrate as the bench sweeps
-//!    ([`tdpipe_bench::map_indexed_parallel`]) — results come back in
-//!    replica order regardless of thread count, which is what makes
-//!    serial and parallel fleets byte-identical.
+//!    self-contained sub-workload on its own engine via the parallel map
+//!    the bench sweeps share
+//!    ([`tdpipe_core::parallel::map_indexed_parallel`]) — results come
+//!    back in replica order regardless of thread count, which is what
+//!    makes serial and parallel fleets byte-identical.
 //! 3. **Aggregate** (serial, pure): makespan is the max over replicas,
 //!    goodput counts SLO-attained completions, metrics merge under a
 //!    `replica` label.
@@ -209,7 +209,7 @@ pub fn run_fleet_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
     let (works, assigned, spills, offered_span) =
         split_workload(replicas, &cfg.router, workload, predictor);
     // Execute: one engine run per replica, scattered back in pool order.
-    let outcomes: Vec<RunOutcome> = tdpipe_bench::map_indexed_parallel(
+    let outcomes: Vec<RunOutcome> = tdpipe_core::parallel::map_indexed_parallel(
         replicas,
         threads,
         |i, replica: &Replica| replica.run(&works[i], predictor),

@@ -20,11 +20,12 @@
 //!   cost model — the router never peeks inside an engine run, which is
 //!   what keeps routing a pure, deterministic pre-pass.
 //! * [`run_fleet`] executes the per-replica sub-workloads on host cores
-//!   with the same lock-free claim/scatter substrate as the bench sweeps
-//!   (`tdpipe_bench::map_indexed_parallel`) and aggregates the outcomes
-//!   into a [`FleetReport`]: fleet makespan is the **max** over replicas
-//!   (they run concurrently), goodput counts only SLO-attained requests,
-//!   and per-replica metrics snapshots merge under a `replica` label.
+//!   with the lock-free parallel map the bench sweeps share
+//!   (`tdpipe_core::parallel::map_indexed_parallel`) and aggregates the
+//!   outcomes into a [`FleetReport`]: fleet makespan is the **max** over
+//!   replicas (they run concurrently), goodput counts only SLO-attained
+//!   requests, and per-replica metrics snapshots merge under a `replica`
+//!   label.
 
 #![forbid(unsafe_code)]
 

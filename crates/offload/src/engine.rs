@@ -3,13 +3,16 @@
 
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
-use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, PREFILL_TOKEN_BUDGET, WATERMARK};
+use tdpipe_baselines::common::{make_lanes, stall, Lane};
+use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, PREFILL_TOKEN_BUDGET};
+use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
 use tdpipe_core::engine::InfeasibleConfig;
-use tdpipe_core::request::RequestPool;
+use tdpipe_core::exec::{PipelineExecutor, SimExecutor};
 use tdpipe_hw::NodeSpec;
-use tdpipe_kvcache::BlockAllocator;
+use tdpipe_kvcache::OccupancyTrace;
 use tdpipe_model::{kv_budget_bytes, ModelSpec};
-use tdpipe_sim::{PipelineSim, RunReport, SegmentKind, TransferMode};
+use tdpipe_sim::{RunReport, SegmentKind, TransferMode};
+use tdpipe_trace::EvictMode;
 use tdpipe_workload::Trace;
 
 /// A FlexGen-style single-GPU engine: weights in HBM, KV in host memory.
@@ -55,91 +58,27 @@ impl OffloadEngine {
         self.host_kv_bytes / self.cost.model().kv_bytes_per_token()
     }
 
-    /// Run one replica at a fixed effective host bandwidth.
+    /// Run one replica at a fixed effective host bandwidth: one lane over
+    /// the host KV pool, a policy on the loop every scheduler shares
+    /// (`tdpipe_core::driver`).
+    ///
+    /// # Panics
+    /// Panics if some request cannot fit the host KV pool even alone.
     pub fn run_at_bandwidth(&self, trace: &Trace, host_bw: f64) -> RunReport {
-        let mut pool = RequestPool::new(trace.requests(), |r| r.output_len);
-        let blocks = self.host_kv_bytes
-            / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64);
-        let mut alloc = BlockAllocator::new(blocks, BLOCK_SIZE);
-        let mut sim = PipelineSim::new(1, TransferMode::Async, self.cfg.record_timeline);
-        let mut pending: std::collections::VecDeque<usize> = (0..pool.len()).collect();
-        let mut residents: Vec<usize> = Vec::new();
-        let mut now = 0.0f64;
-        let max_seqs = self.cfg.max_num_seqs.unwrap_or(usize::MAX);
-        let watermark = (blocks as f64 * WATERMARK).ceil() as u64;
-
-        let head_fits = |pending: &std::collections::VecDeque<usize>,
-                         pool: &RequestPool,
-                         alloc: &BlockAllocator| match pending.front() {
-            None => false,
-            Some(&idx) => {
-                let t = pool.prefill_tokens(idx) as u64;
-                alloc.free_blocks() >= t.div_ceil(BLOCK_SIZE as u64) + watermark
-            }
+        let run = RunState::new(trace, &[], |r| r.output_len, false, false);
+        let kv_blocks =
+            self.host_kv_bytes / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64);
+        let policy = OffloadRun {
+            engine: self,
+            host_bw,
+            lane: make_lanes(run.pool.len(), 1, kv_blocks).remove(0),
+            batch: Vec::new(),
+            lens: Vec::new(),
         };
-
-        while !pool.all_finished() {
-            if residents.len() < max_seqs && head_fits(&pending, &pool, &alloc) {
-                // Pack a prefill batch.
-                let mut lens = Vec::new();
-                let mut batch = Vec::new();
-                let mut tokens = 0u32;
-                while batch.len() + residents.len() < max_seqs
-                    && head_fits(&pending, &pool, &alloc)
-                {
-                    let idx = *pending.front().expect("head fits");
-                    let t = pool.prefill_tokens(idx);
-                    if !batch.is_empty() && tokens + t > PREFILL_TOKEN_BUDGET {
-                        break;
-                    }
-                    pending.pop_front();
-                    alloc.allocate(idx as u64, t as u64).expect("checked");
-                    pool.note_prefill(idx, t);
-                    batch.push(idx);
-                    lens.push(t);
-                    tokens += t;
-                }
-                let t = self.cost.prefill_time(&lens, host_bw);
-                let timing = sim.launch_monolithic(now, t, SegmentKind::Prefill, 0);
-                for &idx in &batch {
-                    pool.note_first_token(idx, timing.finish);
-                }
-                now = timing.finish + self.cfg.engine_overhead;
-                residents.extend(batch);
-            } else if !residents.is_empty() {
-                let ctx: u64 = residents.iter().map(|&i| pool.resident_tokens(i)).sum();
-                let t = self.cost.decode_time(residents.len(), ctx, host_bw);
-                let timing = sim.launch_monolithic(now, t, SegmentKind::Decode, 1);
-                now = timing.finish + self.cfg.engine_overhead;
-                residents.retain(|&idx| {
-                    if pool.note_decode_step(idx, timing.finish) {
-                        alloc.free(idx as u64).expect("resident");
-                        false
-                    } else {
-                        alloc.extend_one(idx as u64).expect("host pool is huge");
-                        true
-                    }
-                });
-            } else {
-                panic!("request exceeds host KV pool");
-            }
-        }
-
-        pool.assert_conserved();
-        let makespan = sim.drained_at();
-        let timeline = sim.into_timeline();
-        RunReport {
-            scheduler: "Offload".into(),
-            makespan,
-            num_requests: pool.len(),
-            input_tokens: pool.input_tokens,
-            output_tokens: pool.output_tokens,
-            recomputed_tokens: pool.recomputed_tokens,
-            swapped_tokens: pool.swapped_tokens,
-            phase_switches: 0,
-            mean_utilization: timeline.mean_utilization(),
-            latency: pool.latency_summary(),
-        }
+        let plane = SimExecutor::new(1, TransferMode::Async, self.cfg.record_timeline);
+        drive(policy, run, Box::new(plane), 0.0)
+            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
+            .report
     }
 
     /// Run `replicas` independent copies of this engine on one node,
@@ -175,6 +114,83 @@ impl OffloadEngine {
     }
 }
 
+/// Job tags: what the one in-flight job delivers when it completes.
+const PREFILL: u64 = 0;
+const DECODE: u64 = 1;
+
+/// One replica's run as a policy on the shared loop: a single lane over the
+/// host KV pool, one job in flight at a time, priced by [`OffloadCost`] at
+/// `host_bw`. The control plane overlaps execution, so a completion
+/// charges only the launch cost (`engine_overhead`).
+struct OffloadRun<'a> {
+    engine: &'a OffloadEngine,
+    host_bw: f64,
+    lane: Lane,
+    /// The in-flight prefill batch: pool indices and prompt lengths.
+    batch: Vec<usize>,
+    lens: Vec<u32>,
+}
+
+impl Policy for OffloadRun<'_> {
+    fn launch(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) -> f64 {
+        if plane.outstanding() > 0 {
+            return now;
+        }
+        let (eng, lane) = (self.engine, &mut self.lane);
+        let max_seqs = eng.cfg.max_num_seqs.unwrap_or(usize::MAX);
+        let residents = lane.residents.len();
+        let (t, kind, tag) = if residents < max_seqs && lane.can_admit(&run.pool, now) {
+            let max_new = max_seqs - residents;
+            let (batch, lens) = (&mut self.batch, &mut self.lens);
+            lane.pack_prefill_batch_into(run, PREFILL_TOKEN_BUDGET, max_new, now, batch, lens);
+            let t = eng.cost.prefill_time(lens, self.host_bw);
+            (t, SegmentKind::Prefill, PREFILL)
+        } else if residents > 0 {
+            let t = eng.cost.decode_time(residents, lane.ctx, self.host_bw);
+            (t, SegmentKind::Decode, DECODE)
+        } else {
+            return now;
+        };
+        plane.launch(now, &[t], &[], kind, tag);
+        now
+    }
+
+    fn complete(
+        &mut self,
+        run: &mut RunState,
+        _plane: &mut dyn PipelineExecutor,
+        tag: u64,
+        finish: f64,
+        _now: f64,
+    ) -> f64 {
+        let lane = &mut self.lane;
+        if tag == DECODE {
+            lane.decode_step(run, finish);
+        } else {
+            for &idx in &self.batch {
+                lane.start_decoding(run, idx, finish);
+            }
+        }
+        finish + self.engine.cfg.engine_overhead
+    }
+
+    fn stall(&mut self, run: &RunState, now: f64) -> Stall {
+        stall(std::slice::from_ref(&self.lane), &run.pool, now)
+    }
+
+    fn close(self, _run: &mut RunState) -> Close {
+        Close {
+            scheduler: "Offload".into(),
+            phase_switches: 0,
+            phases: Vec::new(),
+            occupancy: OccupancyTrace::new(),
+            alloc: self.lane.alloc.stats(),
+            kv_blocks: self.lane.alloc.num_blocks(),
+            evict_mode: EvictMode::Recompute,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +214,41 @@ mod tests {
         let r = engine().run_at_bandwidth(&t, 20.0e9);
         assert_eq!(r.num_requests, 80);
         assert_eq!(r.output_tokens, t.total_output_tokens());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds KV capacity")]
+    fn request_larger_than_the_host_pool_is_a_clean_panic() {
+        // Room for 64 tokens of KV: every ShareGPT-like prompt overflows it.
+        let kv_tok = ModelSpec::llama2_13b().kv_bytes_per_token();
+        let tiny = OffloadEngine::new(
+            ModelSpec::llama2_13b(),
+            &NodeSpec::l20(1),
+            64 * kv_tok,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let t = ShareGptLikeConfig::small(4, 1).generate();
+        tiny.run_at_bandwidth(&t, 20.0e9);
+    }
+
+    #[test]
+    fn host_pool_overflow_recomputes_the_newest_residents() {
+        // A pool that admits many prompts but cannot hold their growth:
+        // decode steps overflow it and evict for recomputation, like the
+        // baselines, and the run still completes every request.
+        let kv_tok = ModelSpec::llama2_13b().kv_bytes_per_token();
+        let small = OffloadEngine::new(
+            ModelSpec::llama2_13b(),
+            &NodeSpec::l20(1),
+            6_000 * kv_tok,
+            EngineConfig::default(),
+        )
+        .unwrap();
+        let t = ShareGptLikeConfig::small(80, 4).generate();
+        let r = small.run_at_bandwidth(&t, 20.0e9);
+        assert_eq!(r.output_tokens, t.total_output_tokens());
+        assert!(r.recomputed_tokens > 0, "the pool must overflow");
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   host memory, with compute/transfer overlap (the double-buffering
 //!   schedule offloading systems rely on).
 //! * [`OffloadEngine`] — a single-GPU continuous-batching engine whose KV
-//!   pool lives in host memory (huge capacity, slow access).
+//!   pool lives in host memory (huge capacity, slow access). A run is a
+//!   policy on the loop every scheduler shares (`tdpipe_core::driver`)
+//!   over one baseline lane (`tdpipe_baselines::common::Lane`).
 //! * [`NodeOffloadRun`] — N independent replicas on one node sharing the
 //!   root complex: per-replica bandwidth shrinks as `aggregate / N`,
 //!   reproducing the §2.2.2 contention collapse (see the

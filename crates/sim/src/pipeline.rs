@@ -144,13 +144,6 @@ impl PipelineSim {
         }
     }
 
-    /// Convenience for single-resource execution (tensor parallelism: all
-    /// GPUs advance in lockstep, so the node behaves as one stage).
-    pub fn launch_monolithic(&mut self, ready: f64, exec: f64, kind: SegmentKind, tag: u64) -> JobTiming {
-        assert_eq!(self.num_stages(), 1, "monolithic launch needs 1 stage");
-        self.launch(ready, &[exec], &[], kind, tag)
-    }
-
     /// Access the recorded timeline.
     #[inline]
     pub fn timeline(&self) -> &Timeline {
@@ -267,10 +260,10 @@ mod tests {
     }
 
     #[test]
-    fn monolithic_serialises_jobs() {
+    fn single_stage_serialises_jobs() {
         let mut p = PipelineSim::new(1, TransferMode::Async, false);
-        p.launch_monolithic(0.0, 2.0, SegmentKind::Prefill, 0);
-        let t = p.launch_monolithic(0.0, 2.0, SegmentKind::Prefill, 1);
+        p.launch(0.0, &[2.0], &[], SegmentKind::Prefill, 0);
+        let t = p.launch(0.0, &[2.0], &[], SegmentKind::Prefill, 1);
         assert!((t.finish - 4.0).abs() < 1e-12);
     }
 }

@@ -7,6 +7,10 @@
 #      cluster↔worker supervision and session-KV retention, each proven
 #      non-vacuous by seeded mutations)
 #   2. release build of the whole workspace
+#  2b. layering: the fleet crate and the `tdpipe` library must not depend
+#      on the figure harness (`tdpipe-bench`) through normal dependencies
+#      (`cargo tree --offline -e normal`); shared plumbing such as the
+#      parallel map lives in `tdpipe-core`
 #   3. full test suite (unit + integration, all crates — includes the
 #      bounded protocol model checker)
 #  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
@@ -74,6 +78,14 @@ step "build (release)"
 # --workspace: a root-only build does not (re)link the bench-crate
 # binaries, and step 7 runs one.
 cargo build --release --workspace
+
+step "layering (the library does not link the figure harness)"
+for pkg in tdpipe-fleet tdpipe; do
+  if cargo tree --offline -e normal -p "$pkg" | grep -q 'tdpipe-bench'; then
+    echo "error: $pkg depends on tdpipe-bench (the figure harness)" >&2
+    exit 1
+  fi
+done
 
 step "tests (workspace)"
 cargo test --release --workspace -q
@@ -187,4 +199,4 @@ done
 step "non-test lines per crate (advisory)"
 scripts/loc.sh || true
 
-printf '\nci OK: build + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'
+printf '\nci OK: build + layering + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'

@@ -22,10 +22,10 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
-use tdpipe::baselines::{BaselineEngine, Batching, Layout};
+use tdpipe::baselines::{tdpipe_config, Scheduler};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
-use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+use tdpipe::core::TdPipeEngine;
 use tdpipe::fleet::{
     parse_pool, run_fleet, FleetConfig, FleetOutcome, FleetWorkload, Replica, ReplicaSpec,
     RouterConfig, RouterPolicy, SloSpec,
@@ -41,9 +41,7 @@ use tdpipe::spans::{
     span_table, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, FlightRecorder};
-use tdpipe::workload::{
-    ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, TraceStats,
-};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, TraceStats};
 
 const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
@@ -197,69 +195,6 @@ fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
     })
 }
 
-/// TD-Pipe's own configuration (`TdPipeConfig::default()`: async
-/// transfers, no sequence cap) with only the observer and session
-/// switches set. Starting from `EngineConfig::default()` instead would
-/// hand TD-Pipe the baselines' conventional-engine settings.
-fn td_config(metrics: bool, trace: bool, timeline: bool, session_reuse: bool) -> TdPipeConfig {
-    let mut cfg = TdPipeConfig::default();
-    let e = &mut cfg.engine;
-    e.record_metrics = metrics;
-    e.record_trace = trace;
-    e.record_timeline = timeline;
-    e.session_reuse = session_reuse;
-    cfg
-}
-
-/// A `--scheduler` baseline name (`tp-sb`, …, `pp-hb`) as its layout ×
-/// batching cell.
-fn baseline_of(name: &str) -> Option<(Layout, Batching)> {
-    let (l, b) = name.split_once('-')?;
-    let layout = Layout::ALL
-        .into_iter()
-        .find(|x| x.abbrev().eq_ignore_ascii_case(l))?;
-    let batching = Batching::ALL
-        .into_iter()
-        .find(|x| x.abbrev().eq_ignore_ascii_case(b))?;
-    Some((layout, batching))
-}
-
-/// One engine run over a request workload: a baseline cell, or TD-Pipe
-/// from its own defaults. `record` switches TD-Pipe's (pure-observer,
-/// schedule-neutral) flight recorder and timeline on; the baselines keep
-/// neither.
-#[allow(clippy::too_many_arguments)]
-fn run_one(
-    scheduler: &str,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &dyn OutputLenPredictor,
-    record_metrics: bool,
-    record: bool,
-) -> Result<RunOutcome, String> {
-    let feasibility = |e: tdpipe::core::engine::InfeasibleConfig| e.to_string();
-    match baseline_of(scheduler) {
-        Some((layout, batching)) => {
-            let cfg = EngineConfig {
-                record_metrics,
-                ..EngineConfig::default()
-            };
-            Ok(BaselineEngine::new(layout, batching, model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor))
-        }
-        None if scheduler == "td" => {
-            let cfg = td_config(record_metrics, record, record, true);
-            Ok(TdPipeEngine::new(model.clone(), node, cfg)
-                .map_err(feasibility)?
-                .run_with_arrivals(trace, arrivals, predictor))
-        }
-        None => Err(format!("unknown scheduler '{scheduler}'")),
-    }
-}
-
 /// Fold the span/bubble analysis of one or more journals into a run's
 /// metrics snapshot (the `bubble_seconds` gate `metrics-diff` rides on).
 /// No-op when the journals are disabled — a run without the flight
@@ -329,7 +264,7 @@ fn run_sessions_cmd(
     record_metrics: bool,
     record: bool,
 ) -> Result<RunOutcome, String> {
-    let cfg = td_config(record_metrics, record, record, reuse);
+    let cfg = tdpipe_config(record_metrics, record, reuse);
     let out = TdPipeEngine::new(model.clone(), node, cfg)
         .map_err(|e| e.to_string())?
         .run_sessions(sessions, predictor);
@@ -361,7 +296,7 @@ fn run_fleet_cmd(
 ) -> Result<FleetOutcome, String> {
     let policy = RouterPolicy::parse(router)?;
     let record = want_metrics || trace_out.is_some() || journal_out.is_some();
-    let td = td_config(want_metrics, record, record, reuse);
+    let td = tdpipe_config(want_metrics, record, reuse);
     let pool = parse_pool(pool_spec, gpus)?;
     let labels: Vec<String> = pool.iter().map(|(label, _)| label.clone()).collect();
     let replicas: Vec<Replica> = pool
@@ -500,7 +435,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 Some(p) => p,
                 None => &OraclePredictor,
             };
-            let scheduler = args.get("scheduler", "td");
+            let name = args.get("scheduler", "td");
+            let scheduler =
+                Scheduler::parse(&name).ok_or_else(|| format!("unknown scheduler '{name}'"))?;
             let metrics_out = args.opt("metrics-out");
             let prom_out = args.opt("prom-out");
             let want_metrics = metrics_out.is_some() || prom_out.is_some();
@@ -536,9 +473,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 .iter()
                 .any(|k| args.opt(k).is_some());
             if fleet_mode {
-                if scheduler != "td" {
+                if !scheduler.is_tdpipe() {
                     return Err(format!(
-                        "fleet mode runs the TD-Pipe scheduler only (got --scheduler {scheduler})"
+                        "fleet mode runs the TD-Pipe scheduler only (got --scheduler {name})"
                     ));
                 }
                 let num_replicas = args.usize("replicas", 2)?;
@@ -592,26 +529,19 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             // metrics-recording run switches the recorders on too.
             let traced = trace_out.is_some() || journal_out.is_some();
             let record = want_metrics || traced;
-            if scheduler != "td" && (sessions.is_some() || traced) {
+            if !scheduler.is_tdpipe() && (sessions.is_some() || traced) {
                 return Err(format!(
                     "--sessions/--trace-out/--journal-out run the TD-Pipe scheduler only \
-                     (got --scheduler {scheduler})"
+                     (got --scheduler {name})"
                 ));
             }
             let out = match &sessions {
                 Some(s) => {
                     run_sessions_cmd(s, reuse, &model, &node, predictor, want_metrics, record)?
                 }
-                None => run_one(
-                    &scheduler,
-                    &model,
-                    &node,
-                    &trace,
-                    &arrivals,
-                    predictor,
-                    want_metrics,
-                    record,
-                )?,
+                None => scheduler
+                    .run(model, &node, &trace, &arrivals, predictor, want_metrics, record)
+                    .map_err(|e| e.to_string())?,
             };
             if let Some(path) = trace_out {
                 std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
@@ -692,7 +622,9 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             } else {
                 let trace = ShareGptLikeConfig::small(requests, seed).generate();
-                let out = run_one("td", &model, &node, &trace, &[], &OraclePredictor, false, true)?;
+                let out = Scheduler::TdPipe
+                    .run(model, &node, &trace, &[], &OraclePredictor, false, true)
+                    .map_err(|e| e.to_string())?;
                 println!("{}", out.report);
                 print!("{}", decision_table(&out.journal));
             }
@@ -790,10 +722,10 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
         }
         "sweep" => {
             let trace = ShareGptLikeConfig::small(requests, seed).generate();
-            for s in ["tp-sb", "tp-hb", "pp-sb", "pp-hb", "td"] {
-                match run_one(s, &model, &node, &trace, &[], &OraclePredictor, false, false) {
+            for s in Scheduler::ALL {
+                match s.run(model.clone(), &node, &trace, &[], &OraclePredictor, false, false) {
                     Ok(out) => println!("{}", out.report),
-                    Err(e) => println!("{s:<10} {e}"),
+                    Err(e) => println!("{:<10} {e}", s.cli_name()),
                 }
             }
         }
@@ -849,6 +781,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdpipe::core::TdPipeConfig;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -882,7 +815,9 @@ mod tests {
         let trace = ShareGptLikeConfig::small(24, 3).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        let out = run_one("td", &model, &node, &trace, &[], &OraclePredictor, false, true).unwrap();
+        let out = Scheduler::TdPipe
+            .run(model, &node, &trace, &[], &OraclePredictor, false, true)
+            .unwrap();
         assert!(!out.journal.is_empty(), "recorder was on");
         assert!(!out.timeline.segments().is_empty(), "timeline was on");
         let check = validate_chrome_trace(&chrome_trace(&out.timeline, &out.journal)).unwrap();
@@ -917,7 +852,8 @@ mod tests {
         let arrivals = arrival_of("poisson", 2.0, 42 ^ 0xA881).unwrap().sample(trace.len());
         let (model, node) = (model_of("13b").unwrap(), node_of("l20", 4).unwrap());
         let untraced =
-            run_one("td", &model, &node, &trace, &arrivals, &OraclePredictor, false, false)
+            Scheduler::TdPipe
+                .run(model, &node, &trace, &arrivals, &OraclePredictor, false, false)
                 .unwrap()
                 .report;
         let metrics: MetricsSnapshot =
@@ -946,25 +882,15 @@ mod tests {
         let trace = ShareGptLikeConfig::small(12, 1).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
-        for s in ["td", "tp-sb", "tp-hb", "pp-sb", "pp-hb"] {
-            let out = run_one(s, &model, &node, &trace, &[], &OraclePredictor, true, true).unwrap();
-            assert_eq!(out.report.num_requests, 12, "{s}");
-            assert!(out.metrics.scalar("throughput_total").is_some(), "{s} exports metrics");
+        for s in Scheduler::ALL {
+            let out =
+                s.run(model.clone(), &node, &trace, &[], &OraclePredictor, true, true).unwrap();
+            let name = s.name();
+            assert_eq!(out.report.num_requests, 12, "{name}");
+            assert!(out.metrics.scalar("throughput_total").is_some(), "{name} exports metrics");
         }
-        let magic = run_one("magic", &model, &node, &trace, &[], &OraclePredictor, false, false);
-        assert!(magic.is_err());
-        let err = run_one(
-            "td",
-            &model_of("70b").unwrap(),
-            &node_of("l20", 1).unwrap(),
-            &trace,
-            &[],
-            &OraclePredictor,
-            false,
-            false,
-        )
-        .unwrap_err();
-        assert!(err.contains("infeasible"));
+        let err = real_main(&args("run --requests 12 --model 70b --gpus 1")).unwrap_err();
+        assert!(err.contains("infeasible"), "{err}");
     }
 
     /// `run --scheduler td` runs TD-Pipe as configured by
@@ -980,8 +906,15 @@ mod tests {
             .run(&trace, &OraclePredictor)
             .report;
         for metrics in [false, true] {
-            let out =
-                run_one("td", &model, &node, &trace, &[], &OraclePredictor, metrics, metrics);
+            let out = Scheduler::TdPipe.run(
+                model.clone(),
+                &node,
+                &trace,
+                &[],
+                &OraclePredictor,
+                metrics,
+                metrics,
+            );
             assert_eq!(out.unwrap().report, direct, "record_metrics={metrics}");
         }
     }
@@ -1092,6 +1025,27 @@ mod tests {
         };
         assert!(bad("l20:1", "p2c").contains("router"));
         assert!(bad("h100:1", "jsq").contains("--pool"));
+    }
+
+    /// `--scheduler` takes every scheduler's spelling in any case — `TD`
+    /// as well as `TP-SB` — and names an unknown one.
+    #[test]
+    fn scheduler_flag_parses_every_spelling_in_any_case() {
+        for s in Scheduler::ALL {
+            for spelling in [s.cli_name().to_string(), s.cli_name().to_uppercase()] {
+                let code = real_main(&args(&format!("run --requests 8 --scheduler {spelling}")));
+                assert_eq!(code, Ok(ExitCode::SUCCESS), "--scheduler {spelling}");
+            }
+        }
+        let dir = std::env::temp_dir().join("tdpipe-cli-scheduler-spelling-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("run.journal.json");
+        let traced = format!("run --requests 8 --scheduler TD --journal-out {}", journal.display());
+        assert_eq!(real_main(&args(&traced)), Ok(ExitCode::SUCCESS));
+        let fleet = "run --requests 8 --scheduler Td --replicas 2";
+        assert_eq!(real_main(&args(fleet)), Ok(ExitCode::SUCCESS));
+        let err = real_main(&args("run --requests 8 --scheduler magic")).unwrap_err();
+        assert!(err.contains("unknown scheduler 'magic'"), "{err}");
     }
 
     #[test]

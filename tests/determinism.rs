@@ -55,10 +55,11 @@ fn trained_predictor_pipeline_is_deterministic() {
 /// fixed trace, must produce *byte-identical* serialized reports — and the
 /// parallel sweep must produce those same bytes at every thread count.
 /// Catches any scheduling change that leaks into simulated results, and
-/// any thread-count dependence in `run_cells_parallel`.
+/// any thread-count dependence in the parallel map the sweeps run on.
 #[test]
 fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
-    use tdpipe_bench::{run_cells_parallel_with_threads, run_scheduler, Scheduler};
+    use tdpipe::core::parallel::map_indexed_parallel;
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(120, 5).generate();
     let cells: Vec<_> = Scheduler::ALL
@@ -83,8 +84,9 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
     // The parallel sweep must reproduce the golden bytes in input order,
     // no matter how many workers carve up the cells.
     for threads in [1, 2, 3, 8] {
-        let reports =
-            run_cells_parallel_with_threads(&cells, &trace, &[], &OraclePredictor, threads);
+        let reports = map_indexed_parallel(&cells, threads, |_, (s, m, n)| {
+            run_scheduler(*s, m, n, &trace, &OraclePredictor)
+        });
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread sweep differs");
     }
@@ -92,38 +94,34 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
 
 /// Golden gate for the million-request sweep path: a 10k-request
 /// multi-seed sweep, serialized byte-for-byte, must be identical whether
-/// the specs run serially or through `run_sweep_parallel_with_threads` at
-/// any worker count. Unlike the cell sweep above, each spec here generates
-/// its *own* trace inside the worker, so this also pins trace generation
-/// determinism under concurrency.
+/// the specs run serially or through the parallel map at any worker count.
+/// Unlike the cell sweep above, each spec here generates its *own* trace
+/// inside the worker, so this also pins trace generation determinism under
+/// concurrency.
 #[test]
 fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
-    use tdpipe_bench::{run_sweep_parallel_with_threads, Scheduler, SweepSpec};
+    use tdpipe::core::parallel::map_indexed_parallel;
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let mut specs = Vec::new();
     for seed in [5u64, 6] {
         for s in [Scheduler::PpSb, Scheduler::TdPipe] {
-            specs.push(SweepSpec::paper_cell(
-                s,
-                ModelSpec::llama2_13b(),
-                NodeSpec::l20(4),
-                10_000,
-                seed,
-            ));
+            specs.push((s, ShareGptLikeConfig::small(10_000, seed)));
         }
     }
+    let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
+    let run = |(s, workload): &(Scheduler, ShareGptLikeConfig)| {
+        run_scheduler(*s, &model, &node, &workload.generate(), &OraclePredictor)
+    };
 
     let serialize = |r: &Option<tdpipe::sim::RunReport>| -> String {
         serde_json::to_string(r.as_ref().expect("13B fits 4xL20")).expect("serialize report")
     };
 
-    let golden: Vec<String> = specs
-        .iter()
-        .map(|spec| serialize(&spec.run(&OraclePredictor)))
-        .collect();
+    let golden: Vec<String> = specs.iter().map(|spec| serialize(&run(spec))).collect();
 
     for threads in [1, 2, 8] {
-        let reports = run_sweep_parallel_with_threads(&specs, &OraclePredictor, threads);
+        let reports = map_indexed_parallel(&specs, threads, |_, spec| run(spec));
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread sweep differs");
     }
@@ -137,8 +135,9 @@ fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
 /// `cross_engine_arrival_rejection_is_uniform`).
 #[test]
 fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads() {
+    use tdpipe::core::parallel::map_indexed_parallel;
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{run_cells_parallel_with_threads, run_scheduler_with_arrivals, Scheduler};
+    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
 
     let trace = ShareGptLikeConfig::small(96, 5).generate();
     let arrivals = ArrivalProcess::Poisson {
@@ -180,8 +179,9 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
         assert_eq!(&again, want, "{} online rerun differs", s.name());
     }
     for threads in [1, 2, 8] {
-        let reports =
-            run_cells_parallel_with_threads(&cells, &trace, &arrivals, &OraclePredictor, threads);
+        let reports = map_indexed_parallel(&cells, threads, |_, (s, m, n)| {
+            run_scheduler_with_arrivals(*s, m, n, &trace, &arrivals, &OraclePredictor)
+        });
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread online sweep differs");
     }
