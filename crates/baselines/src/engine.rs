@@ -290,7 +290,7 @@ impl BaselineEngine {
             lens: Vec::new(),
             chunks: Vec::new(),
             staged: StagedJob::default(),
-            ctrl: ControlPlane::new(&self.cfg),
+            ctrl: ControlPlane::default(),
             first: 0,
         };
         drive(policy, run, plane, 0.0)

@@ -14,6 +14,19 @@ pub const BLOCK_SIZE: u32 = tdpipe_model::DEFAULT_BLOCK_SIZE;
 /// prefill batch shapes stay comparable across them.
 pub const PREFILL_TOKEN_BUDGET: u32 = 4096;
 
+/// Fixed control-plane cost per scheduling iteration in seconds (batch
+/// assembly, launch RPCs). TD-Pipe's hierarchy-controller overlaps all
+/// other control work with execution (§3.2), so this launch cost is all
+/// it pays per batch.
+pub const ENGINE_OVERHEAD: f64 = 1.0e-3;
+
+/// Per-sequence control-plane cost per iteration in seconds
+/// (sampling-result processing, detokenisation, scheduler bookkeeping —
+/// the Python-side work a vLLM-0.5.x engine does between steps). Only the
+/// baselines pay it, serialised with [`ENGINE_OVERHEAD`] on one CPU
+/// thread on the critical path (`crate::control::ControlPlane`).
+pub const CONTROL_PER_SEQ: f64 = 30.0e-6;
+
 /// Fraction of KV blocks kept free as admission watermark during prefill
 /// (vLLM's 1% guard against immediate thrashing).
 pub const WATERMARK: f64 = 0.01;
@@ -52,17 +65,6 @@ pub struct EngineConfig {
     pub mem_reserve_bytes: u64,
     /// Token budget per hybrid-batching iteration (chunked prefill).
     pub chunk_token_budget: u32,
-    /// Fixed control-plane cost per scheduling iteration (batch assembly,
-    /// launch RPCs). TD-Pipe's hierarchy-controller overlaps all other
-    /// control work with execution (§3.2), so this launch cost is all it
-    /// pays per batch.
-    pub engine_overhead: f64,
-    /// Per-sequence control-plane cost per iteration (sampling-result
-    /// processing, detokenisation, scheduler bookkeeping — the Python-side
-    /// work a vLLM-0.5.x engine does between steps). Only the baselines
-    /// pay it, serialised with `engine_overhead` on one CPU thread on the
-    /// critical path (`crate::control::ControlPlane`).
-    pub control_per_seq: f64,
     /// Maximum concurrently running sequences per scheduler instance
     /// (vLLM's `max_num_seqs`; stock default 256 in 0.5.x — what the
     /// paper's baselines ran with). `None` removes the cap; TD-Pipe's
@@ -106,8 +108,6 @@ impl Default for EngineConfig {
             transfer_mode: TransferMode::Rendezvous,
             mem_reserve_bytes: 2 * (1 << 30),
             chunk_token_budget: 512,
-            engine_overhead: 1.0e-3,
-            control_per_seq: 30.0e-6,
             max_num_seqs: Some(1024),
             record_timeline: false,
             record_trace: false,
@@ -231,6 +231,6 @@ mod tests {
     fn defaults_are_sane() {
         const { assert!(BLOCK_SIZE > 0) };
         const { assert!(WATERMARK < 0.5) };
-        assert!(EngineConfig::default().engine_overhead < 0.1);
+        const { assert!(ENGINE_OVERHEAD < 0.1) };
     }
 }

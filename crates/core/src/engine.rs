@@ -26,8 +26,8 @@
 use crate::batch::{even_range, partition_even_into, DecodeBatch};
 use crate::cohort::{DecodeCohort, DecodeStepper, StepEnv, StepHooks};
 use crate::config::{
-    future_points, D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, BLOCK_SIZE, HOST_LINK_BW,
-    PREFILL_TOKEN_BUDGET, WATERMARK,
+    future_points, D2pPolicy, P2dPolicy, PreemptionMode, TdPipeConfig, BLOCK_SIZE, ENGINE_OVERHEAD,
+    HOST_LINK_BW, PREFILL_TOKEN_BUDGET, WATERMARK,
 };
 use crate::cost::{PpCost, StagedJob};
 use crate::driver::{drive, Close, Policy, RunState, Stall};
@@ -715,8 +715,7 @@ impl Policy for TdRun<'_> {
                 }
                 Some(Phase::Prefill) => {
                     // The control clock moves past the serialised launches.
-                    let overhead = self.engine.cfg.engine.engine_overhead;
-                    now += self.prefill.meta.len() as f64 * overhead;
+                    now += self.prefill.meta.len() as f64 * ENGINE_OVERHEAD;
                     if self.residents.is_empty() {
                         // Nothing runnable: the driver fast-forwards to the
                         // next arrival, and the empty phase leaves no record.
@@ -799,7 +798,6 @@ impl TdRun<'_> {
         mut now: f64,
     ) -> f64 {
         let eng = self.engine;
-        let e = &eng.cfg.engine;
         let block_size = BLOCK_SIZE as u64;
         self.open = Some(Phase::Prefill);
         let pf = &mut self.prefill;
@@ -820,7 +818,7 @@ impl TdRun<'_> {
         let mut settled = false;
         while let Some(&head) = self.pending.front() {
             if !settled && !pf.meta.is_empty() {
-                let clock = now + pf.meta.len() as f64 * e.engine_overhead;
+                let clock = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
                 if !observed && run.pool.arrival(head) > clock {
                     break;
                 }
@@ -863,7 +861,7 @@ impl TdRun<'_> {
             while let Some(&idx) = self.pending.front() {
                 // Online extension: a request can only be prefilled after
                 // it has arrived.
-                if run.pool.arrival(idx) > now + pf.meta.len() as f64 * e.engine_overhead {
+                if run.pool.arrival(idx) > now + pf.meta.len() as f64 * ENGINE_OVERHEAD {
                     pack_stop = PrefillStopReason::Arrival;
                     break;
                 }
@@ -964,7 +962,7 @@ impl TdRun<'_> {
                 break;
             }
             eng.cost.prefill_job_into(&pf.seq_lens, &mut self.job);
-            let ready = now + pf.meta.len() as f64 * e.engine_overhead;
+            let ready = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
             pf.seq += 1;
             let tag = PREFILL_TAG + pf.seq;
             plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Prefill, tag);
@@ -1037,7 +1035,6 @@ impl TdRun<'_> {
     /// moves leave and settle, and the newly admitted join.
     fn open_decode(&mut self, run: &mut RunState, plane: &mut dyn PipelineExecutor, now: f64) {
         let eng = self.engine;
-        let e = &eng.cfg.engine;
         let pf = &self.prefill;
         let record = PhaseRecord {
             phase: Phase::Prefill,
@@ -1117,7 +1114,7 @@ impl TdRun<'_> {
                 continue;
             }
             eng.cost.decode_job_into(b.len(), dc.batch_ctx[bid], &mut self.job);
-            let ready = now + dc.inflight.len() as f64 * e.engine_overhead;
+            let ready = now + dc.inflight.len() as f64 * ENGINE_OVERHEAD;
             plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Decode, bid as u64);
             run.metrics.on_decode_step(b.len());
             dc.inflight.push_back(bid);
@@ -1135,7 +1132,6 @@ impl TdRun<'_> {
         finish: f64,
     ) -> f64 {
         let eng = self.engine;
-        let e = &eng.cfg.engine;
         let dc = &mut self.decode;
         let popped = dc.inflight.pop_front();
         debug_assert_eq!(popped, Some(bid), "completions follow launch order");
@@ -1277,7 +1273,7 @@ impl TdRun<'_> {
             eng.cost.decode_job_into(b.len(), ctx, &mut self.job);
             // The decoupled control plane charges only the launch cost: the
             // bookkeeping overlaps the other in-flight batches (§3.2).
-            let ready = now + e.engine_overhead;
+            let ready = now + ENGINE_OVERHEAD;
             plane.launch(ready, &self.job.exec, &self.job.xfer, SegmentKind::Decode, bid as u64);
             run.metrics.on_decode_step(b.len());
             dc.inflight.push_back(bid);

@@ -4,7 +4,7 @@
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
 use tdpipe_baselines::common::{make_lanes, stall, Lane};
-use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, PREFILL_TOKEN_BUDGET};
+use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, ENGINE_OVERHEAD, PREFILL_TOKEN_BUDGET};
 use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::exec::{PipelineExecutor, SimExecutor};
@@ -121,7 +121,7 @@ const DECODE: u64 = 1;
 /// One replica's run as a policy on the shared loop: a single lane over the
 /// host KV pool, one job in flight at a time, priced by [`OffloadCost`] at
 /// `host_bw`. The control plane overlaps execution, so a completion
-/// charges only the launch cost (`engine_overhead`).
+/// charges only the launch cost ([`ENGINE_OVERHEAD`]).
 struct OffloadRun<'a> {
     engine: &'a OffloadEngine,
     host_bw: f64,
@@ -171,7 +171,7 @@ impl Policy for OffloadRun<'_> {
                 lane.start_decoding(run, idx, finish);
             }
         }
-        finish + self.engine.cfg.engine_overhead
+        finish + ENGINE_OVERHEAD
     }
 
     fn stall(&mut self, run: &RunState, now: f64) -> Stall {

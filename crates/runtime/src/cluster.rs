@@ -4,8 +4,8 @@ use crate::comm::{CommContext, Completion, JobSpec, StageMsg, StartAck};
 use crate::error::RuntimeError;
 use crate::fault::FaultPlan;
 use crate::worker::{run_worker, WorkerChannels, WorkerConfig, WorkerExit, WorkerLog};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::panic::AssertUnwindSafe;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tdpipe_sim::TransferMode;
@@ -102,9 +102,9 @@ impl Cluster {
     /// Panics if `world == 0` or an OS thread cannot be spawned.
     pub fn spawn_with(world: u32, mode: TransferMode, opts: ClusterOptions) -> Self {
         assert!(world > 0, "need at least one worker");
-        let (to_first, first_inbox) = unbounded::<StageMsg>();
-        let (comp_tx, completions) = unbounded::<Completion>();
-        let (sup_tx, supervision) = unbounded::<WorkerExit>();
+        let (to_first, first_inbox) = channel::<StageMsg>();
+        let (comp_tx, completions) = channel::<Completion>();
+        let (sup_tx, supervision) = channel::<WorkerExit>();
 
         let mut handles = Vec::with_capacity(world as usize);
         // Each iteration consumes the inbox the previous one created; the
@@ -118,8 +118,8 @@ impl Cluster {
             let (downstream, next_inbox, ack_tx, ack_rx) = if is_last {
                 (None, None, ack_tx_prev.take(), None)
             } else {
-                let (d_tx, d_rx) = unbounded::<StageMsg>();
-                let (a_tx, a_rx) = unbounded::<StartAck>();
+                let (d_tx, d_rx) = channel::<StageMsg>();
+                let (a_tx, a_rx) = channel::<StartAck>();
                 (Some(d_tx), Some(d_rx), ack_tx_prev.replace(a_tx), Some(a_rx))
             };
             let channels = WorkerChannels {
@@ -234,7 +234,7 @@ impl Cluster {
     /// the most severe failure reported so far, if any. Consumed reports
     /// are stashed for the shutdown drain.
     fn root_cause(&mut self) -> Option<RuntimeError> {
-        while let Some(exit) = self.supervision.try_recv() {
+        while let Ok(exit) = self.supervision.try_recv() {
             self.early_exits.push(exit);
         }
         self.early_exits

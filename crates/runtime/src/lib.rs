@@ -8,8 +8,8 @@
 //! stage-to-stage transfers become asynchronous: a worker hands its output
 //! downstream and immediately starts its next job.
 //!
-//! This crate realises that architecture with OS threads and crossbeam
-//! channels:
+//! This crate realises that architecture with OS threads and
+//! `std::sync::mpsc` channels:
 //!
 //! * [`Cluster`] — spawns `num_stages` [`worker`] threads wired in a chain;
 //!   the engine thread (the caller) launches [`JobSpec`]s and receives

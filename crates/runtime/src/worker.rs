@@ -3,7 +3,7 @@
 use crate::comm::{CommContext, Completion, StageMsg, StartAck};
 use crate::error::RuntimeError;
 use crate::fault::WorkerFaults;
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use tdpipe_sim::{SegmentKind, TransferMode};
 
 /// Tolerance for the rendezvous ack-protocol check: a downstream stage

@@ -392,15 +392,17 @@ fn main() -> ExitCode {
     match real_main(&argv) {
         Ok(code) => code,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
+/// Run one command. Only a missing or unknown command carries the usage
+/// text in its error; every other failure is its message alone.
 fn real_main(argv: &[String]) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = argv.split_first() else {
-        return Err("missing command".into());
+        return Err(format!("missing command\n\n{USAGE}"));
     };
     let args = Args::parse(rest)?;
     let model = model_of(&args.get("model", "13b"))?;
@@ -773,7 +775,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             }
             println!("metrics-diff: clean ({} findings)", diff.findings.len());
         }
-        other => return Err(format!("unknown command '{other}'")),
+        other => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
     }
     Ok(ExitCode::SUCCESS)
 }

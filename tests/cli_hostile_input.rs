@@ -1,6 +1,7 @@
 //! The CLI's file readers fail cleanly on hostile JSON: a document nested
 //! far past the parser's depth limit ends the process with exit code 1
-//! and a message, never a stack-overflow abort.
+//! and a message, never a stack-overflow abort. Only a missing or unknown
+//! command adds the usage text to its error.
 
 use std::process::Command;
 
@@ -37,6 +38,37 @@ fn deeply_nested_inputs_exit_1_with_a_message() {
             assert_eq!(out.status.code(), Some(1), "{cmd:?} on {name}: {stderr}");
             assert!(stderr.contains(needle), "{cmd:?} on {name}: {stderr}");
         }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn only_a_missing_or_unknown_command_prints_usage() {
+    let dir = std::env::temp_dir().join(format!("tdpipe-cli-usage-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("malformed.spans.json");
+    std::fs::write(&path, r#"{"spans":"#).unwrap();
+    let cli = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+            .args(args)
+            .output()
+            .unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+
+    let file = path.to_str().unwrap();
+    let (code, stderr) = cli(&["span-report", "--check", file]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.starts_with(&format!("error: {file}: ")), "{stderr}");
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+
+    for args in [&["bogus"][..], &[]] {
+        let (code, stderr) = cli(args);
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

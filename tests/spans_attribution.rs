@@ -7,8 +7,9 @@
 //!    components sum bit-exactly to the reported TTFT, decode total, and
 //!    end-to-end latency; no request is dropped.
 //! 2. **Bubble attribution is exhaustive and exact** — every `StageIdle`
-//!    second on every device lands in exactly one cause bucket, and the
-//!    per-device totals refold bit-identically from the journal.
+//!    second on every device lands in exactly one cause bucket, the
+//!    per-device totals refold bit-identically from the journal, and the
+//!    total agrees with the timeline's bubble breakdown.
 //! 3. **The analysis layer is a pure observer** — switching the
 //!    recorders on moves no byte of the engine's serialized report, and
 //!    the reports themselves are byte-identical across fleet thread
@@ -18,6 +19,7 @@ use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
+use tdpipe::sim::bubble_breakdown;
 use tdpipe::spans::{
     analyze, attribute_bubbles, bubble_report_json, build_spans, fold_seconds, span_chrome_trace,
     span_metrics, span_report_json, validate_bubble_report, validate_span_report,
@@ -165,6 +167,32 @@ fn bubble_seconds_refold_exactly_to_stage_idle_per_device() {
         out.report.phase_switches == 0 || ledger.by_cause.contains_key("phase_switch"),
         "phase switches happened but no phase-switch bubbles were attributed"
     );
+}
+
+/// Contract 2b: the timeline's bubble model (`sim::bubble_breakdown`)
+/// and the journal's (`attribute_bubbles`) see the same idle seconds.
+/// Both walk the same per-device gaps, from t = 0 to the makespan; they
+/// differ only in how an interior gap is split into causes (DESIGN.md,
+/// "Two bubble models"). Warm-up and drain are the same gaps in both.
+#[test]
+fn timeline_and_journal_bubble_models_agree_on_total_idle() {
+    let close = |label: &str, what: &str, a: f64, b: f64| {
+        assert!(
+            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
+            "{label}: {what}: timeline {a} vs journal {b}"
+        );
+    };
+    for (label, requests, online) in [("offline", 300, false), ("poisson", 400, true)] {
+        let out = traced_run(requests, 5, 4, online, &OraclePredictor);
+        let timeline = bubble_breakdown(&out.timeline, 0.0);
+        let ledger = attribute_bubbles(&out.journal);
+        let journal_idle: f64 = ledger.devices.iter().map(|d| d.idle_total).sum();
+        assert!(journal_idle > 0.0, "{label}: a real run has idle time");
+        close(label, "total idle", timeline.total(), journal_idle);
+        let cause = |c: &str| ledger.by_cause.get(c).copied().unwrap_or(0.0);
+        close(label, "warm-up", timeline.warmup, cause("warmup"));
+        close(label, "drain", timeline.drain, cause("drain"));
+    }
 }
 
 /// Contract 3a: flipping the recorders (and thus all new
