@@ -236,44 +236,40 @@ impl BaselineEngine {
         }
     }
 
-    /// Run over a trace with everything queued at t = 0. The predictor is
-    /// unused (the baselines schedule reactively) but accepted for
-    /// interface uniformity with TD-Pipe.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`].
-    pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, predictor: &P) -> RunOutcome {
-        self.run_with_arrivals(trace, &[], predictor)
+    /// A simulator plane sized and configured for this engine, for
+    /// [`Self::try_run_on`].
+    pub fn sim_plane(&self) -> Box<dyn PipelineExecutor> {
+        let cfg = &self.cfg;
+        Box::new(SimExecutor::new(
+            self.num_stages(),
+            cfg.transfer_mode,
+            cfg.record_timeline,
+        ))
     }
 
-    /// Run with per-request arrival times on the deterministic simulator
-    /// (empty slice = everything queued at t = 0). Arrivals must be
-    /// non-decreasing and aligned with the trace; latencies come out
-    /// arrival-relative.
+    /// Run over a trace on the simulator with everything queued at t = 0.
+    /// The predictor is unused (the baselines schedule reactively) but
+    /// accepted for interface uniformity with TD-Pipe.
     ///
     /// # Panics
-    /// Panics if `arrivals` is misaligned or unsorted, if some request
-    /// cannot fit its lane's KV memory even alone, or if a pending request
-    /// never arrives.
-    pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
-        &self,
-        trace: &Trace,
-        arrivals: &[f64],
-        predictor: &P,
-    ) -> RunOutcome {
-        let cfg = &self.cfg;
-        let plane = SimExecutor::new(self.num_stages(), cfg.transfer_mode, cfg.record_timeline);
-        self.try_run_on(trace, arrivals, predictor, Box::new(plane))
+    /// As [`Self::try_run_on`].
+    pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, predictor: &P) -> RunOutcome {
+        self.try_run_on(trace, &[], predictor, self.sim_plane())
             .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// Run against any execution plane with [`Self::num_stages`] stages:
-    /// the lanes are a policy on the loop every scheduler shares
-    /// (`tdpipe_core::driver`), and an execution-plane failure surfaces as
-    /// an [`ExecError`].
+    /// Run open-loop requests against any execution plane with
+    /// [`Self::num_stages`] stages ([`Self::sim_plane`] for the
+    /// deterministic simulator): the lanes are a policy on the loop every
+    /// scheduler shares (`tdpipe_core::driver`), and an execution-plane
+    /// failure surfaces as an [`ExecError`]. `arrivals` is empty
+    /// (everything queued at t = 0) or one non-decreasing time per
+    /// request; latencies come out arrival-relative.
     ///
     /// # Panics
-    /// As [`Self::run_with_arrivals`] (scheduling preconditions only).
+    /// On scheduling preconditions only: `arrivals` is misaligned or
+    /// unsorted, some request cannot fit its lane's KV memory even alone,
+    /// or a pending request never arrives.
     pub fn try_run_on<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,

@@ -39,7 +39,7 @@ pub mod engine;
 pub mod scheduler;
 
 pub use engine::{BaselineEngine, Batching, Layout};
-pub use scheduler::{tdpipe_config, Scheduler};
+pub use scheduler::{tdpipe_config, RunError, Scheduler};
 
 use tdpipe_core::config::EngineConfig;
 use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};

@@ -1,5 +1,8 @@
 //! The five schedulers of Figure 11 as one table: each one's paper name,
 //! its command-line spelling, and the configuration it is built from.
+//! [`Scheduler::run`] is the one dispatch: any scheduler over any
+//! [`Workload`], with a typed [`RunError`] where a scheduler cannot serve
+//! it.
 
 use crate::engine::{BaselineEngine, Batching, Layout};
 use tdpipe_core::config::EngineConfig;
@@ -8,7 +11,7 @@ use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::Trace;
+use tdpipe_workload::Workload;
 
 /// The five schedulers of Figure 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,43 +69,70 @@ impl Scheduler {
         matches!(self, Scheduler::TdPipe)
     }
 
-    /// Run this scheduler over `trace`, built from the configuration it
-    /// is evaluated with: [`tdpipe_config`] for TD-Pipe, the conventional
-    /// engine's `EngineConfig::default()` for a baseline. `arrivals` is
-    /// empty (everything queued at t = 0) or one non-decreasing time per
-    /// request. `record_metrics` switches the metrics plane on; `record`
-    /// switches TD-Pipe's journal and timeline on (the baselines keep
-    /// neither). Fails when the model does not fit the node.
+    /// Run this scheduler over `work` on the simulator. TD-Pipe runs with
+    /// `td`, its own configuration (build it with [`tdpipe_config`]); a
+    /// baseline runs the conventional engine's `EngineConfig::default()`
+    /// and takes only `td`'s metrics switch (it keeps neither a journal
+    /// nor a timeline). Fails when the model does not fit the node, or
+    /// when a baseline is handed closed-loop sessions, which only TD-Pipe
+    /// serves.
     ///
     /// # Panics
-    /// As every engine's `run_with_arrivals`: on misaligned or unsorted
-    /// arrivals, a request that exceeds KV capacity, or a clock that
-    /// cannot advance.
-    #[allow(clippy::too_many_arguments)]
+    /// On scheduling preconditions only, as every engine's entry point:
+    /// misaligned or unsorted arrivals, a request that exceeds KV
+    /// capacity, or a clock that cannot advance.
     pub fn run<P: OutputLenPredictor + ?Sized>(
         self,
         model: ModelSpec,
         node: &NodeSpec,
-        trace: &Trace,
-        arrivals: &[f64],
+        work: Workload<'_>,
         predictor: &P,
-        record_metrics: bool,
-        record: bool,
-    ) -> Result<RunOutcome, InfeasibleConfig> {
-        Ok(match self.baseline() {
-            Some((layout, batching)) => {
+        td: TdPipeConfig,
+    ) -> Result<RunOutcome, RunError> {
+        let run = match (self.baseline(), work) {
+            (None, work) => {
+                let e = TdPipeEngine::new(model, node, td).map_err(RunError::Infeasible)?;
+                e.try_run(work, predictor, e.sim_plane())
+            }
+            (Some((layout, batching)), Workload::Requests { trace, arrivals }) => {
                 let cfg = EngineConfig {
-                    record_metrics,
+                    record_metrics: td.engine.record_metrics,
                     ..EngineConfig::default()
                 };
-                BaselineEngine::new(layout, batching, model, node, cfg)?
-                    .run_with_arrivals(trace, arrivals, predictor)
+                let e = BaselineEngine::new(layout, batching, model, node, cfg)
+                    .map_err(RunError::Infeasible)?;
+                e.try_run_on(trace, arrivals, predictor, e.sim_plane())
             }
-            None => TdPipeEngine::new(model, node, tdpipe_config(record_metrics, record, true))?
-                .run_with_arrivals(trace, arrivals, predictor),
-        })
+            (Some(_), Workload::Sessions(_)) => return Err(RunError::Sessions(self)),
+        };
+        Ok(run.unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}")))
     }
 }
+
+/// Why [`Scheduler::run`] has no outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The model does not fit the node in the scheduler's layout.
+    Infeasible(InfeasibleConfig),
+    /// A baseline was handed closed-loop sessions, which only TD-Pipe
+    /// serves.
+    Sessions(Scheduler),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Infeasible(e) => e.fmt(f),
+            RunError::Sessions(s) => write!(
+                f,
+                "closed-loop sessions run on the TD-Pipe scheduler only (got {})",
+                s.name()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
 
 /// TD-Pipe's own configuration (`TdPipeConfig::default()`: async
 /// transfers, no sequence cap) with only the observer and session
@@ -120,6 +150,51 @@ pub fn tdpipe_config(record_metrics: bool, record: bool, session_reuse: bool) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tdpipe_predictor::OraclePredictor;
+    use tdpipe_workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig};
+
+    /// The one dispatch over both workload kinds: every scheduler serves
+    /// open-loop requests, offline and online; TD-Pipe's sessions run is
+    /// exactly a direct engine run on the simulator; and a baseline handed
+    /// sessions returns the typed error instead of panicking.
+    #[test]
+    fn every_scheduler_runs_both_workload_kinds() {
+        let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(2));
+        let trace = ShareGptLikeConfig::small(16, 3).generate();
+        let arrivals = ArrivalProcess::Poisson {
+            rate_per_s: 4.0,
+            seed: 3,
+        }
+        .sample(trace.len());
+        let sessions = SessionConfig::small(6, 5).generate();
+        let td = || tdpipe_config(true, false, true);
+        for s in Scheduler::ALL {
+            let online = Workload::Requests {
+                trace: &trace,
+                arrivals: &arrivals,
+            };
+            for work in [Workload::offline(&trace), online] {
+                let out = s
+                    .run(model.clone(), &node, work, &OraclePredictor, td())
+                    .unwrap();
+                assert_eq!(out.report.num_requests, trace.len(), "{}", s.name());
+            }
+            let work = Workload::Sessions(&sessions);
+            let got = s.run(model.clone(), &node, work, &OraclePredictor, td());
+            if s.is_tdpipe() {
+                let e = TdPipeEngine::new(model.clone(), &node, td()).unwrap();
+                let direct = e.try_run(work, &OraclePredictor, e.sim_plane()).unwrap();
+                let got = got.unwrap();
+                assert_eq!(got.report.num_requests, sessions.len());
+                assert_eq!(got.report, direct.report);
+                assert_eq!(got.metrics, direct.metrics);
+            } else {
+                let err = got.unwrap_err();
+                assert_eq!(err, RunError::Sessions(s));
+                assert!(err.to_string().contains("TD-Pipe scheduler only"), "{err}");
+            }
+        }
+    }
 
     #[test]
     fn names_and_spellings() {

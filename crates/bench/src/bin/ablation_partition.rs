@@ -8,9 +8,9 @@
 //! extension buys on each configuration.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_combos, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_combos, paper_trace, save_json};
 use tdpipe_core::cost::PpCost;
-use tdpipe_core::TdPipeConfig;
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_predictor::OraclePredictor;
 
 #[derive(Serialize)]
@@ -33,17 +33,15 @@ fn main() {
     let mut rows = Vec::new();
     for (combo, model, node_fn) in paper_combos() {
         let node = node_fn(4);
-        let even = run_tdpipe(&model, &node, &trace, &OraclePredictor, TdPipeConfig::default());
-        let aware = run_tdpipe(
-            &model,
-            &node,
-            &trace,
-            &OraclePredictor,
-            TdPipeConfig {
-                lm_head_aware_partition: true,
-                ..TdPipeConfig::default()
-            },
-        );
+        let run = |cfg| {
+            let e = TdPipeEngine::new(model.clone(), &node, cfg).ok()?;
+            Some(e.run(&trace, &OraclePredictor))
+        };
+        let even = run(TdPipeConfig::default());
+        let aware = run(TdPipeConfig {
+            lm_head_aware_partition: true,
+            ..TdPipeConfig::default()
+        });
         let (Some(even), Some(aware)) = (even, aware) else {
             continue;
         };

@@ -10,8 +10,8 @@
 //! a systematically-underestimating predictor pays in recompute.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::TdPipeConfig;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
@@ -86,8 +86,9 @@ fn main() {
             ("always-2048", None, Box::new(ConstantMax)),
         ];
         for (name, acc, p) in arms {
-            let out = run_tdpipe(&model, &node, &trace, p.as_ref(), TdPipeConfig::default())
-                .expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
+                .expect("fits")
+                .run(&trace, p.as_ref());
             println!(
                 "  {name:<12} {:6.0} tok/s  recompute {:5.2}%  switches {:3}",
                 out.report.throughput_total(),

@@ -7,8 +7,8 @@
 //! admission) on the smallest-memory configurations.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::{PreemptionMode, TdPipeConfig};
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{PreemptionMode, TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
@@ -46,7 +46,9 @@ fn main() {
         for mode in [PreemptionMode::Recompute, PreemptionMode::Swap] {
             let mut cfg = TdPipeConfig::default();
             cfg.engine.preemption = mode;
-            let out = run_tdpipe(&model, &node, &trace, &AlwaysOne, cfg).expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, cfg)
+                .expect("fits")
+                .run(&trace, &AlwaysOne);
             println!(
                 "  {:<10} {:6.0} tok/s  recomputed {:>9} tok  swapped {:>9} tok",
                 format!("{mode:?}"),

@@ -8,8 +8,8 @@
 //! coupling.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::TdPipeConfig;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
@@ -43,7 +43,9 @@ fn main() {
         ] {
             let mut cfg = TdPipeConfig::default();
             cfg.engine.transfer_mode = mode;
-            let out = run_tdpipe(&model, &node, &trace, &OraclePredictor, cfg).expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, cfg)
+                .expect("fits")
+                .run(&trace, &OraclePredictor);
             let tput = out.report.throughput_total();
             if mode == TransferMode::Async {
                 async_tput = tput;

@@ -7,8 +7,8 @@
 //! occupancy is held only briefly, evidencing the AI-based greedy
 //! prefill's aggressive-but-safe admission.
 
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json, save_text};
-use tdpipe_core::TdPipeConfig;
+use tdpipe_bench::{num_requests, paper_trace, save_json, save_text};
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_kvcache::Phase;
 use tdpipe_model::ModelSpec;
@@ -33,7 +33,9 @@ fn main() {
     let mut cfg = TdPipeConfig::default();
     cfg.engine.record_trace = true;
     cfg.engine.record_metrics = true;
-    let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("32B fits 4xL20");
+    let out = TdPipeEngine::new(model.clone(), &node, cfg)
+        .expect("32B fits 4xL20")
+        .run(&trace, &predictor);
 
     println!(
         "Figure 12 — KV occupancy, TD-Pipe, L20x4 + Qwen2.5-32B, {} requests",

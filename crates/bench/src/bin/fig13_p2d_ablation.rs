@@ -5,8 +5,8 @@
 //! occupancy ratio, on both L20+32B and A100+70B at 4 GPUs.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::{P2dPolicy, TdPipeConfig};
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{P2dPolicy, TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
@@ -43,7 +43,9 @@ fn main() {
                 p2d: P2dPolicy::FixedOccupancy(ratio),
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, cfg)
+                .expect("fits")
+                .run(&trace, &predictor);
             let tput = out.report.throughput_total();
             best_fixed = best_fixed.max(tput);
             println!(
@@ -61,8 +63,9 @@ fn main() {
                 phase_switches: out.report.phase_switches,
             });
         }
-        let out = run_tdpipe(&model, &node, &trace, &predictor, TdPipeConfig::default())
-            .expect("fits");
+        let out = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
+            .expect("fits")
+            .run(&trace, &predictor);
         let greedy = out.report.throughput_total();
         println!(
             "  AI greedy        : {:6.0} tok/s  (recompute {:4.1}%, switches {})  [{:+.1}% vs best fixed]",

@@ -6,8 +6,8 @@
 //! rebalancing during decode is ablated — exactly the paper's setup.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::TdPipeConfig;
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
@@ -42,7 +42,9 @@ fn main() {
                 work_stealing: stealing,
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, cfg)
+                .expect("fits")
+                .run(&trace, &predictor);
             tput[i] = out.report.throughput_total();
             println!(
                 "  {combo} stealing={:5}: {:6.0} tok/s (util {:4.1}%)",

@@ -6,8 +6,8 @@
 //! highest throughput.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
-use tdpipe_core::{D2pPolicy, TdPipeConfig};
+use tdpipe_bench::{num_requests, paper_trace, save_json};
+use tdpipe_core::{D2pPolicy, TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
@@ -43,7 +43,9 @@ fn main() {
                 d2p: D2pPolicy::FixedFinishRatio(ratio),
                 ..TdPipeConfig::default()
             };
-            let out = run_tdpipe(&model, &node, &trace, &predictor, cfg).expect("fits");
+            let out = TdPipeEngine::new(model.clone(), &node, cfg)
+                .expect("fits")
+                .run(&trace, &predictor);
             let tput = out.report.throughput_total();
             best_fixed = best_fixed.max(tput);
             println!(
@@ -59,8 +61,9 @@ fn main() {
                 phase_switches: out.report.phase_switches,
             });
         }
-        let out = run_tdpipe(&model, &node, &trace, &predictor, TdPipeConfig::default())
-            .expect("fits");
+        let out = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
+            .expect("fits")
+            .run(&trace, &predictor);
         let st = out.report.throughput_total();
         println!(
             "  spatial-temporal  : {:6.0} tok/s  (switches {})  [{:+.1}% vs best fixed]",

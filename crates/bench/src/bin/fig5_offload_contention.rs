@@ -9,9 +9,9 @@
 //! own memory and P2P links and scales cleanly.
 
 use serde::Serialize;
-use tdpipe_bench::{num_requests, paper_trace, run_tdpipe, save_json};
+use tdpipe_bench::{num_requests, paper_trace, save_json};
 use tdpipe_core::config::EngineConfig;
-use tdpipe_core::TdPipeConfig;
+use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_offload::{HostLink, OffloadEngine};
@@ -52,14 +52,10 @@ fn main() {
     for gpus in [1u32, 2, 4] {
         let c = engine.run_node(&trace, gpus, &contended);
         let u = engine.run_node(&trace, gpus, &ideal);
-        let td = run_tdpipe(
-            &model,
-            &NodeSpec::l20(gpus),
-            &trace,
-            &OraclePredictor,
-            TdPipeConfig::default(),
-        )
-        .map(|o| o.report.throughput_total());
+        let td = TdPipeEngine::new(model.clone(), &NodeSpec::l20(gpus), TdPipeConfig::default())
+            .ok()
+            .map(|e| e.run(&trace, &OraclePredictor))
+            .map(|o| o.report.throughput_total());
         println!(
             "{gpus:>5} {:>15.0} tok/s {:>15.0} tok/s {:>14.1} {:>9.0} tok/s",
             c.throughput_total,

@@ -37,14 +37,14 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use tdpipe_bench::{run_scheduler, run_scheduler_with_arrivals, Scheduler, PAPER_SEED};
+use tdpipe_bench::{run_scheduler, Scheduler, PAPER_SEED};
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
 use tdpipe_trace::chrome_trace;
-use tdpipe_workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe_workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
 /// the PR *before* the million-request refactor (arena request storage,
@@ -251,7 +251,7 @@ fn main() {
     let mut baseline_total = Some(0.0f64);
     for (combo, model, node, sched) in &cells {
         let (best, makespan) = time_cell(reps, || {
-            run_scheduler(*sched, model, node, &trace, &predictor)
+            run_scheduler(*sched, model, node, Workload::offline(&trace), &predictor)
                 .expect("canonical cell must be feasible")
                 .makespan
         });
@@ -291,8 +291,12 @@ fn main() {
     }
     .sample(trace.len());
     let (model, node, td) = (ModelSpec::llama2_13b(), NodeSpec::l20(4), Scheduler::TdPipe);
+    let online = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
     let (best, makespan) = time_cell(reps, || {
-        run_scheduler_with_arrivals(td, &model, &node, &trace, &arrivals, &predictor)
+        run_scheduler(td, &model, &node, online, &predictor)
             .expect("canonical cell must be feasible")
             .makespan
     });
@@ -352,7 +356,7 @@ fn main() {
         for (combo, sched, requests) in scale {
             let big = ShareGptLikeConfig::small(requests, PAPER_SEED).generate();
             let (best, makespan) = time_cell(1, || {
-                run_scheduler(sched, &model, &node, &big, &predictor)
+                run_scheduler(sched, &model, &node, Workload::offline(&big), &predictor)
                     .expect("scale cell must be feasible")
                     .makespan
             });

@@ -3,7 +3,7 @@
 //! Every binary in `src/bin/` regenerates one of the paper's tables or
 //! figures (see DESIGN.md §4 for the index). This library holds the pieces
 //! they share: the standard 5,000-request ShareGPT-like workload, the four
-//! node/model combinations, run wrappers over the [`Scheduler`] table
+//! node/model combinations, a run wrapper over the [`Scheduler`] table
 //! (`tdpipe-baselines`), and small plumbing for emitting results as
 //! aligned text and JSON.
 
@@ -11,15 +11,14 @@
 
 use serde::Serialize;
 use std::path::PathBuf;
+use tdpipe_baselines::tdpipe_config;
 pub use tdpipe_baselines::Scheduler;
-use tdpipe_core::engine::RunOutcome;
 use tdpipe_core::parallel::map_indexed_parallel;
-use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::RunReport;
-use tdpipe_workload::{ShareGptLikeConfig, Trace};
+use tdpipe_workload::{ShareGptLikeConfig, Trace, Workload};
 
 /// Seed used for every headline experiment (determinism across binaries).
 pub const PAPER_SEED: u64 = 42;
@@ -57,43 +56,21 @@ pub fn paper_combos() -> Vec<Combo> {
 }
 
 /// Run one scheduler on one configuration from its defaults (the
-/// [`Scheduler`] table). Returns `None` when the model does not fit the
-/// node in the scheduler's layout.
+/// [`Scheduler`] table), observers off. Returns `None` when the model
+/// does not fit the node in the scheduler's layout, or when a baseline is
+/// handed sessions.
 pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
     which: Scheduler,
     model: &ModelSpec,
     node: &NodeSpec,
-    trace: &Trace,
+    work: Workload<'_>,
     predictor: &P,
 ) -> Option<RunReport> {
-    run_scheduler_with_arrivals(which, model, node, trace, &[], predictor)
-}
-
-/// [`run_scheduler`] with per-request arrival times (the online
-/// extension; see [`Scheduler::run`] for the contract).
-pub fn run_scheduler_with_arrivals<P: OutputLenPredictor + ?Sized>(
-    which: Scheduler,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    arrivals: &[f64],
-    predictor: &P,
-) -> Option<RunReport> {
-    let out = which.run(model.clone(), node, trace, arrivals, predictor, false, false);
-    out.ok().map(|o| o.report)
-}
-
-/// Run TD-Pipe with an explicit configuration (ablations).
-pub fn run_tdpipe<P: OutputLenPredictor + ?Sized>(
-    model: &ModelSpec,
-    node: &NodeSpec,
-    trace: &Trace,
-    predictor: &P,
-    cfg: TdPipeConfig,
-) -> Option<RunOutcome> {
-    TdPipeEngine::new(model.clone(), node, cfg)
+    let td = tdpipe_config(false, false, true);
+    which
+        .run(model.clone(), node, work, predictor, td)
         .ok()
-        .map(|e| e.run(trace, predictor))
+        .map(|o| o.report)
 }
 
 /// Run many `(scheduler, model, node)` cells over one trace on every host
@@ -109,7 +86,7 @@ pub fn run_cells_parallel<P: OutputLenPredictor + Sync + ?Sized>(
         .map(|n| n.get())
         .unwrap_or(4);
     map_indexed_parallel(cells, threads, |_, (s, model, node)| {
-        run_scheduler(*s, model, node, trace, predictor)
+        run_scheduler(*s, model, node, Workload::offline(trace), predictor)
     })
 }
 
@@ -147,8 +124,9 @@ mod tests {
         let model = ModelSpec::llama2_13b();
         let node = NodeSpec::l20(2);
         for s in Scheduler::ALL {
-            let r = run_scheduler(s, &model, &node, &trace, &OraclePredictor)
-                .expect("13B fits 2xL20");
+            let work = Workload::offline(&trace);
+            let r =
+                run_scheduler(s, &model, &node, work, &OraclePredictor).expect("13B fits 2xL20");
             assert_eq!(r.num_requests, 24, "{}", s.name());
         }
     }
@@ -162,7 +140,7 @@ mod tests {
             .collect();
         let par = run_cells_parallel(&cells, &trace, &OraclePredictor);
         for ((s, m, n), got) in cells.iter().zip(&par) {
-            let serial = run_scheduler(*s, m, n, &trace, &OraclePredictor);
+            let serial = run_scheduler(*s, m, n, Workload::offline(&trace), &OraclePredictor);
             assert_eq!(got.as_ref().map(|r| r.makespan), serial.map(|r| r.makespan));
         }
     }
@@ -174,7 +152,7 @@ mod tests {
             Scheduler::TdPipe,
             &ModelSpec::llama2_70b(),
             &NodeSpec::l20(1),
-            &trace,
+            Workload::offline(&trace),
             &OraclePredictor,
         );
         assert!(r.is_none());

@@ -87,8 +87,8 @@ pub struct EngineConfig {
     /// report are unchanged (pinned in `tests/metrics_export.rs`).
     pub record_metrics: bool,
     /// Session-affine KV reuse across closed-loop turns (see
-    /// `TdPipeEngine::run_sessions`): when `true`, a finished turn's KV is
-    /// retained for its session's next turn under the
+    /// `TdPipeEngine::try_run` on sessions): when `true`, a finished
+    /// turn's KV is retained for its session's next turn under the
     /// [`EngineConfig::session_retain_frac`] budget, and a resumed turn
     /// whose retained prefix survived prefills only its fresh suffix. When
     /// `false`, every turn pays a full prefill. Has no effect on

@@ -191,7 +191,7 @@ fn idle_advance(stall: Stall, run: &mut RunState, now: f64) -> f64 {
     if let Some((idx, tokens, capacity)) = stall.oversize {
         // analyzer: allow(no-panic) — unschedulable input (one request
         // larger than the whole KV pool): a precondition documented under
-        // `# Panics` on every `run_with_arrivals`, not a runtime failure.
+        // `# Panics` on every engine entry point, not a runtime failure.
         panic!(
             "request {} ({tokens} tokens) exceeds KV capacity ({capacity} tokens)",
             pool.id(idx)

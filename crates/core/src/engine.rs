@@ -46,7 +46,7 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::{RunReport, SegmentKind, Timeline};
 use tdpipe_trace::{AdmitReason, EvictMode, FlightRecorder, PrefillStopReason, TraceEvent};
-use tdpipe_workload::{SessionTrace, SessionTurn, Trace};
+use tdpipe_workload::{SessionTurn, Trace, Workload};
 
 /// A model/node combination whose weights do not fit the devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -96,8 +96,7 @@ pub struct RunOutcome {
 }
 
 /// Closed-loop session state threaded through one engine run (only for
-/// [`TdPipeEngine::run_sessions`]; `None` keeps every other entry point
-/// bit-identical).
+/// [`Workload::Sessions`]; `None` keeps open-loop runs bit-identical).
 struct SessionRun<'a> {
     /// Per-request turn linkage, parallel to the request pool.
     turns: &'a [SessionTurn],
@@ -381,8 +380,9 @@ impl TdPipeEngine {
         })
     }
 
-    /// A simulator plane sized and configured for this engine.
-    fn sim_plane(&self) -> Box<dyn PipelineExecutor> {
+    /// A simulator plane sized and configured for this engine, for
+    /// [`Self::try_run`].
+    pub fn sim_plane(&self) -> Box<dyn PipelineExecutor> {
         let e = &self.cfg.engine;
         Box::new(SimExecutor::new(
             self.cost.num_stages(),
@@ -391,65 +391,35 @@ impl TdPipeEngine {
         ))
     }
 
-    /// Run the engine over a trace, consulting `predictor` for output
-    /// lengths (pass [`tdpipe_predictor::OraclePredictor`] for the
-    /// perfect-information ablation).
+    /// Run the paper's offline setting (every request queued at t = 0) on
+    /// the simulator, consulting `predictor` for output lengths (pass
+    /// [`tdpipe_predictor::OraclePredictor`] for the perfect-information
+    /// ablation).
     ///
     /// # Panics
-    /// Panics if some request cannot fit in KV memory even alone.
+    /// As [`Self::try_run`].
     pub fn run<P: OutputLenPredictor + ?Sized>(&self, trace: &Trace, predictor: &P) -> RunOutcome {
-        self.run_with_arrivals(trace, &[], predictor)
+        self.try_run(Workload::offline(trace), predictor, self.sim_plane())
+            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// Run with per-request arrival times (the online extension; an empty
-    /// slice means everything is queued at t = 0, the paper's setting).
-    /// Arrival times must be non-decreasing and aligned with the trace;
-    /// latency metrics come out arrival-relative.
-    ///
-    /// # Panics
-    /// Panics if some request cannot fit in KV memory even alone, if
-    /// `arrivals` is non-empty but misaligned/unsorted, or if a pending
-    /// request never arrives.
+    /// [`Self::try_run`] of open-loop requests on the simulator. Kept only
+    /// because the separately built benchmark package
+    /// (`src/bin/benchmark`) compiles against it.
     pub fn run_with_arrivals<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
         arrivals: &[f64],
         predictor: &P,
     ) -> RunOutcome {
-        self.try_run_on(trace, arrivals, predictor, self.sim_plane())
+        let work = Workload::Requests { trace, arrivals };
+        self.try_run(work, predictor, self.sim_plane())
             .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// Run a closed-loop multi-turn session workload: each resumed turn
-    /// arrives only after its predecessor finishes plus think time, and —
-    /// with [`crate::config::EngineConfig::session_reuse`] on — a resumed
-    /// turn whose retained session KV survived prefills only its fresh
-    /// suffix. Latencies are measured from each turn's *released* arrival.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`], plus on a session trace failing its
-    /// structural invariants.
-    pub fn run_sessions<P: OutputLenPredictor + ?Sized>(
-        &self,
-        sessions: &SessionTrace,
-        predictor: &P,
-    ) -> RunOutcome {
-        let arrivals = sessions.initial_arrivals();
-        let probe = &mut RunProbe::default();
-        let plane = self.sim_plane();
-        self.run_impl(&sessions.trace, &arrivals, predictor, plane, Some(sessions), probe)
-            .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
-    }
-
-    /// Run the engine against any execution plane — the deterministic
-    /// simulator ([`SimExecutor`]) or the threaded hierarchy-controller
-    /// (`tdpipe-runtime`'s executor). An execution-plane failure (worker
-    /// panic, lost stage message, wedged shutdown) surfaces as a clean
-    /// [`ExecError`] instead of a panic or a hang — the waits inside a
-    /// supervised plane are all deadline-bounded.
-    ///
-    /// # Panics
-    /// As [`Self::run_with_arrivals`] (scheduling preconditions only).
+    /// [`Self::try_run`] of open-loop requests. Kept only because the
+    /// separately built benchmark package (`src/bin/benchmark`) compiles
+    /// against it.
     pub fn try_run_on<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
@@ -457,25 +427,51 @@ impl TdPipeEngine {
         predictor: &P,
         plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
-        let probe = &mut RunProbe::default();
-        self.run_impl(trace, arrivals, predictor, plane, None, probe)
+        self.try_run(Workload::Requests { trace, arrivals }, predictor, plane)
     }
 
-    /// Every entry point's run: TD-Pipe's phase machine on the shared
-    /// loop. `sessions` threads the closed-loop linkage (arrival release,
-    /// KV retention) through it, and `None` leaves all of that behind one
-    /// branch so non-session runs stay bit-identical. `probe` starts
-    /// empty; it is the caller's so tests can read the run's work
-    /// counters afterwards.
-    fn run_impl<P: OutputLenPredictor + ?Sized>(
+    /// Run the engine over `work` against any execution plane — the
+    /// simulator ([`Self::sim_plane`]) or the threaded hierarchy-controller
+    /// (`tdpipe-runtime`) — consulting `predictor` for output lengths.
+    /// Latencies are arrival-relative; a session turn arrives when its
+    /// predecessor finishes plus think time, and with
+    /// [`crate::config::EngineConfig::session_reuse`] on prefills only the
+    /// suffix its retained session KV does not cover. An execution-plane
+    /// failure (worker panic, lost message, wedged shutdown) is an
+    /// [`ExecError`], never a panic or a hang.
+    ///
+    /// # Panics
+    /// On scheduling preconditions only: a request that cannot fit in KV
+    /// memory alone, misaligned or unsorted arrivals, a pending request
+    /// that never arrives, or a session trace failing its invariants.
+    pub fn try_run<P: OutputLenPredictor + ?Sized>(
         &self,
-        trace: &Trace,
-        arrivals: &[f64],
+        work: Workload<'_>,
         predictor: &P,
         plane: Box<dyn PipelineExecutor>,
-        sessions: Option<&SessionTrace>,
+    ) -> Result<RunOutcome, ExecError> {
+        self.run_impl(work, predictor, plane, &mut RunProbe::default())
+    }
+
+    /// [`Self::try_run`] with the caller's `probe`, which starts empty, so
+    /// tests can read the run's work counters afterwards. Sessions thread
+    /// the closed-loop linkage (arrival release, KV retention) through
+    /// the run; open-loop requests leave all of that behind one branch.
+    fn run_impl<P: OutputLenPredictor + ?Sized>(
+        &self,
+        work: Workload<'_>,
+        predictor: &P,
+        plane: Box<dyn PipelineExecutor>,
         probe: &mut RunProbe,
     ) -> Result<RunOutcome, ExecError> {
+        let initial;
+        let (trace, arrivals, sessions) = match work {
+            Workload::Requests { trace, arrivals } => (trace, arrivals, None),
+            Workload::Sessions(st) => {
+                initial = st.initial_arrivals();
+                (&st.trace, &initial[..], Some(st))
+            }
+        };
         let RunProbe { est_cache, work } = probe;
         let e = &self.cfg.engine;
         let (journal, metrics) = (e.record_trace, e.record_metrics);
@@ -1335,6 +1331,11 @@ mod tests {
         ShareGptLikeConfig::small(n, 42).generate()
     }
 
+    /// `work` on the engine's simulator plane.
+    fn sim_run<P: OutputLenPredictor>(e: &TdPipeEngine, work: Workload<'_>, p: &P) -> RunOutcome {
+        e.try_run(work, p, e.sim_plane()).unwrap()
+    }
+
     #[test]
     fn small_run_completes_and_conserves() {
         let out = engine(4).run(&trace(64), &OraclePredictor);
@@ -1425,7 +1426,7 @@ mod tests {
     fn session_run_completes_and_conserves() {
         use tdpipe_workload::SessionConfig;
         let s = SessionConfig::small(24, 7).generate();
-        let out = engine(2).run_sessions(&s, &OraclePredictor);
+        let out = sim_run(&engine(2), Workload::Sessions(&s), &OraclePredictor);
         assert_eq!(out.report.num_requests, s.len());
         assert!(out.report.makespan > 0.0);
         assert!(out.report.output_tokens > 0);
@@ -1435,8 +1436,8 @@ mod tests {
     fn session_runs_are_deterministic() {
         use tdpipe_workload::SessionConfig;
         let s = SessionConfig::small(32, 11).generate();
-        let a = engine(2).run_sessions(&s, &OraclePredictor);
-        let b = engine(2).run_sessions(&s, &OraclePredictor);
+        let a = sim_run(&engine(2), Workload::Sessions(&s), &OraclePredictor);
+        let b = sim_run(&engine(2), Workload::Sessions(&s), &OraclePredictor);
         assert_eq!(a.report, b.report);
     }
 
@@ -1456,9 +1457,8 @@ mod tests {
             cfg.engine.session_reuse = reuse;
             cfg.engine.record_metrics = true;
             cfg.engine.record_trace = true;
-            TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg)
-                .unwrap()
-                .run_sessions(&s, &OraclePredictor)
+            let e = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg).unwrap();
+            sim_run(&e, Workload::Sessions(&s), &OraclePredictor)
         };
         let on = run(true);
         let off = run(false);
@@ -1516,6 +1516,10 @@ mod tests {
             seed: 42,
         }
         .sample(t.len());
+        let online = Workload::Requests {
+            trace: &t,
+            arrivals: &arrivals,
+        };
         let eng = engine(4);
         let executor = Box::new(SimExecutor::new(
             eng.cost.num_stages(),
@@ -1524,10 +1528,10 @@ mod tests {
         ));
         let mut probe = RunProbe::default();
         let out = eng
-            .run_impl(&t, &arrivals, &OraclePredictor, executor, None, &mut probe)
+            .run_impl(online, &OraclePredictor, executor, &mut probe)
             .unwrap();
         let cache = probe.est_cache;
-        assert_eq!(out.report, eng.run_with_arrivals(&t, &arrivals, &OraclePredictor).report);
+        assert_eq!(out.report, sim_run(&eng, online, &OraclePredictor).report);
         let decode_phases = out.phases.iter().filter(|p| p.phase == Phase::Decode).count() as u64;
         assert!(cache.rebuilds > 0, "the intensity switch priced prefill phases");
         assert!(
@@ -1550,12 +1554,16 @@ mod tests {
             seed: 42,
         }
         .sample(t.len());
+        let online = Workload::Requests {
+            trace: &t,
+            arrivals: &arrivals,
+        };
         let eng = engine(4);
         let mut probe = RunProbe::default();
         let out = eng
-            .run_impl(&t, &arrivals, &OraclePredictor, eng.sim_plane(), None, &mut probe)
+            .run_impl(online, &OraclePredictor, eng.sim_plane(), &mut probe)
             .unwrap();
-        assert_eq!(out.report, eng.run_with_arrivals(&t, &arrivals, &OraclePredictor).report);
+        assert_eq!(out.report, sim_run(&eng, online, &OraclePredictor).report);
         let SwitchWork { residents_at_open, cohort_ops } = probe.work;
         assert!(residents_at_open > 0, "the run opened decode phases");
         assert!(
@@ -1591,9 +1599,12 @@ mod tests {
             seed: 42,
         }
         .sample(t.len());
-        let out = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg)
-            .unwrap()
-            .run_with_arrivals(&t, &arrivals, &Fixed(1));
+        let e = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(1), cfg).unwrap();
+        let online = Workload::Requests {
+            trace: &t,
+            arrivals: &arrivals,
+        };
+        let out = sim_run(&e, online, &Fixed(1));
         assert_eq!(out.report.num_requests, 200);
         assert!(out.report.swapped_tokens > 0, "the scenario must swap");
     }

@@ -305,7 +305,7 @@ impl EngineMetrics {
     }
 
     /// Fold in the session-KV reuse totals of a closed-loop run (see
-    /// `TdPipeEngine::run_sessions`). Registered lazily — only session
+    /// `TdPipeEngine::try_run` on sessions). Registered lazily — only session
     /// runs call this, so non-session snapshots keep the baseline metric
     /// set byte-identical.
     pub fn on_session_summary(

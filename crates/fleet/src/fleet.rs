@@ -6,7 +6,8 @@
 //! 1. **Route** (serial, pure): feed every dispatch unit — a request, or a
 //!    whole session — through the seeded [`Router`] in arrival order.
 //! 2. **Execute** (parallel, independent): each replica runs its
-//!    self-contained sub-workload on its own engine via the parallel map
+//!    self-contained sub-workload — a borrowed [`Workload`], the type
+//!    every engine runs — on its own engine via the parallel map
 //!    the bench sweeps share
 //!    ([`tdpipe_core::parallel::map_indexed_parallel`]) — results come
 //!    back in replica order regardless of thread count, which is what
@@ -15,7 +16,7 @@
 //!    goodput counts SLO-attained completions, metrics merge under a
 //!    `replica` label.
 
-use crate::replica::{Replica, ReplicaWorkload};
+use crate::replica::Replica;
 use crate::report::{
     fleet_headline_metrics, merged_replica_metrics, ttft_attainment, FleetReport, ReplicaReport,
     SloSpec,
@@ -24,7 +25,7 @@ use crate::router::{DispatchUnit, Router, RouterConfig};
 use tdpipe_core::engine::RunOutcome;
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::{SessionTrace, Trace};
+use tdpipe_workload::{SessionTrace, Trace, Workload};
 
 /// Fleet-level configuration: how to route, and what SLO goodput counts.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -35,33 +36,31 @@ pub struct FleetConfig {
     pub slo: SloSpec,
 }
 
-/// The cluster's offered workload, borrowed from the caller.
-#[derive(Debug, Clone, Copy)]
-pub enum FleetWorkload<'a> {
-    /// Open-loop requests. `arrivals` is per-request and non-decreasing,
-    /// or empty for the paper's offline all-at-t0 setting (and stays
-    /// empty per replica, keeping single-replica fleets bit-identical to
-    /// `TdPipeEngine::run`).
-    Requests {
-        trace: &'a Trace,
-        arrivals: &'a [f64],
-    },
-    /// Closed-loop sessions; each session routes atomically.
-    Sessions(&'a SessionTrace),
+/// The cluster's offered workload: the one [`Workload`], under the name
+/// the fleet API has always used.
+pub use tdpipe_workload::Workload as FleetWorkload;
+
+/// Each replica's self-contained share of the offered workload, in pool
+/// order.
+enum Split {
+    /// Open-loop requests (ids renumbered by `Trace::subset`) with their
+    /// arrival times, empty for an offline workload.
+    Requests(Vec<(Trace, Vec<f64>)>),
+    /// Sessions, split at session granularity by
+    /// `SessionTrace::subset_sessions`.
+    Sessions(Vec<SessionTrace>),
 }
 
-impl FleetWorkload<'_> {
-    /// Total requests (turns) offered to the fleet.
-    pub fn len(&self) -> usize {
+impl Split {
+    /// Replica `i`'s sub-workload.
+    fn work(&self, i: usize) -> Workload<'_> {
         match self {
-            FleetWorkload::Requests { trace, .. } => trace.len(),
-            FleetWorkload::Sessions(st) => st.len(),
+            Split::Requests(parts) => Workload::Requests {
+                trace: &parts[i].0,
+                arrivals: &parts[i].1,
+            },
+            Split::Sessions(parts) => Workload::Sessions(&parts[i]),
         }
-    }
-
-    /// Whether the fleet has nothing to do.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -86,9 +85,9 @@ pub struct FleetOutcome {
 fn split_workload<P: OutputLenPredictor + ?Sized>(
     replicas: &[Replica],
     cfg: &RouterConfig,
-    workload: &FleetWorkload<'_>,
+    workload: &Workload<'_>,
     predictor: &P,
-) -> (Vec<ReplicaWorkload>, Vec<usize>, u64, f64) {
+) -> (Split, Vec<usize>, u64, f64) {
     let mut router = Router::new(cfg.clone(), replicas);
     let n = replicas.len();
     let mut span = (f64::INFINITY, f64::NEG_INFINITY);
@@ -96,10 +95,9 @@ fn split_workload<P: OutputLenPredictor + ?Sized>(
         span.0 = span.0.min(t);
         span.1 = span.1.max(t);
     };
-    let works: Vec<ReplicaWorkload>;
     let mut assigned = vec![0usize; n];
-    match workload {
-        FleetWorkload::Requests { trace, arrivals } => {
+    let split = match *workload {
+        Workload::Requests { trace, arrivals } => {
             assert!(
                 arrivals.is_empty() || arrivals.len() == trace.len(),
                 "arrivals must be empty or aligned with the trace"
@@ -120,20 +118,18 @@ fn split_workload<P: OutputLenPredictor + ?Sized>(
                 indices[chosen].push(i);
                 assigned[chosen] += 1;
             }
-            works = indices
-                .into_iter()
-                .map(|idx| ReplicaWorkload::Requests {
-                    trace: trace.subset(&idx),
-                    // An offline workload stays offline per replica.
-                    arrivals: if arrivals.is_empty() {
-                        Vec::new()
-                    } else {
-                        idx.iter().map(|&i| arrivals[i]).collect()
-                    },
-                })
-                .collect();
+            let parts = indices.into_iter().map(|idx| {
+                // An offline workload (no arrivals) stays offline per
+                // replica.
+                let sub = idx
+                    .iter()
+                    .filter_map(|&i| arrivals.get(i).copied())
+                    .collect();
+                (trace.subset(&idx), sub)
+            });
+            Split::Requests(parts.collect())
         }
-        FleetWorkload::Sessions(st) => {
+        Workload::Sessions(st) => {
             // Per-session totals for the dispatch unit: fresh prefill
             // work, predicted decode work, and the peak transcript KV.
             let reqs = st.trace.requests();
@@ -163,56 +159,31 @@ fn split_workload<P: OutputLenPredictor + ?Sized>(
                 sessions[chosen].push(s as u32);
                 assigned[chosen] += 1;
             }
-            works = sessions
-                .into_iter()
-                .map(|ids| ReplicaWorkload::Sessions(st.subset_sessions(&ids)))
-                .collect();
+            Split::Sessions(sessions.iter().map(|ids| st.subset_sessions(ids)).collect())
         }
-    }
+    };
     let offered_span = if span.1 > span.0 { span.1 - span.0 } else { 0.0 };
-    (works, assigned, router.spills(), offered_span)
+    (split, assigned, router.spills(), offered_span)
 }
 
-/// Run the fleet with a worker thread per host core.
-pub fn run_fleet<P: OutputLenPredictor + Sync + ?Sized>(
-    replicas: &[Replica],
-    workload: &FleetWorkload<'_>,
-    cfg: &FleetConfig,
-    predictor: &P,
-) -> FleetOutcome {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    run_fleet_with_threads(replicas, workload, cfg, predictor, threads)
-}
-
-/// Run the fleet one replica at a time — the determinism reference the
-/// parallel path must match byte-for-byte.
-pub fn run_fleet_serial<P: OutputLenPredictor + Sync + ?Sized>(
-    replicas: &[Replica],
-    workload: &FleetWorkload<'_>,
-    cfg: &FleetConfig,
-    predictor: &P,
-) -> FleetOutcome {
-    run_fleet_with_threads(replicas, workload, cfg, predictor, 1)
-}
-
-/// [`run_fleet`] with an explicit worker count (the determinism tests
-/// sweep this).
+/// Route `workload` across `replicas`, run every replica's share on
+/// `threads` host threads, and aggregate one fleet report. The outcome is
+/// byte-identical whatever the thread count: `threads = 1` is the serial
+/// determinism reference the parallel runs must match.
 pub fn run_fleet_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
     replicas: &[Replica],
-    workload: &FleetWorkload<'_>,
+    workload: &Workload<'_>,
     cfg: &FleetConfig,
     predictor: &P,
     threads: usize,
 ) -> FleetOutcome {
-    let (works, assigned, spills, offered_span) =
+    let (split, assigned, spills, offered_span) =
         split_workload(replicas, &cfg.router, workload, predictor);
     // Execute: one engine run per replica, scattered back in pool order.
     let outcomes: Vec<RunOutcome> = tdpipe_core::parallel::map_indexed_parallel(
         replicas,
         threads,
-        |i, replica: &Replica| replica.run(&works[i], predictor),
+        |i, replica: &Replica| replica.run(split.work(i), predictor),
     );
     // Aggregate.
     let mut num_requests = 0usize;
@@ -320,14 +291,12 @@ mod tests {
         let trace = ShareGptLikeConfig::small(40, 3).generate();
         let replicas = pool("l20:1");
         for policy in RouterPolicy::ALL {
-            let fleet = run_fleet_serial(
+            let fleet = run_fleet_with_threads(
                 &replicas,
-                &FleetWorkload::Requests {
-                    trace: &trace,
-                    arrivals: &[],
-                },
+                &Workload::offline(&trace),
                 &fleet_cfg(policy),
                 &OraclePredictor,
+                1,
             );
             let direct = TdPipeEngine::new(
                 ModelSpec::llama2_13b(),
@@ -356,14 +325,15 @@ mod tests {
         .sample(trace.len());
         let replicas = pool("l20:2,a100:1");
         for policy in RouterPolicy::ALL {
-            let fleet = run_fleet_serial(
+            let fleet = run_fleet_with_threads(
                 &replicas,
-                &FleetWorkload::Requests {
+                &Workload::Requests {
                     trace: &trace,
                     arrivals: &arrivals,
                 },
                 &fleet_cfg(policy),
                 &OraclePredictor,
+                1,
             );
             assert_eq!(
                 fleet.report.num_requests,
@@ -392,12 +362,12 @@ mod tests {
         }
         .sample(trace.len());
         let replicas = pool("l20:1,a100:1");
-        let workload = FleetWorkload::Requests {
+        let workload = Workload::Requests {
             trace: &trace,
             arrivals: &arrivals,
         };
         let cfg = fleet_cfg(RouterPolicy::KvPressure);
-        let serial = run_fleet_serial(&replicas, &workload, &cfg, &OraclePredictor);
+        let serial = run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 1);
         for threads in [2, 8] {
             let parallel =
                 run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, threads);
@@ -414,11 +384,12 @@ mod tests {
     fn sessions_route_atomically_across_the_fleet() {
         let st = SessionConfig::small(40, 21).generate();
         let replicas = pool("l20:1,a100:1");
-        let fleet = run_fleet_serial(
+        let fleet = run_fleet_with_threads(
             &replicas,
-            &FleetWorkload::Sessions(&st),
+            &Workload::Sessions(&st),
             &fleet_cfg(RouterPolicy::SessionAffine),
             &OraclePredictor,
+            1,
         );
         // Every turn of every session completed somewhere, exactly once.
         assert_eq!(fleet.report.num_requests, st.len());
@@ -442,11 +413,12 @@ mod tests {
         // which the empty-pool case below forces deterministically.
         let st = SessionConfig::small(2, 33).generate();
         let replicas = pool("l20:3");
-        let fleet = run_fleet_serial(
+        let fleet = run_fleet_with_threads(
             &replicas,
-            &FleetWorkload::Sessions(&st),
+            &Workload::Sessions(&st),
             &fleet_cfg(RouterPolicy::SessionAffine),
             &OraclePredictor,
+            1,
         );
         assert!(fleet.report.makespan.is_finite());
         assert!(fleet.report.goodput.is_finite());

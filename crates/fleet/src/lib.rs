@@ -19,13 +19,17 @@
 //!   per-replica queue *estimator* priced from each replica's own roofline
 //!   cost model — the router never peeks inside an engine run, which is
 //!   what keeps routing a pure, deterministic pre-pass.
-//! * [`run_fleet`] executes the per-replica sub-workloads on host cores
-//!   with the lock-free parallel map the bench sweeps share
+//! * [`run_fleet_with_threads`] executes the per-replica sub-workloads on
+//!   host cores with the lock-free parallel map the bench sweeps share
 //!   (`tdpipe_core::parallel::map_indexed_parallel`) and aggregates the
 //!   outcomes into a [`FleetReport`]: fleet makespan is the **max** over
 //!   replicas (they run concurrently), goodput counts only SLO-attained
 //!   requests, and per-replica metrics snapshots merge under a `replica`
 //!   label.
+//!
+//! The offered workload is the one `tdpipe_workload::Workload` every
+//! engine runs (re-exported as [`FleetWorkload`]), and a replica runs its
+//! share through the same type ([`Replica::run`]).
 
 #![forbid(unsafe_code)]
 
@@ -34,8 +38,8 @@ pub mod replica;
 pub mod report;
 pub mod router;
 
-pub use fleet::{run_fleet, run_fleet_serial, run_fleet_with_threads, FleetConfig, FleetOutcome, FleetWorkload};
-pub use replica::{parse_pool, Replica, ReplicaSpec, ReplicaWorkload};
+pub use fleet::{run_fleet_with_threads, FleetConfig, FleetOutcome, FleetWorkload};
+pub use replica::{parse_pool, Replica, ReplicaSpec};
 pub use report::{
     fleet_headline_metrics, merged_replica_metrics, ttft_attainment, FleetReport, ReplicaReport,
     SloSpec,

@@ -7,7 +7,7 @@ use tdpipe_core::TdPipeConfig;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::{SessionTrace, Trace};
+use tdpipe_workload::Workload;
 
 /// Everything needed to plan one replica: a label for reports/metrics, the
 /// model it serves, the node it runs on, and its engine configuration.
@@ -74,11 +74,6 @@ impl Replica {
         &self.spec
     }
 
-    /// The planned engine.
-    pub fn engine(&self) -> &TdPipeEngine {
-        &self.engine
-    }
-
     /// KV pool size in tokens — the capacity weight the router's
     /// KV-pressure and affine policies use.
     pub fn kv_capacity_tokens(&self) -> u64 {
@@ -116,52 +111,17 @@ impl Replica {
         ESTIMATE_DECODE_BATCH as f64 / step_s
     }
 
-    /// Run one sub-workload on this replica's engine. An empty sub-trace
-    /// (a starved replica) completes immediately with a zero-request
-    /// report — the fleet aggregation renders it as `n/a`.
+    /// Run one sub-workload on this replica's engine (on the simulator).
+    /// An empty sub-trace (a starved replica) completes immediately with a
+    /// zero-request report — the fleet aggregation renders it as `n/a`.
     pub fn run<P: OutputLenPredictor + ?Sized>(
         &self,
-        work: &ReplicaWorkload,
+        work: Workload<'_>,
         predictor: &P,
     ) -> RunOutcome {
-        match work {
-            ReplicaWorkload::Requests { trace, arrivals } => {
-                self.engine.run_with_arrivals(trace, arrivals, predictor)
-            }
-            ReplicaWorkload::Sessions(sessions) => self.engine.run_sessions(sessions, predictor),
-        }
-    }
-}
-
-/// The self-contained sub-workload a router hands one replica.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ReplicaWorkload {
-    /// Open-loop requests with their (possibly empty = all-at-t0) arrival
-    /// times, ids renumbered by `Trace::subset`.
-    Requests {
-        /// The replica's requests, in dispatch order.
-        trace: Trace,
-        /// Per-request arrival times (empty for offline workloads, so a
-        /// single-replica fleet stays bit-identical to `TdPipeEngine::run`).
-        arrivals: Vec<f64>,
-    },
-    /// Closed-loop sessions, split at session granularity by
-    /// `SessionTrace::subset_sessions`.
-    Sessions(SessionTrace),
-}
-
-impl ReplicaWorkload {
-    /// Number of requests (turns, for sessions) in this sub-workload.
-    pub fn len(&self) -> usize {
-        match self {
-            ReplicaWorkload::Requests { trace, .. } => trace.len(),
-            ReplicaWorkload::Sessions(st) => st.len(),
-        }
-    }
-
-    /// Whether the sub-workload is empty (a starved replica).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        let e = &self.engine;
+        e.try_run(work, predictor, e.sim_plane())
+            .unwrap_or_else(|err| unreachable!("the simulator cannot fail: {err}"))
     }
 }
 
@@ -211,7 +171,7 @@ pub fn parse_pool(spec: &str, gpus: u32) -> Result<Vec<(String, NodeSpec)>, Stri
 mod tests {
     use super::*;
     use tdpipe_predictor::OraclePredictor;
-    use tdpipe_workload::ShareGptLikeConfig;
+    use tdpipe_workload::{ShareGptLikeConfig, Trace};
 
     #[test]
     fn pool_parsing_labels_and_counts() {
@@ -267,12 +227,10 @@ mod tests {
             NodeSpec::l20(2),
         ))
         .unwrap();
-        let work = ReplicaWorkload::Requests {
-            trace: Trace::new(Vec::new()),
-            arrivals: Vec::new(),
-        };
+        let empty = Trace::new(Vec::new());
+        let work = Workload::offline(&empty);
         assert!(work.is_empty());
-        let out = replica.run(&work, &OraclePredictor);
+        let out = replica.run(work, &OraclePredictor);
         assert_eq!(out.report.num_requests, 0);
         assert_eq!(out.report.makespan, 0.0);
         assert!(out.report.latency.is_none());
@@ -284,13 +242,7 @@ mod tests {
         let trace = ShareGptLikeConfig::small(16, 3).generate();
         let spec = ReplicaSpec::td("solo", ModelSpec::llama2_13b(), NodeSpec::l20(2));
         let replica = Replica::new(spec.clone()).unwrap();
-        let via_replica = replica.run(
-            &ReplicaWorkload::Requests {
-                trace: trace.clone(),
-                arrivals: Vec::new(),
-            },
-            &OraclePredictor,
-        );
+        let via_replica = replica.run(Workload::offline(&trace), &OraclePredictor);
         let direct = TdPipeEngine::new(spec.model, &spec.node, spec.config)
             .unwrap()
             .run(&trace, &OraclePredictor);

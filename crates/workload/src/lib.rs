@@ -26,6 +26,7 @@ pub mod request;
 pub mod session;
 pub mod stats;
 pub mod trace;
+pub mod workload;
 
 pub use arrival::ArrivalProcess;
 pub use session::{SessionConfig, SessionTrace, SessionTurn};
@@ -33,3 +34,4 @@ pub use generator::{ShareGptLikeConfig, CATEGORY_COUNT, FEATURE_DIM};
 pub use request::{Request, RequestId};
 pub use stats::TraceStats;
 pub use trace::{Trace, TraceSplits};
+pub use workload::Workload;

@@ -18,12 +18,12 @@
 
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::fleet::{
-    parse_pool, run_fleet_serial, run_fleet_with_threads, FleetConfig, FleetWorkload, Replica,
-    ReplicaSpec, RouterConfig, RouterPolicy, SloSpec,
+    parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
+    RouterPolicy, SloSpec,
 };
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 fn main() {
     let model = ModelSpec::llama2_13b();
@@ -62,7 +62,7 @@ fn main() {
             seed: 7,
         }
         .sample(trace.len());
-        let workload = FleetWorkload::Requests {
+        let workload = Workload::Requests {
             trace: &trace,
             arrivals: &arrivals,
         };
@@ -93,7 +93,7 @@ fn main() {
         seed: 7,
     }
     .sample(trace.len());
-    let workload = FleetWorkload::Requests {
+    let workload = Workload::Requests {
         trace: &trace,
         arrivals: &arrivals,
     };
@@ -105,7 +105,7 @@ fn main() {
         },
         slo,
     };
-    let serial = run_fleet_serial(&replicas, &workload, &cfg, &OraclePredictor);
+    let serial = run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 1);
     let threaded = run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 8);
     assert_eq!(
         serde_json::to_string(&serial.report).unwrap(),
@@ -120,15 +120,8 @@ fn main() {
         .into_iter()
         .map(|(label, node)| Replica::new(ReplicaSpec::td(&label, model.clone(), node)).unwrap())
         .collect();
-    let fleet_one = run_fleet_serial(
-        &solo,
-        &FleetWorkload::Requests {
-            trace: &trace,
-            arrivals: &[],
-        },
-        &cfg,
-        &OraclePredictor,
-    );
+    let fleet_one =
+        run_fleet_with_threads(&solo, &Workload::offline(&trace), &cfg, &OraclePredictor, 1);
     let direct = TdPipeEngine::new(model, &solo[0].spec().node, TdPipeConfig::default())
         .unwrap()
         .run(&trace, &OraclePredictor);

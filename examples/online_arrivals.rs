@@ -11,25 +11,25 @@
 //! cargo run --release --example online_arrivals
 //! ```
 
-use tdpipe::baselines::TpHbEngine;
-use tdpipe::core::config::EngineConfig;
-use tdpipe::core::{TdPipeConfig, TdPipeEngine};
+use tdpipe::baselines::{tdpipe_config, Scheduler};
+use tdpipe::core::engine::RunOutcome;
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 fn main() {
-    let engine = TdPipeEngine::new(
-        ModelSpec::qwen2_5_32b(),
-        &NodeSpec::a100(4),
-        TdPipeConfig::default(),
-    )
-    .expect("fits");
+    // Every scheduler from its defaults, over one workload description.
+    let (model, node) = (ModelSpec::qwen2_5_32b(), NodeSpec::a100(4));
+    let run = |s: Scheduler, work: Workload<'_>| -> RunOutcome {
+        let td = tdpipe_config(false, false, true);
+        s.run(model.clone(), &node, work, &OraclePredictor, td)
+            .expect("fits")
+    };
     let trace = ShareGptLikeConfig::small(2_000, 42).generate();
 
     // Offline capacity of this deployment, for calibrating load levels.
-    let offline = engine.run(&trace, &OraclePredictor);
+    let offline = run(Scheduler::TdPipe, Workload::offline(&trace));
     let capacity_rps =
         offline.report.num_requests as f64 / offline.report.makespan;
     println!(
@@ -37,12 +37,6 @@ fn main() {
         capacity_rps,
         offline.report.throughput_total()
     );
-    let tp_hb = TpHbEngine::new(
-        ModelSpec::qwen2_5_32b(),
-        &NodeSpec::a100(4),
-        EngineConfig::default(),
-    )
-    .expect("fits");
 
     println!(
         "{:>6} {:>10} | {:>12} {:>12} {:>8} | {:>12} {:>12}",
@@ -56,9 +50,13 @@ fn main() {
             seed: 9,
         }
         .sample(trace.len());
-        let td = engine.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+        let online = Workload::Requests {
+            trace: &trace,
+            arrivals: &arrivals,
+        };
+        let td = run(Scheduler::TdPipe, online);
         let tl = td.report.latency.expect("all finished");
-        let hb = tp_hb.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+        let hb = run(Scheduler::TpHb, online);
         let hl = hb.report.latency.expect("all finished");
         println!(
             "{:>5.0}% {:>10.2} | {:>11.1}s {:>11.1}s {:>8} | {:>11.1}s {:>11.1}s",

@@ -18,7 +18,7 @@ use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ArrivalProcess, SessionConfig};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, Workload};
 
 fn main() {
     let mut sc = SessionConfig::small(600, 42);
@@ -44,9 +44,12 @@ fn main() {
         cfg.engine.session_reuse = reuse;
         cfg.engine.session_retain_frac = retain_frac;
         cfg.engine.record_metrics = true;
-        TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
-            .expect("fits")
-            .run_sessions(&sessions, &OraclePredictor)
+        let engine =
+            TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg).expect("fits");
+        let work = Workload::Sessions(&sessions);
+        engine
+            .try_run(work, &OraclePredictor, engine.sim_plane())
+            .expect("the simulator cannot fail")
     };
 
     println!(

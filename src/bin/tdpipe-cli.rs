@@ -25,9 +25,9 @@ use std::process::ExitCode;
 use tdpipe::baselines::{tdpipe_config, Scheduler};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
-use tdpipe::core::TdPipeEngine;
+use tdpipe::core::TdPipeConfig;
 use tdpipe::fleet::{
-    parse_pool, run_fleet, FleetConfig, FleetOutcome, FleetWorkload, Replica, ReplicaSpec,
+    parse_pool, run_fleet_with_threads, FleetConfig, FleetOutcome, Replica, ReplicaSpec,
     RouterConfig, RouterPolicy, SloSpec,
 };
 use tdpipe::hw::NodeSpec;
@@ -41,7 +41,7 @@ use tdpipe::spans::{
     span_table, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, FlightRecorder};
-use tdpipe::workload::{ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, TraceStats};
+use tdpipe::workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, TraceStats, Workload};
 
 const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
@@ -83,11 +83,34 @@ USAGE:
                                          table per replica, merged totals)
   tdpipe-cli validate-trace --file PATH[,PATH...]
   tdpipe-cli sweep [--model ...] [--node ...] [--gpus N] [--requests N]
+                   [--seed S]
 
 Defaults: --model 13b --node l20 --gpus 4 --scheduler td --requests 1000
           --seed 42 --predictor oracle --arrival offline --rate 8 --reuse on
           --router jsq --slo-ttft 10
 ";
+
+/// Every command and the flags it reads. An unknown command is turned
+/// away before any flag is parsed, and a command rejects, by name, any
+/// flag it does not read.
+const COMMANDS: [(&str, &str); 9] = [
+    (
+        "run",
+        "model node gpus scheduler requests seed predictor arrival rate sessions reuse \
+         replicas pool router slo-ttft trace-out journal-out metrics-out prom-out",
+    ),
+    ("metrics-diff", "baseline current threshold"),
+    ("span-report", "journal labels out chrome-out check"),
+    ("bubble-report", "journal labels out check"),
+    ("plan", "model node gpus"),
+    ("trace", "requests seed"),
+    (
+        "trace-summary",
+        "model node gpus requests seed journal labels",
+    ),
+    ("validate-trace", "file"),
+    ("sweep", "model node gpus requests seed"),
+];
 
 struct Args(BTreeMap<String, String>);
 
@@ -253,53 +276,27 @@ fn load_journals(
     Ok((labels, recorders))
 }
 
-/// `run --sessions N`: a closed-loop multi-turn session run on the
-/// TD-Pipe scheduler, with session-KV reuse controlled by `--reuse`.
-fn run_sessions_cmd(
-    sessions: &SessionTrace,
-    reuse: bool,
-    model: &ModelSpec,
-    node: &NodeSpec,
-    predictor: &dyn OutputLenPredictor,
-    record_metrics: bool,
-    record: bool,
-) -> Result<RunOutcome, String> {
-    let cfg = tdpipe_config(record_metrics, record, reuse);
-    let out = TdPipeEngine::new(model.clone(), node, cfg)
-        .map_err(|e| e.to_string())?
-        .run_sessions(sessions, predictor);
-    println!(
-        "sessions: {} sessions -> {} turns, reuse {}",
-        sessions.num_sessions,
-        sessions.len(),
-        if reuse { "on" } else { "off" }
-    );
-    Ok(out)
-}
-
 /// `run --replicas/--pool/--router`: route one workload across a replica
-/// pool with the seeded fleet router and aggregate a cluster report.
-#[allow(clippy::too_many_arguments)]
+/// pool with the seeded fleet router, every replica on TD-Pipe's `td`
+/// configuration, and aggregate a cluster report.
 fn run_fleet_cmd(
-    pool_spec: &str,
+    args: &Args,
     gpus: u32,
-    router: &str,
-    slo_ttft: f64,
     model: &ModelSpec,
     seed: u64,
-    workload: &FleetWorkload<'_>,
+    work: &Workload<'_>,
     predictor: &(dyn OutputLenPredictor + Sync),
-    want_metrics: bool,
-    reuse: bool,
-    trace_out: Option<&str>,
-    journal_out: Option<&str>,
+    td: TdPipeConfig,
 ) -> Result<FleetOutcome, String> {
-    let policy = RouterPolicy::parse(router)?;
-    let record = want_metrics || trace_out.is_some() || journal_out.is_some();
-    let td = tdpipe_config(want_metrics, record, reuse);
-    let pool = parse_pool(pool_spec, gpus)?;
-    let labels: Vec<String> = pool.iter().map(|(label, _)| label.clone()).collect();
-    let replicas: Vec<Replica> = pool
+    let num_replicas = args.usize("replicas", 2)?;
+    if num_replicas == 0 {
+        return Err("--replicas: need at least one replica".into());
+    }
+    let node_name = args.get("node", "l20");
+    let pool_spec = args.get("pool", &format!("{node_name}:{num_replicas}"));
+    let policy = RouterPolicy::parse(&args.get("router", "jsq"))?;
+    let slo_ttft = args.f64("slo-ttft", 10.0)?;
+    let replicas: Vec<Replica> = parse_pool(&pool_spec, gpus)?
         .into_iter()
         .map(|(label, node)| {
             Replica::new(ReplicaSpec::new(&label, model.clone(), node, td.clone()))
@@ -314,38 +311,61 @@ fn run_fleet_cmd(
         },
         slo: SloSpec { ttft_s: slo_ttft },
     };
-    let mut outcome = run_fleet(&replicas, workload, &cfg, predictor);
-    if let Some(path) = trace_out {
-        for (i, out) in outcome.outcomes.iter().enumerate() {
-            let p = format!("{path}.r{i}");
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
+    Ok(run_fleet_with_threads(
+        &replicas, work, &cfg, predictor, threads,
+    ))
+}
+
+/// Write each outcome's Chrome trace (`--trace-out`) and raw journal
+/// (`--journal-out`): a single run's one outcome to `PATH`, a fleet's
+/// outcome `i` to `PATH.rI`.
+fn write_exports(
+    outcomes: &[RunOutcome],
+    fleet: bool,
+    trace_out: Option<&str>,
+    journal_out: Option<&str>,
+) -> Result<(), String> {
+    let path = |base: &str, i: usize| match fleet {
+        true => format!("{base}.r{i}"),
+        false => base.to_string(),
+    };
+    let last = outcomes.len().saturating_sub(1);
+    if let Some(base) = trace_out {
+        for (i, out) in outcomes.iter().enumerate() {
+            let p = path(base, i);
             std::fs::write(&p, chrome_trace(&out.timeline, &out.journal))
                 .map_err(|e| format!("--trace-out {p}: {e}"))?;
         }
-        println!(
-            "trace: {} per-replica Chrome traces -> {path}.r0..r{}",
-            outcome.outcomes.len(),
-            outcome.outcomes.len() - 1
-        );
+        match outcomes {
+            [out] if !fleet => println!(
+                "trace: {} engine events + {} timeline segments -> {base}",
+                out.journal.events().len(),
+                out.timeline.segments().len()
+            ),
+            _ => println!(
+                "trace: {} per-replica Chrome traces -> {base}.r0..r{last}",
+                outcomes.len()
+            ),
+        }
     }
-    if let Some(path) = journal_out {
-        for (i, out) in outcome.outcomes.iter().enumerate() {
-            let p = format!("{path}.r{i}");
+    if let Some(base) = journal_out {
+        for (i, out) in outcomes.iter().enumerate() {
+            let p = path(base, i);
             write_json(&p, |w| serde_json::to_writer(w, &out.journal))
                 .map_err(|e| format!("--journal-out {p}: {e}"))?;
         }
-        println!(
-            "journal: {} per-replica journals -> {path}.r0..r{}",
-            outcome.outcomes.len(),
-            outcome.outcomes.len() - 1
-        );
+        match outcomes {
+            [out] if !fleet => println!("journal: {} event(s) -> {base}", out.journal.len()),
+            _ => println!(
+                "journal: {} per-replica journals -> {base}.r0..r{last}",
+                outcomes.len()
+            ),
+        }
     }
-    let journals: Vec<(&str, &FlightRecorder)> = labels
-        .iter()
-        .map(String::as_str)
-        .zip(outcome.outcomes.iter().map(|o| &o.journal))
-        .collect();
-    outcome.metrics = merge_span_metrics(outcome.metrics, &journals);
-    Ok(outcome)
+    Ok(())
 }
 
 /// Create `path` and let `write` stream JSON into it through a buffer,
@@ -357,34 +377,6 @@ fn write_json(
     let mut w = BufWriter::new(File::create(path).map_err(|e| e.to_string())?);
     write(&mut w).map_err(|e| e.to_string())?;
     w.flush().map_err(|e| e.to_string())
-}
-
-/// Write the metrics snapshot to `--metrics-out` (JSON) and/or
-/// `--prom-out` (Prometheus text), shared by the single-engine and fleet
-/// run paths.
-fn write_metrics_outputs(
-    metrics: &MetricsSnapshot,
-    metrics_out: Option<&str>,
-    prom_out: Option<&str>,
-) -> Result<(), String> {
-    if let Some(path) = metrics_out {
-        write_json(path, |w| serde_json::to_writer(w, metrics))
-            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-        println!(
-            "metrics: {} metrics + {} series -> {path}",
-            metrics.metrics.len(),
-            metrics.series.len()
-        );
-    }
-    if let Some(path) = prom_out {
-        std::fs::write(path, to_prom(metrics)).map_err(|e| format!("--prom-out {path}: {e}"))?;
-        println!("prom: {} metric families -> {path}", {
-            let mut names: Vec<&str> = metrics.metrics.iter().map(|m| m.name.as_str()).collect();
-            names.dedup();
-            names.len()
-        });
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -404,7 +396,17 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(format!("missing command\n\n{USAGE}"));
     };
+    let Some((_, reads)) = COMMANDS.iter().find(|(name, _)| name == cmd) else {
+        return Err(format!("unknown command '{cmd}'\n\n{USAGE}"));
+    };
     let args = Args::parse(rest)?;
+    if let Some(k) = args
+        .0
+        .keys()
+        .find(|k| !reads.split_whitespace().any(|r| r == *k))
+    {
+        return Err(format!("{cmd} does not take --{k}"));
+    }
     let model = model_of(&args.get("model", "13b"))?;
     let gpus = args.usize("gpus", 4)?;
     let gpus = u32::try_from(gpus)
@@ -469,115 +471,100 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 ArrivalProcess::Offline => Vec::new(),
                 p => p.sample(trace.len()),
             };
+            let work = match &sessions {
+                Some(s) => Workload::Sessions(s),
+                None => Workload::Requests {
+                    trace: &trace,
+                    arrivals: &arrivals,
+                },
+            };
             let trace_out = args.opt("trace-out");
             let journal_out = args.opt("journal-out");
-            let fleet_mode = ["replicas", "pool", "router"]
-                .iter()
-                .any(|k| args.opt(k).is_some());
-            if fleet_mode {
-                if !scheduler.is_tdpipe() {
-                    return Err(format!(
-                        "fleet mode runs the TD-Pipe scheduler only (got --scheduler {name})"
-                    ));
-                }
-                let num_replicas = args.usize("replicas", 2)?;
-                if num_replicas == 0 {
-                    return Err("--replicas: need at least one replica".into());
-                }
-                let node_name = args.get("node", "l20");
-                let pool_spec = args.get("pool", &format!("{node_name}:{num_replicas}"));
-                let router = args.get("router", "jsq");
-                let slo_ttft = args.f64("slo-ttft", 10.0)?;
-                let workload = match &sessions {
-                    Some(s) => FleetWorkload::Sessions(s),
-                    None => FleetWorkload::Requests {
-                        trace: &trace,
-                        arrivals: &arrivals,
-                    },
-                };
-                let outcome = run_fleet_cmd(
-                    &pool_spec,
-                    gpus,
-                    &router,
-                    slo_ttft,
-                    &model,
-                    seed,
-                    &workload,
-                    predictor,
-                    want_metrics,
-                    reuse,
-                    trace_out,
-                    journal_out,
-                )?;
-                if let Some(s) = &sessions {
-                    println!(
-                        "sessions: {} sessions -> {} turns across {} replicas",
-                        s.num_sessions,
-                        s.len(),
-                        outcome.report.num_replicas
-                    );
-                }
-                let metrics = match &trained {
-                    Some(p) if want_metrics => outcome
-                        .metrics
-                        .merged(ConfusionMatrix::compute(p, &trace).to_metrics()),
-                    _ => outcome.metrics,
-                };
-                print!("{}", outcome.report);
-                write_metrics_outputs(&metrics, metrics_out, prom_out)?;
-                return Ok(ExitCode::SUCCESS);
-            }
             // The span/bubble metrics are derived from the journal, so a
             // metrics-recording run switches the recorders on too.
             let traced = trace_out.is_some() || journal_out.is_some();
-            let record = want_metrics || traced;
-            if !scheduler.is_tdpipe() && (sessions.is_some() || traced) {
+            let td = tdpipe_config(want_metrics, want_metrics || traced, reuse);
+            let fleet_mode = ["replicas", "pool", "router"]
+                .iter()
+                .any(|k| args.opt(k).is_some());
+            if !scheduler.is_tdpipe() && (fleet_mode || traced) {
                 return Err(format!(
-                    "--sessions/--trace-out/--journal-out run the TD-Pipe scheduler only \
-                     (got --scheduler {name})"
+                    "fleet mode, --trace-out and --journal-out run the TD-Pipe scheduler \
+                     only (got --scheduler {name})"
                 ));
             }
-            let out = match &sessions {
-                Some(s) => {
-                    run_sessions_cmd(s, reuse, &model, &node, predictor, want_metrics, record)?
+            let sessions_line = sessions
+                .as_ref()
+                .map(|s| format!("sessions: {} sessions -> {} turns", s.num_sessions, s.len()));
+            // One path over labelled outcomes: a fleet's replicas under
+            // their pool labels, a single run as `engine`.
+            let (outcomes, fleet) = if fleet_mode {
+                let f = run_fleet_cmd(&args, gpus, &model, seed, &work, predictor, td)?;
+                (f.outcomes, Some((f.report, f.metrics)))
+            } else {
+                let out = scheduler
+                    .run(model, &node, work, predictor, td)
+                    .map_err(|e| e.to_string())?;
+                if let Some(line) = &sessions_line {
+                    println!("{line}, reuse {}", if reuse { "on" } else { "off" });
                 }
-                None => scheduler
-                    .run(model, &node, &trace, &arrivals, predictor, want_metrics, record)
-                    .map_err(|e| e.to_string())?,
+                (vec![out], None)
             };
-            if let Some(path) = trace_out {
-                std::fs::write(path, chrome_trace(&out.timeline, &out.journal))
-                    .map_err(|e| format!("--trace-out {path}: {e}"))?;
-                println!(
-                    "trace: {} engine events + {} timeline segments -> {path}",
-                    out.journal.events().len(),
-                    out.timeline.segments().len()
-                );
-            }
-            if let Some(path) = journal_out {
-                write_json(path, |w| serde_json::to_writer(w, &out.journal))
-                    .map_err(|e| format!("--journal-out {path}: {e}"))?;
-                println!("journal: {} event(s) -> {path}", out.journal.len());
-            }
-            let report = out.report;
-            // Fold the span/bubble analysis of the journal and, when a
+            write_exports(&outcomes, fleet.is_some(), trace_out, journal_out)?;
+            let labels = match &fleet {
+                Some((report, _)) => report.replicas.iter().map(|r| r.label.as_str()).collect(),
+                None => vec!["engine"],
+            };
+            let journals: Vec<_> = labels
+                .into_iter()
+                .zip(outcomes.iter().map(|o| &o.journal))
+                .collect();
+            let metrics = match &fleet {
+                Some((report, metrics)) => {
+                    if let Some(line) = &sessions_line {
+                        println!("{line} across {} replicas", report.num_replicas);
+                    }
+                    print!("{report}");
+                    metrics.clone()
+                }
+                None => {
+                    let report = &outcomes[0].report;
+                    println!("{report}");
+                    if let Some(l) = report.latency {
+                        println!(
+                            "latency: TTFT mean {:.1}s p99 {:.1}s | completion p50 {:.1}s p99 {:.1}s",
+                            l.ttft_mean, l.ttft_p99, l.completion_p50, l.completion_p99
+                        );
+                    }
+                    outcomes[0].metrics.clone()
+                }
+            };
+            // Fold the span/bubble analysis of the journals and, when a
             // trained predictor steered the run, its per-bucket hit/miss
             // counters into the export.
-            let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
+            let metrics = merge_span_metrics(metrics, &journals);
             let metrics = match &trained {
                 Some(p) if want_metrics => {
                     metrics.merged(ConfusionMatrix::compute(p, &trace).to_metrics())
                 }
                 _ => metrics,
             };
-            println!("{report}");
-            if let Some(l) = report.latency {
+            if let Some(path) = metrics_out {
+                write_json(path, |w| serde_json::to_writer(w, &metrics))
+                    .map_err(|e| format!("--metrics-out {path}: {e}"))?;
                 println!(
-                    "latency: TTFT mean {:.1}s p99 {:.1}s | completion p50 {:.1}s p99 {:.1}s",
-                    l.ttft_mean, l.ttft_p99, l.completion_p50, l.completion_p99
+                    "metrics: {} metrics + {} series -> {path}",
+                    metrics.metrics.len(),
+                    metrics.series.len()
                 );
             }
-            write_metrics_outputs(&metrics, metrics_out, prom_out)?;
+            if let Some(path) = prom_out {
+                std::fs::write(path, to_prom(&metrics))
+                    .map_err(|e| format!("--prom-out {path}: {e}"))?;
+                let mut names: Vec<_> = metrics.metrics.iter().map(|m| &m.name).collect();
+                names.dedup();
+                println!("prom: {} metric families -> {path}", names.len());
+            }
         }
         "plan" => {
             use tdpipe::core::MemoryPlan;
@@ -624,8 +611,15 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                 );
             } else {
                 let trace = ShareGptLikeConfig::small(requests, seed).generate();
+                let td = tdpipe_config(false, true, true);
                 let out = Scheduler::TdPipe
-                    .run(model, &node, &trace, &[], &OraclePredictor, false, true)
+                    .run(
+                        model,
+                        &node,
+                        Workload::offline(&trace),
+                        &OraclePredictor,
+                        td,
+                    )
                     .map_err(|e| e.to_string())?;
                 println!("{}", out.report);
                 print!("{}", decision_table(&out.journal));
@@ -724,8 +718,10 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
         }
         "sweep" => {
             let trace = ShareGptLikeConfig::small(requests, seed).generate();
+            let work = Workload::offline(&trace);
             for s in Scheduler::ALL {
-                match s.run(model.clone(), &node, &trace, &[], &OraclePredictor, false, false) {
+                let td = tdpipe_config(false, false, true);
+                match s.run(model.clone(), &node, work, &OraclePredictor, td) {
                     Ok(out) => println!("{}", out.report),
                     Err(e) => println!("{:<10} {e}", s.cli_name()),
                 }
@@ -775,7 +771,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             }
             println!("metrics-diff: clean ({} findings)", diff.findings.len());
         }
-        other => return Err(format!("unknown command '{other}'\n\n{USAGE}")),
+        other => unreachable!("command '{other}' is in COMMANDS but has no arm"),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -783,7 +779,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe::core::TdPipeConfig;
+    use tdpipe::core::TdPipeEngine;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -817,8 +813,15 @@ mod tests {
         let trace = ShareGptLikeConfig::small(24, 3).generate();
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
+        let td = tdpipe_config(false, true, true);
         let out = Scheduler::TdPipe
-            .run(model, &node, &trace, &[], &OraclePredictor, false, true)
+            .run(
+                model,
+                &node,
+                Workload::offline(&trace),
+                &OraclePredictor,
+                td,
+            )
             .unwrap();
         assert!(!out.journal.is_empty(), "recorder was on");
         assert!(!out.timeline.segments().is_empty(), "timeline was on");
@@ -853,11 +856,15 @@ mod tests {
         let trace = ShareGptLikeConfig::small(200, 42).generate();
         let arrivals = arrival_of("poisson", 2.0, 42 ^ 0xA881).unwrap().sample(trace.len());
         let (model, node) = (model_of("13b").unwrap(), node_of("l20", 4).unwrap());
-        let untraced =
-            Scheduler::TdPipe
-                .run(model, &node, &trace, &arrivals, &OraclePredictor, false, false)
-                .unwrap()
-                .report;
+        let online = Workload::Requests {
+            trace: &trace,
+            arrivals: &arrivals,
+        };
+        let td = tdpipe_config(false, false, true);
+        let untraced = Scheduler::TdPipe
+            .run(model, &node, online, &OraclePredictor, td)
+            .unwrap()
+            .report;
         let metrics: MetricsSnapshot =
             serde_json::from_str(&std::fs::read_to_string(&m).unwrap()).unwrap();
         assert_eq!(metrics.scalar("makespan"), Some(untraced.makespan));
@@ -885,8 +892,10 @@ mod tests {
         let model = model_of("13b").unwrap();
         let node = node_of("l20", 2).unwrap();
         for s in Scheduler::ALL {
-            let out =
-                s.run(model.clone(), &node, &trace, &[], &OraclePredictor, true, true).unwrap();
+            let (work, td) = (Workload::offline(&trace), tdpipe_config(true, true, true));
+            let out = s
+                .run(model.clone(), &node, work, &OraclePredictor, td)
+                .unwrap();
             let name = s.name();
             assert_eq!(out.report.num_requests, 12, "{name}");
             assert!(out.metrics.scalar("throughput_total").is_some(), "{name} exports metrics");
@@ -911,11 +920,9 @@ mod tests {
             let out = Scheduler::TdPipe.run(
                 model.clone(),
                 &node,
-                &trace,
-                &[],
+                Workload::offline(&trace),
                 &OraclePredictor,
-                metrics,
-                metrics,
+                tdpipe_config(metrics, metrics, true),
             );
             assert_eq!(out.unwrap().report, direct, "record_metrics={metrics}");
         }
@@ -982,22 +989,17 @@ mod tests {
         let trace = ShareGptLikeConfig::small(48, 5).generate();
         let model = model_of("13b").unwrap();
         let arrivals = arrival_of("poisson", 8.0, 5).unwrap().sample(trace.len());
-        let outcome = run_fleet_cmd(
-            "l20:1,a100:1",
-            2,
-            "jsq",
-            10.0,
-            &model,
-            5,
-            &FleetWorkload::Requests {
-                trace: &trace,
-                arrivals: &arrivals,
-            },
-            &OraclePredictor,
-            true,
-            true,
-            None,
-            None,
+        let work = Workload::Requests {
+            trace: &trace,
+            arrivals: &arrivals,
+        };
+        let fleet = |flags: &str, td| {
+            let a = Args::parse(&args(flags)).unwrap();
+            run_fleet_cmd(&a, 2, &model, 5, &work, &OraclePredictor, td)
+        };
+        let outcome = fleet(
+            "--pool l20:1,a100:1 --router jsq",
+            tdpipe_config(true, true, true),
         )
         .unwrap();
         assert_eq!(outcome.report.num_requests, trace.len());
@@ -1006,24 +1008,8 @@ mod tests {
         assert!(outcome.metrics.scalar("fleet_requests_total").is_some());
         // Bad router/pool specs surface as clean CLI errors.
         let bad = |pool: &str, router: &str| {
-            run_fleet_cmd(
-                pool,
-                2,
-                router,
-                10.0,
-                &model,
-                5,
-                &FleetWorkload::Requests {
-                    trace: &trace,
-                    arrivals: &[],
-                },
-                &OraclePredictor,
-                false,
-                true,
-                None,
-                None,
-            )
-            .unwrap_err()
+            let flags = format!("--pool {pool} --router {router}");
+            fleet(&flags, tdpipe_config(false, false, true)).unwrap_err()
         };
         assert!(bad("l20:1", "p2c").contains("router"));
         assert!(bad("h100:1", "jsq").contains("--pool"));
@@ -1067,9 +1053,11 @@ mod tests {
         sc.arrival = arrival_of("poisson", 4.0, 3).unwrap();
         let sessions = sc.generate();
         let run = |reuse| {
-            let out =
-                run_sessions_cmd(&sessions, reuse, &model, &node, &OraclePredictor, true, true)
-                    .unwrap();
+            let work = Workload::Sessions(&sessions);
+            let td = tdpipe_config(true, true, reuse);
+            let out = Scheduler::TdPipe
+                .run(model.clone(), &node, work, &OraclePredictor, td)
+                .unwrap();
             let metrics = merge_span_metrics(out.metrics, &[("engine", &out.journal)]);
             (out.report, metrics)
         };

@@ -48,7 +48,9 @@ use tdpipe::model::ModelSpec;
 use tdpipe::offload::{HostLink, OffloadEngine};
 use tdpipe::predictor::{MeanPredictor, OraclePredictor, OutputLenPredictor};
 use tdpipe::sim::{RunReport, SegmentKind, Timeline};
-use tdpipe::workload::{ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace};
+use tdpipe::workload::{
+    ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, Workload,
+};
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/baseline_golden.txt");
 const TD_FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tdpipe_golden.txt");
@@ -118,17 +120,11 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-/// What a TD-Pipe case runs: an open-loop trace or closed-loop sessions.
-enum TdWork {
-    Trace(Trace, Vec<f64>),
-    Sessions(SessionTrace),
-}
-
-struct TdCase {
+struct TdCase<'a> {
     name: &'static str,
     model: ModelSpec,
     node: NodeSpec,
-    work: TdWork,
+    work: Workload<'a>,
     cfg: TdPipeConfig,
     /// Predict one output token for every request, so Algorithm 1 admits
     /// far more than fits and the decode phase must preempt. Such a case
@@ -137,33 +133,22 @@ struct TdCase {
     underpredict: bool,
 }
 
-fn td_cases() -> Vec<TdCase> {
-    let mut recorded = TdPipeConfig::default();
-    recorded.engine.record_timeline = true;
-    recorded.engine.record_metrics = true;
-    recorded.engine.record_trace = true;
-    let with = |f: &dyn Fn(&mut TdPipeConfig)| {
-        let mut cfg = recorded.clone();
-        f(&mut cfg);
-        cfg
-    };
+/// What the TD-Pipe cases run: the shared trace with its Poisson
+/// arrivals, a tiny-node trace, and closed-loop sessions.
+struct TdInputs {
+    trace: Trace,
+    poisson: Vec<f64>,
+    tiny: Trace,
+    sessions: SessionTrace,
+}
+
+fn td_inputs() -> TdInputs {
     let trace = ShareGptLikeConfig::small(150, 5).generate();
-    let offline = || TdWork::Trace(trace.clone(), vec![]);
-    let case = |name, node, work, cfg, underpredict| TdCase {
-        name,
-        model: ModelSpec::llama2_13b(),
-        node,
-        work,
-        cfg,
-        underpredict,
-    };
     let poisson = ArrivalProcess::Poisson {
         rate_per_s: 2.0,
         seed: 3,
     }
     .sample(trace.len());
-    let swap = with(&|c| c.engine.preemption = PreemptionMode::Swap);
-    let reuse = with(&|c| c.engine.session_reuse = true);
     // Sessions starting almost at once, so retained prefixes sit in a KV
     // pool the decode phase overflows.
     let sessions = SessionConfig {
@@ -174,27 +159,59 @@ fn td_cases() -> Vec<TdCase> {
         ..SessionConfig::small(256, 19)
     }
     .generate();
+    TdInputs {
+        trace,
+        poisson,
+        tiny: ShareGptLikeConfig::small(60, 11).generate(),
+        sessions,
+    }
+}
+
+fn td_cases(inputs: &TdInputs) -> Vec<TdCase<'_>> {
+    let mut recorded = TdPipeConfig::default();
+    recorded.engine.record_timeline = true;
+    recorded.engine.record_metrics = true;
+    recorded.engine.record_trace = true;
+    let with = |f: &dyn Fn(&mut TdPipeConfig)| {
+        let mut cfg = recorded.clone();
+        f(&mut cfg);
+        cfg
+    };
+    let offline = Workload::offline(&inputs.trace);
+    let case = |name, node, work, cfg, underpredict| TdCase {
+        name,
+        model: ModelSpec::llama2_13b(),
+        node,
+        work,
+        cfg,
+        underpredict,
+    };
+    let swap = with(&|c| c.engine.preemption = PreemptionMode::Swap);
+    let reuse = with(&|c| c.engine.session_reuse = true);
     let ablated = with(&|c| {
         c.work_stealing = false;
         c.p2d = P2dPolicy::FixedOccupancy(0.95);
         c.d2p = D2pPolicy::FixedFinishRatio(0.5);
     });
     vec![
-        case("offline-l20x1", NodeSpec::l20(1), offline(), recorded.clone(), false),
-        case("offline-l20x4", NodeSpec::l20(4), offline(), recorded.clone(), false),
+        case("offline-l20x1", NodeSpec::l20(1), offline, recorded.clone(), false),
+        case("offline-l20x4", NodeSpec::l20(4), offline, recorded.clone(), false),
         case(
             "poisson2-l20x4",
             NodeSpec::l20(4),
-            TdWork::Trace(trace.clone(), poisson),
+            Workload::Requests {
+                trace: &inputs.trace,
+                arrivals: &inputs.poisson,
+            },
             recorded.clone(),
             false,
         ),
-        case("recompute-l20x1", NodeSpec::l20(1), offline(), recorded.clone(), true),
-        case("swap-l20x1", NodeSpec::l20(1), offline(), swap, true),
+        case("recompute-l20x1", NodeSpec::l20(1), offline, recorded.clone(), true),
+        case("swap-l20x1", NodeSpec::l20(1), offline, swap, true),
         case(
             "sessions-reuse-l20x1",
             NodeSpec::l20(1),
-            TdWork::Sessions(sessions),
+            Workload::Sessions(&inputs.sessions),
             reuse,
             true,
         ),
@@ -202,11 +219,11 @@ fn td_cases() -> Vec<TdCase> {
             name: "pressure-tiny4",
             model: ModelSpec::tiny_test(),
             node: NodeSpec::tiny_test(4),
-            work: TdWork::Trace(ShareGptLikeConfig::small(60, 11).generate(), vec![]),
+            work: Workload::offline(&inputs.tiny),
             cfg: recorded,
             underpredict: false,
         },
-        case("ablated-l20x4", NodeSpec::l20(4), offline(), ablated, false),
+        case("ablated-l20x4", NodeSpec::l20(4), offline, ablated, false),
     ]
 }
 
@@ -284,7 +301,9 @@ fn run_all(c: &Case) -> Vec<(&'static str, Result<RunOutcome, InfeasibleConfig>)
         ($name:literal, $engine:ty) => {
             (
                 $name,
-                <$engine>::new(m.clone(), n, cfg.clone()).map(|e| e.run_with_arrivals(t, a, p)),
+                <$engine>::new(m.clone(), n, cfg.clone()).map(|e| {
+                    e.try_run_on(t, a, p, e.sim_plane()).expect("the simulator cannot fail")
+                }),
             )
         };
     }
@@ -318,15 +337,13 @@ fn run_td(c: &TdCase) -> Result<RunOutcome, InfeasibleConfig> {
         &OraclePredictor
     };
     let e = TdPipeEngine::new(c.model.clone(), &c.node, c.cfg.clone())?;
-    Ok(match &c.work {
-        TdWork::Trace(t, a) => e.run_with_arrivals(t, a, p),
-        TdWork::Sessions(s) => e.run_sessions(s, p),
-    })
+    Ok(e.try_run(c.work, p, e.sim_plane()).expect("the simulator cannot fail"))
 }
 
 fn render_td() -> String {
     let mut out = String::new();
-    for case in td_cases() {
+    let inputs = td_inputs();
+    for case in td_cases(&inputs) {
         out.push_str(&format!("## {} TD-Pipe\n", case.name));
         let o = match run_td(&case) {
             Err(e) => {

@@ -74,7 +74,10 @@ fn record(name: &str, args: &str, dir: &Path) -> String {
         .output()
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout).replace(d, "$DIR");
-    let mut rec = format!("## {name}\n$ {args}\nexit {:?}\n{stdout}", out.status.code());
+    let mut rec = format!(
+        "## {name}\n$ {args}\nexit {:?}\n{stdout}",
+        out.status.code()
+    );
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -83,7 +86,11 @@ fn record(name: &str, args: &str, dir: &Path) -> String {
     for f in files {
         let bytes = std::fs::read(&f).unwrap();
         let file = f.file_name().unwrap().to_string_lossy();
-        rec.push_str(&format!("file {file} {} {:016x}\n", bytes.len(), fnv(&bytes)));
+        rec.push_str(&format!(
+            "file {file} {} {:016x}\n",
+            bytes.len(),
+            fnv(&bytes)
+        ));
     }
     rec
 }

@@ -1,7 +1,8 @@
 //! The CLI's file readers fail cleanly on hostile JSON: a document nested
 //! far past the parser's depth limit ends the process with exit code 1
 //! and a message, never a stack-overflow abort. Only a missing or unknown
-//! command adds the usage text to its error.
+//! command adds the usage text to its error, and a command turns away, by
+//! name, a flag it does not read.
 
 use std::process::Command;
 
@@ -65,10 +66,31 @@ fn only_a_missing_or_unknown_command_prints_usage() {
     assert!(stderr.starts_with(&format!("error: {file}: ")), "{stderr}");
     assert!(!stderr.contains("USAGE:"), "{stderr}");
 
-    for args in [&["bogus"][..], &[]] {
+    for args in [&["bogus"][..], &[], &["bogus", "--gpus", "0"]] {
         let (code, stderr) = cli(args);
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_rejected_by_name() {
+    for (args, flag) in [
+        (&["run", "--reqests", "5", "--gpus", "2"][..], "--reqests"),
+        (
+            &["validate-trace", "--file", "x.json", "--model", "bogus"],
+            "--model",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        let want = format!("error: {} does not take {flag}", args[0]);
+        assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("USAGE:"), "{args:?}: {stderr}");
+    }
 }

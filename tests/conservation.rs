@@ -9,7 +9,7 @@ use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
 use tdpipe::sim::RunReport;
-use tdpipe::workload::{ShareGptLikeConfig, Trace};
+use tdpipe::workload::{ShareGptLikeConfig, Trace, Workload};
 
 fn check(report: &RunReport, trace: &Trace) {
     assert_eq!(report.num_requests, trace.len());
@@ -103,7 +103,13 @@ fn huge_single_request_is_a_clean_panic() {
         let trace = trace.clone();
         let err = std::panic::catch_unwind(move || {
             let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(2));
-            run_scheduler(s, &model, &node, &trace, &OraclePredictor)
+            run_scheduler(
+                s,
+                &model,
+                &node,
+                Workload::offline(&trace),
+                &OraclePredictor,
+            )
         })
         .expect_err("oversized request must panic, not hang");
         let msg = err
@@ -122,38 +128,24 @@ fn huge_single_request_is_a_clean_panic() {
 #[test]
 fn online_arrivals_conserve_across_all_engines() {
     use tdpipe::workload::ArrivalProcess;
+    use tdpipe_bench::{run_scheduler, Scheduler};
     let trace = ShareGptLikeConfig::small(150, 5).generate();
     let arrivals = ArrivalProcess::Poisson {
         rate_per_s: 2.0,
         seed: 3,
     }
     .sample(trace.len());
-    let model = ModelSpec::llama2_13b();
-    let node = NodeSpec::l20(4);
-    let cfg = EngineConfig::default();
-
-    let reports = vec![
-        TpSbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        TpHbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        PpSbEngine::new(model.clone(), &node, cfg.clone())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        PpHbEngine::new(model.clone(), &node, cfg)
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-        TdPipeEngine::new(model, &node, TdPipeConfig::default())
-            .unwrap()
-            .run_with_arrivals(&trace, &arrivals, &OraclePredictor)
-            .report,
-    ];
+    let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
+    let online = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
+    // Each scheduler from its defaults: the baselines on
+    // `EngineConfig::default()`, TD-Pipe on `TdPipeConfig::default()`.
+    let reports: Vec<_> = Scheduler::ALL
+        .into_iter()
+        .map(|s| run_scheduler(s, &model, &node, online, &OraclePredictor).unwrap())
+        .collect();
     let last_arrival = *arrivals.last().unwrap();
     for r in &reports {
         check(r, &trace);

@@ -5,7 +5,7 @@ use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::classifier::TrainConfig;
 use tdpipe::predictor::{LengthPredictor, OraclePredictor};
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
 #[test]
 fn end_to_end_run_is_bitwise_deterministic() {
@@ -62,6 +62,7 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
     use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(120, 5).generate();
+    let offline = Workload::offline(&trace);
     let cells: Vec<_> = Scheduler::ALL
         .into_iter()
         .map(|s| (s, ModelSpec::llama2_13b(), NodeSpec::l20(4)))
@@ -74,10 +75,10 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
     // Golden: one serial pass; a second serial pass must match it exactly.
     let golden: Vec<String> = cells
         .iter()
-        .map(|(s, m, n)| serialize(&run_scheduler(*s, m, n, &trace, &OraclePredictor)))
+        .map(|(s, m, n)| serialize(&run_scheduler(*s, m, n, offline, &OraclePredictor)))
         .collect();
     for ((s, m, n), want) in cells.iter().zip(&golden) {
-        let again = serialize(&run_scheduler(*s, m, n, &trace, &OraclePredictor));
+        let again = serialize(&run_scheduler(*s, m, n, offline, &OraclePredictor));
         assert_eq!(&again, want, "{} rerun differs", s.name());
     }
 
@@ -85,7 +86,7 @@ fn all_schedulers_serialize_bit_identically_across_runs_and_thread_counts() {
     // no matter how many workers carve up the cells.
     for threads in [1, 2, 3, 8] {
         let reports = map_indexed_parallel(&cells, threads, |_, (s, m, n)| {
-            run_scheduler(*s, m, n, &trace, &OraclePredictor)
+            run_scheduler(*s, m, n, offline, &OraclePredictor)
         });
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread sweep differs");
@@ -111,7 +112,14 @@ fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
     }
     let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
     let run = |(s, workload): &(Scheduler, ShareGptLikeConfig)| {
-        run_scheduler(*s, &model, &node, &workload.generate(), &OraclePredictor)
+        let trace = workload.generate();
+        run_scheduler(
+            *s,
+            &model,
+            &node,
+            Workload::offline(&trace),
+            &OraclePredictor,
+        )
     };
 
     let serialize = |r: &Option<tdpipe::sim::RunReport>| -> String {
@@ -137,7 +145,7 @@ fn ten_k_multi_seed_sweep_is_bit_identical_serial_vs_parallel() {
 fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads() {
     use tdpipe::core::parallel::map_indexed_parallel;
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(96, 5).generate();
     let arrivals = ArrivalProcess::Poisson {
@@ -145,6 +153,10 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
         seed: 17,
     }
     .sample(trace.len());
+    let online = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
     let cells: Vec<_> = Scheduler::ALL
         .into_iter()
         .map(|s| (s, ModelSpec::llama2_13b(), NodeSpec::l20(4)))
@@ -156,31 +168,15 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
 
     let golden: Vec<String> = cells
         .iter()
-        .map(|(s, m, n)| {
-            serialize(&run_scheduler_with_arrivals(
-                *s,
-                m,
-                n,
-                &trace,
-                &arrivals,
-                &OraclePredictor,
-            ))
-        })
+        .map(|(s, m, n)| serialize(&run_scheduler(*s, m, n, online, &OraclePredictor)))
         .collect();
     for ((s, m, n), want) in cells.iter().zip(&golden) {
-        let again = serialize(&run_scheduler_with_arrivals(
-            *s,
-            m,
-            n,
-            &trace,
-            &arrivals,
-            &OraclePredictor,
-        ));
+        let again = serialize(&run_scheduler(*s, m, n, online, &OraclePredictor));
         assert_eq!(&again, want, "{} online rerun differs", s.name());
     }
     for threads in [1, 2, 8] {
         let reports = map_indexed_parallel(&cells, threads, |_, (s, m, n)| {
-            run_scheduler_with_arrivals(*s, m, n, &trace, &arrivals, &OraclePredictor)
+            run_scheduler(*s, m, n, online, &OraclePredictor)
         });
         let got: Vec<String> = reports.iter().map(&serialize).collect();
         assert_eq!(got, golden, "{threads}-thread online sweep differs");
@@ -188,12 +184,12 @@ fn online_poisson_runs_serialize_bit_identically_across_schedulers_and_threads()
 }
 
 /// A `Waves` arrival vector (sorted contiguous bursts since the contract
-/// fix) must run through every engine's `run_with_arrivals` without
+/// fix) must run through every engine's online entry point without
 /// tripping the `arrivals must be sorted` assertion.
 #[test]
 fn waves_arrivals_run_through_every_scheduler() {
     use tdpipe::workload::ArrivalProcess;
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(48, 21).generate();
     let arrivals = ArrivalProcess::Waves {
@@ -202,12 +198,14 @@ fn waves_arrivals_run_through_every_scheduler() {
     }
     .sample(trace.len());
     for s in Scheduler::ALL {
-        let r = run_scheduler_with_arrivals(
+        let r = run_scheduler(
             s,
             &ModelSpec::llama2_13b(),
             &NodeSpec::l20(2),
-            &trace,
-            &arrivals,
+            Workload::Requests {
+                trace: &trace,
+                arrivals: &arrivals,
+            },
             &OraclePredictor,
         )
         .expect("13B fits 2xL20");
@@ -221,7 +219,7 @@ fn waves_arrivals_run_through_every_scheduler() {
 /// infinity, or mis-reporting a KV-capacity failure.
 #[test]
 fn cross_engine_arrival_rejection_is_uniform() {
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(8, 33).generate();
     let mut arrivals = vec![0.0; trace.len()];
@@ -230,12 +228,14 @@ fn cross_engine_arrival_rejection_is_uniform() {
         let trace = trace.clone();
         let arrivals = arrivals.clone();
         let outcome = std::panic::catch_unwind(move || {
-            run_scheduler_with_arrivals(
+            run_scheduler(
                 s,
                 &ModelSpec::llama2_13b(),
                 &NodeSpec::l20(2),
-                &trace,
-                &arrivals,
+                Workload::Requests {
+                    trace: &trace,
+                    arrivals: &arrivals,
+                },
                 &OraclePredictor,
             )
         });
@@ -257,7 +257,7 @@ fn cross_engine_arrival_rejection_is_uniform() {
 /// vector is rejected up front by every engine with the same message.
 #[test]
 fn cross_engine_unsorted_arrivals_are_rejected_uniformly() {
-    use tdpipe_bench::{run_scheduler_with_arrivals, Scheduler};
+    use tdpipe_bench::{run_scheduler, Scheduler};
 
     let trace = ShareGptLikeConfig::small(8, 33).generate();
     let mut arrivals: Vec<f64> = (0..trace.len()).map(|i| i as f64).collect();
@@ -266,12 +266,14 @@ fn cross_engine_unsorted_arrivals_are_rejected_uniformly() {
         let trace = trace.clone();
         let arrivals = arrivals.clone();
         let err = std::panic::catch_unwind(move || {
-            run_scheduler_with_arrivals(
+            run_scheduler(
                 s,
                 &ModelSpec::llama2_13b(),
                 &NodeSpec::l20(2),
-                &trace,
-                &arrivals,
+                Workload::Requests {
+                    trace: &trace,
+                    arrivals: &arrivals,
+                },
                 &OraclePredictor,
             )
         })
@@ -316,8 +318,8 @@ fn session_knobs_leave_offline_runs_bit_identical() {
 #[test]
 fn fleet_reports_serialize_bit_identically_across_policies_and_threads() {
     use tdpipe::fleet::{
-        parse_pool, run_fleet_serial, run_fleet_with_threads, FleetConfig, FleetWorkload, Replica,
-        ReplicaSpec, RouterConfig, RouterPolicy,
+        parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
+        RouterPolicy,
     };
     use tdpipe::workload::ArrivalProcess;
 
@@ -327,7 +329,7 @@ fn fleet_reports_serialize_bit_identically_across_policies_and_threads() {
         seed: 17,
     }
     .sample(trace.len());
-    let workload = FleetWorkload::Requests {
+    let workload = Workload::Requests {
         trace: &trace,
         arrivals: &arrivals,
     };
@@ -349,11 +351,11 @@ fn fleet_reports_serialize_bit_identically_across_policies_and_threads() {
             ..FleetConfig::default()
         };
         let golden = serde_json::to_string(
-            &run_fleet_serial(&replicas, &workload, &cfg, &OraclePredictor).report,
+            &run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 1).report,
         )
         .expect("serialize fleet report");
         let again = serde_json::to_string(
-            &run_fleet_serial(&replicas, &workload, &cfg, &OraclePredictor).report,
+            &run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 1).report,
         )
         .unwrap();
         assert_eq!(again, golden, "{} serial rerun differs", policy.name());
@@ -379,13 +381,13 @@ fn fleet_reports_serialize_bit_identically_across_policies_and_threads() {
 #[test]
 fn session_fleet_is_bit_identical_serial_vs_parallel() {
     use tdpipe::fleet::{
-        parse_pool, run_fleet_serial, run_fleet_with_threads, FleetConfig, FleetWorkload, Replica,
-        ReplicaSpec, RouterConfig, RouterPolicy,
+        parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
+        RouterPolicy,
     };
     use tdpipe::workload::SessionConfig;
 
     let sessions = SessionConfig::small(48, 19).generate();
-    let workload = FleetWorkload::Sessions(&sessions);
+    let workload = Workload::Sessions(&sessions);
     let mut cfg = TdPipeConfig::default();
     cfg.engine.record_metrics = true;
     let replicas: Vec<Replica> = parse_pool("l20:1,a100:1", 2)
@@ -409,7 +411,7 @@ fn session_fleet_is_bit_identical_serial_vs_parallel() {
         },
         ..FleetConfig::default()
     };
-    let serial = run_fleet_serial(&replicas, &workload, &fleet_cfg, &OraclePredictor);
+    let serial = run_fleet_with_threads(&replicas, &workload, &fleet_cfg, &OraclePredictor, 1);
     assert_eq!(serial.report.num_requests, sessions.len());
     for threads in [2, 8] {
         let parallel =
@@ -433,8 +435,7 @@ fn session_fleet_is_bit_identical_serial_vs_parallel() {
 #[test]
 fn single_replica_fleet_is_bit_identical_to_direct_engine_run() {
     use tdpipe::fleet::{
-        run_fleet_serial, FleetConfig, FleetWorkload, Replica, ReplicaSpec, RouterConfig,
-        RouterPolicy,
+        run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig, RouterPolicy,
     };
 
     let trace = ShareGptLikeConfig::small(80, 23).generate();
@@ -460,14 +461,12 @@ fn single_replica_fleet_is_bit_identical_to_direct_engine_run() {
             },
             ..FleetConfig::default()
         };
-        let fleet = run_fleet_serial(
+        let fleet = run_fleet_with_threads(
             std::slice::from_ref(&replica),
-            &FleetWorkload::Requests {
-                trace: &trace,
-                arrivals: &[],
-            },
+            &Workload::offline(&trace),
             &cfg,
             &OraclePredictor,
+            1,
         );
         assert_eq!(
             serde_json::to_string(&fleet.outcomes[0].report).unwrap(),

@@ -303,7 +303,7 @@ mod engine_level {
     use tdpipe::model::ModelSpec;
     use tdpipe::predictor::OraclePredictor;
     use tdpipe::runtime::ThreadedExecutor;
-    use tdpipe::workload::ShareGptLikeConfig;
+    use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
     fn engine() -> (TdPipeEngine, TdPipeConfig) {
         let cfg = TdPipeConfig::default();
@@ -330,7 +330,11 @@ mod engine_level {
             },
         );
         engine
-            .try_run_on(&trace, &[], &OraclePredictor, Box::new(executor))
+            .try_run(
+                Workload::offline(&trace),
+                &OraclePredictor,
+                Box::new(executor),
+            )
             .map(|_| ())
             .map_err(|e| e.kind)
     }
@@ -372,17 +376,15 @@ mod engine_level {
             let (engine, cfg) = engine();
             let trace = ShareGptLikeConfig::small(80, 42).generate();
             let sim_out = engine
-                .try_run_on(
-                    &trace,
-                    &[],
+                .try_run(
+                    Workload::offline(&trace),
                     &OraclePredictor,
                     Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
                 )
                 .expect("the simulator cannot fail");
             let thr_out = engine
-                .try_run_on(
-                    &trace,
-                    &[],
+                .try_run(
+                    Workload::offline(&trace),
                     &OraclePredictor,
                     Box::new(ThreadedExecutor::spawn_with(
                         4,

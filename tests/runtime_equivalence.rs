@@ -140,7 +140,7 @@ fn full_tdpipe_engine_runs_identically_on_real_threads() {
     use tdpipe::core::{TdPipeConfig, TdPipeEngine};
     use tdpipe::predictor::OraclePredictor;
     use tdpipe::runtime::ThreadedExecutor;
-    use tdpipe::workload::ShareGptLikeConfig;
+    use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
     let trace = ShareGptLikeConfig::small(200, 42).generate();
     let cfg = TdPipeConfig::default();
@@ -152,17 +152,15 @@ fn full_tdpipe_engine_runs_identically_on_real_threads() {
     .unwrap();
 
     let sim_out = engine
-        .try_run_on(
-            &trace,
-            &[],
+        .try_run(
+            Workload::offline(&trace),
             &OraclePredictor,
             Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, false)),
         )
         .expect("the simulator cannot fail");
     let thr_out = engine
-        .try_run_on(
-            &trace,
-            &[],
+        .try_run(
+            Workload::offline(&trace),
             &OraclePredictor,
             Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, false)),
         )
@@ -216,7 +214,7 @@ fn every_scheduler_runs_poisson_arrivals_identically_on_real_threads() {
     use tdpipe::core::{TdPipeConfig, TdPipeEngine};
     use tdpipe::predictor::OraclePredictor;
     use tdpipe::runtime::ThreadedExecutor;
-    use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+    use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
     let poisson = |n: usize| {
         let trace = ShareGptLikeConfig::small(n, 42).generate();
@@ -233,13 +231,16 @@ fn every_scheduler_runs_poisson_arrivals_identically_on_real_threads() {
     let engine = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg.clone())
         .expect("13B fits 4xL20");
     let mode = cfg.engine.transfer_mode;
+    let online = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
     let sim = engine
-        .try_run_on(&trace, &arrivals, &OraclePredictor, Box::new(SimExecutor::new(4, mode, false)))
+        .try_run(online, &OraclePredictor, Box::new(SimExecutor::new(4, mode, false)))
         .expect("the simulator cannot fail");
     let threaded = engine
-        .try_run_on(
-            &trace,
-            &arrivals,
+        .try_run(
+            online,
             &OraclePredictor,
             Box::new(ThreadedExecutor::spawn(4, mode, false)),
         )
@@ -260,7 +261,9 @@ fn every_scheduler_runs_poisson_arrivals_identically_on_real_threads() {
                 cfg.clone(),
             )
             .expect("13B fits 4xL20");
-            let sim = engine.run_with_arrivals(&trace, &arrivals, &OraclePredictor);
+            let sim = engine
+                .try_run_on(&trace, &arrivals, &OraclePredictor, engine.sim_plane())
+                .expect("the simulator cannot fail");
             let plane = ThreadedExecutor::spawn(engine.num_stages(), cfg.transfer_mode, false);
             let threaded = engine
                 .try_run_on(&trace, &arrivals, &OraclePredictor, Box::new(plane))
@@ -276,7 +279,7 @@ fn threaded_engine_utilization_matches_sim() {
     use tdpipe::core::{TdPipeConfig, TdPipeEngine};
     use tdpipe::predictor::OraclePredictor;
     use tdpipe::runtime::ThreadedExecutor;
-    use tdpipe::workload::ShareGptLikeConfig;
+    use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
     let trace = ShareGptLikeConfig::small(120, 7).generate();
     let mut cfg = TdPipeConfig::default();
@@ -284,17 +287,15 @@ fn threaded_engine_utilization_matches_sim() {
     let engine =
         TdPipeEngine::new(ModelSpec::qwen2_5_32b(), &NodeSpec::a100(4), cfg.clone()).unwrap();
     let sim_out = engine
-        .try_run_on(
-            &trace,
-            &[],
+        .try_run(
+            Workload::offline(&trace),
             &OraclePredictor,
             Box::new(SimExecutor::new(4, cfg.engine.transfer_mode, true)),
         )
         .expect("the simulator cannot fail");
     let thr_out = engine
-        .try_run_on(
-            &trace,
-            &[],
+        .try_run(
+            Workload::offline(&trace),
             &OraclePredictor,
             Box::new(ThreadedExecutor::spawn(4, cfg.engine.transfer_mode, true)),
         )

@@ -25,7 +25,7 @@ use tdpipe::spans::{
     span_metrics, span_report_json, validate_bubble_report, validate_span_report,
 };
 use tdpipe::trace::TraceEvent;
-use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig};
+use tdpipe::workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
 
 /// Always underpredicts, forcing §3.3 overadmission → evictions →
 /// recompute, so spans carry nonzero stall/recompute components.
@@ -56,9 +56,12 @@ fn traced_run(
     let mut cfg = TdPipeConfig::default();
     cfg.engine.record_trace = true;
     cfg.engine.record_timeline = true;
-    TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(gpus), cfg)
-        .unwrap()
-        .run_with_arrivals(&trace, &arrivals, predictor)
+    let engine = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(gpus), cfg).unwrap();
+    let work = Workload::Requests {
+        trace: &trace,
+        arrivals: &arrivals,
+    };
+    engine.try_run(work, predictor, engine.sim_plane()).unwrap()
 }
 
 /// Contract 1: every request's span components sum EXACTLY (bit-equal
@@ -218,8 +221,7 @@ fn recording_toggle_leaves_engine_results_byte_identical() {
 #[test]
 fn fleet_reports_are_byte_identical_across_thread_counts() {
     use tdpipe::fleet::{
-        parse_pool, run_fleet_serial, run_fleet_with_threads, FleetConfig, FleetWorkload, Replica,
-        ReplicaSpec, RouterConfig,
+        parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
     };
 
     let trace = ShareGptLikeConfig::small(96, 5).generate();
@@ -228,7 +230,7 @@ fn fleet_reports_are_byte_identical_across_thread_counts() {
         seed: 17,
     }
     .sample(trace.len());
-    let workload = FleetWorkload::Requests {
+    let workload = Workload::Requests {
         trace: &trace,
         arrivals: &arrivals,
     };
@@ -274,11 +276,12 @@ fn fleet_reports_are_byte_identical_across_thread_counts() {
         (spans, bubbles, metrics)
     };
 
-    let golden = reports_of(&run_fleet_serial(
+    let golden = reports_of(&run_fleet_with_threads(
         &replicas,
         &workload,
         &fleet_cfg,
         &OraclePredictor,
+        1,
     ));
     for threads in [1, 2, 8] {
         let got = reports_of(&run_fleet_with_threads(
