@@ -20,15 +20,21 @@
 //! the journal, timeline and metrics plane recording and exports the
 //! Chrome trace, so its gap to `L20+13B/TD-Pipe` is the observers' cost.
 //!
+//! A *sessions* cell runs TD-Pipe on L20+13B over closed-loop multi-turn
+//! sessions (twice as many sessions as requests, session-KV reuse on): every
+//! finished turn releases its successor into the pending queue, so it
+//! times the release path and the estimate walks that follow releases.
+//!
 //! After those, three *scale* cells time the simulator at 100k
 //! and 1M requests (single rep each — they exist to prove the hot path
 //! stays linear, not to be tight measurements). Set `TDPIPE_PERF_SCALE=0`
 //! to skip them (CI quick mode does).
 //!
 //! `perf_trajectory --check <path>` validates an existing trajectory file
-//! instead of measuring: the schema must parse and every recorded wall
-//! time must be finite and positive. CI runs this against the committed
-//! `BENCH_hotpath.json` so a hand-edited or truncated file fails fast.
+//! instead of measuring: the schema must parse, every recorded wall time
+//! must be finite and positive, and every cell but the scale cells must be
+//! present. CI runs this against the committed `BENCH_hotpath.json` so a
+//! hand-edited or truncated file fails fast.
 //!
 //! Regenerate with:
 //! ```text
@@ -44,7 +50,19 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
 use tdpipe_trace::chrome_trace;
-use tdpipe_workload::{ArrivalProcess, ShareGptLikeConfig, Workload};
+use tdpipe_workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, Workload};
+
+/// Every cell a trajectory file holds, the scale cells aside (quick mode
+/// skips those). `--check` fails a file that lacks one.
+const REQUIRED_CELLS: [&str; 7] = [
+    "L20+13B/PP+SB",
+    "L20+13B/TD-Pipe",
+    "A100+70B/PP+SB",
+    "A100+70B/TD-Pipe",
+    "L20+13B/TD-Pipe@2rps",
+    "L20+13B/TD-Pipe+observers",
+    "L20+13B/TD-Pipe+sessions",
+];
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
 /// the PR *before* the million-request refactor (arena request storage,
@@ -62,6 +80,12 @@ fn pre_refactor_baseline(cell: &str) -> Option<f64> {
         _ => None,
     }
 }
+
+/// Wall time (seconds) of the sessions cell before session releases
+/// binary-searched the pending queue and estimate walks reused unchanged
+/// batches: the same 4,000-session cell, best of four 15-rep runs on a
+/// 2-core VM.
+const SESSIONS_BEFORE_WALL_S: f64 = 0.095799414;
 
 #[derive(Serialize)]
 struct CellTime {
@@ -154,12 +178,13 @@ fn check_trajectory(path: &str) -> Result<usize, String> {
         return Err("`cells` is empty".into());
     }
     let mut sum = 0.0f64;
+    let mut names = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
         let Value::Map(c) = cell else {
             return Err(format!("cells[{i}] is not an object"));
         };
         match field(c, "cell") {
-            Some(Value::Str(name)) if !name.is_empty() => {}
+            Some(Value::Str(name)) if !name.is_empty() => names.push(name.as_str()),
             Some(Value::Str(_)) => return Err(format!("cells[{i}].cell is empty")),
             _ => return Err(format!("cells[{i}].cell is not a string")),
         }
@@ -169,6 +194,9 @@ fn check_trajectory(path: &str) -> Result<usize, String> {
             Some(Value::UInt(r)) if *r > 0 => {}
             _ => return Err(format!("cells[{i}].requests is not a positive integer")),
         }
+    }
+    if let Some(missing) = REQUIRED_CELLS.iter().find(|r| !names.contains(r)) {
+        return Err(format!("cell `{missing}` is missing"));
     }
     let total = finite_pos(field(obj, "total_wall_s"), "total_wall_s")?;
     // The recorded total must actually be the sum of its cells (1e-9
@@ -338,6 +366,29 @@ fn main() {
         wall_s: best,
         baseline_wall_s: None,
         speedup_vs_baseline: None,
+        makespan,
+    });
+
+    // The sessions cell: closed-loop multi-turn sessions with session-KV
+    // reuse on (the harness's TD-Pipe config). Its before time stays out
+    // of the headline ratio, which compares the core cells only.
+    let sessions = SessionConfig::small(2 * n, PAPER_SEED).generate();
+    let (best, makespan) = time_cell(reps, || {
+        run_scheduler(td, &model, &node, Workload::Sessions(&sessions), &predictor)
+            .expect("canonical cell must be feasible")
+            .makespan
+    });
+    let key = format!("L20+13B/{}+sessions", td.name());
+    let base = (n == 2_000).then_some(SESSIONS_BEFORE_WALL_S);
+    println!("  {key:<18} wall {best:8.3}s");
+    total += best;
+    out.push(CellTime {
+        cell: key,
+        gpus: 4,
+        requests: sessions.len(),
+        wall_s: best,
+        baseline_wall_s: base,
+        speedup_vs_baseline: base.map(|b| b / best),
         makespan,
     });
 

@@ -38,6 +38,7 @@ use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
 use crate::plan::MemoryPlan;
 use crate::request::{Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
 use tdpipe_kvcache::{BlockAllocator, OccupancyTrace, Phase, SessionRetainer};
@@ -112,7 +113,7 @@ struct SessionRun<'a> {
 /// the retention pool runs dry (at once outside session runs). Returns
 /// whether the target was met.
 /// Dropping revokes the dropped successors' prefill discounts, which
-/// changes pending prefill costs — hence the estimate-cache invalidation.
+/// changes their prefill costs — hence the estimate cache forgets them.
 fn reclaim_retained(
     sess: &mut Option<SessionRun<'_>>,
     target: u64,
@@ -135,7 +136,7 @@ fn reclaim_retained(
         alloc.free(e.donor).expect("retained donor resident");
         pool.clear_reuse_discount(succ as usize);
         journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
-        est_cache.invalidate();
+        est_cache.forget(succ as usize);
     }
     true
 }
@@ -153,6 +154,70 @@ fn record_stop(run: &mut RunState, now: f64, reason: PrefillStopReason, admitted
     run.metrics.on_prefill_stop(reason);
 }
 
+/// Release session successor `succ`, which arrives at `at` (its
+/// predecessor finished at `now`, plus think time): move it from the
+/// pending queue's unreleased tail to its slot among the future arrivals
+/// (the layout is on [`TdRun::pending`]). Two binary searches find the
+/// positions a back-to-front walk would, ties included: the successor
+/// lands after every pending request arriving at or before `at`.
+fn release(
+    pending: &mut VecDeque<usize>,
+    pool: &mut RequestPool,
+    succ: usize,
+    at: f64,
+    now: f64,
+    work: &mut QueueWork,
+) {
+    debug_assert!(at >= now, "a successor arrives after its predecessor finished");
+    debug_assert!(pending_layout_holds(pending, pool, now), "pending queue layout broken");
+    let mut probes = 0;
+    // Every finite arrival sorts before the tail, which ascends by index.
+    let from = pending.binary_search_by(|&i| {
+        probes += 1;
+        if pool.arrival(i).is_finite() {
+            Ordering::Less
+        } else {
+            i.cmp(&succ)
+        }
+    });
+    debug_assert_eq!(
+        from.ok(),
+        pending.iter().rposition(|&i| i == succ),
+        "binary search disagrees with the linear walk on the successor"
+    );
+    // analyzer: allow(no-expect) — unreleased turns are never admitted
+    // (their arrival is infinite), so the successor is in the tail.
+    let from = from.expect("unreleased turn pending");
+    pending.remove(from);
+    pool.set_arrival(succ, at);
+    // The head arrived by `now <= at` and the rest ascends by arrival, so
+    // `arrival <= at` partitions the queue.
+    let to = pending.partition_point(|&i| {
+        probes += 1;
+        pool.arrival(i) <= at
+    });
+    debug_assert_eq!(
+        to,
+        pending.len() - pending.iter().rev().take_while(|&&i| pool.arrival(i) > at).count(),
+        "binary search disagrees with the linear walk on the successor's slot"
+    );
+    pending.insert(to, succ);
+    work.releases += 1;
+    work.release_probes += probes;
+}
+
+/// Whether the pending queue has its three regions at time `now` (see
+/// [`TdRun::pending`]): from the first request still to arrive on,
+/// arrivals ascend, the unreleased (infinite) ones by request index.
+fn pending_layout_holds(pending: &VecDeque<usize>, pool: &RequestPool, now: f64) -> bool {
+    let future = pending.iter().position(|&i| pool.arrival(i) > now);
+    let rest: Vec<usize> = pending.range(future.unwrap_or(pending.len())..).copied().collect();
+    rest.windows(2).all(|w| {
+        let (a, b) = (pool.arrival(w[0]), pool.arrival(w[1]));
+        a < b || (a == b && (a.is_finite() || w[0] < w[1]))
+    })
+}
+
 /// TD-Pipe's side of the shared decode step
 /// ([`crate::cohort::DecodeStepper::step`]): finishers may retain their KV
 /// for a session successor, idle retained prefixes yield before any live
@@ -164,6 +229,7 @@ struct TdStepHooks<'r, 's> {
     sess: &'r mut Option<SessionRun<'s>>,
     planner: &'r mut GreedyPrefillPlanner,
     est_cache: &'r mut PrefillEstimateCache,
+    queue: &'r mut QueueWork,
     journal: &'r mut FlightRecorder,
     /// Host-link time this step's swap-outs hold the batch back.
     swap_out_delay: f64,
@@ -220,6 +286,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // resident until claimed or dropped here.
                     alloc.free(e.donor).expect("retained donor resident");
                     pool.clear_reuse_discount(other as usize);
+                    self.est_cache.forget(other as usize);
                     let (request, tokens) = (other, e.tokens);
                     journal.record(now, TraceEvent::SessionDrop { request, tokens });
                 }
@@ -229,6 +296,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // transcript minus the final sampled token, so it is
                     // strictly below the successor's prompt length.
                     pool.set_reuse_discount(succ as usize, held as u32);
+                    self.est_cache.forget(succ as usize);
                     let (request, tokens) = (succ as u64, held);
                     journal.record(now, TraceEvent::SessionRetain { request, tokens });
                     retained = true;
@@ -242,26 +310,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
         if let Some(succ) = next {
             let succ = succ as usize;
             let at = now + s.turns[succ].think_s;
-            pool.set_arrival(succ, at);
-            // The successor has never arrived (infinite arrival), so it
-            // still sits in the pending queue's unreleased tail — scan from
-            // the back, where it lives.
-            let p = pending
-                .iter()
-                .rposition(|&i| i == succ)
-                // analyzer: allow(no-expect) — unreleased turns are never
-                // admitted (their arrival is infinite), so the successor
-                // must be pending.
-                .expect("unreleased turn pending");
-            pending.remove(p);
-            // Sorted re-insertion among released-but-future arrivals. The
-            // walk stops before the arrived head region (arrivals <= now
-            // <= at), so the eviction-ordered head layout is preserved.
-            let mut pos = pending.len();
-            while pos > 0 && pool.arrival(pending[pos - 1]) > at {
-                pos -= 1;
-            }
-            pending.insert(pos, succ);
+            release(pending, pool, succ, at, now, self.queue);
             self.est_cache.invalidate();
         }
         held
@@ -472,7 +521,7 @@ impl TdPipeEngine {
                 (&st.trace, &initial[..], Some(st))
             }
         };
-        let RunProbe { est_cache, work } = probe;
+        let RunProbe { est_cache, work, queue } = probe;
         let e = &self.cfg.engine;
         let (journal, metrics) = (e.record_trace, e.record_metrics);
         let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
@@ -506,6 +555,7 @@ impl TdPipeEngine {
             engine: self,
             est_cache,
             work,
+            queue,
             sess,
             comparator: IntensityComparator::new(self.build_profile(trace)),
             alloc,
@@ -586,11 +636,13 @@ impl TdPipeEngine {
 }
 
 /// What a run leaves its caller to read back: the prefill-estimate cache
-/// with its rebuild counter, and the decode cohorts' phase-switch work.
+/// with its rebuild and pricing counters, the decode cohorts' phase-switch
+/// work, and the pending queue's release work.
 #[derive(Default)]
 struct RunProbe {
     est_cache: PrefillEstimateCache,
     work: SwitchWork,
+    queue: QueueWork,
 }
 
 /// Decode-cohort work over one run, next to what re-banking every resident
@@ -601,6 +653,14 @@ struct SwitchWork {
     residents_at_open: u64,
     /// The run's [`DecodeStepper`] joins, leaves and in-place settles.
     cohort_ops: u64,
+}
+
+/// Session-successor releases over one run, and the pending-queue entries
+/// their searches read.
+#[derive(Default)]
+struct QueueWork {
+    releases: u64,
+    release_probes: u64,
 }
 
 /// Prefill completions carry `PREFILL_TAG + seq`; decode batches carry
@@ -679,12 +739,26 @@ struct TdRun<'a> {
     engine: &'a TdPipeEngine,
     est_cache: &'a mut PrefillEstimateCache,
     work: &'a mut SwitchWork,
+    queue: &'a mut QueueWork,
     sess: Option<SessionRun<'a>>,
     comparator: IntensityComparator,
     alloc: BlockAllocator,
     planner: GreedyPrefillPlanner,
-    /// Requests waiting for (re-)admission: arrival order, with evicted
-    /// requests requeued at the front.
+    /// Requests waiting for (re-)admission, in three regions:
+    /// 1. a *head* of arrived requests: evicted ones requeued at the front,
+    ///    most recent eviction first, then arrived ones not yet admitted;
+    /// 2. *future* arrivals, ascending by arrival time;
+    /// 3. an *unreleased tail* of session turns whose predecessor has not
+    ///    finished (infinite arrival), ascending by request index.
+    ///
+    /// Admission pops the head's front and eviction pushes onto it, O(1)
+    /// each. A release binary-searches the tail for the successor and
+    /// finds its slot with `partition_point(arrival <= at)` (the head has
+    /// arrived and the rest ascends, so that predicate partitions the
+    /// queue): O(log n) probes each, then one removal and one insertion,
+    /// each moving the shorter side of the deque.
+    /// Debug builds check the layout, and both positions against a linear
+    /// walk, at every release.
     pending: VecDeque<usize>,
     /// Admitted requests still decoding, in admission order.
     residents: Vec<usize>,
@@ -905,7 +979,7 @@ impl TdRun<'_> {
                     // blocks, so this allocation cannot fail.
                     self.alloc.allocate(idx as u64, full).expect("checked");
                     self.pending.pop_front();
-                    self.est_cache.invalidate();
+                    self.est_cache.forget(idx);
                     run.pool.note_swap_in(idx, full);
                     now += eng.swap_seconds(full);
                     run.stamp_admission(idx);
@@ -937,7 +1011,7 @@ impl TdRun<'_> {
                 // cannot fail.
                 self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
                 self.pending.pop_front();
-                self.est_cache.invalidate();
+                self.est_cache.forget(idx);
                 pf.batch.push(idx);
                 pf.seq_lens.push(t);
                 batch_tokens += t;
@@ -1146,6 +1220,7 @@ impl TdRun<'_> {
             sess: &mut self.sess,
             planner: &mut self.planner,
             est_cache: &mut *self.est_cache,
+            queue: &mut *self.queue,
             journal: &mut run.journal,
             swap_out_delay: 0.0,
         };
@@ -1607,5 +1682,127 @@ mod tests {
         let out = sim_run(&e, online, &Fixed(1));
         assert_eq!(out.report.num_requests, 200);
         assert!(out.report.swapped_tokens > 0, "the scenario must swap");
+    }
+
+    /// A run through [`TdPipeEngine::run_impl`] with its work probe,
+    /// checked to report exactly what [`TdPipeEngine::try_run`] does.
+    fn probed_run(e: &TdPipeEngine, work: Workload<'_>) -> (RunOutcome, RunProbe) {
+        let mut probe = RunProbe::default();
+        let out = e.run_impl(work, &OraclePredictor, e.sim_plane(), &mut probe).unwrap();
+        assert_eq!(out.report, sim_run(e, work, &OraclePredictor).report);
+        (out, probe)
+    }
+
+    /// Release `succ`, arriving at `at`, at time `now` from a queue in the
+    /// order `pending` over requests with the given arrivals. Returns the
+    /// queue after the release and the work it took.
+    fn released(
+        arrivals: &[f64],
+        pending: &[usize],
+        succ: usize,
+        now: f64,
+        at: f64,
+    ) -> (Vec<usize>, QueueWork) {
+        let t = trace(arrivals.len());
+        let mut pool = RequestPool::with_arrivals(t.requests(), arrivals, |r| r.output_len);
+        let mut queue: VecDeque<usize> = pending.iter().copied().collect();
+        let mut work = QueueWork::default();
+        release(&mut queue, &mut pool, succ, at, now, &mut work);
+        assert_eq!(pool.arrival(succ), at);
+        (queue.into_iter().collect(), work)
+    }
+
+    /// A successor whose release time ties pending arrivals lands after
+    /// them, as a back-to-front walk that stops at the first arrival at
+    /// or before it would place it.
+    #[test]
+    fn released_successor_lands_after_tied_arrivals() {
+        let inf = f64::INFINITY;
+        let arrivals = [0.5, 5.0, 5.0, 7.0, inf, inf];
+        let (queue, work) = released(&arrivals, &[0, 1, 2, 3, 4, 5], 4, 1.0, 5.0);
+        assert_eq!(queue, [0, 1, 2, 4, 3, 5]);
+        assert_eq!(work.releases, 1);
+    }
+
+    /// The successor can be the tail's last entry, and can arrive after
+    /// every released request: it then lands just before the tail.
+    #[test]
+    fn released_successor_may_be_the_last_tail_entry() {
+        let inf = f64::INFINITY;
+        let arrivals = [0.5, 2.0, 3.0, inf, inf, inf];
+        // Request 1 was evicted back to the front of the arrived head.
+        let (queue, _) = released(&arrivals, &[1, 0, 2, 3, 4, 5], 5, 2.0, 9.0);
+        assert_eq!(queue, [1, 0, 2, 5, 3, 4]);
+        // With no think time it lands at the end of the arrived head.
+        let (queue, _) = released(&arrivals, &[1, 0, 2, 3, 4, 5], 5, 2.5, 2.5);
+        assert_eq!(queue, [1, 0, 5, 2, 3, 4]);
+    }
+
+    /// With only the unreleased tail pending, the successor becomes the
+    /// queue's head.
+    #[test]
+    fn released_successor_heads_a_queue_of_unreleased_turns() {
+        let inf = f64::INFINITY;
+        let arrivals = [0.0, 0.0, inf, inf, inf, inf];
+        let (queue, work) = released(&arrivals, &[2, 3, 4, 5], 4, 3.0, 4.0);
+        assert_eq!(queue, [4, 2, 3, 5]);
+        let (queue, _) = released(&arrivals, &[3], 3, 3.0, 4.0);
+        assert_eq!(queue, [3]);
+        // Two binary searches over at most four entries.
+        assert!(work.release_probes <= 2 * 3, "{} probes", work.release_probes);
+    }
+
+    /// Online, every rebuild of the estimate walk follows a small change
+    /// to the pending queue (admissions popping its front, evictions
+    /// pushing onto it), and the walk re-prices only the batches near the
+    /// change: fewer than half the requests a from-scratch walk would.
+    /// Debug builds check every estimate against the naive repack.
+    #[test]
+    fn online_estimate_walks_reprice_only_what_changed() {
+        let t = trace(2_000);
+        let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
+            rate_per_s: 2.0,
+            seed: 42,
+        }
+        .sample(t.len());
+        let online = Workload::Requests {
+            trace: &t,
+            arrivals: &arrivals,
+        };
+        let (_, probe) = probed_run(&engine(4), online);
+        let cache = probe.est_cache;
+        assert!(cache.walked > 0, "the intensity switch priced prefill phases");
+        assert!(
+            2 * cache.priced < cache.walked,
+            "{} of {} walked positions re-priced",
+            cache.priced,
+            cache.walked
+        );
+    }
+
+    /// Closed loop, each finished turn releases its successor with two
+    /// binary searches, O(log n) probes; and the estimate walks re-price
+    /// fewer than half the requests from-scratch walks would, although
+    /// releases land mid-queue and grant reuse discounts.
+    #[test]
+    fn session_releases_and_estimate_walks_touch_only_what_changed() {
+        let s = tdpipe_workload::SessionConfig::small(800, 5).generate();
+        let (_, probe) = probed_run(&engine(4), Workload::Sessions(&s));
+        let QueueWork { releases, release_probes } = probe.queue;
+        let resumed = s.turns.iter().filter(|t| t.prev.is_some()).count() as u64;
+        assert_eq!(releases, resumed, "every resumed turn is released once");
+        let log_n = u64::from(usize::BITS - s.len().leading_zeros());
+        assert!(
+            release_probes <= releases * 2 * (log_n + 1),
+            "{release_probes} probes for {releases} releases of {} turns",
+            s.len()
+        );
+        let cache = probe.est_cache;
+        assert!(
+            2 * cache.priced < cache.walked,
+            "{} of {} walked positions re-priced",
+            cache.priced,
+            cache.walked
+        );
     }
 }

@@ -15,11 +15,14 @@
 #      bounded protocol model checker)
 #  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
 #      (incremental planner vs a from-scratch rebuild, cached vs naive
-#      prefill estimate, cohort reset) compile out of release builds, so
-#      the core crate's tests and the root golden, determinism and
-#      runtime-equivalence tests run again in the debug profile, where a
-#      missed estimate-cache invalidation or a drifted planner fails
-#      loudly — on the simulator and on the threaded plane alike
+#      prefill estimate, reused estimate batches vs the pool's prices,
+#      cohort reset, the pending queue's layout and each session
+#      release's binary-searched positions vs a linear walk) compile out
+#      of release builds, so the core crate's tests and the root golden,
+#      determinism and runtime-equivalence tests run again in the debug
+#      profile, where a missed estimate-cache invalidation or a drifted
+#      planner fails loudly — on the simulator and on the threaded plane
+#      alike
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
 #   5. flight-recorder smoke: a traced CLI run whose Chrome-trace export
 #      must pass the schema validator
@@ -44,8 +47,9 @@
 #   9. perf-trajectory smoke: a quick (200-request, 1-rep, no scale
 #      cells) perf_trajectory run into a temp file, schema-validated with
 #      `perf_trajectory --check`, plus the same check against the
-#      committed BENCH_hotpath.json. Catches harness bitrot and
-#      hand-edited/truncated trajectory files; it does NOT gate on times
+#      committed BENCH_hotpath.json. Catches harness bitrot,
+#      hand-edited/truncated trajectory files and any non-scale cell
+#      missing from either file; it does NOT gate on times
 #      (CI machines are too noisy — regenerate BENCH_hotpath.json
 #      deliberately with `cargo run --release --bin perf_trajectory`).
 #  10. span/bubble attribution smoke: a traced run exporting its raw
