@@ -25,6 +25,12 @@
 //! finished turn releases its successor into the pending queue, so it
 //! times the release path and the estimate walks that follow releases.
 //!
+//! A *fleet* cell routes closed-loop sessions arriving at 12/s over four
+//! 4-GPU TD-Pipe replicas (two L20, two A100; session-affine, reuse on),
+//! as the benchmark's `fleet-sessions` workload does, with the replicas
+//! run one after another on one thread: its time is the replicas' summed
+//! scheduling cost, where §3.5 decisions and session releases dominate.
+//!
 //! After those, three *scale* cells time the simulator at 100k
 //! and 1M requests (single rep each — they exist to prove the hot path
 //! stays linear, not to be tight measurements). Set `TDPIPE_PERF_SCALE=0`
@@ -45,6 +51,10 @@ use serde::Serialize;
 use std::time::Instant;
 use tdpipe_bench::{run_scheduler, Scheduler, PAPER_SEED};
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
+use tdpipe_fleet::{
+    parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
+    RouterPolicy,
+};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
@@ -54,7 +64,7 @@ use tdpipe_workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, Workloa
 
 /// Every cell a trajectory file holds, the scale cells aside (quick mode
 /// skips those). `--check` fails a file that lacks one.
-const REQUIRED_CELLS: [&str; 7] = [
+const REQUIRED_CELLS: [&str; 8] = [
     "L20+13B/PP+SB",
     "L20+13B/TD-Pipe",
     "A100+70B/PP+SB",
@@ -62,6 +72,7 @@ const REQUIRED_CELLS: [&str; 7] = [
     "L20+13B/TD-Pipe@2rps",
     "L20+13B/TD-Pipe+observers",
     "L20+13B/TD-Pipe+sessions",
+    "l20:2,a100:2/TD-Pipe+sessions",
 ];
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
@@ -81,11 +92,12 @@ fn pre_refactor_baseline(cell: &str) -> Option<f64> {
     }
 }
 
-/// Wall time (seconds) of the sessions cell before session releases
-/// binary-searched the pending queue and estimate walks reused unchanged
-/// batches: the same 4,000-session cell, best of four 15-rep runs on a
-/// 2-core VM.
-const SESSIONS_BEFORE_WALL_S: f64 = 0.095799414;
+/// Wall times (seconds) of the sessions and fleet cells before §3.5
+/// switches were certified from the first batches of a lazy estimate walk
+/// and unreleased session turns got their own queue: the same cells at
+/// 2,000 requests, best of nine 15-rep runs on a 2-core VM.
+const SESSIONS_BEFORE_WALL_S: f64 = 0.059871036;
+const FLEET_BEFORE_WALL_S: f64 = 0.07398554;
 
 #[derive(Serialize)]
 struct CellTime {
@@ -386,6 +398,53 @@ fn main() {
         cell: key,
         gpus: 4,
         requests: sessions.len(),
+        wall_s: best,
+        baseline_wall_s: base,
+        speedup_vs_baseline: base.map(|b| b / best),
+        makespan,
+    });
+
+    // The fleet cell: what the benchmark's `fleet-sessions` workload runs,
+    // at this file's scale, with the replicas on one thread.
+    let mut fleet_sessions = SessionConfig::small(2 * n, PAPER_SEED);
+    fleet_sessions.arrival = ArrivalProcess::Poisson {
+        rate_per_s: 12.0,
+        seed: PAPER_SEED,
+    };
+    let fleet_sessions = fleet_sessions.generate();
+    let pool = "l20:2,a100:2";
+    let mut replica_cfg = TdPipeConfig::default();
+    replica_cfg.engine.session_reuse = true;
+    let replicas: Vec<Replica> = parse_pool(pool, 4)
+        .expect("canonical pool parses")
+        .into_iter()
+        .map(|(label, node)| {
+            let spec = ReplicaSpec::new(&label, model.clone(), node, replica_cfg.clone());
+            Replica::new(spec).expect("canonical replica must be feasible")
+        })
+        .collect();
+    let fleet_cfg = FleetConfig {
+        router: RouterConfig {
+            policy: RouterPolicy::SessionAffine,
+            seed: PAPER_SEED,
+            ..RouterConfig::default()
+        },
+        ..FleetConfig::default()
+    };
+    let (best, makespan) = time_cell(reps, || {
+        let work = Workload::Sessions(&fleet_sessions);
+        run_fleet_with_threads(&replicas, &work, &fleet_cfg, &predictor, 1)
+            .report
+            .makespan
+    });
+    let key = format!("{pool}/{}+sessions", td.name());
+    let base = (n == 2_000).then_some(FLEET_BEFORE_WALL_S);
+    println!("  {key:<18} wall {best:8.3}s");
+    total += best;
+    out.push(CellTime {
+        cell: key,
+        gpus: 16,
+        requests: fleet_sessions.len(),
         wall_s: best,
         baseline_wall_s: base,
         speedup_vs_baseline: base.map(|b| b / best),

@@ -124,6 +124,11 @@ impl PpCost {
         &self.model
     }
 
+    /// Price `per_layer` on every stage, plus the embedding on the stage
+    /// holding it and the LM head on the stage holding it. Each kernel is
+    /// priced once and its time reused on every stage, summed in
+    /// [`KernelModel::stage_time`]'s order (layers, then embedding, then
+    /// LM head), so every stage time is bit-identical to that method's.
     fn staged_into(
         &self,
         per_layer: &LayerWork,
@@ -131,24 +136,24 @@ impl PpCost {
         embed_tokens: u64,
         out: &mut StagedJob,
     ) {
+        let t_layer = self.kernel.layer_time(per_layer);
+        let extra = |tokens: u64, work: fn(&ModelSpec, u64) -> LayerWork| {
+            (tokens > 0).then(|| self.kernel.layer_time(&work(&self.model, tokens)))
+        };
+        let t_embed = extra(embed_tokens, ModelSpec::embedding_work);
+        let t_head = extra(logits_tokens, ModelSpec::lm_head_work);
         let n = self.num_stages() as usize;
         out.exec.clear();
         out.exec.reserve(n);
         for a in self.partition.stages() {
-            // At most two extras per stage (embedding, LM head): a stack
-            // buffer keeps job pricing allocation-free on the decode path.
-            let mut extras: [LayerWork; 2] = Default::default();
-            let mut n_extras = 0;
-            if a.has_embedding && embed_tokens > 0 {
-                extras[n_extras] = self.model.embedding_work(embed_tokens);
-                n_extras += 1;
+            let mut t = t_layer * a.layer_count as f64;
+            if let Some(e) = t_embed.filter(|_| a.has_embedding) {
+                t += e;
             }
-            if a.has_lm_head && logits_tokens > 0 {
-                extras[n_extras] = self.model.lm_head_work(logits_tokens);
-                n_extras += 1;
+            if let Some(h) = t_head.filter(|_| a.has_lm_head) {
+                t += h;
             }
-            out.exec
-                .push(self.kernel.stage_time(per_layer, a.layer_count, &extras[..n_extras]));
+            out.exec.push(t);
         }
         let act_bytes = per_layer.tokens * self.model.activation_bytes_per_token();
         out.xfer.clear();
@@ -456,6 +461,67 @@ mod tests {
         assert!(job.exec[3] >= job.exec[1]); // LM head ≥ plain
         let spread = job.bottleneck() / job.exec.iter().cloned().fold(f64::MAX, f64::min);
         assert!(spread < 1.35, "stages too imbalanced: {spread}");
+    }
+
+    /// Pricing each kernel once per job gives every stage exactly the time
+    /// [`KernelModel::stage_time`] computes for it, on decode and prefill
+    /// shapes, balanced and LM-head-aware partitions, one to eight stages.
+    #[test]
+    fn staged_jobs_match_the_per_stage_formula_bit_for_bit() {
+        let model = ModelSpec::llama2_13b();
+        for gpus in [1, 2, 4, 8] {
+            let node = NodeSpec::l20(gpus);
+            let aware = PpCost::lm_head_aware_partition(&model, &node, 256);
+            for c in [
+                PpCost::new(model.clone(), &node),
+                PpCost::with_partition(model.clone(), &node, aware),
+            ] {
+                let reference = |work: &LayerWork, logits: u64, embed: u64| -> Vec<u64> {
+                    c.partition()
+                        .stages()
+                        .iter()
+                        .map(|a| {
+                            let mut extras = Vec::new();
+                            if a.has_embedding && embed > 0 {
+                                extras.push(model.embedding_work(embed));
+                            }
+                            if a.has_lm_head && logits > 0 {
+                                extras.push(model.lm_head_work(logits));
+                            }
+                            c.kernel.stage_time(work, a.layer_count, &extras).to_bits()
+                        })
+                        .collect()
+                };
+                let bits = |job: &StagedJob| -> Vec<u64> {
+                    job.exec.iter().map(|t| t.to_bits()).collect()
+                };
+                for batch in [0, 1, 7, 64, 512, 4096] {
+                    for ctx_per in [0, 1, 300, 4000] {
+                        let ctx = batch as u64 * ctx_per;
+                        let work = model.decode_layer_work(batch, ctx);
+                        let want = reference(&work, batch as u64, batch as u64);
+                        assert_eq!(
+                            bits(&c.decode_job(batch, ctx)),
+                            want,
+                            "decode {batch}x{ctx_per}"
+                        );
+                    }
+                }
+                for lens in [
+                    &[][..],
+                    &[1],
+                    &[17, 3],
+                    &[512; 8],
+                    &[4096],
+                    &[1; 64],
+                    &[2048, 1, 900],
+                ] {
+                    let work = model.prefill_layer_work(lens);
+                    let want = reference(&work, lens.len() as u64, work.tokens);
+                    assert_eq!(bits(&c.prefill_job(lens)), want, "prefill {lens:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,14 +31,13 @@ use crate::config::{
 };
 use crate::cost::{PpCost, StagedJob};
 use crate::driver::{drive, Close, Policy, RunState, Stall};
-use crate::estimate::PrefillEstimateCache;
+use crate::estimate::{PrefillEstimateCache, Queue};
 use crate::exec::{ExecError, PipelineExecutor, SimExecutor};
 use crate::greedy::GreedyPrefillPlanner;
 use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
 use crate::plan::MemoryPlan;
 use crate::request::{Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
-use std::cmp::Ordering;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
 use tdpipe_kvcache::{BlockAllocator, OccupancyTrace, Phase, SessionRetainer};
@@ -156,12 +155,14 @@ fn record_stop(run: &mut RunState, now: f64, reason: PrefillStopReason, admitted
 
 /// Release session successor `succ`, which arrives at `at` (its
 /// predecessor finished at `now`, plus think time): move it from the
-/// pending queue's unreleased tail to its slot among the future arrivals
-/// (the layout is on [`TdRun::pending`]). Two binary searches find the
-/// positions a back-to-front walk would, ties included: the successor
-/// lands after every pending request arriving at or before `at`.
+/// unreleased turns to its slot among the pending future arrivals (the
+/// layout is on [`TdRun::pending`]). A binary search over the unreleased
+/// turns finds it, near their front, and another its slot: after every
+/// pending request arriving at or before `at`, where a back-to-front walk
+/// would put it, ties included.
 fn release(
     pending: &mut VecDeque<usize>,
+    unreleased: &mut VecDeque<usize>,
     pool: &mut RequestPool,
     succ: usize,
     at: f64,
@@ -169,26 +170,24 @@ fn release(
     work: &mut QueueWork,
 ) {
     debug_assert!(at >= now, "a successor arrives after its predecessor finished");
-    debug_assert!(pending_layout_holds(pending, pool, now), "pending queue layout broken");
+    debug_assert!(
+        pending_layout_holds(pending, unreleased, pool, now),
+        "pending queue layout broken"
+    );
     let mut probes = 0;
-    // Every finite arrival sorts before the tail, which ascends by index.
-    let from = pending.binary_search_by(|&i| {
+    let from = unreleased.binary_search_by(|&i| {
         probes += 1;
-        if pool.arrival(i).is_finite() {
-            Ordering::Less
-        } else {
-            i.cmp(&succ)
-        }
+        i.cmp(&succ)
     });
     debug_assert_eq!(
         from.ok(),
-        pending.iter().rposition(|&i| i == succ),
+        unreleased.iter().position(|&i| i == succ),
         "binary search disagrees with the linear walk on the successor"
     );
     // analyzer: allow(no-expect) — unreleased turns are never admitted
-    // (their arrival is infinite), so the successor is in the tail.
+    // (their arrival is infinite), so the successor is still unreleased.
     let from = from.expect("unreleased turn pending");
-    pending.remove(from);
+    unreleased.remove(from);
     pool.set_arrival(succ, at);
     // The head arrived by `now <= at` and the rest ascends by arrival, so
     // `arrival <= at` partitions the queue.
@@ -206,16 +205,27 @@ fn release(
     work.release_probes += probes;
 }
 
-/// Whether the pending queue has its three regions at time `now` (see
-/// [`TdRun::pending`]): from the first request still to arrive on,
-/// arrivals ascend, the unreleased (infinite) ones by request index.
-fn pending_layout_holds(pending: &VecDeque<usize>, pool: &RequestPool, now: f64) -> bool {
-    let future = pending.iter().position(|&i| pool.arrival(i) > now);
-    let rest: Vec<usize> = pending.range(future.unwrap_or(pending.len())..).copied().collect();
-    rest.windows(2).all(|w| {
-        let (a, b) = (pool.arrival(w[0]), pool.arrival(w[1]));
-        a < b || (a == b && (a.is_finite() || w[0] < w[1]))
-    })
+/// Whether the queue has its layout at time `now` (see [`TdRun::pending`]):
+/// every pending arrival is finite and, from the first request still to
+/// arrive on, ascends; every unreleased turn's is infinite, and they
+/// ascend by request index.
+fn pending_layout_holds(
+    pending: &VecDeque<usize>,
+    unreleased: &VecDeque<usize>,
+    pool: &RequestPool,
+    now: f64,
+) -> bool {
+    let future = pending
+        .iter()
+        .map(|&i| pool.arrival(i))
+        .skip_while(|&a| a <= now);
+    pending.iter().all(|&i| pool.arrival(i).is_finite())
+        && future.clone().zip(future.skip(1)).all(|(a, b)| a <= b)
+        && unreleased.iter().all(|&i| pool.arrival(i) == f64::INFINITY)
+        && unreleased
+            .iter()
+            .zip(unreleased.iter().skip(1))
+            .all(|(a, b)| a < b)
 }
 
 /// TD-Pipe's side of the shared decode step
@@ -229,6 +239,7 @@ struct TdStepHooks<'r, 's> {
     sess: &'r mut Option<SessionRun<'s>>,
     planner: &'r mut GreedyPrefillPlanner,
     est_cache: &'r mut PrefillEstimateCache,
+    unreleased: &'r mut VecDeque<usize>,
     queue: &'r mut QueueWork,
     journal: &'r mut FlightRecorder,
     /// Host-link time this step's swap-outs hold the batch back.
@@ -240,7 +251,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
     /// successor when reuse is on and the budget allows (evicting older
     /// retained prefixes first), free it otherwise; then release the
     /// successor's closed-loop arrival (finish + think time), moving it
-    /// from the pending queue's unreleased tail to its sorted slot.
+    /// from the unreleased turns to its sorted slot in the pending queue.
     fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
         // `remove_request` subtracts the *tracked* contribution, so the
         // planner needs no settle first.
@@ -310,7 +321,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
         if let Some(succ) = next {
             let succ = succ as usize;
             let at = now + s.turns[succ].think_s;
-            release(pending, pool, succ, at, now, self.queue);
+            release(pending, self.unreleased, pool, succ, at, now, self.queue);
             self.est_cache.invalidate();
         }
         held
@@ -521,11 +532,17 @@ impl TdPipeEngine {
                 (&st.trace, &initial[..], Some(st))
             }
         };
-        let RunProbe { est_cache, work, queue } = probe;
+        let RunProbe {
+            est_cache,
+            work,
+            queue,
+            decisions,
+        } = probe;
         let e = &self.cfg.engine;
         let (journal, metrics) = (e.record_trace, e.record_metrics);
         let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
         let n = run.pool.len();
+        est_cache.latency_cap = self.prefill_latency_cap(&run.pool);
         let n_stages = self.cost.num_stages() as usize;
         let mut alloc = BlockAllocator::new(self.plan.kv_blocks, BLOCK_SIZE);
         alloc.reserve_ids(n);
@@ -551,16 +568,36 @@ impl TdPipeEngine {
         });
         let mut planner = GreedyPrefillPlanner::new(future_points(), self.plan.token_capacity());
         planner.reserve_ids(n);
+        // Arrivals ascend (`RunState::new` checks), so open-loop requests
+        // and first turns come first; later turns arrive at `+∞` and wait,
+        // unreleased, until their predecessor finishes. `pending` has room
+        // for every request, so releases never regrow it mid-run.
+        let released = (0..n)
+            .position(|i| run.pool.arrival(i).is_infinite())
+            .unwrap_or(n);
+        let mut pending = VecDeque::with_capacity(n);
+        pending.extend(0..released);
+        let unreleased: VecDeque<usize> = (released..n).collect();
+        // Size the estimate walk for the deepest walk the opening queue
+        // allows, so later extensions seldom allocate mid-run.
+        let opening = Queue {
+            pending: &pending,
+            unreleased: &unreleased,
+        };
+        let (walk_batches, _) = full_walk(opening, &run.pool, self.plan.token_capacity());
+        est_cache.reserve(walk_batches as usize);
         let policy = TdRun {
             engine: self,
             est_cache,
             work,
             queue,
+            decisions,
             sess,
             comparator: IntensityComparator::new(self.build_profile(trace)),
             alloc,
             planner,
-            pending: (0..n).collect(),
+            pending,
+            unreleased,
             residents: Vec::new(),
             // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
             // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
@@ -584,6 +621,28 @@ impl TdPipeEngine {
         drive(policy, run, plane, start)
     }
 
+    /// `l_cap`: a bound on the latency of every prefill batch the packer
+    /// can form over `pool`'s requests, which bounds the bubble of every
+    /// §3.5 estimate (DESIGN.md §5 *Certified switch*). A batch of two or
+    /// more requests holds at most the token budget, a batch of one at
+    /// most its request's prompt plus output, so at most `T` tokens; it
+    /// has no more sequences than tokens, save requests with empty
+    /// prompts; and its attention FLOPs `Σ 2·h·s²` are at most
+    /// `2·h·(Σ s)²`. Batch latency rises with all three, so the batch of
+    /// `T` tokens in `T` sequences with `2·h·T²` attention FLOPs bounds
+    /// it, and a 1e-6 relative slack covers the rounding of both sums.
+    fn prefill_latency_cap(&self, pool: &RequestPool) -> f64 {
+        let longest = (0..pool.len()).map(|i| pool.input_len(i) as u64 + pool.output_len(i) as u64);
+        let tokens = longest.max().unwrap_or(0).max(PREFILL_TOKEN_BUDGET as u64);
+        let empty_prompts = (0..pool.len()).filter(|&i| pool.input_len(i) == 0).count() as u64;
+        let h = self.cost.model().hidden as f64;
+        let t = tokens as f64;
+        let mut job = StagedJob::default();
+        self.cost
+            .prefill_job_from_parts(tokens, 2.0 * h * t * t, tokens + empty_prompts, &mut job);
+        job.latency() * (1.0 + 1e-6)
+    }
+
     /// Price the hypothetical next prefill phase for the temporal-intensity
     /// estimate: pack pending requests (by their *predicted* total KV
     /// need) into the currently free capacity, batch them exactly like the
@@ -595,7 +654,7 @@ impl TdPipeEngine {
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     fn estimate_prefill_phase(
         &self,
-        pending: &VecDeque<usize>,
+        queue: Queue<'_>,
         pool: &RequestPool,
         alloc: &BlockAllocator,
     ) -> PrefillPhaseEstimate {
@@ -613,7 +672,7 @@ impl TdPipeEngine {
             *phase_len += job.bottleneck();
             seq_lens.clear();
         };
-        for &idx in pending {
+        for idx in queue.iter() {
             let t = pool.prefill_tokens(idx);
             let need = (t + pool.predicted_remaining(idx)) as u64;
             if need > free_tokens {
@@ -637,12 +696,14 @@ impl TdPipeEngine {
 
 /// What a run leaves its caller to read back: the prefill-estimate cache
 /// with its rebuild and pricing counters, the decode cohorts' phase-switch
-/// work, and the pending queue's release work.
+/// work, the pending queue's release work, and how §3.5 decisions were
+/// settled.
 #[derive(Default)]
 struct RunProbe {
     est_cache: PrefillEstimateCache,
     work: SwitchWork,
     queue: QueueWork,
+    decisions: DecisionWork,
 }
 
 /// Decode-cohort work over one run, next to what re-banking every resident
@@ -661,6 +722,57 @@ struct SwitchWork {
 struct QueueWork {
     releases: u64,
     release_probes: u64,
+}
+
+/// How the run's §3.5 intensity decisions were settled.
+#[derive(Default)]
+struct DecisionWork {
+    decisions: u64,
+    /// Settled by spatial intensity at or above 1 (never switch).
+    saturated: u64,
+    /// Settled by a certified switch.
+    certified: u64,
+    /// The reference the lazy walk is measured against — counted only when
+    /// a test sets it to `Some`, since it costs a full walk per decision.
+    full_walks: Option<FullWalks>,
+}
+
+/// What from-scratch estimate walks to the pool's capacity (the walk
+/// before it became lazy) would cover.
+#[derive(Default)]
+struct FullWalks {
+    /// Batches, summed over decisions.
+    batches: u64,
+    /// Positions, summed over the walks started (one per decision after
+    /// the queue changed).
+    walk_positions: u64,
+}
+
+/// Batches and positions in a from-scratch estimate walk of `queue` that
+/// stops, as the walk once did, at the first batch start past `capacity`
+/// cumulative need: no query reads deeper. [`FullWalks`]' reference, and
+/// the estimate walk's initial size.
+fn full_walk(queue: Queue<'_>, pool: &RequestPool, capacity: u64) -> (u64, u64) {
+    let mut it = queue.iter().peekable();
+    let (mut batches, mut positions, mut need) = (0, 0, 0u64);
+    while need <= capacity {
+        let Some(first) = it.next() else { break };
+        batches += 1;
+        positions += 1;
+        let mut budget = pool.prefill_tokens(first);
+        need += (budget + pool.predicted_remaining(first)) as u64;
+        while let Some(&next) = it.peek() {
+            let t = pool.prefill_tokens(next);
+            if budget + t > PREFILL_TOKEN_BUDGET {
+                break;
+            }
+            budget += t;
+            need += (t + pool.predicted_remaining(next)) as u64;
+            positions += 1;
+            it.next();
+        }
+    }
+    (batches, positions)
 }
 
 /// Prefill completions carry `PREFILL_TAG + seq`; decode batches carry
@@ -740,26 +852,32 @@ struct TdRun<'a> {
     est_cache: &'a mut PrefillEstimateCache,
     work: &'a mut SwitchWork,
     queue: &'a mut QueueWork,
+    decisions: &'a mut DecisionWork,
     sess: Option<SessionRun<'a>>,
     comparator: IntensityComparator,
     alloc: BlockAllocator,
     planner: GreedyPrefillPlanner,
-    /// Requests waiting for (re-)admission, in three regions:
+    /// Requests waiting for (re-)admission whose arrival time is known, in
+    /// two regions:
     /// 1. a *head* of arrived requests: evicted ones requeued at the front,
     ///    most recent eviction first, then arrived ones not yet admitted;
-    /// 2. *future* arrivals, ascending by arrival time;
-    /// 3. an *unreleased tail* of session turns whose predecessor has not
-    ///    finished (infinite arrival), ascending by request index.
+    /// 2. *future* arrivals, ascending by arrival time.
     ///
-    /// Admission pops the head's front and eviction pushes onto it, O(1)
-    /// each. A release binary-searches the tail for the successor and
-    /// finds its slot with `partition_point(arrival <= at)` (the head has
-    /// arrived and the rest ascends, so that predicate partitions the
-    /// queue): O(log n) probes each, then one removal and one insertion,
-    /// each moving the shorter side of the deque.
+    /// The queue every reader sees is `pending` followed by
+    /// [`Self::unreleased`]. Admission pops the head's front and eviction
+    /// pushes onto it, O(1) each. A release takes its successor off
+    /// `unreleased` and inserts it at `partition_point(arrival <= at)` (the
+    /// head has arrived and the rest ascends, so that predicate partitions
+    /// `pending`): O(log n) probes each, then one removal near the front of
+    /// `unreleased` and one insertion among the future arrivals, each
+    /// moving the shorter side of its deque.
     /// Debug builds check the layout, and both positions against a linear
     /// walk, at every release.
     pending: VecDeque<usize>,
+    /// Session turns whose predecessor has not finished (infinite
+    /// arrival), ascending by request index. Successors are released
+    /// roughly in index order, so they sit near the front.
+    unreleased: VecDeque<usize>,
     /// Admitted requests still decoding, in admission order.
     residents: Vec<usize>,
     watermark_blocks: u64,
@@ -821,6 +939,7 @@ impl Policy for TdRun<'_> {
     fn stall(&mut self, run: &RunState, now: f64) -> Stall {
         let pool = &run.pool;
         let capacity = self.engine.plan.token_capacity();
+        // Unreleased turns never arrive on their own: only `pending` counts.
         let arrivals = self.pending.iter().map(|&i| pool.arrival(i));
         Stall {
             oversize: self
@@ -886,7 +1005,9 @@ impl TdRun<'_> {
         // read.
         let observed = run.journal.is_enabled() || run.metrics.is_enabled();
         let mut settled = false;
-        while let Some(&head) = self.pending.front() {
+        // The queue's head may be an unreleased turn: it has not arrived,
+        // so the packer records an arrival stop for it like any other.
+        while let Some(&head) = self.pending.front().or(self.unreleased.front()) {
             if !settled && !pf.meta.is_empty() {
                 let clock = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
                 if !observed && run.pool.arrival(head) > clock {
@@ -928,7 +1049,7 @@ impl TdRun<'_> {
             // Why the packing loop below halted (journal; the loop running
             // the queue dry leaves the default).
             let mut pack_stop = PrefillStopReason::Exhausted;
-            while let Some(&idx) = self.pending.front() {
+            while let Some(&idx) = self.pending.front().or(self.unreleased.front()) {
                 // Online extension: a request can only be prefilled after
                 // it has arrived.
                 if run.pool.arrival(idx) > now + pf.meta.len() as f64 * ENGINE_OVERHEAD {
@@ -1095,7 +1216,8 @@ impl TdRun<'_> {
             run.journal.record(pf.end, TraceEvent::PrefillDone { request });
         }
         self.occupancy.push(finish, occ, Phase::Prefill);
-        run.metrics.sample(finish, occ, 0, 0, self.pending.len());
+        let queued = self.pending.len() + self.unreleased.len();
+        run.metrics.sample(finish, occ, 0, 0, queued);
     }
 
     /// Close the collected prefill phase and open a decode phase at control
@@ -1220,6 +1342,7 @@ impl TdRun<'_> {
             sess: &mut self.sess,
             planner: &mut self.planner,
             est_cache: &mut *self.est_cache,
+            unreleased: &mut self.unreleased,
             queue: &mut *self.queue,
             journal: &mut run.journal,
             swap_out_delay: 0.0,
@@ -1273,8 +1396,9 @@ impl TdRun<'_> {
         }
         self.occupancy.push(now, self.alloc.occupancy(), Phase::Decode);
         // 3) Decode→prefill decision.
-        if !dc.switching && !self.pending.is_empty() {
-            dc.switching = match eng.cfg.d2p {
+        let queued = !self.pending.is_empty() || !self.unreleased.is_empty();
+        if !dc.switching && queued {
+            let switch = match eng.cfg.d2p {
                 D2pPolicy::Intensity => {
                     let live: usize =
                         members.len() + dc.batches.iter().map(DecodeBatch::len).sum::<usize>();
@@ -1286,43 +1410,16 @@ impl TdRun<'_> {
                     let mean_ctx = stored_ctx / live_batches.max(1) as u64;
                     eng.cost.decode_job_into(mean_batch, mean_ctx.max(1), &mut self.job);
                     let step = self.job.latency();
-                    let est = self.est_cache.query(
-                        &self.pending,
-                        &run.pool,
-                        &eng.cost,
-                        eng.plan.token_capacity(),
-                        self.alloc.free_blocks() * BLOCK_SIZE as u64,
-                    );
-                    // Debug cross-check: the memoized estimate must be
-                    // bit-identical to the naive repack.
-                    #[cfg(debug_assertions)]
-                    {
-                        let (pending, pool) = (&self.pending, &run.pool);
-                        let naive = eng.estimate_prefill_phase(pending, pool, &self.alloc);
-                        debug_assert_eq!(est.longest_job.to_bits(), naive.longest_job.to_bits());
-                        debug_assert_eq!(est.phase_len.to_bits(), naive.phase_len.to_bits());
-                    }
-                    let scores = self.comparator.decide(mean_batch, &est, step);
-                    run.journal.record(
-                        now,
-                        TraceEvent::SwitchDecision {
-                            spatial: scores.spatial,
-                            temporal: scores.temporal,
-                            batch: mean_batch,
-                            est_longest: est.longest_job,
-                            est_phase_len: est.phase_len,
-                            switch: scores.switch,
-                        },
-                    );
-                    run.metrics.on_switch_decision(scores.spatial, scores.temporal);
-                    scores.switch
+                    self.intensity_switch(run, mean_batch, step, now)
                 }
                 D2pPolicy::FixedFinishRatio(r) => {
                     let start_count: usize = dc.initial_sizes.iter().sum();
                     dc.finished as f64 >= r * start_count as f64
                 }
             };
+            self.decode.switching = switch;
         }
+        let dc = &mut self.decode;
         // 4) Relaunch or retire the batch. If this is the last live batch
         //    and the stealer still withholds requests, absorb them —
         //    otherwise they would strand with no batch left to supplement.
@@ -1350,6 +1447,95 @@ impl TdRun<'_> {
             dc.inflight.push_back(bid);
         }
         now
+    }
+
+    /// The §3.5 decision at `now`, for live batches of `mean_batch`
+    /// members whose decode step takes `step`: switch to prefill when
+    /// spatial intensity falls below the temporal intensity of the
+    /// estimated next prefill phase. Unobserved, two exact shortcuts
+    /// settle most decisions without the estimate (DESIGN.md §5
+    /// *Certified switch*): temporal intensity never exceeds 1, and the
+    /// walk's first batches often prove it beats spatial. Observers
+    /// journal the estimate itself, so they always take the exact path.
+    fn intensity_switch(
+        &mut self,
+        run: &mut RunState,
+        mean_batch: usize,
+        step: f64,
+        now: f64,
+    ) -> bool {
+        let eng = self.engine;
+        let queue = Queue {
+            pending: &self.pending,
+            unreleased: &self.unreleased,
+        };
+        let free_tokens = self.alloc.free_blocks() * BLOCK_SIZE as u64;
+        let dw = &mut *self.decisions;
+        dw.decisions += 1;
+        if let Some(full) = dw.full_walks.as_mut() {
+            let (batches, positions) = full_walk(queue, &run.pool, eng.plan.token_capacity());
+            full.batches += batches;
+            if !self.est_cache.is_valid() {
+                full.walk_positions += positions;
+            }
+        }
+        let observed = run.journal.is_enabled() || run.metrics.is_enabled();
+        let spatial = self.comparator.spatial(mean_batch);
+        let bubble_cap = (self.est_cache.latency_cap - step).max(0.0);
+        let shortcut = if observed {
+            None
+        } else if spatial >= 1.0 {
+            dw.saturated += 1;
+            Some(false)
+        } else if self.est_cache.certifies_switch(
+            queue,
+            &run.pool,
+            &eng.cost,
+            free_tokens,
+            spatial,
+            bubble_cap,
+        ) {
+            dw.certified += 1;
+            Some(true)
+        } else {
+            None
+        };
+        if let Some(verdict) = shortcut {
+            // Debug oracle: the exact decision agrees.
+            #[cfg(debug_assertions)]
+            {
+                let naive = eng.estimate_prefill_phase(queue, &run.pool, &self.alloc);
+                let exact = self.comparator.decide(mean_batch, &naive, step).switch;
+                debug_assert_eq!(exact, verdict, "shortcut disagrees with §3.5");
+            }
+            return verdict;
+        }
+        let est = self
+            .est_cache
+            .query(queue, &run.pool, &eng.cost, free_tokens);
+        // Debug cross-check: the memoized estimate must be bit-identical
+        // to the naive repack.
+        #[cfg(debug_assertions)]
+        {
+            let naive = eng.estimate_prefill_phase(queue, &run.pool, &self.alloc);
+            debug_assert_eq!(est.longest_job.to_bits(), naive.longest_job.to_bits());
+            debug_assert_eq!(est.phase_len.to_bits(), naive.phase_len.to_bits());
+        }
+        let scores = self.comparator.decide(mean_batch, &est, step);
+        run.journal.record(
+            now,
+            TraceEvent::SwitchDecision {
+                spatial: scores.spatial,
+                temporal: scores.temporal,
+                batch: mean_batch,
+                est_longest: est.longest_job,
+                est_phase_len: est.phase_len,
+                switch: scores.switch,
+            },
+        );
+        run.metrics
+            .on_switch_decision(scores.spatial, scores.temporal);
+        scores.switch
     }
 
     /// Every decode batch has retired: keep the survivors. Batch members
@@ -1688,6 +1874,7 @@ mod tests {
     /// checked to report exactly what [`TdPipeEngine::try_run`] does.
     fn probed_run(e: &TdPipeEngine, work: Workload<'_>) -> (RunOutcome, RunProbe) {
         let mut probe = RunProbe::default();
+        probe.decisions.full_walks = Some(FullWalks::default());
         let out = e.run_impl(work, &OraclePredictor, e.sim_plane(), &mut probe).unwrap();
         assert_eq!(out.report, sim_run(e, work, &OraclePredictor).report);
         (out, probe)
@@ -1705,11 +1892,26 @@ mod tests {
     ) -> (Vec<usize>, QueueWork) {
         let t = trace(arrivals.len());
         let mut pool = RequestPool::with_arrivals(t.requests(), arrivals, |r| r.output_len);
-        let mut queue: VecDeque<usize> = pending.iter().copied().collect();
+        let split = |released: bool| -> VecDeque<usize> {
+            pending
+                .iter()
+                .copied()
+                .filter(|&i| arrivals[i].is_finite() == released)
+                .collect()
+        };
+        let (mut queue, mut unreleased) = (split(true), split(false));
         let mut work = QueueWork::default();
-        release(&mut queue, &mut pool, succ, at, now, &mut work);
+        release(
+            &mut queue,
+            &mut unreleased,
+            &mut pool,
+            succ,
+            at,
+            now,
+            &mut work,
+        );
         assert_eq!(pool.arrival(succ), at);
-        (queue.into_iter().collect(), work)
+        (queue.into_iter().chain(unreleased).collect(), work)
     }
 
     /// A successor whose release time ties pending arrivals lands after
@@ -1752,38 +1954,46 @@ mod tests {
         assert!(work.release_probes <= 2 * 3, "{} probes", work.release_probes);
     }
 
-    /// Online, every rebuild of the estimate walk follows a small change
-    /// to the pending queue (admissions popping its front, evictions
-    /// pushing onto it), and the walk re-prices only the batches near the
-    /// change: fewer than half the requests a from-scratch walk would.
+    /// Online, every new estimate walk follows a small change to the
+    /// pending queue (admissions popping its front, evictions pushing onto
+    /// it); the walk re-prices only the batches near the change and reads
+    /// only as far as each decision needs. Against the from-scratch walks
+    /// to the pool's capacity that every changed queue once cost, it reads
+    /// fewer than half the requests and re-prices fewer than half.
     /// Debug builds check every estimate against the naive repack.
     #[test]
     fn online_estimate_walks_reprice_only_what_changed() {
         let t = trace(2_000);
-        let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
-            rate_per_s: 2.0,
-            seed: 42,
-        }
-        .sample(t.len());
+        let arrivals = poisson(t.len(), 2.0);
         let online = Workload::Requests {
             trace: &t,
             arrivals: &arrivals,
         };
         let (_, probe) = probed_run(&engine(4), online);
         let cache = probe.est_cache;
-        assert!(cache.walked > 0, "the intensity switch priced prefill phases");
+        let full = probe.decisions.full_walks.unwrap();
         assert!(
-            2 * cache.priced < cache.walked,
-            "{} of {} walked positions re-priced",
+            cache.walked > 0,
+            "the intensity switch priced prefill phases"
+        );
+        assert!(
+            2 * cache.walked < full.walk_positions,
+            "{} of {} read",
+            cache.walked,
+            full.walk_positions
+        );
+        assert!(
+            2 * cache.priced < full.walk_positions,
+            "{} of {} positions re-priced",
             cache.priced,
-            cache.walked
+            full.walk_positions
         );
     }
 
     /// Closed loop, each finished turn releases its successor with two
-    /// binary searches, O(log n) probes; and the estimate walks re-price
-    /// fewer than half the requests from-scratch walks would, although
-    /// releases land mid-queue and grant reuse discounts.
+    /// binary searches, O(log n) probes; and the estimate walks read and
+    /// re-price fewer than half the requests from-scratch walks would,
+    /// although releases land mid-queue and grant reuse discounts.
     #[test]
     fn session_releases_and_estimate_walks_touch_only_what_changed() {
         let s = tdpipe_workload::SessionConfig::small(800, 5).generate();
@@ -1798,11 +2008,133 @@ mod tests {
             s.len()
         );
         let cache = probe.est_cache;
+        let full = probe.decisions.full_walks.unwrap();
         assert!(
-            2 * cache.priced < cache.walked,
-            "{} of {} walked positions re-priced",
+            2 * cache.walked < full.walk_positions,
+            "{} of {} read",
+            cache.walked,
+            full.walk_positions
+        );
+        assert!(
+            2 * cache.priced < full.walk_positions,
+            "{} of {} positions re-priced",
             cache.priced,
-            cache.walked
+            full.walk_positions
+        );
+    }
+
+    /// `n` Poisson arrivals at `rate_per_s`.
+    fn poisson(n: usize, rate_per_s: f64) -> Vec<f64> {
+        tdpipe_workload::ArrivalProcess::Poisson {
+            rate_per_s,
+            seed: 42,
+        }
+        .sample(n)
+    }
+
+    /// TD-Pipe with session reuse on L20 or A100 GPUs, observed (metrics
+    /// on) or not.
+    fn reuse_engine(node: NodeSpec, observed: bool) -> TdPipeEngine {
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.session_reuse = true;
+        cfg.engine.record_metrics = observed;
+        TdPipeEngine::new(ModelSpec::llama2_13b(), &node, cfg).unwrap()
+    }
+
+    /// Unobserved runs settle most §3.5 decisions by the shortcuts, runs
+    /// with the metrics plane on by the exact estimate, and the two give
+    /// byte-identical reports, closed loop and open loop. (Debug builds
+    /// also check every shortcut against the exact decision.)
+    #[test]
+    fn certified_and_exact_decisions_give_identical_reports() {
+        let s = tdpipe_workload::SessionConfig::small(400, 9).generate();
+        let t = trace(2_000);
+        let arrivals = poisson(t.len(), 2.0);
+        let online = Workload::Requests {
+            trace: &t,
+            arrivals: &arrivals,
+        };
+        for work in [Workload::Sessions(&s), online] {
+            let (fast, fast_probe) = probed_run(&reuse_engine(NodeSpec::l20(4), false), work);
+            let (exact, exact_probe) = probed_run(&reuse_engine(NodeSpec::l20(4), true), work);
+            let json = |o: &RunOutcome| serde_json::to_string(&o.report).unwrap();
+            assert_eq!(json(&fast), json(&exact));
+            let (f, e) = (&fast_probe.decisions, &exact_probe.decisions);
+            assert_eq!(
+                f.decisions, e.decisions,
+                "the same decisions, settled two ways"
+            );
+            assert!(
+                2 * (f.certified + f.saturated) > f.decisions,
+                "shortcuts settle most"
+            );
+            assert_eq!(
+                e.certified + e.saturated,
+                0,
+                "observed runs take the exact path"
+            );
+        }
+    }
+
+    /// Closed loop, at least 90% of decisions are settled by a certified
+    /// switch (or saturated spatial intensity), and the walks behind them
+    /// read a small fraction of the batches the from-scratch walks to the
+    /// pool's capacity hold: the certificate needs the phase length of a
+    /// few batches to beat spatial intensity, so the fraction is smaller
+    /// the more batches the pool holds — under 5% on A100s, under 10% on
+    /// the L20s' smaller pool.
+    #[test]
+    fn session_decisions_are_certified_from_the_first_batches() {
+        let s = tdpipe_workload::SessionConfig::small(800, 5).generate();
+        for (node, percent) in [(NodeSpec::a100(4), 5), (NodeSpec::l20(4), 10)] {
+            let (_, probe) = probed_run(&reuse_engine(node, false), Workload::Sessions(&s));
+            let d = &probe.decisions;
+            let full = d.full_walks.as_ref().unwrap().batches;
+            let walked = probe.est_cache.walked_batches;
+            assert!(
+                10 * (d.certified + d.saturated) >= 9 * d.decisions,
+                "{} certified and {} saturated of {} decisions",
+                d.certified,
+                d.saturated,
+                d.decisions
+            );
+            assert!(
+                100 * walked < percent * full,
+                "{walked} batches walked of {full}"
+            );
+        }
+    }
+
+    /// `l_cap` bounds the latency of a single oversize request's batch, a
+    /// batch filling the token budget, and 4,096 one-token sequences.
+    #[test]
+    fn latency_cap_bounds_extreme_batches() {
+        let eng = engine(4);
+        let mut reqs = trace(16).requests().to_vec();
+        let pool = RequestPool::new(&reqs, |r| r.output_len);
+        let cap = eng.prefill_latency_cap(&pool);
+        let latency = |lens: &[u32]| eng.cost.prefill_job(lens).latency();
+        let budget = PREFILL_TOKEN_BUDGET;
+        for lens in [
+            vec![budget],
+            vec![budget / 2; 2],
+            vec![1; budget as usize],
+            vec![64; 64],
+        ] {
+            assert!(latency(&lens) <= cap, "{} sequences", lens.len());
+        }
+        // One request far above the budget: its own prefill, even after
+        // generating all but its last token, stays under the cap.
+        reqs[3].input_len = 3 * budget;
+        reqs[3].output_len = 900;
+        let pool = RequestPool::new(&reqs, |r| r.output_len);
+        let cap = eng.prefill_latency_cap(&pool);
+        assert!(latency(&[3 * budget + 899]) <= cap);
+        assert!(latency(&[1; 3 * 4096 + 899]) <= cap);
+        // The cap is not vacuous: a full-budget batch comes within 25%.
+        assert!(
+            latency(&[budget])
+                > 0.8 * eng.prefill_latency_cap(&RequestPool::new(&reqs[..3], |r| r.output_len))
         );
     }
 }

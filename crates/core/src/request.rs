@@ -8,7 +8,7 @@
 //! walks one dense array instead of chasing per-request heap objects.
 
 use tdpipe_sim::LatencySummary;
-use tdpipe_workload::stats::percentile_sorted;
+use tdpipe_workload::stats::percentiles_selected;
 use tdpipe_workload::{Request, RequestId};
 
 /// Where a request currently is in its life.
@@ -391,23 +391,23 @@ impl RequestArena {
             tpot.push((fin - first) / (self.hot[idx].output_len.max(2) - 1) as f64);
         }
         // Means sum in request order (the order the old per-percentile
-        // clones never disturbed); then sort each field once and
-        // interpolate all its percentiles from the sorted copy.
+        // clones never disturbed); then each field's percentiles select
+        // only the order statistics they read, which reorders the field.
         let ttft_mean = ttft.iter().sum::<f64>() / ttft.len() as f64;
         let completion_mean = done.iter().sum::<f64>() / done.len() as f64;
-        ttft.sort_by(f64::total_cmp);
-        done.sort_by(f64::total_cmp);
-        tpot.sort_by(f64::total_cmp);
+        let [ttft_p50, ttft_p95, ttft_p99] = percentiles_selected(&mut ttft, [50.0, 95.0, 99.0]);
+        let [tpot_p50, tpot_p95] = percentiles_selected(&mut tpot, [50.0, 95.0]);
+        let [completion_p50, completion_p99] = percentiles_selected(&mut done, [50.0, 99.0]);
         Some(LatencySummary {
             ttft_mean,
-            ttft_p50: percentile_sorted(&ttft, 50.0),
-            ttft_p95: percentile_sorted(&ttft, 95.0),
-            ttft_p99: percentile_sorted(&ttft, 99.0),
-            tpot_p50: percentile_sorted(&tpot, 50.0),
-            tpot_p95: percentile_sorted(&tpot, 95.0),
+            ttft_p50,
+            ttft_p95,
+            ttft_p99,
+            tpot_p50,
+            tpot_p95,
             completion_mean,
-            completion_p50: percentile_sorted(&done, 50.0),
-            completion_p99: percentile_sorted(&done, 99.0),
+            completion_p50,
+            completion_p99,
         })
     }
 

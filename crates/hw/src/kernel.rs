@@ -68,7 +68,12 @@ impl KernelModel {
     pub fn eta_compute(&self, tokens: u64, degree: u32) -> f64 {
         let t = tokens as f64;
         let ramp = t / (t + self.tokens_half);
-        let shard = (degree as f64).powf(-self.tp_gamma);
+        // pow(1, y) is exactly 1: skip the call on the pipeline-parallel path.
+        let shard = if degree == 1 {
+            1.0
+        } else {
+            (degree as f64).powf(-self.tp_gamma)
+        };
         self.eta_compute_max * ramp * shard
     }
 

@@ -32,14 +32,52 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
         sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()),
         "sample must be sorted"
     );
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    interpolate(sorted.len(), p, |r| sorted[r])
+}
+
+/// [`percentile_sorted`] at each of `ps` (ascending) over an unsorted
+/// sample, bit for bit: instead of sorting, it selects only the order
+/// statistics the percentiles read (`select_nth_unstable_by` with
+/// `f64::total_cmp`, one O(n) pass per rank), leaving `sample` partially
+/// reordered. Elements equal under the total order have equal bits, so
+/// each selected value is exactly the sorted copy's.
+///
+/// # Panics
+/// Panics on an empty sample, a `p` outside `[0, 100]`, or descending `ps`.
+pub fn percentiles_selected<const N: usize>(sample: &mut [f64], ps: [f64; N]) -> [f64; N] {
+    assert!(!sample.is_empty(), "percentile of empty sample");
+    assert!(
+        ps.windows(2).all(|w| w[0] <= w[1]),
+        "percentiles must ascend"
+    );
+    // `sample[..fixed]` holds the `fixed` smallest values, the last of them
+    // in its sorted place; ranks ascend, so a rank below `fixed` was
+    // selected already.
+    let mut fixed = 0;
+    ps.map(|p| {
+        assert!((0.0..=100.0).contains(&p), "p={p} out of range");
+        interpolate(sample.len(), p, |r| {
+            if r >= fixed {
+                sample[fixed..].select_nth_unstable_by(r - fixed, f64::total_cmp);
+                fixed = r + 1;
+            }
+            sample[r]
+        })
+    })
+}
+
+/// Linear interpolation between the order statistics (read through `at`)
+/// around percentile `p` of a sample of `len` values: the one formula
+/// behind [`percentile_sorted`] and [`percentiles_selected`].
+fn interpolate(len: usize, p: f64, mut at: impl FnMut(usize) -> f64) -> f64 {
+    let rank = p / 100.0 * (len - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at(lo) * (1.0 - frac) + at(hi) * frac
     }
 }
 
@@ -166,6 +204,49 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         for p in [0.0, 10.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
             assert_eq!(percentile(&v, p), percentile_sorted(&sorted, p), "p={p}");
+        }
+    }
+
+    /// Selecting the ranks gives the sorted copy's percentiles bit for bit,
+    /// duplicates and signed zeros included.
+    #[test]
+    fn selected_percentiles_match_the_sorted_reference() {
+        let samples: [&[f64]; 6] = [
+            &[42.5],
+            &[0.0, -0.0, 0.0, -0.0],
+            &[3.0, -1.0, 7.0, 7.0, 2.0, -0.0, 0.0],
+            &[1.0; 9],
+            &[5.0, 4.0, 3.0, 2.0, 1.0, 0.0, -0.0, -1.0],
+            &[
+                2.5, 2.5, -0.0, 9.0, 0.0, 2.5, -3.0, 9.0, 0.0, 1e-300, -1e-300, 2.5,
+            ],
+        ];
+        let bits = |v: [f64; 4]| v.map(f64::to_bits);
+        for v in samples {
+            let mut sorted = v.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let ps = [0.0, 50.0, 95.0, 99.0];
+            let mut scratch = v.to_vec();
+            let got = percentiles_selected(&mut scratch, ps);
+            assert_eq!(
+                bits(got),
+                bits(ps.map(|p| percentile_sorted(&sorted, p))),
+                "{v:?}"
+            );
+            let mut scratch = v.to_vec();
+            let [p99] = percentiles_selected(&mut scratch, [99.0]);
+            assert_eq!(p99.to_bits(), percentile_sorted(&sorted, 99.0).to_bits());
+        }
+        // A larger sample with many ties, at repeated and extreme ranks.
+        let v: Vec<f64> = (0..1000)
+            .map(|i| ((i * 7919) % 37) as f64 * 0.25 - 4.0)
+            .collect();
+        let mut sorted = v.clone();
+        sorted.sort_by(f64::total_cmp);
+        for ps in [[50.0, 95.0, 99.0], [50.0, 50.0, 100.0], [0.0, 0.1, 99.9]] {
+            let got = percentiles_selected(&mut v.clone(), ps);
+            let want = ps.map(|p| percentile_sorted(&sorted, p));
+            assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{ps:?}");
         }
     }
 
