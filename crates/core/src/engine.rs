@@ -297,7 +297,6 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // resident until claimed or dropped here.
                     alloc.free(e.donor).expect("retained donor resident");
                     pool.clear_reuse_discount(other as usize);
-                    self.est_cache.invalidate();
                     let (request, tokens) = (other, e.tokens);
                     journal.record(now, TraceEvent::SessionDrop { request, tokens });
                 }
@@ -307,7 +306,6 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // transcript minus the final sampled token, so it is
                     // strictly below the successor's prompt length.
                     pool.set_reuse_discount(succ as usize, held as u32);
-                    self.est_cache.invalidate();
                     let (request, tokens) = (succ as u64, held);
                     journal.record(now, TraceEvent::SessionRetain { request, tokens });
                     retained = true;
@@ -322,6 +320,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
             let succ = succ as usize;
             let at = now + s.turns[succ].think_s;
             release(pending, self.unreleased, pool, succ, at, now, self.queue);
+            // Also covers the reuse discounts dropped and granted above.
             self.est_cache.invalidate();
         }
         held
@@ -734,24 +733,14 @@ struct DecisionWork {
     certified: u64,
     /// The reference the lazy walk is measured against — counted only when
     /// a test sets it to `Some`, since it costs a full walk per decision.
-    full_walks: Option<FullWalks>,
-}
-
-/// What from-scratch estimate walks to the pool's capacity (the walk
-/// before it became lazy) would cover.
-#[derive(Default)]
-struct FullWalks {
-    /// Batches, summed over decisions.
-    batches: u64,
-    /// Positions, summed over the walks started (one per decision after
-    /// the queue changed).
-    walk_positions: u64,
+    #[cfg(test)]
+    full_walks: Option<tests::FullWalks>,
 }
 
 /// Batches and positions in a from-scratch estimate walk of `queue` that
 /// stops, as the walk once did, at the first batch start past `capacity`
-/// cumulative need: no query reads deeper. [`FullWalks`]' reference, and
-/// the estimate walk's initial size.
+/// cumulative need: no query reads deeper. The tests' reference for the
+/// lazy walk, and the estimate walk's initial size.
 fn full_walk(queue: Queue<'_>, pool: &RequestPool, capacity: u64) -> (u64, u64) {
     let mut it = queue.iter().peekable();
     let (mut batches, mut positions, mut need) = (0, 0, 0u64);
@@ -1000,17 +989,16 @@ impl TdRun<'_> {
         // its first launch, where the stop check starts to bind. Most
         // online prefill phases admit nothing and never get there. Of the
         // rest, most then find the queue head not yet arrived, which ends
-        // the phase whatever the planner says; only observers record
-        // which of the two stopped it, so an unobserved phase skips the
-        // read.
-        let observed = run.journal.is_enabled() || run.metrics.is_enabled();
+        // the phase with an arrival stop whatever the planner says, so
+        // the phase skips the read.
         let mut settled = false;
         // The queue's head may be an unreleased turn: it has not arrived,
         // so the packer records an arrival stop for it like any other.
         while let Some(&head) = self.pending.front().or(self.unreleased.front()) {
             if !settled && !pf.meta.is_empty() {
                 let clock = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
-                if !observed && run.pool.arrival(head) > clock {
+                if run.pool.arrival(head) > clock {
+                    record_stop(run, now, PrefillStopReason::Arrival, pf.admitted);
                     break;
                 }
                 settled = true;
@@ -1184,14 +1172,12 @@ impl TdRun<'_> {
                 run.stamp_admission(idx);
                 self.residents.push(idx);
                 pf.admitted += 1;
-                if run.journal.is_enabled() || run.metrics.is_enabled() {
-                    let reason = if run.pool.evictions(idx) > 0 {
-                        AdmitReason::Recompute
-                    } else {
-                        AdmitReason::FirstPrefill
-                    };
-                    record_admit(run, now, idx, t as u64, reason);
-                }
+                let reason = if run.pool.evictions(idx) > 0 {
+                    AdmitReason::Recompute
+                } else {
+                    AdmitReason::FirstPrefill
+                };
+                record_admit(run, now, idx, t as u64, reason);
             }
             record_stop(run, now, pack_stop, pf.admitted);
         }
@@ -1452,11 +1438,13 @@ impl TdRun<'_> {
     /// The §3.5 decision at `now`, for live batches of `mean_batch`
     /// members whose decode step takes `step`: switch to prefill when
     /// spatial intensity falls below the temporal intensity of the
-    /// estimated next prefill phase. Unobserved, two exact shortcuts
-    /// settle most decisions without the estimate (DESIGN.md §5
-    /// *Certified switch*): temporal intensity never exceeds 1, and the
-    /// walk's first batches often prove it beats spatial. Observers
-    /// journal the estimate itself, so they always take the exact path.
+    /// estimated next prefill phase. Two exact shortcuts settle most
+    /// decisions without the full estimate (DESIGN.md §5 *Certified
+    /// switch*): temporal intensity never exceeds 1, so saturated spatial
+    /// intensity decides on an empty estimate; and the walk's first
+    /// batches often prove the switch, which then decides on the
+    /// certificate's estimate `(l_cap, P_k)`. The journal and the metrics
+    /// plane record whichever estimate decided.
     fn intensity_switch(
         &mut self,
         run: &mut RunState,
@@ -1472,6 +1460,7 @@ impl TdRun<'_> {
         let free_tokens = self.alloc.free_blocks() * BLOCK_SIZE as u64;
         let dw = &mut *self.decisions;
         dw.decisions += 1;
+        #[cfg(test)]
         if let Some(full) = dw.full_walks.as_mut() {
             let (batches, positions) = full_walk(queue, &run.pool, eng.plan.token_capacity());
             full.batches += batches;
@@ -1479,15 +1468,18 @@ impl TdRun<'_> {
                 full.walk_positions += positions;
             }
         }
-        let observed = run.journal.is_enabled() || run.metrics.is_enabled();
         let spatial = self.comparator.spatial(mean_batch);
-        let bubble_cap = (self.est_cache.latency_cap - step).max(0.0);
-        let shortcut = if observed {
-            None
-        } else if spatial >= 1.0 {
+        let l_cap = self.est_cache.latency_cap;
+        let bubble_cap = (l_cap - step).max(0.0);
+        #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+        let (est, exact) = if spatial >= 1.0 {
             dw.saturated += 1;
-            Some(false)
-        } else if self.est_cache.certifies_switch(
+            let est = PrefillPhaseEstimate {
+                longest_job: 0.0,
+                phase_len: 0.0,
+            };
+            (est, false)
+        } else if let Some(phase_len) = self.est_cache.certifies_switch(
             queue,
             &run.pool,
             &eng.cost,
@@ -1495,33 +1487,31 @@ impl TdRun<'_> {
             spatial,
             bubble_cap,
         ) {
+            // `temporal` recomputes the certificate's bound with the same
+            // float operations, so this estimate decides "switch".
             dw.certified += 1;
-            Some(true)
+            let est = PrefillPhaseEstimate {
+                longest_job: l_cap,
+                phase_len,
+            };
+            (est, false)
         } else {
-            None
+            let est = self.est_cache.query(queue, &run.pool, &eng.cost, free_tokens);
+            (est, true)
         };
-        if let Some(verdict) = shortcut {
-            // Debug oracle: the exact decision agrees.
-            #[cfg(debug_assertions)]
-            {
-                let naive = eng.estimate_prefill_phase(queue, &run.pool, &self.alloc);
-                let exact = self.comparator.decide(mean_batch, &naive, step).switch;
-                debug_assert_eq!(exact, verdict, "shortcut disagrees with §3.5");
-            }
-            return verdict;
-        }
-        let est = self
-            .est_cache
-            .query(queue, &run.pool, &eng.cost, free_tokens);
-        // Debug cross-check: the memoized estimate must be bit-identical
-        // to the naive repack.
+        let scores = self.comparator.decide(mean_batch, &est, step);
+        // Debug oracle: the naive repack decides the same, and the exact
+        // estimate is bit-identical to it.
         #[cfg(debug_assertions)]
         {
             let naive = eng.estimate_prefill_phase(queue, &run.pool, &self.alloc);
-            debug_assert_eq!(est.longest_job.to_bits(), naive.longest_job.to_bits());
-            debug_assert_eq!(est.phase_len.to_bits(), naive.phase_len.to_bits());
+            if exact {
+                debug_assert_eq!(est.longest_job.to_bits(), naive.longest_job.to_bits());
+                debug_assert_eq!(est.phase_len.to_bits(), naive.phase_len.to_bits());
+            }
+            let verdict = self.comparator.decide(mean_batch, &naive, step).switch;
+            debug_assert_eq!(scores.switch, verdict, "decision disagrees with the naive repack");
         }
-        let scores = self.comparator.decide(mean_batch, &est, step);
         run.journal.record(
             now,
             TraceEvent::SwitchDecision {
@@ -1870,6 +1860,17 @@ mod tests {
         assert!(out.report.swapped_tokens > 0, "the scenario must swap");
     }
 
+    /// What from-scratch estimate walks to the pool's capacity (the walk
+    /// before it became lazy) would cover.
+    #[derive(Default)]
+    pub(super) struct FullWalks {
+        /// Batches, summed over decisions.
+        pub(super) batches: u64,
+        /// Positions, summed over the walks started (one per decision
+        /// after the queue changed).
+        pub(super) walk_positions: u64,
+    }
+
     /// A run through [`TdPipeEngine::run_impl`] with its work probe,
     /// checked to report exactly what [`TdPipeEngine::try_run`] does.
     fn probed_run(e: &TdPipeEngine, work: Workload<'_>) -> (RunOutcome, RunProbe) {
@@ -2019,21 +2020,25 @@ mod tests {
         .sample(n)
     }
 
-    /// TD-Pipe with session reuse on L20 or A100 GPUs, observed (metrics
-    /// on) or not.
-    fn reuse_engine(node: NodeSpec, observed: bool) -> TdPipeEngine {
+    /// TD-Pipe with session reuse on L20 or A100 GPUs, with the metrics
+    /// plane and the journal on or off.
+    fn reuse_engine(node: NodeSpec, metrics: bool, journal: bool) -> TdPipeEngine {
         let mut cfg = TdPipeConfig::default();
         cfg.engine.session_reuse = true;
-        cfg.engine.record_metrics = observed;
+        cfg.engine.record_metrics = metrics;
+        cfg.engine.record_trace = journal;
         TdPipeEngine::new(ModelSpec::llama2_13b(), &node, cfg).unwrap()
     }
 
-    /// Unobserved runs settle most §3.5 decisions by the shortcuts, runs
-    /// with the metrics plane on by the exact estimate, and the two give
-    /// byte-identical reports, closed loop and open loop. (Debug builds
-    /// also check every shortcut against the exact decision.)
+    /// Observers do not choose the decision code: with the metrics plane
+    /// on, a run settles the same §3.5 decisions by the same shortcuts as
+    /// an unobserved run and reports the same bytes, closed loop and open
+    /// loop; and a traced run journals every certified decision, and only
+    /// those, with the certificate's estimate (`l_cap` as its longest
+    /// job). Debug builds also check every decision against the naive
+    /// repack.
     #[test]
-    fn certified_and_exact_decisions_give_identical_reports() {
+    fn observers_settle_decisions_like_unobserved_runs() {
         let s = tdpipe_workload::SessionConfig::small(400, 9).generate();
         let t = trace(2_000);
         let arrivals = poisson(t.len(), 2.0);
@@ -2041,25 +2046,35 @@ mod tests {
             trace: &t,
             arrivals: &arrivals,
         };
+        let counts = |p: &RunProbe| {
+            let d = &p.decisions;
+            (d.decisions, d.saturated, d.certified)
+        };
         for work in [Workload::Sessions(&s), online] {
-            let (fast, fast_probe) = probed_run(&reuse_engine(NodeSpec::l20(4), false), work);
-            let (exact, exact_probe) = probed_run(&reuse_engine(NodeSpec::l20(4), true), work);
+            let node = || NodeSpec::l20(4);
+            let (plain, plain_probe) = probed_run(&reuse_engine(node(), false, false), work);
+            let (metered, metered_probe) = probed_run(&reuse_engine(node(), true, false), work);
             let json = |o: &RunOutcome| serde_json::to_string(&o.report).unwrap();
-            assert_eq!(json(&fast), json(&exact));
-            let (f, e) = (&fast_probe.decisions, &exact_probe.decisions);
-            assert_eq!(
-                f.decisions, e.decisions,
-                "the same decisions, settled two ways"
-            );
+            assert_eq!(json(&plain), json(&metered));
+            let (decisions, saturated, certified) = counts(&plain_probe);
+            assert_eq!(counts(&metered_probe), (decisions, saturated, certified));
             assert!(
-                2 * (f.certified + f.saturated) > f.decisions,
+                2 * (certified + saturated) > decisions,
                 "shortcuts settle most"
             );
-            assert_eq!(
-                e.certified + e.saturated,
-                0,
-                "observed runs take the exact path"
-            );
+            let (traced, traced_probe) = probed_run(&reuse_engine(node(), false, true), work);
+            assert_eq!(counts(&traced_probe), (decisions, saturated, certified));
+            let l_cap = traced_probe.est_cache.latency_cap;
+            let journalled = traced
+                .journal
+                .events()
+                .iter()
+                .filter(|e| {
+                    matches!(e.event, TraceEvent::SwitchDecision { est_longest, .. }
+                        if est_longest == l_cap)
+                })
+                .count() as u64;
+            assert_eq!(journalled, certified);
         }
     }
 
@@ -2074,7 +2089,7 @@ mod tests {
     fn session_decisions_are_certified_from_the_first_batches() {
         let s = tdpipe_workload::SessionConfig::small(800, 5).generate();
         for (node, percent) in [(NodeSpec::a100(4), 5), (NodeSpec::l20(4), 10)] {
-            let (_, probe) = probed_run(&reuse_engine(node, false), Workload::Sessions(&s));
+            let (_, probe) = probed_run(&reuse_engine(node, false, false), Workload::Sessions(&s));
             let d = &probe.decisions;
             let full = d.full_walks.as_ref().unwrap().batches;
             let walked = probe.est_cache.walked_batches;

@@ -148,6 +148,7 @@ impl PrefillEstimateCache {
 
     /// Whether the current walk still matches the queue (a query extends
     /// it rather than starting a new one).
+    #[cfg(test)]
     pub fn is_valid(&self) -> bool {
         self.valid
     }
@@ -195,13 +196,14 @@ impl PrefillEstimateCache {
         }
     }
 
-    /// Whether the walk's whole batches within the `free_tokens` cut
-    /// prove that §3.5 switches: temporal intensity `1 − b/(P + b)` above
-    /// `spatial`, with `P` the phase length through them (a lower bound on
-    /// the estimate's) and `b = bubble_cap`, a bound on its bubble. The
-    /// walk is extended one batch at a time and stops at the first that
-    /// proves it. `false` means only "not proven": the exact estimate must
-    /// decide, over a walk that has reached the cut or the queue's end.
+    /// The phase length `P` of the walk's whole batches within the
+    /// `free_tokens` cut (a lower bound on the estimate's), if it proves
+    /// that §3.5 switches: temporal intensity `1 − b/(P + b)` above
+    /// `spatial`, with `b = bubble_cap`, a bound on the estimate's bubble.
+    /// The walk is extended one batch at a time and stops at the first
+    /// that proves it. `None` means only "not proven": the exact estimate
+    /// must decide, over a walk that has reached the cut or the queue's
+    /// end.
     pub fn certifies_switch(
         &mut self,
         queue: Queue<'_>,
@@ -210,27 +212,24 @@ impl PrefillEstimateCache {
         free_tokens: u64,
         spatial: f64,
         bubble_cap: f64,
-    ) -> bool {
+    ) -> Option<f64> {
         self.start();
-        let proves = |p: f64| 1.0 - bubble_cap / (p + bubble_cap) > spatial + CERTIFY_MARGIN;
+        let proves =
+            |p: f64| (1.0 - bubble_cap / (p + bubble_cap) > spatial + CERTIFY_MARGIN).then_some(p);
         let k = self.steps.partition_point(|s| s.need_end <= free_tokens);
         if let Some(s) = self.steps.get(k) {
             // The walk already reaches the cut: its batches before it are
             // all a certificate can use.
             return proves(s.closed_phase_len);
         }
-        if proves(self.phase_len) {
-            return true;
-        }
-        while let Some(s) = self.extend(queue, pool, cost) {
-            if s.need_end > free_tokens {
-                return false;
+        loop {
+            if let Some(p) = proves(self.phase_len) {
+                return Some(p);
             }
-            if proves(self.phase_len) {
-                return true;
+            if self.extend(queue, pool, cost)?.need_end > free_tokens {
+                return None;
             }
         }
-        false
     }
 
     /// Start a new walk from the queue's front unless the current one is
@@ -286,7 +285,10 @@ impl PrefillEstimateCache {
             latency: self.job.latency(),
             bottleneck: self.job.bottleneck(),
         };
-        debug_assert!(step.latency <= self.latency_cap, "batch latency above l_cap");
+        debug_assert!(
+            step.latency <= self.latency_cap,
+            "batch latency above l_cap"
+        );
         self.need = step.need_end;
         self.longest = self.longest.max(step.latency);
         self.phase_len += step.bottleneck;

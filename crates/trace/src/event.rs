@@ -133,17 +133,23 @@ pub enum TraceEvent {
         /// Evicted request id.
         victim: u64,
     },
-    /// One §3.5 spatial-vs-temporal comparison at a decode step.
+    /// One §3.5 spatial-vs-temporal comparison at a decode step, with the
+    /// next-prefill-phase estimate that decided it: zeros when spatial
+    /// intensity is saturated (at or above 1, so no switch), `(l_cap, P_k)`
+    /// when the estimate walk's first `k` batches certified the switch
+    /// (`l_cap` bounds every prefill batch's latency, `P_k` is those
+    /// batches' phase length), and the exact estimate otherwise.
     SwitchDecision {
         /// Spatial intensity (current decode batch utilisation proxy).
         spatial: f64,
-        /// Temporal intensity (estimated post-switch utilisation).
+        /// Temporal intensity of the estimate (a lower bound on the exact
+        /// one when certified).
         temporal: f64,
         /// Decode batch size the comparison saw.
         batch: usize,
-        /// Estimated longest remaining decode length (steps).
+        /// Latency of the estimate's longest prefill job (seconds).
         est_longest: f64,
-        /// Estimated decode-phase length after a switch (steps).
+        /// Length of the estimated next prefill phase (seconds).
         est_phase_len: f64,
         /// Whether the comparator ordered a decode→prefill switch.
         switch: bool,

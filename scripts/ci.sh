@@ -16,10 +16,10 @@
 #  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
 #      (incremental planner vs a from-scratch rebuild, cached vs naive
 #      prefill estimate, the exact §3.5 decision at every certified or
-#      saturated shortcut, every priced estimate batch vs the run's
-#      latency cap, cohort reset, the split pending queue's layout and
-#      each session release's binary-searched positions vs a linear
-#      walk) compile out
+#      saturated shortcut, in observed and unobserved runs alike, every
+#      priced estimate batch vs the run's latency cap, cohort reset, the
+#      split pending queue's layout and each session release's
+#      binary-searched positions vs a linear walk) compile out
 #      of release builds, so the core crate's tests and the root golden,
 #      determinism and runtime-equivalence tests run again in the debug
 #      profile, where a missed estimate-cache invalidation or a drifted
