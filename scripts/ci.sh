@@ -26,6 +26,11 @@
 #      planner fails loudly — on the simulator and on the threaded plane
 #      alike
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
+#  4b. figure artifacts: every figure binary reruns at its default
+#      request count into a temp dir (`scripts/figures.sh --check`,
+#      ~3 s), and every tracked file under `results/` except `smoke/`
+#      must match byte for byte, `full_run.log` included; regenerate
+#      deliberately with `scripts/figures.sh`
 #   5. flight-recorder smoke: a traced CLI run whose Chrome-trace export
 #      must pass the schema validator
 #   6. metrics-regression gate: a metered 200-request run diffed against
@@ -102,6 +107,9 @@ cargo test -q --test baseline_golden --test determinism --test runtime_equivalen
 
 step "smoke (bit-identical fig11 snapshot)"
 scripts/smoke.sh
+
+step "figure artifacts (results/ is what the binaries write)"
+scripts/figures.sh --check
 
 step "trace export smoke (schema-valid Chrome trace)"
 trace_tmp="$(mktemp -d)"
@@ -205,4 +213,4 @@ done
 step "non-test lines per crate (advisory)"
 scripts/loc.sh || true
 
-printf '\nci OK: build + layering + tests + debug oracles + smoke + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'
+printf '\nci OK: build + layering + tests + debug oracles + smoke + figure artifacts + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'
