@@ -194,14 +194,8 @@ impl BaselineEngine {
         cfg: EngineConfig,
     ) -> Result<Self, InfeasibleConfig> {
         let (plan, shape) = match layout {
-            Layout::Tensor => (
-                MemoryPlan::tensor(&model, node, cfg.mem_reserve_bytes),
-                "tensor shards",
-            ),
-            Layout::Pipeline => (
-                MemoryPlan::pipeline(&model, node, cfg.mem_reserve_bytes),
-                "pipeline stages",
-            ),
+            Layout::Tensor => (MemoryPlan::tensor(&model, node), "tensor shards"),
+            Layout::Pipeline => (MemoryPlan::pipeline(&model, node), "pipeline stages"),
         };
         let plan = plan.ok_or_else(|| InfeasibleConfig {
             reason: format!(

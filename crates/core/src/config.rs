@@ -27,6 +27,11 @@ pub const ENGINE_OVERHEAD: f64 = 1.0e-3;
 /// thread on the critical path (`crate::control::ControlPlane`).
 pub const CONTROL_PER_SEQ: f64 = 30.0e-6;
 
+/// Per-GPU bytes reserved for activations and workspace, subtracted
+/// from every layout's KV budget (like vLLM's `gpu_memory_utilization`
+/// headroom).
+pub const MEM_RESERVE_BYTES: u64 = 2 * (1 << 30);
+
 /// Fraction of KV blocks kept free as admission watermark during prefill
 /// (vLLM's 1% guard against immediate thrashing).
 pub const WATERMARK: f64 = 0.01;
@@ -60,9 +65,6 @@ pub struct EngineConfig {
     /// from execution and overrides this to [`TransferMode::Async`]
     /// (see [`TdPipeConfig::default`]).
     pub transfer_mode: TransferMode,
-    /// Per-GPU bytes reserved for activations/workspace (subtracted from
-    /// the KV budget, like vLLM's `gpu_memory_utilization` headroom).
-    pub mem_reserve_bytes: u64,
     /// Token budget per hybrid-batching iteration (chunked prefill).
     pub chunk_token_budget: u32,
     /// Maximum concurrently running sequences per scheduler instance
@@ -106,7 +108,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             transfer_mode: TransferMode::Rendezvous,
-            mem_reserve_bytes: 2 * (1 << 30),
             chunk_token_budget: 512,
             max_num_seqs: Some(1024),
             record_timeline: false,
@@ -165,11 +166,6 @@ pub struct TdPipeConfig {
     pub d2p: D2pPolicy,
     /// Inter-batch work stealing on/off (paper §3.4 / Fig. 15).
     pub work_stealing: bool,
-    /// Use the LM-head-aware pipeline partition (an extension beyond the
-    /// paper: shave layers off the last stage to offset its LM-head work,
-    /// which otherwise bottlenecks every decode round for large-vocab or
-    /// small-hidden models). Off by default for paper fidelity.
-    pub lm_head_aware_partition: bool,
 }
 
 impl Default for TdPipeConfig {
@@ -185,7 +181,6 @@ impl Default for TdPipeConfig {
             p2d: P2dPolicy::Greedy,
             d2p: D2pPolicy::Intensity,
             work_stealing: true,
-            lm_head_aware_partition: false,
         }
     }
 }

@@ -42,7 +42,8 @@ pub struct PpCost {
 }
 
 impl PpCost {
-    /// Price jobs for `model` split layer-wise over all GPUs of `node`.
+    /// Price jobs for `model` split evenly layer-wise over all GPUs of
+    /// `node` ([`PipelinePartition::balanced`]).
     pub fn new(model: ModelSpec, node: &NodeSpec) -> Self {
         let partition = PipelinePartition::balanced(&model, node.num_gpus);
         PpCost {
@@ -51,59 +52,6 @@ impl PpCost {
             model,
             partition,
         }
-    }
-
-    /// Price jobs with an explicit (e.g. LM-head-aware) partition.
-    pub fn with_partition(model: ModelSpec, node: &NodeSpec, partition: PipelinePartition) -> Self {
-        assert_eq!(partition.num_stages(), node.num_gpus, "one stage per GPU");
-        PpCost {
-            kernel: node.kernel(),
-            interconnect: node.interconnect.clone(),
-            model,
-            partition,
-        }
-    }
-
-    /// An LM-head-aware partition: shave layers off the last stage until
-    /// its decode-step time (layers + LM head) stops exceeding the other
-    /// stages' — the boundary extras otherwise make the last stage the
-    /// permanent pipeline bottleneck, especially for large vocabularies.
-    ///
-    /// `batch_hint` is the representative decode batch size used for the
-    /// balance computation.
-    pub fn lm_head_aware_partition(
-        model: &ModelSpec,
-        node: &NodeSpec,
-        batch_hint: usize,
-    ) -> PipelinePartition {
-        let n = node.num_gpus;
-        if n <= 1 {
-            return PipelinePartition::balanced(model, n);
-        }
-        let kernel = node.kernel();
-        let work = model.decode_layer_work(batch_hint, batch_hint as u64 * 300);
-        let t_layer = kernel.layer_time(&work);
-        let t_head = kernel.layer_time(&model.lm_head_work(batch_hint as u64));
-        let base = model.layers / n;
-        // Layers to move off the last stage (≥0, keep at least one there).
-        // analyzer: allow(lossy-float-cast) — both times are positive and
-        // the ratio is a handful of layers; `.min(base-1)` clamps the
-        // result into range, so round-to-nearest is the intent.
-        let shift = ((t_head / t_layer).round() as u32).min(base.saturating_sub(1));
-        let mut counts = vec![0u32; n as usize];
-        let mut remaining = model.layers;
-        let last = (base - shift).max(1);
-        counts[n as usize - 1] = last;
-        remaining -= last;
-        // Spread the rest as evenly as possible over the first n-1 stages.
-        let front = n as usize - 1;
-        for (i, c) in counts.iter_mut().take(front).enumerate() {
-            let share = remaining.div_ceil((front - i) as u32);
-            *c = share;
-            remaining -= share;
-        }
-        debug_assert_eq!(remaining, 0);
-        PipelinePartition::from_layer_counts(model, &counts)
     }
 
     /// Number of pipeline stages.
@@ -465,61 +413,57 @@ mod tests {
 
     /// Pricing each kernel once per job gives every stage exactly the time
     /// [`KernelModel::stage_time`] computes for it, on decode and prefill
-    /// shapes, balanced and LM-head-aware partitions, one to eight stages.
+    /// shapes, one to eight stages. Three and six stages split the 40
+    /// layers unevenly (14/13/13 and 7,7,7,7,6,6).
     #[test]
     fn staged_jobs_match_the_per_stage_formula_bit_for_bit() {
         let model = ModelSpec::llama2_13b();
-        for gpus in [1, 2, 4, 8] {
+        for gpus in [1, 2, 3, 4, 6, 8] {
             let node = NodeSpec::l20(gpus);
-            let aware = PpCost::lm_head_aware_partition(&model, &node, 256);
-            for c in [
-                PpCost::new(model.clone(), &node),
-                PpCost::with_partition(model.clone(), &node, aware),
+            let c = PpCost::new(model.clone(), &node);
+            let reference = |work: &LayerWork, logits: u64, embed: u64| -> Vec<u64> {
+                c.partition()
+                    .stages()
+                    .iter()
+                    .map(|a| {
+                        let mut extras = Vec::new();
+                        if a.has_embedding && embed > 0 {
+                            extras.push(model.embedding_work(embed));
+                        }
+                        if a.has_lm_head && logits > 0 {
+                            extras.push(model.lm_head_work(logits));
+                        }
+                        c.kernel.stage_time(work, a.layer_count, &extras).to_bits()
+                    })
+                    .collect()
+            };
+            let bits = |job: &StagedJob| -> Vec<u64> {
+                job.exec.iter().map(|t| t.to_bits()).collect()
+            };
+            for batch in [0, 1, 7, 64, 512, 4096] {
+                for ctx_per in [0, 1, 300, 4000] {
+                    let ctx = batch as u64 * ctx_per;
+                    let work = model.decode_layer_work(batch, ctx);
+                    let want = reference(&work, batch as u64, batch as u64);
+                    assert_eq!(
+                        bits(&c.decode_job(batch, ctx)),
+                        want,
+                        "decode {batch}x{ctx_per}"
+                    );
+                }
+            }
+            for lens in [
+                &[][..],
+                &[1],
+                &[17, 3],
+                &[512; 8],
+                &[4096],
+                &[1; 64],
+                &[2048, 1, 900],
             ] {
-                let reference = |work: &LayerWork, logits: u64, embed: u64| -> Vec<u64> {
-                    c.partition()
-                        .stages()
-                        .iter()
-                        .map(|a| {
-                            let mut extras = Vec::new();
-                            if a.has_embedding && embed > 0 {
-                                extras.push(model.embedding_work(embed));
-                            }
-                            if a.has_lm_head && logits > 0 {
-                                extras.push(model.lm_head_work(logits));
-                            }
-                            c.kernel.stage_time(work, a.layer_count, &extras).to_bits()
-                        })
-                        .collect()
-                };
-                let bits = |job: &StagedJob| -> Vec<u64> {
-                    job.exec.iter().map(|t| t.to_bits()).collect()
-                };
-                for batch in [0, 1, 7, 64, 512, 4096] {
-                    for ctx_per in [0, 1, 300, 4000] {
-                        let ctx = batch as u64 * ctx_per;
-                        let work = model.decode_layer_work(batch, ctx);
-                        let want = reference(&work, batch as u64, batch as u64);
-                        assert_eq!(
-                            bits(&c.decode_job(batch, ctx)),
-                            want,
-                            "decode {batch}x{ctx_per}"
-                        );
-                    }
-                }
-                for lens in [
-                    &[][..],
-                    &[1],
-                    &[17, 3],
-                    &[512; 8],
-                    &[4096],
-                    &[1; 64],
-                    &[2048, 1, 900],
-                ] {
-                    let work = model.prefill_layer_work(lens);
-                    let want = reference(&work, lens.len() as u64, work.tokens);
-                    assert_eq!(bits(&c.prefill_job(lens)), want, "prefill {lens:?}");
-                }
+                let work = model.prefill_layer_work(lens);
+                let want = reference(&work, lens.len() as u64, work.tokens);
+                assert_eq!(bits(&c.prefill_job(lens)), want, "prefill {lens:?}");
             }
         }
     }

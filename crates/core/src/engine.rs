@@ -378,24 +378,13 @@ impl TdPipeEngine {
                 ),
             });
         }
-        let partition = if cfg.lm_head_aware_partition {
-            PpCost::lm_head_aware_partition(&model, node, 256)
-        } else {
-            tdpipe_model::PipelinePartition::balanced(&model, node.num_gpus)
-        };
-        let plan = MemoryPlan::pipeline_with(
-            &model,
-            node,
-            &partition,
-            cfg.engine.mem_reserve_bytes,
-        )
-        .ok_or_else(|| InfeasibleConfig {
+        let plan = MemoryPlan::pipeline(&model, node).ok_or_else(|| InfeasibleConfig {
             reason: format!(
                 "{} does not fit {}x{} pipeline stages",
                 model.name, node.num_gpus, node.gpu.name
             ),
         })?;
-        let cost = PpCost::with_partition(model, node, partition);
+        let cost = PpCost::new(model, node);
         Ok(TdPipeEngine { cfg, cost, plan })
     }
 

@@ -62,35 +62,6 @@ impl PipelinePartition {
         PipelinePartition { stages }
     }
 
-    /// Build a partition from explicit per-stage layer counts (for
-    /// balancers that offset boundary-stage extras like the LM head).
-    ///
-    /// # Panics
-    /// Panics if the counts are empty, contain a zero, or do not sum to
-    /// the model's layer count.
-    pub fn from_layer_counts(model: &ModelSpec, counts: &[u32]) -> Self {
-        assert!(!counts.is_empty(), "need at least one stage");
-        assert!(counts.iter().all(|&c| c > 0), "every stage needs a layer");
-        assert_eq!(
-            counts.iter().sum::<u32>(),
-            model.layers,
-            "layer counts must cover the model exactly"
-        );
-        let mut stages = Vec::with_capacity(counts.len());
-        let mut next_layer = 0;
-        for (s, &count) in counts.iter().enumerate() {
-            stages.push(StageAssignment {
-                stage: s as u32,
-                layer_start: next_layer,
-                layer_count: count,
-                has_embedding: s == 0,
-                has_lm_head: s + 1 == counts.len(),
-            });
-            next_layer += count;
-        }
-        PipelinePartition { stages }
-    }
-
     /// Number of pipeline stages.
     #[inline]
     pub fn num_stages(&self) -> u32 {

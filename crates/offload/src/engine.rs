@@ -4,7 +4,9 @@
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
 use tdpipe_baselines::common::{make_lanes, stall, Lane};
-use tdpipe_core::config::{EngineConfig, BLOCK_SIZE, ENGINE_OVERHEAD, PREFILL_TOKEN_BUDGET};
+use tdpipe_core::config::{
+    EngineConfig, BLOCK_SIZE, ENGINE_OVERHEAD, MEM_RESERVE_BYTES, PREFILL_TOKEN_BUDGET,
+};
 use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::exec::{PipelineExecutor, SimExecutor};
@@ -38,7 +40,7 @@ impl OffloadEngine {
         host_mem_bytes: u64,
         cfg: EngineConfig,
     ) -> Result<Self, InfeasibleConfig> {
-        if kv_budget_bytes(node.gpu.mem_bytes, model.weight_bytes(), cfg.mem_reserve_bytes) == 0 {
+        if kv_budget_bytes(node.gpu.mem_bytes, model.weight_bytes(), MEM_RESERVE_BYTES) == 0 {
             return Err(InfeasibleConfig {
                 reason: format!(
                     "{} weights do not fit one {} (KV offloading spills cache, not weights)",

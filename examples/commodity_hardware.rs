@@ -37,7 +37,7 @@ fn main() {
         for gpus in [1u32, 2, 4, 8] {
             let node = node_fn(gpus);
             let e = EngineConfig::default();
-            let cap = MemoryPlan::pipeline(&model, &node, e.mem_reserve_bytes);
+            let cap = MemoryPlan::pipeline(&model, &node);
             let td = TdPipeEngine::new(model.clone(), &node, TdPipeConfig::default())
                 .ok()
                 .map(|e| e.run(&trace, &OraclePredictor).report.throughput_total());

@@ -23,7 +23,6 @@ use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use tdpipe::baselines::{tdpipe_config, Scheduler};
-use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::TdPipeConfig;
 use tdpipe::fleet::{
@@ -570,8 +569,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
             use tdpipe::core::MemoryPlan;
             println!("model  : {} ({:.1} GB weights)", model.name, model.weight_bytes() as f64 / 1e9);
             println!("node   : {}x {} ({} GB each)", gpus, node.gpu.name, node.gpu.mem_bytes >> 30);
-            let e = EngineConfig::default();
-            match MemoryPlan::pipeline(&model, &node, e.mem_reserve_bytes) {
+            match MemoryPlan::pipeline(&model, &node) {
                 Some(p) => println!(
                     "PP plan: {} KV blocks = {} tokens (binding stage)",
                     p.kv_blocks,
@@ -581,7 +579,7 @@ fn real_main(argv: &[String]) -> Result<ExitCode, String> {
                     "PP plan: infeasible (more stages than layers, or stage weights overflow)"
                 ),
             }
-            match MemoryPlan::tensor(&model, &node, e.mem_reserve_bytes) {
+            match MemoryPlan::tensor(&model, &node) {
                 Some(p) => println!(
                     "TP plan: {} KV blocks = {} tokens (pooled)",
                     p.kv_blocks,

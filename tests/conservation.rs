@@ -91,9 +91,8 @@ fn huge_single_request_is_a_clean_panic() {
     requests[1].input_len = 2_000_000; // no KV pool holds this
     let trace = Trace::new(requests);
     let node = NodeSpec::tiny_test(1);
-    let mut cfg = TdPipeConfig::default();
-    cfg.engine.mem_reserve_bytes = 1 << 30;
-    let engine = TdPipeEngine::new(ModelSpec::tiny_test(), &node, cfg).unwrap();
+    let engine =
+        TdPipeEngine::new(ModelSpec::tiny_test(), &node, TdPipeConfig::default()).unwrap();
     let t = trace.clone();
     let result = std::panic::catch_unwind(move || engine.run(&t, &OraclePredictor));
     assert!(result.is_err(), "oversized request must panic, not hang");
