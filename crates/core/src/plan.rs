@@ -13,8 +13,8 @@
 //!   capacity.
 //!
 //! A layout is *infeasible* when weights alone (plus
-//! [`MEM_RESERVE_BYTES`]) overflow a device — e.g. Llama2-70B on fewer than 2×A100 — mirroring the blank
-//! entries in the paper's Figure 11.
+//! [`MEM_RESERVE_BYTES`]) overflow a device — e.g. Llama2-70B on fewer
+//! than 2×A100 — mirroring the blank entries in the paper's Figure 11.
 
 use crate::config::{BLOCK_SIZE, MEM_RESERVE_BYTES};
 use serde::{Deserialize, Serialize};
