@@ -83,14 +83,12 @@ fn main() {
     let decode_peak = out
         .occupancy
         .samples()
-        .iter()
         .filter(|s| s.phase == Phase::Decode)
         .map(|s| s.occupancy)
         .fold(0.0f64, f64::max);
     let decode_min_tail = out
         .occupancy
         .samples()
-        .iter()
         .rev()
         .take(50)
         .map(|s| s.occupancy)

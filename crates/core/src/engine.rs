@@ -40,7 +40,7 @@ use crate::request::{Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
-use tdpipe_kvcache::{BlockAllocator, OccupancyTrace, Phase, SessionRetainer};
+use tdpipe_kvcache::{used_fraction, BlockAllocator, OccupancyTrace, Phase, SessionRetainer};
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
@@ -384,6 +384,12 @@ impl TdPipeEngine {
                 model.name, node.num_gpus, node.gpu.name
             ),
         })?;
+        // The occupancy trace stores used-block counts as `u32`.
+        if u32::try_from(plan.kv_blocks).is_err() {
+            return Err(InfeasibleConfig {
+                reason: format!("a KV pool of {} blocks exceeds u32", plan.kv_blocks),
+            });
+        }
         let cost = PpCost::new(model, node);
         Ok(TdPipeEngine { cfg, cost, plan })
     }
@@ -591,7 +597,10 @@ impl TdPipeEngine {
             // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
             // round-up direction is the conservative one for admission.
             watermark_blocks: (self.plan.kv_blocks as f64 * WATERMARK).ceil() as u64,
-            occupancy: OccupancyTrace::new(),
+            // `new` refused pools whose block count exceeds `u32`.
+            occupancy: OccupancyTrace::for_pool(
+                u32::try_from(self.plan.kv_blocks).unwrap_or(u32::MAX),
+            ),
             phases: Vec::new(),
             phase_switches: 0,
             open: None,
@@ -769,9 +778,9 @@ struct PrefillPhase {
     seq: u64,
     /// Members of this phase's batches, in launch order.
     members: Vec<usize>,
-    /// Per launched batch: its range in `members` and the KV occupancy at
-    /// launch.
-    meta: Vec<(usize, usize, f64)>,
+    /// Per launched batch: its range in `members` and the KV blocks used
+    /// at launch.
+    meta: Vec<(usize, usize, u64)>,
     /// Batches whose completion has been collected.
     collected: usize,
     /// Latest completion so far, never before the packing clock: the
@@ -1149,7 +1158,7 @@ impl TdRun<'_> {
             run.metrics.on_prefill_batch(pf.batch.len(), batch_tokens as u64);
             let start = pf.members.len();
             pf.members.extend_from_slice(&pf.batch);
-            pf.meta.push((start, pf.members.len(), self.alloc.occupancy()));
+            pf.meta.push((start, pf.members.len(), self.alloc.used_blocks()));
             for (&idx, &t) in pf.batch.iter().zip(&pf.seq_lens) {
                 run.pool.note_prefill(idx, t);
                 // The planner tracks *residency*, not prefill work: on a
@@ -1179,7 +1188,7 @@ impl TdRun<'_> {
     /// first tokens and take the Fig. 12 occupancy sample.
     fn prefill_done(&mut self, run: &mut RunState, finish: f64) {
         let pf = &mut self.prefill;
-        let (start, end, occ) = pf.meta[pf.collected];
+        let (start, end, used) = pf.meta[pf.collected];
         pf.collected += 1;
         // Completion stamps are monotone (the pipeline retires jobs in
         // launch order); the running max guards the journal's time order
@@ -1190,8 +1199,9 @@ impl TdRun<'_> {
             let request = run.pool.id(idx).0;
             run.journal.record(pf.end, TraceEvent::PrefillDone { request });
         }
-        self.occupancy.push(finish, occ, Phase::Prefill);
+        self.occupancy.push(finish, used, Phase::Prefill);
         let queued = self.pending.len() + self.unreleased.len();
+        let occ = used_fraction(used, self.alloc.num_blocks());
         run.metrics.sample(finish, occ, 0, 0, queued);
     }
 
@@ -1369,7 +1379,7 @@ impl TdRun<'_> {
             }
             run.metrics.on_steal(moved.withheld, moved.supplemented);
         }
-        self.occupancy.push(now, self.alloc.occupancy(), Phase::Decode);
+        self.occupancy.push(now, self.alloc.used_blocks(), Phase::Decode);
         // 3) Decode→prefill decision, asked only once the queue's head has
         //    arrived: a prefill phase opened before then admits nothing and
         //    only drains and refills the pipeline. The head test is exact:

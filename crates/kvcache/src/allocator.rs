@@ -75,6 +75,16 @@ impl AllocStats {
     }
 }
 
+/// `used` of `num_blocks` blocks as a fraction in `[0, 1]`; an empty pool
+/// reads full. The one formula behind [`BlockAllocator::occupancy`] and
+/// [`OccupancyTrace`](crate::OccupancyTrace)'s samples.
+pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
+    if num_blocks == 0 {
+        return 1.0;
+    }
+    used as f64 / num_blocks as f64
+}
+
 /// A fixed pool of KV blocks with per-request accounting.
 ///
 /// `block_size` tokens fit in one block; a request holding `t` tokens owns
@@ -169,10 +179,7 @@ impl BlockAllocator {
 
     /// Used fraction of the pool in `[0, 1]` — Figure 12's y-axis.
     pub fn occupancy(&self) -> f64 {
-        if self.num_blocks == 0 {
-            return 1.0;
-        }
-        self.used_blocks as f64 / self.num_blocks as f64
+        used_fraction(self.used_blocks, self.num_blocks)
     }
 
     /// Number of resident requests.

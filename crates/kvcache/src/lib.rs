@@ -26,7 +26,7 @@ pub mod allocator;
 pub mod session;
 pub mod usage;
 
-pub use allocator::{AllocStats, BlockAllocator, KvError};
+pub use allocator::{used_fraction, AllocStats, BlockAllocator, KvError};
 pub use session::{RetainStats, RetainedKv, SessionRetainer};
 pub use usage::{OccupancySample, OccupancyTrace, Phase};
 

@@ -1,6 +1,7 @@
 //! Occupancy time series (the data behind paper Figure 12).
 
-use serde::{Deserialize, Serialize};
+use crate::allocator::used_fraction;
+use serde::{Deserialize, Serialize, Serializer};
 
 /// Which phase the engine was in when a sample was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -33,80 +34,96 @@ pub struct OccupancySample {
     pub phase: Phase,
 }
 
-/// An append-only occupancy trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// An append-only occupancy trace, stored as columns: each sample's time
+/// and used blocks, plus where each contiguous phase run starts. A sample's
+/// occupancy is rebuilt as `used / num_blocks` with
+/// [`BlockAllocator::occupancy`](crate::BlockAllocator::occupancy)'s
+/// formula, so it is bit-identical to the allocator's reading at the time.
+/// Serializes as `{"samples":[{"time","occupancy","phase"}, ..]}`.
+#[derive(Debug, Clone, Default)]
 pub struct OccupancyTrace {
-    samples: Vec<OccupancySample>,
+    /// Pool size in blocks (fits `u32`, so every used count does too).
+    num_blocks: u32,
+    times: Vec<f64>,
+    used: Vec<u32>,
+    /// `(first sample, phase)` of each contiguous phase run.
+    runs: Vec<(usize, Phase)>,
 }
 
 impl OccupancyTrace {
-    /// An empty trace.
+    /// An empty trace for engines that record no occupancy.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty trace pre-sized for `cap` samples (engines that sample
-    /// per decode step know the scale up front).
-    pub fn with_capacity(cap: usize) -> Self {
+    /// An empty trace over a pool of `num_blocks` blocks.
+    pub fn for_pool(num_blocks: u32) -> Self {
         OccupancyTrace {
-            samples: Vec::with_capacity(cap),
+            num_blocks,
+            ..Self::default()
         }
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.times.len()
     }
 
     /// True when no sample was recorded (e.g. recording gated off).
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.times.is_empty()
     }
 
-    /// Append a sample (times should be non-decreasing; enforced in debug).
-    pub fn push(&mut self, time: f64, occupancy: f64, phase: Phase) {
+    /// Append a sample of `used_blocks` of the pool (times should be
+    /// non-decreasing; enforced in debug).
+    pub fn push(&mut self, time: f64, used_blocks: u64, phase: Phase) {
         debug_assert!(
-            self.samples.last().is_none_or(|s| time >= s.time),
+            self.times.last().is_none_or(|&t| time >= t),
             "occupancy samples must be time-ordered"
         );
-        self.samples.push(OccupancySample {
-            time,
-            occupancy,
-            phase,
-        });
+        debug_assert!(
+            used_blocks <= u64::from(self.num_blocks),
+            "more blocks used than the pool has"
+        );
+        if self.runs.last().is_none_or(|&(_, p)| p != phase) {
+            self.runs.push((self.times.len(), phase));
+        }
+        self.times.push(time);
+        self.used.push(used_blocks as u32);
+    }
+
+    /// Sample `i`.
+    fn sample(&self, i: usize) -> OccupancySample {
+        let run = self.runs.partition_point(|&(start, _)| start <= i) - 1;
+        OccupancySample {
+            time: self.times[i],
+            occupancy: used_fraction(u64::from(self.used[i]), u64::from(self.num_blocks)),
+            phase: self.runs[run].1,
+        }
     }
 
     /// All samples in time order.
-    pub fn samples(&self) -> &[OccupancySample] {
-        &self.samples
+    pub fn samples(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = OccupancySample> + ExactSizeIterator + '_ {
+        (0..self.len()).map(|i| self.sample(i))
     }
 
     /// Highest occupancy observed.
     pub fn peak(&self) -> f64 {
-        self.samples
-            .iter()
-            .map(|s| s.occupancy)
-            .fold(0.0, f64::max)
+        self.samples().map(|s| s.occupancy).fold(0.0, f64::max)
     }
 
     /// Number of contiguous phase runs (a proxy for phase switches: Fig. 12
     /// alternates prefill/decode bands).
     pub fn phase_runs(&self) -> usize {
-        let mut runs = 0;
-        let mut last: Option<Phase> = None;
-        for s in &self.samples {
-            if last != Some(s.phase) {
-                runs += 1;
-                last = Some(s.phase);
-            }
-        }
-        runs
+        self.runs.len()
     }
 
     /// CSV export: `time,occupancy,phase`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time,occupancy,phase\n");
-        for s in &self.samples {
+        for s in self.samples() {
             out.push_str(&format!(
                 "{:.6},{:.4},{}\n",
                 s.time,
@@ -118,28 +135,47 @@ impl OccupancyTrace {
     }
 }
 
+impl Serialize for OccupancyTrace {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        ser.begin_map();
+        ser.key("samples");
+        ser.begin_seq();
+        for s in self.samples() {
+            ser.elem();
+            s.serialize(ser);
+        }
+        ser.end_seq();
+        ser.end_map();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn peak_and_runs() {
-        let mut t = OccupancyTrace::new();
-        t.push(0.0, 0.1, Phase::Prefill);
-        t.push(1.0, 0.8, Phase::Prefill);
-        t.push(2.0, 0.95, Phase::Decode);
-        t.push(3.0, 0.5, Phase::Decode);
-        t.push(4.0, 0.7, Phase::Prefill);
+        let mut t = OccupancyTrace::for_pool(100);
+        t.push(0.0, 10, Phase::Prefill);
+        t.push(1.0, 80, Phase::Prefill);
+        t.push(2.0, 95, Phase::Decode);
+        t.push(3.0, 50, Phase::Decode);
+        t.push(4.0, 70, Phase::Prefill);
         assert_eq!(t.phase_runs(), 3);
         assert!((t.peak() - 0.95).abs() < 1e-12);
         assert_eq!(t.samples().len(), 5);
+        let phases: Vec<Phase> = t.samples().map(|s| s.phase).collect();
+        use Phase::{Decode, Prefill};
+        assert_eq!(phases, [Prefill, Prefill, Decode, Decode, Prefill]);
     }
 
     #[test]
     fn csv_header() {
-        let mut t = OccupancyTrace::new();
-        t.push(0.5, 0.25, Phase::Decode);
-        assert!(t.to_csv().starts_with("time,occupancy,phase\n0.500000,0.2500,decode"));
+        let mut t = OccupancyTrace::for_pool(4);
+        t.push(0.5, 1, Phase::Decode);
+        assert!(t
+            .to_csv()
+            .starts_with("time,occupancy,phase\n0.500000,0.2500,decode"));
     }
 
     #[test]
@@ -151,12 +187,41 @@ mod tests {
         assert_eq!(t.len(), 0);
     }
 
+    /// Columns rebuild what the allocator read, and serialize in the
+    /// shape a `Vec<OccupancySample>` field would.
     #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut t = OccupancyTrace::with_capacity(8);
-        assert!(t.is_empty());
-        t.push(0.0, 0.5, Phase::Prefill);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+    fn columns_rebuild_the_allocator_reading() {
+        let mut a = crate::BlockAllocator::new(3, 16);
+        let mut t = OccupancyTrace::for_pool(3);
+        let mut want = Vec::new();
+        for (i, tokens) in [(0u64, 16u64), (1, 16), (2, 1)] {
+            a.allocate(i, tokens).unwrap();
+            let phase = if i == 1 {
+                Phase::Decode
+            } else {
+                Phase::Prefill
+            };
+            t.push(i as f64, a.used_blocks(), phase);
+            want.push(OccupancySample {
+                time: i as f64,
+                occupancy: a.occupancy(),
+                phase,
+            });
+        }
+        assert_eq!(t.samples().collect::<Vec<_>>(), want);
+        assert_eq!(t.samples().rev().next(), want.last().copied());
+        let json = |x: &dyn Fn(&mut Serializer<'_>)| {
+            let mut out = String::new();
+            x(&mut Serializer::new(&mut out, false));
+            out
+        };
+        let json = (json(&|s| t.serialize(s)), json(&|s| want.serialize(s)));
+        assert_eq!(json.0, format!("{{\"samples\":{}}}", json.1));
+        let json = json.0;
+        assert!(json.contains("\"occupancy\":0.3333333333333333,\"phase\":\"Prefill\""));
+        // An empty pool reads full, like the allocator's.
+        let mut empty = OccupancyTrace::for_pool(0);
+        empty.push(0.0, 0, Phase::Decode);
+        assert_eq!(empty.peak(), crate::BlockAllocator::new(0, 16).occupancy());
     }
 }

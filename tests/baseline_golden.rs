@@ -365,7 +365,7 @@ fn render_td() -> String {
         let phases = format!("{:?}", o.phases);
         out.push_str(&format!("{}\n", digest_line("phases", o.phases.len(), &phases)));
         let occupancy = serde_json::to_string(&o.occupancy).expect("serialize occupancy");
-        let samples = o.occupancy.samples().len();
+        let samples = o.occupancy.len();
         out.push_str(&format!("{}\n", digest_line("occupancy", samples, &occupancy)));
     }
     out

@@ -23,7 +23,7 @@ fn end_to_end_run_is_bitwise_deterministic() {
     let b = run();
     assert_eq!(a.report, b.report);
     assert_eq!(a.phases.len(), b.phases.len());
-    assert_eq!(a.occupancy.samples().len(), b.occupancy.samples().len());
+    assert_eq!(a.occupancy.len(), b.occupancy.len());
 }
 
 #[test]

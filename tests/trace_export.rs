@@ -83,8 +83,8 @@ fn occupancy_is_sampled_whatever_the_recorder_switches() {
     let trace = ShareGptLikeConfig::small(120, 5).generate();
     let traced = run(&trace, traced_cfg());
     let plain = run(&trace, observed(false, false));
-    assert!(!plain.occupancy.samples().is_empty());
-    assert_eq!(traced.occupancy.samples(), plain.occupancy.samples());
+    assert!(!plain.occupancy.is_empty());
+    assert!(traced.occupancy.samples().eq(plain.occupancy.samples()));
     assert_eq!(traced.report, plain.report);
 }
 
