@@ -984,11 +984,10 @@ impl TdRun<'_> {
         pf.admitted = 0;
         // Decode members stay banked across the switch, so the planner
         // lags their banked steps until this phase first reads it: after
-        // its first launch, where the stop check starts to bind. Most
-        // online prefill phases admit nothing and never get there. Of the
-        // rest, most then find the queue head not yet arrived, which ends
-        // the phase with an arrival stop whatever the planner says, so
-        // the phase skips the read.
+        // its first launch, where the stop check starts to bind. Online,
+        // a phase usually finds the next queue head not yet arrived by
+        // then, which ends it with an arrival stop whatever the planner
+        // says, so the phase skips the read.
         let mut settled = false;
         // The queue's head may be an unreleased turn: it has not arrived,
         // so the packer records an arrival stop for it like any other.
@@ -1762,16 +1761,17 @@ mod tests {
         assert!(with > 0.95 * without, "with={with:.0} without={without:.0}");
     }
 
-    /// Online, most prefill phases admit nothing (the queue's head has not
-    /// arrived yet) and so keep the estimate cache valid across the phase
-    /// switch: the packing walk is rebuilt less often than a decode phase
-    /// starts. Debug builds also check every cached estimate against the
-    /// naive repack, so a missed admission invalidation fails here.
+    /// The packing walk is rebuilt only after the pending queue changes,
+    /// not at every decode step or decode-phase start: online, each decode
+    /// phase opens behind an admission and walks once, and the decisions
+    /// that follow until §3.5 switches reuse that walk. Debug builds also
+    /// check every cached estimate against the naive repack, so a missed
+    /// admission invalidation fails here.
     #[test]
     fn estimate_cache_rebuilds_only_when_pending_changes() {
         let t = trace(300);
         let arrivals = tdpipe_workload::ArrivalProcess::Poisson {
-            rate_per_s: 2.0,
+            rate_per_s: 4.0,
             seed: 42,
         }
         .sample(t.len());
@@ -1796,6 +1796,12 @@ mod tests {
         assert!(
             cache.rebuilds < decode_phases,
             "rebuilds={} decode phases={decode_phases}",
+            cache.rebuilds
+        );
+        let decisions = probe.decisions.decisions;
+        assert!(
+            2 * cache.rebuilds < decisions,
+            "rebuilds={} decisions={decisions}",
             cache.rebuilds
         );
     }

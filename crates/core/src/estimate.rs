@@ -1,7 +1,8 @@
 //! Memoized decode→prefill phase pricing.
 //!
 //! The spatial-temporal switch (§3.5) prices the *hypothetical next
-//! prefill phase* on every decode step: pack pending requests by predicted
+//! prefill phase* at every decode step that finds the pending queue's
+//! head arrived: pack pending requests by predicted
 //! KV need into the currently free capacity, batch them like the real
 //! prefill packer, and report the longest job plus the phase length. The
 //! only per-step variable is how much KV is currently free, so the packing
@@ -14,11 +15,12 @@
 //! swap-in popping the queue's front, an eviction pushing a victim back
 //! onto it, a session successor's release moving it within the queue (and
 //! granting it a reuse discount), and retained session KV being reclaimed
-//! (revoking discounts). Nothing else touches pending requests, so a
-//! prefill phase that admits nothing — the common case online, where the
-//! queue's head has not arrived yet — keeps the cache across the phase
-//! switch. The next query after an invalidation starts a new walk from the
-//! queue's front.
+//! (revoking discounts). Nothing else touches pending requests, so decode
+//! steps and phase switches keep the cache. Online, §3.5 is asked only
+//! once the queue's head has arrived, and a switch then admits it, so a
+//! decode phase usually walks once, at its first decision, and the
+//! decisions after it reuse that walk until one switches. The next query
+//! after an invalidation starts a new walk from the queue's front.
 //!
 //! The walk is lazy: a query extends it only to the batch holding its
 //! free-token cut, and [`PrefillEstimateCache::certifies_switch`] extends

@@ -129,10 +129,10 @@ fn main() {
     println!("single-replica fleet vs direct engine: bit-identical ✓");
 
     println!(
-        "\nRound-robin treats an L20 like an A100, so at high load its SLO\n\
-         attainment collapses first. The queue- and KV-aware policies price\n\
-         each replica from its own roofline and shift the excess onto the\n\
-         A100s — same hardware, same arrivals, more goodput; routing is the\n\
-         whole difference."
+        "\nRound-robin treats an L20 like an A100, and the affine hash is blind\n\
+         to queue depth, so at high load their goodput trails. The KV-aware\n\
+         policy prices each replica from its own roofline and shifts the\n\
+         excess onto the A100s — same hardware, same arrivals, more goodput;\n\
+         routing is the whole difference."
     );
 }

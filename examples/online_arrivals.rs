@@ -76,8 +76,9 @@ fn main() {
          SLO argument for why the paper scopes TD-Pipe to offline work. Past\n\
          ~85% of TD-Pipe's capacity the tables turn: TP+HB is *already beyond\n\
          its own* (lower) capacity and its queue diverges, while TD-Pipe's\n\
-         throughput headroom keeps latency bounded. Note also the light-load\n\
-         degeneration: thousands of micro-phases, none of the long-phase\n\
+         throughput headroom keeps latency bounded. Note also the phase\n\
+         count at light load: a prefill phase opens only once a request has\n\
+         arrived, so each holds one or two prompts, far from the long-phase\n\
          batching the design exists for."
     );
 }
