@@ -109,9 +109,12 @@ impl OccupancyTrace {
         (0..self.len()).map(|i| self.sample(i))
     }
 
-    /// Highest occupancy observed.
+    /// Highest occupancy observed (0 when nothing was sampled). Division
+    /// by the pool size is monotone, so this is the most-used sample's.
     pub fn peak(&self) -> f64 {
-        self.samples().map(|s| s.occupancy).fold(0.0, f64::max)
+        self.used.iter().max().map_or(0.0, |&u| {
+            used_fraction(u64::from(u), u64::from(self.num_blocks))
+        })
     }
 
     /// Number of contiguous phase runs (a proxy for phase switches: Fig. 12
@@ -210,6 +213,7 @@ mod tests {
         }
         assert_eq!(t.samples().collect::<Vec<_>>(), want);
         assert_eq!(t.samples().rev().next(), want.last().copied());
+        assert_eq!(t.peak(), want.iter().map(|s| s.occupancy).fold(0.0, f64::max));
         let json = |x: &dyn Fn(&mut Serializer<'_>)| {
             let mut out = String::new();
             x(&mut Serializer::new(&mut out, false));
