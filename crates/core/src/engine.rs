@@ -1806,12 +1806,12 @@ mod tests {
         );
     }
 
-    /// Online, decode phases end every few steps, yet most residents stay
-    /// in the same batch from one decode phase to the next: they stay
-    /// banked in its cohort, so a switch joins, leaves and settles far
-    /// fewer members than it has residents. (Re-banking every resident
-    /// would cost a join and a leave per resident per decode phase.) At 6
-    /// req/s the run still switches about once per request.
+    /// Online, a decode phase ends about as often as a request arrives,
+    /// yet most residents stay in the same batch from one decode phase to
+    /// the next: they stay banked in its cohort, so a switch joins, leaves
+    /// and settles far fewer members than it has residents. (Re-banking
+    /// every resident would cost a join and a leave per resident per
+    /// decode phase.) At 6 req/s the run switches about once per request.
     #[test]
     fn phase_switches_touch_only_movers() {
         let t = trace(500);
@@ -1839,8 +1839,6 @@ mod tests {
             "{cohort_ops} cohort operations for {residents_at_open} residents at decode-phase opens"
         );
     }
-
-
 
     /// §3.5 is asked only once the queue's head has arrived, so a switch
     /// out of a decode phase that still has residents always finds a

@@ -212,7 +212,7 @@ mod tests {
             });
         }
         assert_eq!(t.samples().collect::<Vec<_>>(), want);
-        assert_eq!(t.samples().rev().next(), want.last().copied());
+        assert_eq!(t.samples().next_back(), want.last().copied());
         assert_eq!(t.peak(), want.iter().map(|s| s.occupancy).fold(0.0, f64::max));
         let json = |x: &dyn Fn(&mut Serializer<'_>)| {
             let mut out = String::new();
