@@ -20,6 +20,11 @@
 //! the journal, timeline and metrics plane recording and exports the
 //! Chrome trace, so its gap to `L20+13B/TD-Pipe` is the observers' cost.
 //!
+//! An *exports* cell takes that observers-on run and times what the CLI
+//! does with it: the journal written as JSON and read back, the Chrome
+//! trace, the span and bubble reports, and the three validators (span,
+//! bubble, Chrome trace). It prices the JSON layer on its own.
+//!
 //! A *sessions* cell runs TD-Pipe on L20+13B over closed-loop multi-turn
 //! sessions (twice as many sessions as requests, session-KV reuse on): every
 //! finished turn releases its successor into the pending queue, so it
@@ -59,18 +64,22 @@ use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::classifier::TrainConfig;
 use tdpipe_predictor::LengthPredictor;
-use tdpipe_trace::chrome_trace;
+use tdpipe_spans::{
+    analyze, bubble_report_json, span_report_json, validate_bubble_report, validate_span_report,
+};
+use tdpipe_trace::{chrome_trace, validate_chrome_trace, FlightRecorder};
 use tdpipe_workload::{ArrivalProcess, SessionConfig, ShareGptLikeConfig, Workload};
 
 /// Every cell a trajectory file holds, the scale cells aside (quick mode
 /// skips those). `--check` fails a file that lacks one.
-const REQUIRED_CELLS: [&str; 8] = [
+const REQUIRED_CELLS: [&str; 9] = [
     "L20+13B/PP+SB",
     "L20+13B/TD-Pipe",
     "A100+70B/PP+SB",
     "A100+70B/TD-Pipe",
     "L20+13B/TD-Pipe@2rps",
     "L20+13B/TD-Pipe+observers",
+    "L20+13B/TD-Pipe+exports",
     "L20+13B/TD-Pipe+sessions",
     "l20:2,a100:2/TD-Pipe+sessions",
 ];
@@ -369,6 +378,41 @@ fn main() {
         run.report.makespan
     });
     let key = format!("L20+13B/{}+observers", td.name());
+    println!("  {key:<18} wall {best:8.3}s");
+    total += best;
+    out.push(CellTime {
+        cell: key,
+        gpus: 4,
+        requests: n,
+        wall_s: best,
+        baseline_wall_s: None,
+        speedup_vs_baseline: None,
+        makespan,
+    });
+
+    // The exports cell: the observers-on run's journal, Chrome trace and
+    // span and bubble reports, each written and checked as the CLI's
+    // `--journal-out`, `--trace-out`, `span-report` and `bubble-report`
+    // do. The run and the span analysis stay outside the timer.
+    let run = TdPipeEngine::new(model.clone(), &node, observed.clone())
+        .expect("canonical cell must be feasible")
+        .run(&trace, &predictor);
+    let analysis = analyze(&[("engine".to_string(), &run.journal)]);
+    let (best, makespan) = time_cell(reps, || {
+        let journal = run.journal.to_json();
+        let back: FlightRecorder = serde_json::from_str(&journal).expect("journal reads back");
+        let chrome = chrome_trace(&run.timeline, &run.journal);
+        let spans = span_report_json(&analysis);
+        let bubbles = bubble_report_json(&analysis);
+        // The span validator may reject the TTFT fold of a few spans (a
+        // known f64 defect); its cost is what is timed here.
+        let _ = std::hint::black_box(validate_span_report(&spans));
+        validate_bubble_report(&bubbles).expect("bubble report validates");
+        validate_chrome_trace(&chrome).expect("Chrome trace validates");
+        std::hint::black_box(back);
+        run.report.makespan
+    });
+    let key = format!("L20+13B/{}+exports", td.name());
     println!("  {key:<18} wall {best:8.3}s");
     total += best;
     out.push(CellTime {

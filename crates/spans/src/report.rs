@@ -11,9 +11,9 @@
 //!   refolds every device's idle total from the gap list.
 //!
 //! Both serialize through the vendored `serde_json`, whose `f64`
-//! formatting is Rust's shortest round-trip `Display` — so exactness
-//! survives the disk: a validator reading the file back recomputes the
-//! identities on *bit-identical* floats.
+//! formatting is the shortest round-trip text (the same bytes as Rust's
+//! `Display`) — so exactness survives the disk: a validator reading the
+//! file back recomputes the identities on *bit-identical* floats.
 
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;

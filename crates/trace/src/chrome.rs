@@ -6,9 +6,8 @@
 //! (`ph:"X"`) event whose duration is the segment's busy interval.
 //! Virtual seconds map to trace microseconds (the format's native unit).
 
-use serde::{push_escaped, push_float, Deserializer, Serialize, Serializer, Token};
+use serde::{push_escaped, push_float, push_u64, Deserializer, Serialize, Serializer, Token};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use tdpipe_sim::{Segment, Timeline};
 
 use crate::event::{FlightRecorder, TimedEvent, TraceEvent};
@@ -30,14 +29,12 @@ fn push_args(out: &mut String, event: &TraceEvent) {
 }
 
 // The writers below append compact JSON in the key order and number
-// formatting `serde_json::to_string` gives the same document; writing
-// into a `String` cannot fail, so `write!` results are dropped.
+// formatting `serde_json::to_string` gives the same document.
 
 fn push_thread_name(out: &mut String, tid: u64, name: &str) {
-    let _ = write!(
-        out,
-        r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":"#
-    );
+    out.push_str(r#"{"name":"thread_name","ph":"M","pid":0,"tid":"#);
+    push_u64(out, tid);
+    out.push_str(r#","args":{"name":"#);
     push_escaped(out, name);
     out.push_str("}}");
 }
@@ -55,15 +52,15 @@ fn push_instant(out: &mut String, e: &TimedEvent) {
 fn push_complete(out: &mut String, s: &Segment) {
     out.push_str(r#"{"name":"#);
     push_escaped(out, s.kind.label());
-    let _ = write!(
-        out,
-        r#","ph":"X","pid":0,"tid":{},"ts":"#,
-        s.device as u64 + 1
-    );
+    out.push_str(r#","ph":"X","pid":0,"tid":"#);
+    push_u64(out, u64::from(s.device) + 1);
+    out.push_str(r#","ts":"#);
     push_float(out, s.start * SECS_TO_US);
     out.push_str(r#","dur":"#);
     push_float(out, (s.end - s.start) * SECS_TO_US);
-    let _ = write!(out, r#","args":{{"tag":{}}}}}"#, s.tag);
+    out.push_str(r#","args":{"tag":"#);
+    push_u64(out, s.tag);
+    out.push_str("}}");
 }
 
 /// Export a run as Chrome-trace JSON.
@@ -192,7 +189,11 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceCheck, String> {
 /// Check the elements of an opened `traceEvents` array.
 fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String> {
     let invalid = |e: serde::DeError| format!("invalid JSON: {e}");
+    // The last `ts` per track. Events come in long runs on one track, so
+    // the current run's track and `ts` are held apart and the map is only
+    // touched when the track changes.
     let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut run: Option<(u64, f64)> = None;
     let mut events = 0usize;
     let mut complete = 0usize;
     let mut instants = 0usize;
@@ -236,14 +237,21 @@ fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {i} has non-finite or negative ts {ts}"));
         }
-        if let Some(&prev) = last_ts.get(&tid) {
-            if ts < prev {
-                return Err(format!(
-                    "event {i}: ts {ts} goes backwards on track {tid} (prev {prev})"
-                ));
+        let prev = match run {
+            Some((t, prev)) if t == tid => Some(prev),
+            _ => {
+                if let Some((t, last)) = run {
+                    last_ts.insert(t, last);
+                }
+                last_ts.get(&tid).copied()
             }
+        };
+        if let Some(prev) = prev.filter(|&prev| ts < prev) {
+            return Err(format!(
+                "event {i}: ts {ts} goes backwards on track {tid} (prev {prev})"
+            ));
         }
-        last_ts.insert(tid, ts);
+        run = Some((tid, ts));
         match ph {
             Ph::Complete => {
                 let dur = dur
@@ -258,6 +266,9 @@ fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String
             Ph::Other(other) => return Err(format!("event {i} has unsupported ph {other:?}")),
             Ph::Metadata => unreachable!(),
         }
+    }
+    if let Some((t, last)) = run {
+        last_ts.insert(t, last);
     }
     Ok(ChromeTraceCheck {
         events,

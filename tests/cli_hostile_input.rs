@@ -1,8 +1,9 @@
 //! The CLI's file readers fail cleanly on hostile JSON: a document nested
-//! far past the parser's depth limit ends the process with exit code 1
-//! and a message, never a stack-overflow abort. Only a missing or unknown
-//! command adds the usage text to its error, and a command turns away, by
-//! name, a flag it does not read.
+//! far past the parser's depth limit, or holding a number JSON does not
+//! allow, ends the process with exit code 1 and a message, never a
+//! stack-overflow abort. Only a missing or unknown command adds the usage
+//! text to its error, and a command turns away, by name, a flag it does
+//! not read.
 
 use std::process::Command;
 
@@ -93,4 +94,25 @@ fn a_flag_the_command_does_not_read_is_rejected_by_name() {
         assert!(stderr.starts_with(&want), "{args:?}: {stderr}");
         assert!(!stderr.contains("USAGE:"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn a_number_json_does_not_allow_fails_validation_with_a_message() {
+    let dir = std::env::temp_dir().join(format!("tdpipe-cli-number-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // RFC 8259 numbers have no leading zeros; `01` must not read as 1.
+    let path = dir.join("leading-zero.trace.json");
+    std::fs::write(
+        &path,
+        r#"{"traceEvents":[{"name":"a","ph":"i","s":"t","pid":0,"tid":0,"ts":01,"args":{}}]}"#,
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+        .args(["validate-trace", "--file", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("invalid number `01`"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

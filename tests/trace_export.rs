@@ -1,13 +1,17 @@
 //! The flight recorder's end-to-end contract: exports are schema-valid
-//! and deterministic, and turning recording on or off never changes the
-//! schedule itself.
+//! and deterministic, their floats print exactly as Rust's `{}` does and
+//! read back to the same bytes, and turning recording on or off never
+//! changes the schedule itself.
 
+use serde::Value;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::trace::{chrome_trace, decision_table, validate_chrome_trace, TraceEvent};
+use tdpipe::trace::{
+    chrome_trace, decision_table, validate_chrome_trace, FlightRecorder, TraceEvent,
+};
 use tdpipe::workload::{ShareGptLikeConfig, Trace};
 
 fn run(trace: &Trace, cfg: TdPipeConfig) -> RunOutcome {
@@ -26,6 +30,30 @@ fn observed(record_trace: bool, record_timeline: bool) -> TdPipeConfig {
 
 fn traced_cfg() -> TdPipeConfig {
     observed(true, true)
+}
+
+/// What Rust's `{}` prints for `f`, with the JSON writer's rules on top:
+/// a `.0` on integral values and `null` for the non-finite.
+fn display_float(f: f64) -> String {
+    if !f.is_finite() {
+        return "null".into();
+    }
+    let text = format!("{f}");
+    if text.contains('.') {
+        text
+    } else {
+        text + ".0"
+    }
+}
+
+/// Every float in a JSON tree.
+fn floats_in(v: &Value, out: &mut Vec<f64>) {
+    match v {
+        Value::Float(f) => out.push(*f),
+        Value::Seq(xs) => xs.iter().for_each(|x| floats_in(x, out)),
+        Value::Map(entries) => entries.iter().for_each(|(_, x)| floats_in(x, out)),
+        _ => {}
+    }
 }
 
 #[test]
@@ -119,4 +147,34 @@ fn journal_narrates_the_phase_structure() {
     // The decision table renders one row per phase record.
     let table = decision_table(&out.journal);
     assert!(table.lines().count() >= out.phases.len());
+}
+
+#[test]
+fn journal_floats_print_as_display_does_and_round_trip() {
+    let trace = ShareGptLikeConfig::small(2_000, 42).generate();
+    let mut cfg = traced_cfg();
+    cfg.engine.record_metrics = true;
+    let out = run(&trace, cfg);
+    let json = out.journal.to_json();
+
+    // The event times straight from the recorder, then every float the
+    // document holds (the payload fields among them).
+    let mut floats: Vec<f64> = out
+        .journal
+        .events()
+        .iter()
+        .chain(out.journal.stage_events())
+        .map(|e| e.t)
+        .collect();
+    floats_in(&serde_json::from_str::<Value>(&json).unwrap(), &mut floats);
+    assert!(floats.len() > 100_000, "{} floats", floats.len());
+    let mut text = String::new();
+    for &f in &floats {
+        text.clear();
+        serde::push_float(&mut text, f);
+        assert_eq!(text, display_float(f), "{:#018x}", f.to_bits());
+    }
+
+    let back: FlightRecorder = serde_json::from_str(&json).unwrap();
+    assert_eq!(back.to_json(), json);
 }
