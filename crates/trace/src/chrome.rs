@@ -189,11 +189,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceCheck, String> {
 /// Check the elements of an opened `traceEvents` array.
 fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String> {
     let invalid = |e: serde::DeError| format!("invalid JSON: {e}");
-    // The last `ts` per track. Events come in long runs on one track, so
-    // the current run's track and `ts` are held apart and the map is only
-    // touched when the track changes.
     let mut last_ts: BTreeMap<u64, f64> = BTreeMap::new();
-    let mut run: Option<(u64, f64)> = None;
     let mut events = 0usize;
     let mut complete = 0usize;
     let mut instants = 0usize;
@@ -237,21 +233,14 @@ fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String
         if !ts.is_finite() || ts < 0.0 {
             return Err(format!("event {i} has non-finite or negative ts {ts}"));
         }
-        let prev = match run {
-            Some((t, prev)) if t == tid => Some(prev),
-            _ => {
-                if let Some((t, last)) = run {
-                    last_ts.insert(t, last);
-                }
-                last_ts.get(&tid).copied()
+        if let Some(&prev) = last_ts.get(&tid) {
+            if ts < prev {
+                return Err(format!(
+                    "event {i}: ts {ts} goes backwards on track {tid} (prev {prev})"
+                ));
             }
-        };
-        if let Some(prev) = prev.filter(|&prev| ts < prev) {
-            return Err(format!(
-                "event {i}: ts {ts} goes backwards on track {tid} (prev {prev})"
-            ));
         }
-        run = Some((tid, ts));
+        last_ts.insert(tid, ts);
         match ph {
             Ph::Complete => {
                 let dur = dur
@@ -266,9 +255,6 @@ fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String
             Ph::Other(other) => return Err(format!("event {i} has unsupported ph {other:?}")),
             Ph::Metadata => unreachable!(),
         }
-    }
-    if let Some((t, last)) = run {
-        last_ts.insert(t, last);
     }
     Ok(ChromeTraceCheck {
         events,
