@@ -5,8 +5,9 @@
 //! schedulers produce against committed fixtures, with timeline and metrics
 //! recording on:
 //!
-//! * `baseline_golden.txt`: seven scenarios (offline on three node shapes,
-//!   Poisson arrivals, KV pressure, a sequence cap, a tight chunk budget)
+//! * `baseline_golden.txt`: six scenarios (offline on three node shapes,
+//!   Poisson arrivals, KV pressure, and more short requests than the
+//!   1,024-sequence cap admits, even per pipeline lane)
 //!   × {TP+SB, TP+HB, PP+SB, PP+HB};
 //! * `tdpipe_golden.txt`: TD-Pipe on eight scenarios chosen to drive every
 //!   branch of its decode step — offline and Poisson runs, recompute and
@@ -15,7 +16,8 @@
 //!   tiny test node, and the fixed-ratio switch policies without work
 //!   stealing. TD-Pipe also records its journal;
 //! * `offload_golden.txt`: the §2.2.2 KV-offloading engine at two host
-//!   bandwidths on three traces (one under a sequence cap), and node runs
+//!   bandwidths on three traces (one of more short requests than the
+//!   1,024-sequence cap admits), and node runs
 //!   of 1, 2 and 4 replicas behind a contended and an uncontended host
 //!   link.
 //!
@@ -66,6 +68,19 @@ struct Case {
     cfg: EngineConfig,
 }
 
+/// More short requests than the baselines' 1,024-sequence cap admits,
+/// even in each of four pipeline lanes, all fitting memory at once: the
+/// cap, not memory or the prefill budget, bounds the running batch.
+fn short_trace(num_requests: usize, seed: u64) -> Trace {
+    ShareGptLikeConfig {
+        input_mu: 2.0,
+        input_max: 16,
+        output_max: 16,
+        ..ShareGptLikeConfig::small(num_requests, seed)
+    }
+    .generate()
+}
+
 fn cases() -> Vec<Case> {
     let recorded = EngineConfig {
         record_timeline: true,
@@ -99,24 +114,14 @@ fn cases() -> Vec<Case> {
             arrivals: vec![],
             cfg: recorded.clone(),
         },
-        case(
-            "seqcap32-l20x4",
-            NodeSpec::l20(4),
-            vec![],
-            EngineConfig {
-                max_num_seqs: Some(32),
-                ..recorded.clone()
-            },
-        ),
-        case(
-            "chunk256-l20x4",
-            NodeSpec::l20(4),
-            vec![],
-            EngineConfig {
-                chunk_token_budget: 256,
-                ..recorded
-            },
-        ),
+        Case {
+            name: "short4400-l20x4",
+            model: ModelSpec::llama2_13b(),
+            node: NodeSpec::l20(4),
+            trace: short_trace(4400, 13),
+            arrivals: vec![],
+            cfg: recorded,
+        },
     ]
 }
 
@@ -377,18 +382,15 @@ fn render_offload() -> String {
             .expect("13B weights fit one L20")
     };
     let plain = engine(EngineConfig::default());
-    let capped = engine(EngineConfig {
-        max_num_seqs: Some(32),
-        ..EngineConfig::default()
-    });
     let mut out = String::new();
-    for (name, e, trace) in [
-        ("sharegpt150", &plain, ShareGptLikeConfig::small(150, 5).generate()),
-        ("sharegpt80", &plain, ShareGptLikeConfig::small(80, 4).generate()),
-        ("seqcap32-sharegpt120", &capped, ShareGptLikeConfig::small(120, 9).generate()),
+    for (name, trace) in [
+        ("sharegpt150", ShareGptLikeConfig::small(150, 5).generate()),
+        ("sharegpt80", ShareGptLikeConfig::small(80, 4).generate()),
+        ("short1500", short_trace(1500, 9)),
     ] {
         for bw in [20.0e9, 5.0e9] {
-            let report = serde_json::to_string(&e.run_at_bandwidth(&trace, bw)).expect("report");
+            let report =
+                serde_json::to_string(&plain.run_at_bandwidth(&trace, bw)).expect("report");
             out.push_str(&format!("## {name} {bw:e}\nreport {report}\n"));
         }
     }
