@@ -34,7 +34,7 @@
 //!
 //! 2. **Bounded protocol model checkers** ([`protocol`],
 //!    [`session_protocol`]) — explicit state machines explored
-//!    exhaustively by BFS:
+//!    exhaustively by one shared BFS explorer:
 //!
 //!    * the cluster↔worker supervision protocol (launch → exec →
 //!      transfer-ack → completion → `WorkerExit` → shutdown, including
@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 
 pub mod config;
+mod explore;
 pub mod findings;
 pub mod lexer;
 pub mod model;

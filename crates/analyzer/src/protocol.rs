@@ -40,7 +40,10 @@
 //! - Virtual timestamps are abstracted away; a corrupt ack is a tagged
 //!   message rather than an impossible `started` time.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use crate::explore::{explore, Step};
+use std::collections::{BTreeSet, VecDeque};
+
+pub use crate::explore::Violation;
 
 /// Transfer mode, as far as message order is concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -181,25 +184,6 @@ struct State {
     drained_worst: Option<ErrKind>,
 }
 
-/// A property violation, with the interleaving that reaches it.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// What went wrong.
-    pub message: String,
-    /// Transition labels from the initial state to the violation.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "{}", self.message)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>3}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
-}
-
 /// What an exhaustive check of one scenario found.
 #[derive(Debug, Clone)]
 pub struct Summary {
@@ -210,8 +194,6 @@ pub struct Summary {
     /// Terminal states reached via a shutdown-drain timeout.
     pub drain_timeouts: usize,
 }
-
-type Step = (String, State, Option<String>);
 
 fn initial(sc: &Scenario) -> State {
     let w = sc.world as usize;
@@ -284,7 +266,7 @@ fn enter_draining(s: &mut State) {
     };
 }
 
-fn engine_steps(sc: &Scenario, s: &State, out: &mut Vec<Step>) {
+fn engine_steps(sc: &Scenario, s: &State, out: &mut Vec<Step<State>>) {
     match s.phase {
         Phase::Launching(next) => {
             let mut t = s.clone();
@@ -367,7 +349,7 @@ fn engine_steps(sc: &Scenario, s: &State, out: &mut Vec<Step>) {
     }
 }
 
-fn worker_steps(sc: &Scenario, s: &State, r: usize, out: &mut Vec<Step>) {
+fn worker_steps(sc: &Scenario, s: &State, r: usize, out: &mut Vec<Step<State>>) {
     let world = sc.world as usize;
     let last = r == world - 1;
     match s.workers[r] {
@@ -479,7 +461,7 @@ fn worker_steps(sc: &Scenario, s: &State, r: usize, out: &mut Vec<Step>) {
 
 /// Timeout transitions, enabled only at quiescence (no other transition
 /// anywhere) — the model's statement that real timeouts are generous.
-fn timeout_steps(sc: &Scenario, s: &State, out: &mut Vec<Step>) {
+fn timeout_steps(sc: &Scenario, s: &State, out: &mut Vec<Step<State>>) {
     match s.phase {
         Phase::Awaiting(consumed) if consumed < sc.jobs && s.completions.is_empty() => {
             let mut t = s.clone();
@@ -517,7 +499,7 @@ fn timeout_steps(sc: &Scenario, s: &State, out: &mut Vec<Step>) {
     }
 }
 
-fn successors(sc: &Scenario, s: &State) -> Vec<Step> {
+fn successors(sc: &Scenario, s: &State) -> Vec<Step<State>> {
     let mut out = Vec::new();
     engine_steps(sc, s, &mut out);
     for r in 0..sc.world as usize {
@@ -529,97 +511,41 @@ fn successors(sc: &Scenario, s: &State) -> Vec<Step> {
     out
 }
 
-/// Safety valve: scenarios in the checked range stay far below this.
-const MAX_STATES: usize = 1_000_000;
-
 /// Exhaustively check one scenario over all interleavings.
 pub fn check(sc: &Scenario) -> Result<Summary, Violation> {
     assert!(sc.world >= 1, "need at least one stage");
-    let init = initial(sc);
-    let mut states: Vec<State> = vec![init.clone()];
-    let mut parent: Vec<Option<(usize, String)>> = vec![None];
-    let mut seen: HashMap<State, usize> = HashMap::new();
-    seen.insert(init, 0);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
     let mut outcomes = BTreeSet::new();
     let mut drain_timeouts = 0usize;
-
-    let trace_to = |parent: &[Option<(usize, String)>], mut i: usize, extra: Option<String>| {
-        let mut labels = Vec::new();
-        if let Some(e) = extra {
-            labels.push(e);
+    let terminal = |s: &State| {
+        let Phase::Done { err, timed_out } = s.phase else {
+            return None;
+        };
+        if timed_out {
+            drain_timeouts += 1;
+            if !matches!(sc.fault, Fault::Stall { .. }) {
+                return Some(Err(format!(
+                    "shutdown drain timed out without a stall fault ({:?})",
+                    sc.fault
+                )));
+            }
+        } else if let Some(r) = (0..sc.world as usize).find(|&r| s.exit_sent[r] != 1) {
+            return Some(Err(format!(
+                "orderly drain finished but rank {r} sent {} exit report(s)",
+                s.exit_sent[r]
+            )));
         }
-        while let Some((p, label)) = &parent[i] {
-            labels.push(label.clone());
-            i = *p;
-        }
-        labels.reverse();
-        labels
+        outcomes.insert(err);
+        Some(Ok(()))
     };
-
-    while let Some(i) = queue.pop_front() {
-        let state = states[i].clone();
-        if let Phase::Done { err, timed_out } = state.phase {
-            // Terminal-state properties.
-            if timed_out {
-                drain_timeouts += 1;
-                if !matches!(sc.fault, Fault::Stall { .. }) {
-                    return Err(Violation {
-                        message: format!(
-                            "shutdown drain timed out without a stall fault ({:?})",
-                            sc.fault
-                        ),
-                        trace: trace_to(&parent, i, None),
-                    });
-                }
-            } else {
-                for r in 0..sc.world as usize {
-                    if state.exit_sent[r] != 1 {
-                        return Err(Violation {
-                            message: format!(
-                                "orderly drain finished but rank {r} sent {} exit report(s)",
-                                state.exit_sent[r]
-                            ),
-                            trace: trace_to(&parent, i, None),
-                        });
-                    }
-                }
-            }
-            outcomes.insert(err);
-            continue;
-        }
-        let succs = successors(sc, &state);
-        if succs.is_empty() {
-            return Err(Violation {
-                message: "deadlock: no transition enabled and engine not Done".to_string(),
-                trace: trace_to(&parent, i, None),
-            });
-        }
-        for (label, next, violation) in succs {
-            if let Some(message) = violation {
-                return Err(Violation {
-                    message,
-                    trace: trace_to(&parent, i, Some(label)),
-                });
-            }
-            if seen.contains_key(&next) {
-                continue;
-            }
-            let idx = states.len();
-            states.push(next.clone());
-            parent.push(Some((i, label)));
-            seen.insert(next, idx);
-            queue.push_back(idx);
-            if states.len() > MAX_STATES {
-                return Err(Violation {
-                    message: format!("state space exceeded {MAX_STATES} states"),
-                    trace: Vec::new(),
-                });
-            }
-        }
-    }
+    let states = explore(
+        initial(sc),
+        "deadlock: no transition enabled and engine not Done",
+        |s| successors(sc, s),
+        terminal,
+        |_| {},
+    )?;
     Ok(Summary {
-        states: states.len(),
+        states,
         outcomes,
         drain_timeouts,
     })

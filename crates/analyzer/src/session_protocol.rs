@@ -29,7 +29,7 @@
 //! asserts each yields a counterexample trace — the checker is not
 //! vacuously green.
 
-use std::collections::{HashMap, VecDeque};
+use crate::explore::{explore, Step, Violation};
 
 /// Seeded protocol bugs proving the checker catches what it claims to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,25 +123,6 @@ struct State {
     retained_total: u16,
     /// Successor-side prefill discount flags.
     discount: Vec<bool>,
-}
-
-/// A violation with the interleaving that reached it.
-#[derive(Debug, Clone)]
-pub struct SessionViolation {
-    /// What property broke.
-    pub message: String,
-    /// Step labels from the initial state to the violation.
-    pub trace: Vec<String>,
-}
-
-impl std::fmt::Display for SessionViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(f, "session protocol violation: {}", self.message)?;
-        for (i, step) in self.trace.iter().enumerate() {
-            writeln!(f, "  {:>2}. {step}", i + 1)?;
-        }
-        Ok(())
-    }
 }
 
 /// What an exhaustive pass over one scenario saw.
@@ -252,12 +233,11 @@ fn invariants(sc: &SessionScenario, s: &State) -> Option<String> {
     None
 }
 
-/// `(label, next state, violation)` — violation set when the transition
-/// itself breaks a property (beyond what [`invariants`] sees in states).
-type Step = (String, State, Option<String>);
-
-fn successors(sc: &SessionScenario, s: &State) -> Vec<Step> {
-    let mut out: Vec<Step> = Vec::new();
+/// Every transition enabled in `s`. A transition's own violation covers
+/// what [`invariants`] cannot see in the state it reaches; without one,
+/// the reached state's [`invariants`] decide.
+fn successors(sc: &SessionScenario, s: &State) -> Vec<Step<State>> {
+    let mut out = Vec::new();
     for r in 0..sc.n() {
         match s.phase[r] {
             Phase::Pending => {
@@ -351,6 +331,11 @@ fn successors(sc: &SessionScenario, s: &State) -> Vec<Step> {
             Phase::NotArrived | Phase::Finished => {}
         }
     }
+    for (_, next, violation) in &mut out {
+        if violation.is_none() {
+            *violation = invariants(sc, next);
+        }
+    }
     out
 }
 
@@ -377,90 +362,37 @@ fn terminal_check(sc: &SessionScenario, s: &State) -> Option<String> {
     None
 }
 
-/// Safety valve: scenarios in the checked range stay far below this.
-const MAX_STATES: usize = 1_000_000;
-
 /// Exhaustively check one scenario over all interleavings.
-pub fn check_session(sc: &SessionScenario) -> Result<SessionSummary, SessionViolation> {
+pub fn check_session(sc: &SessionScenario) -> Result<SessionSummary, Violation> {
     assert!(sc.sessions >= 1 && sc.turns >= 1, "need at least one turn");
     assert!(
         sc.total_blocks >= sc.turn_blocks + sc.turns as u16 - 1,
         "pool must fit the largest single turn or every run deadlocks"
     );
-    let init = initial(sc);
-    let mut states: Vec<State> = vec![init.clone()];
-    let mut parent: Vec<Option<(usize, String)>> = vec![None];
-    let mut seen: HashMap<State, usize> = HashMap::new();
-    seen.insert(init, 0);
-    let mut queue: VecDeque<usize> = VecDeque::from([0]);
     let mut summary = SessionSummary::default();
-
-    let trace_to = |parent: &[Option<(usize, String)>], mut i: usize, extra: Option<String>| {
-        let mut labels = Vec::new();
-        if let Some(e) = extra {
-            labels.push(e);
-        }
-        while let Some((p, label)) = &parent[i] {
-            labels.push(label.clone());
-            i = *p;
-        }
-        labels.reverse();
-        labels
+    let terminal = |s: &State| {
+        let done = s.phase.iter().all(|&p| p == Phase::Finished);
+        done.then(|| terminal_check(sc, s).map_or(Ok(()), Err))
     };
-
-    while let Some(i) = queue.pop_front() {
-        let state = states[i].clone();
-        if state.phase.iter().all(|&p| p == Phase::Finished) {
-            if let Some(message) = terminal_check(sc, &state) {
-                return Err(SessionViolation {
-                    message,
-                    trace: trace_to(&parent, i, None),
-                });
-            }
-            continue;
+    let discovered = |label: &str| {
+        if label.starts_with("admit-hit") {
+            summary.hits += 1;
+        } else if label.starts_with("admit-miss") {
+            summary.misses += 1;
+        } else if label.starts_with("reclaim") {
+            summary.drops += 1;
+        } else if label.contains("retains") {
+            summary.retains += 1;
         }
-        let succs = successors(sc, &state);
-        if succs.is_empty() {
-            return Err(SessionViolation {
-                message: "deadlock: turns outstanding but no transition enabled".to_string(),
-                trace: trace_to(&parent, i, None),
-            });
-        }
-        for (label, next, violation) in succs {
-            let violation = violation.or_else(|| invariants(sc, &next));
-            if let Some(message) = violation {
-                return Err(SessionViolation {
-                    message,
-                    trace: trace_to(&parent, i, Some(label)),
-                });
-            }
-            if seen.contains_key(&next) {
-                continue;
-            }
-            if label.starts_with("admit-hit") {
-                summary.hits += 1;
-            } else if label.starts_with("admit-miss") {
-                summary.misses += 1;
-            } else if label.starts_with("reclaim") {
-                summary.drops += 1;
-            } else if label.contains("retains") {
-                summary.retains += 1;
-            }
-            let idx = states.len();
-            states.push(next.clone());
-            parent.push(Some((i, label)));
-            seen.insert(next, idx);
-            queue.push_back(idx);
-            if states.len() > MAX_STATES {
-                return Err(SessionViolation {
-                    message: format!("state space exceeded {MAX_STATES} states"),
-                    trace: Vec::new(),
-                });
-            }
-        }
-    }
-    summary.states = states.len();
-    Ok(summary)
+    };
+    let states = explore(
+        initial(sc),
+        "deadlock: turns outstanding but no transition enabled",
+        |s| successors(sc, s),
+        terminal,
+        discovered,
+    )?;
+    Ok(SessionSummary { states, ..summary })
 }
 
 /// Every faithful scenario in the bounded sweep: session/turn counts up

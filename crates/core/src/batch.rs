@@ -32,17 +32,10 @@ impl DecodeBatch {
 /// Partition `members` into `n` batches as evenly as possible, preserving
 /// order (round-robin would interleave admission order; contiguous chunks
 /// keep each batch's requests age-adjacent, which makes the newest-first
-/// eviction policy coherent).
-pub fn partition_even(members: &[usize], n: usize) -> Vec<DecodeBatch> {
-    let mut out = Vec::new();
-    partition_even_into(members, n, &mut out);
-    out
-}
-
-/// [`partition_even`] into a caller-owned batch list: the member vectors
-/// keep their capacity across phase switches, so the steady-state engine
-/// allocates nothing per switch once every batch has reached its
-/// high-water size.
+/// eviction policy coherent). Writes into a caller-owned batch list: the
+/// member vectors keep their capacity across phase switches, so the
+/// steady-state engine allocates nothing per switch once every batch has
+/// reached its high-water size.
 pub fn partition_even_into(members: &[usize], n: usize, out: &mut Vec<DecodeBatch>) {
     assert!(n > 0, "need at least one batch");
     out.resize_with(n, DecodeBatch::new);
@@ -52,7 +45,7 @@ pub fn partition_even_into(members: &[usize], n: usize, out: &mut Vec<DecodeBatc
     }
 }
 
-/// The positions batch `i` of [`partition_even`]'s `n` takes from `len`
+/// The positions batch `i` of [`partition_even_into`]'s `n` takes from `len`
 /// members: contiguous, with the first `len % n` batches one longer.
 pub fn even_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
     let (base, extra) = (len / n, len % n);
@@ -64,10 +57,16 @@ pub fn even_range(len: usize, n: usize, i: usize) -> std::ops::Range<usize> {
 mod tests {
     use super::*;
 
+    fn partition(members: &[usize], n: usize) -> Vec<DecodeBatch> {
+        let mut out = Vec::new();
+        partition_even_into(members, n, &mut out);
+        out
+    }
+
     #[test]
     fn partition_is_even_and_complete() {
         let members: Vec<usize> = (0..10).collect();
-        let batches = partition_even(&members, 4);
+        let batches = partition(&members, 4);
         let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         let mut all: Vec<usize> = batches.iter().flat_map(|b| b.members.clone()).collect();
@@ -77,14 +76,14 @@ mod tests {
 
     #[test]
     fn partition_handles_fewer_members_than_batches() {
-        let batches = partition_even(&[7, 8], 4);
+        let batches = partition(&[7, 8], 4);
         let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
         assert_eq!(sizes, vec![1, 1, 0, 0]);
     }
 
     #[test]
     fn empty_partition() {
-        let batches = partition_even(&[], 3);
+        let batches = partition(&[], 3);
         assert!(batches.iter().all(|b| b.is_empty()));
     }
 
@@ -101,7 +100,7 @@ mod tests {
         for (b, cap) in out.iter().zip(caps) {
             assert!(b.members.capacity() >= cap.min(b.len()));
         }
-        let fresh = partition_even(&[1, 2, 3], 4);
+        let fresh = partition(&[1, 2, 3], 4);
         for (a, b) in out.iter().zip(&fresh) {
             assert_eq!(a.members, b.members);
         }
@@ -110,6 +109,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_batches_panics() {
-        partition_even(&[1], 0);
+        partition(&[1], 0);
     }
 }

@@ -65,13 +65,6 @@ pub struct EngineConfig {
     /// from execution and overrides this to [`TransferMode::Async`]
     /// (see [`TdPipeConfig::default`]).
     pub transfer_mode: TransferMode,
-    /// Token budget per hybrid-batching iteration (chunked prefill).
-    pub chunk_token_budget: u32,
-    /// Maximum concurrently running sequences per scheduler instance
-    /// (vLLM's `max_num_seqs`; stock default 256 in 0.5.x — what the
-    /// paper's baselines ran with). `None` removes the cap; TD-Pipe's
-    /// scheduler sizes batches from memory alone.
-    pub max_num_seqs: Option<usize>,
     /// Whether the pipeline simulator records per-segment timelines
     /// (needed for utilization-in-window and Gantt exports; costs memory).
     pub record_timeline: bool,
@@ -108,8 +101,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             transfer_mode: TransferMode::Rendezvous,
-            chunk_token_budget: 512,
-            max_num_seqs: Some(1024),
             record_timeline: false,
             record_trace: false,
             record_metrics: false,
@@ -175,7 +166,6 @@ impl Default for TdPipeConfig {
                 // The hierarchy-controller's decoupled control plane makes
                 // stage-to-stage transfers non-blocking (§3.2).
                 transfer_mode: TransferMode::Async,
-                max_num_seqs: None,
                 ..EngineConfig::default()
             },
             p2d: P2dPolicy::Greedy,
@@ -213,13 +203,11 @@ mod tests {
     #[test]
     fn tdpipe_defaults_encode_the_architecture() {
         let c = TdPipeConfig::default();
-        // Hierarchy-controller: async transfers, no sequence cap.
+        // Hierarchy-controller: async transfers.
         assert_eq!(c.engine.transfer_mode, tdpipe_sim::TransferMode::Async);
-        assert!(c.engine.max_num_seqs.is_none());
         // Baseline defaults are the conventional-engine ones.
         let e = EngineConfig::default();
         assert_eq!(e.transfer_mode, tdpipe_sim::TransferMode::Rendezvous);
-        assert!(e.max_num_seqs.is_some());
     }
 
     #[test]

@@ -163,21 +163,8 @@ impl PpCost {
     /// The GEMMs of both parts share one weight stream (that fusion is
     /// real), but the attention kernels and ragged-batch handling overlap
     /// only partially: `overlap` interpolates between fully-serialised
-    /// (`0.0`) and ideal roofline fusion (`1.0`).
-    pub fn hybrid_job(
-        &self,
-        batch: usize,
-        total_ctx: u64,
-        chunks: &[(u32, u32)],
-        completed_chunks: usize,
-        overlap: f64,
-    ) -> StagedJob {
-        let mut out = StagedJob::default();
-        self.hybrid_job_into(batch, total_ctx, chunks, completed_chunks, overlap, &mut out);
-        out
-    }
-
-    /// [`Self::hybrid_job`] into a caller-owned scratch job.
+    /// (`0.0`) and ideal roofline fusion (`1.0`). Written into a
+    /// caller-owned scratch job.
     pub fn hybrid_job_into(
         &self,
         batch: usize,
@@ -352,7 +339,7 @@ impl TpCost {
     }
 
     /// Total time for one hybrid (chunked prefill + decode) iteration;
-    /// see [`PpCost::hybrid_job`] for the `overlap` semantics.
+    /// see [`PpCost::hybrid_job_into`] for the `overlap` semantics.
     pub fn hybrid_time(
         &self,
         batch: usize,
@@ -509,17 +496,22 @@ mod tests {
     #[test]
     fn hybrid_job_prices_decode_plus_chunks() {
         let c = PpCost::new(ModelSpec::llama2_13b(), &node4());
+        let hybrid = |batch, ctx, overlap| {
+            let mut job = StagedJob::default();
+            c.hybrid_job_into(batch, ctx, &[(256, 0)], 0, overlap, &mut job);
+            job
+        };
         let d = c.decode_job(64, 64 * 200);
-        let h = c.hybrid_job(64, 64 * 200, &[(256, 0)], 0, 0.4);
-        let p = c.hybrid_job(0, 0, &[(256, 0)], 0, 0.4);
+        let h = hybrid(64, 64 * 200, 0.4);
+        let p = hybrid(0, 0, 0.4);
         assert!(h.latency() > d.latency());
         assert!(h.latency() > p.latency());
         // Partial fusion: cheaper than running the two jobs back to back...
         assert!(h.latency() < d.latency() + p.latency());
         // ...but a fully-overlapped hybrid is cheaper still, and a fully
         // serialised one costs more.
-        let h_ideal = c.hybrid_job(64, 64 * 200, &[(256, 0)], 0, 1.0);
-        let h_serial = c.hybrid_job(64, 64 * 200, &[(256, 0)], 0, 0.0);
+        let h_ideal = hybrid(64, 64 * 200, 1.0);
+        let h_serial = hybrid(64, 64 * 200, 0.0);
         assert!(h_ideal.latency() < h.latency());
         assert!(h_serial.latency() > h.latency());
     }

@@ -153,7 +153,7 @@ pub fn drive<P: Policy>(
     // segments). Bounded: warm-up and drain idleness become explicit
     // StageIdle events, so attributed bubble seconds close against the
     // makespan.
-    run.journal.append_stage_events_bounded(&timeline, makespan);
+    run.journal.append_stage_events(&timeline, makespan);
     let pool = &run.pool;
     let report = RunReport {
         scheduler: close.scheduler,

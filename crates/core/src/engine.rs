@@ -127,16 +127,33 @@ fn reclaim_retained(
         return false;
     };
     while alloc.free_blocks() < target {
-        let Some((succ, e)) = sess.retainer.pop_oldest_except(keep) else {
+        if !drop_oldest_retained(&mut sess.retainer, keep, now, alloc, pool, journal) {
             return false;
-        };
-        // analyzer: allow(no-expect) — a retained entry's donor keeps its
-        // allocator slot live until the entry is claimed or dropped here.
-        alloc.free(e.donor).expect("retained donor resident");
-        pool.clear_reuse_discount(succ as usize);
-        journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
+        }
         est_cache.invalidate();
     }
+    true
+}
+
+/// Drop the oldest retained prefix (never the one reserved for `keep`):
+/// free its donor's KV, revoke its successor's prefill discount and
+/// journal the drop. Returns false when nothing is left to drop.
+fn drop_oldest_retained(
+    retainer: &mut SessionRetainer,
+    keep: Option<u64>,
+    now: f64,
+    alloc: &mut BlockAllocator,
+    pool: &mut RequestPool,
+    journal: &mut FlightRecorder,
+) -> bool {
+    let Some((succ, e)) = retainer.pop_oldest_except(keep) else {
+        return false;
+    };
+    // analyzer: allow(no-expect) — a retained entry's donor keeps its
+    // allocator slot live until the entry is claimed or dropped here.
+    alloc.free(e.donor).expect("retained donor resident");
+    pool.clear_reuse_discount(succ as usize);
+    journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
     true
 }
 
@@ -290,15 +307,9 @@ impl StepHooks for TdStepHooks<'_, '_> {
                 // too small for this prefix leaves `fits` false and we fall
                 // back to freeing.
                 while !s.retainer.fits(blocks) {
-                    let Some((other, e)) = s.retainer.pop_oldest() else {
+                    if !drop_oldest_retained(&mut s.retainer, None, now, alloc, pool, journal) {
                         break;
-                    };
-                    // analyzer: allow(no-expect) — retained donors stay
-                    // resident until claimed or dropped here.
-                    alloc.free(e.donor).expect("retained donor resident");
-                    pool.clear_reuse_discount(other as usize);
-                    let (request, tokens) = (other, e.tokens);
-                    journal.record(now, TraceEvent::SessionDrop { request, tokens });
+                    }
                 }
                 if s.retainer.retain(succ as u64, m as u64, held, blocks) {
                     // The successor will prefill only its fresh suffix
@@ -1616,7 +1627,8 @@ mod tests {
     #[test]
     fn occupancy_trace_alternates_phases() {
         let out = engine(4).run(&trace(256), &OraclePredictor);
-        assert!(out.occupancy.phase_runs() >= 2);
+        let phases: Vec<_> = out.occupancy.samples().map(|s| s.phase).collect();
+        assert!(phases.windows(2).any(|w| w[0] != w[1]));
         assert!(out.occupancy.peak() <= 1.0);
     }
 

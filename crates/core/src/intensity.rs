@@ -71,17 +71,8 @@ impl IntensityComparator {
     }
 
     /// The decision: switch when spatial intensity falls below temporal.
-    pub fn should_switch(
-        &self,
-        batch: usize,
-        estimate: &PrefillPhaseEstimate,
-        current_decode_step: f64,
-    ) -> bool {
-        self.decide(batch, estimate, current_decode_step).switch
-    }
-
-    /// [`IntensityComparator::should_switch`] plus the two intensities it
-    /// compared — identical math, exposed for the flight recorder.
+    /// Returns the verdict with the two intensities it compared, for the
+    /// flight recorder.
     pub fn decide(
         &self,
         batch: usize,
@@ -125,7 +116,7 @@ mod tests {
             longest_job: 2.0,
             phase_len: 20.0,
         };
-        assert!(!c.should_switch(512, &est, 0.05));
+        assert!(!c.decide(512, &est, 0.05).switch);
     }
 
     #[test]
@@ -135,7 +126,7 @@ mod tests {
             longest_job: 2.0,
             phase_len: 20.0,
         };
-        assert!(c.should_switch(4, &est, 0.02));
+        assert!(c.decide(4, &est, 0.02).switch);
     }
 
     #[test]
@@ -156,7 +147,7 @@ mod tests {
         let threshold = |est: &PrefillPhaseEstimate| {
             (1..=512)
                 .rev()
-                .find(|&b| c.should_switch(b, est, step))
+                .find(|&b| c.decide(b, est, step).switch)
                 .unwrap_or(0)
         };
         assert!(threshold(&big_backlog) >= threshold(&small_backlog));
@@ -181,6 +172,6 @@ mod tests {
             phase_len: 0.0,
         };
         assert_eq!(c.temporal(&est, 0.01), 0.0);
-        assert!(!c.should_switch(1, &est, 0.01));
+        assert!(!c.decide(1, &est, 0.01).switch);
     }
 }

@@ -49,7 +49,7 @@ pub mod steal;
 pub use config::{D2pPolicy, EngineConfig, P2dPolicy, PreemptionMode, TdPipeConfig};
 pub use engine::TdPipeEngine;
 pub use plan::MemoryPlan;
-pub use request::{RequestArena, RequestPool};
+pub use request::RequestPool;
 
 #[cfg(test)]
 mod proptests;

@@ -1,6 +1,6 @@
 //! Property tests over TD-Pipe's decision mechanisms.
 
-use crate::batch::partition_even;
+use crate::batch::partition_even_into;
 use crate::greedy::GreedyPrefillPlanner;
 use crate::steal::WorkStealer;
 use proptest::prelude::*;
@@ -20,7 +20,8 @@ enum PlannerOp {
 proptest! {
     #[test]
     fn partition_even_is_a_partition(members in prop::collection::vec(0usize..10_000, 0..500), n in 1usize..8) {
-        let batches = partition_even(&members, n);
+        let mut batches = Vec::new();
+        partition_even_into(&members, n, &mut batches);
         prop_assert_eq!(batches.len(), n);
         let mut all: Vec<usize> = batches.iter().flat_map(|b| b.members.clone()).collect();
         prop_assert_eq!(&all[..], &members[..], "order-preserving concatenation");
@@ -156,7 +157,7 @@ proptest! {
         let mut stealer = WorkStealer::new(&sizes);
         for _ in 0..rounds {
             for b in batches.iter_mut() {
-                stealer.on_batch_return(b, 0);
+                stealer.rebalance(b, 0, &mut 0, |_| 0);
             }
         }
         let held: usize = batches.iter().map(Vec::len).sum::<usize>() + stealer.withheld().len();

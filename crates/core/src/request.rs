@@ -48,13 +48,14 @@ struct HotState {
     swapped: bool,
 }
 
-/// The arena of all requests in a run, with conservation accounting.
+/// The pool of all requests in a run, with conservation accounting; every
+/// scheduler takes one per run.
 ///
 /// Requests are addressed by pool index everywhere (the allocator, the
-/// planner, batch membership lists); the arena is the single source of
+/// planner, batch membership lists); the pool is the single source of
 /// truth for per-request state.
 #[derive(Debug, Clone)]
-pub struct RequestArena {
+pub struct RequestPool {
     /// Hot per-request state, one record per request (see [`HotState`]).
     hot: Vec<HotState>,
     /// Trace-level identity (cold: read for journals and error messages).
@@ -80,11 +81,8 @@ pub struct RequestArena {
     pub swapped_tokens: u64,
 }
 
-/// The historical name for the arena; every scheduler takes one per run.
-pub type RequestPool = RequestArena;
-
-impl RequestArena {
-    /// Build the arena from trace requests, attaching predictions via
+impl RequestPool {
+    /// Build the pool from trace requests, attaching predictions via
     /// `predict` (use the oracle or a trained predictor).
     pub fn new<F: FnMut(&Request) -> u32>(requests: &[Request], predict: F) -> Self {
         Self::with_arrivals(requests, &[], predict)
@@ -114,7 +112,7 @@ impl RequestArena {
             })
             .collect();
         let n = requests.len();
-        RequestArena {
+        RequestPool {
             hot,
             ids: requests.iter().map(|r| r.id).collect(),
             arrivals: (0..n)
@@ -131,13 +129,13 @@ impl RequestArena {
         }
     }
 
-    /// Number of requests in the arena.
+    /// Number of requests in the pool.
     #[inline]
     pub fn len(&self) -> usize {
         self.hot.len()
     }
 
-    /// Whether the arena is empty.
+    /// Whether the pool is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.hot.is_empty()
@@ -210,7 +208,7 @@ impl RequestArena {
     }
 
     /// Re-stamp request `idx`'s arrival time. Closed-loop session turns
-    /// enter the arena with `f64::INFINITY` (not yet arrived) and are
+    /// enter the pool with `f64::INFINITY` (not yet arrived) and are
     /// released here when their predecessor finishes plus think time.
     /// Latency metrics measure from the released arrival.
     pub fn set_arrival(&mut self, idx: usize, at: f64) {

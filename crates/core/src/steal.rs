@@ -36,11 +36,14 @@ pub struct RebalanceOutcome {
 ///
 /// let mut stealer = WorkStealer::new(&[128, 128]);
 /// let mut heavy: Vec<usize> = (0..128).collect();
+/// // Every member holds 10 context tokens.
+/// let mut ctx = 128 * 10;
 /// // 60 requests of the other batch finished: this batch is now over the
 /// // sliding-window target and gets trimmed.
-/// stealer.on_batch_return(&mut heavy, 60);
-/// assert!(heavy.len() < 128);
-/// assert!(!stealer.withheld().is_empty());
+/// let moved = stealer.rebalance(&mut heavy, 60, &mut ctx, |_| 10);
+/// assert_eq!(heavy.len(), moved.target);
+/// assert_eq!(stealer.withheld().len(), moved.withheld);
+/// assert_eq!(ctx, 10 * heavy.len() as u64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkStealer {
@@ -78,19 +81,16 @@ impl WorkStealer {
     /// Over-average members are moved into the withheld pool (newest last —
     /// the tail of `members` is withheld first); under-average batches are
     /// topped up from the pool. The submitted size is recorded in the
-    /// window.
-    pub fn on_batch_return(&mut self, members: &mut Vec<usize>, finished_now: usize) {
-        self.rebalance(members, finished_now, &mut 0, |_| 0);
-    }
-
-    /// [`Self::on_batch_return`] that also keeps the batch's running
-    /// context-token total `ctx` consistent as members move: withheld
-    /// members subtract their resident tokens, supplements add theirs.
-    /// This is what lets the engine maintain `total_ctx` incrementally
-    /// instead of rescanning the batch every decode step.
+    /// window. The target never drops below 1, and the withheld pool
+    /// counts as live work in it.
     ///
-    /// Returns what moved (for the flight recorder); callers that only
-    /// want the side effect ignore it.
+    /// The batch's running context-token total `ctx` stays consistent as
+    /// members move: withheld members subtract their `resident` tokens,
+    /// supplements add theirs. This is what lets the engine maintain
+    /// `total_ctx` incrementally instead of rescanning the batch every
+    /// decode step.
+    ///
+    /// Returns what moved (for the flight recorder).
     pub fn rebalance(
         &mut self,
         members: &mut Vec<usize>,
@@ -136,25 +136,11 @@ impl WorkStealer {
         &self.withheld
     }
 
-    /// Drain the withheld pool (end of the decode phase: the requests are
-    /// re-partitioned with everything else at the next phase switch).
-    pub fn drain(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.withheld)
-    }
-
     /// Move the withheld pool into `out` without giving up this stealer's
     /// buffer capacity (the last live batch absorbs strays this way).
     pub fn take_withheld_into(&mut self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.withheld);
         self.withheld.clear();
-    }
-
-    /// Current sliding-window target batch size: exactly what
-    /// [`Self::rebalance`] would enforce right now with no freshly
-    /// finished requests — the withheld pool counts as live work and the
-    /// target never drops below 1.
-    pub fn current_target(&self) -> usize {
-        ((self.window.iter().sum::<usize>() + self.withheld.len()) / self.window.len()).max(1)
     }
 }
 
@@ -171,14 +157,14 @@ mod tests {
         // Batch 0 returns: 48 finished, 80 left. Avg = (512-48)/4 = 116.
         // 80 < 116 and the pool is empty → submit all 80.
         let mut b0: Vec<usize> = (0..80).collect();
-        s.on_batch_return(&mut b0, 48);
+        s.rebalance(&mut b0, 48, &mut 0, |_| 0);
         assert_eq!(b0.len(), 80);
         assert!(s.withheld().is_empty());
 
         // Batch 1 returns: 8 finished, 120 left.
         // Avg = (80+128+128+128-8)/4 = 114 → steal 6, submit 114.
         let mut b1: Vec<usize> = (100..220).collect();
-        s.on_batch_return(&mut b1, 8);
+        s.rebalance(&mut b1, 8, &mut 0, |_| 0);
         assert_eq!(b1.len(), 114);
         assert_eq!(s.withheld().len(), 6);
 
@@ -186,21 +172,21 @@ mod tests {
         // withheld pool (required for the pool to drain; Fig. 9's prose
         // omits it): (128+80+114+128 + 6)/4 = 114 → steal 14.
         let mut b2: Vec<usize> = (300..428).collect();
-        s.on_batch_return(&mut b2, 0);
+        s.rebalance(&mut b2, 0, &mut 0, |_| 0);
         assert_eq!(b2.len(), 114);
         assert_eq!(s.withheld().len(), 6 + 14);
 
         // Batch 3 returns: none finished, 128 left.
         // (80+114+114+128 + 20)/4 = 114 → steal 14.
         let mut b3: Vec<usize> = (500..628).collect();
-        s.on_batch_return(&mut b3, 0);
+        s.rebalance(&mut b3, 0, &mut 0, |_| 0);
         assert_eq!(b3.len(), 114);
         assert_eq!(s.withheld().len(), 34);
 
         // Batch 0 comes around again: (114+114+114+80 + 34)/4 = 114 — the
         // light batch absorbs the whole pool, balancing all four batches.
         let mut b0_again = b0;
-        s.on_batch_return(&mut b0_again, 0);
+        s.rebalance(&mut b0_again, 0, &mut 0, |_| 0);
         assert_eq!(b0_again.len(), 114);
         assert!(s.withheld().is_empty());
     }
@@ -225,7 +211,7 @@ mod tests {
                 } else {
                     0
                 };
-                s.on_batch_return(b, finished);
+                s.rebalance(b, finished, &mut 0, |_| 0);
             }
             // Conservation: batches + withheld == alive, no duplicates.
             let mut all: Vec<usize> = batches.iter().flatten().copied().collect();
@@ -250,7 +236,7 @@ mod tests {
         ];
         for _ in 0..6 {
             for b in batches.iter_mut() {
-                s.on_batch_return(b, 0);
+                s.rebalance(b, 0, &mut 0, |_| 0);
             }
         }
         let sizes: Vec<usize> = batches.iter().map(|b| b.len()).collect();
@@ -264,32 +250,28 @@ mod tests {
     }
 
     #[test]
-    fn current_target_pins_the_rebalance_formula() {
+    fn target_counts_the_withheld_pool() {
         // Build a state with a non-empty withheld pool so the formula's
         // pool term is observable.
         let mut s = WorkStealer::new(&[128, 128]);
         let mut heavy: Vec<usize> = (0..128).collect();
-        s.on_batch_return(&mut heavy, 60);
+        s.rebalance(&mut heavy, 60, &mut 0, |_| 0);
         assert!(!s.withheld().is_empty(), "setup must withhold something");
-        // The advertised target is (window_sum + withheld) / len, floored
-        // at 1 — the exact arithmetic `rebalance` applies with
-        // finished_now = 0 (window now holds [128, heavy.len()]).
-        let expect = ((128 + heavy.len() + s.withheld().len()) / 2).max(1);
-        assert_eq!(s.current_target(), expect);
-        // And it predicts what rebalancing actually enforces: a large
-        // returning batch is trimmed to exactly this target.
-        let advertised = s.current_target();
+        // The target is (window_sum + withheld) / len with finished_now = 0
+        // (the window now holds [128, heavy.len()]), and a large returning
+        // batch is trimmed to exactly it.
+        let expect = (128 + heavy.len() + s.withheld().len()) / 2;
         let mut big: Vec<usize> = (1000..1300).collect();
-        s.on_batch_return(&mut big, 0);
-        assert_eq!(big.len(), advertised);
+        let o = s.rebalance(&mut big, 0, &mut 0, |_| 0);
+        assert_eq!(o.target, expect);
+        assert_eq!(big.len(), expect);
     }
 
     #[test]
-    fn current_target_never_reports_zero() {
-        // All-empty window: rebalance floors the target at 1, and the
-        // observable target must agree instead of reporting 0.
-        let s = WorkStealer::new(&[0, 0, 0]);
-        assert_eq!(s.current_target(), 1);
+    fn target_never_drops_to_zero() {
+        // All-empty window: the target floors at 1 instead of 0.
+        let mut s = WorkStealer::new(&[0, 0, 0]);
+        assert_eq!(s.rebalance(&mut Vec::new(), 0, &mut 0, |_| 0).target, 1);
     }
 
     #[test]
@@ -314,11 +296,10 @@ mod tests {
     fn reset_matches_fresh_stealer() {
         let mut used = WorkStealer::new(&[4, 4]);
         let mut big: Vec<usize> = (0..10).collect();
-        used.on_batch_return(&mut big, 0);
+        used.rebalance(&mut big, 0, &mut 0, |_| 0);
         assert!(!used.withheld().is_empty());
         used.reset(&[7, 9, 3]);
         let fresh = WorkStealer::new(&[7, 9, 3]);
-        assert_eq!(used.current_target(), fresh.current_target());
         assert!(used.withheld().is_empty());
         let mut a: Vec<usize> = (0..20).collect();
         let mut b = a.clone();
@@ -334,22 +315,12 @@ mod tests {
     fn take_withheld_into_moves_the_pool() {
         let mut s = WorkStealer::new(&[4, 4]);
         let mut big: Vec<usize> = (0..10).collect();
-        s.on_batch_return(&mut big, 0);
+        s.rebalance(&mut big, 0, &mut 0, |_| 0);
         let n = s.withheld().len();
         assert!(n > 0);
         let mut out = vec![99];
         s.take_withheld_into(&mut out);
         assert_eq!(out.len(), 1 + n);
-        assert!(s.withheld().is_empty());
-    }
-
-    #[test]
-    fn drain_returns_everything() {
-        let mut s = WorkStealer::new(&[4, 4]);
-        let mut big: Vec<usize> = (0..10).collect();
-        s.on_batch_return(&mut big, 0);
-        let pool = s.drain();
-        assert_eq!(big.len() + pool.len(), 10);
         assert!(s.withheld().is_empty());
     }
 }

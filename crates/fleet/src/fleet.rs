@@ -407,10 +407,8 @@ mod tests {
 
     #[test]
     fn starved_replicas_aggregate_cleanly() {
-        // Affine with spill_occupancy 1e9 never spills; with few sessions
-        // and 3 replicas, some replica is plausibly starved — and even if
-        // not, a zero-request replica must aggregate to finite numbers,
-        // which the empty-pool case below forces deterministically.
+        // Affine routing of 2 sessions over 3 replicas starves one, and a
+        // zero-request replica must aggregate to finite numbers.
         let st = SessionConfig::small(2, 33).generate();
         let replicas = pool("l20:3");
         let fleet = run_fleet_with_threads(

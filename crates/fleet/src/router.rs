@@ -67,8 +67,12 @@ impl RouterPolicy {
     }
 }
 
-/// Router configuration: the policy, the seed behind the affine home hash,
-/// and the occupancy fraction above which an affine home overflows.
+/// Estimated-KV-occupancy fraction above which a session's affine home
+/// spills to the shortest queue.
+const SPILL_OCCUPANCY: f64 = 0.9;
+
+/// Router configuration: the policy and the seed behind the affine home
+/// hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Dispatch policy.
@@ -76,9 +80,6 @@ pub struct RouterConfig {
     /// Seed of the affine home hash (ignored by the other policies — they
     /// are deterministic without randomness).
     pub seed: u64,
-    /// Estimated-KV-occupancy fraction above which a session's affine home
-    /// spills to the shortest queue.
-    pub spill_occupancy: f64,
 }
 
 impl Default for RouterConfig {
@@ -86,7 +87,6 @@ impl Default for RouterConfig {
         RouterConfig {
             policy: RouterPolicy::ShortestQueue,
             seed: 0,
-            spill_occupancy: 0.9,
         }
     }
 }
@@ -281,7 +281,7 @@ impl Router {
             .partition_point(|&prefix| prefix <= ticket);
         let q = &self.queues[home];
         let occupied = q.pressure_after(unit.kv_tokens) as f64;
-        if occupied <= self.cfg.spill_occupancy * q.capacity_tokens as f64 {
+        if occupied <= SPILL_OCCUPANCY * q.capacity_tokens as f64 {
             home
         } else {
             self.spills += 1;
@@ -404,7 +404,6 @@ mod tests {
         let cfg = RouterConfig {
             policy: RouterPolicy::SessionAffine,
             seed: 7,
-            spill_occupancy: 0.9,
         };
         let mut a = Router::new(cfg.clone(), &reps);
         let mut b = Router::new(cfg, &reps);
@@ -423,7 +422,6 @@ mod tests {
             RouterConfig {
                 policy: RouterPolicy::SessionAffine,
                 seed: 8,
-                spill_occupancy: 0.9,
             },
             &reps,
         );
@@ -431,7 +429,6 @@ mod tests {
             RouterConfig {
                 policy: RouterPolicy::SessionAffine,
                 seed: 7,
-                spill_occupancy: 0.9,
             },
             &reps,
         );
@@ -444,18 +441,21 @@ mod tests {
     #[test]
     fn affine_spills_when_the_home_is_over_pressure() {
         let reps = replicas(&[NodeSpec::l20(2), NodeSpec::l20(2)]);
-        let mut router = Router::new(
-            RouterConfig {
-                policy: RouterPolicy::SessionAffine,
-                seed: 1,
-                // Impossible threshold: every dispatch must spill.
-                spill_occupancy: 0.0,
-            },
-            &reps,
-        );
-        let before = router.spills();
-        router.dispatch(&unit(3, 0.0));
-        assert_eq!(router.spills(), before + 1);
+        let cfg = RouterConfig {
+            policy: RouterPolicy::SessionAffine,
+            seed: 1,
+        };
+        // An idle home takes a unit up to the threshold and spills one
+        // token past it.
+        let threshold = (SPILL_OCCUPANCY * reps[0].kv_capacity_tokens() as f64) as u64;
+        for (kv_tokens, spills) in [(threshold, 0), (threshold + 1, 1)] {
+            let mut router = Router::new(cfg.clone(), &reps);
+            router.dispatch(&DispatchUnit {
+                kv_tokens,
+                ..unit(3, 0.0)
+            });
+            assert_eq!(router.spills(), spills, "{kv_tokens} tokens");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ pub enum KvError {
     },
     /// `allocate` called twice for the same request.
     DuplicateRequest(u64),
-    /// `extend`/`free`/`tokens_of` called for an unknown request.
+    /// `extend_one`/`free`/`tokens_of` called for an unknown request.
     UnknownRequest(u64),
 }
 
@@ -51,9 +51,9 @@ pub struct AllocStats {
     pub allocs: u64,
     /// Successful `free` calls.
     pub frees: u64,
-    /// Successful `extend` calls.
+    /// Tokens appended to residents (one per decode-step extend).
     pub extends: u64,
-    /// `extend`/`allocate` calls rejected with `OutOfMemory`.
+    /// Extends and `allocate` calls rejected with `OutOfMemory`.
     pub oom_rejections: u64,
     /// Most blocks ever in use at once.
     pub used_blocks_high_water: u64,
@@ -92,16 +92,18 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 /// exactly like paged attention). All operations are O(1) — request ids
 /// are dense pool indices in this codebase, so residency lives in a flat
 /// `Vec<Option<Residency>>` indexed by id (grown lazily to the highest id
-/// seen) rather than a hash map: `extend(id, 1)` runs once per surviving
-/// batch member per decode step and is the hottest call in the simulator,
-/// and here it is two array reads and an add, no hashing.
+/// seen) rather than a hash map. Decode steps do not touch it per member:
+/// a cohort step moves the pool counters once through
+/// [`extend_cohort`](Self::extend_cohort) or
+/// [`extend_survivors`](Self::extend_survivors) and settles a member's
+/// record only when it is read ([`advance_tokens`](Self::advance_tokens)).
 ///
 /// ```
 /// use tdpipe_kvcache::BlockAllocator;
 ///
 /// let mut pool = BlockAllocator::new(100, 16);
 /// pool.allocate(1, 300).unwrap();   // prefill: 19 blocks
-/// pool.extend(1, 1).unwrap();       // one decode step
+/// pool.extend_one(1).unwrap();      // one decode step
 /// assert_eq!(pool.tokens_of(1).unwrap(), 301);
 /// assert_eq!(pool.free(1).unwrap(), 301);
 /// assert_eq!(pool.occupancy(), 0.0);
@@ -116,7 +118,7 @@ pub struct BlockAllocator {
     /// Count of `Some` entries in `residents`.
     num_residents: usize,
     /// Sum of `tokens` over resident requests, maintained incrementally so
-    /// `resident_tokens()`/`fragmentation()` stay O(1).
+    /// `resident_tokens()` stays O(1).
     resident_tokens: u64,
     /// Lifetime operation counters (see [`AllocStats`]).
     stats: AllocStats,
@@ -204,11 +206,6 @@ impl BlockAllocator {
         self.stats
     }
 
-    /// Whether a new request of `tokens` tokens would fit right now.
-    pub fn can_allocate(&self, tokens: u64) -> bool {
-        self.blocks_for(tokens) <= self.free_blocks()
-    }
-
     /// Admit a request with `tokens` tokens (its prompt after prefill).
     pub fn allocate(&mut self, id: u64, tokens: u64) -> Result<(), KvError> {
         if self.slot(id).is_some() {
@@ -238,42 +235,11 @@ impl BlockAllocator {
         Ok(())
     }
 
-    /// Append `additional` tokens to a resident request (one decode step
-    /// appends 1). Allocates a new block only when the trailing block
-    /// overflows. On `OutOfMemory` the request is left unchanged.
-    pub fn extend(&mut self, id: u64, additional: u64) -> Result<(), KvError> {
-        let free = self.num_blocks - self.used_blocks;
-        let block_size = self.block_size as u64;
-        let r = self
-            .residents
-            .get_mut(id as usize)
-            .and_then(Option::as_mut)
-            .ok_or(KvError::UnknownRequest(id))?;
-        let new_blocks = (r.tokens + additional).div_ceil(block_size);
-        let extra = new_blocks - r.blocks;
-        if extra > free {
-            self.stats.oom_rejections += 1;
-            return Err(KvError::OutOfMemory {
-                needed: extra,
-                available: free,
-            });
-        }
-        r.tokens += additional;
-        r.blocks = new_blocks;
-        self.used_blocks += extra;
-        self.resident_tokens += additional;
-        self.stats.extends += 1;
-        if self.used_blocks > self.stats.used_blocks_high_water {
-            self.stats.used_blocks_high_water = self.used_blocks;
-        }
-        Ok(())
-    }
-
-    /// Append one token to a resident request — the single-token special
-    /// case of [`extend`](Self::extend), which is the hottest call in the
-    /// simulator (once per surviving batch member per decode step). A new
-    /// block is needed exactly when the trailing block is full, which a
-    /// multiply-compare detects without the general `div_ceil`.
+    /// Append one token to a resident request: one decode step for one
+    /// member, the per-member reference the cohort accounting
+    /// ([`extend_cohort`](Self::extend_cohort)) must match. A new block is
+    /// needed exactly when the trailing block is full. On `OutOfMemory` the
+    /// request is left unchanged.
     pub fn extend_one(&mut self, id: u64) -> Result<(), KvError> {
         let free = self.num_blocks - self.used_blocks;
         let block_size = self.block_size as u64;
@@ -418,24 +384,18 @@ impl BlockAllocator {
     pub fn contains(&self, id: u64) -> bool {
         self.slot(id).is_some()
     }
-
-    /// Internal fragmentation: bytes-equivalent tokens of slack in the
-    /// trailing partially-filled block of every resident, as a fraction of
-    /// used capacity. Paged attention bounds this by
-    /// `(block_size − 1) / tokens_per_request`.
-    pub fn fragmentation(&self) -> f64 {
-        let used_tokens = self.used_blocks * self.block_size as u64;
-        if used_tokens == 0 {
-            return 0.0;
-        }
-        let resident = self.resident_tokens;
-        (used_tokens - resident) as f64 / used_tokens as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `n` decode steps of resident `id`.
+    fn grow(a: &mut BlockAllocator, id: u64, n: u64) {
+        for _ in 0..n {
+            a.extend_one(id).unwrap();
+        }
+    }
 
     #[test]
     fn allocate_extend_free_roundtrip() {
@@ -445,10 +405,10 @@ mod tests {
         assert_eq!(a.tokens_of(1).unwrap(), 17);
 
         // 15 more tokens fill block 2 exactly (32 total): no new block.
-        a.extend(1, 15).unwrap();
+        grow(&mut a, 1, 15);
         assert_eq!(a.used_blocks(), 2);
         // One more token opens block 3.
-        a.extend(1, 1).unwrap();
+        a.extend_one(1).unwrap();
         assert_eq!(a.used_blocks(), 3);
 
         assert_eq!(a.free(1).unwrap(), 33);
@@ -477,7 +437,7 @@ mod tests {
     fn failed_extend_leaves_request_intact() {
         let mut a = BlockAllocator::new(1, 4);
         a.allocate(1, 4).unwrap();
-        let err = a.extend(1, 1).unwrap_err();
+        let err = a.extend_one(1).unwrap_err();
         assert!(matches!(err, KvError::OutOfMemory { .. }));
         assert_eq!(a.tokens_of(1).unwrap(), 4);
         assert_eq!(a.used_blocks(), 1);
@@ -488,7 +448,7 @@ mod tests {
         let mut a = BlockAllocator::new(10, 16);
         a.allocate(1, 1).unwrap();
         assert_eq!(a.allocate(1, 1).unwrap_err(), KvError::DuplicateRequest(1));
-        assert_eq!(a.extend(9, 1).unwrap_err(), KvError::UnknownRequest(9));
+        assert_eq!(a.extend_one(9).unwrap_err(), KvError::UnknownRequest(9));
         assert_eq!(a.free(9).unwrap_err(), KvError::UnknownRequest(9));
     }
 
@@ -498,26 +458,16 @@ mod tests {
         a.allocate(1, 0).unwrap();
         assert_eq!(a.used_blocks(), 0);
         assert!(a.contains(1));
-        a.extend(1, 1).unwrap();
+        a.extend_one(1).unwrap();
         assert_eq!(a.used_blocks(), 1);
     }
 
     #[test]
     fn occupancy_of_empty_pool_is_full() {
-        let a = BlockAllocator::new(0, 16);
+        let mut a = BlockAllocator::new(0, 16);
         assert_eq!(a.occupancy(), 1.0);
-        assert!(!a.can_allocate(1));
-        assert!(a.can_allocate(0));
-    }
-
-    #[test]
-    fn fragmentation_is_trailing_block_slack() {
-        let mut a = BlockAllocator::new(100, 16);
-        assert_eq!(a.fragmentation(), 0.0);
-        a.allocate(1, 17).unwrap(); // 2 blocks = 32 token-slots, 17 used
-        assert!((a.fragmentation() - 15.0 / 32.0).abs() < 1e-12);
-        a.extend(1, 15).unwrap(); // exactly fills both blocks
-        assert_eq!(a.fragmentation(), 0.0);
+        assert!(a.allocate(1, 1).is_err());
+        assert!(a.allocate(2, 0).is_ok());
     }
 
     #[test]
@@ -527,31 +477,13 @@ mod tests {
         a.allocate(2, 32).unwrap(); // 4 blocks → high water
         assert!(a.allocate(3, 16).is_err()); // OOM rejection
         a.free(1).unwrap();
-        a.extend(2, 1).unwrap(); // opens a third block for id 2
+        a.extend_one(2).unwrap(); // opens a third block for id 2
         let s = a.stats();
         assert_eq!(s.allocs, 2);
         assert_eq!(s.frees, 1);
         assert_eq!(s.extends, 1);
         assert_eq!(s.oom_rejections, 1);
         assert_eq!(s.used_blocks_high_water, 4);
-    }
-
-    #[test]
-    fn extend_one_matches_extend_by_one() {
-        let mut fast = BlockAllocator::new(3, 4);
-        let mut slow = BlockAllocator::new(3, 4);
-        fast.allocate(1, 3).unwrap();
-        slow.allocate(1, 3).unwrap();
-        for _ in 0..9 {
-            assert_eq!(fast.extend_one(1).is_ok(), slow.extend(1, 1).is_ok());
-            assert_eq!(fast.tokens_of(1).ok(), slow.tokens_of(1).ok());
-            assert_eq!(fast.used_blocks(), slow.used_blocks());
-            assert_eq!(fast.stats(), slow.stats());
-        }
-        // Both ended OOM at the 12-token pool boundary.
-        assert_eq!(fast.tokens_of(1).unwrap(), 12);
-        assert!(fast.extend_one(1).is_err());
-        assert_eq!(fast.extend_one(9).unwrap_err(), KvError::UnknownRequest(9));
     }
 
     #[test]
@@ -607,7 +539,7 @@ mod tests {
         let mut a = BlockAllocator::new(100, 16);
         a.allocate(1, 10).unwrap();
         a.allocate(2, 20).unwrap();
-        a.extend(2, 5).unwrap();
+        grow(&mut a, 2, 5);
         assert_eq!(a.resident_tokens(), 35);
         assert_eq!(a.num_residents(), 2);
     }

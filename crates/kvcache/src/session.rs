@@ -127,7 +127,7 @@ impl SessionRetainer {
     /// Retain `donor`'s live allocation (`tokens` tokens in `blocks`
     /// blocks) for `successor`. Returns `false` — and retains nothing —
     /// when the budget cannot cover it even after the caller reclaimed
-    /// (callers evict via [`Self::pop_oldest`] first). At most one
+    /// (callers evict via [`Self::pop_oldest_except`] first). At most one
     /// retained entry may exist per successor.
     ///
     /// # Panics
@@ -179,16 +179,12 @@ impl SessionRetainer {
         Some(e)
     }
 
-    /// Reclaim the oldest retained allocation (budget or memory pressure).
-    /// Returns `(successor, entry)`; the caller must free the donor's
-    /// allocator entry and clear any successor-side reuse discount.
-    pub fn pop_oldest(&mut self) -> Option<(u64, RetainedKv)> {
-        self.pop_oldest_except(None)
-    }
-
-    /// Like [`Self::pop_oldest`], but never reclaims the entry reserved
-    /// for `keep` — used while making room to admit `keep` itself, whose
-    /// own prefix is about to be claimed, not sacrificed.
+    /// Reclaim the oldest retained allocation (budget or memory pressure),
+    /// never the entry reserved for `keep` — which is `Some` while making
+    /// room to admit `keep` itself, whose own prefix is about to be
+    /// claimed, not sacrificed. Returns `(successor, entry)`; the caller
+    /// must free the donor's allocator entry and clear any successor-side
+    /// reuse discount.
     pub fn pop_oldest_except(&mut self, keep: Option<u64>) -> Option<(u64, RetainedKv)> {
         let pos = self
             .order
@@ -241,7 +237,7 @@ mod tests {
         assert!(!r.retain(3, 12, 16, 1));
         assert_eq!(r.len(), 2);
         // Reclaim oldest-first.
-        let (succ, e) = r.pop_oldest().unwrap();
+        let (succ, e) = r.pop_oldest_except(None).unwrap();
         assert_eq!((succ, e.donor), (1, 10));
         assert!(r.retain(3, 12, 16, 1), "freed budget admits again");
         assert_eq!(r.stats().drops, 1);
@@ -255,10 +251,10 @@ mod tests {
         r.retain(2, 11, 8, 1);
         r.retain(3, 12, 8, 1);
         assert!(r.claim(2).is_some());
-        let (a, _) = r.pop_oldest().unwrap();
-        let (b, _) = r.pop_oldest().unwrap();
+        let (a, _) = r.pop_oldest_except(None).unwrap();
+        let (b, _) = r.pop_oldest_except(None).unwrap();
         assert_eq!((a, b), (1, 3));
-        assert!(r.pop_oldest().is_none());
+        assert!(r.pop_oldest_except(None).is_none());
         assert_eq!(r.retained_blocks(), 0);
     }
 

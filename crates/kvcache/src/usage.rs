@@ -117,12 +117,6 @@ impl OccupancyTrace {
         })
     }
 
-    /// Number of contiguous phase runs (a proxy for phase switches: Fig. 12
-    /// alternates prefill/decode bands).
-    pub fn phase_runs(&self) -> usize {
-        self.runs.len()
-    }
-
     /// CSV export: `time,occupancy,phase`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("time,occupancy,phase\n");
@@ -164,7 +158,6 @@ mod tests {
         t.push(2.0, 95, Phase::Decode);
         t.push(3.0, 50, Phase::Decode);
         t.push(4.0, 70, Phase::Prefill);
-        assert_eq!(t.phase_runs(), 3);
         assert!((t.peak() - 0.95).abs() < 1e-12);
         assert_eq!(t.samples().len(), 5);
         let phases: Vec<Phase> = t.samples().map(|s| s.phase).collect();
@@ -185,7 +178,6 @@ mod tests {
     fn empty_trace() {
         let t = OccupancyTrace::new();
         assert_eq!(t.peak(), 0.0);
-        assert_eq!(t.phase_runs(), 0);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
     }

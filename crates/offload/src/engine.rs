@@ -4,6 +4,7 @@
 use crate::contention::{HostLink, NodeOffloadRun};
 use crate::cost::OffloadCost;
 use tdpipe_baselines::common::{make_lanes, stall, Lane};
+use tdpipe_baselines::engine::MAX_NUM_SEQS;
 use tdpipe_core::config::{
     EngineConfig, BLOCK_SIZE, ENGINE_OVERHEAD, MEM_RESERVE_BYTES, PREFILL_TOKEN_BUDGET,
 };
@@ -20,7 +21,7 @@ use tdpipe_workload::Trace;
 /// A FlexGen-style single-GPU engine: weights in HBM, KV in host memory.
 ///
 /// Scheduling is plain continuous batching with prefill priority; the
-/// batch-size limit comes from host *capacity* (huge) and `max_num_seqs`,
+/// batch-size limit comes from host *capacity* (huge) and [`MAX_NUM_SEQS`],
 /// not GPU memory — the selling point of offloading — but every decode
 /// step pays the host link (its downfall, §2.2.2).
 #[derive(Debug, Clone)]
@@ -139,10 +140,9 @@ impl Policy for OffloadRun<'_> {
             return now;
         }
         let (eng, lane) = (self.engine, &mut self.lane);
-        let max_seqs = eng.cfg.max_num_seqs.unwrap_or(usize::MAX);
         let residents = lane.residents.len();
-        let (t, kind, tag) = if residents < max_seqs && lane.can_admit(&run.pool, now) {
-            let max_new = max_seqs - residents;
+        let (t, kind, tag) = if residents < MAX_NUM_SEQS && lane.can_admit(&run.pool, now) {
+            let max_new = MAX_NUM_SEQS - residents;
             let (batch, lens) = (&mut self.batch, &mut self.lens);
             lane.pack_prefill_batch_into(run, PREFILL_TOKEN_BUDGET, max_new, now, batch, lens);
             let t = eng.cost.prefill_time(lens, self.host_bw);

@@ -1,6 +1,5 @@
 //! Percentile buckets over historical output lengths (µ-Serve style).
 
-use serde::{Deserialize, Serialize};
 use tdpipe_workload::stats::percentile;
 
 /// The percentile boundaries the paper quotes: `[P0,P25) … [P99,+)`.
@@ -15,7 +14,7 @@ pub const NUM_BUCKETS: usize = BOUNDARY_PERCENTILES.len() + 1;
 /// `[bounds[i-1], bounds[i])`. `means[i]` is the average historical length
 /// inside bucket `i` — the value [`crate::LengthPredictor`] returns when the
 /// classifier picks bucket `i`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PercentileBuckets {
     bounds: [f64; BOUNDARY_PERCENTILES.len()],
     means: [f64; NUM_BUCKETS],

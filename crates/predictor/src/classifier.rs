@@ -38,7 +38,7 @@ impl Default for TrainConfig {
 }
 
 /// A linear softmax classifier `argmax_k (W_k · x + b_k)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxClassifier {
     num_classes: usize,
     dim: usize,

@@ -5,10 +5,8 @@
 //! and is usually a few accuracy points worse — quantifying how much
 //! classifier quality the greedy prefill actually needs.
 
-use serde::{Deserialize, Serialize};
-
 /// A Gaussian Naive Bayes classifier over dense feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNbClassifier {
     num_classes: usize,
     dim: usize,

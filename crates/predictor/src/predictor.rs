@@ -32,7 +32,7 @@ impl OutputLenPredictor for OraclePredictor {
 
 /// The trained µ-Serve-style predictor: softmax classifier over prompt
 /// features + percentile-bucket means.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LengthPredictor {
     buckets: PercentileBuckets,
     classifier: SoftmaxClassifier,
@@ -110,22 +110,12 @@ impl LengthPredictor {
     pub fn buckets(&self) -> &PercentileBuckets {
         &self.buckets
     }
-
-    /// Serialise the trained predictor (deploy artefact).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("predictor serialises")
-    }
-
-    /// Load a predictor serialised by [`Self::to_json`].
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 /// A µ-Serve-style predictor whose classifier head is Gaussian Naive
 /// Bayes instead of logistic regression — the cheap-training ablation
 /// point of the `ablation_predictor` bench.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NbLengthPredictor {
     buckets: PercentileBuckets,
     classifier: GaussianNbClassifier,
@@ -268,22 +258,6 @@ mod tests {
             assert_eq!(OraclePredictor.predict(r), r.output_len);
         }
         assert_eq!(OraclePredictor.per_request_overhead(), 0.0);
-    }
-
-    #[test]
-    fn trained_predictor_round_trips_through_json() {
-        let trace = ShareGptLikeConfig::small(2_000, 3).generate();
-        let p = LengthPredictor::train(&trace.split(3).train, &quick_cfg());
-        let json = p.to_json();
-        let q = LengthPredictor::from_json(&json).unwrap();
-        // JSON float text loses the last ULP; behavioural equality is what
-        // a deploy artefact needs.
-        assert_eq!(p.buckets(), q.buckets());
-        for r in trace.requests().iter().take(50) {
-            assert_eq!(p.predict(r), q.predict(r));
-            assert_eq!(p.predict_bucket(r), q.predict_bucket(r));
-        }
-        assert!(LengthPredictor::from_json("{}").is_err());
     }
 
     #[test]

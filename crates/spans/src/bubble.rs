@@ -346,7 +346,7 @@ mod tests {
                 victim: 9,
             },
         );
-        r.append_stage_events_bounded(&tl, 8.0);
+        r.append_stage_events(&tl, 8.0);
         r
     }
 
@@ -419,7 +419,8 @@ mod tests {
                 to: Phase::Decode,
             },
         );
-        r.append_stage_events(&tl); // interior gaps only
+        // The run spans the device's segments: interior gaps only.
+        r.append_stage_events(&tl, 5.0);
         let ledger = attribute_bubbles(&r);
         let causes: Vec<BubbleCause> = ledger.gaps.iter().map(|g| g.cause).collect();
         assert_eq!(

@@ -94,7 +94,7 @@ mod tests {
         tl.record(0, 0.0, 3.0, SegmentKind::Prefill, 1);
         tl.record(1, 0.5, 3.5, SegmentKind::Prefill, 1);
         let mut r = FlightRecorder::with_capacity(0);
-        r.append_stage_events_bounded(&tl, 4.0);
+        r.append_stage_events(&tl, 4.0);
         let ledger = attribute_bubbles(&r);
         let cp = critical_path(&ledger, 4.0);
         assert_eq!(cp.device, 1);

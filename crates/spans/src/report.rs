@@ -610,7 +610,7 @@ mod tests {
                 first_token: 2.25,
             },
         );
-        r.append_stage_events_bounded(&tl, 6.5);
+        r.append_stage_events(&tl, 6.5);
         r
     }
 

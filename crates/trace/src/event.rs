@@ -315,52 +315,34 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Derive `StageBusy`/`StageIdle` events from a [`Timeline`].
+    /// Derive `StageBusy`/`StageIdle` events from a [`Timeline`] of a run
+    /// that started at t = 0 and ended at `run_end`.
     ///
     /// Segments are walked per device in recording order (the simulator
-    /// records each device's work in start order); a positive gap between
-    /// consecutive segments of the same device becomes a `StageIdle` at
-    /// the gap's start. Requires the timeline to have been built with
-    /// segment recording on — with it off this records nothing. No-op
-    /// when the recorder is disabled.
-    pub fn append_stage_events(&mut self, timeline: &Timeline) {
-        self.append_stage_events_impl(timeline, None);
-    }
-
-    /// [`append_stage_events`](Self::append_stage_events), additionally
-    /// emitting the *boundary* idleness each device sees: a leading
-    /// `StageIdle` from t = 0 to its first segment (pipeline warm-up) and
-    /// a trailing one from its last segment to `run_end` (drain). With
-    /// boundary events included, the in-order sum of a device's idle
-    /// durations accounts for `run_end` minus its busy seconds — the
-    /// closed idle total the bubble ledger attributes cause-by-cause.
-    pub fn append_stage_events_bounded(&mut self, timeline: &Timeline, run_end: f64) {
-        self.append_stage_events_impl(timeline, Some(run_end));
-    }
-
-    fn append_stage_events_impl(&mut self, timeline: &Timeline, run_end: Option<f64>) {
+    /// records each device's work in start order); a positive gap before
+    /// a device's segment becomes a `StageIdle` at the gap's start. That
+    /// includes the *boundary* idleness each device sees: from t = 0 to
+    /// its first segment (pipeline warm-up) and from its last segment to
+    /// `run_end` (drain). So the in-order sum of a device's idle durations
+    /// accounts for `run_end` minus its busy seconds — the closed idle
+    /// total the bubble ledger attributes cause-by-cause. Requires the
+    /// timeline to have been built with segment recording on — with it
+    /// off this records nothing. No-op when the recorder is disabled.
+    pub fn append_stage_events(&mut self, timeline: &Timeline, run_end: f64) {
         if !self.enabled {
             return;
         }
         let segs = timeline.segments();
         self.stage_events.reserve(segs.len() * 2);
         for device in 0..timeline.num_devices() as u32 {
-            let mut last_end: Option<f64> = if run_end.is_some() {
-                // Bounded mode: the run starts at t = 0, so a device's
-                // pre-first-segment wait is warm-up idleness.
-                Some(0.0)
-            } else {
-                None
-            };
+            let mut last_end = 0.0f64;
             for s in segs.iter().filter(|s| s.device == device) {
-                if let Some(prev) = last_end {
-                    let gap = s.start - prev;
-                    if gap > 0.0 {
-                        self.stage_events.push(TimedEvent {
-                            t: prev,
-                            event: TraceEvent::StageIdle { device, dur: gap },
-                        });
-                    }
+                let gap = s.start - last_end;
+                if gap > 0.0 {
+                    self.stage_events.push(TimedEvent {
+                        t: last_end,
+                        event: TraceEvent::StageIdle { device, dur: gap },
+                    });
                 }
                 self.stage_events.push(TimedEvent {
                     t: s.start,
@@ -370,16 +352,14 @@ impl FlightRecorder {
                         dur: s.end - s.start,
                     },
                 });
-                last_end = Some(last_end.unwrap_or(s.end).max(s.end));
+                last_end = last_end.max(s.end);
             }
-            if let (Some(end), Some(prev)) = (run_end, last_end) {
-                let gap = end - prev;
-                if gap > 0.0 {
-                    self.stage_events.push(TimedEvent {
-                        t: prev,
-                        event: TraceEvent::StageIdle { device, dur: gap },
-                    });
-                }
+            let gap = run_end - last_end;
+            if gap > 0.0 {
+                self.stage_events.push(TimedEvent {
+                    t: last_end,
+                    event: TraceEvent::StageIdle { device, dur: gap },
+                });
             }
         }
     }
@@ -510,7 +490,7 @@ pub(crate) mod tests {
         );
         let mut tl = Timeline::new(true);
         tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 0);
-        r.append_stage_events(&tl);
+        r.append_stage_events(&tl, 1.0);
         assert!(r.is_empty());
         assert!(!r.is_enabled());
     }
@@ -550,23 +530,19 @@ pub(crate) mod tests {
         tl.record(0, 2.0, 3.0, SegmentKind::Decode, 2);
         tl.record(1, 0.5, 1.5, SegmentKind::Decode, 1);
         let mut r = FlightRecorder::with_capacity(0);
-        r.append_stage_events(&tl);
-        // Device 0: busy, idle (gap 1.0), busy. Device 1: one busy.
-        assert_eq!(r.stage_events().len(), 4);
-        let idle: Vec<_> = r
+        r.append_stage_events(&tl, 3.0);
+        // Device 0: busy, idle (gap 1.0), busy, ending the run. Device 1:
+        // warm-up idle, one busy, drain idle.
+        assert_eq!(r.stage_events().len(), 6);
+        let idles: Vec<(u32, f64, f64)> = r
             .stage_events()
             .iter()
-            .filter(|e| matches!(e.event, TraceEvent::StageIdle { .. }))
+            .filter_map(|e| match e.event {
+                TraceEvent::StageIdle { device, dur } => Some((device, e.t, dur)),
+                _ => None,
+            })
             .collect();
-        assert_eq!(idle.len(), 1);
-        match idle[0].event {
-            TraceEvent::StageIdle { device, dur } => {
-                assert_eq!(device, 0);
-                assert!((dur - 1.0).abs() < 1e-12);
-                assert!((idle[0].t - 1.0).abs() < 1e-12);
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(idles, vec![(0, 1.0, 1.0), (1, 0.0, 0.5), (1, 1.5, 1.5)]);
     }
 
     #[test]
@@ -575,7 +551,7 @@ pub(crate) mod tests {
         tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 1);
         tl.record(1, 0.5, 1.5, SegmentKind::Prefill, 1);
         let mut r = FlightRecorder::with_capacity(0);
-        r.append_stage_events_bounded(&tl, 2.0);
+        r.append_stage_events(&tl, 2.0);
         // Device 0: busy [0,1], drain idle [1,2].
         // Device 1: warm-up idle [0,0.5], busy [.5,1.5], drain [1.5,2].
         let idles: Vec<(u32, f64, f64)> = r

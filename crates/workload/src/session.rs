@@ -81,15 +81,8 @@ impl SessionConfig {
         let continue_p = 1.0 - 1.0 / self.mean_turns.max(1.0);
         let starts = self.arrival.sample(self.num_sessions);
 
-        // Per-session turn lists, then flattened turn-0-first below.
-        struct RawTurn {
-            request: Request,
-            turn: u32,
-            shared_prefix: u32,
-            think_s: f64,
-        }
-        let mut sessions: Vec<Vec<RawTurn>> = Vec::with_capacity(self.num_sessions);
-        for _ in 0..self.num_sessions {
+        let mut sessions: Vec<Vec<(Request, SessionTurn)>> = Vec::with_capacity(self.num_sessions);
+        for s in 0..self.num_sessions {
             let category = sample_category(&mut rng);
             let mut turns = Vec::new();
             let mut context = 0u64; // transcript tokens so far
@@ -107,21 +100,25 @@ impl SessionConfig {
                 } else {
                     (self.think_mu + self.think_sigma * sample_std_normal(&mut rng)).exp()
                 };
-                turns.push(RawTurn {
-                    request: Request {
-                        // Placeholder id; assigned after global ordering.
-                        id: RequestId(0),
-                        input_len: input_len.max(1).min(self.base.input_max - 1),
-                        output_len,
-                        category: category as u8,
-                        features: self.base.sample_features_for(&mut rng, category),
-                    },
+                let request = Request {
+                    // Placeholder id; assigned after global ordering.
+                    id: RequestId(0),
+                    input_len: input_len.max(1).min(self.base.input_max - 1),
+                    output_len,
+                    category: category as u8,
+                    features: self.base.sample_features_for(&mut rng, category),
+                };
+                // Linkage is assigned after global ordering too.
+                let turn = SessionTurn {
+                    session: s as u32,
                     turn: turns.len() as u32,
                     shared_prefix: context.min(u32::MAX as u64) as u32,
                     think_s,
-                });
-                context = turns.last().map(|t| t.request.input_len).unwrap_or(0) as u64
-                    + output_len as u64;
+                    prev: None,
+                    next: None,
+                };
+                context = request.input_len as u64 + output_len as u64;
+                turns.push((request, turn));
                 if rng.random::<f64>() > continue_p {
                     break;
                 }
@@ -129,56 +126,68 @@ impl SessionConfig {
             sessions.push(turns);
         }
 
-        // Global order: every session's turn 0 first (session starts are
-        // already non-decreasing, so the initial arrival vector stays
-        // sorted), then the closed-loop turns in (session, turn) order.
-        let mut requests = Vec::new();
-        let mut turns = Vec::new();
-        let mut start_arrivals = Vec::new();
-        let mut first_idx = vec![0u32; sessions.len()];
-        for (s, session) in sessions.iter().enumerate() {
-            first_idx[s] = requests.len() as u32;
-            let t0 = &session[0];
-            requests.push(t0.request.clone());
-            start_arrivals.push(starts[s]);
+        lay_out(sessions, starts, |t| t)
+    }
+}
+
+/// Lay out sessions as a [`SessionTrace`]: every session's turn 0 first,
+/// in session order (so with non-decreasing `start_arrivals` the initial
+/// arrival vector stays sorted), then the closed-loop turns in (session,
+/// turn) order, linked `prev`/`next`, with request ids renumbered to trace
+/// positions. `sessions[s]` lists session `s`'s turns from turn 0 on, and
+/// `turn` turns one into its request and linkage (of which only `turn`,
+/// `shared_prefix` and `think_s` are kept).
+fn lay_out<T>(
+    sessions: Vec<Vec<T>>,
+    start_arrivals: Vec<f64>,
+    turn: impl Fn(T) -> (Request, SessionTurn),
+) -> SessionTrace {
+    let num_sessions = sessions.len();
+    let mut requests = Vec::new();
+    let mut turns = Vec::new();
+    let mut resumed = Vec::with_capacity(num_sessions);
+    for (s, session) in sessions.into_iter().enumerate() {
+        let mut session = session.into_iter();
+        let (request, _) = turn(session.next().expect("every session has a turn 0"));
+        requests.push(request);
+        turns.push(SessionTurn {
+            session: s as u32,
+            turn: 0,
+            shared_prefix: 0,
+            think_s: 0.0,
+            prev: None,
+            next: None,
+        });
+        resumed.push(session);
+    }
+    for (s, session) in resumed.into_iter().enumerate() {
+        // Session `s`'s turn 0 sits at trace position `s`.
+        let mut prev = s as u32;
+        for t in session {
+            let (request, linkage) = turn(t);
+            let idx = requests.len() as u32;
+            requests.push(request);
             turns.push(SessionTurn {
                 session: s as u32,
-                turn: 0,
-                shared_prefix: 0,
-                think_s: 0.0,
-                prev: None,
+                prev: Some(prev),
                 next: None,
+                ..linkage
             });
+            turns[prev as usize].next = Some(idx);
+            prev = idx;
         }
-        for (s, session) in sessions.iter().enumerate() {
-            let mut prev = first_idx[s];
-            for t in session.iter().skip(1) {
-                let idx = requests.len() as u32;
-                requests.push(t.request.clone());
-                turns.push(SessionTurn {
-                    session: s as u32,
-                    turn: t.turn,
-                    shared_prefix: t.shared_prefix,
-                    think_s: t.think_s,
-                    prev: Some(prev),
-                    next: None,
-                });
-                turns[prev as usize].next = Some(idx);
-                prev = idx;
-            }
-        }
-        for (i, r) in requests.iter_mut().enumerate() {
-            r.id = RequestId(i as u64);
-        }
-        let st = SessionTrace {
-            trace: Trace::new(requests),
-            turns,
-            start_arrivals,
-            num_sessions: self.num_sessions,
-        };
-        st.check_invariants();
-        st
     }
+    for (i, r) in requests.iter_mut().enumerate() {
+        r.id = RequestId(i as u64);
+    }
+    let st = SessionTrace {
+        trace: Trace::new(requests),
+        turns,
+        start_arrivals,
+        num_sessions,
+    };
+    st.check_invariants();
+    st
 }
 
 /// Per-request session linkage, parallel to [`SessionTrace::trace`].
@@ -292,53 +301,9 @@ impl SessionTrace {
                 turn_idx[n as usize].push(i as u32);
             }
         }
+        let starts = sessions.iter().map(|&s| self.start_arrivals[s as usize]).collect();
         let reqs = self.trace.requests();
-        let mut requests = Vec::new();
-        let mut turns = Vec::new();
-        let mut start_arrivals = Vec::new();
-        let mut first_idx = vec![0u32; sessions.len()];
-        for (k, idxs) in turn_idx.iter().enumerate() {
-            first_idx[k] = requests.len() as u32;
-            requests.push(reqs[idxs[0] as usize].clone());
-            start_arrivals.push(self.start_arrivals[sessions[k] as usize]);
-            turns.push(SessionTurn {
-                session: k as u32,
-                turn: 0,
-                shared_prefix: 0,
-                think_s: 0.0,
-                prev: None,
-                next: None,
-            });
-        }
-        for (k, idxs) in turn_idx.iter().enumerate() {
-            let mut prev = first_idx[k];
-            for &i in &idxs[1..] {
-                let old = &self.turns[i as usize];
-                let idx = requests.len() as u32;
-                requests.push(reqs[i as usize].clone());
-                turns.push(SessionTurn {
-                    session: k as u32,
-                    turn: old.turn,
-                    shared_prefix: old.shared_prefix,
-                    think_s: old.think_s,
-                    prev: Some(prev),
-                    next: None,
-                });
-                turns[prev as usize].next = Some(idx);
-                prev = idx;
-            }
-        }
-        for (i, r) in requests.iter_mut().enumerate() {
-            r.id = RequestId(i as u64);
-        }
-        let st = SessionTrace {
-            trace: Trace::new(requests),
-            turns,
-            start_arrivals,
-            num_sessions: sessions.len(),
-        };
-        st.check_invariants();
-        st
+        lay_out(turn_idx, starts, |i| (reqs[i as usize].clone(), self.turns[i as usize]))
     }
 
     /// Structural invariants the engine's reuse path relies on; panics on
