@@ -284,7 +284,8 @@ impl BaselineEngine {
         _predictor: &P,
         plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
-        let run = RunState::new(trace, arrivals, |r| r.output_len, false, self.cfg.record_metrics);
+        let (journal, metrics) = (self.cfg.record_trace, self.cfg.record_metrics);
+        let run = RunState::new(trace, arrivals, |r| r.output_len, journal, metrics);
         let n = self.num_stages() as usize;
         let policy = LaneRun {
             engine: self,
@@ -410,8 +411,6 @@ impl Policy for LaneRun<'_> {
     fn close(self, _run: &mut RunState) -> Close {
         Close {
             scheduler: self.engine.name(),
-            phase_switches: 0,
-            phases: Vec::new(),
             occupancy: OccupancyTrace::new(),
             alloc: self
                 .lanes

@@ -63,8 +63,8 @@ impl Scheduler {
         Some((layout, Batching::ALL[self as usize % 2]))
     }
 
-    /// Whether this is TD-Pipe, the one scheduler that serves sessions,
-    /// keeps a journal and runs as a fleet replica.
+    /// Whether this is TD-Pipe, the one scheduler that serves sessions
+    /// and runs as a fleet replica.
     pub const fn is_tdpipe(self) -> bool {
         matches!(self, Scheduler::TdPipe)
     }

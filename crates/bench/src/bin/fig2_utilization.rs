@@ -14,7 +14,8 @@ use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OraclePredictor;
-use tdpipe_sim::{bubble_breakdown, Timeline};
+use tdpipe_sim::{SegmentKind, Timeline};
+use tdpipe_trace::{FlightRecorder, TraceEvent};
 
 /// Mean utilization across devices in each of `windows` equal slices of
 /// the run.
@@ -39,6 +40,43 @@ fn windowed(timeline: &Timeline, windows: usize) -> Vec<f64> {
         .collect()
 }
 
+/// Idle seconds across all devices in five buckets: in-decode,
+/// in-prefill, phase-boundary, warm-up and drain. Each journalled
+/// `StageIdle` gap longer than 1 µs (shorter ones are launch jitter) is
+/// classified by the `StageBusy` kinds on either side of it on its device;
+/// gaps next to hybrid segments fall in no bucket.
+fn idle_by_neighbours(journal: &FlightRecorder) -> [f64; 5] {
+    use SegmentKind::{Decode, Prefill};
+    use TraceEvent::{StageBusy, StageIdle};
+    let events = journal.stage_events();
+    let mut idle = [0.0; 5];
+    // Stage events list each device's run in order, one device at a time.
+    let mut before = None;
+    for (i, e) in events.iter().enumerate() {
+        match e.event {
+            StageBusy { device, kind, .. } => before = Some((device, kind)),
+            StageIdle { device, dur } if dur > 1e-6 => {
+                let after = match events.get(i + 1).map(|n| n.event) {
+                    Some(StageBusy { device: d, kind, .. }) if d == device => Some(kind),
+                    _ => None,
+                };
+                let before = before.filter(|&(d, _)| d == device).map(|(_, k)| k);
+                let bucket = match (before, after) {
+                    (None, _) => 3,
+                    (_, None) => 4,
+                    (Some(Decode), Some(Decode)) => 0,
+                    (Some(Prefill), Some(Prefill)) => 1,
+                    (Some(Prefill), Some(Decode)) | (Some(Decode), Some(Prefill)) => 2,
+                    _ => continue,
+                };
+                idle[bucket] += dur;
+            }
+            _ => {}
+        }
+    }
+    idle
+}
+
 fn print_series(name: &str, series: &[f64]) {
     let bars: String = series
         .iter()
@@ -60,6 +98,7 @@ fn main() {
     let node = NodeSpec::l20(4);
     let cfg = EngineConfig {
         record_timeline: true,
+        record_trace: true,
         ..EngineConfig::default()
     };
 
@@ -81,6 +120,7 @@ fn main() {
 
     let mut td_cfg = TdPipeConfig::default();
     td_cfg.engine.record_timeline = true;
+    td_cfg.engine.record_trace = true;
     let td = TdPipeEngine::new(model, &node, td_cfg)
         .expect("fits")
         .run(&trace, &OraclePredictor);
@@ -101,15 +141,10 @@ fn main() {
         "{:>9} {:>10} {:>10} {:>12} {:>8} {:>8}",
         "", "in-decode", "in-prefill", "phase-bound", "warmup", "drain"
     );
-    for (name, tl) in [
-        ("PP+SB", &pp_sb.timeline),
-        ("PP+HB", &pp_hb.timeline),
-        ("TD-Pipe", &td.timeline),
-    ] {
-        let b = bubble_breakdown(tl, 1e-6);
+    for (name, out) in [("PP+SB", &pp_sb), ("PP+HB", &pp_hb), ("TD-Pipe", &td)] {
+        let [decode, prefill, boundary, warmup, drain] = idle_by_neighbours(&out.journal);
         println!(
-            "{name:>9} {:>10.1} {:>10.1} {:>12.1} {:>8.1} {:>8.1}",
-            b.within_decode, b.within_prefill, b.at_phase_boundary, b.warmup, b.drain
+            "{name:>9} {decode:>10.1} {prefill:>10.1} {boundary:>12.1} {warmup:>8.1} {drain:>8.1}"
         );
     }
 

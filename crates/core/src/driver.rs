@@ -14,7 +14,7 @@ use crate::engine::{PhaseRecord, RunOutcome};
 use crate::exec::{ExecError, PipelineExecutor};
 use crate::metrics::EngineMetrics;
 use crate::request::RequestPool;
-use tdpipe_kvcache::{AllocStats, OccupancyTrace};
+use tdpipe_kvcache::{AllocStats, OccupancyTrace, Phase};
 use tdpipe_sim::RunReport;
 use tdpipe_trace::{EvictMode, FlightRecorder, TraceEvent};
 use tdpipe_workload::{Request, Trace};
@@ -32,6 +32,10 @@ pub struct RunState {
     pub journal: FlightRecorder,
     /// Metrics plane (a no-op unless recording).
     pub metrics: EngineMetrics,
+    /// Chronological phase log (empty for schedulers without phases).
+    pub phases: Vec<PhaseRecord>,
+    /// Phase switches journalled so far.
+    pub phase_switches: u32,
 }
 
 impl RunState {
@@ -64,6 +68,27 @@ impl RunState {
                 FlightRecorder::disabled()
             },
             metrics: EngineMetrics::new(record_metrics),
+            phases: Vec::new(),
+            phase_switches: 0,
+        }
+    }
+
+    /// Emit `event` at `t`: journal it and fold it into the metrics
+    /// plane's decision counters.
+    pub fn record(&mut self, t: f64, event: TraceEvent) {
+        self.metrics.observe(&event);
+        self.journal.record(t, event);
+    }
+
+    /// Log a finished phase and, unless the run is over, journal and count
+    /// the switch to the other phase.
+    pub fn end_phase(&mut self, record: PhaseRecord) {
+        self.phases.push(record);
+        if !self.pool.all_finished() {
+            self.phase_switches += 1;
+            let from = record.phase;
+            let to = if from == Phase::Prefill { Phase::Decode } else { Phase::Prefill };
+            self.record(record.end, TraceEvent::PhaseSwitch { from, to });
         }
     }
 
@@ -83,14 +108,12 @@ pub struct Stall {
     pub next_arrival: f64,
 }
 
-/// A policy's share of the run's outcome: the report's scheduler name and
-/// phase switches, the phase log and KV occupancy samples, allocator
-/// statistics and KV blocks over every KV pool, and how the run's
-/// evictions ([`DecodeStepper::evictions`]) preempted.
+/// A policy's share of the run's outcome: the report's scheduler name,
+/// the KV occupancy samples, allocator statistics and KV blocks over every
+/// KV pool, and how the run's evictions ([`DecodeStepper::evictions`])
+/// preempted.
 pub struct Close {
     pub scheduler: String,
-    pub phase_switches: u32,
-    pub phases: Vec<PhaseRecord>,
     pub occupancy: OccupancyTrace,
     pub alloc: AllocStats,
     pub kv_blocks: u64,
@@ -163,16 +186,23 @@ pub fn drive<P: Policy>(
         output_tokens: pool.output_tokens,
         recomputed_tokens: pool.recomputed_tokens,
         swapped_tokens: pool.swapped_tokens,
-        phase_switches: close.phase_switches,
+        phase_switches: run.phase_switches,
         mean_utilization: timeline.mean_utilization(),
         latency: pool.latency_summary(),
     };
-    let metrics = run.metrics.finish(&report, close.alloc, close.kv_blocks, &timeline, plane_stats);
+    let metrics = run.metrics.finish(
+        &report,
+        &run.phases,
+        close.alloc,
+        close.kv_blocks,
+        &timeline,
+        plane_stats,
+    );
     Ok(RunOutcome {
         report,
         timeline,
         occupancy: close.occupancy,
-        phases: close.phases,
+        phases: run.phases,
         journal: run.journal,
         metrics,
     })
@@ -205,6 +235,6 @@ fn idle_advance(stall: Stall, run: &mut RunState, now: f64) -> f64 {
         pool.finished(),
         pool.len()
     );
-    run.journal.record(now, TraceEvent::ArrivalWait { until });
+    run.record(now, TraceEvent::ArrivalWait { until });
     until
 }

@@ -157,19 +157,6 @@ fn drop_oldest_retained(
     true
 }
 
-/// Journal and count a prefill admission.
-fn record_admit(run: &mut RunState, now: f64, idx: usize, tokens: u64, reason: AdmitReason) {
-    let request = run.pool.id(idx).0;
-    run.journal.record(now, TraceEvent::PrefillAdmit { request, tokens, reason });
-    run.metrics.on_prefill_admit(reason, tokens);
-}
-
-/// Journal and count why prefill packing stopped.
-fn record_stop(run: &mut RunState, now: f64, reason: PrefillStopReason, admitted: u64) {
-    run.journal.record(now, TraceEvent::PrefillStop { reason, admitted });
-    run.metrics.on_prefill_stop(reason);
-}
-
 /// Release session successor `succ`, which arrives at `at` (its
 /// predecessor finished at `now`, plus think time): move it from the
 /// unreleased turns to its slot among the pending future arrivals (the
@@ -612,8 +599,6 @@ impl TdPipeEngine {
             occupancy: OccupancyTrace::for_pool(
                 u32::try_from(self.plan.kv_blocks).unwrap_or(u32::MAX),
             ),
-            phases: Vec::new(),
-            phase_switches: 0,
             open: None,
             prefill: PrefillPhase::default(),
             decode: DecodePhase {
@@ -880,8 +865,6 @@ struct TdRun<'a> {
     residents: Vec<usize>,
     watermark_blocks: u64,
     occupancy: OccupancyTrace,
-    phases: Vec<PhaseRecord>,
-    phase_switches: u32,
     /// The phase in progress; `None` between phases.
     open: Option<Phase>,
     prefill: PrefillPhase,
@@ -959,8 +942,6 @@ impl Policy for TdRun<'_> {
         }
         Close {
             scheduler: "TD-Pipe".into(),
-            phase_switches: self.phase_switches,
-            phases: self.phases,
             occupancy: self.occupancy,
             alloc: self.alloc.stats(),
             kv_blocks: self.engine.plan.kv_blocks,
@@ -1006,7 +987,8 @@ impl TdRun<'_> {
             if !settled && !pf.meta.is_empty() {
                 let clock = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
                 if run.pool.arrival(head) > clock {
-                    record_stop(run, now, PrefillStopReason::Arrival, pf.admitted);
+                    let (reason, admitted) = (PrefillStopReason::Arrival, pf.admitted);
+                    run.record(now, TraceEvent::PrefillStop { reason, admitted });
                     break;
                 }
                 settled = true;
@@ -1035,7 +1017,8 @@ impl TdRun<'_> {
                 P2dPolicy::FixedOccupancy(r) => self.alloc.occupancy() >= r,
             };
             if stop && !pf.meta.is_empty() {
-                record_stop(run, now, PrefillStopReason::Overflow, pf.admitted);
+                let (reason, admitted) = (PrefillStopReason::Overflow, pf.admitted);
+                run.record(now, TraceEvent::PrefillStop { reason, admitted });
                 break;
             }
             // Pack the next prefill batch up to the token budget.
@@ -1103,7 +1086,8 @@ impl TdRun<'_> {
                     self.residents.push(idx);
                     self.planner.admit(idx, full, run.pool.predicted_remaining(idx));
                     pf.admitted += 1;
-                    record_admit(run, now, idx, full, AdmitReason::SwapIn);
+                    let (request, reason) = (run.pool.id(idx).0, AdmitReason::SwapIn);
+                    run.record(now, TraceEvent::PrefillAdmit { request, tokens: full, reason });
                     continue;
                 }
                 // Session accounting at the moment admission is certain:
@@ -1116,10 +1100,10 @@ impl TdRun<'_> {
                         // resident until claimed here or dropped.
                         self.alloc.free(c.donor).expect("retained donor resident");
                         let tokens = c.tokens;
-                        run.journal.record(now, TraceEvent::SessionReuseHit { request, tokens });
+                        run.record(now, TraceEvent::SessionReuseHit { request, tokens });
                     } else if s.turns[idx].prev.is_some() && run.pool.evictions(idx) == 0 {
                         s.reuse_misses += 1;
-                        run.journal.record(now, TraceEvent::SessionReuseMiss { request });
+                        run.record(now, TraceEvent::SessionReuseMiss { request });
                     }
                 }
                 // analyzer: allow(no-expect) — guarded above: the
@@ -1145,7 +1129,8 @@ impl TdRun<'_> {
                 // swap-ins admitted the rest of the queue. (A request
                 // larger than the whole pool leaves nothing resident and
                 // surfaces in the driver's idle fast-forward.)
-                record_stop(run, now, pack_stop, pf.admitted);
+                let (reason, admitted) = (pack_stop, pf.admitted);
+                run.record(now, TraceEvent::PrefillStop { reason, admitted });
                 break;
             }
             eng.cost.prefill_job_into(&pf.seq_lens, &mut self.job);
@@ -1156,7 +1141,7 @@ impl TdRun<'_> {
             // Span anchor: records the packing clock, carries the
             // executor-ready instant (the two differ by the serialised
             // launch overhead — the per-request prefill-wait span).
-            run.journal.record(
+            run.record(
                 now,
                 TraceEvent::PrefillLaunch {
                     seq: pf.seq,
@@ -1185,9 +1170,11 @@ impl TdRun<'_> {
                 } else {
                     AdmitReason::FirstPrefill
                 };
-                record_admit(run, now, idx, t as u64, reason);
+                let (request, tokens) = (run.pool.id(idx).0, t as u64);
+                run.record(now, TraceEvent::PrefillAdmit { request, tokens, reason });
             }
-            record_stop(run, now, pack_stop, pf.admitted);
+            let (reason, admitted) = (pack_stop, pf.admitted);
+            run.record(now, TraceEvent::PrefillStop { reason, admitted });
         }
         // Completions are collected lazily, in launch order.
         pf.end = now;
@@ -1207,7 +1194,7 @@ impl TdRun<'_> {
         for &idx in &pf.members[start..end] {
             run.pool.note_first_token(idx, finish);
             let request = run.pool.id(idx).0;
-            run.journal.record(pf.end, TraceEvent::PrefillDone { request });
+            run.record(pf.end, TraceEvent::PrefillDone { request });
         }
         self.occupancy.push(finish, used, Phase::Prefill);
         let queued = self.pending.len() + self.unreleased.len();
@@ -1230,7 +1217,7 @@ impl TdRun<'_> {
             work_items: pf.admitted,
             finished: 0,
         };
-        self.end_phase(run, record);
+        run.end_phase(record);
         self.open = Some(Phase::Decode);
         let dc = &mut self.decode;
         dc.steps = 0;
@@ -1381,13 +1368,12 @@ impl TdRun<'_> {
             let target = moved.target;
             if moved.withheld > 0 {
                 let n = moved.withheld;
-                run.journal.record(now, TraceEvent::StealWithhold { n, target });
+                run.record(now, TraceEvent::StealWithhold { n, target });
             }
             if moved.supplemented > 0 {
                 let n = moved.supplemented;
-                run.journal.record(now, TraceEvent::StealSupplement { n, target });
+                run.record(now, TraceEvent::StealSupplement { n, target });
             }
-            run.metrics.on_steal(moved.withheld, moved.supplemented);
         }
         self.occupancy.push(now, self.alloc.used_blocks(), Phase::Decode);
         // 3) Decode→prefill decision, asked only once the queue's head has
@@ -1530,7 +1516,7 @@ impl TdRun<'_> {
             let verdict = self.comparator.decide(mean_batch, &naive, step).switch;
             debug_assert_eq!(scores.switch, verdict, "decision disagrees with the naive repack");
         }
-        run.journal.record(
+        run.record(
             now,
             TraceEvent::SwitchDecision {
                 spatial: scores.spatial,
@@ -1541,8 +1527,6 @@ impl TdRun<'_> {
                 switch: scores.switch,
             },
         );
-        run.metrics
-            .on_switch_decision(scores.spatial, scores.temporal);
         scores.switch
     }
 
@@ -1563,21 +1547,8 @@ impl TdRun<'_> {
             work_items: dc.steps,
             finished: dc.finished,
         };
-        self.end_phase(run, record);
+        run.end_phase(record);
         self.open = None;
-    }
-
-    /// Log a finished phase and, unless the run is over, switch to the
-    /// other phase.
-    fn end_phase(&mut self, run: &mut RunState, record: PhaseRecord) {
-        self.phases.push(record);
-        run.metrics.on_phase_end(record.phase, record.start, record.end);
-        if !run.pool.all_finished() {
-            self.phase_switches += 1;
-            let from = record.phase;
-            let to = if from == Phase::Prefill { Phase::Decode } else { Phase::Prefill };
-            run.journal.record(record.end, TraceEvent::PhaseSwitch { from, to });
-        }
     }
 }
 

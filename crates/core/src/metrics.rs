@@ -8,6 +8,7 @@
 //! single-branch no-op per call and exports an empty snapshot — a pure
 //! observer either way (pinned in `tests/metrics_export.rs`).
 
+use crate::engine::PhaseRecord;
 use crate::exec::PlaneStats;
 use tdpipe_kvcache::{AllocStats, Phase};
 use tdpipe_metrics::{
@@ -15,7 +16,7 @@ use tdpipe_metrics::{
     DEFAULT_INTERVAL,
 };
 use tdpipe_sim::{RunReport, Timeline};
-use tdpipe_trace::{AdmitReason, EvictMode, PrefillStopReason};
+use tdpipe_trace::{AdmitReason, EvictMode, PrefillStopReason, TraceEvent};
 
 fn admit_label(r: AdmitReason) -> &'static str {
     match r {
@@ -82,6 +83,8 @@ impl EngineMetrics {
     /// [`crate::config::EngineConfig::record_metrics`].
     pub fn new(enabled: bool) -> Self {
         let mut reg = Registry::gated(enabled);
+        // Reason counters are indexed by `reason as usize`, so each array
+        // lists its enum's variants in declaration order.
         let admit = [
             AdmitReason::FirstPrefill,
             AdmitReason::Recompute,
@@ -183,6 +186,7 @@ impl EngineMetrics {
             "Chunked-prefill chunk sizes (tokens, hybrid baselines)",
             &[],
         );
+        // Indexed by `phase as usize`, like the reason counters.
         let phase_count = [Phase::Prefill, Phase::Decode].map(|p| {
             reg.counter(
                 "tdpipe_phase_total",
@@ -227,25 +231,30 @@ impl EngineMetrics {
         self.reg.is_enabled()
     }
 
-    pub fn on_prefill_admit(&mut self, reason: AdmitReason, tokens: u64) {
-        let i = match reason {
-            AdmitReason::FirstPrefill => 0,
-            AdmitReason::Recompute => 1,
-            AdmitReason::SwapIn => 2,
-        };
-        self.reg.inc(self.admit[i]);
-        self.reg.add(self.admit_tokens, tokens);
-    }
-
-    pub fn on_prefill_stop(&mut self, reason: PrefillStopReason) {
-        let i = match reason {
-            PrefillStopReason::Overflow => 0,
-            PrefillStopReason::Memory => 1,
-            PrefillStopReason::Arrival => 2,
-            PrefillStopReason::Budget => 3,
-            PrefillStopReason::Exhausted => 4,
-        };
-        self.reg.inc(self.stop[i]);
+    /// Fold one emitted event into its decision counters (the
+    /// [`crate::driver::RunState::record`] half of every emission); events
+    /// no counter tracks pass through.
+    pub fn observe(&mut self, event: &TraceEvent) {
+        match *event {
+            TraceEvent::PrefillAdmit { tokens, reason, .. } => {
+                self.reg.inc(self.admit[reason as usize]);
+                self.reg.add(self.admit_tokens, tokens);
+            }
+            TraceEvent::PrefillStop { reason, .. } => self.reg.inc(self.stop[reason as usize]),
+            TraceEvent::StealWithhold { n, .. } => {
+                self.reg.inc(self.steal_withhold_events);
+                self.reg.add(self.steal_withheld_requests, n as u64);
+            }
+            TraceEvent::StealSupplement { n, .. } => {
+                self.reg.inc(self.steal_supplement_events);
+                self.reg.add(self.steal_supplemented_requests, n as u64);
+            }
+            TraceEvent::SwitchDecision { spatial, temporal, .. } => {
+                self.reg.inc(self.switch_decisions);
+                self.reg.observe(self.switch_margin, (spatial - temporal).abs());
+            }
+            _ => {}
+        }
     }
 
     /// A prefill batch was launched: `n` requests, `tokens` prompt tokens.
@@ -273,35 +282,6 @@ impl EngineMetrics {
             EvictMode::Recompute => self.reg.add(self.evict_recompute, n),
             EvictMode::Swap => self.reg.add(self.evict_swap, n),
         }
-    }
-
-    /// Outcome of one work-stealing rebalance.
-    pub fn on_steal(&mut self, withheld: usize, supplemented: usize) {
-        if withheld > 0 {
-            self.reg.inc(self.steal_withhold_events);
-            self.reg.add(self.steal_withheld_requests, withheld as u64);
-        }
-        if supplemented > 0 {
-            self.reg.inc(self.steal_supplement_events);
-            self.reg
-                .add(self.steal_supplemented_requests, supplemented as u64);
-        }
-    }
-
-    /// One spatial-temporal comparison with its score gap.
-    pub fn on_switch_decision(&mut self, spatial: f64, temporal: f64) {
-        self.reg.inc(self.switch_decisions);
-        self.reg.observe(self.switch_margin, (spatial - temporal).abs());
-    }
-
-    /// A phase completed, spanning `start..end` virtual seconds.
-    pub fn on_phase_end(&mut self, phase: Phase, start: f64, end: f64) {
-        let i = match phase {
-            Phase::Prefill => 0,
-            Phase::Decode => 1,
-        };
-        self.reg.inc(self.phase_count[i]);
-        self.reg.observe(self.phase_seconds[i], (end - start).max(0.0));
     }
 
     /// Fold in the session-KV reuse totals of a closed-loop run (see
@@ -379,12 +359,13 @@ impl EngineMetrics {
         );
     }
 
-    /// Finalise: fold in the run-level aggregates, allocator stats,
-    /// per-stage activity, and plane stats, then export the snapshot.
-    /// Consumes the handle — metrics are a per-run object.
+    /// Finalise: fold in the run-level aggregates, the phase log,
+    /// allocator stats, per-stage activity, and plane stats, then export
+    /// the snapshot. Consumes the handle — metrics are a per-run object.
     pub fn finish(
         mut self,
         report: &RunReport,
+        phases: &[PhaseRecord],
         alloc: AllocStats,
         kv_blocks: u64,
         timeline: &Timeline,
@@ -415,6 +396,12 @@ impl EngineMetrics {
             set(reg, "ttft_p95", "95th-percentile time to first token (s)", l.ttft_p95);
             set(reg, "tpot_p50", "Median time per output token (s)", l.tpot_p50);
             set(reg, "tpot_p95", "95th-percentile time per output token (s)", l.tpot_p95);
+        }
+
+        for p in phases {
+            let i = p.phase as usize;
+            reg.inc(self.phase_count[i]);
+            reg.observe(self.phase_seconds[i], (p.end - p.start).max(0.0));
         }
 
         // KV allocator lifetime stats.
@@ -534,10 +521,18 @@ fn stage_busy_series(edges: &[f64], busy: Vec<Vec<f64>>, dt: f64) -> Vec<Series>
 mod tests {
     use super::*;
 
+    fn admit(reason: AdmitReason, tokens: u64) -> TraceEvent {
+        TraceEvent::PrefillAdmit {
+            request: 0,
+            tokens,
+            reason,
+        }
+    }
+
     #[test]
     fn disabled_handle_exports_empty_and_ignores_everything() {
         let mut m = EngineMetrics::new(false);
-        m.on_prefill_admit(AdmitReason::FirstPrefill, 100);
+        m.observe(&admit(AdmitReason::FirstPrefill, 100));
         m.on_decode_step(32);
         m.on_evictions(EvictMode::Recompute, 1);
         m.sample(5.0, 0.5, 4, 2, 10);
@@ -555,6 +550,7 @@ mod tests {
         };
         let snap = m.finish(
             &report,
+            &[],
             AllocStats::default(),
             100,
             &Timeline::new(false),
@@ -566,13 +562,26 @@ mod tests {
     #[test]
     fn enabled_handle_exports_counters_and_gauges() {
         let mut m = EngineMetrics::new(true);
-        m.on_prefill_admit(AdmitReason::FirstPrefill, 100);
-        m.on_prefill_admit(AdmitReason::Recompute, 50);
+        m.observe(&admit(AdmitReason::FirstPrefill, 100));
+        m.observe(&admit(AdmitReason::Recompute, 50));
         m.on_prefill_batch(2, 150);
         m.on_decode_step(32);
-        m.on_steal(3, 0);
-        m.on_switch_decision(0.9, 0.4);
-        m.on_phase_end(Phase::Prefill, 0.0, 2.0);
+        m.observe(&TraceEvent::StealWithhold { n: 3, target: 8 });
+        m.observe(&TraceEvent::SwitchDecision {
+            spatial: 0.9,
+            temporal: 0.4,
+            batch: 32,
+            est_longest: 0.1,
+            est_phase_len: 1.0,
+            switch: true,
+        });
+        let phases = [PhaseRecord {
+            phase: Phase::Prefill,
+            start: 0.0,
+            end: 2.0,
+            work_items: 2,
+            finished: 0,
+        }];
         let report = RunReport {
             scheduler: "x".into(),
             makespan: 10.0,
@@ -587,6 +596,7 @@ mod tests {
         };
         let snap = m.finish(
             &report,
+            &phases,
             AllocStats {
                 allocs: 3,
                 frees: 2,
@@ -614,6 +624,13 @@ mod tests {
             admits.value,
             tdpipe_metrics::MetricValue::Counter(1)
         );
+        let withheld = snap.scalar("tdpipe_steal_withheld_requests_total");
+        assert_eq!(withheld, Some(3.0));
+        assert_eq!(snap.scalar("tdpipe_switch_decisions_total"), Some(1.0));
+        let prefills = snap
+            .get_labeled("tdpipe_phase_total", &[("phase", "prefill")])
+            .expect("labelled phase counter");
+        assert_eq!(prefills.value, tdpipe_metrics::MetricValue::Counter(1));
         // Session counters are lazily registered: a run that never calls
         // on_session_summary exports none of them.
         assert!(snap.scalar("session_reuse_hits_total").is_none());
@@ -646,6 +663,7 @@ mod tests {
         };
         let snap = m.finish(
             &report,
+            &[],
             AllocStats::default(),
             100,
             &Timeline::new(false),

@@ -30,7 +30,8 @@ use tdpipe_workload::{SessionTrace, Trace, Workload};
 /// Fleet-level configuration: how to route, and what SLO goodput counts.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FleetConfig {
-    /// Router policy, seed, and spill threshold.
+    /// Router policy and seed (the affine spill threshold is a fixed
+    /// constant of the router).
     pub router: RouterConfig,
     /// The TTFT target behind `goodput` and `slo_attainment`.
     pub slo: SloSpec,

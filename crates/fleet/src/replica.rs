@@ -147,17 +147,8 @@ pub fn parse_pool(spec: &str, gpus: u32) -> Result<Vec<(String, NodeSpec)>, Stri
         if count == 0 {
             return Err(format!("--pool '{part}': replica count must be >= 1"));
         }
-        let node = match kind {
-            "l20" => NodeSpec::l20(gpus),
-            "a100" => NodeSpec::a100(gpus),
-            "a10" => NodeSpec::a10(gpus),
-            "rtx4090" => NodeSpec::rtx4090(gpus),
-            other => {
-                return Err(format!(
-                    "--pool: unknown device '{other}' (l20|a100|a10|rtx4090)"
-                ))
-            }
-        };
+        let node = NodeSpec::by_name(kind, gpus)
+            .ok_or_else(|| format!("--pool: unknown device '{kind}' ({})", NodeSpec::NAMES))?;
         for _ in 0..count {
             let k = counts.entry(kind.to_string()).or_insert(0);
             out.push((format!("{kind}-{k}"), node.clone()));

@@ -18,6 +18,22 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
+    /// The names [`Self::by_name`] accepts, as usage and error text lists
+    /// them.
+    pub const NAMES: &'static str = "l20|a100|a10|rtx4090";
+
+    /// The node called `name` (one of [`Self::NAMES`]) with `num_gpus`
+    /// devices, or `None` for an unknown name.
+    pub fn by_name(name: &str, num_gpus: u32) -> Option<Self> {
+        Some(match name {
+            "l20" => Self::l20(num_gpus),
+            "a100" => Self::a100(num_gpus),
+            "a10" => Self::a10(num_gpus),
+            "rtx4090" => Self::rtx4090(num_gpus),
+            _ => return None,
+        })
+    }
+
     /// The paper's L20 node restricted to `num_gpus` devices.
     pub fn l20(num_gpus: u32) -> Self {
         NodeSpec {
@@ -86,6 +102,16 @@ mod tests {
         let a = NodeSpec::a100(4);
         assert_eq!(a.gpu.mem_bytes, 80 * (1u64 << 30));
         assert_eq!(a.interconnect.allreduce_bw, 14.82e9);
+    }
+
+    #[test]
+    fn every_listed_name_selects_its_node() {
+        let gpus: Vec<String> = NodeSpec::NAMES
+            .split('|')
+            .map(|name| NodeSpec::by_name(name, 2).expect("listed name").gpu.name)
+            .collect();
+        assert_eq!(gpus, ["L20", "A100", "A10", "RTX4090"]);
+        assert!(NodeSpec::by_name("tpu", 2).is_none());
     }
 
     #[test]

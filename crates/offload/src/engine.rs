@@ -183,8 +183,6 @@ impl Policy for OffloadRun<'_> {
     fn close(self, _run: &mut RunState) -> Close {
         Close {
             scheduler: "Offload".into(),
-            phase_switches: 0,
-            phases: Vec::new(),
             occupancy: OccupancyTrace::new(),
             alloc: self.lane.alloc.stats(),
             kv_blocks: self.lane.alloc.num_blocks(),

@@ -17,13 +17,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod gantt;
 pub mod pipeline;
 pub mod report;
 pub mod timeline;
 
-pub use analysis::{bubble_breakdown, idle_gaps, BubbleBreakdown, IdleGap};
 pub use gantt::{render_gantt, GanttOptions};
 pub use pipeline::{JobTiming, PipelineSim, TransferMode};
 pub use report::{LatencySummary, RunReport};

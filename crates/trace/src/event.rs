@@ -524,7 +524,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn stage_events_include_idle_gaps() {
+    fn stage_events_record_every_idle_gap() {
         let mut tl = Timeline::new(true);
         tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 1);
         tl.record(0, 2.0, 3.0, SegmentKind::Decode, 2);

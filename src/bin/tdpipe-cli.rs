@@ -46,7 +46,8 @@ const USAGE: &str = "\
 tdpipe-cli — TD-Pipe simulation driver
 
 USAGE:
-  tdpipe-cli run   [--model 13b|32b|70b|30b] [--node l20|a100] [--gpus N]
+  tdpipe-cli run   [--model 13b|32b|70b|30b] [--node l20|a100|a10|rtx4090]
+                   [--gpus N]
                    [--scheduler td|tp-sb|tp-hb|pp-sb|pp-hb]
                    [--requests N] [--seed S] [--predictor oracle|trained]
                    [--arrival offline|poisson|waves|diurnal|bursty] [--rate R]
@@ -210,11 +211,8 @@ fn model_of(name: &str) -> Result<ModelSpec, String> {
 }
 
 fn node_of(name: &str, gpus: u32) -> Result<NodeSpec, String> {
-    Ok(match name {
-        "l20" => NodeSpec::l20(gpus),
-        "a100" => NodeSpec::a100(gpus),
-        other => return Err(format!("unknown node '{other}' (l20|a100)")),
-    })
+    NodeSpec::by_name(name, gpus)
+        .ok_or_else(|| format!("unknown node '{name}' ({})", NodeSpec::NAMES))
 }
 
 /// Fold the span/bubble analysis of one or more journals into a run's
@@ -882,6 +880,13 @@ mod tests {
         assert!(model_of("420b").is_err());
         assert_eq!(node_of("a100", 2).unwrap().num_gpus, 2);
         assert!(node_of("tpu", 1).is_err());
+        // `--node` takes every device `--pool` does.
+        for name in NodeSpec::NAMES.split('|') {
+            assert_eq!(node_of(name, 2).unwrap().num_gpus, 2, "{name}");
+        }
+        for argv in ["run --node a10 --replicas 2 --requests 20", "plan --node rtx4090"] {
+            assert!(real_main(&args(argv)).is_ok(), "{argv}");
+        }
     }
 
     #[test]

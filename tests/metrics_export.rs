@@ -1,19 +1,23 @@
 //! The metrics plane's end-to-end contract: snapshots are byte-stable,
 //! the Prometheus rendering is schema-valid, turning `record_metrics` on
 //! or off never changes the schedule, and the regression gate catches a
-//! doctored throughput drop while passing a self-diff.
+//! doctored throughput drop while passing a self-diff. Every decision
+//! counter is a fold of the journalled decision events, and the two
+//! instruments agree on every count.
 
 use tdpipe::baselines::{PpHbEngine, PpSbEngine, TpHbEngine, TpSbEngine};
 use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
+use tdpipe::kvcache::Phase;
 use tdpipe::metrics::{
     default_rules, diff_snapshots, to_prom, validate_prom, MetricValue, MetricsSnapshot,
 };
 use tdpipe::model::ModelSpec;
-use tdpipe::predictor::OraclePredictor;
-use tdpipe::workload::{ShareGptLikeConfig, Trace};
+use tdpipe::predictor::{OraclePredictor, OutputLenPredictor};
+use tdpipe::trace::{AdmitReason, TraceEvent};
+use tdpipe::workload::{ArrivalProcess, Request, ShareGptLikeConfig, Trace, Workload};
 
 fn run(trace: &Trace, cfg: TdPipeConfig) -> RunOutcome {
     TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
@@ -112,6 +116,105 @@ fn snapshot_carries_the_run_headlines_and_series() {
         })
         .sum();
     assert_eq!(phases, out.phases.len() as f64);
+}
+
+/// Always underpredicts, so §3.3 overadmits and decode evicts and
+/// recomputes.
+struct AlwaysOne;
+impl OutputLenPredictor for AlwaysOne {
+    fn predict(&self, _r: &Request) -> u32 {
+        1
+    }
+}
+
+/// The metrics plane and the journal count every §3.3–§3.5 decision the
+/// same: on a traced and metered run under eviction churn, offline and
+/// Poisson, each decision counter equals its tally of journal events, the
+/// phase counters count the phase log, and the report's switch count
+/// counts `PhaseSwitch` events.
+#[test]
+fn decision_counters_equal_their_journal_counts() {
+    let trace = ShareGptLikeConfig::small(400, 11).generate();
+    // Arrivals fast enough that online admissions overrun memory too.
+    let poisson = ArrivalProcess::Poisson {
+        rate_per_s: 60.0,
+        seed: 11,
+    }
+    .sample(trace.len());
+    for (label, arrivals) in [("offline", Vec::new()), ("poisson", poisson)] {
+        let mut cfg = metered_cfg(false);
+        cfg.engine.record_trace = true;
+        let engine = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg).unwrap();
+        let work = Workload::Requests {
+            trace: &trace,
+            arrivals: &arrivals,
+        };
+        let out = engine.try_run(work, &AlwaysOne, engine.sim_plane()).unwrap();
+        let counter = |name: &str, labels: &[(&str, &str)]| {
+            match out.metrics.get_labeled(name, labels).map(|e| &e.value) {
+                Some(MetricValue::Counter(c)) => *c,
+                other => panic!("{label}: {name} {labels:?} is {other:?}"),
+            }
+        };
+        // [first_prefill, recompute, swap_in] admits, admitted tokens,
+        // [overflow, memory, arrival, budget, exhausted] stops,
+        // [withhold, supplement] events and requests, switch decisions
+        // and phase switches.
+        let (mut admits, mut tokens, mut stops) = ([0u64; 3], 0, [0u64; 5]);
+        let (mut steal_events, mut stolen) = ([0u64; 2], [0u64; 2]);
+        let (mut decisions, mut switches) = (0, 0);
+        for e in out.journal.events() {
+            match e.event {
+                TraceEvent::PrefillAdmit { reason, tokens: t, .. } => {
+                    admits[reason as usize] += 1;
+                    tokens += t;
+                }
+                TraceEvent::PrefillStop { reason, .. } => stops[reason as usize] += 1,
+                TraceEvent::StealWithhold { n, .. } => {
+                    steal_events[0] += 1;
+                    stolen[0] += n as u64;
+                }
+                TraceEvent::StealSupplement { n, .. } => {
+                    steal_events[1] += 1;
+                    stolen[1] += n as u64;
+                }
+                TraceEvent::SwitchDecision { .. } => decisions += 1,
+                TraceEvent::PhaseSwitch { .. } => switches += 1,
+                _ => {}
+            }
+        }
+        let recomputes = admits[AdmitReason::Recompute as usize];
+        assert!(recomputes > 0, "{label}: the underpredictor forces recomputes");
+        assert!(steal_events.iter().all(|&n| n > 0), "{label}: the stealer moved work both ways");
+        assert!(decisions > 0 && switches > 0, "{label}: the run switched phases");
+        let admit_labels = ["first_prefill", "recompute", "swap_in"];
+        for (reason, want) in admit_labels.into_iter().zip(admits) {
+            let got = counter("tdpipe_prefill_admit_total", &[("reason", reason)]);
+            assert_eq!(got, want, "{label}: admits for {reason}");
+        }
+        assert_eq!(counter("tdpipe_prefill_admit_tokens_total", &[]), tokens, "{label}");
+        let stop_labels = ["overflow", "memory", "arrival", "budget", "exhausted"];
+        for (reason, want) in stop_labels.into_iter().zip(stops) {
+            let got = counter("tdpipe_prefill_stop_total", &[("reason", reason)]);
+            assert_eq!(got, want, "{label}: stops for {reason}");
+        }
+        let steals = [
+            ("tdpipe_steal_withhold_events_total", steal_events[0]),
+            ("tdpipe_steal_withheld_requests_total", stolen[0]),
+            ("tdpipe_steal_supplement_events_total", steal_events[1]),
+            ("tdpipe_steal_supplemented_requests_total", stolen[1]),
+        ];
+        for (name, want) in steals {
+            assert_eq!(counter(name, &[]), want, "{label}: {name}");
+        }
+        assert_eq!(counter("tdpipe_switch_decisions_total", &[]), decisions, "{label}");
+        for (phase, kind) in [("prefill", Phase::Prefill), ("decode", Phase::Decode)] {
+            let want = out.phases.iter().filter(|p| p.phase == kind).count() as u64;
+            let got = counter("tdpipe_phase_total", &[("phase", phase)]);
+            assert_eq!(got, want, "{label}: {phase} phases");
+        }
+        assert_eq!(u64::from(out.report.phase_switches), switches, "{label}");
+    }
 }
 
 #[test]

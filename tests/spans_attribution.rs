@@ -8,18 +8,21 @@
 //!    end-to-end latency; no request is dropped.
 //! 2. **Bubble attribution is exhaustive and exact** — every `StageIdle`
 //!    second on every device lands in exactly one cause bucket, the
-//!    per-device totals refold bit-identically from the journal, and the
-//!    total agrees with the timeline's bubble breakdown.
+//!    per-device totals refold bit-identically from the journal, and
+//!    each device's idle, warm-up and drain agree with its timeline
+//!    segments, for TD-Pipe and the pipeline baselines alike.
 //! 3. **The analysis layer is a pure observer** — switching the
-//!    recorders on moves no byte of the engine's serialized report, and
+//!    recorders on moves no byte of any engine's serialized report, and
 //!    the reports themselves are byte-identical across fleet thread
 //!    counts.
 
+use tdpipe::baselines::{BaselineEngine, Batching, Layout};
+use tdpipe::core::config::EngineConfig;
+use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
 use tdpipe::predictor::OraclePredictor;
-use tdpipe::sim::bubble_breakdown;
 use tdpipe::spans::{
     analyze, attribute_bubbles, bubble_report_json, build_spans, fold_seconds, span_chrome_trace,
     span_metrics, span_report_json, validate_bubble_report, validate_span_report,
@@ -36,23 +39,27 @@ impl tdpipe::predictor::OutputLenPredictor for AlwaysOne {
     }
 }
 
+/// Poisson arrivals at 6 req/s for an online run, none for offline.
+fn arrivals(requests: usize, seed: u64, online: bool) -> Vec<f64> {
+    if !online {
+        return Vec::new();
+    }
+    ArrivalProcess::Poisson {
+        rate_per_s: 6.0,
+        seed: seed ^ 0xA881,
+    }
+    .sample(requests)
+}
+
 fn traced_run(
     requests: usize,
     seed: u64,
     gpus: u32,
     online: bool,
     predictor: &dyn tdpipe::predictor::OutputLenPredictor,
-) -> tdpipe::core::engine::RunOutcome {
+) -> RunOutcome {
     let trace = ShareGptLikeConfig::small(requests, seed).generate();
-    let arrivals = if online {
-        ArrivalProcess::Poisson {
-            rate_per_s: 6.0,
-            seed: seed ^ 0xA881,
-        }
-        .sample(trace.len())
-    } else {
-        Vec::new()
-    };
+    let arrivals = arrivals(requests, seed, online);
     let mut cfg = TdPipeConfig::default();
     cfg.engine.record_trace = true;
     cfg.engine.record_timeline = true;
@@ -172,36 +179,83 @@ fn bubble_seconds_refold_exactly_to_stage_idle_per_device() {
     );
 }
 
-/// Contract 2b: the timeline's bubble model (`sim::bubble_breakdown`)
-/// and the journal's (`attribute_bubbles`) see the same idle seconds.
-/// Both walk the same per-device gaps, from t = 0 to the makespan; they
-/// differ only in how an interior gap is split into causes (DESIGN.md,
-/// "Two bubble models"). Warm-up and drain are the same gaps in both.
+/// A baseline run on 4 L20s with the given recorders.
+fn baseline_run(
+    batching: Batching,
+    requests: usize,
+    seed: u64,
+    online: bool,
+    record: bool,
+) -> RunOutcome {
+    let trace = ShareGptLikeConfig::small(requests, seed).generate();
+    let cfg = EngineConfig {
+        record_trace: record,
+        record_timeline: record,
+        ..EngineConfig::default()
+    };
+    let node = NodeSpec::l20(4);
+    let model = ModelSpec::llama2_13b();
+    let e = BaselineEngine::new(Layout::Pipeline, batching, model, &node, cfg).unwrap();
+    let arrivals = arrivals(requests, seed, online);
+    e.try_run_on(&trace, &arrivals, &OraclePredictor, e.sim_plane()).unwrap()
+}
+
+/// Contract 2b: the journal's idle gaps and the timeline's segments are
+/// independent instruments of the same idleness. Per device, the ledger's
+/// idle fold plus the timeline's busy seconds is the makespan; its
+/// warm-up is the first segment's start, and its drain the makespan minus
+/// the last segment's end. Pinned on TD-Pipe and on the PP+SB and PP+HB
+/// journals, offline and Poisson.
 #[test]
 fn timeline_and_journal_bubble_models_agree_on_total_idle() {
-    let close = |label: &str, what: &str, a: f64, b: f64| {
-        assert!(
-            (a - b).abs() <= 1e-9 * a.abs().max(b.abs()),
-            "{label}: {what}: timeline {a} vs journal {b}"
-        );
-    };
-    for (label, requests, online) in [("offline", 300, false), ("poisson", 400, true)] {
-        let out = traced_run(requests, 5, 4, online, &OraclePredictor);
-        let timeline = bubble_breakdown(&out.timeline, 0.0);
+    let mut runs = Vec::new();
+    for (mode, requests, online) in [("offline", 300, false), ("poisson", 400, true)] {
+        runs.push((format!("TD-Pipe/{mode}"), traced_run(requests, 5, 4, online, &OraclePredictor)));
+        for batching in Batching::ALL {
+            let label = format!("PP+{}/{mode}", batching.abbrev());
+            runs.push((label, baseline_run(batching, requests, 5, online, true)));
+        }
+    }
+    for (label, out) in &runs {
+        let close = |what: &str, device: u32, journal: f64, timeline: f64| {
+            assert!(
+                (journal - timeline).abs() <= 1e-9 * journal.abs().max(timeline.abs()),
+                "{label} device {device}: {what}: journal {journal} vs timeline {timeline}"
+            );
+        };
         let ledger = attribute_bubbles(&out.journal);
-        let journal_idle: f64 = ledger.devices.iter().map(|d| d.idle_total).sum();
-        assert!(journal_idle > 0.0, "{label}: a real run has idle time");
-        close(label, "total idle", timeline.total(), journal_idle);
-        let cause = |c: &str| ledger.by_cause.get(c).copied().unwrap_or(0.0);
-        close(label, "warm-up", timeline.warmup, cause("warmup"));
-        close(label, "drain", timeline.drain, cause("drain"));
+        assert_eq!(ledger.devices.len(), out.timeline.num_devices(), "{label}");
+        assert!(ledger.devices.iter().any(|d| d.idle_total > 0.0), "{label}: a real run idles");
+        let makespan = out.report.makespan;
+        for d in &ledger.devices {
+            let device = d.device;
+            let busy = out.timeline.busy_time(device);
+            close("idle + busy", device, d.idle_total + busy, makespan);
+            let segs = || out.timeline.segments().iter().filter(|s| s.device == device);
+            let first = segs().map(|s| s.start).fold(f64::INFINITY, f64::min);
+            let last = segs().map(|s| s.end).fold(0.0, f64::max);
+            let cause = |c: &str| d.by_cause.get(c).copied().unwrap_or(0.0);
+            close("warm-up", device, cause("warmup"), first);
+            close("drain", device, cause("drain"), makespan - last);
+        }
     }
 }
 
 /// Contract 3a: flipping the recorders (and thus all new
-/// instrumentation points) moves no byte of the engine's report.
+/// instrumentation points) moves no byte of TD-Pipe's report, nor of a
+/// pipeline baseline's, offline or online.
 #[test]
 fn recording_toggle_leaves_engine_results_byte_identical() {
+    for batching in Batching::ALL {
+        for online in [false, true] {
+            let run = |record| {
+                let out = baseline_run(batching, 160, 11, online, record);
+                serde_json::to_string(&out.report).unwrap()
+            };
+            let label = format!("PP+{} online={online}", batching.abbrev());
+            assert_eq!(run(true), run(false), "{label}: recording perturbed the schedule");
+        }
+    }
     let trace = ShareGptLikeConfig::small(160, 11).generate();
     let run = |record: bool| {
         let mut cfg = TdPipeConfig::default();
