@@ -29,8 +29,10 @@ pub struct Lane {
     /// Running context-token total over `residents`, so decode launches
     /// are priced without rescanning the running set.
     pub ctx: u64,
-    /// Event-driven decode state for `residents`: a step is O(finishers),
-    /// not O(residents) — see `tdpipe_core::cohort`.
+    /// Event-driven decode state for `residents`: a step's drain and KV
+    /// growth are O(finishers), but a step in which any resident finishes
+    /// or is evicted rescans `residents` once to drop it, O(residents) —
+    /// see `tdpipe_core::cohort`.
     pub cohort: DecodeCohort,
     /// Hybrid batching's admitted prompts still being chunked:
     /// `(pool index, prompt tokens already chunked)`.

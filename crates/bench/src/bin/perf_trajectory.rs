@@ -41,10 +41,16 @@
 //! stays linear, not to be tight measurements). Set `TDPIPE_PERF_SCALE=0`
 //! to skip them (CI quick mode does).
 //!
+//! Each cell also records `occupancy_samples`, the Fig. 12 samples its
+//! last run kept: a deterministic count, not a time. TD-Pipe keeps them
+//! only on the metrics plane, so only the observers-on and exports cells
+//! read nonzero; every other cell holds just the occupancy peak.
+//!
 //! `perf_trajectory --check <path>` validates an existing trajectory file
 //! instead of measuring: the schema must parse, every recorded wall time
-//! must be finite and positive, and every cell but the scale cells must be
-//! present. CI runs this against the committed `BENCH_hotpath.json` so a
+//! must be finite and positive, every cell but the scale cells must be
+//! present, and `occupancy_samples` must be nonzero on exactly the metered
+//! cells. CI runs this against the committed `BENCH_hotpath.json` so a
 //! hand-edited or truncated file fails fast.
 //!
 //! Regenerate with:
@@ -54,7 +60,8 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use tdpipe_bench::{run_scheduler, Scheduler, PAPER_SEED};
+use tdpipe_bench::{run_outcome, Scheduler, PAPER_SEED};
+use tdpipe_core::engine::RunOutcome;
 use tdpipe_core::{TdPipeConfig, TdPipeEngine};
 use tdpipe_fleet::{
     parse_pool, run_fleet_with_threads, FleetConfig, Replica, ReplicaSpec, RouterConfig,
@@ -83,6 +90,10 @@ const REQUIRED_CELLS: [&str; 9] = [
     "L20+13B/TD-Pipe+sessions",
     "l20:2,a100:2/TD-Pipe+sessions",
 ];
+
+/// The cells that run with the metrics plane on, and so the only ones that
+/// keep Fig. 12's occupancy samples.
+const METERED_CELLS: [&str; 2] = ["L20+13B/TD-Pipe+observers", "L20+13B/TD-Pipe+exports"];
 
 /// Wall times (seconds) for the four core cells as committed at the tip of
 /// the PR *before* the million-request refactor (arena request storage,
@@ -119,6 +130,8 @@ struct CellTime {
     /// Simulated makespan — constant across refactors; a change here means
     /// the optimisation altered results, not just speed.
     makespan: f64,
+    /// Occupancy samples the cell's run kept (summed over fleet replicas).
+    occupancy_samples: usize,
 }
 
 #[derive(Serialize)]
@@ -215,6 +228,21 @@ fn check_trajectory(path: &str) -> Result<usize, String> {
             Some(Value::UInt(r)) if *r > 0 => {}
             _ => return Err(format!("cells[{i}].requests is not a positive integer")),
         }
+        let metered = METERED_CELLS.contains(&names[i]);
+        match field(c, "occupancy_samples") {
+            Some(Value::UInt(n)) if (*n > 0) == metered => {}
+            Some(Value::UInt(n)) => {
+                let not = if metered { "" } else { "not " };
+                return Err(format!(
+                    "cells[{i}].occupancy_samples = {n}, but the cell is {not}metered"
+                ));
+            }
+            _ => {
+                return Err(format!(
+                    "cells[{i}].occupancy_samples is missing or not an integer"
+                ))
+            }
+        }
     }
     if let Some(missing) = REQUIRED_CELLS.iter().find(|r| !names.contains(r)) {
         return Err(format!("cell `{missing}` is missing"));
@@ -228,18 +256,26 @@ fn check_trajectory(path: &str) -> Result<usize, String> {
     Ok(cells.len())
 }
 
-fn time_cell<F: FnMut() -> f64>(reps: usize, mut run: F) -> (f64, f64) {
+/// Best wall time of `reps` runs of `run`, which returns its makespan and
+/// occupancy sample count; those come back from the last run.
+fn time_cell<F: FnMut() -> (f64, usize)>(reps: usize, mut run: F) -> (f64, f64, usize) {
     let mut best = f64::INFINITY;
-    let mut makespan = 0.0;
+    let mut last = (0.0, 0);
     for _ in 0..reps {
         // analyzer: allow(no-instant-now) — this binary IS the wall-time
         // harness: it measures real scheduler runtime and never feeds a
         // simulated-result report.
         let t0 = Instant::now();
-        makespan = run();
+        last = run();
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    (best, makespan)
+    (best, last.0, last.1)
+}
+
+/// A feasible run's makespan and occupancy sample count.
+fn measured(run: Option<RunOutcome>) -> (f64, usize) {
+    let run = run.expect("canonical cell must be feasible");
+    (run.report.makespan, run.occupancy.len())
 }
 
 fn main() {
@@ -299,10 +335,9 @@ fn main() {
     let mut core_total = 0.0f64;
     let mut baseline_total = Some(0.0f64);
     for (combo, model, node, sched) in &cells {
-        let (best, makespan) = time_cell(reps, || {
-            run_scheduler(*sched, model, node, Workload::offline(&trace), &predictor)
-                .expect("canonical cell must be feasible")
-                .makespan
+        let work = Workload::offline(&trace);
+        let (best, makespan, occupancy_samples) = time_cell(reps, || {
+            measured(run_outcome(*sched, model, node, work, &predictor))
         });
         let key = format!("{combo}/{}", sched.name());
         let base = pre_refactor_baseline(&key);
@@ -328,6 +363,7 @@ fn main() {
             baseline_wall_s: base,
             speedup_vs_baseline: speedup,
             makespan,
+            occupancy_samples,
         });
     }
 
@@ -344,10 +380,8 @@ fn main() {
         trace: &trace,
         arrivals: &arrivals,
     };
-    let (best, makespan) = time_cell(reps, || {
-        run_scheduler(td, &model, &node, online, &predictor)
-            .expect("canonical cell must be feasible")
-            .makespan
+    let (best, makespan, occupancy_samples) = time_cell(reps, || {
+        measured(run_outcome(td, &model, &node, online, &predictor))
     });
     let key = format!("L20+13B/{}@{rate}rps", td.name());
     println!("  {key:<18} wall {best:8.3}s");
@@ -360,6 +394,7 @@ fn main() {
         baseline_wall_s: None,
         speedup_vs_baseline: None,
         makespan,
+        occupancy_samples,
     });
 
     // The observers-on cell: the offline L20+13B TD-Pipe cell with the
@@ -370,12 +405,12 @@ fn main() {
     observed.engine.record_trace = true;
     observed.engine.record_timeline = true;
     observed.engine.record_metrics = true;
-    let (best, makespan) = time_cell(reps, || {
+    let (best, makespan, occupancy_samples) = time_cell(reps, || {
         let run = TdPipeEngine::new(model.clone(), &node, observed.clone())
             .expect("canonical cell must be feasible")
             .run(&trace, &predictor);
         std::hint::black_box(chrome_trace(&run.timeline, &run.journal));
-        run.report.makespan
+        (run.report.makespan, run.occupancy.len())
     });
     let key = format!("L20+13B/{}+observers", td.name());
     println!("  {key:<18} wall {best:8.3}s");
@@ -388,6 +423,7 @@ fn main() {
         baseline_wall_s: None,
         speedup_vs_baseline: None,
         makespan,
+        occupancy_samples,
     });
 
     // The exports cell: the observers-on run's journal, Chrome trace and
@@ -398,7 +434,7 @@ fn main() {
         .expect("canonical cell must be feasible")
         .run(&trace, &predictor);
     let analysis = analyze(&[("engine".to_string(), &run.journal)]);
-    let (best, makespan) = time_cell(reps, || {
+    let (best, makespan, occupancy_samples) = time_cell(reps, || {
         let journal = run.journal.to_json();
         let back: FlightRecorder = serde_json::from_str(&journal).expect("journal reads back");
         let chrome = chrome_trace(&run.timeline, &run.journal);
@@ -410,7 +446,7 @@ fn main() {
         validate_bubble_report(&bubbles).expect("bubble report validates");
         validate_chrome_trace(&chrome).expect("Chrome trace validates");
         std::hint::black_box(back);
-        run.report.makespan
+        (run.report.makespan, run.occupancy.len())
     });
     let key = format!("L20+13B/{}+exports", td.name());
     println!("  {key:<18} wall {best:8.3}s");
@@ -423,16 +459,16 @@ fn main() {
         baseline_wall_s: None,
         speedup_vs_baseline: None,
         makespan,
+        occupancy_samples,
     });
 
     // The sessions cell: closed-loop multi-turn sessions with session-KV
     // reuse on (the harness's TD-Pipe config). Its before time stays out
     // of the headline ratio, which compares the core cells only.
     let sessions = SessionConfig::small(2 * n, PAPER_SEED).generate();
-    let (best, makespan) = time_cell(reps, || {
-        run_scheduler(td, &model, &node, Workload::Sessions(&sessions), &predictor)
-            .expect("canonical cell must be feasible")
-            .makespan
+    let work = Workload::Sessions(&sessions);
+    let (best, makespan, occupancy_samples) = time_cell(reps, || {
+        measured(run_outcome(td, &model, &node, work, &predictor))
     });
     let key = format!("L20+13B/{}+sessions", td.name());
     let base = (n == 2_000).then_some(SESSIONS_BEFORE_WALL_S);
@@ -446,6 +482,7 @@ fn main() {
         baseline_wall_s: base,
         speedup_vs_baseline: base.map(|b| b / best),
         makespan,
+        occupancy_samples,
     });
 
     // The fleet cell: what the benchmark's `fleet-sessions` workload runs,
@@ -475,11 +512,11 @@ fn main() {
         },
         ..FleetConfig::default()
     };
-    let (best, makespan) = time_cell(reps, || {
+    let (best, makespan, occupancy_samples) = time_cell(reps, || {
         let work = Workload::Sessions(&fleet_sessions);
-        run_fleet_with_threads(&replicas, &work, &fleet_cfg, &predictor, 1)
-            .report
-            .makespan
+        let run = run_fleet_with_threads(&replicas, &work, &fleet_cfg, &predictor, 1);
+        let samples = run.outcomes.iter().map(|o| o.occupancy.len()).sum();
+        (run.report.makespan, samples)
     });
     let key = format!("{pool}/{}+sessions", td.name());
     let base = (n == 2_000).then_some(FLEET_BEFORE_WALL_S);
@@ -493,6 +530,7 @@ fn main() {
         baseline_wall_s: base,
         speedup_vs_baseline: base.map(|b| b / best),
         makespan,
+        occupancy_samples,
     });
 
     if scale_cells_enabled() {
@@ -509,10 +547,9 @@ fn main() {
         let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
         for (combo, sched, requests) in scale {
             let big = ShareGptLikeConfig::small(requests, PAPER_SEED).generate();
-            let (best, makespan) = time_cell(1, || {
-                run_scheduler(sched, &model, &node, Workload::offline(&big), &predictor)
-                    .expect("scale cell must be feasible")
-                    .makespan
+            let work = Workload::offline(&big);
+            let (best, makespan, occupancy_samples) = time_cell(1, || {
+                measured(run_outcome(sched, &model, &node, work, &predictor))
             });
             let key = format!("{combo}/{}@{}k", sched.name(), requests / 1000);
             println!("  {key:<18} wall {best:8.3}s");
@@ -525,6 +562,7 @@ fn main() {
                 baseline_wall_s: None,
                 speedup_vs_baseline: None,
                 makespan,
+                occupancy_samples,
             });
         }
     }

@@ -13,6 +13,7 @@ use serde::Serialize;
 use std::path::PathBuf;
 use tdpipe_baselines::tdpipe_config;
 pub use tdpipe_baselines::Scheduler;
+use tdpipe_core::engine::RunOutcome;
 use tdpipe_core::parallel::map_indexed_parallel;
 use tdpipe_hw::NodeSpec;
 use tdpipe_model::ModelSpec;
@@ -66,11 +67,19 @@ pub fn run_scheduler<P: OutputLenPredictor + ?Sized>(
     work: Workload<'_>,
     predictor: &P,
 ) -> Option<RunReport> {
+    run_outcome(which, model, node, work, predictor).map(|o| o.report)
+}
+
+/// [`run_scheduler`] with the whole outcome, not only its report.
+pub fn run_outcome<P: OutputLenPredictor + ?Sized>(
+    which: Scheduler,
+    model: &ModelSpec,
+    node: &NodeSpec,
+    work: Workload<'_>,
+    predictor: &P,
+) -> Option<RunOutcome> {
     let td = tdpipe_config(false, false, true);
-    which
-        .run(model.clone(), node, work, predictor, td)
-        .ok()
-        .map(|o| o.report)
+    which.run(model.clone(), node, work, predictor, td).ok()
 }
 
 /// Run many `(scheduler, model, node)` cells over one trace on every host

@@ -1,4 +1,5 @@
-//! Event-driven decode cohorts: O(1) per decode step instead of O(batch).
+//! Event-driven decode cohorts: O(1) per quiet decode step instead of
+//! O(batch).
 //!
 //! The decode inner loop is the simulator's hottest code: every time a
 //! batch returns it used to walk every member to bump its generated-token
@@ -446,13 +447,17 @@ impl DecodeStepper {
     /// `ctx` is the batch's running context-token total and stays equal to
     /// the survivors' resident tokens.
     ///
-    /// The step is O(finishers), not O(members): finishers drain from
-    /// their finish-epoch bucket with their banked state settled on the
-    /// way out, and the survivors' KV growth is one aggregate extend.
-    /// Under memory pressure the batch stays banked: the walk below visits
-    /// only the members crossing a block boundary this step and settles
-    /// just the victims, reproducing the per-member loop (victim choice,
-    /// requeue order, hook calls, allocator stats) exactly.
+    /// The drain and the growth are O(finishers), not O(members):
+    /// finishers drain from their finish-epoch bucket with their banked
+    /// state settled on the way out, and the survivors' KV growth is one
+    /// aggregate extend. But a step in which any member leaves (a finisher
+    /// or a victim) then drops the leavers with one `retain` over the
+    /// whole batch, so that step costs O(members); only a step nobody
+    /// leaves stays O(1). Under memory pressure the batch stays banked:
+    /// the walk below visits only the members crossing a block boundary
+    /// this step and settles just the victims, reproducing the per-member
+    /// loop (victim choice, requeue order, hook calls, allocator stats)
+    /// exactly.
     ///
     /// Returns the number of requests that finished.
     pub fn step<H: StepHooks + ?Sized>(

@@ -76,10 +76,12 @@ pub struct EngineConfig {
     pub record_trace: bool,
     /// Whether the engine maintains the deterministic metrics plane
     /// (`tdpipe-metrics`): typed counters/gauges/histograms plus the
-    /// virtual-time series sampler. Off by default: a disabled registry is
-    /// a single-branch no-op per update, so default runs stay
-    /// bit-identical. A `true` run is a pure observer — the schedule and
-    /// report are unchanged (pinned in `tests/metrics_export.rs`).
+    /// virtual-time series sampler, and TD-Pipe's per-batch KV occupancy
+    /// samples (Fig. 12, `RunOutcome::occupancy`; its peak is kept either
+    /// way). Off by default: a disabled registry is a single-branch no-op
+    /// per update, so default runs stay bit-identical. A `true` run is a
+    /// pure observer — the schedule and report are unchanged (pinned in
+    /// `tests/metrics_export.rs` and `tests/trace_export.rs`).
     pub record_metrics: bool,
     /// Session-affine KV reuse across closed-loop turns (see
     /// `TdPipeEngine::try_run` on sessions): when `true`, a finished

@@ -109,7 +109,7 @@ pub struct Stall {
 }
 
 /// A policy's share of the run's outcome: the report's scheduler name,
-/// the KV occupancy samples, allocator statistics and KV blocks over every
+/// the KV occupancy trace, allocator statistics and KV blocks over every
 /// KV pool, and how the run's evictions ([`DecodeStepper::evictions`])
 /// preempted.
 pub struct Close {

@@ -85,7 +85,8 @@ pub struct RunOutcome {
     pub report: RunReport,
     /// Per-device activity log (empty unless `record_timeline`).
     pub timeline: Timeline,
-    /// KV occupancy over time (paper Fig. 12).
+    /// KV occupancy over time (paper Fig. 12): every sample when
+    /// `record_metrics`, otherwise only the peak (`samples()` is empty).
     pub occupancy: OccupancyTrace,
     /// Chronological phase log.
     pub phases: Vec<PhaseRecord>,
@@ -595,9 +596,11 @@ impl TdPipeEngine {
             // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
             // round-up direction is the conservative one for admission.
             watermark_blocks: (self.plan.kv_blocks as f64 * WATERMARK).ceil() as u64,
-            // `new` refused pools whose block count exceeds `u32`.
+            // `new` refused pools whose block count exceeds `u32`. Fig. 12's
+            // series rides the metrics plane; the peak is kept on every run.
             occupancy: OccupancyTrace::for_pool(
                 u32::try_from(self.plan.kv_blocks).unwrap_or(u32::MAX),
+                metrics,
             ),
             open: None,
             prefill: PrefillPhase::default(),
@@ -1597,7 +1600,10 @@ mod tests {
 
     #[test]
     fn occupancy_trace_alternates_phases() {
-        let out = engine(4).run(&trace(256), &OraclePredictor);
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.record_metrics = true;
+        let e = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg).unwrap();
+        let out = e.run(&trace(256), &OraclePredictor);
         let phases: Vec<_> = out.occupancy.samples().map(|s| s.phase).collect();
         assert!(phases.windows(2).any(|w| w[0] != w[1]));
         assert!(out.occupancy.peak() <= 1.0);

@@ -10,7 +10,8 @@
 //!   per decode step, free it on completion or eviction. Strict
 //!   conservation invariants, O(1) operations.
 //! * [`OccupancyTrace`] — a time series of occupancy samples, the exact
-//!   data behind the paper's Figure 12.
+//!   data behind the paper's Figure 12, or only its peak when not
+//!   recording.
 //! * [`SessionRetainer`] — bookkeeping for session-affine KV retention
 //!   across closed-loop conversation turns (which finished turn's blocks
 //!   are being held for which resumed turn, under what budget).

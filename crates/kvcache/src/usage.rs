@@ -40,10 +40,19 @@ pub struct OccupancySample {
 /// [`BlockAllocator::occupancy`](crate::BlockAllocator::occupancy)'s
 /// formula, so it is bit-identical to the allocator's reading at the time.
 /// Serializes as `{"samples":[{"time","occupancy","phase"}, ..]}`.
+///
+/// Whether the samples are kept is fixed at construction. A trace that
+/// does not record folds each push into its running peak and drops the
+/// sample, so [`OccupancyTrace::peak`] reads the same either way while
+/// the series costs no memory on runs that do not plot it.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyTrace {
     /// Pool size in blocks (fits `u32`, so every used count does too).
     num_blocks: u32,
+    /// Whether `push` keeps the sample, not only its peak.
+    recording: bool,
+    /// Most blocks used at any push (`None` before the first).
+    peak_used: Option<u32>,
     times: Vec<f64>,
     used: Vec<u32>,
     /// `(first sample, phase)` of each contiguous phase run.
@@ -56,10 +65,12 @@ impl OccupancyTrace {
         Self::default()
     }
 
-    /// An empty trace over a pool of `num_blocks` blocks.
-    pub fn for_pool(num_blocks: u32) -> Self {
+    /// An empty trace over a pool of `num_blocks` blocks that keeps every
+    /// sample when `recording`, and otherwise only the peak.
+    pub fn for_pool(num_blocks: u32, recording: bool) -> Self {
         OccupancyTrace {
             num_blocks,
+            recording,
             ..Self::default()
         }
     }
@@ -69,27 +80,33 @@ impl OccupancyTrace {
         self.times.len()
     }
 
-    /// True when no sample was recorded (e.g. recording gated off).
+    /// True when no sample was recorded (e.g. recording off).
     pub fn is_empty(&self) -> bool {
         self.times.is_empty()
     }
 
-    /// Append a sample of `used_blocks` of the pool (times should be
-    /// non-decreasing; enforced in debug).
+    /// Fold a sample of `used_blocks` of the pool into the peak, and
+    /// append it when recording (times should be non-decreasing; enforced
+    /// in debug on the recorded samples).
     pub fn push(&mut self, time: f64, used_blocks: u64, phase: Phase) {
-        debug_assert!(
-            self.times.last().is_none_or(|&t| time >= t),
-            "occupancy samples must be time-ordered"
-        );
         debug_assert!(
             used_blocks <= u64::from(self.num_blocks),
             "more blocks used than the pool has"
+        );
+        let used = used_blocks as u32;
+        self.peak_used = Some(self.peak_used.map_or(used, |p| p.max(used)));
+        if !self.recording {
+            return;
+        }
+        debug_assert!(
+            self.times.last().is_none_or(|&t| time >= t),
+            "occupancy samples must be time-ordered"
         );
         if self.runs.last().is_none_or(|&(_, p)| p != phase) {
             self.runs.push((self.times.len(), phase));
         }
         self.times.push(time);
-        self.used.push(used_blocks as u32);
+        self.used.push(used);
     }
 
     /// Sample `i`.
@@ -109,10 +126,11 @@ impl OccupancyTrace {
         (0..self.len()).map(|i| self.sample(i))
     }
 
-    /// Highest occupancy observed (0 when nothing was sampled). Division
-    /// by the pool size is monotone, so this is the most-used sample's.
+    /// Highest occupancy pushed, recorded or not (0 when nothing was
+    /// pushed). Division by the pool size is monotone, so this is the
+    /// most-used sample's.
     pub fn peak(&self) -> f64 {
-        self.used.iter().max().map_or(0.0, |&u| {
+        self.peak_used.map_or(0.0, |u| {
             used_fraction(u64::from(u), u64::from(self.num_blocks))
         })
     }
@@ -152,7 +170,7 @@ mod tests {
 
     #[test]
     fn peak_and_runs() {
-        let mut t = OccupancyTrace::for_pool(100);
+        let mut t = OccupancyTrace::for_pool(100, true);
         t.push(0.0, 10, Phase::Prefill);
         t.push(1.0, 80, Phase::Prefill);
         t.push(2.0, 95, Phase::Decode);
@@ -165,9 +183,33 @@ mod tests {
         assert_eq!(phases, [Prefill, Prefill, Decode, Decode, Prefill]);
     }
 
+    /// A trace that does not record keeps the same peak and no samples.
+    #[test]
+    fn unrecorded_trace_keeps_only_the_peak() {
+        let (mut kept, mut peak_only) = (
+            OccupancyTrace::for_pool(7, true),
+            OccupancyTrace::for_pool(7, false),
+        );
+        for (i, used) in [2u64, 6, 3, 5].into_iter().enumerate() {
+            for t in [&mut kept, &mut peak_only] {
+                t.push(i as f64, used, Phase::Decode);
+            }
+        }
+        assert_eq!(peak_only.peak().to_bits(), kept.peak().to_bits());
+        assert_eq!(kept.len(), 4);
+        assert!(peak_only.is_empty());
+        assert_eq!(peak_only.to_csv(), "time,occupancy,phase\n");
+        let mut json = String::new();
+        peak_only.serialize(&mut Serializer::new(&mut json, false));
+        assert_eq!(json, r#"{"samples":[]}"#);
+        let mut empty = OccupancyTrace::for_pool(0, false);
+        empty.push(0.0, 0, Phase::Prefill);
+        assert_eq!(empty.peak(), 1.0, "an empty pool reads full");
+    }
+
     #[test]
     fn csv_header() {
-        let mut t = OccupancyTrace::for_pool(4);
+        let mut t = OccupancyTrace::for_pool(4, true);
         t.push(0.5, 1, Phase::Decode);
         assert!(t
             .to_csv()
@@ -187,7 +229,7 @@ mod tests {
     #[test]
     fn columns_rebuild_the_allocator_reading() {
         let mut a = crate::BlockAllocator::new(3, 16);
-        let mut t = OccupancyTrace::for_pool(3);
+        let mut t = OccupancyTrace::for_pool(3, true);
         let mut want = Vec::new();
         for (i, tokens) in [(0u64, 16u64), (1, 16), (2, 1)] {
             a.allocate(i, tokens).unwrap();
@@ -216,7 +258,7 @@ mod tests {
         let json = json.0;
         assert!(json.contains("\"occupancy\":0.3333333333333333,\"phase\":\"Prefill\""));
         // An empty pool reads full, like the allocator's.
-        let mut empty = OccupancyTrace::for_pool(0);
+        let mut empty = OccupancyTrace::for_pool(0, true);
         empty.push(0.0, 0, Phase::Decode);
         assert_eq!(empty.peak(), crate::BlockAllocator::new(0, 16).occupancy());
     }

@@ -1,5 +1,6 @@
 //! Determinism and seed-sensitivity across the whole stack.
 
+use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
 use tdpipe::model::ModelSpec;
@@ -10,20 +11,23 @@ use tdpipe::workload::{ShareGptLikeConfig, Workload};
 #[test]
 fn end_to_end_run_is_bitwise_deterministic() {
     let trace = ShareGptLikeConfig::small(200, 77).generate();
-    let run = || {
-        TdPipeEngine::new(
-            ModelSpec::llama2_13b(),
-            &NodeSpec::l20(4),
-            TdPipeConfig::default(),
-        )
-        .unwrap()
-        .run(&trace, &OraclePredictor)
+    let run = |record_metrics: bool| {
+        let mut cfg = TdPipeConfig::default();
+        cfg.engine.record_metrics = record_metrics;
+        TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), cfg)
+            .unwrap()
+            .run(&trace, &OraclePredictor)
     };
-    let a = run();
-    let b = run();
+    let a = run(false);
+    let b = run(false);
     assert_eq!(a.report, b.report);
     assert_eq!(a.phases.len(), b.phases.len());
-    assert_eq!(a.occupancy.len(), b.occupancy.len());
+    assert_eq!(a.occupancy.peak().to_bits(), b.occupancy.peak().to_bits());
+    // Metered runs keep Fig. 12's samples, byte for byte.
+    let occupancy = |o: &RunOutcome| serde_json::to_string(&o.occupancy).unwrap();
+    let (a, b) = (run(true), run(true));
+    assert!(!a.occupancy.is_empty());
+    assert_eq!(occupancy(&a), occupancy(&b));
 }
 
 #[test]

@@ -104,16 +104,41 @@ fn recording_does_not_perturb_the_schedule() {
     assert!(off.journal.is_empty(), "disabled recorder stays empty");
 }
 
+/// `cfg` with the metrics plane, and so Fig. 12's samples, recording.
+fn metered(mut cfg: TdPipeConfig) -> TdPipeConfig {
+    cfg.engine.record_metrics = true;
+    cfg
+}
+
 #[test]
 fn occupancy_is_sampled_whatever_the_recorder_switches() {
-    // Fig. 12's data flows on every run; the recorder switches neither
-    // add nor drop samples.
+    // On a metered run Fig. 12's data flows whatever the journal and
+    // timeline switches say; they neither add nor drop samples.
     let trace = ShareGptLikeConfig::small(120, 5).generate();
-    let traced = run(&trace, traced_cfg());
-    let plain = run(&trace, observed(false, false));
+    let traced = run(&trace, metered(traced_cfg()));
+    let plain = run(&trace, metered(observed(false, false)));
     assert!(!plain.occupancy.is_empty());
     assert!(traced.occupancy.samples().eq(plain.occupancy.samples()));
     assert_eq!(traced.report, plain.report);
+}
+
+#[test]
+fn unmetered_runs_keep_only_the_occupancy_peak() {
+    // Off the metrics plane the series is not kept, but its peak is, and
+    // dropping the samples changes nothing the run reports.
+    let trace = ShareGptLikeConfig::small(120, 5).generate();
+    let kept = run(&trace, metered(observed(false, false)));
+    let peak_only = run(&trace, observed(false, false));
+    assert!(!kept.occupancy.is_empty());
+    assert_eq!(peak_only.occupancy.len(), 0);
+    assert_eq!(
+        peak_only.occupancy.peak().to_bits(),
+        kept.occupancy.peak().to_bits()
+    );
+    let json = |o: &RunOutcome| serde_json::to_string(&o.report).expect("serialize report");
+    assert_eq!(json(&peak_only), json(&kept));
+    let phases = |o: &RunOutcome| format!("{:?}", o.phases);
+    assert_eq!(phases(&peak_only), phases(&kept));
 }
 
 #[test]
