@@ -53,8 +53,10 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
     (0..lanes)
         .map(|lane| {
             let mut alloc = BlockAllocator::new(blocks, BLOCK_SIZE);
-            // Ids are pool indices; pre-size each lane's residency table
-            // so allocation never grows it mid-run.
+            // Ids are pool indices, so each lane's residency table spans
+            // the whole trace at one 4-byte record per request (vacant for
+            // the other lanes' requests); pre-size it so allocation never
+            // grows it mid-run.
             alloc.reserve_ids(n);
             Lane {
                 alloc,
@@ -115,7 +117,9 @@ impl Lane {
         let idx = self.pending.pop_front().expect("pending nonempty");
         let t = run.pool.prefill_tokens(idx);
         // analyzer: allow(no-expect) — `head_fits` found the head's blocks
-        // plus the watermark free, so this allocation cannot fail.
+        // plus the watermark free, and `t` is a `u32` prompt length (only
+        // `u32::MAX` itself would pass `MAX_RECORD_TOKENS`), so this
+        // allocation cannot fail.
         self.alloc.allocate(idx as u64, t as u64).expect("caller checked head_fits");
         run.pool.note_prefill(idx, t);
         run.stamp_admission(idx);

@@ -1079,7 +1079,8 @@ impl TdRun<'_> {
                 if swapped {
                     // analyzer: allow(no-expect) — guarded above: the
                     // admission check reserved `needed + watermark` free
-                    // blocks, so this allocation cannot fail.
+                    // blocks, and a pipeline pool holds far fewer than
+                    // `MAX_RECORD_TOKENS`, so this allocation cannot fail.
                     self.alloc.allocate(idx as u64, full).expect("checked");
                     self.pending.pop_front();
                     self.est_cache.invalidate();
@@ -1111,8 +1112,9 @@ impl TdRun<'_> {
                 }
                 // analyzer: allow(no-expect) — guarded above: the
                 // admission check reserved `needed + watermark` free blocks
-                // (counting the just-freed donor), so this allocation
-                // cannot fail.
+                // (counting the just-freed donor), and a pipeline pool
+                // holds far fewer than `MAX_RECORD_TOKENS`, so this
+                // allocation cannot fail.
                 self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
                 self.pending.pop_front();
                 self.est_cache.invalidate();

@@ -24,6 +24,8 @@
 //! from-scratch rebuild (the equivalence proptest and a debug assertion in
 //! the engine both pin this).
 
+use tdpipe_kvcache::BlockAllocator;
+
 /// The future-usage simulator behind Algorithm 1.
 ///
 /// ```
@@ -45,9 +47,30 @@ pub struct GreedyPrefillPlanner {
     /// Token capacity of the KV pool.
     token_capacity: u64,
     /// Per-request tracked contribution, id-indexed: `(current_tokens,
-    /// predicted_remaining)` exactly as accounted into the grid. `None`
-    /// for requests the planner is not currently tracking.
-    tracked: Vec<Option<(u64, u32)>>,
+    /// predicted_remaining)` exactly as accounted into the grid, or
+    /// [`UNTRACKED`] for requests the planner is not currently tracking.
+    tracked: Vec<Tracked>,
+}
+
+/// One tracking-table entry: `(current_tokens, predicted_remaining)`, or
+/// [`UNTRACKED`].
+type Tracked = (u32, u32);
+
+// One entry per request of the trace: a field that widens the entry
+// multiplies into the run's peak memory.
+const _: () = assert!(std::mem::size_of::<Tracked>() == 8);
+
+/// The entry of a request the planner is not tracking.
+const UNTRACKED: Tracked = (u32::MAX, 0);
+
+/// `current_tokens` as an entry's token count. A request an engine holds
+/// in KV has at most the allocator's per-request limit, just below the
+/// sentinel; the clamp only keeps misuse from reading as untracked.
+#[inline]
+fn pack(current_tokens: u64) -> u32 {
+    let max = BlockAllocator::MAX_RECORD_TOKENS;
+    debug_assert!(current_tokens <= max, "{current_tokens} tokens");
+    current_tokens.min(max) as u32
 }
 
 impl GreedyPrefillPlanner {
@@ -75,7 +98,7 @@ impl GreedyPrefillPlanner {
     /// grows it mid-run.
     pub fn reserve_ids(&mut self, n: usize) {
         if self.tracked.len() < n {
-            self.tracked.resize(n, None);
+            self.tracked.resize(n, UNTRACKED);
         }
     }
 
@@ -83,22 +106,28 @@ impl GreedyPrefillPlanner {
     pub fn clear(&mut self) {
         self.tokens.fill(0);
         self.counts.fill(0);
-        self.tracked.fill(None);
+        self.tracked.fill(UNTRACKED);
     }
 
     /// Algorithm 1's `UpdateUsage`: account one just-admitted request with
     /// `current_tokens` of resident KV and `predicted_remaining` output
-    /// tokens still expected.
+    /// tokens still expected. `current_tokens` is at most the allocator's
+    /// per-request limit ([`BlockAllocator::MAX_RECORD_TOKENS`]).
     ///
     /// # Panics
-    /// Panics (debug) if `id` is already tracked — remove it first.
+    /// Panics (debug) if `id` is already tracked — remove it first — or
+    /// if `current_tokens` passes the per-request limit.
     pub fn admit(&mut self, id: usize, current_tokens: u64, predicted_remaining: u32) {
         if self.tracked.len() <= id {
-            self.tracked.resize(id + 1, None);
+            self.tracked.resize(id + 1, UNTRACKED);
         }
-        debug_assert!(self.tracked[id].is_none(), "request {id} already tracked");
-        self.tracked[id] = Some((current_tokens, predicted_remaining));
-        self.add(current_tokens, predicted_remaining);
+        debug_assert!(
+            self.tracked[id] == UNTRACKED,
+            "request {id} already tracked"
+        );
+        let entry = (pack(current_tokens), predicted_remaining);
+        self.tracked[id] = entry;
+        self.add(entry);
     }
 
     /// Remove a tracked request (it finished, or was evicted/swapped out):
@@ -107,12 +136,13 @@ impl GreedyPrefillPlanner {
     /// required first — the stored `(c, p)` pair is whatever was last
     /// admitted/advanced, and that is exactly what was accounted.
     pub fn remove_request(&mut self, id: usize) {
-        let (c, p) = self.tracked[id].take().unwrap_or_else(|| {
+        let entry = std::mem::replace(&mut self.tracked[id], UNTRACKED);
+        if entry == UNTRACKED {
             // analyzer: allow(no-panic) — planner misuse is an engine bug;
             // the debug-assert oracle in the engine catches drift earlier.
             panic!("removing untracked request {id}")
-        });
-        self.sub(c, p);
+        }
+        self.sub(entry);
     }
 
     /// Advance a tracked request by `steps` decode steps: its resident
@@ -123,20 +153,26 @@ impl GreedyPrefillPlanner {
         if steps == 0 {
             return;
         }
-        let Some((c, p)) = self.tracked[id] else {
+        let entry = self.tracked[id];
+        if entry == UNTRACKED {
             // analyzer: allow(no-panic) — planner misuse is an engine bug;
             // the debug-assert oracle in the engine catches drift earlier.
             panic!("advancing untracked request {id}")
-        };
-        let (new_c, new_p) = (c + steps as u64, p.saturating_sub(steps));
-        self.tracked[id] = Some((new_c, new_p));
-        self.sub(c, p);
-        self.add(new_c, new_p);
+        }
+        let (c, p) = entry;
+        let advanced = (
+            pack(u64::from(c) + u64::from(steps)),
+            p.saturating_sub(steps),
+        );
+        self.tracked[id] = advanced;
+        self.sub(entry);
+        self.add(advanced);
     }
 
     /// Account `c + fp` tokens at every future point `fp ≤ p`.
     #[inline]
-    fn add(&mut self, c: u64, p: u32) {
+    fn add(&mut self, (c, p): Tracked) {
+        let c = u64::from(c);
         let live = self.live_prefix(p);
         self.tokens[0] = self.tokens[0].wrapping_add(c);
         self.tokens[live] = self.tokens[live].wrapping_sub(c);
@@ -144,9 +180,10 @@ impl GreedyPrefillPlanner {
         self.counts[live] = self.counts[live].wrapping_sub(1);
     }
 
-    /// Undo [`Self::add`]`(c, p)`.
+    /// Undo [`Self::add`]`((c, p))`.
     #[inline]
-    fn sub(&mut self, c: u64, p: u32) {
+    fn sub(&mut self, (c, p): Tracked) {
+        let c = u64::from(c);
         let live = self.live_prefix(p);
         self.tokens[0] = self.tokens[0].wrapping_sub(c);
         self.tokens[live] = self.tokens[live].wrapping_add(c);

@@ -16,6 +16,17 @@ pub enum KvError {
     DuplicateRequest(u64),
     /// `extend_one`/`free`/`tokens_of` called for an unknown request.
     UnknownRequest(u64),
+    /// `allocate` or `extend_one` would leave a request holding more than
+    /// [`BlockAllocator::MAX_RECORD_TOKENS`] tokens, which its residency
+    /// record cannot store. Only a pool whose token capacity passes that
+    /// bound can get this far; smaller pools reject the growth as
+    /// `OutOfMemory` first.
+    RecordOverflow {
+        /// The request.
+        id: u64,
+        /// Tokens it would have held.
+        tokens: u64,
+    },
 }
 
 impl std::fmt::Display for KvError {
@@ -26,18 +37,19 @@ impl std::fmt::Display for KvError {
             }
             KvError::DuplicateRequest(id) => write!(f, "request {id} already allocated"),
             KvError::UnknownRequest(id) => write!(f, "request {id} not allocated"),
+            KvError::RecordOverflow { id, tokens } => write!(
+                f,
+                "request {id}: {tokens} tokens exceed the per-request limit of {}",
+                BlockAllocator::MAX_RECORD_TOKENS
+            ),
         }
     }
 }
 
 impl std::error::Error for KvError {}
 
-/// Per-request residency record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct Residency {
-    tokens: u64,
-    blocks: u64,
-}
+/// A residency-table entry that holds no request.
+const VACANT: u32 = u32::MAX;
 
 /// Lifetime operation counts and the occupancy high-water mark,
 /// maintained unconditionally (plain integer adds — the allocator never
@@ -91,10 +103,12 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 /// `ceil(t / block_size)` blocks (the trailing block is partially filled,
 /// exactly like paged attention). All operations are O(1) — request ids
 /// are dense pool indices in this codebase, so residency lives in a flat
-/// `Vec<Option<Residency>>` indexed by id (grown lazily to the highest id
-/// seen) rather than a hash map. Decode steps do not touch it per member:
-/// a cohort step moves the pool counters once through
-/// [`extend_cohort`](Self::extend_cohort) or
+/// table indexed by id (grown lazily to the highest id seen) rather than a
+/// hash map. An entry is one `u32`: the request's resident tokens, or
+/// `u32::MAX` when vacant. Its block count is not stored — it is always
+/// `ceil(tokens / block_size)`, so every reader derives it. Decode steps
+/// do not touch the table per member: a cohort step moves the pool
+/// counters once through [`extend_cohort`](Self::extend_cohort) or
 /// [`extend_survivors`](Self::extend_survivors) and settles a member's
 /// record only when it is read ([`advance_tokens`](Self::advance_tokens)).
 ///
@@ -108,14 +122,14 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 /// assert_eq!(pool.free(1).unwrap(), 301);
 /// assert_eq!(pool.occupancy(), 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockAllocator {
     block_size: u32,
     num_blocks: u64,
     used_blocks: u64,
-    /// Residency table indexed by request id; `None` = not resident.
-    residents: Vec<Option<Residency>>,
-    /// Count of `Some` entries in `residents`.
+    /// Residency table indexed by request id.
+    residents: Vec<Record>,
+    /// Count of non-`VACANT` entries in `residents`.
     num_residents: usize,
     /// Sum of `tokens` over resident requests, maintained incrementally so
     /// `resident_tokens()` stays O(1).
@@ -124,7 +138,19 @@ pub struct BlockAllocator {
     stats: AllocStats,
 }
 
+/// One residency-table entry: the request's resident tokens, at most
+/// [`BlockAllocator::MAX_RECORD_TOKENS`], or `VACANT`.
+type Record = u32;
+
+// One entry per request per pool, for every request of the trace: a field
+// that widens the entry multiplies into the run's peak memory.
+const _: () = assert!(std::mem::size_of::<Record>() == 4);
+
 impl BlockAllocator {
+    /// Most tokens one request's record holds: `u32::MAX - 1`, since
+    /// `u32::MAX` marks a vacant entry.
+    pub const MAX_RECORD_TOKENS: u64 = VACANT as u64 - 1;
+
     /// A pool of `num_blocks` blocks of `block_size` tokens.
     ///
     /// # Panics
@@ -146,13 +172,30 @@ impl BlockAllocator {
     /// request population never grows it again.
     pub fn reserve_ids(&mut self, n: usize) {
         if self.residents.len() < n {
-            self.residents.resize(n, None);
+            self.residents.resize(n, VACANT);
         }
     }
 
+    /// `id`'s resident tokens, if it is resident.
     #[inline]
-    fn slot(&self, id: u64) -> Option<&Residency> {
-        self.residents.get(id as usize).and_then(Option::as_ref)
+    fn slot(&self, id: u64) -> Option<u64> {
+        let tokens = *self.residents.get(id as usize)?;
+        (tokens != VACANT).then_some(u64::from(tokens))
+    }
+
+    /// `tokens` as an entry, if it is at most
+    /// [`MAX_RECORD_TOKENS`](Self::MAX_RECORD_TOKENS).
+    #[inline]
+    fn record(tokens: u64) -> Option<Record> {
+        u32::try_from(tokens).ok().filter(|&t| t != VACANT)
+    }
+
+    /// `id`'s table entry, if it is resident.
+    #[inline]
+    fn slot_mut(&mut self, id: u64) -> Option<&mut Record> {
+        self.residents
+            .get_mut(id as usize)
+            .filter(|tokens| **tokens != VACANT)
     }
 
     /// Tokens per block.
@@ -217,9 +260,10 @@ impl BlockAllocator {
             self.stats.oom_rejections += 1;
             return Err(KvError::OutOfMemory { needed, available });
         }
+        let record = Self::record(tokens).ok_or(KvError::RecordOverflow { id, tokens })?;
         let idx = id as usize;
         if idx >= self.residents.len() {
-            self.residents.resize(idx + 1, None);
+            self.residents.resize(idx + 1, VACANT);
         }
         self.used_blocks += needed;
         self.num_residents += 1;
@@ -228,27 +272,21 @@ impl BlockAllocator {
         if self.used_blocks > self.stats.used_blocks_high_water {
             self.stats.used_blocks_high_water = self.used_blocks;
         }
-        self.residents[idx] = Some(Residency {
-            tokens,
-            blocks: needed,
-        });
+        self.residents[idx] = record;
         Ok(())
     }
 
     /// Append one token to a resident request: one decode step for one
     /// member, the per-member reference the cohort accounting
     /// ([`extend_cohort`](Self::extend_cohort)) must match. A new block is
-    /// needed exactly when the trailing block is full. On `OutOfMemory` the
-    /// request is left unchanged.
+    /// needed exactly when the token count is a multiple of the block size
+    /// (the trailing block is full, or there is none). On `OutOfMemory` or
+    /// `RecordOverflow` the request is left unchanged.
     pub fn extend_one(&mut self, id: u64) -> Result<(), KvError> {
         let free = self.num_blocks - self.used_blocks;
-        let block_size = self.block_size as u64;
-        let r = self
-            .residents
-            .get_mut(id as usize)
-            .and_then(Option::as_mut)
-            .ok_or(KvError::UnknownRequest(id))?;
-        let grows = r.tokens == r.blocks * block_size;
+        let block_size = self.block_size;
+        let r = self.slot_mut(id).ok_or(KvError::UnknownRequest(id))?;
+        let grows = *r % block_size == 0;
         if grows && free == 0 {
             self.stats.oom_rejections += 1;
             return Err(KvError::OutOfMemory {
@@ -256,11 +294,14 @@ impl BlockAllocator {
                 available: 0,
             });
         }
-        r.tokens += 1;
+        if u64::from(*r) == Self::MAX_RECORD_TOKENS {
+            let tokens = Self::MAX_RECORD_TOKENS + 1;
+            return Err(KvError::RecordOverflow { id, tokens });
+        }
+        *r += 1;
         self.resident_tokens += 1;
         self.stats.extends += 1;
         if grows {
-            r.blocks += 1;
             self.used_blocks += 1;
             if self.used_blocks > self.stats.used_blocks_high_water {
                 self.stats.used_blocks_high_water = self.used_blocks;
@@ -336,48 +377,47 @@ impl BlockAllocator {
     /// Settle `steps` banked single-token extends on one resident whose
     /// aggregate accounting was already applied by
     /// [`extend_cohort`](Self::extend_cohort): only the per-id record
-    /// moves (no pool counters, no stats). Must run before any per-id
-    /// read — [`free`](Self::free), [`tokens_of`](Self::tokens_of) — and
-    /// before the request's next non-cohort extend.
+    /// moves (no pool counters, no stats), and its block count follows
+    /// from the new token count. Must run before any per-id read —
+    /// [`free`](Self::free), [`tokens_of`](Self::tokens_of) — and before
+    /// the request's next non-cohort extend.
     ///
     /// # Panics
-    /// Panics if `id` is not resident.
+    /// Panics if `id` is not resident, or if the settled count passes
+    /// [`MAX_RECORD_TOKENS`](Self::MAX_RECORD_TOKENS) (a step
+    /// [`extend_one`](Self::extend_one) would have rejected).
     pub fn advance_tokens(&mut self, id: u64, steps: u64) {
         if steps == 0 {
             return;
         }
-        let block_size = self.block_size as u64;
         let r = self
-            .residents
-            .get_mut(id as usize)
-            .and_then(Option::as_mut)
+            .slot_mut(id)
             // analyzer: allow(no-expect) — same contract as the per-call
             // path: cohort members are always resident.
             .expect("cohort member resident");
-        r.tokens += steps;
-        r.blocks = r.tokens.div_ceil(block_size);
+        // analyzer: allow(no-expect) — members grow only by steps their
+        // pool had blocks for; only in a pool past the limit could one
+        // reach it, and then only with ~4G tokens of prompt plus output,
+        // which no workload generates. The per-call path returns
+        // `RecordOverflow` instead.
+        *r = Self::record(u64::from(*r) + steps).expect("banked tokens within the record limit");
     }
 
     /// Release a request's blocks (completion, or recompute-eviction).
     /// Returns the number of tokens that were resident.
     pub fn free(&mut self, id: u64) -> Result<u64, KvError> {
-        let r = self
-            .residents
-            .get_mut(id as usize)
-            .and_then(Option::take)
-            .ok_or(KvError::UnknownRequest(id))?;
-        self.used_blocks -= r.blocks;
+        let r = self.slot_mut(id).ok_or(KvError::UnknownRequest(id))?;
+        let tokens = u64::from(std::mem::replace(r, VACANT));
+        self.used_blocks -= self.blocks_for(tokens);
         self.num_residents -= 1;
-        self.resident_tokens -= r.tokens;
+        self.resident_tokens -= tokens;
         self.stats.frees += 1;
-        Ok(r.tokens)
+        Ok(tokens)
     }
 
     /// Tokens currently resident for `id`.
     pub fn tokens_of(&self, id: u64) -> Result<u64, KvError> {
-        self.slot(id)
-            .map(|r| r.tokens)
-            .ok_or(KvError::UnknownRequest(id))
+        self.slot(id).ok_or(KvError::UnknownRequest(id))
     }
 
     /// Whether `id` is resident.
@@ -532,6 +572,35 @@ mod tests {
         a.allocate(7, 5).unwrap();
         a.advance_tokens(7, 0);
         assert_eq!(a.tokens_of(7).unwrap(), 5);
+    }
+
+    #[test]
+    fn a_count_past_the_record_limit_is_a_typed_error() {
+        // A pool whose token capacity exceeds `u32::MAX`: the record
+        // limit, not the pool, is what binds.
+        let mut a = BlockAllocator::new(1 << 29, 16);
+        assert!(a.num_blocks() * 16 >= 2 * u32::MAX as u64);
+        let max = BlockAllocator::MAX_RECORD_TOKENS;
+        for tokens in [max + 1, u32::MAX as u64 + 1, u64::from(u32::MAX) * 2] {
+            let err = a.allocate(1, tokens).unwrap_err();
+            assert_eq!(err, KvError::RecordOverflow { id: 1, tokens });
+            assert!(err.to_string().contains(&max.to_string()), "{err}");
+        }
+        assert!(!a.contains(1));
+        assert_eq!((a.used_blocks(), a.num_residents()), (0, 0));
+        assert_eq!(a.stats(), AllocStats::default());
+
+        a.allocate(2, max).unwrap();
+        assert_eq!(a.tokens_of(2), Ok(max));
+        let used = a.used_blocks();
+        assert_eq!(used, max.div_ceil(16));
+        let err = a.extend_one(2).unwrap_err();
+        let tokens = max + 1;
+        assert_eq!(err, KvError::RecordOverflow { id: 2, tokens });
+        assert_eq!(a.tokens_of(2), Ok(max));
+        assert_eq!((a.used_blocks(), a.stats().extends), (used, 0));
+        assert_eq!(a.free(2), Ok(max));
+        assert_eq!(a.used_blocks(), 0);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests: the allocator conserves blocks under arbitrary
-//! operation sequences and never misaccounts.
+//! operation sequences and never misaccounts, on the per-call path and
+//! on the banked cohort path the engines take.
 
 use crate::allocator::BlockAllocator;
 use proptest::prelude::*;
@@ -10,6 +11,10 @@ enum Op {
     Alloc { id: u64, tokens: u64 },
     Extend { id: u64, tokens: u64 },
     Free { id: u64 },
+    /// `steps` banked decode steps over the residents among `ids`: pool
+    /// counters move through `extend_cohort` each step, the records settle
+    /// through `advance_tokens` at the end.
+    Bank { ids: Vec<u64>, steps: u64 },
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -18,6 +23,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             (0u64..20, 0u64..200).prop_map(|(id, tokens)| Op::Alloc { id, tokens }),
             (0u64..20, 1u64..50).prop_map(|(id, tokens)| Op::Extend { id, tokens }),
             (0u64..20).prop_map(|id| Op::Free { id }),
+            (prop::collection::vec(0u64..20, 1..8), 1u64..40)
+                .prop_map(|(ids, steps)| Op::Bank { ids, steps }),
         ],
         1..200,
     )
@@ -55,6 +62,30 @@ proptest! {
                         Err(_) => prop_assert!(!shadow.contains_key(&id)),
                     }
                 }
+                Op::Bank { mut ids, steps } => {
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids.retain(|id| shadow.contains_key(id));
+                    let bs = block_size as u64;
+                    let mut banked = 0;
+                    for _ in 0..steps {
+                        // A member grows when its count entering the step
+                        // is a multiple of the block size; the engines
+                        // guard the step's growth before taking it.
+                        let grows = ids.iter().filter(|id| shadow[id] % bs == 0).count() as u64;
+                        if grows > a.free_blocks() {
+                            break;
+                        }
+                        a.extend_cohort(ids.len() as u64, grows);
+                        for id in &ids {
+                            *shadow.get_mut(id).unwrap() += 1;
+                        }
+                        banked += 1;
+                    }
+                    for &id in &ids {
+                        a.advance_tokens(id, banked);
+                    }
+                }
             }
             // Invariants after every operation.
             let expect_blocks: u64 = shadow
@@ -66,6 +97,12 @@ proptest! {
             prop_assert_eq!(a.free_blocks(), num_blocks - expect_blocks);
             prop_assert_eq!(a.num_residents(), shadow.len());
             prop_assert_eq!(a.resident_tokens(), shadow.values().sum::<u64>());
+            for id in 0u64..20 {
+                match shadow.get(&id) {
+                    Some(&t) => prop_assert_eq!(a.tokens_of(id), Ok(t)),
+                    None => prop_assert!(a.tokens_of(id).is_err() && !a.contains(id)),
+                }
+            }
         }
         // Drain and verify the pool returns to empty.
         let ids: Vec<u64> = shadow.keys().copied().collect();

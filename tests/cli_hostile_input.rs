@@ -3,7 +3,8 @@
 //! allow, ends the process with exit code 1 and a message, never a
 //! stack-overflow abort. Only a missing or unknown command adds the usage
 //! text to its error, and a command turns away, by name, a flag it does
-//! not read.
+//! not read. A `--gpus` count whose KV pool holds more tokens than one
+//! request's residency record can count still runs to a report.
 
 use std::process::Command;
 
@@ -115,4 +116,29 @@ fn a_number_json_does_not_allow_fails_validation_with_a_message() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("invalid number `01`"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_kv_pool_past_u32_max_tokens_serves_requests() {
+    let cli = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        stdout
+    };
+    // `--gpus` alone builds a tensor-parallel pool whose token capacity
+    // passes `u32::MAX`, more than one residency record can hold.
+    let plan = cli(&["plan", "--gpus", "100000"]);
+    let tp = plan.lines().find(|l| l.starts_with("TP plan:")).unwrap();
+    let tokens: u64 = tp.split_whitespace().nth(6).unwrap().parse().unwrap();
+    assert!(tokens > u32::MAX as u64, "{tp}");
+    let run = ["run", "--gpus", "100000", "--requests", "20", "--scheduler"];
+    for (scheduler, name) in [("tp-sb", "TP+SB"), ("tp-hb", "TP+HB")] {
+        let stdout = cli(&[&run[..], &[scheduler]].concat());
+        assert!(stdout.contains(name), "{scheduler}: {stdout}");
+    }
 }
