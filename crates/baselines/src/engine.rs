@@ -521,7 +521,7 @@ mod tests {
     use super::*;
     use tdpipe_metrics::{bucket_bounds, MetricValue};
     use tdpipe_predictor::OraclePredictor;
-    use tdpipe_workload::{Request, RequestId, ShareGptLikeConfig};
+    use tdpipe_workload::{Request, RequestId, ShareGptLikeConfig, FEATURE_DIM};
 
     #[test]
     fn pp_executor_overlaps_shallowly() {
@@ -606,7 +606,7 @@ mod tests {
                 input_len: 2,
                 output_len: 4,
                 category: 0,
-                features: Vec::new(),
+                features: [0.0; FEATURE_DIM],
             })
             .collect();
         let cfg = EngineConfig {

@@ -160,6 +160,9 @@ fn split_workload<P: OutputLenPredictor + ?Sized>(
                 sessions[chosen].push(s as u32);
                 assigned[chosen] += 1;
             }
+            // Shares are built here, on the calling thread. Building each
+            // inside its replica's worker raised peak RSS: glibc's
+            // per-thread arenas keep the pages the workers free.
             Split::Sessions(sessions.iter().map(|ids| st.subset_sessions(ids)).collect())
         }
     };

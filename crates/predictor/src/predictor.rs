@@ -4,7 +4,7 @@ use crate::buckets::PercentileBuckets;
 use crate::classifier::{SoftmaxClassifier, TrainConfig};
 use crate::naive_bayes::GaussianNbClassifier;
 use serde::{Deserialize, Serialize};
-use tdpipe_workload::{Request, Trace};
+use tdpipe_workload::{Request, Trace, FEATURE_DIM};
 
 /// Anything that can estimate a request's output length before it runs.
 pub trait OutputLenPredictor {
@@ -55,7 +55,8 @@ impl LengthPredictor {
     pub fn train(train: &Trace, cfg: &TrainConfig) -> Self {
         let lengths: Vec<u32> = train.requests().iter().map(|r| r.output_len).collect();
         let buckets = PercentileBuckets::fit(&lengths);
-        let features: Vec<Vec<f32>> = train.requests().iter().map(Self::featurise).collect();
+        let features: Vec<Vec<f32>> =
+            train.requests().iter().map(|r| Self::featurise(r).to_vec()).collect();
         let labels: Vec<usize> = train
             .requests()
             .iter()
@@ -70,10 +71,12 @@ impl LengthPredictor {
         }
     }
 
-    /// Feature map: prompt embedding ⊕ normalised prompt length.
-    pub fn featurise(r: &Request) -> Vec<f32> {
-        let mut f = r.features.clone();
-        f.push(r.input_len as f32 / 1024.0);
+    /// Feature map: prompt embedding ⊕ normalised prompt length, built on
+    /// the stack (a prediction allocates no feature vector).
+    pub fn featurise(r: &Request) -> [f32; FEATURE_DIM + 1] {
+        let mut f = [0.0; FEATURE_DIM + 1];
+        f[..FEATURE_DIM].copy_from_slice(&r.features);
+        f[FEATURE_DIM] = r.input_len as f32 / 1024.0;
         f
     }
 
@@ -129,8 +132,11 @@ impl NbLengthPredictor {
     pub fn train(train: &Trace) -> Self {
         let lengths: Vec<u32> = train.requests().iter().map(|r| r.output_len).collect();
         let buckets = PercentileBuckets::fit(&lengths);
-        let features: Vec<Vec<f32>> =
-            train.requests().iter().map(LengthPredictor::featurise).collect();
+        let features: Vec<Vec<f32>> = train
+            .requests()
+            .iter()
+            .map(|r| LengthPredictor::featurise(r).to_vec())
+            .collect();
         let labels: Vec<usize> = train
             .requests()
             .iter()

@@ -127,7 +127,11 @@ impl ShareGptLikeConfig {
 
     /// Sample a feature vector for `category` (shared with the session
     /// generator).
-    pub(crate) fn sample_features_for(&self, rng: &mut StdRng, category: usize) -> Vec<f32> {
+    pub(crate) fn sample_features_for(
+        &self,
+        rng: &mut StdRng,
+        category: usize,
+    ) -> [f32; FEATURE_DIM] {
         self.sample_features(rng, category)
     }
 
@@ -137,8 +141,8 @@ impl ShareGptLikeConfig {
         v.clamp(1, self.output_max)
     }
 
-    fn sample_features(&self, rng: &mut StdRng, category: usize) -> Vec<f32> {
-        let mut f = vec![0f32; FEATURE_DIM];
+    fn sample_features(&self, rng: &mut StdRng, category: usize) -> [f32; FEATURE_DIM] {
+        let mut f = [0f32; FEATURE_DIM];
         // Category prototype: a 2-sparse signature.
         f[2 * category] = 1.0;
         f[2 * category + 1] = 0.5;

@@ -1,5 +1,6 @@
 //! The unit of work: one generative request.
 
+use crate::generator::FEATURE_DIM;
 use serde::{Deserialize, Serialize};
 
 /// Stable identifier of a request within a trace.
@@ -22,6 +23,10 @@ impl std::fmt::Display for RequestId {
 /// count reaches `output_len`, and may consult the *predictor* for an
 /// estimate. The `features` vector is what the predictor sees — the
 /// stand-in for the BERT `[CLS]` embedding of the prompt.
+///
+/// The embedding is stored inline, so a request is one 112-byte value
+/// with no heap allocation of its own (a trace of 200k requests is one
+/// 21 MiB buffer). Its JSON form is the same array a `Vec<f32>` writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Request {
     /// Identifier, unique within a trace.
@@ -34,8 +39,11 @@ pub struct Request {
     /// useful for diagnostics and predictor ceiling analysis).
     pub category: u8,
     /// Observable prompt embedding consumed by the length predictor.
-    pub features: Vec<f32>,
+    pub features: [f32; FEATURE_DIM],
 }
+
+// A field that grows every request of every trace fails the build here.
+const _: () = assert!(std::mem::size_of::<Request>() == 112);
 
 impl Request {
     /// Total tokens this request will ever hold in KV cache.
@@ -56,7 +64,7 @@ mod tests {
             input_len: 100,
             output_len: 28,
             category: 3,
-            features: vec![0.0; 4],
+            features: [0.0; FEATURE_DIM],
         };
         assert_eq!(r.total_len(), 128);
         assert_eq!(r.id.to_string(), "r7");

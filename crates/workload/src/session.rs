@@ -76,26 +76,42 @@ impl SessionConfig {
 
     /// Generate the session trace (deterministic for equal configs).
     pub fn generate(&self) -> SessionTrace {
+        let mut firsts = Vec::with_capacity(self.num_sessions);
+        let mut resumed = Vec::new();
+        let starts = self.sample_turns(|request, turn| {
+            if turn.turn == 0 {
+                firsts.push(request);
+            } else {
+                resumed.push((request, turn));
+            }
+        });
+        lay_out(firsts.into_iter(), resumed.into_iter(), starts)
+    }
+
+    /// Draw every session's turns, session by session and turn by turn,
+    /// handing each to `emit` with its session, turn index, shared prefix
+    /// and think time (ids and `prev`/`next` are left for [`lay_out`]).
+    /// Returns the sessions' start arrivals.
+    fn sample_turns(&self, mut emit: impl FnMut(Request, SessionTurn)) -> Vec<f64> {
         assert!(self.num_sessions > 0, "need at least one session");
         let mut rng = StdRng::seed_from_u64(self.base.seed ^ 0x5E55_1045);
         let continue_p = 1.0 - 1.0 / self.mean_turns.max(1.0);
         let starts = self.arrival.sample(self.num_sessions);
 
-        let mut sessions: Vec<Vec<(Request, SessionTurn)>> = Vec::with_capacity(self.num_sessions);
         for s in 0..self.num_sessions {
             let category = sample_category(&mut rng);
-            let mut turns = Vec::new();
+            let mut turn = 0u32;
             let mut context = 0u64; // transcript tokens so far
             loop {
                 let fresh = (self.turn_mu + self.turn_sigma * sample_std_normal(&mut rng))
                     .exp()
                     .max(1.0) as u64;
                 let input_len = (context + fresh).min(u32::MAX as u64) as u32;
-                if !turns.is_empty() && input_len >= self.base.input_max {
+                if turn > 0 && input_len >= self.base.input_max {
                     break; // transcript outgrew the filter: session ends
                 }
                 let output_len = self.base.sample_output_for(&mut rng, category);
-                let think_s = if turns.is_empty() {
+                let think_s = if turn == 0 {
                     0.0
                 } else {
                     (self.think_mu + self.think_sigma * sample_std_normal(&mut rng)).exp()
@@ -108,25 +124,23 @@ impl SessionConfig {
                     category: category as u8,
                     features: self.base.sample_features_for(&mut rng, category),
                 };
-                // Linkage is assigned after global ordering too.
-                let turn = SessionTurn {
+                let linkage = SessionTurn {
                     session: s as u32,
-                    turn: turns.len() as u32,
+                    turn,
                     shared_prefix: context.min(u32::MAX as u64) as u32,
                     think_s,
                     prev: None,
                     next: None,
                 };
                 context = request.input_len as u64 + output_len as u64;
-                turns.push((request, turn));
+                emit(request, linkage);
+                turn += 1;
                 if rng.random::<f64>() > continue_p {
                     break;
                 }
             }
-            sessions.push(turns);
         }
-
-        lay_out(sessions, starts, |t| t)
+        starts
     }
 }
 
@@ -134,22 +148,21 @@ impl SessionConfig {
 /// in session order (so with non-decreasing `start_arrivals` the initial
 /// arrival vector stays sorted), then the closed-loop turns in (session,
 /// turn) order, linked `prev`/`next`, with request ids renumbered to trace
-/// positions. `sessions[s]` lists session `s`'s turns from turn 0 on, and
-/// `turn` turns one into its request and linkage (of which only `turn`,
-/// `shared_prefix` and `think_s` are kept).
-fn lay_out<T>(
-    sessions: Vec<Vec<T>>,
+/// positions. `firsts` yields each session's turn-0 request in session
+/// order, and `resumed` every later turn in (session, turn) order with its
+/// linkage (of which `prev`, `next` are overwritten). Both vectors are
+/// allocated once at their final size.
+fn lay_out(
+    firsts: impl ExactSizeIterator<Item = Request>,
+    resumed: impl ExactSizeIterator<Item = (Request, SessionTurn)>,
     start_arrivals: Vec<f64>,
-    turn: impl Fn(T) -> (Request, SessionTurn),
 ) -> SessionTrace {
-    let num_sessions = sessions.len();
-    let mut requests = Vec::new();
-    let mut turns = Vec::new();
-    let mut resumed = Vec::with_capacity(num_sessions);
-    for (s, session) in sessions.into_iter().enumerate() {
-        let mut session = session.into_iter();
-        let (request, _) = turn(session.next().expect("every session has a turn 0"));
-        requests.push(request);
+    let num_sessions = firsts.len();
+    let total = num_sessions + resumed.len();
+    let mut requests = Vec::with_capacity(total);
+    let mut turns = Vec::with_capacity(total);
+    for (s, request) in firsts.enumerate() {
+        requests.push(Request { id: RequestId(s as u64), ..request });
         turns.push(SessionTurn {
             session: s as u32,
             turn: 0,
@@ -158,27 +171,19 @@ fn lay_out<T>(
             prev: None,
             next: None,
         });
-        resumed.push(session);
     }
-    for (s, session) in resumed.into_iter().enumerate() {
-        // Session `s`'s turn 0 sits at trace position `s`.
-        let mut prev = s as u32;
-        for t in session {
-            let (request, linkage) = turn(t);
-            let idx = requests.len() as u32;
-            requests.push(request);
-            turns.push(SessionTurn {
-                session: s as u32,
-                prev: Some(prev),
-                next: None,
-                ..linkage
-            });
-            turns[prev as usize].next = Some(idx);
-            prev = idx;
-        }
-    }
-    for (i, r) in requests.iter_mut().enumerate() {
-        r.id = RequestId(i as u64);
+    for (request, linkage) in resumed {
+        let idx = requests.len() as u32;
+        // Turn 1 follows its session's turn 0, at trace position
+        // `session`; every later turn follows the one laid out before it.
+        let prev = if linkage.turn == 1 { linkage.session } else { idx - 1 };
+        turns[prev as usize].next = Some(idx);
+        requests.push(Request { id: RequestId(idx as u64), ..request });
+        turns.push(SessionTurn {
+            prev: Some(prev),
+            next: None,
+            ..linkage
+        });
     }
     let st = SessionTrace {
         trace: Trace::new(requests),
@@ -291,19 +296,24 @@ impl SessionTrace {
             assert!((s as usize) < self.num_sessions, "session {s} out of range");
             new_of[s as usize] = k as u32;
         }
-        // Old request indices per selected session, in turn order (the
-        // global layout already lists each session's turns in increasing
-        // turn order, so one forward pass collects them sorted).
-        let mut turn_idx: Vec<Vec<u32>> = vec![Vec::new(); sessions.len()];
-        for (i, t) in self.turns.iter().enumerate() {
-            let n = new_of[t.session as usize];
-            if n != u32::MAX {
-                turn_idx[n as usize].push(i as u32);
-            }
-        }
+        // Session `s`'s turn 0 sits at position `s`, and the resumed turns
+        // follow in (session, turn) order, so one forward pass over them
+        // keeps the selected ones in the order the new layout wants.
+        let resumed: Vec<u32> = (self.num_sessions..self.len())
+            .filter(|&i| new_of[self.turns[i].session as usize] != u32::MAX)
+            .map(|i| i as u32)
+            .collect();
         let starts = sessions.iter().map(|&s| self.start_arrivals[s as usize]).collect();
         let reqs = self.trace.requests();
-        lay_out(turn_idx, starts, |i| (reqs[i as usize].clone(), self.turns[i as usize]))
+        lay_out(
+            sessions.iter().map(|&s| reqs[s as usize].clone()),
+            resumed.iter().map(|&i| {
+                let t = self.turns[i as usize];
+                let session = new_of[t.session as usize];
+                (reqs[i as usize].clone(), SessionTurn { session, ..t })
+            }),
+            starts,
+        )
     }
 
     /// Structural invariants the engine's reuse path relies on; panics on
@@ -313,6 +323,17 @@ impl SessionTrace {
         assert!(
             self.start_arrivals.windows(2).all(|w| w[1] >= w[0]),
             "session starts must be non-decreasing"
+        );
+        // The layout `subset_sessions` reads: session `s`'s turn 0 at
+        // position `s`, then the resumed turns in (session, turn) order.
+        assert_eq!(self.start_arrivals.len(), self.num_sessions, "one start per session");
+        let (firsts, resumed) = self.turns.split_at(self.num_sessions);
+        let key = |t: &SessionTurn| (t.session, t.turn);
+        assert!(
+            firsts.iter().enumerate().all(|(s, t)| key(t) == (s as u32, 0))
+                && resumed.iter().all(|t| t.turn > 0)
+                && resumed.windows(2).all(|w| key(&w[0]) < key(&w[1])),
+            "turn 0s first in session order, then resumed turns in (session, turn) order"
         );
         let reqs = self.trace.requests();
         for (i, t) in self.turns.iter().enumerate() {
@@ -342,6 +363,119 @@ impl SessionTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
+
+    /// Naive reference layout: each session's turns gathered in their own
+    /// `Vec`, then laid out turn 0s first and linked by position.
+    fn nested_lay_out(
+        sessions: Vec<Vec<(Request, SessionTurn)>>,
+        starts: Vec<f64>,
+    ) -> SessionTrace {
+        let num_sessions = sessions.len();
+        let mut requests = Vec::new();
+        let mut turns = Vec::new();
+        for (s, session) in sessions.iter().enumerate() {
+            requests.push(session[0].0.clone());
+            turns.push(SessionTurn {
+                session: s as u32,
+                turn: 0,
+                shared_prefix: 0,
+                think_s: 0.0,
+                prev: None,
+                next: None,
+            });
+        }
+        for (s, session) in sessions.into_iter().enumerate() {
+            let mut prev = s as u32;
+            for (request, linkage) in session.into_iter().skip(1) {
+                let idx = requests.len() as u32;
+                requests.push(request);
+                turns.push(SessionTurn {
+                    session: s as u32,
+                    prev: Some(prev),
+                    next: None,
+                    ..linkage
+                });
+                turns[prev as usize].next = Some(idx);
+                prev = idx;
+            }
+        }
+        for (i, r) in requests.iter_mut().enumerate() {
+            r.id = RequestId(i as u64);
+        }
+        SessionTrace {
+            trace: Trace::new(requests),
+            turns,
+            start_arrivals: starts,
+            num_sessions,
+        }
+    }
+
+    fn nested_generate(cfg: &SessionConfig) -> SessionTrace {
+        let mut sessions: Vec<Vec<(Request, SessionTurn)>> = Vec::new();
+        let starts = cfg.sample_turns(|request, turn| {
+            if turn.turn == 0 {
+                sessions.push(Vec::new());
+            }
+            sessions.last_mut().unwrap().push((request, turn));
+        });
+        nested_lay_out(sessions, starts)
+    }
+
+    fn nested_subset(st: &SessionTrace, selected: &[u32]) -> SessionTrace {
+        let sessions = selected
+            .iter()
+            .map(|&s| {
+                (0..st.len())
+                    .filter(|&i| st.turns[i].session == s)
+                    .map(|i| (st.trace.requests()[i].clone(), st.turns[i]))
+                    .collect()
+            })
+            .collect();
+        let starts = selected.iter().map(|&s| st.start_arrivals[s as usize]).collect();
+        nested_lay_out(sessions, starts)
+    }
+
+    fn configs() -> impl Iterator<Item = SessionConfig> {
+        [1, 7, 42].into_iter().flat_map(|seed| {
+            [1, 2, 33, 150].into_iter().flat_map(move |n| {
+                // Mean 1 turn: every session is a single turn.
+                [1.0, 2.8, 6.0].into_iter().map(move |mean_turns| SessionConfig {
+                    mean_turns,
+                    ..SessionConfig::small(n, seed)
+                })
+            })
+        })
+    }
+
+    #[test]
+    fn layout_matches_the_nested_reference() {
+        for cfg in configs() {
+            let st = cfg.generate();
+            assert_eq!(st, nested_generate(&cfg), "generate, {cfg:?}");
+            let mut rng = StdRng::seed_from_u64(cfg.base.seed ^ cfg.num_sessions as u64);
+            for keep in [0.0, 0.3, 0.7, 1.0] {
+                let selected: Vec<u32> = (0..st.num_sessions as u32)
+                    .filter(|_| rng.random::<f64>() < keep)
+                    .collect();
+                assert_eq!(
+                    st.subset_sessions(&selected),
+                    nested_subset(&st, &selected),
+                    "subset {selected:?} of {cfg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn layouts_are_allocated_at_exact_size() {
+        let st = SessionConfig::small(300, 3).generate();
+        let half: Vec<u32> = (0..st.num_sessions as u32).filter(|s| s % 3 != 0).collect();
+        for t in [&st, &st.subset_sessions(&half)] {
+            assert_eq!(t.trace.capacity(), t.trace.len());
+            assert_eq!(t.turns.capacity(), t.turns.len());
+        }
+    }
 
     #[test]
     fn deterministic_for_equal_configs() {

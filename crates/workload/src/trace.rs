@@ -48,6 +48,12 @@ impl Trace {
         self.requests.is_empty()
     }
 
+    /// Allocated request slots, for the layout tests.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.requests.capacity()
+    }
+
     /// Total prompt tokens.
     pub fn total_input_tokens(&self) -> u64 {
         self.requests.iter().map(|r| r.input_len as u64).sum()
