@@ -196,11 +196,11 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe_workload::ShareGptLikeConfig;
+    use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
     fn state(requests: usize) -> RunState {
         let t = ShareGptLikeConfig::small(requests, 3).generate();
-        RunState::new(&t, &[], |r| r.output_len, false, false)
+        RunState::new(&Workload::offline(&t), |r| r.output_len, false, false)
     }
 
     fn single_lane(st: &RunState, blocks: u64) -> Lane {

@@ -32,7 +32,7 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::SegmentKind;
 use tdpipe_trace::EvictMode;
-use tdpipe_workload::Trace;
+use tdpipe_workload::{Trace, Workload};
 
 /// Maximum micro-batches a pipeline-parallel baseline keeps in flight.
 /// vLLM 0.5.x's virtual engines could overlap in principle, but its
@@ -265,27 +265,37 @@ impl BaselineEngine {
             .unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}"))
     }
 
-    /// Run open-loop requests against any execution plane with
-    /// [`Self::num_stages`] stages ([`Self::sim_plane`] for the
-    /// deterministic simulator): the lanes are a policy on the loop every
-    /// scheduler shares (`tdpipe_core::driver`), and an execution-plane
-    /// failure surfaces as an [`ExecError`]. `arrivals` is empty
-    /// (everything queued at t = 0) or one non-decreasing time per
-    /// request; latencies come out arrival-relative.
-    ///
-    /// # Panics
-    /// On scheduling preconditions only: `arrivals` is misaligned or
-    /// unsorted, some request cannot fit its lane's KV memory even alone,
-    /// or a pending request never arrives.
+    /// [`Self::try_run`] of `trace` at `arrivals`.
     pub fn try_run_on<P: OutputLenPredictor + ?Sized>(
         &self,
         trace: &Trace,
         arrivals: &[f64],
+        predictor: &P,
+        plane: Box<dyn PipelineExecutor>,
+    ) -> Result<RunOutcome, ExecError> {
+        self.try_run(Workload::Requests { trace, arrivals }, predictor, plane)
+    }
+
+    /// Run open-loop requests (a whole trace or a share of one) against
+    /// any execution plane with [`Self::num_stages`] stages
+    /// ([`Self::sim_plane`] for the deterministic simulator): the lanes
+    /// are a policy on the loop every scheduler shares
+    /// (`tdpipe_core::driver`), and an execution-plane failure surfaces as
+    /// an [`ExecError`]. Arrivals are all at t = 0 or non-decreasing;
+    /// latencies come out arrival-relative.
+    ///
+    /// # Panics
+    /// On scheduling preconditions only: arrivals are misaligned or
+    /// unsorted, some request cannot fit its lane's KV memory even alone,
+    /// or a pending request never arrives (a closed-loop session turn).
+    pub fn try_run<P: OutputLenPredictor + ?Sized>(
+        &self,
+        work: Workload<'_>,
         _predictor: &P,
         plane: Box<dyn PipelineExecutor>,
     ) -> Result<RunOutcome, ExecError> {
         let (journal, metrics) = (self.cfg.record_trace, self.cfg.record_metrics);
-        let run = RunState::new(trace, arrivals, |r| r.output_len, journal, metrics);
+        let run = RunState::new(&work, |r| r.output_len, journal, metrics);
         let n = self.num_stages() as usize;
         let policy = LaneRun {
             engine: self,

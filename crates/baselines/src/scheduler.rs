@@ -94,16 +94,16 @@ impl Scheduler {
                 let e = TdPipeEngine::new(model, node, td).map_err(RunError::Infeasible)?;
                 e.try_run(work, predictor, e.sim_plane())
             }
-            (Some((layout, batching)), Workload::Requests { trace, arrivals }) => {
+            (Some(_), work) if work.is_sessions() => return Err(RunError::Sessions(self)),
+            (Some((layout, batching)), work) => {
                 let cfg = EngineConfig {
                     record_metrics: td.engine.record_metrics,
                     ..EngineConfig::default()
                 };
                 let e = BaselineEngine::new(layout, batching, model, node, cfg)
                     .map_err(RunError::Infeasible)?;
-                e.try_run_on(trace, arrivals, predictor, e.sim_plane())
+                e.try_run(work, predictor, e.sim_plane())
             }
-            (Some(_), Workload::Sessions(_)) => return Err(RunError::Sessions(self)),
         };
         Ok(run.unwrap_or_else(|e| unreachable!("the simulator cannot fail: {e}")))
     }

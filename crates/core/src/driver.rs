@@ -17,7 +17,7 @@ use crate::request::RequestPool;
 use tdpipe_kvcache::{AllocStats, OccupancyTrace, Phase};
 use tdpipe_sim::RunReport;
 use tdpipe_trace::{EvictMode, FlightRecorder, TraceEvent};
-use tdpipe_workload::{Request, Trace};
+use tdpipe_workload::{Request, Workload};
 
 /// Run-wide state every policy reads and writes.
 pub struct RunState {
@@ -39,21 +39,22 @@ pub struct RunState {
 }
 
 impl RunState {
-    /// The state for one run over `trace`, with `predict` giving each
-    /// request's expected output length. `arrivals` is empty (everything
-    /// queued at t = 0) or one non-decreasing time per request.
+    /// The state for one run over `work`, with `predict` giving each
+    /// request's expected output length.
     ///
     /// # Panics
-    /// Panics if `arrivals` is misaligned with the trace or unsorted.
+    /// Panics if `work`'s arrivals are misaligned or unsorted.
     pub fn new(
-        trace: &Trace,
-        arrivals: &[f64],
+        work: &Workload<'_>,
         predict: impl FnMut(&Request) -> u32,
         record_trace: bool,
         record_metrics: bool,
     ) -> Self {
-        assert!(arrivals.windows(2).all(|w| w[1] >= w[0]), "arrivals must be sorted");
-        let pool = RequestPool::with_arrivals(trace.requests(), arrivals, predict);
+        let pool = RequestPool::for_workload(work, predict);
+        assert!(
+            (1..pool.len()).all(|i| pool.arrival(i) >= pool.arrival(i - 1)),
+            "arrivals must be sorted"
+        );
         let n = pool.len();
         RunState {
             pool,
@@ -198,6 +199,8 @@ pub fn drive<P: Policy>(
         &timeline,
         plane_stats,
     );
+    // The log grew by doubling; hand it back at its exact size.
+    run.phases.shrink_to_fit();
     Ok(RunOutcome {
         report,
         timeline,

@@ -46,7 +46,7 @@ use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::{RunReport, SegmentKind, Timeline};
 use tdpipe_trace::{AdmitReason, EvictMode, FlightRecorder, PrefillStopReason, TraceEvent};
-use tdpipe_workload::{SessionTurn, Trace, Workload};
+use tdpipe_workload::{Trace, Workload};
 
 /// A model/node combination whose weights do not fit the devices.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,10 +97,11 @@ pub struct RunOutcome {
 }
 
 /// Closed-loop session state threaded through one engine run (only for
-/// [`Workload::Sessions`]; `None` keeps open-loop runs bit-identical).
+/// session workloads, whole or a fleet share; `None` keeps open-loop runs
+/// bit-identical).
 struct SessionRun<'a> {
-    /// Per-request turn linkage, parallel to the request pool.
-    turns: &'a [SessionTurn],
+    /// The sessions, whose turn linkage is parallel to the request pool.
+    work: Workload<'a>,
     /// The idle-prefix retention pool (budget already sized; zero budget
     /// when reuse is disabled, so `retain` always refuses).
     retainer: SessionRetainer,
@@ -282,7 +283,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
             // finisher is resident.
             return alloc.free(m as u64).expect("finished request resident");
         };
-        let next = s.turns[m].next;
+        let next = s.work.next(m);
         // analyzer: allow(no-expect) — finishers are resident (see above).
         let held = alloc.tokens_of(m as u64).expect("finished request resident");
         let mut retained = false;
@@ -317,7 +318,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
         }
         if let Some(succ) = next {
             let succ = succ as usize;
-            let at = now + s.turns[succ].think_s;
+            let at = now + s.work.think_s(succ);
             release(pending, self.unreleased, pool, succ, at, now, self.queue);
             // Also covers the reuse discounts dropped and granted above.
             self.est_cache.invalidate();
@@ -413,11 +414,13 @@ impl TdPipeEngine {
     /// Build the offline decode profile for the spatial-intensity lookup,
     /// using the trace's average context length as the representative
     /// profiling context (the paper profiles offline the same way).
-    fn build_profile(&self, trace: &Trace) -> DecodeProfile {
-        let n = trace.len().max(1) as u64;
-        let avg_ctx = ((trace.total_input_tokens() + trace.total_output_tokens() / 2) / n).max(16);
-        let avg_total =
-            ((trace.total_input_tokens() + trace.total_output_tokens()) / n).max(16);
+    fn build_profile(&self, work: &Workload<'_>) -> DecodeProfile {
+        let n = work.len().max(1) as u64;
+        let requests = (0..work.len()).map(|i| work.request(i));
+        let input: u64 = requests.clone().map(|r| r.input_len as u64).sum();
+        let output: u64 = requests.map(|r| r.output_len as u64).sum();
+        let avg_ctx = ((input + output / 2) / n).max(16);
+        let avg_total = ((input + output) / n).max(16);
         // "Peak" is the per-request rate at a sufficiently large batch
         // (§3.5). The largest batch this configuration can actually field
         // is a full memory's worth of requests divided over the
@@ -517,23 +520,20 @@ impl TdPipeEngine {
         plane: Box<dyn PipelineExecutor>,
         probe: &mut RunProbe,
     ) -> Result<RunOutcome, ExecError> {
-        let initial;
-        let (trace, arrivals, sessions) = match work {
-            Workload::Requests { trace, arrivals } => (trace, arrivals, None),
-            Workload::Sessions(st) => {
-                initial = st.initial_arrivals();
-                (&st.trace, &initial[..], Some(st))
-            }
-        };
+        // A whole session trace is checked here; a share's rows are laid
+        // out from a checked parent.
+        if let Workload::Sessions(st) = work {
+            st.check_invariants();
+        }
         let RunProbe {
             est_cache,
-            work,
+            work: switch_work,
             queue,
             decisions,
         } = probe;
         let e = &self.cfg.engine;
         let (journal, metrics) = (e.record_trace, e.record_metrics);
-        let run = RunState::new(trace, arrivals, |r| predictor.predict(r), journal, metrics);
+        let run = RunState::new(&work, |r| predictor.predict(r), journal, metrics);
         let n = run.pool.len();
         est_cache.latency_cap = self.prefill_latency_cap(&run.pool);
         let n_stages = self.cost.num_stages() as usize;
@@ -542,9 +542,7 @@ impl TdPipeEngine {
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
         // every finished turn frees normally).
-        let sess = sessions.map(|st| {
-            assert_eq!(st.len(), n, "session turn table matches trace");
-            st.check_invariants();
+        let sess = work.is_sessions().then(|| {
             let frac = e.session_retain_frac.clamp(0.0, 1.0);
             // analyzer: allow(lossy-float-cast) — retain_frac is clamped
             // to [0,1] and kv_blocks ≤ 2^32, so the product is exact
@@ -552,9 +550,9 @@ impl TdPipeEngine {
             let budget = (self.plan.kv_blocks as f64 * frac) as u64;
             let mut retainer =
                 SessionRetainer::new(if e.session_reuse { budget } else { 0 });
-            retainer.reserve_ids(st.len());
+            retainer.reserve_ids(n);
             SessionRun {
-                turns: &st.turns,
+                work,
                 retainer,
                 reuse_misses: 0,
             }
@@ -582,11 +580,11 @@ impl TdPipeEngine {
         let policy = TdRun {
             engine: self,
             est_cache,
-            work,
+            work: switch_work,
             queue,
             decisions,
             sess,
-            comparator: IntensityComparator::new(self.build_profile(trace)),
+            comparator: IntensityComparator::new(self.build_profile(&work)),
             alloc,
             planner,
             pending,
@@ -1105,7 +1103,7 @@ impl TdRun<'_> {
                         self.alloc.free(c.donor).expect("retained donor resident");
                         let tokens = c.tokens;
                         run.record(now, TraceEvent::SessionReuseHit { request, tokens });
-                    } else if s.turns[idx].prev.is_some() && run.pool.evictions(idx) == 0 {
+                    } else if s.work.is_resumed(idx) && run.pool.evictions(idx) == 0 {
                         s.reuse_misses += 1;
                         run.record(now, TraceEvent::SessionReuseMiss { request });
                     }

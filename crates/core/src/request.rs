@@ -9,7 +9,7 @@
 
 use tdpipe_sim::LatencySummary;
 use tdpipe_workload::stats::percentiles_selected;
-use tdpipe_workload::{Request, RequestId};
+use tdpipe_workload::{Request, RequestId, Workload};
 
 /// Where a request currently is in its life.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,42 +82,38 @@ pub struct RequestPool {
 }
 
 impl RequestPool {
-    /// Build the pool from trace requests, attaching predictions via
-    /// `predict` (use the oracle or a trained predictor).
-    pub fn new<F: FnMut(&Request) -> u32>(requests: &[Request], predict: F) -> Self {
-        Self::with_arrivals(requests, &[], predict)
-    }
-
-    /// Like [`Self::new`] with per-request arrival times (empty slice =
-    /// all at t = 0). Latency metrics are reported relative to arrival.
-    pub fn with_arrivals<F: FnMut(&Request) -> u32>(
-        requests: &[Request],
-        arrivals: &[f64],
-        mut predict: F,
-    ) -> Self {
-        assert!(
-            arrivals.is_empty() || arrivals.len() == requests.len(),
-            "one arrival per request"
-        );
-        let hot = requests
-            .iter()
-            .map(|r| HotState {
-                input_len: r.input_len,
-                output_len: r.output_len.max(1),
-                predicted: predict(r).max(1),
-                generated: 0,
-                evictions: 0,
-                lifecycle: Lifecycle::Pending,
-                swapped: false,
+    /// The pool of `work`'s requests, read through its row accessors,
+    /// with predictions from `predict` (use the oracle or a trained
+    /// predictor). Latency metrics are reported relative to arrival.
+    ///
+    /// # Panics
+    /// Panics if open-loop arrivals are neither empty nor one per request.
+    pub fn for_workload<F: FnMut(&Request) -> u32>(work: &Workload<'_>, mut predict: F) -> Self {
+        if let Workload::Requests { trace, arrivals } = work {
+            assert!(
+                arrivals.is_empty() || arrivals.len() == trace.len(),
+                "one arrival per request"
+            );
+        }
+        let n = work.len();
+        let hot = (0..n)
+            .map(|i| {
+                let r = work.request(i);
+                HotState {
+                    input_len: r.input_len,
+                    output_len: r.output_len.max(1),
+                    predicted: predict(r).max(1),
+                    generated: 0,
+                    evictions: 0,
+                    lifecycle: Lifecycle::Pending,
+                    swapped: false,
+                }
             })
             .collect();
-        let n = requests.len();
         RequestPool {
             hot,
-            ids: requests.iter().map(|r| r.id).collect(),
-            arrivals: (0..n)
-                .map(|i| arrivals.get(i).copied().unwrap_or(0.0))
-                .collect(),
+            ids: (0..n).map(|i| work.id(i)).collect(),
+            arrivals: (0..n).map(|i| work.arrival(i)).collect(),
             first_token_at: vec![f64::NAN; n],
             finished_at: vec![f64::NAN; n],
             reuse_discount: Vec::new(),
@@ -449,6 +445,27 @@ impl RequestPool {
         }
         let expect: u64 = self.hot.iter().map(|h| h.output_len as u64).sum();
         assert_eq!(self.output_tokens, expect, "output token accounting drift");
+    }
+}
+
+// Test-only constructors over a bare request slice.
+#[cfg(test)]
+impl RequestPool {
+    /// Build the pool from trace requests, attaching predictions via
+    /// `predict` (use the oracle or a trained predictor).
+    pub(crate) fn new<F: FnMut(&Request) -> u32>(requests: &[Request], predict: F) -> Self {
+        Self::with_arrivals(requests, &[], predict)
+    }
+
+    /// Like [`Self::new`] with per-request arrival times (empty slice =
+    /// all at t = 0).
+    pub(crate) fn with_arrivals<F: FnMut(&Request) -> u32>(
+        requests: &[Request],
+        arrivals: &[f64],
+        predict: F,
+    ) -> Self {
+        let trace = tdpipe_workload::Trace::new(requests.to_vec());
+        Self::for_workload(&Workload::Requests { trace: &trace, arrivals }, predict)
     }
 }
 

@@ -5,9 +5,9 @@
 //!
 //! 1. **Route** (serial, pure): feed every dispatch unit — a request, or a
 //!    whole session — through the seeded [`Router`] in arrival order.
-//! 2. **Execute** (parallel, independent): each replica runs its
-//!    self-contained sub-workload — a borrowed [`Workload`], the type
-//!    every engine runs — on its own engine via the parallel map
+//! 2. **Execute** (parallel, independent): each replica runs its share —
+//!    [`Workload::Rows`] of the offered workload, the type every engine
+//!    runs — on its own engine via the parallel map
 //!    the bench sweeps share
 //!    ([`tdpipe_core::parallel::map_indexed_parallel`]) — results come
 //!    back in replica order regardless of thread count, which is what
@@ -25,7 +25,7 @@ use crate::router::{DispatchUnit, Router, RouterConfig};
 use tdpipe_core::engine::RunOutcome;
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_predictor::OutputLenPredictor;
-use tdpipe_workload::{SessionTrace, Trace, Workload};
+use tdpipe_workload::{Rows, Workload};
 
 /// Fleet-level configuration: how to route, and what SLO goodput counts.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -40,30 +40,6 @@ pub struct FleetConfig {
 /// The cluster's offered workload: the one [`Workload`], under the name
 /// the fleet API has always used.
 pub use tdpipe_workload::Workload as FleetWorkload;
-
-/// Each replica's self-contained share of the offered workload, in pool
-/// order.
-enum Split {
-    /// Open-loop requests (ids renumbered by `Trace::subset`) with their
-    /// arrival times, empty for an offline workload.
-    Requests(Vec<(Trace, Vec<f64>)>),
-    /// Sessions, split at session granularity by
-    /// `SessionTrace::subset_sessions`.
-    Sessions(Vec<SessionTrace>),
-}
-
-impl Split {
-    /// Replica `i`'s sub-workload.
-    fn work(&self, i: usize) -> Workload<'_> {
-        match self {
-            Split::Requests(parts) => Workload::Requests {
-                trace: &parts[i].0,
-                arrivals: &parts[i].1,
-            },
-            Split::Sessions(parts) => Workload::Sessions(&parts[i]),
-        }
-    }
-}
 
 /// Everything a fleet run produces: the aggregated report, each replica's
 /// full engine outcome (in pool order), and the merged metrics snapshot
@@ -81,14 +57,16 @@ pub struct FleetOutcome {
 }
 
 /// The routing pre-pass: dispatch units in arrival order, return each
-/// replica's self-contained sub-workload plus per-replica unit counts,
-/// the spill count, and the offered arrival span.
-fn split_workload<P: OutputLenPredictor + ?Sized>(
+/// replica's share of the offered workload (in pool order) plus
+/// per-replica unit counts, the spill count, and the offered arrival span.
+/// A share is rows of the offered workload, read through it, not a copy:
+/// 4 bytes per request plus, for sessions, 12 per session.
+fn split_workload<'w, P: OutputLenPredictor + ?Sized>(
     replicas: &[Replica],
     cfg: &RouterConfig,
-    workload: &Workload<'_>,
+    workload: &Workload<'w>,
     predictor: &P,
-) -> (Split, Vec<usize>, u64, f64) {
+) -> (Vec<Rows<'w>>, Vec<usize>, u64, f64) {
     let mut router = Router::new(cfg.clone(), replicas);
     let n = replicas.len();
     let mut span = (f64::INFINITY, f64::NEG_INFINITY);
@@ -97,77 +75,73 @@ fn split_workload<P: OutputLenPredictor + ?Sized>(
         span.1 = span.1.max(t);
     };
     let mut assigned = vec![0usize; n];
-    let split = match *workload {
-        Workload::Requests { trace, arrivals } => {
+    let shares = if !workload.is_sessions() {
+        if let Workload::Requests { trace, arrivals } = *workload {
             assert!(
                 arrivals.is_empty() || arrivals.len() == trace.len(),
                 "arrivals must be empty or aligned with the trace"
             );
-            let mut indices: Vec<Vec<usize>> = vec![Vec::new(); n];
-            for (i, r) in trace.requests().iter().enumerate() {
-                let arrival_s = arrivals.get(i).copied().unwrap_or(0.0);
-                note(arrival_s);
-                let predicted = predictor.predict(r) as u64;
-                let unit = DispatchUnit {
-                    key: r.id.0,
-                    arrival_s,
-                    prefill_tokens: r.input_len as u64,
-                    decode_tokens: predicted,
-                    kv_tokens: r.input_len as u64 + predicted,
-                };
-                let chosen = router.dispatch(&unit);
-                indices[chosen].push(i);
-                assigned[chosen] += 1;
-            }
-            let parts = indices.into_iter().map(|idx| {
-                // An offline workload (no arrivals) stays offline per
-                // replica.
-                let sub = idx
-                    .iter()
-                    .filter_map(|&i| arrivals.get(i).copied())
-                    .collect();
-                (trace.subset(&idx), sub)
-            });
-            Split::Requests(parts.collect())
         }
-        Workload::Sessions(st) => {
-            // Per-session totals for the dispatch unit: fresh prefill
-            // work, predicted decode work, and the peak transcript KV.
-            let reqs = st.trace.requests();
-            let mut prefill = vec![0u64; st.num_sessions];
-            let mut decode = vec![0u64; st.num_sessions];
-            let mut kv = vec![0u64; st.num_sessions];
-            for (i, t) in st.turns.iter().enumerate() {
-                let s = t.session as usize;
-                let predicted = predictor.predict(&reqs[i]) as u64;
-                prefill[s] += t.fresh_tokens(reqs[i].input_len) as u64;
-                decode[s] += predicted;
-                // Turns grow monotonically, so the last turn's transcript
-                // is the session's peak residency.
-                kv[s] = reqs[i].input_len as u64 + predicted;
-            }
-            let mut sessions: Vec<Vec<u32>> = vec![Vec::new(); n];
-            for s in 0..st.num_sessions {
-                note(st.start_arrivals[s]);
-                let unit = DispatchUnit {
-                    key: s as u64,
-                    arrival_s: st.start_arrivals[s],
-                    prefill_tokens: prefill[s],
-                    decode_tokens: decode[s],
-                    kv_tokens: kv[s],
-                };
-                let chosen = router.dispatch(&unit);
-                sessions[chosen].push(s as u32);
-                assigned[chosen] += 1;
-            }
-            // Shares are built here, on the calling thread. Building each
-            // inside its replica's worker raised peak RSS: glibc's
-            // per-thread arenas keep the pages the workers free.
-            Split::Sessions(sessions.iter().map(|ids| st.subset_sessions(ids)).collect())
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for i in 0..workload.len() {
+            let r = workload.request(i);
+            // An offline workload (no arrivals) stays offline per replica.
+            let arrival_s = workload.arrival(i);
+            note(arrival_s);
+            let predicted = predictor.predict(r) as u64;
+            let unit = DispatchUnit {
+                key: workload.id(i).0,
+                arrival_s,
+                prefill_tokens: r.input_len as u64,
+                decode_tokens: predicted,
+                kv_tokens: r.input_len as u64 + predicted,
+            };
+            let chosen = router.dispatch(&unit);
+            rows[chosen].push(i as u32);
+            assigned[chosen] += 1;
         }
+        rows.into_iter().map(|rows| Rows::requests(*workload, rows)).collect()
+    } else {
+        if let Workload::Sessions(st) = workload {
+            st.check_invariants();
+        }
+        // Per-session totals for the dispatch unit: fresh prefill work,
+        // predicted decode work, and the peak transcript KV.
+        let num_sessions = workload.num_sessions();
+        let mut prefill = vec![0u64; num_sessions];
+        let mut decode = vec![0u64; num_sessions];
+        let mut kv = vec![0u64; num_sessions];
+        for i in 0..workload.len() {
+            let Some(t) = workload.session_turn(i) else { continue };
+            let r = workload.request(i);
+            let s = t.session as usize;
+            let predicted = predictor.predict(r) as u64;
+            prefill[s] += t.fresh_tokens(r.input_len) as u64;
+            decode[s] += predicted;
+            // Turns grow monotonically, so the last turn's transcript is
+            // the session's peak residency.
+            kv[s] = r.input_len as u64 + predicted;
+        }
+        let mut sessions: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for s in 0..num_sessions {
+            // Session `s`'s turn 0 is row `s`.
+            let arrival_s = workload.arrival(s);
+            note(arrival_s);
+            let unit = DispatchUnit {
+                key: s as u64,
+                arrival_s,
+                prefill_tokens: prefill[s],
+                decode_tokens: decode[s],
+                kv_tokens: kv[s],
+            };
+            let chosen = router.dispatch(&unit);
+            sessions[chosen].push(s as u32);
+            assigned[chosen] += 1;
+        }
+        sessions.iter().map(|ids| Rows::sessions(*workload, ids)).collect()
     };
     let offered_span = if span.1 > span.0 { span.1 - span.0 } else { 0.0 };
-    (split, assigned, router.spills(), offered_span)
+    (shares, assigned, router.spills(), offered_span)
 }
 
 /// Route `workload` across `replicas`, run every replica's share on
@@ -181,13 +155,13 @@ pub fn run_fleet_with_threads<P: OutputLenPredictor + Sync + ?Sized>(
     predictor: &P,
     threads: usize,
 ) -> FleetOutcome {
-    let (split, assigned, spills, offered_span) =
+    let (shares, assigned, spills, offered_span) =
         split_workload(replicas, &cfg.router, workload, predictor);
     // Execute: one engine run per replica, scattered back in pool order.
     let outcomes: Vec<RunOutcome> = tdpipe_core::parallel::map_indexed_parallel(
         replicas,
         threads,
-        |i, replica: &Replica| replica.run(split.work(i), predictor),
+        |i, replica: &Replica| replica.run(Workload::Rows(&shares[i]), predictor),
     );
     // Aggregate.
     let mut num_requests = 0usize;
@@ -357,6 +331,28 @@ mod tests {
         }
     }
 
+    /// Serial and parallel runs of `workload` agree byte for byte, and
+    /// every replica's phase log comes back at its exact size.
+    fn assert_thread_count_invariant(workload: &Workload<'_>, policy: RouterPolicy) {
+        let replicas = pool("l20:1,a100:1");
+        let cfg = fleet_cfg(policy);
+        let serial = run_fleet_with_threads(&replicas, workload, &cfg, &OraclePredictor, 1);
+        for threads in [1, 2, 8] {
+            let parallel =
+                run_fleet_with_threads(&replicas, workload, &cfg, &OraclePredictor, threads);
+            assert_eq!(
+                serde_json::to_string(&serial.report).unwrap(),
+                serde_json::to_string(&parallel.report).unwrap(),
+                "{threads} threads"
+            );
+            assert_eq!(serial.metrics, parallel.metrics, "{threads} threads");
+            for out in &parallel.outcomes {
+                assert!(!out.phases.is_empty(), "every replica got work");
+                assert_eq!(out.phases.capacity(), out.phases.len(), "{threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn serial_and_parallel_fleets_agree_bytewise() {
         let trace = ShareGptLikeConfig::small(60, 7).generate();
@@ -365,23 +361,18 @@ mod tests {
             seed: 3,
         }
         .sample(trace.len());
-        let replicas = pool("l20:1,a100:1");
         let workload = Workload::Requests {
             trace: &trace,
             arrivals: &arrivals,
         };
-        let cfg = fleet_cfg(RouterPolicy::KvPressure);
-        let serial = run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, 1);
-        for threads in [2, 8] {
-            let parallel =
-                run_fleet_with_threads(&replicas, &workload, &cfg, &OraclePredictor, threads);
-            assert_eq!(
-                serde_json::to_string(&serial.report).unwrap(),
-                serde_json::to_string(&parallel.report).unwrap(),
-                "{threads} threads"
-            );
-            assert_eq!(serial.metrics, parallel.metrics);
-        }
+        assert_thread_count_invariant(&workload, RouterPolicy::KvPressure);
+    }
+
+    #[test]
+    fn serial_and_parallel_session_fleets_agree_bytewise() {
+        let st = SessionConfig::small(60, 7).generate();
+        let workload = Workload::Sessions(&st);
+        assert_thread_count_invariant(&workload, RouterPolicy::SessionAffine);
     }
 
     #[test]

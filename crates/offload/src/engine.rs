@@ -16,7 +16,7 @@ use tdpipe_kvcache::OccupancyTrace;
 use tdpipe_model::{kv_budget_bytes, ModelSpec};
 use tdpipe_sim::{RunReport, SegmentKind, TransferMode};
 use tdpipe_trace::EvictMode;
-use tdpipe_workload::Trace;
+use tdpipe_workload::{Trace, Workload};
 
 /// A FlexGen-style single-GPU engine: weights in HBM, KV in host memory.
 ///
@@ -68,7 +68,7 @@ impl OffloadEngine {
     /// # Panics
     /// Panics if some request cannot fit the host KV pool even alone.
     pub fn run_at_bandwidth(&self, trace: &Trace, host_bw: f64) -> RunReport {
-        let run = RunState::new(trace, &[], |r| r.output_len, false, false);
+        let run = RunState::new(&Workload::offline(trace), |r| r.output_len, false, false);
         let kv_blocks =
             self.host_kv_bytes / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64);
         let policy = OffloadRun {

@@ -3,7 +3,7 @@
 use crate::request::{Request, RequestId};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Number of latent scenario categories.
@@ -139,6 +139,15 @@ impl ShareGptLikeConfig {
         let (mu, sigma) = CATEGORY_OUTPUT[category];
         let v = (mu + sigma * sample_std_normal(rng)).exp() as u32;
         v.clamp(1, self.output_max)
+    }
+
+    /// Step `rng` past exactly the draws [`Self::sample_features_for`]
+    /// makes (one standard normal, two uniforms, per coordinate) without
+    /// transforming them.
+    pub(crate) fn skip_features(rng: &mut StdRng) {
+        for _ in 0..2 * FEATURE_DIM {
+            rng.next_u64();
+        }
     }
 
     fn sample_features(&self, rng: &mut StdRng, category: usize) -> [f32; FEATURE_DIM] {

@@ -34,4 +34,4 @@ pub use generator::{ShareGptLikeConfig, CATEGORY_COUNT, FEATURE_DIM};
 pub use request::{Request, RequestId};
 pub use stats::TraceStats;
 pub use trace::{Trace, TraceSplits};
-pub use workload::Workload;
+pub use workload::{Rows, Workload};

@@ -76,127 +76,184 @@ impl SessionConfig {
 
     /// Generate the session trace (deterministic for equal configs).
     pub fn generate(&self) -> SessionTrace {
-        let mut firsts = Vec::with_capacity(self.num_sessions);
-        let mut resumed = Vec::new();
-        let starts = self.sample_turns(|request, turn| {
-            if turn.turn == 0 {
-                firsts.push(request);
-            } else {
-                resumed.push((request, turn));
-            }
-        });
-        lay_out(firsts.into_iter(), resumed.into_iter(), starts)
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.generate_with(workers)
     }
 
-    /// Draw every session's turns, session by session and turn by turn,
-    /// handing each to `emit` with its session, turn index, shared prefix
-    /// and think time (ids and `prev`/`next` are left for [`lay_out`]).
-    /// Returns the sessions' start arrivals.
-    fn sample_turns(&self, mut emit: impl FnMut(Request, SessionTurn)) -> Vec<f64> {
+    /// [`Self::generate`] on `workers` fill threads; the trace is the same
+    /// for every count. One sequential pass runs the draw loop to find
+    /// where each session ends, stepping past the feature draws, and
+    /// records the generator state at each session's start. The final
+    /// layout is then allocated at its exact size and filled over disjoint
+    /// session ranges, each worker replaying its sessions from their
+    /// recorded states into slices it was handed (so it allocates
+    /// nothing, and glibc gives it no arena of its own).
+    fn generate_with(&self, workers: usize) -> SessionTrace {
         assert!(self.num_sessions > 0, "need at least one session");
+        let n = self.num_sessions;
         let mut rng = StdRng::seed_from_u64(self.base.seed ^ 0x5E55_1045);
-        let continue_p = 1.0 - 1.0 / self.mean_turns.max(1.0);
-        let starts = self.arrival.sample(self.num_sessions);
-
-        for s in 0..self.num_sessions {
-            let category = sample_category(&mut rng);
-            let mut turn = 0u32;
-            let mut context = 0u64; // transcript tokens so far
-            loop {
-                let fresh = (self.turn_mu + self.turn_sigma * sample_std_normal(&mut rng))
-                    .exp()
-                    .max(1.0) as u64;
-                let input_len = (context + fresh).min(u32::MAX as u64) as u32;
-                if turn > 0 && input_len >= self.base.input_max {
-                    break; // transcript outgrew the filter: session ends
-                }
-                let output_len = self.base.sample_output_for(&mut rng, category);
-                let think_s = if turn == 0 {
-                    0.0
+        // Each session's starting state and the trace position of its
+        // first resumed turn (turn 0s fill positions `0..n`).
+        let mut plan = Vec::with_capacity(n + 1);
+        let mut resumed_at = n as u32;
+        for s in 0..n {
+            plan.push((rng.clone(), resumed_at));
+            self.draw_session(s as u32, &mut rng, |rng, _, t| {
+                ShareGptLikeConfig::skip_features(rng);
+                resumed_at += (t.turn > 0) as u32;
+            });
+        }
+        plan.push((rng, resumed_at));
+        let total = resumed_at as usize;
+        let blank = Request {
+            id: RequestId(0),
+            input_len: 0,
+            output_len: 0,
+            category: 0,
+            features: [0.0; crate::FEATURE_DIM],
+        };
+        let mut requests = vec![blank; total];
+        let mut turns = vec![SessionTurn::default(); total];
+        let chunk = n.div_ceil(workers.clamp(1, n));
+        std::thread::scope(|scope| {
+            let (mut first_reqs, mut later_reqs) = requests.split_at_mut(n);
+            let (mut first_turns, mut later_turns) = turns.split_at_mut(n);
+            let mut sessions = 0..n;
+            while !sessions.is_empty() {
+                let lo = sessions.start;
+                let hi = (lo + chunk).min(n);
+                sessions.start = hi;
+                let resumed = (plan[hi].1 - plan[lo].1) as usize;
+                let firsts = take(&mut first_reqs, hi - lo);
+                let first_links = take(&mut first_turns, hi - lo);
+                let later = take(&mut later_reqs, resumed);
+                let later_links = take(&mut later_turns, resumed);
+                let plan = &plan[lo..=hi];
+                let mut fill = move || {
+                    self.fill(lo, plan, (firsts, first_links), (later, later_links))
+                };
+                if sessions.is_empty() {
+                    fill(); // the last range runs on the calling thread
                 } else {
-                    (self.think_mu + self.think_sigma * sample_std_normal(&mut rng)).exp()
-                };
-                let request = Request {
-                    // Placeholder id; assigned after global ordering.
-                    id: RequestId(0),
-                    input_len: input_len.max(1).min(self.base.input_max - 1),
-                    output_len,
-                    category: category as u8,
-                    features: self.base.sample_features_for(&mut rng, category),
-                };
-                let linkage = SessionTurn {
-                    session: s as u32,
-                    turn,
-                    shared_prefix: context.min(u32::MAX as u64) as u32,
-                    think_s,
-                    prev: None,
-                    next: None,
-                };
-                context = request.input_len as u64 + output_len as u64;
-                emit(request, linkage);
-                turn += 1;
-                if rng.random::<f64>() > continue_p {
-                    break;
+                    scope.spawn(fill);
                 }
             }
+        });
+        let st = SessionTrace {
+            trace: Trace::new(requests),
+            turns,
+            start_arrivals: self.arrival.sample(n),
+            num_sessions: n,
+        };
+        st.check_invariants();
+        st
+    }
+
+    /// Replay sessions `lo..lo + plan.len() - 1` from their recorded
+    /// states into their slots: each session's turn 0 into `firsts`, its
+    /// resumed turns into `later`, both offset to the range's start.
+    /// `plan[k]` is session `lo + k`'s starting state and first resumed
+    /// position, and the one past the range ends its resumed turns.
+    fn fill(
+        &self,
+        lo: usize,
+        plan: &[(StdRng, u32)],
+        (firsts, first_links): (&mut [Request], &mut [SessionTurn]),
+        (later, later_links): (&mut [Request], &mut [SessionTurn]),
+    ) {
+        let base = plan[0].1;
+        for (k, w) in plan.windows(2).enumerate() {
+            let s = (lo + k) as u32;
+            let (mut rng, at) = (w[0].0.clone(), w[0].1);
+            let end = w[1].1;
+            self.draw_session(s, &mut rng, |rng, mut request, mut link| {
+                request.features = self.base.sample_features_for(rng, request.category as usize);
+                // Turn 1 follows its session's turn 0, at position `s`;
+                // every later turn follows the one laid out before it.
+                let idx = if link.turn == 0 { s } else { at + link.turn - 1 };
+                link.prev = match link.turn {
+                    0 => None,
+                    1 => Some(s),
+                    _ => Some(idx - 1),
+                };
+                let next = if link.turn == 0 { at } else { idx + 1 };
+                link.next = (next < end).then_some(next);
+                request.id = RequestId(idx as u64);
+                let (req_slot, link_slot) = if link.turn == 0 {
+                    (&mut firsts[k], &mut first_links[k])
+                } else {
+                    let j = (idx - base) as usize;
+                    (&mut later[j], &mut later_links[j])
+                };
+                *req_slot = request;
+                *link_slot = link;
+            });
         }
-        starts
+    }
+
+    /// Draw session `s`'s turns from `rng`, which stands at the session's
+    /// start, turn by turn. Each turn goes to `turn` with its request
+    /// (features zero) and linkage (`prev`, `next` unset); `turn` must
+    /// draw or skip the features from the generator it is handed before
+    /// the next draw.
+    fn draw_session(
+        &self,
+        s: u32,
+        rng: &mut StdRng,
+        mut turn: impl FnMut(&mut StdRng, Request, SessionTurn),
+    ) {
+        let continue_p = 1.0 - 1.0 / self.mean_turns.max(1.0);
+        let category = sample_category(rng);
+        let mut index = 0u32;
+        let mut context = 0u64; // transcript tokens so far
+        loop {
+            let fresh = (self.turn_mu + self.turn_sigma * sample_std_normal(rng))
+                .exp()
+                .max(1.0) as u64;
+            let input_len = (context + fresh).min(u32::MAX as u64) as u32;
+            if index > 0 && input_len >= self.base.input_max {
+                break; // transcript outgrew the filter: session ends
+            }
+            let output_len = self.base.sample_output_for(rng, category);
+            let think_s = if index == 0 {
+                0.0
+            } else {
+                (self.think_mu + self.think_sigma * sample_std_normal(rng)).exp()
+            };
+            let request = Request {
+                id: RequestId(0),
+                input_len: input_len.max(1).min(self.base.input_max - 1),
+                output_len,
+                category: category as u8,
+                features: [0.0; crate::FEATURE_DIM],
+            };
+            let linkage = SessionTurn {
+                session: s,
+                turn: index,
+                shared_prefix: context.min(u32::MAX as u64) as u32,
+                think_s,
+                prev: None,
+                next: None,
+            };
+            context = request.input_len as u64 + output_len as u64;
+            turn(rng, request, linkage);
+            index += 1;
+            if rng.random::<f64>() > continue_p {
+                break;
+            }
+        }
     }
 }
 
-/// Lay out sessions as a [`SessionTrace`]: every session's turn 0 first,
-/// in session order (so with non-decreasing `start_arrivals` the initial
-/// arrival vector stays sorted), then the closed-loop turns in (session,
-/// turn) order, linked `prev`/`next`, with request ids renumbered to trace
-/// positions. `firsts` yields each session's turn-0 request in session
-/// order, and `resumed` every later turn in (session, turn) order with its
-/// linkage (of which `prev`, `next` are overwritten). Both vectors are
-/// allocated once at their final size.
-fn lay_out(
-    firsts: impl ExactSizeIterator<Item = Request>,
-    resumed: impl ExactSizeIterator<Item = (Request, SessionTurn)>,
-    start_arrivals: Vec<f64>,
-) -> SessionTrace {
-    let num_sessions = firsts.len();
-    let total = num_sessions + resumed.len();
-    let mut requests = Vec::with_capacity(total);
-    let mut turns = Vec::with_capacity(total);
-    for (s, request) in firsts.enumerate() {
-        requests.push(Request { id: RequestId(s as u64), ..request });
-        turns.push(SessionTurn {
-            session: s as u32,
-            turn: 0,
-            shared_prefix: 0,
-            think_s: 0.0,
-            prev: None,
-            next: None,
-        });
-    }
-    for (request, linkage) in resumed {
-        let idx = requests.len() as u32;
-        // Turn 1 follows its session's turn 0, at trace position
-        // `session`; every later turn follows the one laid out before it.
-        let prev = if linkage.turn == 1 { linkage.session } else { idx - 1 };
-        turns[prev as usize].next = Some(idx);
-        requests.push(Request { id: RequestId(idx as u64), ..request });
-        turns.push(SessionTurn {
-            prev: Some(prev),
-            next: None,
-            ..linkage
-        });
-    }
-    let st = SessionTrace {
-        trace: Trace::new(requests),
-        turns,
-        start_arrivals,
-        num_sessions,
-    };
-    st.check_invariants();
-    st
+/// Split the first `len` items off the front of `slice`.
+fn take<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(slice).split_at_mut(len);
+    *slice = tail;
+    head
 }
 
 /// Per-request session linkage, parallel to [`SessionTrace::trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SessionTurn {
     /// Which session (user) this request belongs to.
     pub session: u32,
@@ -251,71 +308,6 @@ impl SessionTrace {
         self.turns.is_empty()
     }
 
-    /// The initial per-request arrival vector for a closed-loop run:
-    /// turn-0 requests carry their session's open-loop start time, and
-    /// every resumed turn is `f64::INFINITY` until the engine *releases*
-    /// it (previous turn finished + think time). Non-decreasing by
-    /// construction.
-    pub fn initial_arrivals(&self) -> Vec<f64> {
-        self.turns
-            .iter()
-            .map(|t| {
-                if t.turn == 0 {
-                    self.start_arrivals[t.session as usize]
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
-    }
-
-    /// Extract the sub-workload of the given sessions (old session ids,
-    /// strictly increasing so the per-session start arrivals stay
-    /// non-decreasing), re-numbering sessions to `0..sessions.len()` and
-    /// requests into the same turn-0s-first layout
-    /// [`SessionConfig::generate`] produces. This is how a fleet router
-    /// splits one closed-loop workload across replicas: a session is an
-    /// atomic routing unit (turn *k*'s arrival depends on turn *k−1*
-    /// finishing *inside* a replica), so each replica receives a
-    /// self-contained `SessionTrace` that passes
-    /// [`Self::check_invariants`]. Selecting every session reproduces the
-    /// original workload exactly; an empty selection yields an empty
-    /// workload (a starved replica).
-    ///
-    /// # Panics
-    /// Panics if `sessions` is not strictly increasing or indexes a
-    /// session out of range.
-    pub fn subset_sessions(&self, sessions: &[u32]) -> SessionTrace {
-        assert!(
-            sessions.windows(2).all(|w| w[1] > w[0]),
-            "session subset must be strictly increasing"
-        );
-        // New session id per old id (u32::MAX = not selected).
-        let mut new_of = vec![u32::MAX; self.num_sessions];
-        for (k, &s) in sessions.iter().enumerate() {
-            assert!((s as usize) < self.num_sessions, "session {s} out of range");
-            new_of[s as usize] = k as u32;
-        }
-        // Session `s`'s turn 0 sits at position `s`, and the resumed turns
-        // follow in (session, turn) order, so one forward pass over them
-        // keeps the selected ones in the order the new layout wants.
-        let resumed: Vec<u32> = (self.num_sessions..self.len())
-            .filter(|&i| new_of[self.turns[i].session as usize] != u32::MAX)
-            .map(|i| i as u32)
-            .collect();
-        let starts = sessions.iter().map(|&s| self.start_arrivals[s as usize]).collect();
-        let reqs = self.trace.requests();
-        lay_out(
-            sessions.iter().map(|&s| reqs[s as usize].clone()),
-            resumed.iter().map(|&i| {
-                let t = self.turns[i as usize];
-                let session = new_of[t.session as usize];
-                (reqs[i as usize].clone(), SessionTurn { session, ..t })
-            }),
-            starts,
-        )
-    }
-
     /// Structural invariants the engine's reuse path relies on; panics on
     /// violation (generator bugs, hand-built traces).
     pub fn check_invariants(&self) {
@@ -324,8 +316,9 @@ impl SessionTrace {
             self.start_arrivals.windows(2).all(|w| w[1] >= w[0]),
             "session starts must be non-decreasing"
         );
-        // The layout `subset_sessions` reads: session `s`'s turn 0 at
-        // position `s`, then the resumed turns in (session, turn) order.
+        // The layout session shares (`Rows::sessions`) read: session `s`'s
+        // turn 0 at position `s`, then the resumed turns in (session, turn)
+        // order.
         assert_eq!(self.start_arrivals.len(), self.num_sessions, "one start per session");
         let (firsts, resumed) = self.turns.split_at(self.num_sessions);
         let key = |t: &SessionTurn| (t.session, t.turn);
@@ -361,9 +354,202 @@ impl SessionTrace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::Rng;
+
+    // The sequential reference the in-place generator and the fleet's row
+    // shares are checked against: the draw loop emitting each turn in
+    // order, and one layout pass over them.
+    impl SessionConfig {
+        /// Draw every session's turns, session by session and turn by
+        /// turn, handing each to `emit` with its session, turn index,
+        /// shared prefix and think time (ids and `prev`/`next` are left
+        /// for [`lay_out`]). Returns the sessions' start arrivals.
+        pub(crate) fn sample_turns(&self, mut emit: impl FnMut(Request, SessionTurn)) -> Vec<f64> {
+            assert!(self.num_sessions > 0, "need at least one session");
+            let mut rng = StdRng::seed_from_u64(self.base.seed ^ 0x5E55_1045);
+            let continue_p = 1.0 - 1.0 / self.mean_turns.max(1.0);
+            let starts = self.arrival.sample(self.num_sessions);
+
+            for s in 0..self.num_sessions {
+                let category = sample_category(&mut rng);
+                let mut turn = 0u32;
+                let mut context = 0u64; // transcript tokens so far
+                loop {
+                    let fresh = (self.turn_mu + self.turn_sigma * sample_std_normal(&mut rng))
+                        .exp()
+                        .max(1.0) as u64;
+                    let input_len = (context + fresh).min(u32::MAX as u64) as u32;
+                    if turn > 0 && input_len >= self.base.input_max {
+                        break; // transcript outgrew the filter: session ends
+                    }
+                    let output_len = self.base.sample_output_for(&mut rng, category);
+                    let think_s = if turn == 0 {
+                        0.0
+                    } else {
+                        (self.think_mu + self.think_sigma * sample_std_normal(&mut rng)).exp()
+                    };
+                    let request = Request {
+                        // Placeholder id; assigned after global ordering.
+                        id: RequestId(0),
+                        input_len: input_len.max(1).min(self.base.input_max - 1),
+                        output_len,
+                        category: category as u8,
+                        features: self.base.sample_features_for(&mut rng, category),
+                    };
+                    let linkage = SessionTurn {
+                        session: s as u32,
+                        turn,
+                        shared_prefix: context.min(u32::MAX as u64) as u32,
+                        think_s,
+                        prev: None,
+                        next: None,
+                    };
+                    context = request.input_len as u64 + output_len as u64;
+                    emit(request, linkage);
+                    turn += 1;
+                    if rng.random::<f64>() > continue_p {
+                        break;
+                    }
+                }
+            }
+            starts
+        }
+
+        /// The sequential reference generator: [`Self::sample_turns`] into
+        /// one [`lay_out`].
+        pub(crate) fn generate_reference(&self) -> SessionTrace {
+            let mut firsts = Vec::with_capacity(self.num_sessions);
+            let mut resumed = Vec::new();
+            let starts = self.sample_turns(|request, turn| {
+                if turn.turn == 0 {
+                    firsts.push(request);
+                } else {
+                    resumed.push((request, turn));
+                }
+            });
+            lay_out(firsts.into_iter(), resumed.into_iter(), starts)
+        }
+    }
+
+    impl SessionTrace {
+        /// The initial per-request arrival vector for a closed-loop run:
+        /// turn-0 requests carry their session's open-loop start time, and
+        /// every resumed turn is `f64::INFINITY` until the engine *releases*
+        /// it (previous turn finished + think time). Non-decreasing by
+        /// construction.
+        pub(crate) fn initial_arrivals(&self) -> Vec<f64> {
+            self.turns
+                .iter()
+                .map(|t| {
+                    if t.turn == 0 {
+                        self.start_arrivals[t.session as usize]
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect()
+        }
+
+        /// Extract the sub-workload of the given sessions (old session ids,
+        /// strictly increasing so the per-session start arrivals stay
+        /// non-decreasing), re-numbering sessions to `0..sessions.len()` and
+        /// requests into the same turn-0s-first layout
+        /// [`SessionConfig::generate`] produces: the reference a session
+        /// [`crate::Rows`] share must read back. The result passes
+        /// [`Self::check_invariants`]. Selecting every session reproduces the
+        /// original workload exactly; an empty selection yields an empty
+        /// workload (a starved replica).
+        ///
+        /// # Panics
+        /// Panics if `sessions` is not strictly increasing or indexes a
+        /// session out of range.
+        pub(crate) fn subset_sessions(&self, sessions: &[u32]) -> SessionTrace {
+            assert!(
+                sessions.windows(2).all(|w| w[1] > w[0]),
+                "session subset must be strictly increasing"
+            );
+            // New session id per old id (u32::MAX = not selected).
+            let mut new_of = vec![u32::MAX; self.num_sessions];
+            for (k, &s) in sessions.iter().enumerate() {
+                assert!((s as usize) < self.num_sessions, "session {s} out of range");
+                new_of[s as usize] = k as u32;
+            }
+            // Session `s`'s turn 0 sits at position `s`, and the resumed turns
+            // follow in (session, turn) order, so one forward pass over them
+            // keeps the selected ones in the order the new layout wants.
+            let resumed: Vec<u32> = (self.num_sessions..self.len())
+                .filter(|&i| new_of[self.turns[i].session as usize] != u32::MAX)
+                .map(|i| i as u32)
+                .collect();
+            let starts = sessions.iter().map(|&s| self.start_arrivals[s as usize]).collect();
+            let reqs = self.trace.requests();
+            lay_out(
+                sessions.iter().map(|&s| reqs[s as usize].clone()),
+                resumed.iter().map(|&i| {
+                    let t = self.turns[i as usize];
+                    let session = new_of[t.session as usize];
+                    (reqs[i as usize].clone(), SessionTurn { session, ..t })
+                }),
+                starts,
+            )
+        }
+
+    }
+
+    /// Lay out sessions as a [`SessionTrace`]: every session's turn 0
+    /// first, in session order (so with non-decreasing `start_arrivals`
+    /// the initial arrival vector stays sorted), then the closed-loop
+    /// turns in (session, turn) order, linked `prev`/`next`, with request
+    /// ids renumbered to trace positions. `firsts` yields each session's
+    /// turn-0 request in session order, and `resumed` every later turn in
+    /// (session, turn) order with its linkage (of which `prev`, `next`
+    /// are overwritten). Both vectors are allocated once at their final
+    /// size.
+    fn lay_out(
+        firsts: impl ExactSizeIterator<Item = Request>,
+        resumed: impl ExactSizeIterator<Item = (Request, SessionTurn)>,
+        start_arrivals: Vec<f64>,
+    ) -> SessionTrace {
+        let num_sessions = firsts.len();
+        let total = num_sessions + resumed.len();
+        let mut requests = Vec::with_capacity(total);
+        let mut turns = Vec::with_capacity(total);
+        for (s, request) in firsts.enumerate() {
+            requests.push(Request { id: RequestId(s as u64), ..request });
+            turns.push(SessionTurn {
+                session: s as u32,
+                turn: 0,
+                shared_prefix: 0,
+                think_s: 0.0,
+                prev: None,
+                next: None,
+            });
+        }
+        for (request, linkage) in resumed {
+            let idx = requests.len() as u32;
+            // Turn 1 follows its session's turn 0, at trace position
+            // `session`; every later turn follows the one laid out before
+            // it.
+            let prev = if linkage.turn == 1 { linkage.session } else { idx - 1 };
+            turns[prev as usize].next = Some(idx);
+            requests.push(Request { id: RequestId(idx as u64), ..request });
+            turns.push(SessionTurn {
+                prev: Some(prev),
+                next: None,
+                ..linkage
+            });
+        }
+        let st = SessionTrace {
+            trace: Trace::new(requests),
+            turns,
+            start_arrivals,
+            num_sessions,
+        };
+        st.check_invariants();
+        st
+    }
 
     /// Naive reference layout: each session's turns gathered in their own
     /// `Vec`, then laid out turn 0s first and linked by position.
@@ -436,7 +622,8 @@ mod tests {
         nested_lay_out(sessions, starts)
     }
 
-    fn configs() -> impl Iterator<Item = SessionConfig> {
+    /// The seed × session-count × mean-turns grid the layout tests sweep.
+    pub(crate) fn configs() -> impl Iterator<Item = SessionConfig> {
         [1, 7, 42].into_iter().flat_map(|seed| {
             [1, 2, 33, 150].into_iter().flat_map(move |n| {
                 // Mean 1 turn: every session is a single turn.
@@ -463,6 +650,16 @@ mod tests {
                     nested_subset(&st, &selected),
                     "subset {selected:?} of {cfg:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_generation_matches_the_sequential_reference() {
+        for cfg in configs() {
+            let reference = cfg.generate_reference();
+            for workers in [1, 2, 7] {
+                assert_eq!(cfg.generate_with(workers), reference, "{workers} workers, {cfg:?}");
             }
         }
     }

@@ -92,28 +92,6 @@ impl Trace {
         Trace::new(requests)
     }
 
-    /// Select requests by index, in the given order, re-numbering ids to
-    /// `0..indices.len()` so the result is a self-contained trace — what a
-    /// fleet router hands each replica. The same index order fed back with
-    /// the full index set reproduces the original trace byte-for-byte
-    /// (ids are already `0..len` for generated traces).
-    ///
-    /// # Panics
-    /// Panics if some index is out of bounds.
-    pub fn subset(&self, indices: &[usize]) -> Trace {
-        Trace::new(
-            indices
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    let mut r = self.requests[i].clone();
-                    r.id = crate::request::RequestId(k as u64);
-                    r
-                })
-                .collect(),
-        )
-    }
-
     /// Keep only requests satisfying `keep` (ids preserved).
     pub fn filter<F: FnMut(&Request) -> bool>(&self, mut keep: F) -> Trace {
         Trace::new(
@@ -141,6 +119,31 @@ impl Trace {
             val: Trace::new(val),
             test: Trace::new(test),
         }
+    }
+}
+
+#[cfg(test)]
+impl Trace {
+    /// Select requests by index, in the given order, re-numbering ids to
+    /// `0..indices.len()` so the result is a self-contained trace: the
+    /// reference an open-loop [`crate::Rows`] share must read back. The
+    /// full index set reproduces the original trace byte-for-byte (ids are
+    /// already `0..len` for generated traces).
+    ///
+    /// # Panics
+    /// Panics if some index is out of bounds.
+    pub(crate) fn subset(&self, indices: &[usize]) -> Trace {
+        Trace::new(
+            indices
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| {
+                    let mut r = self.requests[i].clone();
+                    r.id = crate::request::RequestId(k as u64);
+                    r
+                })
+                .collect(),
+        )
     }
 }
 

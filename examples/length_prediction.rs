@@ -13,7 +13,7 @@ use tdpipe::core::greedy::GreedyPrefillPlanner;
 use tdpipe::core::request::RequestPool;
 use tdpipe::predictor::classifier::TrainConfig;
 use tdpipe::predictor::{eval, LengthPredictor, OutputLenPredictor};
-use tdpipe::workload::ShareGptLikeConfig;
+use tdpipe::workload::{ShareGptLikeConfig, Workload};
 
 fn main() {
     // Historical data at the paper's scale, split 60/20/20.
@@ -53,7 +53,8 @@ fn main() {
     // How Algorithm 1 uses it: simulate future KV usage while admitting
     // prefills, and stop before the predicted peak overflows.
     println!("\nAlgorithm 1 dry-run (capacity 200k tokens):");
-    let pool = RequestPool::new(splits.test.requests(), |r| predictor.predict(r));
+    let test = Workload::offline(&splits.test);
+    let pool = RequestPool::for_workload(&test, |r| predictor.predict(r));
     let mut planner =
         GreedyPrefillPlanner::new((1..=32).map(|i| i * 32).collect(), 200_000);
     let mut admitted = 0;
