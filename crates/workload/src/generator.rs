@@ -1,6 +1,7 @@
 //! Seeded synthetic ShareGPT-like trace generation.
 
 use crate::request::{Request, RequestId};
+use crate::session::{fill_workers, take};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -85,24 +86,80 @@ impl ShareGptLikeConfig {
         }
     }
 
-    /// Generate the trace.
+    /// Generate the trace (deterministic for equal configs).
     pub fn generate(&self) -> Trace {
+        self.generate_with(fill_workers())
+    }
+
+    /// [`Self::generate`] on `workers` fill threads; the trace is the same
+    /// for every count. The calling thread walks the one generator from
+    /// request to request, running each request's category and input-length
+    /// draws (the rejection loop decides how many draws it takes) and
+    /// stepping past its output and feature draws. As soon as a range's
+    /// start state is known, a filler replays that range into the slice it
+    /// was handed (so it allocates nothing, and glibc gives it no arena of
+    /// its own); the last range fills on the calling thread.
+    fn generate_with(&self, workers: usize) -> Trace {
+        let n = self.num_requests;
+        let mut requests = vec![Request::BLANK; n];
+        let chunk = n.div_ceil(workers.clamp(1, n.max(1)));
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut requests = Vec::with_capacity(self.num_requests);
-        for i in 0..self.num_requests {
-            let category = sample_category(&mut rng);
-            let input_len = self.sample_input(&mut rng);
-            let output_len = self.sample_output(&mut rng, category);
-            let features = self.sample_features(&mut rng, category);
-            requests.push(Request {
-                id: RequestId(i as u64),
-                input_len,
-                output_len,
-                category: category as u8,
-                features,
-            });
-        }
+        std::thread::scope(|scope| {
+            let mut rest = requests.as_mut_slice();
+            let mut lo = 0;
+            while !rest.is_empty() {
+                let len = chunk.min(rest.len());
+                let slots = take(&mut rest, len);
+                let start = rng.clone();
+                let fill = move || self.fill(lo, start, slots);
+                if rest.is_empty() {
+                    fill(); // the last range runs on the calling thread
+                } else {
+                    scope.spawn(fill);
+                    for _ in 0..len {
+                        self.skip_request(&mut rng);
+                    }
+                    lo += len;
+                }
+            }
+        });
         Trace::new(requests)
+    }
+
+    /// Draw requests `lo..lo + slots.len()` from `rng`, which stands at
+    /// request `lo`'s start, into `slots`.
+    fn fill(&self, lo: usize, mut rng: StdRng, slots: &mut [Request]) {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = self.sample_request(RequestId((lo + i) as u64), &mut rng);
+        }
+    }
+
+    /// Draw one request: its category, input length, output length and
+    /// features, in that order.
+    fn sample_request(&self, id: RequestId, rng: &mut StdRng) -> Request {
+        let category = sample_category(rng);
+        let input_len = self.sample_input(rng);
+        let output_len = self.sample_output(rng, category);
+        let features = self.sample_features(rng, category);
+        Request {
+            id,
+            input_len,
+            output_len,
+            category: category as u8,
+            features,
+        }
+    }
+
+    /// Step `rng` past exactly the draws [`Self::sample_request`] makes.
+    /// The input length's rejection loop decides how many that is, so it
+    /// runs in full; the output and feature draws pass untransformed.
+    fn skip_request(&self, rng: &mut StdRng) {
+        sample_category(rng);
+        self.sample_input(rng);
+        // The output length's standard normal: two uniforms.
+        rng.next_u64();
+        rng.next_u64();
+        Self::skip_features(rng);
     }
 
     fn sample_input(&self, rng: &mut StdRng) -> u32 {
@@ -186,6 +243,59 @@ pub(crate) fn sample_std_normal(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShareGptLikeConfig {
+        /// The sequential reference the in-place generator is checked
+        /// against: one request at a time from one generator.
+        fn generate_reference(&self) -> Trace {
+            let mut rng = StdRng::seed_from_u64(self.seed);
+            Trace::new(
+                (0..self.num_requests)
+                    .map(|i| self.sample_request(RequestId(i as u64), &mut rng))
+                    .collect(),
+            )
+        }
+    }
+
+    const SEEDS: [u64; 3] = [1, 7, 42];
+    const SIZES: [usize; 7] = [0, 1, 2, 3, 7, 1_000, 30_000];
+    const WORKERS: [usize; 4] = [1, 2, 3, 7];
+
+    #[test]
+    fn in_place_generation_matches_the_sequential_reference() {
+        for seed in SEEDS {
+            for n in SIZES {
+                let cfg = ShareGptLikeConfig::small(n, seed);
+                let reference = cfg.generate_reference();
+                for workers in WORKERS {
+                    let t = cfg.generate_with(workers);
+                    let ctx = format!("{workers} workers, {n} requests, seed {seed}");
+                    assert!(t == reference, "{ctx}");
+                    assert!(
+                        t.requests().iter().map(|r| r.id.0).eq(0..n as u64),
+                        "{ctx}: ids"
+                    );
+                    assert_eq!(t.capacity(), t.len(), "{ctx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn smaller_traces_are_prefixes_of_larger_ones() {
+        for seed in SEEDS {
+            for workers in WORKERS {
+                let full = ShareGptLikeConfig::small(1_000, seed).generate_with(workers);
+                for m in [0, 1, 2, 3, 7, 500, 999] {
+                    let t = ShareGptLikeConfig::small(m, seed).generate_with(workers);
+                    assert!(
+                        t.requests() == &full.requests()[..m],
+                        "{m} of 1000, {workers} workers, seed {seed}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn deterministic_for_equal_seeds() {

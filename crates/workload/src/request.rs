@@ -46,6 +46,16 @@ pub struct Request {
 const _: () = assert!(std::mem::size_of::<Request>() == 112);
 
 impl Request {
+    /// The placeholder the in-place generators allocate their layouts
+    /// with before filling every slot.
+    pub(crate) const BLANK: Request = Request {
+        id: RequestId(0),
+        input_len: 0,
+        output_len: 0,
+        category: 0,
+        features: [0.0; FEATURE_DIM],
+    };
+
     /// Total tokens this request will ever hold in KV cache.
     #[inline]
     pub fn total_len(&self) -> u64 {

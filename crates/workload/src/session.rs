@@ -76,8 +76,7 @@ impl SessionConfig {
 
     /// Generate the session trace (deterministic for equal configs).
     pub fn generate(&self) -> SessionTrace {
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.generate_with(workers)
+        self.generate_with(fill_workers())
     }
 
     /// [`Self::generate`] on `workers` fill threads; the trace is the same
@@ -105,14 +104,7 @@ impl SessionConfig {
         }
         plan.push((rng, resumed_at));
         let total = resumed_at as usize;
-        let blank = Request {
-            id: RequestId(0),
-            input_len: 0,
-            output_len: 0,
-            category: 0,
-            features: [0.0; crate::FEATURE_DIM],
-        };
-        let mut requests = vec![blank; total];
+        let mut requests = vec![Request::BLANK; total];
         let mut turns = vec![SessionTurn::default(); total];
         let chunk = n.div_ceil(workers.clamp(1, n));
         std::thread::scope(|scope| {
@@ -245,8 +237,13 @@ impl SessionConfig {
     }
 }
 
+/// Threads the in-place generators fill on: one per core.
+pub(crate) fn fill_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Split the first `len` items off the front of `slice`.
-fn take<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+pub(crate) fn take<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     let (head, tail) = std::mem::take(slice).split_at_mut(len);
     *slice = tail;
     head

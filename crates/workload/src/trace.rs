@@ -48,12 +48,6 @@ impl Trace {
         self.requests.is_empty()
     }
 
-    /// Allocated request slots, for the layout tests.
-    #[cfg(test)]
-    pub(crate) fn capacity(&self) -> usize {
-        self.requests.capacity()
-    }
-
     /// Total prompt tokens.
     pub fn total_input_tokens(&self) -> u64 {
         self.requests.iter().map(|r| r.input_len as u64).sum()
@@ -123,34 +117,38 @@ impl Trace {
 }
 
 #[cfg(test)]
-impl Trace {
-    /// Select requests by index, in the given order, re-numbering ids to
-    /// `0..indices.len()` so the result is a self-contained trace: the
-    /// reference an open-loop [`crate::Rows`] share must read back. The
-    /// full index set reproduces the original trace byte-for-byte (ids are
-    /// already `0..len` for generated traces).
-    ///
-    /// # Panics
-    /// Panics if some index is out of bounds.
-    pub(crate) fn subset(&self, indices: &[usize]) -> Trace {
-        Trace::new(
-            indices
-                .iter()
-                .enumerate()
-                .map(|(k, &i)| {
-                    let mut r = self.requests[i].clone();
-                    r.id = crate::request::RequestId(k as u64);
-                    r
-                })
-                .collect(),
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::ShareGptLikeConfig;
+
+    impl Trace {
+        /// Allocated request slots, for the layout tests.
+        pub(crate) fn capacity(&self) -> usize {
+            self.requests.capacity()
+        }
+
+        /// Select requests by index, in the given order, re-numbering ids to
+        /// `0..indices.len()` so the result is a self-contained trace: the
+        /// reference an open-loop [`crate::Rows`] share must read back. The
+        /// full index set reproduces the original trace byte-for-byte (ids are
+        /// already `0..len` for generated traces).
+        ///
+        /// # Panics
+        /// Panics if some index is out of bounds.
+        pub(crate) fn subset(&self, indices: &[usize]) -> Trace {
+            Trace::new(
+                indices
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &i)| {
+                        let mut r = self.requests[i].clone();
+                        r.id = crate::request::RequestId(k as u64);
+                        r
+                    })
+                    .collect(),
+            )
+        }
+    }
 
     fn trace(n: usize) -> Trace {
         ShareGptLikeConfig::small(n, 5).generate()

@@ -4,7 +4,8 @@
 //! stack-overflow abort. Only a missing or unknown command adds the usage
 //! text to its error, and a command turns away, by name, a flag it does
 //! not read. A `--gpus` count whose KV pool holds more tokens than one
-//! request's residency record can count still runs to a report.
+//! request's residency record can count still runs to a report, and so
+//! does a run of no requests at all.
 
 use std::process::Command;
 
@@ -141,4 +142,16 @@ fn a_kv_pool_past_u32_max_tokens_serves_requests() {
         let stdout = cli(&[&run[..], &[scheduler]].concat());
         assert!(stdout.contains(name), "{scheduler}: {stdout}");
     }
+}
+
+#[test]
+fn a_run_of_zero_requests_reports_zero_requests() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+        .args(["run", "--requests", "0"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stdout.contains("(0 requests)"), "{stdout}");
 }
