@@ -48,15 +48,15 @@ fn windowed(timeline: &Timeline, windows: usize) -> Vec<f64> {
 fn idle_by_neighbours(journal: &FlightRecorder) -> [f64; 5] {
     use SegmentKind::{Decode, Prefill};
     use TraceEvent::{StageBusy, StageIdle};
-    let events = journal.stage_events();
+    let mut events = journal.stage_events().peekable();
     let mut idle = [0.0; 5];
     // Stage events list each device's run in order, one device at a time.
     let mut before = None;
-    for (i, e) in events.iter().enumerate() {
+    while let Some(e) = events.next() {
         match e.event {
             StageBusy { device, kind, .. } => before = Some((device, kind)),
             StageIdle { device, dur } if dur > 1e-6 => {
-                let after = match events.get(i + 1).map(|n| n.event) {
+                let after = match events.peek().map(|n| n.event) {
                     Some(StageBusy { device: d, kind, .. }) if d == device => Some(kind),
                     _ => None,
                 };

@@ -141,7 +141,10 @@ impl SoftmaxClassifier {
         this
     }
 
+    /// Standardise one feature vector into `out`, checking both lengths.
     fn standardise(&self, f: &[f32], out: &mut [f64]) {
+        assert_eq!(f.len(), self.dim, "feature dimension mismatch");
+        assert_eq!(out.len(), self.dim, "feature buffer size");
         for d in 0..self.dim {
             out[d] = (f[d] as f64 - self.feat_mean[d]) / self.feat_std[d];
         }
@@ -173,12 +176,23 @@ impl SoftmaxClassifier {
     /// # Panics
     /// Panics if the feature dimension differs from training.
     pub fn predict_proba(&self, features: &[f32]) -> Vec<f64> {
-        assert_eq!(features.len(), self.dim, "feature dimension mismatch");
         let mut x = vec![0.0; self.dim];
-        self.standardise(features, &mut x);
         let mut probs = vec![0.0; self.num_classes];
-        self.softmax(&x, &mut probs);
+        self.predict_proba_into(features, &mut x, &mut probs);
         probs
+    }
+
+    /// [`predict_proba`](Self::predict_proba) into caller buffers: `x`
+    /// receives the standardised features, `probs` the class
+    /// probabilities. Same arithmetic in the same order, no allocation.
+    ///
+    /// # Panics
+    /// Panics if the feature dimension differs from training, `x` is not
+    /// one feature vector long, or `probs` is not one entry per class.
+    pub fn predict_proba_into(&self, features: &[f32], x: &mut [f64], probs: &mut [f64]) {
+        assert_eq!(probs.len(), self.num_classes, "probability buffer size");
+        self.standardise(features, x);
+        self.softmax(x, probs);
     }
 
     /// Predict the class of one feature vector.
@@ -186,9 +200,17 @@ impl SoftmaxClassifier {
     /// # Panics
     /// Panics if the feature dimension differs from training.
     pub fn predict(&self, features: &[f32]) -> usize {
-        assert_eq!(features.len(), self.dim, "feature dimension mismatch");
-        let mut x = vec![0.0; self.dim];
-        self.standardise(features, &mut x);
+        self.predict_into(features, &mut vec![0.0; self.dim])
+    }
+
+    /// [`predict`](Self::predict) with the standardised features written
+    /// to the caller's buffer `x`, one feature vector long.
+    ///
+    /// # Panics
+    /// Panics if the feature dimension differs from training or `x` is
+    /// not one feature vector long.
+    pub fn predict_into(&self, features: &[f32], x: &mut [f64]) -> usize {
+        self.standardise(features, x);
         let mut best = 0;
         let mut best_z = f64::NEG_INFINITY;
         for k in 0..self.num_classes {

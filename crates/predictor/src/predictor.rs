@@ -1,6 +1,6 @@
 //! The predictor facade the scheduler consumes.
 
-use crate::buckets::PercentileBuckets;
+use crate::buckets::{PercentileBuckets, NUM_BUCKETS};
 use crate::classifier::{SoftmaxClassifier, TrainConfig};
 use crate::naive_bayes::GaussianNbClassifier;
 use serde::{Deserialize, Serialize};
@@ -83,7 +83,9 @@ impl LengthPredictor {
     /// The bucket the classifier assigns to a request (argmax — the
     /// quantity §4.4.1's single-request accuracy scores).
     pub fn predict_bucket(&self, request: &Request) -> usize {
-        self.classifier.predict(&Self::featurise(request))
+        let mut x = [0.0; FEATURE_DIM + 1];
+        self.classifier
+            .predict_into(&Self::featurise(request), &mut x)
     }
 
     /// Expected output length under the classifier's calibrated class
@@ -96,7 +98,10 @@ impl LengthPredictor {
     /// the same classifier and the same bucket means but removes that bias,
     /// reproducing Fig. 14's vanishing accumulated error.
     pub fn predict_expected(&self, request: &Request) -> f64 {
-        let probs = self.classifier.predict_proba(&Self::featurise(request));
+        let mut x = [0.0; FEATURE_DIM + 1];
+        let mut probs = [0.0; NUM_BUCKETS];
+        self.classifier
+            .predict_proba_into(&Self::featurise(request), &mut x, &mut probs);
         probs
             .iter()
             .enumerate()
@@ -254,6 +259,28 @@ mod tests {
         for r in splits.test.requests().iter().take(200) {
             let len = p.predict(r);
             assert!((1..=4096).contains(&len), "len={len}");
+        }
+    }
+
+    /// The buffer-reusing prediction paths give the allocating ones' bits.
+    #[test]
+    fn buffered_predictions_match_the_allocating_path() {
+        for seed in [3, 11, 42] {
+            let trace = ShareGptLikeConfig::small(4_000, seed).generate();
+            let splits = trace.split(seed);
+            let p = LengthPredictor::train(&splits.train, &quick_cfg());
+            for r in trace.requests().iter().take(2_000) {
+                let features = LengthPredictor::featurise(r);
+                let probs = p.classifier.predict_proba(&features);
+                let expected: f64 = probs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, q)| q * p.buckets.predicted_len(k) as f64)
+                    .sum();
+                assert_eq!(p.predict_expected(r).to_bits(), expected.to_bits());
+                assert_eq!(p.predict(r), expected.round().max(1.0) as u32);
+                assert_eq!(p.predict_bucket(r), p.classifier.predict(&features));
+            }
         }
     }
 

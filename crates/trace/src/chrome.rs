@@ -10,10 +10,25 @@ use serde::{push_escaped, push_float, push_u64, Deserializer, Serialize, Seriali
 use std::collections::BTreeMap;
 use tdpipe_sim::{Segment, Timeline};
 
-use crate::event::{FlightRecorder, TimedEvent, TraceEvent};
+use crate::event::{FlightRecorder, TimedEvent, TraceEvent, FLOAT_BYTES, UINT_BYTES};
 
 /// Seconds → Chrome-trace microseconds.
 const SECS_TO_US: f64 = 1e6;
+
+// The longest compact text of each record the export writes, with its
+// comma: the record with its values cut out, plus [`FLOAT_BYTES`] per
+// float and [`UINT_BYTES`] per integer.
+const THREAD_NAME_BYTES: usize =
+    r#"{"name":"thread_name","ph":"M","pid":0,"tid":,"args":{"name":"gpu"}},"#.len()
+        + 2 * UINT_BYTES;
+/// A `SwitchDecision` instant, the longest engine event.
+const INSTANT_BYTES: usize = r#"{"name":"switch_decision","ph":"i","s":"t","pid":0,"tid":0,"ts":,"args":{"spatial":,"temporal":,"batch":,"est_longest":,"est_phase_len":,"switch":false}},"#.len()
+    + 5 * FLOAT_BYTES
+    + UINT_BYTES;
+const COMPLETE_BYTES: usize =
+    r#"{"name":"prefill","ph":"X","pid":0,"tid":,"ts":,"dur":,"args":{"tag":}},"#.len()
+        + 2 * FLOAT_BYTES
+        + 2 * UINT_BYTES;
 
 /// Append the Chrome `args` object of `event`: its fields. The serde
 /// encoding of a struct variant is `{"VariantName":{fields}}`, so the
@@ -68,10 +83,16 @@ fn push_complete(out: &mut String, s: &Segment) {
 /// Deterministic: the output is a pure function of the timeline and the
 /// journal (fixed key order, stable per-track sorting via `total_cmp`),
 /// so identical runs export byte-identical traces. The text is written
-/// directly, one event at a time, with no intermediate `Value` tree.
+/// directly, one event at a time, with no intermediate `Value` tree, into
+/// one buffer reserved from the record counts.
 pub fn chrome_trace(timeline: &Timeline, journal: &FlightRecorder) -> String {
     let segs = timeline.segments();
-    let mut out = String::new();
+    let mut out = String::with_capacity(
+        r#"{"traceEvents":[],"displayTimeUnit":"ms"}"#.len()
+            + (timeline.num_devices() + 1) * THREAD_NAME_BYTES
+            + journal.events().len() * INSTANT_BYTES
+            + segs.len() * COMPLETE_BYTES,
+    );
 
     out.push_str(r#"{"traceEvents":["#);
     push_thread_name(&mut out, 0, "engine");
@@ -101,9 +122,11 @@ pub fn chrome_trace(timeline: &Timeline, journal: &FlightRecorder) -> String {
     }
 
     out.push_str(r#"],"displayTimeUnit":"ms"}"#);
-    // Callers keep the export alive while they parse or write it; unused
-    // capacity (doubling slack, or any up-front reservation) would pin
-    // heap that the parse could otherwise reuse, raising peak RSS.
+    // Reserving the bound up front writes the text once, where doubling
+    // would copy it at every growth and hold the old and new buffers
+    // together; pages of the reservation the text never reaches are
+    // never touched. Callers keep the export alive while they parse or
+    // write it, so the unused tail is handed back.
     out.shrink_to_fit();
     out
 }
@@ -267,7 +290,7 @@ fn validate_events(de: &mut Deserializer<'_>) -> Result<ChromeTraceCheck, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::tests::every_variant;
+    use crate::event::tests::{every_variant, widest_events, WIDEST_FLOAT};
     use crate::event::{PrefillStopReason, TraceEvent};
     use serde::Value;
     use tdpipe_sim::SegmentKind;
@@ -432,6 +455,43 @@ mod tests {
         let check = validate_chrome_trace(&chrome_trace(&tl, &journal)).expect("valid trace");
         assert_eq!(check.instant_events, 17);
         assert_eq!(check.complete_events, 41);
+    }
+
+    /// Each record at its widest fits the bytes [`chrome_trace`] reserves
+    /// for it, and the widest instant fills them.
+    #[test]
+    fn reserved_record_bytes_bound_every_record() {
+        let f = WIDEST_FLOAT / SECS_TO_US;
+        let mut longest = 0;
+        for event in widest_events(WIDEST_FLOAT) {
+            let mut out = String::new();
+            push_instant(&mut out, &TimedEvent { t: f, event });
+            assert!(out.len() < INSTANT_BYTES, "{event:?}: {}", out.len());
+            longest = longest.max(out.len() + 1);
+        }
+        assert_eq!(longest, INSTANT_BYTES);
+        for kind in [
+            SegmentKind::Prefill,
+            SegmentKind::Decode,
+            SegmentKind::Hybrid,
+            SegmentKind::Comm,
+        ] {
+            let mut out = String::new();
+            push_complete(
+                &mut out,
+                &Segment {
+                    device: u32::MAX,
+                    start: f,
+                    end: f,
+                    kind,
+                    tag: u64::MAX,
+                },
+            );
+            assert!(out.len() < COMPLETE_BYTES, "{kind:?}: {}", out.len());
+        }
+        let mut out = String::new();
+        push_thread_name(&mut out, u64::MAX, &format!("gpu{}", u64::MAX));
+        assert!(out.len() < THREAD_NAME_BYTES);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! t = 0), never a wall clock, so a journal is a pure function of the
 //! workload + configuration and byte-identical across identical runs.
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Deserializer, Serialize, Serializer};
 use tdpipe_kvcache::Phase;
 use tdpipe_sim::{SegmentKind, Timeline};
 
@@ -245,20 +245,68 @@ pub struct TimedEvent {
     pub event: TraceEvent,
 }
 
+/// One busy segment of one device, as the journal keeps it:
+/// `(start, end, kind)`, written as the JSON array `[start, end, "Kind"]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Busy(f64, f64, SegmentKind);
+
+impl Serialize for Busy {
+    fn serialize(&self, ser: &mut Serializer<'_>) {
+        (self.0, self.1, self.2).serialize(ser)
+    }
+}
+
+impl Deserialize for Busy {
+    fn deserialize(de: &mut Deserializer<'_>) -> Result<Self, DeError> {
+        <(f64, f64, SegmentKind)>::deserialize(de)
+            .map(|(start, end, kind)| Busy(start, end, kind))
+            .map_err(|e| {
+                DeError(format!(
+                    "malformed `devices` segment [start, end, kind]: {e}"
+                ))
+            })
+    }
+}
+
 /// The flight recorder: an append-only journal of [`TimedEvent`]s.
 ///
 /// Constructed either [`disabled`](FlightRecorder::disabled) (every
 /// `record` is a single-branch no-op — the default, so figure artifacts
 /// stay bit-identical) or [`with_capacity`](FlightRecorder::with_capacity)
 /// (pre-sized, allocation-light). Engine decisions land in `events`
-/// (time-ordered by construction); device activity derived from a
-/// [`Timeline`] lands in `stage_events` (time-ordered per device).
+/// (time-ordered by construction). Device activity is kept once, as each
+/// device's busy segments from a [`Timeline`] plus the run's end;
+/// [`stage_events`](FlightRecorder::stage_events) derives the
+/// `StageBusy`/`StageIdle` events from them when the journal is read.
+///
+/// The JSON is `{"enabled","events","run_end","devices"}`, `devices`
+/// holding one array per device of `[start, end, "Kind"]` segments.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FlightRecorder {
     enabled: bool,
     events: Vec<TimedEvent>,
-    stage_events: Vec<TimedEvent>,
+    run_end: f64,
+    devices: Vec<Vec<Busy>>,
 }
+
+/// Compact JSON bytes reserved for one float (a 17-digit mantissa in
+/// plain decimal with its sign, point and leading zeros).
+pub(crate) const FLOAT_BYTES: usize = 24;
+/// Compact JSON bytes of the longest integer (`u64::MAX`).
+pub(crate) const UINT_BYTES: usize = 20;
+
+/// The longest compact journal event, `SwitchDecision`, with a comma:
+/// its text with the values cut out, plus five floats and one integer.
+const EVENT_BYTES: usize = r#"{"t":,"event":{"SwitchDecision":{"spatial":,"temporal":,"batch":,"est_longest":,"est_phase_len":,"switch":false}}},"#.len()
+    + 5 * FLOAT_BYTES
+    + UINT_BYTES;
+/// The longest compact segment, with a comma.
+const SEGMENT_BYTES: usize = r#"[,,"Prefill"],"#.len() + 2 * FLOAT_BYTES;
+/// A device's row without its segments, with a comma.
+const DEVICE_BYTES: usize = "[],".len();
+/// The journal without its events and devices.
+const JOURNAL_BYTES: usize =
+    r#"{"enabled":false,"events":[],"run_end":,"devices":[]}"#.len() + FLOAT_BYTES;
 
 impl FlightRecorder {
     /// A recorder that drops everything (the default).
@@ -271,7 +319,7 @@ impl FlightRecorder {
         FlightRecorder {
             enabled: true,
             events: Vec::with_capacity(cap),
-            stage_events: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -300,83 +348,110 @@ impl FlightRecorder {
         &self.events
     }
 
-    /// Device activity events (time-ordered within each device).
-    pub fn stage_events(&self) -> &[TimedEvent] {
-        &self.stage_events
+    /// Device activity events, derived from the stored segments: one
+    /// device at a time, each in its segments' recording order.
+    ///
+    /// Before each segment a positive gap since the device's latest busy
+    /// end becomes a `StageIdle` at the gap's start; the segment becomes a
+    /// `StageBusy`. A positive gap from the last busy end to `run_end`
+    /// closes the device. So the idle events include the *boundary*
+    /// idleness each device sees: from t = 0 to its first segment
+    /// (pipeline warm-up) and from its last segment to `run_end` (drain),
+    /// and the in-order sum of a device's idle durations accounts for
+    /// `run_end` minus its busy seconds — the closed idle total the bubble
+    /// ledger attributes cause-by-cause.
+    pub fn stage_events(&self) -> impl Iterator<Item = TimedEvent> + '_ {
+        (0u32..).zip(&self.devices).flat_map(|(device, row)| {
+            let idle = move |t: f64, dur: f64| {
+                (dur > 0.0).then_some(TimedEvent {
+                    t,
+                    event: TraceEvent::StageIdle { device, dur },
+                })
+            };
+            let mut last_end = 0.0f64;
+            let busy = row.iter().flat_map(move |&Busy(start, end, kind)| {
+                let gap = idle(last_end, start - last_end);
+                last_end = last_end.max(end);
+                let busy = TimedEvent {
+                    t: start,
+                    event: TraceEvent::StageBusy {
+                        device,
+                        kind,
+                        dur: end - start,
+                    },
+                };
+                gap.into_iter().chain(Some(busy))
+            });
+            // The same fold the walk ends on.
+            let last_end = row.iter().fold(0.0f64, |m, b| m.max(b.1));
+            busy.chain(idle(last_end, self.run_end - last_end))
+        })
     }
 
-    /// Total recorded events (engine + stage).
+    /// Total recorded events (engine + derived stage).
     pub fn len(&self) -> usize {
-        self.events.len() + self.stage_events.len()
+        self.events.len() + self.stage_events().count()
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.events.is_empty() && self.stage_events().next().is_none()
     }
 
-    /// Derive `StageBusy`/`StageIdle` events from a [`Timeline`] of a run
-    /// that started at t = 0 and ended at `run_end`.
-    ///
-    /// Segments are walked per device in recording order (the simulator
-    /// records each device's work in start order); a positive gap before
-    /// a device's segment becomes a `StageIdle` at the gap's start. That
-    /// includes the *boundary* idleness each device sees: from t = 0 to
-    /// its first segment (pipeline warm-up) and from its last segment to
-    /// `run_end` (drain). So the in-order sum of a device's idle durations
-    /// accounts for `run_end` minus its busy seconds — the closed idle
-    /// total the bubble ledger attributes cause-by-cause. Requires the
-    /// timeline to have been built with segment recording on — with it
-    /// off this records nothing. No-op when the recorder is disabled.
+    /// Keep a [`Timeline`]'s segments as the device activity of a run
+    /// that started at t = 0 and ended at `run_end`, replacing any kept
+    /// before. Each device's row is sized exactly before it is filled.
+    /// Every device the timeline knows gets a row, so a device with no
+    /// segments (segment recording off, or busy time fed in aggregate)
+    /// reads as idle over the whole run. No-op when the recorder is
+    /// disabled.
     pub fn append_stage_events(&mut self, timeline: &Timeline, run_end: f64) {
         if !self.enabled {
             return;
         }
         let segs = timeline.segments();
-        self.stage_events.reserve(segs.len() * 2);
-        for device in 0..timeline.num_devices() as u32 {
-            let mut last_end = 0.0f64;
-            for s in segs.iter().filter(|s| s.device == device) {
-                let gap = s.start - last_end;
-                if gap > 0.0 {
-                    self.stage_events.push(TimedEvent {
-                        t: last_end,
-                        event: TraceEvent::StageIdle { device, dur: gap },
-                    });
-                }
-                self.stage_events.push(TimedEvent {
-                    t: s.start,
-                    event: TraceEvent::StageBusy {
-                        device,
-                        kind: s.kind,
-                        dur: s.end - s.start,
-                    },
-                });
-                last_end = last_end.max(s.end);
-            }
-            let gap = run_end - last_end;
-            if gap > 0.0 {
-                self.stage_events.push(TimedEvent {
-                    t: last_end,
-                    event: TraceEvent::StageIdle { device, dur: gap },
-                });
-            }
+        let mut counts = vec![0usize; timeline.num_devices()];
+        for s in segs {
+            counts[s.device as usize] += 1;
         }
+        let mut devices: Vec<Vec<Busy>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for s in segs {
+            devices[s.device as usize].push(Busy(s.start, s.end, s.kind));
+        }
+        self.devices = devices;
+        self.run_end = run_end;
     }
 
     /// Serialize the whole journal as JSON — the byte-comparison surface
-    /// for the determinism test and the on-disk journal format.
+    /// for the determinism test and the on-disk journal format. Written
+    /// into one buffer reserved from the event and segment counts.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).unwrap_or_else(|_| String::from("{}"))
+        let segments: usize = self.devices.iter().map(Vec::len).sum();
+        let mut out = String::with_capacity(
+            JOURNAL_BYTES
+                + self.events.len() * EVENT_BYTES
+                + self.devices.len() * DEVICE_BYTES
+                + segments * SEGMENT_BYTES,
+        );
+        self.serialize(&mut Serializer::new(&mut out, false));
+        out.shrink_to_fit();
+        out
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::stage_reference::{reference_stage_events, same_events};
+    use proptest::prelude::*;
+
+    /// A float whose compact text is [`FLOAT_BYTES`] long.
+    pub(crate) const WIDEST_FLOAT: f64 = -1.2345678901234567e-5;
 
     /// One of every `TraceEvent` variant, with awkward floats (integral,
-    /// negative zero, non-finite, tiny, huge) and extreme integers.
+    /// negative zero, non-finite, tiny, huge) and extreme integers, and
+    /// device activity with an overlap, a zero-length segment and a
+    /// device that kept no segments.
     pub(crate) fn every_variant() -> FlightRecorder {
         let events = [
             TraceEvent::PrefillAdmit {
@@ -448,6 +523,13 @@ pub(crate) mod tests {
         for (i, e) in events.into_iter().enumerate() {
             r.record(i as f64 * 0.375, e);
         }
+        let mut tl = Timeline::new(true);
+        tl.record(0, 0.5, 1.25, SegmentKind::Prefill, 1);
+        tl.record(0, 1.0, 2.0, SegmentKind::Decode, 2);
+        tl.record_busy(1, 0.0, 0.0, 0.0);
+        tl.record(2, 0.0, 0.0, SegmentKind::Comm, 3);
+        tl.record(2, 0.1 + 0.2, 6.0, SegmentKind::Hybrid, 4);
+        r.append_stage_events(&tl, 6.0);
         r
     }
 
@@ -470,6 +552,8 @@ pub(crate) mod tests {
             pretty,
             include_str!("../testdata/every_variant.pretty.json")
         );
+        // The reserved writer prints what the generic one does.
+        assert_eq!(r.to_json(), serde_json::to_string(&r).unwrap());
         // Both read back to the same journal (NaN and the infinities
         // print as `null` and read back as NaN).
         for json in [r.to_json(), pretty] {
@@ -523,6 +607,15 @@ pub(crate) mod tests {
         assert_eq!(back.events().len(), 2);
     }
 
+    fn idles(r: &FlightRecorder) -> Vec<(u32, f64, f64)> {
+        r.stage_events()
+            .filter_map(|e| match e.event {
+                TraceEvent::StageIdle { device, dur } => Some((device, e.t, dur)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn stage_events_record_every_idle_gap() {
         let mut tl = Timeline::new(true);
@@ -533,16 +626,9 @@ pub(crate) mod tests {
         r.append_stage_events(&tl, 3.0);
         // Device 0: busy, idle (gap 1.0), busy, ending the run. Device 1:
         // warm-up idle, one busy, drain idle.
-        assert_eq!(r.stage_events().len(), 6);
-        let idles: Vec<(u32, f64, f64)> = r
-            .stage_events()
-            .iter()
-            .filter_map(|e| match e.event {
-                TraceEvent::StageIdle { device, dur } => Some((device, e.t, dur)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(idles, vec![(0, 1.0, 1.0), (1, 0.0, 0.5), (1, 1.5, 1.5)]);
+        assert_eq!(r.stage_events().count(), 6);
+        assert_eq!(r.len(), 6);
+        assert_eq!(idles(&r), vec![(0, 1.0, 1.0), (1, 0.0, 0.5), (1, 1.5, 1.5)]);
     }
 
     #[test]
@@ -554,20 +640,11 @@ pub(crate) mod tests {
         r.append_stage_events(&tl, 2.0);
         // Device 0: busy [0,1], drain idle [1,2].
         // Device 1: warm-up idle [0,0.5], busy [.5,1.5], drain [1.5,2].
-        let idles: Vec<(u32, f64, f64)> = r
-            .stage_events()
-            .iter()
-            .filter_map(|e| match e.event {
-                TraceEvent::StageIdle { device, dur } => Some((device, e.t, dur)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(idles, vec![(0, 1.0, 1.0), (1, 0.0, 0.5), (1, 1.5, 0.5)]);
+        assert_eq!(idles(&r), vec![(0, 1.0, 1.0), (1, 0.0, 0.5), (1, 1.5, 0.5)]);
         // Per device, busy + idle tile [0, run_end] exactly.
         for device in 0..2u32 {
             let covered: f64 = r
                 .stage_events()
-                .iter()
                 .filter_map(|e| match e.event {
                     TraceEvent::StageBusy { device: d, dur, .. } if d == device => Some(dur),
                     TraceEvent::StageIdle { device: d, dur } if d == device => Some(dur),
@@ -576,6 +653,248 @@ pub(crate) mod tests {
                 .sum();
             assert_eq!(covered, 2.0, "device {device}");
         }
+    }
+
+    #[test]
+    fn a_second_call_replaces_the_record() {
+        let mut tl = Timeline::new(true);
+        tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 1);
+        tl.record(1, 0.5, 1.5, SegmentKind::Decode, 1);
+        let mut r = FlightRecorder::with_capacity(0);
+        r.append_stage_events(&Timeline::new(true), 9.0);
+        assert!(r.is_empty());
+        r.append_stage_events(&tl, 4.0);
+        r.append_stage_events(&tl, 2.0);
+        let want = reference_stage_events(&tl, 2.0);
+        assert!(same_events(&r.stage_events().collect::<Vec<_>>(), &want));
+        assert_eq!(std::mem::size_of::<Busy>(), 24);
+        // Rows are sized exactly from the per-device counts.
+        assert!(r.devices.iter().all(|row| row.capacity() == row.len()));
+    }
+
+    /// Every edge the derivation meets, on one timeline: a zero-length
+    /// segment, a device with no segments, overlapping segments (the
+    /// `max` in the latest busy end) and segments out of start order, and
+    /// a `run_end` at one device's last end and before another's.
+    #[test]
+    fn derived_events_match_the_reference_on_every_edge() {
+        let mut tl = Timeline::new(true);
+        tl.record(0, 0.0, 3.0, SegmentKind::Decode, 1);
+        tl.record(0, 1.0, 2.0, SegmentKind::Decode, 2);
+        tl.record(0, 2.5, 2.5, SegmentKind::Comm, 3);
+        tl.record(0, 3.5, 4.0, SegmentKind::Prefill, 4);
+        tl.record_busy(1, 0.5, 0.0, 0.5);
+        tl.record(2, 1.0, 5.0, SegmentKind::Hybrid, 5);
+        tl.record(2, 2.0, 3.0, SegmentKind::Decode, 6);
+        for run_end in [4.0, 3.0, 6.0, 0.0] {
+            let mut r = FlightRecorder::with_capacity(0);
+            r.append_stage_events(&tl, run_end);
+            let want = reference_stage_events(&tl, run_end);
+            let got: Vec<TimedEvent> = r.stage_events().collect();
+            assert!(
+                same_events(&got, &want),
+                "run_end {run_end}:\n{got:?}\n{want:?}"
+            );
+            assert_eq!(r.len(), want.len());
+        }
+        let mut r = FlightRecorder::with_capacity(0);
+        r.append_stage_events(&tl, 6.0);
+        // Device 0 never idles inside [0, 3.5): the overlap keeps its
+        // latest end at 3.0 after the [1, 2] segment. Device 2 drains from
+        // 5.0, its latest end, not from its last segment's 3.0.
+        assert_eq!(
+            idles(&r),
+            vec![
+                (0, 3.0, 0.5),
+                (0, 4.0, 2.0),
+                (1, 0.0, 6.0),
+                (2, 0.0, 1.0),
+                (2, 5.0, 1.0)
+            ]
+        );
+    }
+
+    const KINDS: [SegmentKind; 4] = [
+        SegmentKind::Prefill,
+        SegmentKind::Decode,
+        SegmentKind::Hybrid,
+        SegmentKind::Comm,
+    ];
+
+    /// A timeline over `devices` devices (some of which may get no
+    /// segment), with zero-length and overlapping segments in any start
+    /// order, and a run end that is free, at device 0's last busy end, or
+    /// before it.
+    fn arb_timeline() -> impl Strategy<Value = (Timeline, f64)> {
+        (
+            prop::collection::vec(
+                (
+                    0u32..4,
+                    0.0f64..6.0,
+                    prop_oneof![Just(0.0), 0.0f64..2.0],
+                    0usize..4,
+                ),
+                0..24,
+            ),
+            1u32..6,
+            0u32..3,
+            0.0f64..10.0,
+        )
+            .prop_map(|(segs, devices, mode, free)| {
+                let mut tl = Timeline::new(true);
+                tl.record_busy(devices - 1, 0.0, 0.0, 0.0);
+                for (d, start, len, k) in segs {
+                    tl.record(d % devices, start, start + len, KINDS[k], 0);
+                }
+                let last = tl
+                    .segments()
+                    .iter()
+                    .filter(|s| s.device == 0)
+                    .fold(0.0f64, |m, s| m.max(s.end));
+                let run_end = match mode {
+                    0 => free,
+                    1 => last,
+                    _ => last * 0.5,
+                };
+                (tl, run_end)
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn derived_events_match_the_reference(case in arb_timeline()) {
+            let (tl, run_end) = case;
+            let mut r = FlightRecorder::with_capacity(0);
+            r.append_stage_events(&tl, run_end);
+            let want = reference_stage_events(&tl, run_end);
+            let got: Vec<TimedEvent> = r.stage_events().collect();
+            prop_assert!(same_events(&got, &want), "{got:?}\n{want:?}");
+            prop_assert_eq!(r.len(), want.len());
+            // The journal's JSON keeps them.
+            let back: FlightRecorder = serde_json::from_str(&r.to_json()).unwrap();
+            prop_assert!(same_events(&back.stage_events().collect::<Vec<_>>(), &want));
+        }
+    }
+
+    #[test]
+    fn old_layout_and_malformed_segments_fail_by_name() {
+        let old = r#"{"enabled":true,"events":[],"stage_events":[{"t":0.0,"event":{"StageIdle":{"device":0,"dur":1.0}}}]}"#;
+        let err = serde_json::from_str::<FlightRecorder>(old)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("missing field `run_end`"), "{err}");
+        for (segment, needle) in [
+            ("[0.0,1.0]", "fewer elements"),
+            (r#"["0.0",1.0,"Decode"]"#, "expected f64"),
+            (r#"[0.0,1.0,"Idle"]"#, "unknown variant `Idle`"),
+            (r#"[0.0,1.0,"Decode",4]"#, "more elements"),
+            (r#"{"start":0.0}"#, "3-tuple"),
+        ] {
+            let doc =
+                format!(r#"{{"enabled":true,"events":[],"run_end":2.0,"devices":[[{segment}]]}}"#);
+            let err = serde_json::from_str::<FlightRecorder>(&doc)
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("`devices` segment"), "{segment}: {err}");
+            assert!(err.contains(needle), "{segment}: {err}");
+        }
+    }
+
+    /// Each event and segment at its widest (every float [`FLOAT_BYTES`]
+    /// long, every integer at its type's maximum) fits the bytes the
+    /// exporters reserve for one record, and the widest one fills them.
+    #[test]
+    fn reserved_record_bytes_bound_every_variant() {
+        let mut text = String::new();
+        serde::push_float(&mut text, WIDEST_FLOAT);
+        assert_eq!(text.len(), FLOAT_BYTES);
+        let f = WIDEST_FLOAT;
+        let widest = widest_events(f);
+        let mut longest = 0;
+        for event in &widest {
+            let e = TimedEvent {
+                t: f,
+                event: *event,
+            };
+            let len = serde_json::to_string(&e).unwrap().len() + 1;
+            assert!(len <= EVENT_BYTES, "{e:?}: {len}");
+            longest = longest.max(len);
+        }
+        assert_eq!(longest, EVENT_BYTES);
+        for kind in KINDS {
+            let len = serde_json::to_string(&Busy(f, f, kind)).unwrap().len() + 1;
+            assert!(len <= SEGMENT_BYTES, "{kind:?}: {len}");
+        }
+    }
+
+    /// One of every variant with every field at its widest.
+    pub(crate) fn widest_events(f: f64) -> Vec<TraceEvent> {
+        let u = u64::MAX;
+        let n = usize::MAX;
+        vec![
+            TraceEvent::PrefillAdmit {
+                request: u,
+                tokens: u,
+                reason: AdmitReason::FirstPrefill,
+            },
+            TraceEvent::PrefillStop {
+                reason: PrefillStopReason::Exhausted,
+                admitted: u,
+            },
+            TraceEvent::PrefillLaunch {
+                seq: u,
+                batch: n,
+                tokens: u,
+                ready: f,
+            },
+            TraceEvent::PrefillDone { request: u },
+            TraceEvent::RequestFinish {
+                request: u,
+                arrival: f,
+                first_token: f,
+            },
+            TraceEvent::ArrivalWait { until: f },
+            TraceEvent::StealWithhold { n, target: n },
+            TraceEvent::StealSupplement { n, target: n },
+            TraceEvent::Evict {
+                mode: EvictMode::Recompute,
+                victim: u,
+            },
+            TraceEvent::SwitchDecision {
+                spatial: f,
+                temporal: f,
+                batch: n,
+                est_longest: f,
+                est_phase_len: f,
+                switch: false,
+            },
+            TraceEvent::PhaseSwitch {
+                from: Phase::Prefill,
+                to: Phase::Prefill,
+            },
+            TraceEvent::SessionRetain {
+                request: u,
+                tokens: u,
+            },
+            TraceEvent::SessionDrop {
+                request: u,
+                tokens: u,
+            },
+            TraceEvent::SessionReuseHit {
+                request: u,
+                tokens: u,
+            },
+            TraceEvent::SessionReuseMiss { request: u },
+            TraceEvent::StageBusy {
+                device: u32::MAX,
+                kind: SegmentKind::Prefill,
+                dur: f,
+            },
+            TraceEvent::StageIdle {
+                device: u32::MAX,
+                dur: f,
+            },
+        ]
     }
 
     #[test]

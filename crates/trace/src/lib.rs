@@ -35,6 +35,12 @@ pub mod chrome;
 pub mod event;
 pub mod table;
 
+#[cfg(test)]
+extern crate self as tdpipe_trace;
+#[cfg(test)]
+#[path = "../tests/support/stage_reference.rs"]
+mod stage_reference;
+
 pub use chrome::{chrome_trace, validate_chrome_trace, ChromeTraceCheck};
 pub use event::{
     AdmitReason, EvictMode, FlightRecorder, PrefillStopReason, TimedEvent, TraceEvent,

@@ -25,7 +25,10 @@
 #      profile, where a missed estimate-cache invalidation or a drifted
 #      planner fails loudly — on the simulator and on the threaded plane
 #      alike; the workload crate's tests run there too, so both in-place
-#      generators' range arithmetic runs with overflow checks on
+#      generators' range arithmetic runs with overflow checks on, and so
+#      do the trace and spans crates' tests, so the journal's stage-event
+#      derivation and the bubble fold over it run with debug asserts and
+#      overflow checks
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
 #  4b. figure artifacts: every figure binary reruns at its default
 #      request count into a temp dir (`scripts/figures.sh --check`,
@@ -105,6 +108,7 @@ cargo test --release --workspace -q
 step "tests (debug profile: engine oracles on)"
 cargo test -q -p tdpipe-core
 cargo test -q -p tdpipe-workload
+cargo test -q -p tdpipe-trace -p tdpipe-spans
 cargo test -q --test baseline_golden --test determinism --test runtime_equivalence
 
 step "smoke (bit-identical fig11 snapshot)"

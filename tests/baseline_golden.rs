@@ -31,6 +31,11 @@
 //! * for TD-Pipe, digests of the journal, the phase log and the occupancy
 //!   trace.
 //!
+//! The journal keeps device activity as per-device busy segments. Written
+//! back in the layout that stored every derived `StageBusy`/`StageIdle`
+//! event, each TD-Pipe journal still digests to what that layout pinned
+//! (`OLD_LAYOUT_JOURNALS`), so the segment layout loses nothing.
+//!
 //! An offload record is its serialized `RunReport` or `NodeOffloadRun`.
 //!
 //! After an intended schedule change, regenerate the fixtures deliberately
@@ -50,6 +55,7 @@ use tdpipe::model::ModelSpec;
 use tdpipe::offload::{HostLink, OffloadEngine};
 use tdpipe::predictor::{MeanPredictor, OraclePredictor, OutputLenPredictor};
 use tdpipe::sim::{RunReport, SegmentKind, Timeline};
+use tdpipe::trace::{FlightRecorder, TimedEvent};
 use tdpipe::workload::{
     ArrivalProcess, SessionConfig, SessionTrace, ShareGptLikeConfig, Trace, Workload,
 };
@@ -376,6 +382,32 @@ fn render_td() -> String {
     out
 }
 
+/// The journal in the layout that stored device activity as events:
+/// engine events first, then every derived stage event under
+/// `stage_events`.
+fn old_layout_json(journal: &FlightRecorder) -> String {
+    let stage: Vec<TimedEvent> = journal.stage_events().collect();
+    format!(
+        r#"{{"enabled":{},"events":{},"stage_events":{}}}"#,
+        journal.is_enabled(),
+        serde_json::to_string(journal.events()).expect("serialize events"),
+        serde_json::to_string(&stage).expect("serialize stage events"),
+    )
+}
+
+/// The `journal` lines `tdpipe_golden.txt` held while the journal stored
+/// every stage event, one per TD-Pipe case in order.
+const OLD_LAYOUT_JOURNALS: [&str; 8] = [
+    "journal 4709 57e0dc566ca8af55",
+    "journal 38861 fcad407419fe7eb2",
+    "journal 81185 b24e059fba954850",
+    "journal 4538 1a7ebc9230ed13f2",
+    "journal 4534 154e80c2d66103d9",
+    "journal 12081 6f668bf00fc8d142",
+    "journal 24907 a72d0f3fe44236e2",
+    "journal 27596 80418eed1d88fe3c",
+];
+
 fn render_offload() -> String {
     let engine = |cfg| {
         OffloadEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), 256 << 30, cfg)
@@ -438,6 +470,19 @@ fn baselines_match_the_committed_golden() {
 #[test]
 fn tdpipe_matches_the_committed_golden() {
     assert_matches_fixture(TD_FIXTURE, &render_td());
+}
+
+#[test]
+fn tdpipe_journals_in_the_old_layout_match_the_old_digests() {
+    let inputs = td_inputs();
+    let got: Vec<String> = td_cases(&inputs)
+        .iter()
+        .map(|case| {
+            let o = run_td(case).expect("every TD-Pipe case is feasible");
+            digest_line("journal", o.journal.len(), &old_layout_json(&o.journal))
+        })
+        .collect();
+    assert_eq!(got, OLD_LAYOUT_JOURNALS);
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! text to its error, and a command turns away, by name, a flag it does
 //! not read. A `--gpus` count whose KV pool holds more tokens than one
 //! request's residency record can count still runs to a report, and so
-//! does a run of no requests at all.
+//! does a run of no requests at all. A journal in the layout that stored
+//! stage events, or one with a malformed device segment, is turned away
+//! with a message naming what is wrong.
 
 use std::process::Command;
 
@@ -41,6 +43,53 @@ fn deeply_nested_inputs_exit_1_with_a_message() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert_eq!(out.status.code(), Some(1), "{cmd:?} on {name}: {stderr}");
             assert!(stderr.contains(needle), "{cmd:?} on {name}: {stderr}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn old_layout_and_malformed_segment_journals_fail_by_name() {
+    let dir = std::env::temp_dir().join(format!("tdpipe-cli-journal-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let old = r#"{"enabled":true,"events":[],"stage_events":[{"t":0.0,"event":{"StageIdle":{"device":0,"dur":1.0}}}]}"#;
+    let with_segment = |segment: &str| {
+        format!(r#"{{"enabled":true,"events":[],"run_end":2.0,"devices":[[{segment}]]}}"#)
+    };
+    for (name, doc, needle) in [
+        ("old.json", old.to_string(), "missing field `run_end`"),
+        ("short.json", with_segment("[0.0,1.0]"), "`devices` segment"),
+        (
+            "string.json",
+            with_segment(r#"["0.0",1.0,"Decode"]"#),
+            "`devices` segment",
+        ),
+        (
+            "kind.json",
+            with_segment(r#"[0.0,1.0,"Idle"]"#),
+            "`devices` segment",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, doc).unwrap();
+        let file = path.to_str().unwrap();
+        for cmd in [
+            ["span-report", "--journal", file],
+            ["bubble-report", "--journal", file],
+            ["trace-summary", "--journal", file],
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_tdpipe-cli"))
+                .args(cmd)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} on {name}: {stderr}");
+            assert!(
+                stderr.contains("bad journal"),
+                "{cmd:?} on {name}: {stderr}"
+            );
+            assert!(stderr.contains(needle), "{cmd:?} on {name}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{cmd:?} on {name}: {stderr}");
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();

@@ -147,7 +147,6 @@ fn bubble_seconds_refold_exactly_to_stage_idle_per_device() {
         let journal_durs: Vec<f64> = out
             .journal
             .stage_events()
-            .iter()
             .filter_map(|e| match e.event {
                 TraceEvent::StageIdle { device, dur } if device == d.device => Some(dur),
                 _ => None,

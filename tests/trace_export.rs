@@ -1,9 +1,16 @@
 //! The flight recorder's end-to-end contract: exports are schema-valid
 //! and deterministic, their floats print exactly as Rust's `{}` does and
-//! read back to the same bytes, and turning recording on or off never
-//! changes the schedule itself.
+//! read back to the same bytes, turning recording on or off never
+//! changes the schedule itself, and the stage events the journal derives
+//! from its stored segments are the ones the timeline gives.
+
+#[path = "../crates/trace/tests/support/stage_reference.rs"]
+mod stage_reference;
 
 use serde::Value;
+use stage_reference::{reference_stage_events, same_events};
+use tdpipe::baselines::PpSbEngine;
+use tdpipe::core::config::EngineConfig;
 use tdpipe::core::engine::RunOutcome;
 use tdpipe::core::{TdPipeConfig, TdPipeEngine};
 use tdpipe::hw::NodeSpec;
@@ -174,6 +181,35 @@ fn journal_narrates_the_phase_structure() {
     assert!(table.lines().count() >= out.phases.len());
 }
 
+/// On real TD-Pipe and PP+SB runs, the stage events derived from the
+/// journal's segments, before and after a JSON round trip, are the
+/// reference loop's over the run's timeline, event for event.
+#[test]
+fn derived_stage_events_match_the_reference_on_real_runs() {
+    let trace = ShareGptLikeConfig::small(600, 9).generate();
+    let pp_cfg = EngineConfig {
+        record_trace: true,
+        record_timeline: true,
+        ..EngineConfig::default()
+    };
+    let pp = PpSbEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(4), pp_cfg)
+        .expect("13B fits 4xL20")
+        .run(&trace, &OraclePredictor);
+    for (name, out) in [("TD-Pipe", run(&trace, traced_cfg())), ("PP+SB", pp)] {
+        let want = reference_stage_events(&out.timeline, out.report.makespan);
+        assert!(want.len() > 1_000, "{name}: {} stage events", want.len());
+        let back: FlightRecorder = serde_json::from_str(&out.journal.to_json()).unwrap();
+        for journal in [&out.journal, &back] {
+            let got: Vec<_> = journal.stage_events().collect();
+            assert!(
+                same_events(&got, &want),
+                "{name}: derived stage events drifted"
+            );
+            assert_eq!(journal.len(), out.journal.events().len() + want.len());
+        }
+    }
+}
+
 #[test]
 fn journal_floats_print_as_display_does_and_round_trip() {
     let trace = ShareGptLikeConfig::small(2_000, 42).generate();
@@ -188,6 +224,7 @@ fn journal_floats_print_as_display_does_and_round_trip() {
         .journal
         .events()
         .iter()
+        .copied()
         .chain(out.journal.stage_events())
         .map(|e| e.t)
         .collect();
