@@ -253,9 +253,9 @@ mod tests {
              paths = [\n  \"crates/sim/src\", # inline comment\n  \"crates/core/src\",\n]\n\
              rules = [\"no-instant-now\", \"no-hash-collections\"]\n\
              \n\
-             [set.panics]\n\
-             paths = [\"crates/runtime/src\"]\n\
-             rules = [\"no-unwrap\"]\n",
+             [set.accounting]\n\
+             paths = [\"crates/kvcache/src\"]\n\
+             rules = [\"unit-mismatch\"]\n",
         )
         .unwrap();
         assert_eq!(cfg.sets.len(), 2);
@@ -264,7 +264,7 @@ mod tests {
             cfg.paths_with_rule("no-instant-now"),
             vec!["crates/sim/src", "crates/core/src"]
         );
-        assert!(cfg.paths_with_rule("no-unwrap") == vec!["crates/runtime/src"]);
+        assert!(cfg.paths_with_rule("unit-mismatch") == vec!["crates/kvcache/src"]);
     }
 
     #[test]

@@ -119,8 +119,8 @@ impl Baseline {
                 count: *count,
             })
             .collect();
-        // analyzer: allow(no-expect) — serializing a plain vec of
-        // (string, string, usize) entries cannot fail.
+        #[expect(clippy::expect_used, reason = "serializing a plain vec of (string, string, usize) \
+            entries cannot fail")]
         let mut s = serde_json::to_string_pretty(&entries).expect("baseline serializes");
         s.push('\n');
         s

@@ -14,20 +14,22 @@
 //!      reports — no `Instant::now` / `SystemTime`, no
 //!      `HashMap`/`HashSet` (iteration order leaks into output), no f64
 //!      sorts bypassing `total_cmp`;
-//!    * *panic-safety rules* for the supervised runtime and the engine's
-//!      execution-plane surface — no non-test
-//!      `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`, so every
-//!      runtime failure routes through `RuntimeError`/`ExecError`;
-//!    * *accounting rules* — lossy float→int `as` casts in
-//!      cost/intensity/kvcache accounting code must carry a written
-//!      justification, and the **accounting-dimension check**
-//!      (`unit-mismatch`) flags `+`/`-`/comparison between values whose
-//!      inferred units differ (tokens vs blocks vs seconds vs bytes vs
-//!      count — suffix conventions plus the `[units]` table);
+//!    * the **accounting-dimension check** (`unit-mismatch`) — flags
+//!      `+`/`-`/comparison between values whose inferred units differ
+//!      (tokens vs blocks vs seconds vs bytes vs count — suffix
+//!      conventions plus the `[units]` table);
 //!    * *semantic rules* — hash-order iteration via collection-type
-//!      tracking, bare float→int casts via float-name tracking, and
-//!      observer purity: branches gated on `EngineConfig::record_*`
-//!      may only assign to the `[observers]` allow-list.
+//!      tracking (the iterator calls clippy's `iter_over_hash_type`,
+//!      which sees only `for` loops, misses), and observer purity:
+//!      branches gated on `EngineConfig::record_*` may only assign to
+//!      the `[observers]` allow-list.
+//!
+//!    Panic-safety (no non-test `unwrap`/`expect`/`panic!`/`todo!`/
+//!    `unimplemented!` on the supervised execution plane) and float-to-int
+//!    casts in accounting code are clippy lints, not rules here: each
+//!    covered crate denies them in its `Cargo.toml` (in `crates/core`,
+//!    per file), with `#[expect(clippy::<lint>, reason = "..")]` as the
+//!    escape, and `scripts/ci.sh` runs clippy before this pass.
 //!
 //!    A committed ratchet baseline ([`findings`]) makes CI fail on any
 //!    *new* finding while tolerating (and reporting) the baseline.

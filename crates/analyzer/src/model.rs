@@ -350,26 +350,28 @@ mod tests {
 
     #[test]
     fn allow_trailing_and_standalone() {
-        let src = "a.unwrap(); // analyzer: allow(no-unwrap) — trailing case\n\
-                   // analyzer: allow(no-panic) — standalone case\n\
-                   panic!();\n";
+        let src = "Instant::now(); // analyzer: allow(no-instant-now) — trailing case\n\
+                   // analyzer: allow(no-system-time) — standalone case\n\
+                   SystemTime::now();\n";
         let f = FileModel::build(src);
-        let t = f.allows_for(1, "no-unwrap").expect("trailing allow");
+        let t = f.allows_for(1, "no-instant-now").expect("trailing allow");
         assert_eq!(t.justification, "trailing case");
-        let s = f.allows_for(3, "no-panic").expect("standalone allow");
+        let s = f.allows_for(3, "no-system-time").expect("standalone allow");
         assert_eq!(s.justification, "standalone case");
     }
 
     #[test]
     fn allow_without_justification_is_kept_but_empty() {
-        let f = FileModel::build("x.unwrap(); // analyzer: allow(no-unwrap)\n");
-        let a = f.allows_for(1, "no-unwrap").unwrap();
+        let f = FileModel::build("Instant::now(); // analyzer: allow(no-instant-now)\n");
+        let a = f.allows_for(1, "no-instant-now").unwrap();
         assert!(a.justification.is_empty());
     }
 
     #[test]
     fn allow_inside_string_is_not_an_escape() {
-        let f = FileModel::build("let s = \"// analyzer: allow(no-unwrap) — nope\";\nx.unwrap();\n");
+        let f = FileModel::build(
+            "let s = \"// analyzer: allow(no-instant-now) — nope\";\nInstant::now();\n",
+        );
         assert!(f.allows.is_empty());
     }
 

@@ -7,15 +7,22 @@
 //! stable identifiers used in `analyzer.toml`, in
 //! `// analyzer: allow(<rule>)` escapes, and in the ratchet baseline.
 //!
-//! Rules come in two families:
+//! Seven rules remain, each a check clippy has no lint for:
 //!
-//! * **syntactic** — re-hosts of the v1 masked-scanner rules
-//!   (`no-instant-now` … `lossy-float-cast`), now token-exact;
+//! * **syntactic** — `no-instant-now`, `no-system-time`,
+//!   `no-hash-collections` and `f64-sort-total-cmp`, token-exact;
 //! * **semantic** — rules that track a little state across the file:
 //!   unit inference for the accounting-dimension check
 //!   ([`check_unit_mismatch`]), collection-type tracking for
-//!   hash-order iteration, float-typed-name tracking for bare casts,
-//!   and observer-gate branch analysis.
+//!   hash-order iteration (clippy's `iter_over_hash_type` sees only
+//!   `for` loops, not `.iter().count()`-style calls), and observer-gate
+//!   branch analysis.
+//!
+//! Panic-safety and float-to-int casts are clippy lints (`unwrap_used`,
+//! `expect_used`, `panic`, `todo`, `unimplemented`,
+//! `cast_possible_truncation`, `cast_sign_loss`), denied per crate in
+//! `Cargo.toml` or per file in `crates/core`; clippy knows the types
+//! these rules used to guess from names.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::FileModel;
@@ -151,63 +158,6 @@ pub fn registry() -> &'static [Rule] {
             check: check_f64_sort,
         },
         Rule {
-            name: "no-unwrap",
-            description: "panic-safety: runtime failures must route through \
-                          RuntimeError/ExecError, not `.unwrap()`",
-            rationale: "Supervised code (runtime, engine execution plane) must convert \
-                        every failure into the structured error surface so the \
-                        supervisor can record and recover it; a panic tears down the \
-                        worker instead.",
-            example: "let x = rx.recv().unwrap();",
-            check: check_unwrap,
-        },
-        Rule {
-            name: "no-expect",
-            description: "panic-safety: runtime failures must route through \
-                          RuntimeError/ExecError, not `.expect(..)`",
-            rationale: "`.expect` is `.unwrap` with a nicer epitaph — the process still \
-                        dies. Route the failure into RuntimeError/ExecError instead.",
-            example: "let x = rx.recv().expect(\"worker gone\");",
-            check: check_expect,
-        },
-        Rule {
-            name: "no-panic",
-            description: "panic-safety: `panic!` in supervised code bypasses the \
-                          structured failure surface",
-            rationale: "An explicit `panic!` in supervised code is an unstructured \
-                        crash the fault-injection harness cannot model. Return an \
-                        error variant.",
-            example: "panic!(\"unreachable state\");",
-            check: check_panic,
-        },
-        Rule {
-            name: "no-todo",
-            description: "panic-safety: `todo!` must not reach supervised code",
-            rationale: "`todo!` compiles and then detonates at runtime; unfinished \
-                        paths must fail to compile or return a structured error.",
-            example: "todo!()",
-            check: check_todo,
-        },
-        Rule {
-            name: "no-unimplemented",
-            description: "panic-safety: `unimplemented!` must not reach supervised code",
-            rationale: "Like no-todo: a runtime landmine where the type system should \
-                        have refused the program, or an error should be returned.",
-            example: "unimplemented!()",
-            check: check_unimplemented,
-        },
-        Rule {
-            name: "lossy-float-cast",
-            description: "accounting: a lossy float→int `as` cast in accounting code \
-                          needs a written justification (range, sign, rounding intent)",
-            rationale: "`as` saturates, truncates toward zero, and maps NaN to 0 — \
-                        three silent behaviours in one keyword. Accounting code \
-                        (tokens, blocks, virtual time) must state which of them the \
-                        call site relies on, via an allow escape.",
-            example: "let blocks = (tokens as f64 / block_size as f64).ceil() as u64;",
-            check: check_lossy_float_cast,
-        },
-        Rule {
             name: "unit-mismatch",
             description: "accounting: `+`/`-`/comparison between values of different \
                           accounting dimensions (tokens vs blocks vs seconds vs bytes)",
@@ -233,18 +183,6 @@ pub fn registry() -> &'static [Rule] {
             check: check_hash_order_iteration,
         },
         Rule {
-            name: "float-int-cast",
-            description: "accounting: bare `name as uN` where `name` is known to be \
-                          floating-point truncates silently",
-            rationale: "lossy-float-cast only sees casts whose source expression is \
-                        syntactically float. This rule tracks names *declared* f64/f32 \
-                        (annotations and float-literal lets) and flags bare \
-                        `name as u64`-style casts of them, which the paren-based rule \
-                        cannot see.",
-            example: "let ratio: f64 = 0.5; let n = ratio as u64;",
-            check: check_float_int_cast,
-        },
-        Rule {
             name: "observer-purity",
             description: "observability: a `record_*` observer gate must be branch-only \
                           — no engine state mutated inside its branches",
@@ -264,10 +202,6 @@ pub fn registry() -> &'static [Rule] {
 pub fn rule_by_name(name: &str) -> Option<&'static Rule> {
     registry().iter().find(|r| r.name == name)
 }
-
-const INT_TYPES: [&str; 12] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
 
 const PRIMITIVES: [&str; 15] = [
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
@@ -372,134 +306,6 @@ fn check_f64_sort(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
             message: "float sort via `partial_cmp` — use `total_cmp`".to_string(),
         })
         .collect()
-}
-
-/// `.name(` as three consecutive tokens.
-fn method_calls(f: &FileModel, name: &str) -> Vec<usize> {
-    let c = &f.code;
-    let mut lines = Vec::new();
-    for i in 0..c.len() {
-        if c[i].is_punct(".")
-            && c.get(i + 1).map(|t| t.is_ident(name)).unwrap_or(false)
-            && c.get(i + 2).map(|t| t.is_punct("(")).unwrap_or(false)
-        {
-            lines.push(c[i + 1].line);
-        }
-    }
-    lines
-}
-
-fn check_unwrap(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    method_calls(f, "unwrap")
-        .into_iter()
-        .map(|line| Hit {
-            line,
-            message: "`.unwrap()` on a fallible value".to_string(),
-        })
-        .collect()
-}
-
-fn check_expect(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    method_calls(f, "expect")
-        .into_iter()
-        .map(|line| Hit {
-            line,
-            message: "`.expect(..)` on a fallible value".to_string(),
-        })
-        .collect()
-}
-
-/// `name` ident directly followed by a lone `!` punct (macro invocation;
-/// `!=` lexes as one token so it never matches).
-fn bang_macro(f: &FileModel, name: &str) -> Vec<usize> {
-    let c = &f.code;
-    let mut lines = Vec::new();
-    for i in 0..c.len() {
-        if c[i].is_ident(name) && c.get(i + 1).map(|t| t.is_punct("!")).unwrap_or(false) {
-            lines.push(c[i].line);
-        }
-    }
-    lines
-}
-
-fn check_panic(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    bang_macro(f, "panic")
-        .into_iter()
-        .map(|line| Hit {
-            line,
-            message: "`panic!` invocation".to_string(),
-        })
-        .collect()
-}
-
-fn check_todo(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    bang_macro(f, "todo")
-        .into_iter()
-        .map(|line| Hit {
-            line,
-            message: "`todo!` invocation".to_string(),
-        })
-        .collect()
-}
-
-fn check_unimplemented(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    bang_macro(f, "unimplemented")
-        .into_iter()
-        .map(|line| Hit {
-            line,
-            message: "`unimplemented!` invocation".to_string(),
-        })
-        .collect()
-}
-
-/// Flag float→int `as` casts whose source is provably float:
-/// `(..).ceil()/floor()/round() as uN`, or a parenthesized source whose
-/// tokens visibly involve floats (float literal, `f64`/`f32`, or a
-/// rounding method call inside the parens).
-fn check_lossy_float_cast(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    let c = &f.code;
-    let mut hits = Vec::new();
-    for i in 0..c.len() {
-        if !c[i].is_ident("as") {
-            continue;
-        }
-        let Some(ty) = c
-            .get(i + 1)
-            .filter(|t| t.kind == TokKind::Ident && INT_TYPES.contains(&t.text.as_str()))
-        else {
-            continue;
-        };
-        if i == 0 || !c[i - 1].is_punct(")") {
-            continue; // bare `ident as uN` — source type unknowable here
-        }
-        let Some(open) = match_back(c, i - 1) else {
-            continue;
-        };
-        let inner = &c[open + 1..i - 1];
-        let callee = if open > 0 && c[open - 1].kind == TokKind::Ident {
-            c[open - 1].text.as_str()
-        } else {
-            ""
-        };
-        let rounding = ["ceil", "floor", "round"].contains(&callee);
-        let floaty = inner.iter().any(|t| {
-            t.kind == TokKind::Float || t.is_ident("f64") || t.is_ident("f32")
-        }) || inner.windows(3).any(|w| {
-            w[0].is_punct(".")
-                && ["ceil", "floor", "round"].iter().any(|m| w[1].is_ident(m))
-                && w[2].is_punct("(")
-        });
-        if rounding || floaty {
-            hits.push(Hit {
-                line: c[i].line,
-                message: format!(
-                    "lossy float→int cast (`.. as {}`) — justify range/sign or rework",
-                    ty.text
-                ),
-            });
-        }
-    }
-    hits
 }
 
 /// Infer a unit from an identifier: the `[units]` table wins, then the
@@ -664,10 +470,8 @@ fn check_unit_mismatch(f: &FileModel, ctx: &RuleCtx) -> Vec<Hit> {
             continue;
         }
         let op = t.text.as_str();
-        if op == "<" || op == ">" {
-            if angle_is_generic(c, i) {
-                continue;
-            }
+        if (op == "<" || op == ">") && angle_is_generic(c, i) {
+            continue;
         }
         if (op == "-" || op == "+") && !binary_position(c, i) {
             continue;
@@ -701,7 +505,7 @@ fn angle_is_generic(c: &[Token], i: usize) -> bool {
     let upper = |t: &Token| {
         t.kind == TokKind::Ident && t.text.chars().next().map(|c| c.is_ascii_uppercase()).unwrap_or(false)
     };
-    if prev.map(upper).unwrap_or(false) || next.map(|n| upper(n)).unwrap_or(false) {
+    if prev.map(upper).unwrap_or(false) || next.map(upper).unwrap_or(false) {
         return true;
     }
     // `::<` turbofish.
@@ -866,67 +670,6 @@ fn check_hash_order_iteration(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
     hits
 }
 
-/// Track names known to be floats (`name: f64`, `let name = <float
-/// literal>`), then flag bare `name as uN` casts of them.
-fn check_float_int_cast(f: &FileModel, _: &RuleCtx) -> Vec<Hit> {
-    let c = &f.code;
-    let mut floats: Vec<String> = Vec::new();
-    for i in 0..c.len() {
-        if c[i].is_punct(":")
-            && i > 0
-            && c[i - 1].kind == TokKind::Ident
-            && c.get(i + 1).map(|t| t.is_ident("f64") || t.is_ident("f32")).unwrap_or(false)
-        {
-            floats.push(c[i - 1].text.clone());
-        }
-        if c[i].is_ident("let") {
-            let mut k = i + 1;
-            if c.get(k).map(|t| t.is_ident("mut")).unwrap_or(false) {
-                k += 1;
-            }
-            let Some(name) = c.get(k).filter(|t| t.kind == TokKind::Ident) else {
-                continue;
-            };
-            if !c.get(k + 1).map(|t| t.is_punct("=")).unwrap_or(false) {
-                continue;
-            }
-            let mut j = k + 2;
-            while j < c.len() && !c[j].is_punct(";") {
-                if c[j].kind == TokKind::Float {
-                    floats.push(name.text.clone());
-                    break;
-                }
-                j += 1;
-            }
-        }
-    }
-    if floats.is_empty() {
-        return Vec::new();
-    }
-    let mut hits = Vec::new();
-    for i in 0..c.len() {
-        if c[i].is_ident("as")
-            && i > 0
-            && c[i - 1].kind == TokKind::Ident
-            && floats.contains(&c[i - 1].text)
-            && c.get(i + 1)
-                .map(|t| t.kind == TokKind::Ident && INT_TYPES.contains(&t.text.as_str()))
-                .unwrap_or(false)
-        {
-            hits.push(Hit {
-                line: c[i].line,
-                message: format!(
-                    "`{}` is floating-point — bare `as {}` truncates silently; justify or \
-                     round explicitly",
-                    c[i - 1].text,
-                    c[i + 1].text
-                ),
-            });
-        }
-    }
-    hits
-}
-
 /// Assignment operators an observer branch must not apply to non-sinks.
 const ASSIGN_OPS: [&str; 6] = ["=", "+=", "-=", "*=", "/=", "%="];
 
@@ -1082,29 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_and_expect() {
-        assert!(fires("no-unwrap", "let x = y.unwrap();"));
-        assert!(fires("no-unwrap", "let x = y.unwrap ( ) ;"));
-        assert!(!fires("no-unwrap", "let x = y.unwrap_or_else(|| 0);"));
-        assert!(fires("no-expect", "let x = y.expect(\"msg\");"));
-        assert!(!fires("no-expect", "let x = expected.pop();"));
-        assert!(!fires("no-unwrap", "let s = \"don't .unwrap() me\";"));
-    }
-
-    #[test]
-    fn bang_macros() {
-        assert!(fires("no-panic", "panic!(\"boom\")"));
-        assert!(fires("no-panic", "std::panic!(\"boom\")"));
-        assert!(!fires("no-panic", "std::panic::catch_unwind(f)"));
-        assert!(!fires("no-panic", "fn panic_detail() {}"));
-        assert!(fires("no-todo", "todo!()"));
-        assert!(fires("no-unimplemented", "unimplemented!()"));
-        assert!(!fires("no-todo", "let todos = 3;"));
-        // `!=` is one token, never a macro bang.
-        assert!(!fires("no-panic", "if panic != 0 {}"));
-    }
-
-    #[test]
     fn f64_sort() {
         assert!(fires(
             "f64-sort-total-cmp",
@@ -1112,16 +832,6 @@ mod tests {
         ));
         assert!(!fires("f64-sort-total-cmp", "v.sort_by(f64::total_cmp);"));
         assert!(!fires("f64-sort-total-cmp", "a.partial_cmp(&b)"));
-    }
-
-    #[test]
-    fn lossy_casts() {
-        assert!(fires("lossy-float-cast", "let b = (x * 0.9).ceil() as u64;"));
-        assert!(fires("lossy-float-cast", "let s = ((a / b).round() as u32).min(c);"));
-        assert!(fires("lossy-float-cast", "let n = (blocks as f64 * w) as u64;"));
-        assert!(!fires("lossy-float-cast", "let n = tokens as f64;"));
-        assert!(!fires("lossy-float-cast", "let n = blocks as u64;"));
-        assert!(!fires("lossy-float-cast", "let n = (a + b) as u64;"));
     }
 
     #[test]
@@ -1177,14 +887,6 @@ mod tests {
             "hash-order-iteration",
             "let seen: BTreeMap<u64, u64> = BTreeMap::new();\nfor k in seen.keys() { }"
         ));
-    }
-
-    #[test]
-    fn float_int_cast_tracks_names() {
-        assert!(fires("float-int-cast", "let ratio: f64 = compute();\nlet n = ratio as u64;"));
-        assert!(fires("float-int-cast", "let w = 0.5;\nlet n = w as usize;"));
-        assert!(!fires("float-int-cast", "let n = blocks as u64;"));
-        assert!(!fires("float-int-cast", "let ratio: f64 = x;\nlet n = other as u64;"));
     }
 
     #[test]

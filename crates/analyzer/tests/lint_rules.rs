@@ -45,14 +45,6 @@ rules = [
     "no-hash-collections",
     "f64-sort-total-cmp",
 ]
-
-[set.panic-safety]
-paths = ["src/panics.rs"]
-rules = ["no-unwrap", "no-expect", "no-panic", "no-todo", "no-unimplemented"]
-
-[set.accounting]
-paths = ["src/cast.rs"]
-rules = ["lossy-float-cast"]
 "#;
 
 fn rules_fired(fix: &Fixture) -> Vec<(String, String, usize)> {
@@ -79,35 +71,12 @@ fn every_rule_has_a_firing_and_a_non_firing_fixture() {
          fn c(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n\
          fn d(v: &mut Vec<f64>) { v.sort_by(f64::total_cmp); }\n",
     );
-    // Panic-safety rules; `src/panics.rs` is also under the determinism
-    // set (whole `src`), which must not duplicate findings.
-    fix.write(
-        "src/panics.rs",
-        "fn a(x: Option<u32>) -> u32 { x.unwrap() }\n\
-         fn b(x: Option<u32>) -> u32 { x.expect(\"msg\") }\n\
-         fn c() { panic!(\"boom\") }\n\
-         fn d() { todo!() }\n\
-         fn e() { unimplemented!() }\n\
-         fn f(x: Option<u32>) -> u32 { x.unwrap_or_default() }\n",
-    );
-    // Accounting rule.
-    fix.write(
-        "src/cast.rs",
-        "fn a(x: f64) -> u64 { (x * 0.5).ceil() as u64 }\n\
-         fn b(x: u32) -> u64 { x as u64 }\n",
-    );
     let fired = rules_fired(&fix);
     let expect = [
         ("no-hash-collections", "src/det.rs", 1),
         ("no-instant-now", "src/det.rs", 3),
         ("no-system-time", "src/det.rs", 5),
         ("f64-sort-total-cmp", "src/det.rs", 6),
-        ("no-unwrap", "src/panics.rs", 1),
-        ("no-expect", "src/panics.rs", 2),
-        ("no-panic", "src/panics.rs", 3),
-        ("no-todo", "src/panics.rs", 4),
-        ("no-unimplemented", "src/panics.rs", 5),
-        ("lossy-float-cast", "src/cast.rs", 1),
     ];
     for (rule, file, line) in expect {
         assert!(
@@ -115,8 +84,7 @@ fn every_rule_has_a_firing_and_a_non_firing_fixture() {
             "{rule} should fire at {file}:{line}; got {fired:?}"
         );
     }
-    // Exactly the expected findings — the innocent lines stay clean, and
-    // overlapping sets do not double-report.
+    // Exactly the expected findings — the innocent lines stay clean.
     assert_eq!(fired.len(), expect.len(), "unexpected extra findings: {fired:?}");
 }
 
@@ -137,12 +105,11 @@ fn strings_comments_and_test_scopes_do_not_fire() {
     // A whole file gated behind `#[cfg(test)] mod helper;` is test-only.
     fix.write("src/helper.rs", "fn t() { let x = Instant::now(); }\n");
     fix.write(
-        "src/panics.rs",
+        "src/lib.rs",
         "#[cfg(test)]\nmod helper;\n\
          #[test]\n\
-         fn t() { Option::<u32>::None.unwrap(); }\n",
+         fn t() { let x = SystemTime::now(); }\n",
     );
-    fix.write("src/cast.rs", "fn ok() {}\n");
     let fired = rules_fired(&fix);
     assert!(fired.is_empty(), "nothing should fire: {fired:?}");
 }
@@ -159,8 +126,6 @@ fn allow_escapes_suppress_only_with_justification() {
          fn c() { let x = Instant::now(); } // analyzer: allow(no-instant-now)\n\
          fn d() { let y = Instant::now(); } // analyzer: allow(no-such-rule) — typo'd rule name\n",
     );
-    fix.write("src/panics.rs", "fn ok() {}\n");
-    fix.write("src/cast.rs", "fn ok() {}\n");
     let cfg = Config::parse(FIXTURE_CONFIG).expect("fixture config parses");
     let analysis = analyze_root(&fix.root, &cfg).expect("analysis runs");
 
@@ -252,36 +217,6 @@ fn unit_mismatch_catches_the_doctored_tokens_plus_blocks_bug() {
     // table, so comparing it to `free_blocks` is a mismatch.
     assert_eq!(fired, vec![2, 11], "{fired:?}");
     assert_eq!(suppressed, vec![14], "{suppressed:?}");
-}
-
-#[test]
-fn float_int_cast_tracks_float_names() {
-    let fix = Fixture::new("casts");
-    fix.write(
-        "sem/casts.rs",
-        "fn bad() -> u64 {\n\
-             let frac = 0.5;\n\
-             frac as u64\n\
-         }\n\
-         fn good(n: u64) -> u64 {\n\
-             n as u64\n\
-         }\n\
-         fn annotated(rate: f64) -> u32 {\n\
-             rate as u32\n\
-         }\n\
-         fn escaped() -> u64 {\n\
-             let f = 1.5;\n\
-             f as u64 // analyzer: allow(float-int-cast) — fixture: floor semantics intended\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             fn t() -> u64 { let g = 2.5; g as u64 }\n\
-         }\n",
-    );
-    let (fired, suppressed) =
-        lines_for(&fix, &semantic_config("casts.rs", "float-int-cast"), "float-int-cast");
-    assert_eq!(fired, vec![3, 9], "{fired:?}");
-    assert_eq!(suppressed, vec![13], "{suppressed:?}");
 }
 
 #[test]
@@ -411,8 +346,6 @@ fn ratchet_round_trip_through_committed_json() {
         "src/det.rs",
         "fn a() { let t = Instant::now(); }\nuse std::collections::HashMap;\n",
     );
-    fix.write("src/panics.rs", "fn ok() {}\n");
-    fix.write("src/cast.rs", "fn ok() {}\n");
     let cfg = Config::parse(FIXTURE_CONFIG).expect("fixture config parses");
     let analysis = analyze_root(&fix.root, &cfg).expect("analysis runs");
     assert_eq!(analysis.findings.len(), 2);

@@ -46,9 +46,9 @@ pub struct Lane {
 pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
     assert!(lanes > 0, "need at least one lane");
     let blocks = total_blocks / lanes as u64;
-    // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and blocks ≤
-    // 2^32, so the ceil stays inside u64; rounding up is the conservative
-    // direction for admission.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "watermark is in \
+        [0,1] and blocks <= 2^32, so the ceil stays inside u64; rounding up is the conservative \
+        direction for admission")]
     let watermark_blocks = (blocks as f64 * WATERMARK).ceil() as u64;
     (0..lanes)
         .map(|lane| {
@@ -112,14 +112,13 @@ impl Lane {
     /// # Panics
     /// Panics if the head does not fit (callers check [`Self::head_fits`]).
     pub fn admit_head(&mut self, run: &mut RunState) -> (usize, u32) {
-        // analyzer: allow(no-expect) — callers check `head_fits`, which
-        // is false on an empty queue.
+        #[expect(clippy::expect_used, reason = "callers check `head_fits`, which is false on an \
+            empty queue")]
         let idx = self.pending.pop_front().expect("pending nonempty");
         let t = run.pool.prefill_tokens(idx);
-        // analyzer: allow(no-expect) — `head_fits` found the head's blocks
-        // plus the watermark free, and `t` is a `u32` prompt length (only
-        // `u32::MAX` itself would pass `MAX_RECORD_TOKENS`), so this
-        // allocation cannot fail.
+        #[expect(clippy::expect_used, reason = "`head_fits` found the head's blocks plus the \
+            watermark free, and `t` is a `u32` prompt length (only `u32::MAX` itself would pass \
+            `MAX_RECORD_TOKENS`), so this allocation cannot fail")]
         self.alloc.allocate(idx as u64, t as u64).expect("caller checked head_fits");
         run.pool.note_prefill(idx, t);
         run.stamp_admission(idx);

@@ -323,7 +323,8 @@ impl BaselineEngine {
         now: f64,
     ) {
         let decode_b = lane.residents.len();
-        let mut budget = CHUNK_TOKEN_BUDGET.saturating_sub(decode_b as u32);
+        let mut budget =
+            CHUNK_TOKEN_BUDGET.saturating_sub(u32::try_from(decode_b).unwrap_or(u32::MAX));
         chunks.clear();
         while budget > 0 {
             if lane.prefilling.is_empty()
@@ -392,6 +393,8 @@ impl Policy for LaneRun<'_> {
         finish: f64,
         _now: f64,
     ) -> f64 {
+        #[expect(clippy::cast_possible_truncation, reason = "tags are lane indices, `usize` values \
+            widened to `u64` at launch")]
         let sid = tag as usize;
         let (lane, job) = (&mut self.lanes[sid], &mut self.jobs[sid]);
         let now = self.ctrl.process(finish, job.seqs);

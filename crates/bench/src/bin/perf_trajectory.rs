@@ -508,7 +508,6 @@ fn main() {
         router: RouterConfig {
             policy: RouterPolicy::SessionAffine,
             seed: PAPER_SEED,
-            ..RouterConfig::default()
         },
         ..FleetConfig::default()
     };

@@ -6,6 +6,9 @@
 //! engines — TD-Pipe and the four baselines — price their work here, so
 //! comparisons differ *only* in scheduling policy.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![deny(clippy::allow_attributes_without_reason, unfulfilled_lint_expectations)]
+
 use tdpipe_hw::{Interconnect, KernelModel, NodeSpec};
 use tdpipe_model::{LayerWork, ModelSpec, PipelinePartition, TensorShard};
 

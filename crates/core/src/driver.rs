@@ -9,6 +9,10 @@
 //! means: TD-Pipe's phase machine ([`crate::engine`]) and the baselines'
 //! lanes (`tdpipe-baselines`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![deny(clippy::allow_attributes_without_reason, unfulfilled_lint_expectations)]
+
 use crate::cohort::DecodeStepper;
 use crate::engine::{PhaseRecord, RunOutcome};
 use crate::exec::{ExecError, PipelineExecutor};
@@ -221,10 +225,10 @@ pub fn drive<P: Policy>(
 /// either way the clock cannot advance.
 fn idle_advance(stall: Stall, run: &mut RunState, now: f64) -> f64 {
     let pool = &run.pool;
+    #[expect(clippy::panic, reason = "unschedulable input (one request larger than the whole KV \
+        pool): a precondition documented under `# Panics` on every engine entry point, not a \
+        runtime failure")]
     if let Some((idx, tokens, capacity)) = stall.oversize {
-        // analyzer: allow(no-panic) — unschedulable input (one request
-        // larger than the whole KV pool): a precondition documented under
-        // `# Panics` on every engine entry point, not a runtime failure.
         panic!(
             "request {} ({tokens} tokens) exceeds KV capacity ({capacity} tokens)",
             pool.id(idx)

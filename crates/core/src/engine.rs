@@ -23,6 +23,10 @@
 //! [`tdpipe_sim::PipelineSim`] produces exactly the idle gaps a real
 //! pipeline would show.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![deny(clippy::allow_attributes_without_reason, unfulfilled_lint_expectations)]
+
 use crate::batch::{even_range, partition_even_into, DecodeBatch};
 use crate::cohort::{DecodeCohort, DecodeStepper, StepEnv, StepHooks};
 use crate::config::{
@@ -115,6 +119,9 @@ struct SessionRun<'a> {
 /// whether the target was met.
 /// Dropping revokes the dropped successors' prefill discounts, which
 /// changes their prefill costs — hence the estimate cache is invalidated.
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows from two owners: the decode-step \
+    hooks and the prefill packer each hold the retention pool, allocator, request pool, estimate \
+    cache and journal in different places")]
 fn reclaim_retained(
     sess: &mut Option<SessionRun<'_>>,
     target: u64,
@@ -151,9 +158,11 @@ fn drop_oldest_retained(
     let Some((succ, e)) = retainer.pop_oldest_except(keep) else {
         return false;
     };
-    // analyzer: allow(no-expect) — a retained entry's donor keeps its
-    // allocator slot live until the entry is claimed or dropped here.
+    #[expect(clippy::expect_used, reason = "a retained entry's donor keeps its allocator slot live \
+        until the entry is claimed or dropped here")]
     alloc.free(e.donor).expect("retained donor resident");
+    #[expect(clippy::cast_possible_truncation, reason = "retained successors are request-pool \
+        indices, `usize` values widened to `u64`")]
     pool.clear_reuse_discount(succ as usize);
     journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
     true
@@ -190,8 +199,8 @@ fn release(
         unreleased.iter().position(|&i| i == succ),
         "binary search disagrees with the linear walk on the successor"
     );
-    // analyzer: allow(no-expect) — unreleased turns are never admitted
-    // (their arrival is infinite), so the successor is still unreleased.
+    #[expect(clippy::expect_used, reason = "unreleased turns are never admitted (their arrival is \
+        infinite), so the successor is still unreleased")]
     let from = from.expect("unreleased turn pending");
     unreleased.remove(from);
     pool.set_arrival(succ, at);
@@ -278,13 +287,12 @@ impl StepHooks for TdStepHooks<'_, '_> {
         let first_token = pool.first_token_at(m);
         journal.record(now, TraceEvent::RequestFinish { request, arrival, first_token });
         let Some(s) = self.sess.as_mut() else {
-            // analyzer: allow(no-expect) — every batch member was allocated
-            // at admission and eviction removes it from its batch, so a
-            // finisher is resident.
+            #[expect(clippy::expect_used, reason = "every batch member was allocated at admission \
+                and eviction removes it from its batch, so a finisher is resident")]
             return alloc.free(m as u64).expect("finished request resident");
         };
         let next = s.work.next(m);
-        // analyzer: allow(no-expect) — finishers are resident (see above).
+        #[expect(clippy::expect_used, reason = "finishers are resident (see above)")]
         let held = alloc.tokens_of(m as u64).expect("finished request resident");
         let mut retained = false;
         // Whether finished turns retain KV at all
@@ -305,6 +313,8 @@ impl StepHooks for TdStepHooks<'_, '_> {
                     // while the prefix survives. `held` is the prior
                     // transcript minus the final sampled token, so it is
                     // strictly below the successor's prompt length.
+                    #[expect(clippy::cast_possible_truncation, reason = "`held` is below the \
+                        successor's `u32` prompt length")]
                     pool.set_reuse_discount(succ as usize, held as u32);
                     let (request, tokens) = (succ as u64, held);
                     journal.record(now, TraceEvent::SessionRetain { request, tokens });
@@ -313,7 +323,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
             }
         }
         if !retained {
-            // analyzer: allow(no-expect) — still resident: nothing freed it.
+            #[expect(clippy::expect_used, reason = "still resident: nothing freed it")]
             alloc.free(m as u64).expect("finished request resident");
         }
         if let Some(succ) = next {
@@ -544,9 +554,9 @@ impl TdPipeEngine {
         // every finished turn frees normally).
         let sess = work.is_sessions().then(|| {
             let frac = e.session_retain_frac.clamp(0.0, 1.0);
-            // analyzer: allow(lossy-float-cast) — retain_frac is clamped
-            // to [0,1] and kv_blocks ≤ 2^32, so the product is exact
-            // enough and stays well inside u64.
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "frac is \
+                clamped to [0,1] and kv_blocks <= 2^32, so the product is exact enough and stays \
+                well inside u64")]
             let budget = (self.plan.kv_blocks as f64 * frac) as u64;
             let mut retainer =
                 SessionRetainer::new(if e.session_reuse { budget } else { 0 });
@@ -576,7 +586,7 @@ impl TdPipeEngine {
             unreleased: &unreleased,
         };
         let (batches, positions) = full_walk(opening, &run.pool, self.plan.token_capacity());
-        est_cache.reserve(batches as usize, positions as usize);
+        est_cache.reserve(batches, positions);
         let policy = TdRun {
             engine: self,
             est_cache,
@@ -590,9 +600,9 @@ impl TdPipeEngine {
             pending,
             unreleased,
             residents: Vec::new(),
-            // analyzer: allow(lossy-float-cast) — watermark ∈ [0,1] and
-            // kv_blocks ≤ 2^32, so the ceil stays well inside u64 and the
-            // round-up direction is the conservative one for admission.
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "watermark \
+                is in [0,1] and kv_blocks <= 2^32, so the ceil stays well inside u64 and the \
+                round-up direction is the conservative one for admission")]
             watermark_blocks: (self.plan.kv_blocks as f64 * WATERMARK).ceil() as u64,
             // `new` refused pools whose block count exceeds `u32`. Fig. 12's
             // series rides the metrics plane; the peak is kept on every run.
@@ -645,7 +655,7 @@ impl TdPipeEngine {
     ///
     /// The hot path uses the memoized [`PrefillEstimateCache`]; this naive
     /// walk is kept as the debug-build cross-check oracle.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    #[cfg_attr(not(debug_assertions), allow(dead_code, reason = "the debug-build oracle only"))]
     fn estimate_prefill_phase(
         &self,
         queue: Queue<'_>,
@@ -736,7 +746,7 @@ struct DecisionWork {
 /// stops, as the walk once did, at the first batch start past `capacity`
 /// cumulative need: no query reads deeper. The tests' reference for the
 /// lazy walk, and the estimate walk's initial size.
-fn full_walk(queue: Queue<'_>, pool: &RequestPool, capacity: u64) -> (u64, u64) {
+fn full_walk(queue: Queue<'_>, pool: &RequestPool, capacity: u64) -> (usize, usize) {
     let mut it = queue.iter().peekable();
     let (mut batches, mut positions, mut need) = (0, 0, 0u64);
     while need <= capacity {
@@ -914,7 +924,10 @@ impl Policy for TdRun<'_> {
             self.prefill_done(run, finish);
             now
         } else {
-            self.decode_done(run, plane, tag as usize, finish)
+            #[expect(clippy::cast_possible_truncation, reason = "decode tags are batch indices, \
+                `usize` values widened to `u64` at launch")]
+            let bid = tag as usize;
+            self.decode_done(run, plane, bid, finish)
         }
     }
 
@@ -1075,10 +1088,9 @@ impl TdRun<'_> {
                     break;
                 }
                 if swapped {
-                    // analyzer: allow(no-expect) — guarded above: the
-                    // admission check reserved `needed + watermark` free
-                    // blocks, and a pipeline pool holds far fewer than
-                    // `MAX_RECORD_TOKENS`, so this allocation cannot fail.
+                    #[expect(clippy::expect_used, reason = "guarded above: the admission check \
+                        reserved `needed + watermark` free blocks, and a pipeline pool holds far \
+                        fewer than `MAX_RECORD_TOKENS`, so this allocation cannot fail")]
                     self.alloc.allocate(idx as u64, full).expect("checked");
                     self.pending.pop_front();
                     self.est_cache.invalidate();
@@ -1098,8 +1110,8 @@ impl TdRun<'_> {
                 if let Some(s) = self.sess.as_mut() {
                     let request = run.pool.id(idx).0;
                     if let Some(c) = s.retainer.claim(idx as u64) {
-                        // analyzer: allow(no-expect) — retained donors stay
-                        // resident until claimed here or dropped.
+                        #[expect(clippy::expect_used, reason = "retained donors stay resident \
+                            until claimed here or dropped")]
                         self.alloc.free(c.donor).expect("retained donor resident");
                         let tokens = c.tokens;
                         run.record(now, TraceEvent::SessionReuseHit { request, tokens });
@@ -1108,11 +1120,10 @@ impl TdRun<'_> {
                         run.record(now, TraceEvent::SessionReuseMiss { request });
                     }
                 }
-                // analyzer: allow(no-expect) — guarded above: the
-                // admission check reserved `needed + watermark` free blocks
-                // (counting the just-freed donor), and a pipeline pool
-                // holds far fewer than `MAX_RECORD_TOKENS`, so this
-                // allocation cannot fail.
+                #[expect(clippy::expect_used, reason = "guarded above: the admission check \
+                    reserved `needed + watermark` free blocks (counting the just-freed donor), and \
+                    a pipeline pool holds far fewer than `MAX_RECORD_TOKENS`, so this allocation \
+                    cannot fail")]
                 self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
                 self.pending.pop_front();
                 self.est_cache.invalidate();
@@ -1280,8 +1291,8 @@ impl TdRun<'_> {
                 banked.sort_unstable();
                 members.sort_unstable();
                 debug_assert_eq!(banked, members, "batch {bid} is not its cohort's banked set");
-                // analyzer: allow(no-expect) — every batch member was
-                // allocated at admission and is still decoding.
+                #[expect(clippy::expect_used, reason = "every batch member was allocated at \
+                    admission and is still decoding")]
                 let held = |m: usize| self.alloc.tokens_of(m as u64).expect("member resident");
                 let ctx: u64 =
                     b.members.iter().map(|&m| held(m) + cm.pending(m, coh.epoch()) as u64).sum();
@@ -1470,15 +1481,15 @@ impl TdRun<'_> {
         #[cfg(test)]
         if let Some(full) = dw.full_walks.as_mut() {
             let (batches, positions) = full_walk(queue, &run.pool, eng.plan.token_capacity());
-            full.batches += batches;
+            full.batches += batches as u64;
             if !self.est_cache.is_valid() {
-                full.walk_positions += positions;
+                full.walk_positions += positions as u64;
             }
         }
         let spatial = self.comparator.spatial(mean_batch);
         let l_cap = self.est_cache.latency_cap;
         let bubble_cap = (l_cap - step).max(0.0);
-        #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+        #[cfg_attr(not(debug_assertions), allow(unused_variables, reason = "oracles read it"))]
         let (est, exact) = if spatial >= 1.0 {
             dw.saturated += 1;
             let est = PrefillPhaseEstimate {

@@ -7,6 +7,10 @@
 //! `tdpipe-runtime` — which is how the *same engine code* is proven to run
 //! on real concurrency (see that crate's `TdPipeEngine` integration test).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
+#![deny(clippy::unimplemented, clippy::allow_attributes_without_reason)]
+#![deny(unfulfilled_lint_expectations)]
+
 use tdpipe_sim::{PipelineSim, SegmentKind, Timeline, TransferMode};
 
 /// Failure class of an execution plane (mirrors the runtime's
@@ -133,11 +137,10 @@ impl PipelineExecutor for SimExecutor {
         self.depth_hw = self.depth_hw.max(self.completions.len());
     }
 
+    #[expect(clippy::expect_used, reason = "caller-side sequencing bug (completion awaited with \
+        nothing launched), documented under `# Panics` on the trait method; the simulator itself \
+        cannot lose a job")]
     fn next_completion(&mut self) -> (u64, f64) {
-        // analyzer: allow(no-expect) — caller-side sequencing bug
-        // (completion awaited with nothing launched), documented under
-        // `# Panics` on the trait method; the simulator itself cannot
-        // lose a job.
         self.completions.pop_front().expect("no outstanding job to complete")
     }
 

@@ -138,8 +138,8 @@ impl GreedyPrefillPlanner {
     pub fn remove_request(&mut self, id: usize) {
         let entry = std::mem::replace(&mut self.tracked[id], UNTRACKED);
         if entry == UNTRACKED {
-            // analyzer: allow(no-panic) — planner misuse is an engine bug;
-            // the debug-assert oracle in the engine catches drift earlier.
+            // Planner misuse is an engine bug; the debug-assert oracle in
+            // the engine catches drift earlier.
             panic!("removing untracked request {id}")
         }
         self.sub(entry);
@@ -155,8 +155,8 @@ impl GreedyPrefillPlanner {
         }
         let entry = self.tracked[id];
         if entry == UNTRACKED {
-            // analyzer: allow(no-panic) — planner misuse is an engine bug;
-            // the debug-assert oracle in the engine catches drift earlier.
+            // Planner misuse is an engine bug; the debug-assert oracle in
+            // the engine catches drift earlier.
             panic!("advancing untracked request {id}")
         }
         let (c, p) = entry;

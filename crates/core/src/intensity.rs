@@ -13,6 +13,9 @@
 //! The engine switches from decode to prefill the moment spatial intensity
 //! drops below temporal intensity.
 
+#![deny(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+#![deny(clippy::allow_attributes_without_reason, unfulfilled_lint_expectations)]
+
 use tdpipe_hw::DecodeProfile;
 
 /// A priced hypothetical "next prefill phase".

@@ -179,7 +179,7 @@ impl BlockAllocator {
     /// `id`'s resident tokens, if it is resident.
     #[inline]
     fn slot(&self, id: u64) -> Option<u64> {
-        let tokens = *self.residents.get(id as usize)?;
+        let tokens = *self.residents.get(usize::try_from(id).ok()?)?;
         (tokens != VACANT).then_some(u64::from(tokens))
     }
 
@@ -194,7 +194,7 @@ impl BlockAllocator {
     #[inline]
     fn slot_mut(&mut self, id: u64) -> Option<&mut Record> {
         self.residents
-            .get_mut(id as usize)
+            .get_mut(usize::try_from(id).ok()?)
             .filter(|tokens| **tokens != VACANT)
     }
 
@@ -261,6 +261,8 @@ impl BlockAllocator {
             return Err(KvError::OutOfMemory { needed, available });
         }
         let record = Self::record(tokens).ok_or(KvError::RecordOverflow { id, tokens })?;
+        #[expect(clippy::cast_possible_truncation, reason = "ids are request-pool indices, `usize` \
+            values widened to `u64`")]
         let idx = id as usize;
         if idx >= self.residents.len() {
             self.residents.resize(idx + 1, VACANT);
@@ -324,8 +326,8 @@ impl BlockAllocator {
     pub fn extend_cohort(&mut self, live: u64, grows: u64) {
         debug_assert!(grows <= live, "more block growths than live members");
         self.used_blocks += grows;
-        // analyzer: allow(no-panic) — guard violation is a caller bug;
-        // the per-call path would have rejected the overflowing extend.
+        // A guard violation is a caller bug; the per-call path would have
+        // rejected the overflowing extend.
         assert!(
             self.used_blocks <= self.num_blocks,
             "extend_cohort caller must guard free_blocks() >= grows"
@@ -359,7 +361,7 @@ impl BlockAllocator {
         rejections: u64,
     ) {
         self.used_blocks += grows;
-        // analyzer: allow(no-panic) — see extend_cohort.
+        // See extend_cohort.
         assert!(
             self.used_blocks <= self.num_blocks,
             "extend_survivors ended the step above capacity"
@@ -392,14 +394,13 @@ impl BlockAllocator {
         }
         let r = self
             .slot_mut(id)
-            // analyzer: allow(no-expect) — same contract as the per-call
-            // path: cohort members are always resident.
+            // Same contract as the per-call path: cohort members are
+            // always resident.
             .expect("cohort member resident");
-        // analyzer: allow(no-expect) — members grow only by steps their
-        // pool had blocks for; only in a pool past the limit could one
-        // reach it, and then only with ~4G tokens of prompt plus output,
-        // which no workload generates. The per-call path returns
-        // `RecordOverflow` instead.
+        // Members grow only by steps their pool had blocks for; only in a
+        // pool past the limit could one reach it, and then only with ~4G
+        // tokens of prompt plus output, which no workload generates. The
+        // per-call path returns `RecordOverflow` instead.
         *r = Self::record(u64::from(*r) + steps).expect("banked tokens within the record limit");
     }
 

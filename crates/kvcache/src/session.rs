@@ -137,6 +137,8 @@ impl SessionRetainer {
         if !self.fits(blocks) {
             return false;
         }
+        #[expect(clippy::cast_possible_truncation, reason = "successors are request-pool indices, \
+            `usize` values widened to `u64`")]
         let idx = successor as usize;
         if idx >= self.entries.len() {
             self.entries.resize(idx + 1, None);
@@ -162,7 +164,7 @@ impl SessionRetainer {
 
     /// The retained entry reserved for `successor`, if it survived.
     pub fn peek(&self, successor: u64) -> Option<RetainedKv> {
-        self.entries.get(successor as usize).copied().flatten()
+        self.entries.get(usize::try_from(successor).ok()?).copied().flatten()
     }
 
     /// Claim the entry reserved for `successor` (a reuse hit): removes it
@@ -170,7 +172,7 @@ impl SessionRetainer {
     /// entry from here (typically: free the donor, allocate the successor
     /// at full prefix+suffix length).
     pub fn claim(&mut self, successor: u64) -> Option<RetainedKv> {
-        let e = self.entries.get_mut(successor as usize)?.take()?;
+        let e = self.entries.get_mut(usize::try_from(successor).ok()?)?.take()?;
         self.remove_from_order(successor);
         self.retained_blocks -= e.blocks;
         self.retained_tokens -= e.tokens;
@@ -190,9 +192,11 @@ impl SessionRetainer {
             .order
             .iter()
             .position(|&s| Some(s) != keep)?;
-        // analyzer: allow(no-expect) — `order` and `entries` move in
-        // lockstep: every queued successor has a live entry.
+        // `order` and `entries` move in lockstep: every queued successor
+        // has a live entry.
         let successor = self.order.remove(pos).expect("position is in range");
+        #[expect(clippy::cast_possible_truncation, reason = "queued successors were indices into \
+            `entries` when retained")]
         let e = self.entries[successor as usize]
             .take()
             .expect("queued successor has an entry");

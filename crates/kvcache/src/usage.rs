@@ -93,6 +93,8 @@ impl OccupancyTrace {
             used_blocks <= u64::from(self.num_blocks),
             "more blocks used than the pool has"
         );
+        #[expect(clippy::cast_possible_truncation, reason = "`used_blocks` is at most the `u32` \
+            pool size (asserted above in debug)")]
         let used = used_blocks as u32;
         self.peak_used = Some(self.peak_used.map_or(used, |p| p.max(used)));
         if !self.recording {

@@ -134,8 +134,11 @@ pub struct PromCheck {
     pub histograms: usize,
 }
 
+/// A sample's `(name, value)` label pairs, in exposition order.
+type Labels = Vec<(String, String)>;
+
 /// Parse one sample line into (metric name, labels, value).
-fn parse_sample(line: &str) -> Result<(String, Vec<(String, String)>, f64), String> {
+fn parse_sample(line: &str) -> Result<(String, Labels, f64), String> {
     let (name_part, rest) = match line.find('{') {
         Some(brace) => {
             let close = line
@@ -229,9 +232,8 @@ pub fn validate_prom(text: &str) -> Result<PromCheck, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut samples = 0usize;
     // (family, non-le labels) → ascending (le, cumulative count) pairs.
-    let mut hist_buckets: BTreeMap<(String, Vec<(String, String)>), Vec<(f64, f64)>> =
-        BTreeMap::new();
-    let mut hist_counts: BTreeMap<(String, Vec<(String, String)>), f64> = BTreeMap::new();
+    let mut hist_buckets: BTreeMap<(String, Labels), Vec<(f64, f64)>> = BTreeMap::new();
+    let mut hist_counts: BTreeMap<(String, Labels), f64> = BTreeMap::new();
 
     for line in text.lines() {
         if line.is_empty() {

@@ -123,10 +123,9 @@ impl Cluster {
                 (Some(d_tx), Some(d_rx), ack_tx_prev.replace(a_tx), Some(a_rx))
             };
             let channels = WorkerChannels {
-                // analyzer: allow(no-expect) — loop invariant fixed at
-                // spawn: iteration k consumes the inbox iteration k-1
-                // created; violating it is a wiring bug, not a runtime
-                // failure.
+                #[expect(clippy::expect_used, reason = "loop invariant fixed at spawn: iteration k \
+                    consumes the inbox iteration k-1 created; violating it is a wiring bug, not a \
+                    runtime failure")]
                 inbox: inbox.take().expect("one inbox per rank"),
                 downstream,
                 ack_tx,
@@ -139,6 +138,8 @@ impl Cluster {
                 record_segments: opts.record_segments,
             };
             let sup = sup_tx.clone();
+            #[expect(clippy::expect_used, reason = "OS thread exhaustion at spawn is unrecoverable \
+                and documented under `# Panics` on `spawn_with`")]
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("tdpipe-worker-{rank}"))
@@ -158,9 +159,6 @@ impl Cluster {
                             };
                         let _ = sup.send(WorkerExit { rank, outcome });
                     })
-                    // analyzer: allow(no-expect) — OS thread exhaustion
-                    // at spawn is unrecoverable and documented under
-                    // `# Panics` on `spawn_with`.
                     .expect("spawn worker thread"),
             );
             inbox = next_inbox;
@@ -347,7 +345,7 @@ impl Cluster {
         let mut worst: Option<RuntimeError> = None;
         for outcome in exits.iter().flatten() {
             if let Err(e) = outcome {
-                if worst.as_ref().map_or(true, |w| e.severity() > w.severity()) {
+                if worst.as_ref().is_none_or(|w| e.severity() > w.severity()) {
                     worst = Some(e.clone());
                 }
             }

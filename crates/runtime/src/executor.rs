@@ -156,10 +156,9 @@ impl PipelineExecutor for ThreadedExecutor {
         self.depth_hw = self.depth_hw.max(self.outstanding);
     }
 
+    #[expect(clippy::panic, reason = "the trait's infallible surface: its documented contract is \
+        to panic with the root cause; fallible callers use `try_next_completion`")]
     fn next_completion(&mut self) -> (u64, f64) {
-        // analyzer: allow(no-panic) — the trait's infallible surface: its
-        // documented contract is to panic with the root cause; fallible
-        // callers use `try_next_completion`.
         self.try_next_completion().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -207,10 +206,9 @@ impl PipelineExecutor for ThreadedExecutor {
         }
     }
 
+    #[expect(clippy::panic, reason = "the trait's infallible surface: its documented contract is \
+        to panic with the root cause; fallible callers use `try_finish`")]
     fn finish(self: Box<Self>) -> (f64, Timeline) {
-        // analyzer: allow(no-panic) — the trait's infallible surface: its
-        // documented contract is to panic with the root cause; fallible
-        // callers use `try_finish`.
         self.try_finish().unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -222,10 +222,9 @@ pub(crate) fn run_worker(
                         std::thread::park();
                     }
                 }
+                #[expect(clippy::panic, reason = "this IS the injected fault: the supervision \
+                    tests exist to prove this panic surfaces as WorkerPanicked, not a hang")]
                 if cfg.faults.panic_at == Some(this_job) {
-                    // analyzer: allow(no-panic) — this IS the injected
-                    // fault: the supervision tests exist to prove this
-                    // panic surfaces as WorkerPanicked, not a hang.
                     panic!("injected fault: rank {rank} panics at job index {this_job}");
                 }
                 let dropped = cfg.faults.drop_at == Some(this_job);
@@ -249,9 +248,8 @@ pub(crate) fn run_worker(
                 log.push(job_id, start, finish, spec.kind);
                 if ctx.is_last() {
                     if !dropped {
-                        // analyzer: allow(no-expect) — channel topology
-                        // fixed at spawn: the cluster always wires the
-                        // last rank with a completion sender.
+                        #[expect(clippy::expect_used, reason = "channel topology fixed at spawn: \
+                            the cluster always wires the last rank with a completion sender")]
                         let tx = ch.completions.as_ref().expect("last stage reports completions");
                         if tx
                             .send(Completion {
@@ -272,9 +270,8 @@ pub(crate) fn run_worker(
                     }
                     let arrive_next = finish + wire;
                     if !dropped {
-                        // analyzer: allow(no-expect) — channel topology
-                        // fixed at spawn: every non-last rank is wired
-                        // with a downstream sender.
+                        #[expect(clippy::expect_used, reason = "channel topology fixed at spawn: \
+                            every non-last rank is wired with a downstream sender")]
                         let d = ch.downstream.as_ref().expect("non-last stage has downstream");
                         if d.send(StageMsg::Job {
                             spec,
@@ -297,10 +294,9 @@ pub(crate) fn run_worker(
                             // so there is no ack to wait for.
                             clock = finish + wire;
                             if !dropped {
-                                // analyzer: allow(no-expect) — channel
-                                // topology fixed at spawn: rendezvous
-                                // clusters wire every sender with an
-                                // ack receiver.
+                                #[expect(clippy::expect_used, reason = "channel topology fixed at \
+                                    spawn: rendezvous clusters wire every sender with an ack \
+                                    receiver")]
                                 let ack_rx = ch.ack_rx.as_ref().expect("rendezvous ack channel");
                                 let ack = match ack_rx.recv() {
                                     Ok(a) => a,

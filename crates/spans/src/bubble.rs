@@ -140,7 +140,7 @@ impl BubbleLedger {
 /// Trigger timestamps extracted from the engine-event journal, each in
 /// ascending time order (the journal's order), for interval lookups.
 struct Triggers {
-    /// `[t, until]` arrival-starvation windows.
+    /// `[t, until)` arrival-starvation windows.
     arrival_windows: Vec<(f64, f64)>,
     /// `PhaseSwitch` instants.
     switches: Vec<f64>,
@@ -198,6 +198,13 @@ impl Triggers {
     }
 
     /// The engine phase in effect at instant `t`.
+    ///
+    /// At an instant where a phase begins, `since <= t` reads the new
+    /// phase and `since < t` the old one; [`classify`] never asks there.
+    /// Every `phases` entry after the first is a `PhaseSwitch` instant,
+    /// and `classify` tests `switches` first, so a gap (of positive
+    /// length) that starts at one is `PhaseSwitch` before this is read.
+    /// The first entry, `0.0`, is the initial phase either way.
     fn phase_at(&self, t: f64) -> Phase {
         let i = self.phases.partition_point(|&(since, _)| since <= t);
         self.phases[i.saturating_sub(1)].1
@@ -432,6 +439,33 @@ mod tests {
                 BubbleCause::PhaseSwitch,
                 // [4,4.5]: decode phase, no trigger → decode dependency.
                 BubbleCause::DecodeDependency,
+            ]
+        );
+    }
+
+    #[test]
+    fn arrival_windows_are_half_open() {
+        let mut tl = Timeline::new(true);
+        tl.record(0, 0.0, 1.0, SegmentKind::Prefill, 1);
+        tl.record(0, 2.0, 3.0, SegmentKind::Prefill, 2);
+        tl.record(0, 4.0, 5.0, SegmentKind::Prefill, 3);
+        tl.record(0, 6.0, 7.0, SegmentKind::Prefill, 4);
+        let mut r = FlightRecorder::with_capacity(2);
+        r.record(2.0, TraceEvent::ArrivalWait { until: 3.0 });
+        r.record(5.5, TraceEvent::ArrivalWait { until: 6.5 });
+        r.append_stage_events(&tl, 7.0);
+        let ledger = attribute_bubbles(&r);
+        let causes: Vec<(f64, BubbleCause)> =
+            ledger.gaps.iter().map(|g| (g.start, g.cause)).collect();
+        assert_eq!(
+            causes,
+            vec![
+                // [1,2] ends exactly where the [2,3) window starts.
+                (1.0, BubbleCause::LaunchSerialization),
+                // [3,4] starts exactly at the window's `until`.
+                (3.0, BubbleCause::LaunchSerialization),
+                // [5,6] overlaps the [5.5,6.5) window.
+                (5.0, BubbleCause::ArrivalStarvation),
             ]
         );
     }

@@ -57,7 +57,7 @@ impl Default for SessionConfig {
             think_sigma: 0.8,
             arrival: ArrivalProcess::Poisson {
                 rate_per_s: 2.0,
-                seed: 0x5E55_10,
+                seed: 0x005E_5510,
             },
             num_sessions: 1_000,
         }

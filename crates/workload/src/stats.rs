@@ -127,10 +127,9 @@ impl FieldStats {
             mean,
             p50: percentile_sorted(&sorted, 50.0),
             p90: percentile_sorted(&sorted, 90.0),
-            // analyzer: allow(lossy-float-cast) — range-checked above:
-            // finite and within [0, u32::MAX], so the cast is exact up to
-            // integer truncation of a length that was integral to begin
-            // with.
+            // Range-checked above: finite and within [0, u32::MAX], so the
+            // cast is exact up to integer truncation of a length that was
+            // integral to begin with.
             max: max as u32,
         }
     }

@@ -1,9 +1,19 @@
 #!/usr/bin/env bash
 # The one-command gate: everything a change must pass before merging.
 #
-#   1. invariant lint pass (crates/analyzer vs the committed baseline —
-#      the analyzer scans its own sources via the `tooling` rule set)
-#      plus both bounded protocol model checkers (`--check-protocols`:
+#   1. lints: clippy over the workspace in the dev profile, every warning
+#      an error (`cargo clippy --offline --workspace -- -D warnings`). The
+#      crates' `[lints.clippy]` tables and core's file-level
+#      `#![deny(..)]` make panic-safety (`unwrap_used`, `expect_used`,
+#      `panic`, `todo`, `unimplemented`), float→int and narrowing casts
+#      (`cast_possible_truncation`, `cast_sign_loss`) and `for` loops
+#      over hash collections (`iter_over_hash_type`) errors; an escape is an
+#      `#[expect(.., reason = "..")]`, and a stale one fails. The dev
+#      profile keeps `#[cfg(debug_assertions)]` oracle code in view; test
+#      code is not checked (no `--all-targets`). Then the invariant lint
+#      pass (crates/analyzer vs the committed baseline — the analyzer
+#      scans its own sources via the `tooling` rule set) plus both
+#      bounded protocol model checkers (`--check-protocols`:
 #      cluster↔worker supervision and session-KV retention, each proven
 #      non-vacuous by seeded mutations)
 #   2. release build of the whole workspace
@@ -86,7 +96,8 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n\033[1m== %s ==\033[0m\n' "$1"; }
 
-step "analyze (invariant lint pass + protocol model checkers)"
+step "lints (clippy, then the invariant lint pass + protocol model checkers)"
+cargo clippy --offline --workspace -- -D warnings
 scripts/analyze.sh
 
 step "build (release)"
@@ -219,4 +230,4 @@ done
 step "non-test lines per crate (advisory)"
 scripts/loc.sh || true
 
-printf '\nci OK: build + layering + tests + debug oracles + smoke + figure artifacts + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'
+printf '\nci OK: clippy + analyzer + build + layering + tests + debug oracles + smoke + figure artifacts + trace export + metrics gate + sessions smoke + fleet smoke + perf smoke + span/bubble smoke + benchmark tests + vendored tests all green\n'

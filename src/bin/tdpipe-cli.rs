@@ -304,7 +304,6 @@ fn run_fleet_cmd(
         router: RouterConfig {
             policy,
             seed: seed ^ 0xF1EE7,
-            ..RouterConfig::default()
         },
         slo: SloSpec { ttft_s: slo_ttft },
     };

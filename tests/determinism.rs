@@ -568,7 +568,7 @@ fn determinism_rule_set_covers_every_report_feeding_crate() {
     );
 
     // Exempt: `runtime` really runs threads and timeouts (wall-clock use
-    // is its job; its safety rules live in the panic-safety set), and
+    // is its job; its panic-safety lints live in its `Cargo.toml`), and
     // `analyzer` is the lint tool itself, not part of the simulation.
     let exempt = ["runtime", "analyzer"];
 
