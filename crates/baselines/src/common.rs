@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use tdpipe_core::cohort::{DecodeCohort, Recompute, StepEnv};
 use tdpipe_core::config::{BLOCK_SIZE, WATERMARK};
 use tdpipe_core::driver::{RunState, Stall};
-use tdpipe_core::request::RequestPool;
+use tdpipe_core::request::{queued, RequestPool};
 use tdpipe_kvcache::BlockAllocator;
 
 /// One scheduler instance's memory, admission queue and running set.
@@ -22,7 +22,7 @@ pub struct Lane {
     /// This lane's KV block pool.
     pub alloc: BlockAllocator,
     /// Requests bound to this lane that still need (re-)prefilling.
-    pub pending: VecDeque<usize>,
+    pub pending: VecDeque<u32>,
     watermark_blocks: u64,
     /// Prefilled requests decoding one token per step, in admission order.
     pub residents: Vec<usize>,
@@ -52,15 +52,12 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
     let watermark_blocks = (blocks as f64 * WATERMARK).ceil() as u64;
     (0..lanes)
         .map(|lane| {
-            let mut alloc = BlockAllocator::new(blocks, BLOCK_SIZE);
-            // Ids are pool indices, so each lane's residency table spans
-            // the whole trace at one 4-byte record per request (vacant for
-            // the other lanes' requests); pre-size it so allocation never
-            // grows it mid-run.
-            alloc.reserve_ids(n);
             Lane {
-                alloc,
-                pending: (lane..n).step_by(lanes).collect(),
+                // Ids are pool indices: each lane's residency window spans
+                // its requests in flight and the other lanes' ids between
+                // them, vacant.
+                alloc: BlockAllocator::new(blocks, BLOCK_SIZE),
+                pending: (queued(lane)..queued(n)).step_by(lanes).collect(),
                 watermark_blocks,
                 residents: Vec::new(),
                 ctx: 0,
@@ -75,7 +72,7 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
 /// queue head that an idle lane refused can never fit its lane's memory;
 /// otherwise the clock waits for the earliest pending arrival.
 pub fn stall(lanes: &[Lane], pool: &RequestPool, now: f64) -> Stall {
-    let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()?)));
+    let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()? as usize)));
     let oversize = heads().find(|&(_, i)| pool.arrival(i) <= now).map(|(lane, i)| {
         let capacity = lane.alloc.num_blocks() * lane.alloc.block_size() as u64;
         (i, pool.prefill_tokens(i) as u64, capacity)
@@ -93,7 +90,7 @@ impl Lane {
         match self.pending.front() {
             None => false,
             Some(&idx) => {
-                let t = pool.prefill_tokens(idx) as u64;
+                let t = pool.prefill_tokens(idx as usize) as u64;
                 let needed = t.div_ceil(self.alloc.block_size() as u64);
                 self.alloc.free_blocks() >= needed + self.watermark_blocks
             }
@@ -103,7 +100,8 @@ impl Lane {
     /// Whether the queue head can be admitted at `now`: it has arrived and
     /// fits.
     pub fn can_admit(&self, pool: &RequestPool, now: f64) -> bool {
-        self.pending.front().is_some_and(|&i| pool.arrival(i) <= now) && self.head_fits(pool)
+        self.pending.front().is_some_and(|&i| pool.arrival(i as usize) <= now)
+            && self.head_fits(pool)
     }
 
     /// Admit the queue head: allocate its KV, mark it prefilled, stamp its
@@ -114,14 +112,14 @@ impl Lane {
     pub fn admit_head(&mut self, run: &mut RunState) -> (usize, u32) {
         #[expect(clippy::expect_used, reason = "callers check `head_fits`, which is false on an \
             empty queue")]
-        let idx = self.pending.pop_front().expect("pending nonempty");
+        let idx = self.pending.pop_front().expect("pending nonempty") as usize;
         let t = run.pool.prefill_tokens(idx);
         #[expect(clippy::expect_used, reason = "`head_fits` found the head's blocks plus the \
             watermark free, and `t` is a `u32` prompt length (only `u32::MAX` itself would pass \
             `MAX_RECORD_TOKENS`), so this allocation cannot fail")]
         self.alloc.allocate(idx as u64, t as u64).expect("caller checked head_fits");
         run.pool.note_prefill(idx, t);
-        run.stamp_admission(idx);
+        run.pool.stamp_admission(idx);
         (idx, t)
     }
 
@@ -141,7 +139,7 @@ impl Lane {
         batch.clear();
         lens.clear();
         let mut tokens = 0u32;
-        while let Some(&head) = self.pending.front() {
+        while let Some(head) = self.pending.front().map(|&i| i as usize) {
             let room = batch.len() < max_new && self.head_fits(&run.pool);
             if !room || run.pool.arrival(head) > now {
                 break;
@@ -179,7 +177,6 @@ impl Lane {
             pool: &mut run.pool,
             alloc: &mut self.alloc,
             pending: &mut self.pending,
-            admission_seq: &run.admission_seq,
             now,
         };
         run.stepper.step(
@@ -195,11 +192,14 @@ impl Lane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tdpipe_workload::{ShareGptLikeConfig, Workload};
+    use tdpipe_workload::{ShareGptLikeConfig, Trace, Workload};
 
-    fn state(requests: usize) -> RunState {
-        let t = ShareGptLikeConfig::small(requests, 3).generate();
-        RunState::new(&Workload::offline(&t), |r| r.output_len, false, false)
+    fn trace(requests: usize) -> Trace {
+        ShareGptLikeConfig::small(requests, 3).generate()
+    }
+
+    fn state(t: &Trace) -> RunState<'_> {
+        RunState::new(&Workload::offline(t), |r| r.output_len, false, false)
     }
 
     fn single_lane(st: &RunState, blocks: u64) -> Lane {
@@ -228,7 +228,8 @@ mod tests {
 
     #[test]
     fn packing_respects_token_budget_and_memory() {
-        let mut st = state(50);
+        let t = trace(50);
+        let mut st = state(&t);
         let mut lane = single_lane(&st, 100_000);
         let (mut batch, mut lens) = (Vec::new(), Vec::new());
         lane.pack_prefill_batch_into(&mut st, 1024, usize::MAX, 0.0, &mut batch, &mut lens);
@@ -242,7 +243,8 @@ mod tests {
 
     #[test]
     fn memory_exhaustion_stops_admission() {
-        let mut st = state(50);
+        let t = trace(50);
+        let mut st = state(&t);
         let mut lane = single_lane(&st, 10); // 160 tokens of KV
         let (mut batch, mut lens) = (Vec::new(), Vec::new());
         lane.pack_prefill_batch_into(&mut st, u32::MAX, usize::MAX, 0.0, &mut batch, &mut lens);
@@ -252,7 +254,8 @@ mod tests {
 
     #[test]
     fn decode_step_retires_and_extends() {
-        let mut st = state(4);
+        let t = trace(4);
+        let mut st = state(&t);
         let mut lane = single_lane(&st, 100_000);
         admit_all(&mut st, &mut lane);
         assert_eq!(lane.residents.len(), 4);
@@ -275,7 +278,8 @@ mod tests {
 
     #[test]
     fn overflow_evicts_newest_to_lane_pending() {
-        let mut st = state(3);
+        let t = trace(3);
+        let mut st = state(&t);
         let mut lane = single_lane(&st, 64);
         admit_all(&mut st, &mut lane);
         assert!(!lane.residents.is_empty());
@@ -291,7 +295,7 @@ mod tests {
             assert!(lane
                 .residents
                 .iter()
-                .all(|&m| st.admission_seq[m] < st.admission_seq[victim]));
+                .all(|&m| st.pool.admission_seq(m) < st.pool.admission_seq(victim as usize)));
         }
         assert!(lane.alloc.used_blocks() <= lane.alloc.num_blocks());
     }

@@ -22,7 +22,7 @@ use crate::common::{make_lanes, stall, Lane};
 use tdpipe_core::config::{EngineConfig, PREFILL_TOKEN_BUDGET};
 use tdpipe_core::control::ControlPlane;
 use tdpipe_core::cost::{PpCost, StagedJob, TpCost};
-use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
+use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall, WindowSpans};
 use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};
 use tdpipe_core::exec::{ExecError, PipelineExecutor, SimExecutor};
 use tdpipe_core::plan::MemoryPlan;
@@ -431,6 +431,10 @@ impl Policy for LaneRun<'_> {
                 .fold(AllocStats::default(), |a, l| a.merged(l.alloc.stats())),
             kv_blocks: self.engine.plan.kv_blocks,
             evict_mode: EvictMode::Recompute,
+            windows: WindowSpans {
+                kv: self.lanes.iter().map(|l| l.alloc.window_high_water()).max().unwrap_or(0),
+                ..WindowSpans::default()
+            },
         }
     }
 }

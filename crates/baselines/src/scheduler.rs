@@ -196,6 +196,33 @@ mod tests {
         }
     }
 
+    /// Per-request run state is O(requests in flight): on a 20k-request
+    /// offline trace (Llama-2-13B on 4×L20), every scheduler's id windows
+    /// — the request pool's, the KV allocators', the §3.3 planner's —
+    /// stay under a quarter of the trace. A window spans the requests
+    /// admitted while its oldest unfinished one decodes: 2.3k–3.4k ids
+    /// here, and about as many on a trace four times as long, except the
+    /// pipeline baselines' pool windows, which also span the drift between
+    /// their statically bound lanes (4.2k here, 6.4k at 80k requests).
+    #[test]
+    fn every_window_stays_under_a_quarter_of_an_offline_trace() {
+        let (model, node) = (ModelSpec::llama2_13b(), NodeSpec::l20(4));
+        let trace = ShareGptLikeConfig::small(20_000, 42).generate();
+        let bound = trace.len() / 4;
+        for s in Scheduler::ALL {
+            let work = Workload::offline(&trace);
+            let td = tdpipe_config(false, false, false);
+            let out = s.run(model.clone(), &node, work, &OraclePredictor, td).unwrap();
+            let w = out.windows;
+            assert!(w.pool > 0 && w.kv > 0, "{}: {w:?}", s.name());
+            assert_eq!(w.planner > 0, s.is_tdpipe(), "{}: {w:?}", s.name());
+            for (table, span) in [("pool", w.pool), ("kv", w.kv), ("planner", w.planner)] {
+                let name = s.name();
+                assert!(span < bound, "{name}: {table} window spans {span} of {}", trace.len());
+            }
+        }
+    }
+
     #[test]
     fn names_and_spellings() {
         assert_eq!(Scheduler::TdPipe.name(), "TD-Pipe");

@@ -58,7 +58,7 @@
 //! recompute, journal and planner updates) plugs in through
 //! [`StepHooks`].
 
-use crate::request::RequestPool;
+use crate::request::{queued, RequestPool};
 use std::collections::{BinaryHeap, VecDeque};
 use tdpipe_kvcache::BlockAllocator;
 
@@ -293,16 +293,13 @@ impl DecodeCohort {
 
 /// The run state one [`DecodeStepper::step`] reads and settles, borrowed
 /// from the engine for that step.
-pub struct StepEnv<'a> {
-    /// Request lifecycle tracker.
-    pub pool: &'a mut RequestPool,
+pub struct StepEnv<'a, 'w> {
+    /// Request lifecycle tracker; its newest admission is evicted first.
+    pub pool: &'a mut RequestPool<'w>,
     /// The KV pool the stepped batch lives in.
     pub alloc: &'a mut BlockAllocator,
     /// Admission queue: the step requeues preempted members at its front.
-    pub pending: &'a mut VecDeque<usize>,
-    /// Admission sequence per request; the newest admission is evicted
-    /// first.
-    pub admission_seq: &'a [u64],
+    pub pending: &'a mut VecDeque<u32>,
     /// Virtual time the step completes, stamped on its finishers.
     pub now: f64,
 }
@@ -315,7 +312,7 @@ pub trait StepHooks {
     /// Release finisher `m`'s KV (its pool and allocator records are
     /// already settled) and return the tokens it held, as
     /// [`BlockAllocator::free`] reports them.
-    fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+    fn retire(&mut self, m: usize, env: &mut StepEnv<'_, '_>) -> u64 {
         env.alloc.free(m as u64).expect("finished request resident")
     }
 
@@ -323,13 +320,13 @@ pub trait StepHooks {
     /// that no batch member holds until `env.alloc.free_blocks() >=
     /// target`, and return whether that worked. `false` makes the step
     /// evict.
-    fn reclaim(&mut self, _target: u64, _env: &mut StepEnv<'_>) -> bool {
+    fn reclaim(&mut self, _target: u64, _env: &mut StepEnv<'_, '_>) -> bool {
         false
     }
 
     /// Mark `victim` preempted. Its steps are settled and its KV is freed
     /// already; the step requeues it afterwards.
-    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_, '_>) {
         env.pool.note_eviction(victim);
     }
 }
@@ -465,7 +462,7 @@ impl DecodeStepper {
         coh: &mut DecodeCohort,
         members: &mut Vec<usize>,
         ctx: &mut u64,
-        env: &mut StepEnv<'_>,
+        env: &mut StepEnv<'_, '_>,
         hooks: &mut H,
     ) -> usize {
         debug_assert_eq!(coh.live(), members.len());
@@ -507,7 +504,7 @@ impl DecodeStepper {
         coh: &mut DecodeCohort,
         members: &[usize],
         ctx: &mut u64,
-        env: &mut StepEnv<'_>,
+        env: &mut StepEnv<'_, '_>,
         hooks: &mut H,
     ) {
         let mut heap_built = false;
@@ -543,13 +540,13 @@ impl DecodeStepper {
                 self.evicted.clear();
                 self.evicted.resize(members.len(), false);
                 self.evict_heap.clear();
-                let (seq, cm) = (env.admission_seq, &self.cm);
+                let (pool, cm) = (&*env.pool, &self.cm);
                 self.evict_heap.extend(
                     members
                         .iter()
                         .enumerate()
                         .filter(|&(_, &m)| cm.in_cohort(m))
-                        .map(|(p, &m)| (seq[m], p)),
+                        .map(|(p, &m)| (pool.admission_seq(m), p)),
                 );
                 heap_built = true;
             }
@@ -570,7 +567,7 @@ impl DecodeStepper {
             env.alloc.free(victim as u64).expect("victim resident");
             *ctx -= env.pool.resident_tokens(victim);
             hooks.preempt(victim, env);
-            env.pending.push_front(victim);
+            env.pending.push_front(queued(victim));
             self.evictions += 1;
             // The victim may be the member we were extending (it held the
             // newest admission): its demand is gone — move on. Otherwise
@@ -588,7 +585,7 @@ impl DecodeStepper {
 mod tests {
     use super::*;
     use crate::request::Lifecycle;
-    use tdpipe_workload::ShareGptLikeConfig;
+    use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
     /// Reference per-member state for the equivalence check.
     #[derive(Clone)]
@@ -918,12 +915,12 @@ mod tests {
     }
 
     impl StepHooks for Logged {
-        fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+        fn retire(&mut self, m: usize, env: &mut StepEnv<'_, '_>) -> u64 {
             self.log.push(('f', m as u64));
             env.alloc.free(m as u64).unwrap()
         }
 
-        fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_>) -> bool {
+        fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_, '_>) -> bool {
             while env.alloc.free_blocks() < target {
                 let Some(d) = self.donors.pop_front() else {
                     return false;
@@ -934,7 +931,7 @@ mod tests {
             true
         }
 
-        fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+        fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_, '_>) {
             self.log.push(('e', victim as u64));
             if victim.is_multiple_of(2) {
                 env.pool.note_eviction(victim);
@@ -949,7 +946,7 @@ mod tests {
     fn reference_step<H: StepHooks>(
         members: &mut Vec<usize>,
         ctx: &mut u64,
-        env: &mut StepEnv<'_>,
+        env: &mut StepEnv<'_, '_>,
         hooks: &mut H,
     ) -> usize {
         *ctx += members.len() as u64;
@@ -975,13 +972,13 @@ mod tests {
                 continue;
             }
             let pos = (0..members.len())
-                .max_by_key(|&p| env.admission_seq[members[p]])
+                .max_by_key(|&p| env.pool.admission_seq(members[p]))
                 .unwrap();
             let victim = members.remove(pos);
             env.alloc.free(victim as u64).unwrap();
             *ctx -= env.pool.resident_tokens(victim);
             hooks.preempt(victim, env);
-            env.pending.push_front(victim);
+            env.pending.push_front(queued(victim));
             if pos < i {
                 i -= 1;
             }
@@ -1000,7 +997,8 @@ mod tests {
             let t = ShareGptLikeConfig::small(24, 7).generate();
             let bs = 16u32;
             let setup = || {
-                let mut pool = RequestPool::new(t.requests(), |r| r.output_len);
+                let mut pool =
+                    RequestPool::for_workload(&Workload::offline(&t), |r| r.output_len);
                 let n = pool.len();
                 let need: u64 = (0..n)
                     .map(|i| (pool.prefill_tokens(i) as u64).div_ceil(bs as u64))
@@ -1017,6 +1015,11 @@ mod tests {
                     members.push(i);
                     ctx += tokens as u64;
                 }
+                // Admission order is reversed pool order, so victims are
+                // not simply the tail of the member list.
+                for i in (0..n).rev() {
+                    pool.stamp_admission(i);
+                }
                 let donor_ids: VecDeque<u64> = (0..donors).map(|d| n as u64 + d).collect();
                 for &d in &donor_ids {
                     alloc.allocate(d, 3 * bs as u64).unwrap();
@@ -1027,9 +1030,6 @@ mod tests {
                 };
                 (pool, alloc, members, ctx, VecDeque::new(), hooks)
             };
-            // Admission order is reversed pool order, so victims are not
-            // simply the tail of the member list.
-            let seq: Vec<u64> = (0..t.len() as u64).rev().collect();
             let (mut pool_a, mut alloc_a, mut members_a, mut ctx_a, mut pend_a, mut hooks_a) =
                 setup();
             let (mut pool_b, mut alloc_b, mut members_b, mut ctx_b, mut pend_b, mut hooks_b) =
@@ -1051,7 +1051,6 @@ mod tests {
                         pool: &mut pool_a,
                         alloc: &mut alloc_a,
                         pending: &mut pend_a,
-                        admission_seq: &seq,
                         now,
                     },
                     &mut hooks_a,
@@ -1064,7 +1063,6 @@ mod tests {
                         pool: &mut pool_b,
                         alloc: &mut alloc_b,
                         pending: &mut pend_b,
-                        admission_seq: &seq,
                         now,
                     },
                     &mut hooks_b,

@@ -24,12 +24,9 @@ use tdpipe_trace::{EvictMode, FlightRecorder, TraceEvent};
 use tdpipe_workload::{Request, Workload};
 
 /// Run-wide state every policy reads and writes.
-pub struct RunState {
-    /// Request lifecycle tracker.
-    pub pool: RequestPool,
-    /// Admission sequence per request (newest-first eviction order).
-    pub admission_seq: Vec<u64>,
-    next_seq: u64,
+pub struct RunState<'w> {
+    /// Request lifecycle tracker, admission stamps included.
+    pub pool: RequestPool<'w>,
     /// The decode step all schedulers share.
     pub stepper: DecodeStepper,
     /// Scheduling decision journal (a no-op unless recording).
@@ -42,19 +39,21 @@ pub struct RunState {
     pub phase_switches: u32,
 }
 
-impl RunState {
+impl<'w> RunState<'w> {
     /// The state for one run over `work`, with `predict` giving each
     /// request's expected output length.
     ///
     /// # Panics
-    /// Panics if `work`'s arrivals are misaligned or unsorted.
+    /// Panics if `work`'s arrivals are misaligned or unsorted, or if it
+    /// holds more than `u32::MAX` requests.
     pub fn new(
-        work: &Workload<'_>,
+        work: &Workload<'w>,
         predict: impl FnMut(&Request) -> u32,
         record_trace: bool,
         record_metrics: bool,
     ) -> Self {
         let pool = RequestPool::for_workload(work, predict);
+        assert!(u32::try_from(pool.len()).is_ok(), "queues address requests as u32");
         assert!(
             (1..pool.len()).all(|i| pool.arrival(i) >= pool.arrival(i - 1)),
             "arrivals must be sorted"
@@ -62,8 +61,6 @@ impl RunState {
         let n = pool.len();
         RunState {
             pool,
-            admission_seq: vec![0; n],
-            next_seq: 0,
             stepper: DecodeStepper::new(n),
             // Sized for admit + stop + launch + done + finish per request,
             // plus slack for phase machinery and recompute episodes.
@@ -96,12 +93,6 @@ impl RunState {
             self.record(record.end, TraceEvent::PhaseSwitch { from, to });
         }
     }
-
-    /// Stamp `idx`'s admission: later admissions are evicted first.
-    pub fn stamp_admission(&mut self, idx: usize) {
-        self.admission_seq[idx] = self.next_seq;
-        self.next_seq += 1;
-    }
 }
 
 /// What blocks a policy with nothing in flight that cannot launch.
@@ -123,6 +114,22 @@ pub struct Close {
     pub alloc: AllocStats,
     pub kv_blocks: u64,
     pub evict_mode: EvictMode,
+    /// The high-water spans of the policy's windows (the driver fills in
+    /// the pool's).
+    pub windows: WindowSpans,
+}
+
+/// The most request ids each of a run's id-indexed windows ever spanned:
+/// the peak size, in entries, of its per-request run state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowSpans {
+    /// The request pool's live records.
+    pub pool: usize,
+    /// The KV allocator's residency table (the widest, over a policy's
+    /// pools).
+    pub kv: usize,
+    /// The §3.3 planner's tracking table (0 without a planner).
+    pub planner: usize,
 }
 
 /// A scheduler on the shared loop. The policy sets every launch time and
@@ -156,7 +163,7 @@ pub trait Policy {
 /// pending requests remain that will never arrive.
 pub fn drive<P: Policy>(
     mut policy: P,
-    mut run: RunState,
+    mut run: RunState<'_>,
     mut plane: Box<dyn PipelineExecutor>,
     mut now: f64,
 ) -> Result<RunOutcome, ExecError> {
@@ -182,7 +189,11 @@ pub fn drive<P: Policy>(
     // StageIdle events, so attributed bubble seconds close against the
     // makespan.
     run.journal.append_stage_events(&timeline, makespan);
-    let pool = &run.pool;
+    let windows = WindowSpans {
+        pool: run.pool.window_high_water(),
+        ..close.windows
+    };
+    let pool = run.pool;
     let report = RunReport {
         scheduler: close.scheduler,
         makespan,
@@ -212,6 +223,7 @@ pub fn drive<P: Policy>(
         phases: run.phases,
         journal: run.journal,
         metrics,
+        windows,
     })
 }
 

@@ -34,13 +34,13 @@ use crate::config::{
     HOST_LINK_BW, PREFILL_TOKEN_BUDGET, WATERMARK,
 };
 use crate::cost::{PpCost, StagedJob};
-use crate::driver::{drive, Close, Policy, RunState, Stall};
+use crate::driver::{drive, Close, Policy, RunState, Stall, WindowSpans};
 use crate::estimate::{PrefillEstimateCache, Queue};
 use crate::exec::{ExecError, PipelineExecutor, SimExecutor};
 use crate::greedy::GreedyPrefillPlanner;
 use crate::intensity::{IntensityComparator, PrefillPhaseEstimate};
 use crate::plan::MemoryPlan;
-use crate::request::{Lifecycle, RequestPool};
+use crate::request::{queued, Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
@@ -98,6 +98,8 @@ pub struct RunOutcome {
     pub journal: FlightRecorder,
     /// Metrics-plane snapshot (empty unless `record_metrics`).
     pub metrics: MetricsSnapshot,
+    /// How many request ids each per-request table ever spanned.
+    pub windows: WindowSpans,
 }
 
 /// Closed-loop session state threaded through one engine run (only for
@@ -176,8 +178,8 @@ fn drop_oldest_retained(
 /// pending request arriving at or before `at`, where a back-to-front walk
 /// would put it, ties included.
 fn release(
-    pending: &mut VecDeque<usize>,
-    unreleased: &mut VecDeque<usize>,
+    pending: &mut VecDeque<u32>,
+    unreleased: &mut VecDeque<u32>,
     pool: &mut RequestPool,
     succ: usize,
     at: f64,
@@ -190,13 +192,14 @@ fn release(
         "pending queue layout broken"
     );
     let mut probes = 0;
+    let entry = queued(succ);
     let from = unreleased.binary_search_by(|&i| {
         probes += 1;
-        i.cmp(&succ)
+        i.cmp(&entry)
     });
     debug_assert_eq!(
         from.ok(),
-        unreleased.iter().position(|&i| i == succ),
+        unreleased.iter().position(|&i| i == entry),
         "binary search disagrees with the linear walk on the successor"
     );
     #[expect(clippy::expect_used, reason = "unreleased turns are never admitted (their arrival is \
@@ -208,16 +211,23 @@ fn release(
     // `arrival <= at` partitions the queue.
     let to = pending.partition_point(|&i| {
         probes += 1;
-        pool.arrival(i) <= at
+        pool.arrival(i as usize) <= at
     });
+    let later = pending.iter().rev().take_while(|&&i| pool.arrival(i as usize) > at);
     debug_assert_eq!(
         to,
-        pending.len() - pending.iter().rev().take_while(|&&i| pool.arrival(i) > at).count(),
+        pending.len() - later.count(),
         "binary search disagrees with the linear walk on the successor's slot"
     );
-    pending.insert(to, succ);
+    pending.insert(to, entry);
     work.releases += 1;
     work.release_probes += probes;
+}
+
+/// The queue's head: the first pending request, else the first unreleased
+/// turn.
+fn queue_head(pending: &VecDeque<u32>, unreleased: &VecDeque<u32>) -> Option<usize> {
+    pending.front().or(unreleased.front()).map(|&i| i as usize)
 }
 
 /// Whether the queue has its layout at time `now` (see [`TdRun::pending`]):
@@ -225,18 +235,16 @@ fn release(
 /// arrive on, ascends; every unreleased turn's is infinite, and they
 /// ascend by request index.
 fn pending_layout_holds(
-    pending: &VecDeque<usize>,
-    unreleased: &VecDeque<usize>,
+    pending: &VecDeque<u32>,
+    unreleased: &VecDeque<u32>,
     pool: &RequestPool,
     now: f64,
 ) -> bool {
-    let future = pending
-        .iter()
-        .map(|&i| pool.arrival(i))
-        .skip_while(|&a| a <= now);
-    pending.iter().all(|&i| pool.arrival(i).is_finite())
+    let arrival = |&i: &u32| pool.arrival(i as usize);
+    let future = pending.iter().map(arrival).skip_while(|&a| a <= now);
+    pending.iter().map(arrival).all(f64::is_finite)
         && future.clone().zip(future.skip(1)).all(|(a, b)| a <= b)
-        && unreleased.iter().all(|&i| pool.arrival(i) == f64::INFINITY)
+        && unreleased.iter().map(arrival).all(|a| a == f64::INFINITY)
         && unreleased
             .iter()
             .zip(unreleased.iter().skip(1))
@@ -254,7 +262,7 @@ struct TdStepHooks<'r, 's> {
     sess: &'r mut Option<SessionRun<'s>>,
     planner: &'r mut GreedyPrefillPlanner,
     est_cache: &'r mut PrefillEstimateCache,
-    unreleased: &'r mut VecDeque<usize>,
+    unreleased: &'r mut VecDeque<u32>,
     queue: &'r mut QueueWork,
     journal: &'r mut FlightRecorder,
     /// Host-link time this step's swap-outs hold the batch back.
@@ -267,7 +275,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
     /// retained prefixes first), free it otherwise; then release the
     /// successor's closed-loop arrival (finish + think time), moving it
     /// from the unreleased turns to its sorted slot in the pending queue.
-    fn retire(&mut self, m: usize, env: &mut StepEnv<'_>) -> u64 {
+    fn retire(&mut self, m: usize, env: &mut StepEnv<'_, '_>) -> u64 {
         // `remove_request` subtracts the *tracked* contribution, so the
         // planner needs no settle first.
         self.planner.remove_request(m);
@@ -336,12 +344,12 @@ impl StepHooks for TdStepHooks<'_, '_> {
         held
     }
 
-    fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_>) -> bool {
+    fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_, '_>) -> bool {
         let (est_cache, journal) = (&mut *self.est_cache, &mut *self.journal);
         reclaim_retained(self.sess, target, None, env.now, env.alloc, env.pool, est_cache, journal)
     }
 
-    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_>) {
+    fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_, '_>) {
         self.planner.remove_request(victim);
         let mode = match self.engine.cfg.engine.preemption {
             PreemptionMode::Recompute => {
@@ -548,7 +556,14 @@ impl TdPipeEngine {
         est_cache.latency_cap = self.prefill_latency_cap(&run.pool);
         let n_stages = self.cost.num_stages() as usize;
         let mut alloc = BlockAllocator::new(self.plan.kv_blocks, BLOCK_SIZE);
-        alloc.reserve_ids(n);
+        let mut planner = GreedyPrefillPlanner::new(future_points(), self.plan.token_capacity());
+        // A closed-loop run admits turns far out of id order, so its
+        // windows span most of its ids anyway: size them once rather than
+        // regrow them mid-run. Open-loop windows stay O(in-flight).
+        if work.is_sessions() {
+            alloc.reserve_ids(n);
+            planner.reserve_ids(n);
+        }
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
         // every finished turn frees normally).
@@ -567,8 +582,6 @@ impl TdPipeEngine {
                 reuse_misses: 0,
             }
         });
-        let mut planner = GreedyPrefillPlanner::new(future_points(), self.plan.token_capacity());
-        planner.reserve_ids(n);
         // Arrivals ascend (`RunState::new` checks), so open-loop requests
         // and first turns come first; later turns arrive at `+∞` and wait,
         // unreleased, until their predecessor finishes. `pending` has room
@@ -577,8 +590,8 @@ impl TdPipeEngine {
             .position(|i| run.pool.arrival(i).is_infinite())
             .unwrap_or(n);
         let mut pending = VecDeque::with_capacity(n);
-        pending.extend(0..released);
-        let unreleased: VecDeque<usize> = (released..n).collect();
+        pending.extend(0..queued(released));
+        let unreleased: VecDeque<u32> = (queued(released)..queued(n)).collect();
         // Size the estimate walk for the deepest walk the opening queue
         // allows, so later extensions seldom allocate mid-run.
         let opening = Queue {
@@ -867,11 +880,11 @@ struct TdRun<'a> {
     /// moving the shorter side of its deque.
     /// Debug builds check the layout, and both positions against a linear
     /// walk, at every release.
-    pending: VecDeque<usize>,
+    pending: VecDeque<u32>,
     /// Session turns whose predecessor has not finished (infinite
     /// arrival), ascending by request index. Successors are released
     /// roughly in index order, so they sit near the front.
-    unreleased: VecDeque<usize>,
+    unreleased: VecDeque<u32>,
     /// Admitted requests still decoding, in admission order.
     residents: Vec<usize>,
     watermark_blocks: u64,
@@ -935,13 +948,14 @@ impl Policy for TdRun<'_> {
         let pool = &run.pool;
         let capacity = self.engine.plan.token_capacity();
         // Unreleased turns never arrive on their own: only `pending` counts.
-        let arrivals = self.pending.iter().map(|&i| pool.arrival(i));
+        let arrivals = self.pending.iter().map(|&i| pool.arrival(i as usize));
         Stall {
             oversize: self
                 .pending
                 .front()
-                .filter(|&&i| pool.arrival(i) <= now)
-                .map(|&i| (i, pool.resident_tokens(i), capacity)),
+                .map(|&i| i as usize)
+                .filter(|&i| pool.arrival(i) <= now)
+                .map(|i| (i, pool.resident_tokens(i), capacity)),
             next_arrival: arrivals.fold(f64::INFINITY, f64::min),
         }
     }
@@ -962,6 +976,11 @@ impl Policy for TdRun<'_> {
             evict_mode: match self.engine.cfg.engine.preemption {
                 PreemptionMode::Recompute => EvictMode::Recompute,
                 PreemptionMode::Swap => EvictMode::Swap,
+            },
+            windows: WindowSpans {
+                kv: self.alloc.window_high_water(),
+                planner: self.planner.window_high_water(),
+                ..WindowSpans::default()
             },
         }
     }
@@ -997,7 +1016,7 @@ impl TdRun<'_> {
         let mut settled = false;
         // The queue's head may be an unreleased turn: it has not arrived,
         // so the packer records an arrival stop for it like any other.
-        while let Some(&head) = self.pending.front().or(self.unreleased.front()) {
+        while let Some(head) = queue_head(&self.pending, &self.unreleased) {
             if !settled && !pf.meta.is_empty() {
                 let clock = now + pf.meta.len() as f64 * ENGINE_OVERHEAD;
                 if run.pool.arrival(head) > clock {
@@ -1042,7 +1061,7 @@ impl TdRun<'_> {
             // Why the packing loop below halted (journal; the loop running
             // the queue dry leaves the default).
             let mut pack_stop = PrefillStopReason::Exhausted;
-            while let Some(&idx) = self.pending.front().or(self.unreleased.front()) {
+            while let Some(idx) = queue_head(&self.pending, &self.unreleased) {
                 // Online extension: a request can only be prefilled after
                 // it has arrived.
                 if run.pool.arrival(idx) > now + pf.meta.len() as f64 * ENGINE_OVERHEAD {
@@ -1096,7 +1115,7 @@ impl TdRun<'_> {
                     self.est_cache.invalidate();
                     run.pool.note_swap_in(idx, full);
                     now += eng.swap_seconds(full);
-                    run.stamp_admission(idx);
+                    run.pool.stamp_admission(idx);
                     self.residents.push(idx);
                     self.planner.admit(idx, full, run.pool.predicted_remaining(idx));
                     pf.admitted += 1;
@@ -1176,7 +1195,7 @@ impl TdRun<'_> {
                 // to `t` on every other path.
                 let pool = &run.pool;
                 self.planner.admit(idx, pool.resident_tokens(idx), pool.predicted_remaining(idx));
-                run.stamp_admission(idx);
+                run.pool.stamp_admission(idx);
                 self.residents.push(idx);
                 pf.admitted += 1;
                 let reason = if run.pool.evictions(idx) > 0 {
@@ -1239,26 +1258,27 @@ impl TdRun<'_> {
         dc.switching = false;
         // Partition in admission order (§3.4: equal batches, one per GPU).
         // `residents` is kept in admission order by construction — prefill
-        // appends in increasing `admission_seq` and the phase-end retain
+        // appends in increasing admission stamps and the phase-end retain
         // preserves order — so no per-switch sort.
         debug_assert!(
             self.residents
                 .windows(2)
-                .all(|w| run.admission_seq[w[0]] < run.admission_seq[w[1]]),
+                .all(|w| run.pool.admission_seq(w[0]) < run.pool.admission_seq(w[1])),
             "residents must stay in admission order"
         );
         self.work.residents_at_open += self.residents.len() as u64;
         let n_stages = eng.cost.num_stages() as usize;
         // Each new batch is an admission-order interval of `residents`, so
         // whether a banked member stays in its batch is one range test.
-        let seq = &run.admission_seq;
         for (bid, b) in dc.batches.iter().enumerate() {
             let span = &self.residents[even_range(self.residents.len(), n_stages, bid)];
-            let stays = |m: usize| match (span.first(), span.last()) {
-                (Some(&first), Some(&last)) => (seq[first]..=seq[last]).contains(&seq[m]),
-                _ => false,
-            };
-            for &m in b.members.iter().filter(|&&m| !stays(m)) {
+            let pool = &run.pool;
+            let seq = |m: usize| pool.admission_seq(m);
+            let kept = span.first().zip(span.last()).map(|(&first, &last)| seq(first)..=seq(last));
+            for &m in &b.members {
+                if kept.as_ref().is_some_and(|k| k.contains(&run.pool.admission_seq(m))) {
+                    continue;
+                }
                 let coh = &mut dc.cohorts[bid];
                 let steps = run.stepper.leave(coh, m, &mut run.pool, &mut self.alloc);
                 self.planner.advance(m, steps);
@@ -1351,7 +1371,6 @@ impl TdRun<'_> {
                 pool: &mut run.pool,
                 alloc: &mut self.alloc,
                 pending: &mut self.pending,
-                admission_seq: &run.admission_seq,
                 now,
             },
             &mut hooks,
@@ -1396,11 +1415,8 @@ impl TdRun<'_> {
         //    `pending` lists arrived requests first, and unreleased session
         //    turns arrive at +∞.
         let pool = &run.pool;
-        let queued = self
-            .pending
-            .front()
-            .or(self.unreleased.front())
-            .is_some_and(|&h| pool.arrival(h) <= now);
+        let queued = queue_head(&self.pending, &self.unreleased)
+            .is_some_and(|h| pool.arrival(h) <= now);
         if !dc.switching && queued {
             let switch = match eng.cfg.d2p {
                 D2pPolicy::Intensity => {
@@ -1570,7 +1586,7 @@ impl TdRun<'_> {
 mod tests {
     use super::*;
     use tdpipe_predictor::OraclePredictor;
-    use tdpipe_workload::ShareGptLikeConfig;
+    use tdpipe_workload::{Request, ShareGptLikeConfig};
 
     fn engine(num_gpus: u32) -> TdPipeEngine {
         TdPipeEngine::new(
@@ -1956,12 +1972,13 @@ mod tests {
         at: f64,
     ) -> (Vec<usize>, QueueWork) {
         let t = trace(arrivals.len());
-        let mut pool = RequestPool::with_arrivals(t.requests(), arrivals, |r| r.output_len);
-        let split = |released: bool| -> VecDeque<usize> {
+        let work = Workload::Requests { trace: &t, arrivals };
+        let mut pool = RequestPool::for_workload(&work, |r| r.output_len);
+        let split = |released: bool| -> VecDeque<u32> {
             pending
                 .iter()
-                .copied()
-                .filter(|&i| arrivals[i].is_finite() == released)
+                .filter(|&&i| arrivals[i].is_finite() == released)
+                .map(|&i| queued(i))
                 .collect()
         };
         let (mut queue, mut unreleased) = (split(true), split(false));
@@ -1976,7 +1993,8 @@ mod tests {
             &mut work,
         );
         assert_eq!(pool.arrival(succ), at);
-        (queue.into_iter().chain(unreleased).collect(), work)
+        let order = queue.into_iter().chain(unreleased).map(|i| i as usize);
+        (order.collect(), work)
     }
 
     /// A successor whose release time ties pending arrivals lands after
@@ -2176,9 +2194,13 @@ mod tests {
     #[test]
     fn latency_cap_bounds_extreme_batches() {
         let eng = engine(4);
+        let cap_of = |reqs: &[Request]| {
+            let t = Trace::new(reqs.to_vec());
+            let pool = RequestPool::for_workload(&Workload::offline(&t), |r| r.output_len);
+            eng.prefill_latency_cap(&pool)
+        };
         let mut reqs = trace(16).requests().to_vec();
-        let pool = RequestPool::new(&reqs, |r| r.output_len);
-        let cap = eng.prefill_latency_cap(&pool);
+        let cap = cap_of(&reqs);
         let latency = |lens: &[u32]| eng.cost.prefill_job(lens).latency();
         let budget = PREFILL_TOKEN_BUDGET;
         for lens in [
@@ -2193,14 +2215,10 @@ mod tests {
         // generating all but its last token, stays under the cap.
         reqs[3].input_len = 3 * budget;
         reqs[3].output_len = 900;
-        let pool = RequestPool::new(&reqs, |r| r.output_len);
-        let cap = eng.prefill_latency_cap(&pool);
+        let cap = cap_of(&reqs);
         assert!(latency(&[3 * budget + 899]) <= cap);
         assert!(latency(&[1; 3 * 4096 + 899]) <= cap);
         // The cap is not vacuous: a full-budget batch comes within 25%.
-        assert!(
-            latency(&[budget])
-                > 0.8 * eng.prefill_latency_cap(&RequestPool::new(&reqs[..3], |r| r.output_len))
-        );
+        assert!(latency(&[budget]) > 0.8 * cap_of(&reqs[..3]));
     }
 }

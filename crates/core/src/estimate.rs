@@ -54,20 +54,21 @@ const CERTIFY_MARGIN: f64 = 1e-9;
 /// finished).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queue<'a> {
-    pub pending: &'a VecDeque<usize>,
-    pub unreleased: &'a VecDeque<usize>,
+    pub pending: &'a VecDeque<u32>,
+    pub unreleased: &'a VecDeque<u32>,
 }
 
 impl<'a> Queue<'a> {
     pub fn get(&self, pos: usize) -> Option<usize> {
-        match pos.checked_sub(self.pending.len()) {
-            None => self.pending.get(pos).copied(),
-            Some(rest) => self.unreleased.get(rest).copied(),
-        }
+        let idx = match pos.checked_sub(self.pending.len()) {
+            None => self.pending.get(pos),
+            Some(rest) => self.unreleased.get(rest),
+        };
+        idx.map(|&i| i as usize)
     }
 
     pub fn iter(self) -> impl Iterator<Item = usize> + 'a {
-        self.pending.iter().chain(self.unreleased).copied()
+        self.pending.iter().chain(self.unreleased).map(|&i| i as usize)
     }
 }
 
@@ -146,13 +147,6 @@ impl PrefillEstimateCache {
     pub fn reserve(&mut self, batches: usize, positions: usize) {
         self.steps.reserve(batches);
         self.members.reserve(positions);
-    }
-
-    /// Whether the current walk still matches the queue (a query extends
-    /// it rather than starting a new one).
-    #[cfg(test)]
-    pub fn is_valid(&self) -> bool {
-        self.valid
     }
 
     /// Price the hypothetical next prefill phase given `free_tokens` of
@@ -298,5 +292,18 @@ impl PrefillEstimateCache {
         self.walked_batches += 1;
         self.steps.push(step);
         Some(step)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PrefillEstimateCache;
+
+    impl PrefillEstimateCache {
+        /// Whether the current walk still matches the queue (a query
+        /// extends it rather than starting a new one).
+        pub(crate) fn is_valid(&self) -> bool {
+            self.valid
+        }
     }
 }

@@ -24,7 +24,7 @@
 //! from-scratch rebuild (the equivalence proptest and a debug assertion in
 //! the engine both pin this).
 
-use tdpipe_kvcache::BlockAllocator;
+use tdpipe_kvcache::{BlockAllocator, IdWindow};
 
 /// The future-usage simulator behind Algorithm 1.
 ///
@@ -49,15 +49,18 @@ pub struct GreedyPrefillPlanner {
     /// Per-request tracked contribution, id-indexed: `(current_tokens,
     /// predicted_remaining)` exactly as accounted into the grid, or
     /// [`UNTRACKED`] for requests the planner is not currently tracking.
-    tracked: Vec<Tracked>,
+    /// A window from the oldest tracked id to the newest one admitted:
+    /// removals retire the untracked entries at its front.
+    tracked: IdWindow<Tracked>,
 }
 
 /// One tracking-table entry: `(current_tokens, predicted_remaining)`, or
 /// [`UNTRACKED`].
 type Tracked = (u32, u32);
 
-// One entry per request of the trace: a field that widens the entry
-// multiplies into the run's peak memory.
+// One entry per request in flight (every request, for a closed-loop
+// share's reserved table): a field that widens the entry multiplies into
+// the run's peak memory.
 const _: () = assert!(std::mem::size_of::<Tracked>() == 8);
 
 /// The entry of a request the planner is not tracking.
@@ -90,23 +93,27 @@ impl GreedyPrefillPlanner {
             tokens: vec![0; n],
             counts: vec![0; n],
             token_capacity,
-            tracked: Vec::new(),
+            tracked: IdWindow::new(),
         }
     }
 
-    /// Pre-size the tracking table for `n` request ids so admission never
-    /// grows it mid-run.
+    /// Make room in the tracking table for ids `0..n` up front, for runs
+    /// that admit ids far out of order (see
+    /// [`BlockAllocator::reserve_ids`]).
     pub fn reserve_ids(&mut self, n: usize) {
-        if self.tracked.len() < n {
-            self.tracked.resize(n, UNTRACKED);
-        }
+        self.tracked.reserve(n);
+    }
+
+    /// The most ids the tracking table ever spanned.
+    pub fn window_high_water(&self) -> usize {
+        self.tracked.high_water()
     }
 
     /// Forget every tracked request and zero the usage grid.
     pub fn clear(&mut self) {
         self.tokens.fill(0);
         self.counts.fill(0);
-        self.tracked.fill(UNTRACKED);
+        self.tracked.clear();
     }
 
     /// Algorithm 1's `UpdateUsage`: account one just-admitted request with
@@ -118,15 +125,10 @@ impl GreedyPrefillPlanner {
     /// Panics (debug) if `id` is already tracked — remove it first — or
     /// if `current_tokens` passes the per-request limit.
     pub fn admit(&mut self, id: usize, current_tokens: u64, predicted_remaining: u32) {
-        if self.tracked.len() <= id {
-            self.tracked.resize(id + 1, UNTRACKED);
-        }
-        debug_assert!(
-            self.tracked[id] == UNTRACKED,
-            "request {id} already tracked"
-        );
+        let slot = self.tracked.entry(id, |_| UNTRACKED);
+        debug_assert!(*slot == UNTRACKED, "request {id} already tracked");
         let entry = (pack(current_tokens), predicted_remaining);
-        self.tracked[id] = entry;
+        *slot = entry;
         self.add(entry);
     }
 
@@ -136,12 +138,13 @@ impl GreedyPrefillPlanner {
     /// required first — the stored `(c, p)` pair is whatever was last
     /// admitted/advanced, and that is exactly what was accounted.
     pub fn remove_request(&mut self, id: usize) {
-        let entry = std::mem::replace(&mut self.tracked[id], UNTRACKED);
+        let entry = self.tracked.get_mut(id).map_or(UNTRACKED, |e| std::mem::replace(e, UNTRACKED));
         if entry == UNTRACKED {
             // Planner misuse is an engine bug; the debug-assert oracle in
             // the engine catches drift earlier.
             panic!("removing untracked request {id}")
         }
+        self.tracked.retire_front(|&e| e == UNTRACKED);
         self.sub(entry);
     }
 
@@ -153,18 +156,18 @@ impl GreedyPrefillPlanner {
         if steps == 0 {
             return;
         }
-        let entry = self.tracked[id];
-        if entry == UNTRACKED {
+        let Some(slot) = self.tracked.get_mut(id).filter(|e| **e != UNTRACKED) else {
             // Planner misuse is an engine bug; the debug-assert oracle in
             // the engine catches drift earlier.
             panic!("advancing untracked request {id}")
-        }
+        };
+        let entry = *slot;
         let (c, p) = entry;
         let advanced = (
             pack(u64::from(c) + u64::from(steps)),
             p.saturating_sub(steps),
         );
-        self.tracked[id] = advanced;
+        *slot = advanced;
         self.sub(entry);
         self.add(advanced);
     }

@@ -1,5 +1,6 @@
 //! The paged block allocator.
 
+use crate::window::IdWindow;
 use serde::{Deserialize, Serialize};
 
 /// Errors the allocator can report.
@@ -103,8 +104,10 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 /// `ceil(t / block_size)` blocks (the trailing block is partially filled,
 /// exactly like paged attention). All operations are O(1) — request ids
 /// are dense pool indices in this codebase, so residency lives in a flat
-/// table indexed by id (grown lazily to the highest id seen) rather than a
-/// hash map. An entry is one `u32`: the request's resident tokens, or
+/// table indexed by id rather than a hash map. The table is an
+/// [`IdWindow`]: it spans only the ids from the oldest resident to the
+/// newest one allocated, since a free retires the vacant entries at its
+/// front. An entry is one `u32`: the request's resident tokens, or
 /// `u32::MAX` when vacant. Its block count is not stored — it is always
 /// `ceil(tokens / block_size)`, so every reader derives it. Decode steps
 /// do not touch the table per member: a cohort step moves the pool
@@ -127,8 +130,8 @@ pub struct BlockAllocator {
     block_size: u32,
     num_blocks: u64,
     used_blocks: u64,
-    /// Residency table indexed by request id.
-    residents: Vec<Record>,
+    /// Residency table indexed by request id, over the ids in flight.
+    residents: IdWindow<Record>,
     /// Count of non-`VACANT` entries in `residents`.
     num_residents: usize,
     /// Sum of `tokens` over resident requests, maintained incrementally so
@@ -142,8 +145,9 @@ pub struct BlockAllocator {
 /// [`BlockAllocator::MAX_RECORD_TOKENS`], or `VACANT`.
 type Record = u32;
 
-// One entry per request per pool, for every request of the trace: a field
-// that widens the entry multiplies into the run's peak memory.
+// One entry per request in flight per pool (every request, for a
+// closed-loop share's reserved table): a field that widens the entry
+// multiplies into the run's peak memory.
 const _: () = assert!(std::mem::size_of::<Record>() == 4);
 
 impl BlockAllocator {
@@ -161,25 +165,31 @@ impl BlockAllocator {
             block_size,
             num_blocks,
             used_blocks: 0,
-            residents: Vec::new(),
+            residents: IdWindow::new(),
             num_residents: 0,
             resident_tokens: 0,
             stats: AllocStats::default(),
         }
     }
 
-    /// Pre-size the residency table for ids `0..n` so a run over a known
-    /// request population never grows it again.
+    /// Make room in the residency table for ids `0..n` up front. For runs
+    /// that allocate ids far out of order (closed-loop shares release
+    /// turns out of id order), where the window spans most ids anyway and
+    /// regrowing it mid-run only churns the heap.
     pub fn reserve_ids(&mut self, n: usize) {
-        if self.residents.len() < n {
-            self.residents.resize(n, VACANT);
-        }
+        self.residents.reserve(n);
+    }
+
+    /// The most ids the residency table ever spanned.
+    #[inline]
+    pub fn window_high_water(&self) -> usize {
+        self.residents.high_water()
     }
 
     /// `id`'s resident tokens, if it is resident.
     #[inline]
     fn slot(&self, id: u64) -> Option<u64> {
-        let tokens = *self.residents.get(usize::try_from(id).ok()?)?;
+        let tokens = self.residents.read(usize::try_from(id).ok()?, VACANT, VACANT);
         (tokens != VACANT).then_some(u64::from(tokens))
     }
 
@@ -264,9 +274,6 @@ impl BlockAllocator {
         #[expect(clippy::cast_possible_truncation, reason = "ids are request-pool indices, `usize` \
             values widened to `u64`")]
         let idx = id as usize;
-        if idx >= self.residents.len() {
-            self.residents.resize(idx + 1, VACANT);
-        }
         self.used_blocks += needed;
         self.num_residents += 1;
         self.resident_tokens += tokens;
@@ -274,7 +281,7 @@ impl BlockAllocator {
         if self.used_blocks > self.stats.used_blocks_high_water {
             self.stats.used_blocks_high_water = self.used_blocks;
         }
-        self.residents[idx] = record;
+        *self.residents.entry(idx, |_| VACANT) = record;
         Ok(())
     }
 
@@ -409,6 +416,7 @@ impl BlockAllocator {
     pub fn free(&mut self, id: u64) -> Result<u64, KvError> {
         let r = self.slot_mut(id).ok_or(KvError::UnknownRequest(id))?;
         let tokens = u64::from(std::mem::replace(r, VACANT));
+        self.residents.retire_front(|&t| t == VACANT);
         self.used_blocks -= self.blocks_for(tokens);
         self.num_residents -= 1;
         self.resident_tokens -= tokens;

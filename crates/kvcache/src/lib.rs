@@ -15,6 +15,9 @@
 //! * [`SessionRetainer`] — bookkeeping for session-affine KV retention
 //!   across closed-loop conversation turns (which finished turn's blocks
 //!   are being held for which resumed turn, under what budget).
+//! * [`IdWindow`] — an id-indexed table that holds only a window of ids,
+//!   the in-flight ones: the allocator's residency table and the engines'
+//!   per-request run state.
 //!
 //! The allocator is *scope-agnostic*: one instance manages the binding
 //! stage of a pipeline (the stage whose blocks run out first), or a TP
@@ -26,10 +29,12 @@
 pub mod allocator;
 pub mod session;
 pub mod usage;
+pub mod window;
 
 pub use allocator::{used_fraction, AllocStats, BlockAllocator, KvError};
 pub use session::{RetainStats, RetainedKv, SessionRetainer};
 pub use usage::{OccupancySample, OccupancyTrace, Phase};
+pub use window::{IdWindow, Slot};
 
 #[cfg(test)]
 mod proptests;

@@ -1,8 +1,10 @@
 //! Property tests: the allocator conserves blocks under arbitrary
 //! operation sequences and never misaccounts, on the per-call path and
-//! on the banked cohort path the engines take.
+//! on the banked cohort path the engines take; an [`IdWindow`] reads
+//! like the dense table it stands for.
 
 use crate::allocator::BlockAllocator;
+use crate::window::{IdWindow, Slot};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -110,5 +112,76 @@ proptest! {
             a.free(id).unwrap();
         }
         prop_assert_eq!(a.used_blocks(), 0);
+    }
+}
+
+/// Ids the window tests address.
+const IDS: usize = 48;
+/// The value a retired id reads as, and the value that marks an entry
+/// retirable.
+const RETIRED: u32 = u32::MAX - 1;
+/// The value an untouched id reads as.
+const UNTOUCHED: u32 = u32::MAX;
+
+/// Window operations, addressed relative to the window's base so that
+/// writes land below, inside and past it, and retirements happen.
+#[derive(Debug, Clone)]
+enum WindowOp {
+    /// Write `value` at `base + off - 8`.
+    Write { off: usize, value: u32 },
+    /// Mark `base + off` done: it retires once every id before it has.
+    Kill { off: usize },
+    Retire,
+    Reserve { n: usize },
+    Clear,
+}
+
+fn arb_window_ops() -> impl Strategy<Value = Vec<WindowOp>> {
+    prop::collection::vec(
+        prop_oneof![
+            (0usize..24, 0u32..100).prop_map(|(off, value)| WindowOp::Write { off, value }),
+            (0usize..24, 0u32..100).prop_map(|(off, value)| WindowOp::Write { off, value }),
+            (0usize..4).prop_map(|off| WindowOp::Kill { off }),
+            (0usize..4).prop_map(|off| WindowOp::Kill { off }),
+            Just(WindowOp::Retire),
+            Just(WindowOp::Retire),
+            (0..2 * IDS).prop_map(|n| WindowOp::Reserve { n }),
+            Just(WindowOp::Clear),
+        ],
+        1..160,
+    )
+}
+
+proptest! {
+    #[test]
+    fn id_window_reads_like_a_dense_table(ops in arb_window_ops()) {
+        let mut w = IdWindow::new();
+        let mut dense = vec![UNTOUCHED; IDS];
+        for op in ops {
+            let base = w.base();
+            let mut write = |w: &mut IdWindow<u32>, id: usize, value: u32| {
+                let id = id.min(IDS - 1);
+                *w.entry(id, |k| if k < base { RETIRED } else { UNTOUCHED }) = value;
+                dense[id] = value;
+            };
+            match op {
+                WindowOp::Write { off, value } => write(&mut w, (base + off).saturating_sub(8), value),
+                WindowOp::Kill { off } => write(&mut w, base + off, RETIRED),
+                WindowOp::Retire => w.retire_front(|&v| v == RETIRED),
+                WindowOp::Reserve { n } => w.reserve(n),
+                WindowOp::Clear => {
+                    w.clear();
+                    dense.fill(UNTOUCHED);
+                }
+            }
+            prop_assert!(w.span() <= w.high_water());
+            prop_assert_eq!(w.end(), w.base() + w.span());
+            for (id, &want) in dense.iter().enumerate() {
+                prop_assert_eq!(w.read(id, RETIRED, UNTOUCHED), want, "id {}", id);
+                let live = matches!(w.slot(id), Slot::Live(_));
+                prop_assert_eq!(live, (w.base()..w.end()).contains(&id));
+                prop_assert_eq!(w.get_mut(id).is_some(), live);
+            }
+        }
     }
 }

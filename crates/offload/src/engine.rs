@@ -8,7 +8,7 @@ use tdpipe_baselines::engine::MAX_NUM_SEQS;
 use tdpipe_core::config::{
     EngineConfig, BLOCK_SIZE, ENGINE_OVERHEAD, MEM_RESERVE_BYTES, PREFILL_TOKEN_BUDGET,
 };
-use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall};
+use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall, WindowSpans};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::exec::{PipelineExecutor, SimExecutor};
 use tdpipe_hw::NodeSpec;
@@ -187,6 +187,10 @@ impl Policy for OffloadRun<'_> {
             alloc: self.lane.alloc.stats(),
             kv_blocks: self.lane.alloc.num_blocks(),
             evict_mode: EvictMode::Recompute,
+            windows: WindowSpans {
+                kv: self.lane.alloc.window_high_water(),
+                ..WindowSpans::default()
+            },
         }
     }
 }

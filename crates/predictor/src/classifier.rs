@@ -57,16 +57,16 @@ impl SoftmaxClassifier {
     /// # Panics
     /// Panics on empty data, inconsistent dimensions, or out-of-range
     /// labels.
-    pub fn train(
-        features: &[Vec<f32>],
+    pub fn train<F: AsRef<[f32]>>(
+        features: &[F],
         labels: &[usize],
         num_classes: usize,
         cfg: &TrainConfig,
     ) -> Self {
         assert!(!features.is_empty(), "empty training set");
         assert_eq!(features.len(), labels.len(), "features/labels mismatch");
-        let dim = features[0].len();
-        assert!(features.iter().all(|f| f.len() == dim), "ragged features");
+        let dim = features[0].as_ref().len();
+        assert!(features.iter().all(|f| f.as_ref().len() == dim), "ragged features");
         assert!(
             labels.iter().all(|&l| l < num_classes),
             "label out of range"
@@ -77,7 +77,7 @@ impl SoftmaxClassifier {
         let mut feat_mean = vec![0.0; dim];
         let mut feat_std = vec![0.0; dim];
         for f in features {
-            for (d, &v) in f.iter().enumerate() {
+            for (d, &v) in f.as_ref().iter().enumerate() {
                 feat_mean[d] += v as f64;
             }
         }
@@ -85,7 +85,7 @@ impl SoftmaxClassifier {
             *m /= n;
         }
         for f in features {
-            for (d, &v) in f.iter().enumerate() {
+            for (d, &v) in f.as_ref().iter().enumerate() {
                 let c = v as f64 - feat_mean[d];
                 feat_std[d] += c * c;
             }
@@ -117,7 +117,7 @@ impl SoftmaxClassifier {
                 grad_w.iter_mut().for_each(|g| *g = 0.0);
                 grad_b.iter_mut().for_each(|g| *g = 0.0);
                 for &i in chunk {
-                    this.standardise(&features[i], &mut x);
+                    this.standardise(features[i].as_ref(), &mut x);
                     this.softmax(&x, &mut probs);
                     for k in 0..num_classes {
                         let err = probs[k] - f64::from(labels[i] == k);

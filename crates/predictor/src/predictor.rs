@@ -55,8 +55,7 @@ impl LengthPredictor {
     pub fn train(train: &Trace, cfg: &TrainConfig) -> Self {
         let lengths: Vec<u32> = train.requests().iter().map(|r| r.output_len).collect();
         let buckets = PercentileBuckets::fit(&lengths);
-        let features: Vec<Vec<f32>> =
-            train.requests().iter().map(|r| Self::featurise(r).to_vec()).collect();
+        let features: Vec<_> = train.requests().iter().map(Self::featurise).collect();
         let labels: Vec<usize> = train
             .requests()
             .iter()
@@ -249,6 +248,21 @@ mod tests {
         // generous band — the bench reports the exact figure.
         assert!(acc > 0.35, "accuracy {acc} not better than chance");
         assert!(acc < 0.95, "accuracy {acc} suspiciously high");
+    }
+
+    /// Stack-built feature rows train the classifier to the same bits as
+    /// one heap row per request.
+    #[test]
+    fn training_on_rows_matches_training_on_vecs() {
+        let trace = ShareGptLikeConfig::small(1_500, 9).generate();
+        let p = LengthPredictor::train(&trace, &quick_cfg());
+        let rows: Vec<_> = trace.requests().iter().map(LengthPredictor::featurise).collect();
+        let vecs: Vec<Vec<f32>> = rows.iter().map(|f| f.to_vec()).collect();
+        let labels: Vec<usize> = trace.requests().iter().map(|r| p.true_bucket(r)).collect();
+        let k = p.buckets.num_buckets();
+        let on_vecs = SoftmaxClassifier::train(&vecs, &labels, k, &quick_cfg());
+        assert_eq!(SoftmaxClassifier::train(&rows, &labels, k, &quick_cfg()), on_vecs);
+        assert_eq!(p.classifier, on_vecs);
     }
 
     #[test]

@@ -98,20 +98,26 @@ impl Trace {
     }
 
     /// Shuffle-and-slice into the paper's 60/20/20 split (deterministic in
-    /// `seed`).
+    /// `seed`). The shuffle permutes request positions (its draws depend
+    /// only on the length), and each split is copied once, at its exact
+    /// size.
+    ///
+    /// # Panics
+    /// Panics if the trace holds more than `u32::MAX` requests.
     pub fn split(&self, seed: u64) -> TraceSplits {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut shuffled = self.requests.clone();
-        shuffled.shuffle(&mut rng);
-        let n = shuffled.len();
-        let train_end = n * 60 / 100;
-        let val_end = n * 80 / 100;
-        let test = shuffled.split_off(val_end);
-        let val = shuffled.split_off(train_end);
+        let n = u32::try_from(self.requests.len()).expect("trace positions fit u32");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.shuffle(&mut rng);
+        let n = order.len();
+        let (train_end, val_end) = (n * 60 / 100, n * 80 / 100);
+        let copy = |positions: &[u32]| {
+            Trace::new(positions.iter().map(|&i| self.requests[i as usize].clone()).collect())
+        };
         TraceSplits {
-            train: Trace::new(shuffled),
-            val: Trace::new(val),
-            test: Trace::new(test),
+            train: copy(&order[..train_end]),
+            val: copy(&order[train_end..val_end]),
+            test: copy(&order[val_end..]),
         }
     }
 }
@@ -122,6 +128,22 @@ mod tests {
     use crate::generator::ShareGptLikeConfig;
 
     impl Trace {
+        /// The split as it was computed before positions were shuffled:
+        /// clone the whole trace, shuffle the clone, slice it.
+        fn split_by_cloning(&self, seed: u64) -> TraceSplits {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut shuffled = self.requests.clone();
+            shuffled.shuffle(&mut rng);
+            let n = shuffled.len();
+            let test = shuffled.split_off(n * 80 / 100);
+            let val = shuffled.split_off(n * 60 / 100);
+            TraceSplits {
+                train: Trace::new(shuffled),
+                val: Trace::new(val),
+                test: Trace::new(test),
+            }
+        }
+
         /// Allocated request slots, for the layout tests.
         pub(crate) fn capacity(&self) -> usize {
             self.requests.capacity()
@@ -184,6 +206,24 @@ mod tests {
         // Ratios approximately 60/20/20.
         assert!((s.train.len() as f64 / 997.0 - 0.6).abs() < 0.01);
         assert!((s.test.len() as f64 / 997.0 - 0.2).abs() < 0.01);
+    }
+
+    /// Shuffling positions draws exactly what shuffling the requests did:
+    /// every split equals the clone-and-split reference's, and holds no
+    /// spare capacity.
+    #[test]
+    fn split_matches_the_clone_and_split_reference() {
+        for n in [1, 2, 5, 997, 3000] {
+            let t = trace(n);
+            for seed in [0, 3, 7, 42] {
+                let (got, want) = (t.split(seed), t.split_by_cloning(seed));
+                let pairs = [(got.train, want.train), (got.val, want.val), (got.test, want.test)];
+                for (g, w) in pairs {
+                    assert_eq!(g, w, "n={n} seed={seed}");
+                    assert_eq!(g.capacity(), g.len(), "n={n} seed={seed}");
+                }
+            }
+        }
     }
 
     #[test]

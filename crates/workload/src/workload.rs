@@ -69,6 +69,7 @@ impl<'a> Workload<'a> {
     }
 
     /// Request `i`, the parent's own for a share.
+    #[inline]
     pub fn request(&self, i: usize) -> &'a Request {
         match *self {
             Workload::Requests { trace, .. } => &trace.requests()[i],
@@ -79,6 +80,7 @@ impl<'a> Workload<'a> {
 
     /// Request `i`'s id: its own in a whole trace, its position in a
     /// share (so a share's ids run `0..len` like a self-contained trace).
+    #[inline]
     pub fn id(&self, i: usize) -> RequestId {
         match self {
             Workload::Rows(_) => RequestId(i as u64),
@@ -90,6 +92,7 @@ impl<'a> Workload<'a> {
     /// offline), its session's start for a turn 0, and `f64::INFINITY` for
     /// a resumed turn, which the engine releases when its predecessor
     /// finishes plus think time.
+    #[inline]
     pub fn arrival(&self, i: usize) -> f64 {
         match *self {
             Workload::Requests { arrivals, .. } => arrivals.get(i).copied().unwrap_or(0.0),

@@ -38,7 +38,9 @@
 #      generators' range arithmetic runs with overflow checks on, and so
 #      do the trace and spans crates' tests, so the journal's stage-event
 #      derivation and the bubble fold over it run with debug asserts and
-#      overflow checks
+#      overflow checks; and so do the KV-cache, baseline and offload
+#      crates' tests, so the id windows' offset arithmetic (and every
+#      scheduler's windowed run state) runs with overflow checks on
 #   4. bit-identical smoke diff against the committed Fig. 11 snapshot
 #  4b. figure artifacts: every figure binary reruns at its default
 #      request count into a temp dir (`scripts/figures.sh --check`,
@@ -120,6 +122,7 @@ step "tests (debug profile: engine oracles on)"
 cargo test -q -p tdpipe-core
 cargo test -q -p tdpipe-workload
 cargo test -q -p tdpipe-trace -p tdpipe-spans
+cargo test -q -p tdpipe-kvcache -p tdpipe-baselines -p tdpipe-offload
 cargo test -q --test baseline_golden --test determinism --test runtime_equivalence
 
 step "smoke (bit-identical fig11 snapshot)"
