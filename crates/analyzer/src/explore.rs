@@ -1,7 +1,8 @@
-//! The breadth-first explorer both bounded protocol model checkers
-//! ([`crate::protocol`], [`crate::session_protocol`]) run on: every state
-//! reachable from the initial one is expanded once, in discovery order,
-//! and the first broken property comes back with the shortest
+//! The breadth-first explorer the bounded protocol model checkers run on:
+//! the supervision model ([`crate::protocol`]) and, in
+//! `tdpipe-kvcache`'s tests, the session-KV retention code itself. Every
+//! state reachable from the initial one is expanded once, in discovery
+//! order, and the first broken property comes back with the shortest
 //! interleaving that reaches it.
 
 use std::collections::{HashMap, VecDeque};
@@ -31,7 +32,7 @@ impl std::fmt::Display for Violation {
 
 /// One transition: its label, the state it leads to, and the property
 /// it breaks, if any.
-pub(crate) type Step<S> = (String, S, Option<String>);
+pub type Step<S> = (String, S, Option<String>);
 
 /// Exhaustively explore a model from `init` and return the number of
 /// distinct states. `successors` lists every transition enabled in a
@@ -40,7 +41,7 @@ pub(crate) type Step<S> = (String, S, Option<String>);
 /// terminal properties; a non-terminal state with no transition is a
 /// `deadlock`. `discovered` sees the label of every transition that
 /// reaches a new state.
-pub(crate) fn explore<S: Clone + Eq + Hash>(
+pub fn explore<S: Clone + Eq + Hash>(
     init: S,
     deadlock: &str,
     successors: impl Fn(&S) -> Vec<Step<S>>,

@@ -34,35 +34,31 @@
 //!    A committed ratchet baseline ([`findings`]) makes CI fail on any
 //!    *new* finding while tolerating (and reporting) the baseline.
 //!
-//! 2. **Bounded protocol model checkers** ([`protocol`],
-//!    [`session_protocol`]) — explicit state machines explored
-//!    exhaustively by one shared BFS explorer:
+//! 2. **Bounded protocol model checker** ([`protocol`]) — the
+//!    cluster↔worker supervision protocol (launch → exec → transfer-ack →
+//!    completion → `WorkerExit` → shutdown, including every fault
+//!    `FaultPlan` can inject) as an explicit state machine, explored
+//!    exhaustively over ≤3 stages × ≤3 in-flight jobs: no deadlock,
+//!    exactly one `WorkerExit` per rank, no completion after
+//!    `ShutdownTimedOut`. Mutation scenarios prove it non-vacuous. It runs
+//!    as an ordinary `cargo test` and in CI's analyze step
+//!    (`--check-protocols`).
 //!
-//!    * the cluster↔worker supervision protocol (launch → exec →
-//!      transfer-ack → completion → `WorkerExit` → shutdown, including
-//!      every fault `FaultPlan` can inject), ≤3 stages × ≤3 in-flight
-//!      jobs: no deadlock, exactly one `WorkerExit` per rank, no
-//!      completion after `ShutdownTimedOut`;
-//!    * the session-KV retention protocol (`SessionRetainer`:
-//!      retain / claim / pop_oldest_except / reclaim under memory
-//!      pressure), ≤3 sessions × ≤2 turns: no block leak, no claim
-//!      after drop, retained budget never exceeded, miss ⇒ full
-//!      prefill. Mutation scenarios prove both checkers non-vacuous.
-//!
-//!    The checkers run as ordinary `cargo test`s and in CI's analyze
-//!    step (`--check-protocols`), so the proofs re-run in tier-1.
+//!    Its breadth-first explorer ([`explore`]) is public: the session-KV
+//!    retention code (`tdpipe_kvcache::SessionKv`) is model-checked by
+//!    the same explorer in that crate's tests, on the real type and a real
+//!    allocator rather than a restatement.
 
 #![forbid(unsafe_code)]
 
 pub mod config;
-mod explore;
+pub mod explore;
 pub mod findings;
 pub mod lexer;
 pub mod model;
 pub mod protocol;
 pub mod rules;
 pub mod run;
-pub mod session_protocol;
 
 pub use config::Config;
 pub use findings::{Baseline, Finding, RatchetDiff};

@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Exit status: 0 when no finding exceeds the ratchet baseline (and, for
-//! `--check-protocols`, when both bounded model checkers pass), 1 when
-//! new findings or protocol violations exist (usage/config errors: 2).
+//! `--check-protocols`, when the supervision model checker passes), 1
+//! when new findings or protocol violations exist (usage/config errors:
+//! 2).
 
 use analyzer::{analyze_root, Baseline, Config};
 use std::path::PathBuf;
@@ -222,18 +223,12 @@ fn main() -> ExitCode {
     }
 }
 
-/// Run both bounded model checkers: the cluster↔worker supervision
-/// protocol sweep and the session-KV retention sweep, plus the seeded
-/// mutation scenarios that prove the session checker non-vacuous.
+/// Run the cluster↔worker supervision protocol sweep.
 fn check_protocols(quiet: bool) -> ExitCode {
     use analyzer::protocol;
-    use analyzer::session_protocol::{
-        all_session_scenarios, check_session, SessionMutation, SessionScenario,
-    };
 
     let mut states = 0usize;
     let cluster = protocol::all_scenarios(3, 3);
-    let cluster_count = cluster.len();
     for sc in &cluster {
         match protocol::check(sc) {
             Ok(s) => states += s.states,
@@ -244,73 +239,10 @@ fn check_protocols(quiet: bool) -> ExitCode {
         }
     }
 
-    let sessions = all_session_scenarios(3, 2);
-    let session_count = sessions.len();
-    let (mut hits, mut misses, mut drops) = (0usize, 0usize, 0usize);
-    for sc in &sessions {
-        match check_session(sc) {
-            Ok(s) => {
-                states += s.states;
-                hits += s.hits;
-                misses += s.misses;
-                drops += s.drops;
-            }
-            Err(v) => {
-                eprintln!("analyzer: session protocol: {v}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if hits == 0 || misses == 0 || drops == 0 {
-        eprintln!(
-            "analyzer: session sweep is vacuous (hits {hits}, misses {misses}, \
-             drops {drops}) — the scenarios no longer exercise the protocol"
-        );
-        return ExitCode::FAILURE;
-    }
-
-    // Non-vacuity: every seeded bug must produce a counterexample.
-    let base = SessionScenario {
-        sessions: 2,
-        turns: 2,
-        total_blocks: 7,
-        budget_blocks: 2,
-        turn_blocks: 2,
-        mutation: SessionMutation::None,
-    };
-    let mutations = [
-        SessionMutation::BudgetBlind,
-        SessionMutation::NoDiscountClear,
-        SessionMutation::DonorLeak,
-    ];
-    for m in mutations {
-        let sc = SessionScenario {
-            mutation: m,
-            budget_blocks: if m == SessionMutation::DonorLeak { 4 } else { 2 },
-            ..base
-        };
-        match check_session(&sc) {
-            Err(v) if !v.trace.is_empty() => {}
-            Err(_) => {
-                eprintln!("analyzer: mutation {m:?} violated without a trace");
-                return ExitCode::FAILURE;
-            }
-            Ok(_) => {
-                eprintln!(
-                    "analyzer: mutation {m:?} passed the checker — the session \
-                     properties are vacuous"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     if !quiet {
         println!(
-            "analyzer: protocols ok — {cluster_count} cluster scenario(s), \
-             {session_count} session scenario(s), {} mutation(s) caught, \
-             {states} state(s) explored",
-            mutations.len()
+            "analyzer: protocols ok — {} cluster scenario(s), {states} state(s) explored",
+            cluster.len()
         );
     }
     ExitCode::SUCCESS

@@ -164,7 +164,7 @@ pub fn registry() -> &'static [Rule] {
             rationale: "The engine tracks the same quantities in several dimensions \
                         (resident *tokens*, allocator *blocks*, virtual *seconds*); \
                         adding or comparing across dimensions is the bug class the \
-                        reuse_discount/resident_tokens split exists to prevent. Units \
+                        prefill-tokens/resident-tokens split exists to prevent. Units \
                         are inferred from `_tokens`/`_blocks`/`_s`/`_bytes`/`_count` \
                         name suffixes plus the `[units]` table in analyzer.toml.",
             example: "let need = prompt_tokens + retained_blocks;",

@@ -5,9 +5,6 @@
 //! deadlock, double-report, or leak completions past shutdown.
 
 use analyzer::protocol::{all_scenarios, check, ErrKind, Fault, Mode, Mutation, Scenario};
-use analyzer::session_protocol::{
-    all_session_scenarios, check_session, SessionMutation, SessionScenario,
-};
 
 #[test]
 fn every_bounded_scenario_satisfies_the_protocol_properties() {
@@ -109,70 +106,4 @@ fn mutations_prove_the_checker_is_not_vacuous() {
     })
     .expect_err("completions consumed after shutdown must be caught");
     assert!(leak.message.contains("after shutdown"), "{leak}");
-}
-
-#[test]
-fn every_bounded_session_scenario_satisfies_the_retention_properties() {
-    // The session-KV retention protocol: ≤3 sessions × ≤2 turns under
-    // three memory regimes and three retention budgets, all
-    // interleavings of admit / finish / reclaim. No block leak, no
-    // claim-after-drop, budget never exceeded, miss ⇒ full prefill.
-    let scenarios = all_session_scenarios(3, 2);
-    assert!(scenarios.len() >= 50, "scenario sweep lost coverage");
-    let (mut states, mut hits, mut misses, mut drops, mut retains) = (0, 0, 0, 0, 0);
-    for sc in &scenarios {
-        let summary = check_session(sc).unwrap_or_else(|v| {
-            panic!("scenario {sc:?} violates the session protocol:\n{v}")
-        });
-        states += summary.states;
-        hits += summary.hits;
-        misses += summary.misses;
-        drops += summary.drops;
-        retains += summary.retains;
-    }
-    // The sweep exercises every protocol path, not a vacuous corner:
-    // reuse hits, reuse misses, pressure-driven drops, and retains must
-    // all occur somewhere in the bounded space.
-    assert!(states > 1_000, "only {states} states explored");
-    assert!(hits > 0 && misses > 0 && drops > 0 && retains > 0,
-        "vacuous sweep: hits {hits}, misses {misses}, drops {drops}, retains {retains}");
-}
-
-#[test]
-fn session_mutations_prove_the_checker_is_not_vacuous() {
-    // Each seeded retention bug must produce a counterexample with a
-    // concrete interleaving trace.
-    let base = SessionScenario {
-        sessions: 2,
-        turns: 2,
-        total_blocks: 7,
-        budget_blocks: 2,
-        turn_blocks: 2,
-        mutation: SessionMutation::None,
-    };
-    check_session(&base).expect("the faithful model passes");
-
-    let blind = check_session(&SessionScenario {
-        mutation: SessionMutation::BudgetBlind,
-        ..base
-    })
-    .expect_err("ignoring the retention budget must be caught");
-    assert!(blind.message.contains("budget"), "{blind}");
-    assert!(!blind.trace.is_empty());
-
-    let stale = check_session(&SessionScenario {
-        mutation: SessionMutation::NoDiscountClear,
-        ..base
-    })
-    .expect_err("a stale reuse discount after a drop must be caught");
-    assert!(!stale.trace.is_empty());
-
-    let leak = check_session(&SessionScenario {
-        mutation: SessionMutation::DonorLeak,
-        budget_blocks: 4,
-        ..base
-    })
-    .expect_err("leaking the donor allocation on claim must be caught");
-    assert!(leak.message.contains("leak"), "{leak}");
-    assert!(!leak.trace.is_empty());
 }

@@ -44,7 +44,9 @@ use crate::request::{queued, Lifecycle, RequestPool};
 use crate::steal::WorkStealer;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
-use tdpipe_kvcache::{used_fraction, BlockAllocator, OccupancyTrace, Phase, SessionRetainer};
+use tdpipe_kvcache::{
+    used_fraction, BlockAllocator, OccupancyTrace, Phase, SessionEvent, SessionKv,
+};
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
@@ -104,70 +106,24 @@ pub struct RunOutcome {
 
 /// Closed-loop session state threaded through one engine run (only for
 /// session workloads, whole or a fleet share; `None` keeps open-loop runs
-/// bit-identical).
+/// bit-identical). The retained KV itself is the run's [`SessionKv`].
 struct SessionRun<'a> {
     /// The sessions, whose turn linkage is parallel to the request pool.
     work: Workload<'a>,
-    /// The idle-prefix retention pool (budget already sized; zero budget
-    /// when reuse is disabled, so `retain` always refuses).
-    retainer: SessionRetainer,
     /// Resumed turns admitted with no retained prefix (full prefill).
     reuse_misses: u64,
 }
 
-/// Drop idle retained session prefixes (oldest first, never the one
-/// reserved for `keep`) until the allocator has `target` free blocks or
-/// the retention pool runs dry (at once outside session runs). Returns
-/// whether the target was met.
-/// Dropping revokes the dropped successors' prefill discounts, which
-/// changes their prefill costs — hence the estimate cache is invalidated.
-#[expect(clippy::too_many_arguments, reason = "disjoint borrows from two owners: the decode-step \
-    hooks and the prefill packer each hold the retention pool, allocator, request pool, estimate \
-    cache and journal in different places")]
-fn reclaim_retained(
-    sess: &mut Option<SessionRun<'_>>,
-    target: u64,
-    keep: Option<u64>,
-    now: f64,
-    alloc: &mut BlockAllocator,
-    pool: &mut RequestPool,
-    est_cache: &mut PrefillEstimateCache,
-    journal: &mut FlightRecorder,
-) -> bool {
-    let Some(sess) = sess else {
-        return false;
-    };
-    while alloc.free_blocks() < target {
-        if !drop_oldest_retained(&mut sess.retainer, keep, now, alloc, pool, journal) {
-            return false;
+/// The journal record of a session-KV transition.
+fn session_event(e: SessionEvent) -> TraceEvent {
+    match e {
+        SessionEvent::Retain { successor: request, tokens } => {
+            TraceEvent::SessionRetain { request, tokens }
         }
-        est_cache.invalidate();
+        SessionEvent::Drop { successor: request, tokens } => {
+            TraceEvent::SessionDrop { request, tokens }
+        }
     }
-    true
-}
-
-/// Drop the oldest retained prefix (never the one reserved for `keep`):
-/// free its donor's KV, revoke its successor's prefill discount and
-/// journal the drop. Returns false when nothing is left to drop.
-fn drop_oldest_retained(
-    retainer: &mut SessionRetainer,
-    keep: Option<u64>,
-    now: f64,
-    alloc: &mut BlockAllocator,
-    pool: &mut RequestPool,
-    journal: &mut FlightRecorder,
-) -> bool {
-    let Some((succ, e)) = retainer.pop_oldest_except(keep) else {
-        return false;
-    };
-    #[expect(clippy::expect_used, reason = "a retained entry's donor keeps its allocator slot live \
-        until the entry is claimed or dropped here")]
-    alloc.free(e.donor).expect("retained donor resident");
-    #[expect(clippy::cast_possible_truncation, reason = "retained successors are request-pool \
-        indices, `usize` values widened to `u64`")]
-    pool.clear_reuse_discount(succ as usize);
-    journal.record(now, TraceEvent::SessionDrop { request: succ, tokens: e.tokens });
-    true
 }
 
 /// Release session successor `succ`, which arrives at `at` (its
@@ -259,7 +215,9 @@ fn pending_layout_holds(
 /// victim.
 struct TdStepHooks<'r, 's> {
     engine: &'r TdPipeEngine,
-    sess: &'r mut Option<SessionRun<'s>>,
+    /// The sessions of a session run.
+    work: Option<Workload<'s>>,
+    kv: &'r mut SessionKv,
     planner: &'r mut GreedyPrefillPlanner,
     est_cache: &'r mut PrefillEstimateCache,
     unreleased: &'r mut VecDeque<u32>,
@@ -270,11 +228,11 @@ struct TdStepHooks<'r, 's> {
 }
 
 impl StepHooks for TdStepHooks<'_, '_> {
-    /// Retire a finished request's KV: retain it for the session
-    /// successor when reuse is on and the budget allows (evicting older
-    /// retained prefixes first), free it otherwise; then release the
-    /// successor's closed-loop arrival (finish + think time), moving it
-    /// from the unreleased turns to its sorted slot in the pending queue.
+    /// Retire a finished request's KV: the session KV retains it for the
+    /// successor when the budget allows (dropping older retained prefixes
+    /// first), and frees it otherwise; then release the successor's
+    /// closed-loop arrival (finish + think time), moving it from the
+    /// unreleased turns to its sorted slot in the pending queue.
     fn retire(&mut self, m: usize, env: &mut StepEnv<'_, '_>) -> u64 {
         // `remove_request` subtracts the *tracked* contribution, so the
         // planner needs no settle first.
@@ -294,49 +252,18 @@ impl StepHooks for TdStepHooks<'_, '_> {
         let (request, arrival) = (pool.id(m).0, pool.arrival(m));
         let first_token = pool.first_token_at(m);
         journal.record(now, TraceEvent::RequestFinish { request, arrival, first_token });
-        let Some(s) = self.sess.as_mut() else {
-            #[expect(clippy::expect_used, reason = "every batch member was allocated at admission \
-                and eviction removes it from its batch, so a finisher is resident")]
-            return alloc.free(m as u64).expect("finished request resident");
-        };
-        let next = s.work.next(m);
-        #[expect(clippy::expect_used, reason = "finishers are resident (see above)")]
-        let held = alloc.tokens_of(m as u64).expect("finished request resident");
-        let mut retained = false;
-        // Whether finished turns retain KV at all
-        // ([`crate::config::EngineConfig::session_reuse`]).
-        if self.engine.cfg.engine.session_reuse {
-            if let Some(succ) = next {
-                let blocks = held.div_ceil(BLOCK_SIZE as u64);
-                // Make room in the retention budget oldest-first; a budget
-                // too small for this prefix leaves `fits` false and we fall
-                // back to freeing.
-                while !s.retainer.fits(blocks) {
-                    if !drop_oldest_retained(&mut s.retainer, None, now, alloc, pool, journal) {
-                        break;
-                    }
-                }
-                if s.retainer.retain(succ as u64, m as u64, held, blocks) {
-                    // The successor will prefill only its fresh suffix
-                    // while the prefix survives. `held` is the prior
-                    // transcript minus the final sampled token, so it is
-                    // strictly below the successor's prompt length.
-                    #[expect(clippy::cast_possible_truncation, reason = "`held` is below the \
-                        successor's `u32` prompt length")]
-                    pool.set_reuse_discount(succ as usize, held as u32);
-                    let (request, tokens) = (succ as u64, held);
-                    journal.record(now, TraceEvent::SessionRetain { request, tokens });
-                    retained = true;
-                }
-            }
-        }
-        if !retained {
-            #[expect(clippy::expect_used, reason = "still resident: nothing freed it")]
-            alloc.free(m as u64).expect("finished request resident");
-        }
-        if let Some(succ) = next {
+        let next = self.work.and_then(|w| w.next(m));
+        let sink = |e| journal.record(now, session_event(e));
+        #[expect(clippy::expect_used, reason = "every batch member was allocated at admission and \
+            eviction removes it from its batch, so a finisher is resident, and a retained donor \
+            stays resident until its entry is dropped or claimed")]
+        let held = self
+            .kv
+            .finish(alloc, m as u64, next.map(u64::from), sink)
+            .expect("finished request resident");
+        if let (Some(work), Some(succ)) = (self.work, next) {
             let succ = succ as usize;
-            let at = now + s.work.think_s(succ);
+            let at = now + work.think_s(succ);
             release(pending, self.unreleased, pool, succ, at, now, self.queue);
             // Also covers the reuse discounts dropped and granted above.
             self.est_cache.invalidate();
@@ -344,9 +271,16 @@ impl StepHooks for TdStepHooks<'_, '_> {
         held
     }
 
+    #[expect(clippy::expect_used, reason = "a retained donor stays resident until its entry is \
+        dropped or claimed")]
     fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_, '_>) -> bool {
-        let (est_cache, journal) = (&mut *self.est_cache, &mut *self.journal);
-        reclaim_retained(self.sess, target, None, env.now, env.alloc, env.pool, est_cache, journal)
+        let (est_cache, journal, now) = (&mut *self.est_cache, &mut *self.journal, env.now);
+        // A drop revokes its successor's prefill discount.
+        let sink = |e| {
+            est_cache.invalidate();
+            journal.record(now, session_event(e));
+        };
+        self.kv.reclaim(env.alloc, target, None, sink).expect("retained donor resident")
     }
 
     fn preempt(&mut self, victim: usize, env: &mut StepEnv<'_, '_>) {
@@ -566,19 +500,18 @@ impl TdPipeEngine {
         }
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
-        // every finished turn frees normally).
+        // every finished turn frees normally). Open-loop runs never retain.
+        let mut kv = SessionKv::new(0);
         let sess = work.is_sessions().then(|| {
             let frac = e.session_retain_frac.clamp(0.0, 1.0);
             #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "frac is \
                 clamped to [0,1] and kv_blocks <= 2^32, so the product is exact enough and stays \
                 well inside u64")]
             let budget = (self.plan.kv_blocks as f64 * frac) as u64;
-            let mut retainer =
-                SessionRetainer::new(if e.session_reuse { budget } else { 0 });
-            retainer.reserve_ids(n);
+            kv = SessionKv::new(if e.session_reuse { budget } else { 0 });
+            kv.reserve_ids(n);
             SessionRun {
                 work,
-                retainer,
                 reuse_misses: 0,
             }
         });
@@ -597,6 +530,7 @@ impl TdPipeEngine {
         let opening = Queue {
             pending: &pending,
             unreleased: &unreleased,
+            kv: &kv,
         };
         let (batches, positions) = full_walk(opening, &run.pool, self.plan.token_capacity());
         est_cache.reserve(batches, positions);
@@ -607,6 +541,7 @@ impl TdPipeEngine {
             queue,
             decisions,
             sess,
+            kv,
             comparator: IntensityComparator::new(self.build_profile(&work)),
             alloc,
             planner,
@@ -690,7 +625,7 @@ impl TdPipeEngine {
             seq_lens.clear();
         };
         for idx in queue.iter() {
-            let t = pool.prefill_tokens(idx);
+            let t = queue.prefill_tokens(pool, idx);
             let need = (t + pool.predicted_remaining(idx)) as u64;
             if need > free_tokens {
                 break;
@@ -766,10 +701,10 @@ fn full_walk(queue: Queue<'_>, pool: &RequestPool, capacity: u64) -> (usize, usi
         let Some(first) = it.next() else { break };
         batches += 1;
         positions += 1;
-        let mut budget = pool.prefill_tokens(first);
+        let mut budget = queue.prefill_tokens(pool, first);
         need += (budget + pool.predicted_remaining(first)) as u64;
         while let Some(&next) = it.peek() {
-            let t = pool.prefill_tokens(next);
+            let t = queue.prefill_tokens(pool, next);
             if budget + t > PREFILL_TOKEN_BUDGET {
                 break;
             }
@@ -861,6 +796,9 @@ struct TdRun<'a> {
     queue: &'a mut QueueWork,
     decisions: &'a mut DecisionWork,
     sess: Option<SessionRun<'a>>,
+    /// Finished turns' KV retained for their successors (always empty
+    /// outside session runs).
+    kv: SessionKv,
     comparator: IntensityComparator,
     alloc: BlockAllocator,
     planner: GreedyPrefillPlanner,
@@ -964,9 +902,9 @@ impl Policy for TdRun<'_> {
         let st = &run.stepper;
         self.work.cohort_ops = st.joins + st.leaves + st.settles;
         if let Some(s) = &self.sess {
-            let drained = s.retainer.is_empty();
+            let drained = self.kv.is_empty();
             debug_assert!(drained, "all retained session prefixes should be claimed by run end");
-            run.metrics.on_session_summary(s.retainer.stats(), s.reuse_misses);
+            run.metrics.on_session_summary(self.kv.stats(), s.reuse_misses);
         }
         Close {
             scheduler: "TD-Pipe".into(),
@@ -1076,43 +1014,48 @@ impl TdRun<'_> {
                 // re-enter via a host-link transfer, not a prefill job, so
                 // the token budget does not bind them.
                 let swapped = run.pool.swapped(idx);
-                let t = run.pool.prefill_tokens(idx);
+                let queue = Queue {
+                    pending: &self.pending,
+                    unreleased: &self.unreleased,
+                    kv: &self.kv,
+                };
+                let t = queue.prefill_tokens(&run.pool, idx);
                 if !swapped && !pf.batch.is_empty() && batch_tokens + t > PREFILL_TOKEN_BUDGET {
                     pack_stop = PrefillStopReason::Budget;
                     break;
                 }
                 let full = run.pool.resident_tokens(idx);
-                let donor_blocks = self
-                    .sess
-                    .as_ref()
-                    .and_then(|s| s.retainer.peek(idx as u64))
-                    .map_or(0, |c| c.blocks);
                 let needed = full.div_ceil(block_size) + self.watermark_blocks;
-                let target = needed.saturating_sub(donor_blocks);
                 // Idle retained session prefixes (never this request's own)
-                // yield to live admissions before the packer gives up.
-                if self.alloc.free_blocks() < target
-                    && !reclaim_retained(
-                        &mut self.sess,
-                        target,
-                        Some(idx as u64),
-                        now,
-                        &mut self.alloc,
-                        &mut run.pool,
-                        self.est_cache,
-                        &mut run.journal,
-                    )
-                {
+                // yield to live admissions before the packer gives up. A
+                // drop revokes its successor's prefill discount.
+                let (est_cache, journal) = (&mut *self.est_cache, &mut run.journal);
+                let sink = |e| {
+                    est_cache.invalidate();
+                    journal.record(now, session_event(e));
+                };
+                #[expect(clippy::expect_used, reason = "a retained donor stays resident until its \
+                    entry is dropped or claimed")]
+                let fits = self
+                    .kv
+                    .make_room(&mut self.alloc, idx as u64, needed, sink)
+                    .expect("retained donor resident");
+                if !fits {
                     pack_stop = PrefillStopReason::Memory;
                     break;
                 }
+                // Claim the retained prefix, if it survived, then allocate.
+                #[expect(clippy::expect_used, reason = "guarded above: the admission check \
+                    reserved `needed + watermark` free blocks (counting the donor's, freed by the \
+                    claim), and a pipeline pool holds far fewer than `MAX_RECORD_TOKENS`, so this \
+                    allocation cannot fail")]
+                let claimed = self
+                    .kv
+                    .admit(&mut self.alloc, idx as u64, full)
+                    .expect("admission check guaranteed fit");
+                self.pending.pop_front();
+                self.est_cache.invalidate();
                 if swapped {
-                    #[expect(clippy::expect_used, reason = "guarded above: the admission check \
-                        reserved `needed + watermark` free blocks, and a pipeline pool holds far \
-                        fewer than `MAX_RECORD_TOKENS`, so this allocation cannot fail")]
-                    self.alloc.allocate(idx as u64, full).expect("checked");
-                    self.pending.pop_front();
-                    self.est_cache.invalidate();
                     run.pool.note_swap_in(idx, full);
                     now += eng.swap_seconds(full);
                     run.pool.stamp_admission(idx);
@@ -1124,36 +1067,19 @@ impl TdRun<'_> {
                     continue;
                 }
                 // Session accounting at the moment admission is certain:
-                // claim the retained prefix (hit) or record the miss for a
-                // first-time resumed turn.
+                // the hit, or the miss of a first-time resumed turn.
                 if let Some(s) = self.sess.as_mut() {
                     let request = run.pool.id(idx).0;
-                    if let Some(c) = s.retainer.claim(idx as u64) {
-                        #[expect(clippy::expect_used, reason = "retained donors stay resident \
-                            until claimed here or dropped")]
-                        self.alloc.free(c.donor).expect("retained donor resident");
-                        let tokens = c.tokens;
+                    if let Some(tokens) = claimed {
                         run.record(now, TraceEvent::SessionReuseHit { request, tokens });
                     } else if s.work.is_resumed(idx) && run.pool.evictions(idx) == 0 {
                         s.reuse_misses += 1;
                         run.record(now, TraceEvent::SessionReuseMiss { request });
                     }
                 }
-                #[expect(clippy::expect_used, reason = "guarded above: the admission check \
-                    reserved `needed + watermark` free blocks (counting the just-freed donor), and \
-                    a pipeline pool holds far fewer than `MAX_RECORD_TOKENS`, so this allocation \
-                    cannot fail")]
-                self.alloc.allocate(idx as u64, full).expect("admission check guaranteed fit");
-                self.pending.pop_front();
-                self.est_cache.invalidate();
                 pf.batch.push(idx);
                 pf.seq_lens.push(t);
                 batch_tokens += t;
-                if self.sess.is_some() {
-                    // The discount was consumed by this admission; a later
-                    // eviction re-prefills at full cost.
-                    run.pool.clear_reuse_discount(idx);
-                }
             }
             if pf.batch.is_empty() {
                 // Memory full, head not yet arrived, or swap-ins emptied
@@ -1355,7 +1281,8 @@ impl TdRun<'_> {
         let mut ctx = dc.batch_ctx[bid];
         let mut hooks = TdStepHooks {
             engine: eng,
-            sess: &mut self.sess,
+            work: self.sess.as_ref().map(|s| s.work),
+            kv: &mut self.kv,
             planner: &mut self.planner,
             est_cache: &mut *self.est_cache,
             unreleased: &mut self.unreleased,
@@ -1490,6 +1417,7 @@ impl TdRun<'_> {
         let queue = Queue {
             pending: &self.pending,
             unreleased: &self.unreleased,
+            kv: &self.kv,
         };
         let free_tokens = self.alloc.free_blocks() * BLOCK_SIZE as u64;
         let dw = &mut *self.decisions;
@@ -1715,50 +1643,83 @@ mod tests {
         assert_eq!(a.report, b.report);
     }
 
+    /// Reuse shaves exactly the claimed prefixes off the prefill bill and
+    /// changes no answer; reuse off and a zero retention budget are the
+    /// same run, byte for byte; and the journal's session events agree
+    /// with the session counters, on a roomy config and on one whose
+    /// memory pressure drops retained prefixes.
     #[test]
     fn session_reuse_prefills_only_fresh_suffixes() {
-        use tdpipe_workload::SessionConfig;
-        let s = SessionConfig::small(40, 3).generate();
-        let resumed_prefix: u64 = s
-            .turns
-            .iter()
-            .filter(|t| t.prev.is_some())
-            .map(|t| u64::from(t.shared_prefix))
-            .sum();
-        assert!(resumed_prefix > 0, "trace needs multi-turn sessions");
-        let run = |reuse: bool| {
-            let mut cfg = TdPipeConfig::default();
-            cfg.engine.session_reuse = reuse;
-            cfg.engine.record_metrics = true;
-            cfg.engine.record_trace = true;
-            let e = TdPipeEngine::new(ModelSpec::llama2_13b(), &NodeSpec::l20(2), cfg).unwrap();
-            sim_run(&e, Workload::Sessions(&s), &OraclePredictor)
+        use tdpipe_workload::{ArrivalProcess, SessionConfig};
+        let roomy = SessionConfig::small(40, 3).generate();
+        // Every session opens at once: live work crowds out retained KV.
+        let crowded = SessionConfig {
+            arrival: ArrivalProcess::Offline,
+            ..SessionConfig::small(400, 3)
         };
-        let on = run(true);
-        let off = run(false);
-        // Same answers either way; reuse only changes the prefill bill.
-        assert_eq!(on.report.output_tokens, off.report.output_tokens);
-        assert!(
-            on.report.input_tokens < off.report.input_tokens,
-            "reuse must shave first-prefill cost: on={} off={}",
-            on.report.input_tokens,
-            off.report.input_tokens
-        );
-        // The shave is exactly the claimed shared-prefix tokens.
-        let hits = on.metrics.scalar("session_reuse_hits_total").unwrap();
-        let saved = on.metrics.scalar("session_reused_tokens_total").unwrap() as u64;
-        assert!(hits > 0.0);
-        assert_eq!(off.report.input_tokens, on.report.input_tokens + saved);
-        // Reuse off: retention budget is zero, so nothing ever hits.
-        assert_eq!(off.metrics.scalar("session_reuse_hits_total"), Some(0.0));
-        // The journal agrees with the counters.
-        let hit_events = on
-            .journal
-            .events()
-            .iter()
-            .filter(|e| matches!(e.event, TraceEvent::SessionReuseHit { .. }))
-            .count();
-        assert_eq!(hit_events as f64, hits);
+        let roomy = (ModelSpec::llama2_13b(), NodeSpec::l20(2), roomy, false);
+        let pressed = (ModelSpec::llama2_70b(), NodeSpec::a100(2), crowded.generate(), true);
+        for (model, node, s, pressure) in [roomy, pressed] {
+            let resumed_prefix: u64 = s
+                .turns
+                .iter()
+                .filter(|t| t.prev.is_some())
+                .map(|t| u64::from(t.shared_prefix))
+                .sum();
+            assert!(resumed_prefix > 0, "trace needs multi-turn sessions");
+            let run = |reuse: bool, frac: f64| {
+                let mut cfg = TdPipeConfig::default();
+                cfg.engine.session_reuse = reuse;
+                cfg.engine.session_retain_frac = frac;
+                cfg.engine.record_metrics = true;
+                cfg.engine.record_trace = true;
+                let e = TdPipeEngine::new(model.clone(), &node, cfg).unwrap();
+                sim_run(&e, Workload::Sessions(&s), &OraclePredictor)
+            };
+            let frac = TdPipeConfig::default().engine.session_retain_frac;
+            let on = run(true, frac);
+            let off = run(false, frac);
+            // Same answers either way; reuse only changes the prefill bill.
+            assert_eq!(on.report.output_tokens, off.report.output_tokens);
+            assert!(
+                on.report.input_tokens < off.report.input_tokens,
+                "reuse must shave first-prefill cost: on={} off={}",
+                on.report.input_tokens,
+                off.report.input_tokens
+            );
+            // The shave is exactly the claimed shared-prefix tokens.
+            let counter = |o: &RunOutcome, name: &str| o.metrics.scalar(name).unwrap() as usize;
+            let saved = counter(&on, "session_reused_tokens_total") as u64;
+            assert!(counter(&on, "session_reuse_hits_total") > 0);
+            assert_eq!(off.report.input_tokens, on.report.input_tokens + saved);
+            // A zero budget retains nothing: the very run reuse off makes.
+            let zero = run(true, 0.0);
+            let json = |o: &RunOutcome| {
+                (
+                    serde_json::to_string(&o.report).unwrap(),
+                    serde_json::to_string(&o.metrics).unwrap(),
+                    serde_json::to_string(&o.journal).unwrap(),
+                )
+            };
+            assert!(json(&zero) == json(&off), "a zero budget must be reuse off");
+            assert_eq!(counter(&off, "session_kv_retains_total"), 0);
+            // The journal agrees with the counters, event kind by kind.
+            for o in [&on, &off] {
+                let count = |kind: fn(&TraceEvent) -> bool| {
+                    o.journal.events().iter().filter(|e| kind(&e.event)).count()
+                };
+                let retains = count(|e| matches!(e, TraceEvent::SessionRetain { .. }));
+                let drops = count(|e| matches!(e, TraceEvent::SessionDrop { .. }));
+                let hits = count(|e| matches!(e, TraceEvent::SessionReuseHit { .. }));
+                let misses = count(|e| matches!(e, TraceEvent::SessionReuseMiss { .. }));
+                assert_eq!(retains, counter(o, "session_kv_retains_total"));
+                assert_eq!(drops, counter(o, "session_kv_drops_total"));
+                assert_eq!(hits, counter(o, "session_reuse_hits_total"));
+                assert_eq!(misses, counter(o, "session_reuse_misses_total"));
+            }
+            let drops = counter(&on, "session_kv_drops_total");
+            assert_eq!(drops > 0, pressure, "{drops} retained prefixes dropped");
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ use crate::cost::{PpCost, StagedJob};
 use crate::intensity::PrefillPhaseEstimate;
 use crate::request::RequestPool;
 use std::collections::VecDeque;
+use tdpipe_kvcache::SessionKv;
 
 /// Slack the certificate keeps above spatial intensity: far more than the
 /// few ulps of rounding in `1 − b/(P + b)` on values in `[0, 1]`.
@@ -51,11 +52,12 @@ const CERTIFY_MARGIN: f64 = 1e-9;
 
 /// The pending queue as the walk reads it: `pending` (arrived and future
 /// requests), then `unreleased` (session turns whose predecessor has not
-/// finished).
+/// finished), and the retained session KV that discounts their prefills.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Queue<'a> {
     pub pending: &'a VecDeque<u32>,
     pub unreleased: &'a VecDeque<u32>,
+    pub kv: &'a SessionKv,
 }
 
 impl<'a> Queue<'a> {
@@ -69,6 +71,15 @@ impl<'a> Queue<'a> {
 
     pub fn iter(self) -> impl Iterator<Item = usize> + 'a {
         self.pending.iter().chain(self.unreleased).map(|&i| i as usize)
+    }
+
+    /// Tokens request `idx`'s next prefill computes: its prompt and any
+    /// tokens recomputed after an eviction, less the prefix its retained
+    /// session KV already holds. Every planning surface (the packer, this
+    /// walk, its debug oracle) reads this one method.
+    pub fn prefill_tokens(&self, pool: &RequestPool, idx: usize) -> u32 {
+        let discount = u32::try_from(self.kv.discount(idx as u64)).unwrap_or(u32::MAX);
+        pool.prefill_tokens(idx).saturating_sub(discount)
     }
 }
 
@@ -253,7 +264,7 @@ impl PrefillEstimateCache {
         let mut m = Member::default();
         let mut budget = 0u32;
         while let Some(idx) = queue.get(pos) {
-            let t = pool.prefill_tokens(idx);
+            let t = queue.prefill_tokens(pool, idx);
             // Close the batch exactly where the naive packer would (same
             // u32 budget arithmetic).
             if pos > start && budget + t > PREFILL_TOKEN_BUDGET {
@@ -297,7 +308,46 @@ impl PrefillEstimateCache {
 
 #[cfg(test)]
 mod tests {
-    use super::PrefillEstimateCache;
+    use super::{PrefillEstimateCache, Queue};
+    use crate::request::RequestPool;
+    use std::collections::VecDeque;
+    use tdpipe_kvcache::{BlockAllocator, SessionKv};
+    use tdpipe_workload::{ShareGptLikeConfig, Workload};
+
+    /// A retained prefix discounts its successor's prefill, not its
+    /// residency, and the full cost returns once the prefix is dropped or
+    /// claimed.
+    #[test]
+    fn a_retained_prefix_shrinks_prefill_but_not_residency() {
+        let t = ShareGptLikeConfig::small(2, 1).generate();
+        let pool = RequestPool::for_workload(&Workload::offline(&t), |r| r.output_len);
+        let input = pool.input_len(1);
+        let shared = u64::from(input.min(10));
+        // Request 0 finishes holding the prefix request 1 will resume.
+        let mut alloc = BlockAllocator::new(64, 16);
+        alloc.allocate(0, shared).unwrap();
+        let mut kv = SessionKv::new(64);
+        kv.finish(&mut alloc, 0, Some(1), |_| {}).unwrap();
+        let (pending, unreleased) = (VecDeque::from([1]), VecDeque::new());
+        let prefill = |kv: &SessionKv, idx| {
+            let q = Queue {
+                pending: &pending,
+                unreleased: &unreleased,
+                kv,
+            };
+            q.prefill_tokens(&pool, idx)
+        };
+        assert_eq!(u64::from(prefill(&kv, 1)), u64::from(input) - shared);
+        assert_eq!(pool.resident_tokens(1), u64::from(input));
+        assert_eq!(prefill(&kv, 0), pool.input_len(0), "sibling untouched");
+        // Dropped under pressure: the successor prefills in full.
+        let (mut dropped, mut a) = (kv.clone(), alloc.clone());
+        assert!(dropped.reclaim(&mut a, 64, None, |_| {}).unwrap());
+        assert_eq!(prefill(&dropped, 1), input);
+        // Claimed at admission: a later recompute prefills in full too.
+        assert_eq!(kv.admit(&mut alloc, 1, u64::from(input)), Ok(Some(shared)));
+        assert_eq!(prefill(&kv, 1), input);
+    }
 
     impl PrefillEstimateCache {
         /// Whether the current walk still matches the queue (a query

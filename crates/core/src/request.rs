@@ -118,10 +118,6 @@ pub struct RequestPool<'w> {
     /// released turns; empty until then, and for open-loop runs, which
     /// read `work`).
     arrivals: Vec<f64>,
-    /// Prefill tokens request `idx` can skip thanks to retained session KV
-    /// (empty for non-session runs — `prefill_tokens` treats a missing
-    /// entry as 0, so the common path pays one bounds check).
-    reuse_discount: Vec<u32>,
     /// Time to first token per request, from its arrival (written when it
     /// finishes).
     ttft: Vec<f64>,
@@ -174,7 +170,6 @@ impl<'w> RequestPool<'w> {
             predicted,
             live: IdWindow::new(),
             arrivals: Vec::new(),
-            reuse_discount: Vec::new(),
             ttft: vec![0.0; n],
             completion: vec![0.0; n],
             tpot: vec![0.0; n],
@@ -314,35 +309,6 @@ impl<'w> RequestPool<'w> {
         self.arrivals[idx] = at;
     }
 
-    /// Grant request `idx` a prefill discount of `tokens` (the shared
-    /// session prefix resident in retained KV): `prefill_tokens` drops by
-    /// that much until [`Self::clear_reuse_discount`]. Only meaningful
-    /// while the request is `Pending` and un-evicted.
-    pub fn set_reuse_discount(&mut self, idx: usize, tokens: u32) {
-        debug_assert_eq!(self.lifecycle(idx), Lifecycle::Pending);
-        debug_assert!(tokens <= self.input_len(idx), "discount exceeds prompt");
-        if self.reuse_discount.is_empty() {
-            self.reuse_discount = vec![0; self.len()];
-        }
-        self.reuse_discount[idx] = tokens;
-    }
-
-    /// Revoke request `idx`'s prefill discount (its retained prefix was
-    /// reclaimed before admission, or was consumed by the admitting
-    /// prefill).
-    pub fn clear_reuse_discount(&mut self, idx: usize) {
-        if let Some(d) = self.reuse_discount.get_mut(idx) {
-            *d = 0;
-        }
-    }
-
-    /// Current prefill discount of request `idx` (0 unless a retained
-    /// session prefix is reserved for it).
-    #[inline]
-    pub fn reuse_discount(&self, idx: usize) -> u32 {
-        self.reuse_discount.get(idx).copied().unwrap_or(0)
-    }
-
     /// Tokens of KV request `idx` holds while resident.
     #[inline]
     pub fn resident_tokens(&self, idx: usize) -> u64 {
@@ -350,15 +316,12 @@ impl<'w> RequestPool<'w> {
     }
 
     /// Tokens the *next* prefill of request `idx` must process: prompt
-    /// plus any generated tokens being recomputed after an eviction, minus
-    /// any session-reuse discount (a shared prefix already resident in
-    /// retained KV — see [`Self::set_reuse_discount`]). Every planning
-    /// surface (the packer, the intensity estimator, its debug oracle)
-    /// reads this one method, so they all coherently see the reduced cost.
+    /// plus any generated tokens being recomputed after an eviction. A
+    /// session turn whose prefix is retained computes less: TD-Pipe reads
+    /// its discounted count through `estimate::Queue::prefill_tokens`.
     #[inline]
     pub fn prefill_tokens(&self, idx: usize) -> u32 {
-        let discount = self.reuse_discount.get(idx).copied().unwrap_or(0);
-        (self.input_len(idx) + self.generated(idx)).saturating_sub(discount)
+        self.input_len(idx) + self.generated(idx)
     }
 
     /// Predicted tokens request `idx` has still to generate.
@@ -713,32 +676,6 @@ mod tests {
         p.predicted[0] = 5;
         p.rec_mut(0).generated = 9;
         assert_eq!(p.predicted_remaining(0), 0);
-    }
-
-    #[test]
-    fn reuse_discount_shrinks_prefill_but_not_residency() {
-        let t = trace(2);
-        let mut p = pool(&t);
-        let input = p.input_len(0);
-        assert_eq!(p.reuse_discount(0), 0);
-        assert_eq!(p.prefill_tokens(0), input);
-        // A retained 10-token prefix: only the fresh suffix is prefilled,
-        // but the request still occupies its full prompt once admitted.
-        let shared = input.min(10);
-        p.set_reuse_discount(0, shared);
-        assert_eq!(p.prefill_tokens(0), input - shared);
-        assert_eq!(p.resident_tokens(0), input as u64);
-        // The sibling request is untouched.
-        assert_eq!(p.prefill_tokens(1), p.input_len(1));
-        // Revocation restores the full cost.
-        p.clear_reuse_discount(0);
-        assert_eq!(p.prefill_tokens(0), input);
-        // Accounting uses whatever the engine passes to note_prefill, so a
-        // fresh-suffix admission records only the suffix as input tokens.
-        p.set_reuse_discount(0, shared);
-        let fresh = p.prefill_tokens(0);
-        p.note_prefill(0, fresh);
-        assert_eq!(p.input_tokens, (input - shared) as u64);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //! * [`OccupancyTrace`] — a time series of occupancy samples, the exact
 //!   data behind the paper's Figure 12, or only its peak when not
 //!   recording.
-//! * [`SessionRetainer`] — bookkeeping for session-affine KV retention
-//!   across closed-loop conversation turns (which finished turn's blocks
-//!   are being held for which resumed turn, under what budget).
+//! * [`SessionKv`] — session-affine KV retention across closed-loop
+//!   conversation turns: which finished turn's blocks are held for which
+//!   resumed turn, under what budget, and the allocator calls that retain,
+//!   drop and claim them. Its tests model-check it, with a real
+//!   allocator, over every interleaving of a bounded sweep of sessions.
 //! * [`IdWindow`] — an id-indexed table that holds only a window of ids,
 //!   the in-flight ones: the allocator's residency table and the engines'
 //!   per-request run state.
@@ -32,7 +34,7 @@ pub mod usage;
 pub mod window;
 
 pub use allocator::{used_fraction, AllocStats, BlockAllocator, KvError};
-pub use session::{RetainStats, RetainedKv, SessionRetainer};
+pub use session::{RetainStats, SessionEvent, SessionKv};
 pub use usage::{OccupancySample, OccupancyTrace, Phase};
 pub use window::{IdWindow, Slot};
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the in-repo invariant lint pass (crates/analyzer) against the
-# committed ratchet baseline, plus the bounded protocol model checkers
-# (cluster↔worker supervision and session-KV retention, with their
-# non-vacuity mutations).
+# committed ratchet baseline, plus the bounded cluster↔worker supervision
+# model checker (with its non-vacuity mutations). The session-KV
+# retention code is model-checked by `cargo test -p tdpipe-kvcache`.
 #
 #   scripts/analyze.sh                    # human-readable, fails on new findings
 #   scripts/analyze.sh --json             # machine-readable report

@@ -12,17 +12,20 @@
 #      profile keeps `#[cfg(debug_assertions)]` oracle code in view; test
 #      code is not checked (no `--all-targets`). Then the invariant lint
 #      pass (crates/analyzer vs the committed baseline — the analyzer
-#      scans its own sources via the `tooling` rule set) plus both
-#      bounded protocol model checkers (`--check-protocols`:
-#      cluster↔worker supervision and session-KV retention, each proven
-#      non-vacuous by seeded mutations)
+#      scans its own sources via the `tooling` rule set) plus the
+#      bounded cluster↔worker supervision model checker
+#      (`--check-protocols`, proven non-vacuous by seeded mutations); the
+#      session-KV retention code is model-checked in step 3's tests
+#      (`tdpipe-kvcache`'s `session::tests::protocol`)
 #   2. release build of the whole workspace
 #  2b. layering: the fleet crate and the `tdpipe` library must not depend
 #      on the figure harness (`tdpipe-bench`) through normal dependencies
 #      (`cargo tree --offline -e normal`); shared plumbing such as the
 #      parallel map lives in `tdpipe-core`
 #   3. full test suite (unit + integration, all crates — includes the
-#      bounded protocol model checker)
+#      bounded protocol model checkers: the supervision model's, and the
+#      BFS over the real `SessionKv` and `BlockAllocator`, which runs
+#      again in step 3b's debug `tdpipe-kvcache` line)
 #  3b. debug-profile oracles: the engine's `debug_assert` cross-checks
 #      (incremental planner vs a from-scratch rebuild, cached vs naive
 #      prefill estimate, the exact §3.5 decision at every certified or
@@ -98,7 +101,7 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n\033[1m== %s ==\033[0m\n' "$1"; }
 
-step "lints (clippy, then the invariant lint pass + protocol model checkers)"
+step "lints (clippy, then the invariant lint pass + supervision model checker)"
 cargo clippy --offline --workspace -- -D warnings
 scripts/analyze.sh
 
