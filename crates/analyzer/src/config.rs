@@ -14,13 +14,10 @@
 //!
 //! `[set.<name>]` tables with string-array `paths` (crate source dirs or
 //! single files, repo-root-relative) and `rules` (names from
-//! [`crate::rules::registry`]). Two auxiliary tables feed the semantic
-//! rules:
+//! [`crate::rules::registry`]). One auxiliary table feeds the
+//! observer-purity rule:
 //!
 //! ```toml
-//! [units]                 # name → accounting dimension annotations
-//! held = "blocks"         # overrides suffix inference for this ident
-//!
 //! [observers]             # roots an observer branch may assign to
 //! names = ["occupancy"]
 //! ```
@@ -28,8 +25,7 @@
 //! `#` comments and multi-line arrays are supported; anything fancier is
 //! a config error, not silently ignored.
 
-use crate::rules::{rule_by_name, Unit};
-use std::collections::BTreeMap;
+use crate::rules::rule_by_name;
 use std::path::Path;
 
 /// One named rule set: these `rules` apply to files under these `paths`.
@@ -48,8 +44,6 @@ pub struct RuleSet {
 pub struct Config {
     /// All rule sets, in file order.
     pub sets: Vec<RuleSet>,
-    /// `[units]` annotations: identifier → accounting dimension.
-    pub units: BTreeMap<String, Unit>,
     /// `[observers]` names: roots observer branches may assign to.
     pub observers: Vec<String>,
 }
@@ -57,7 +51,6 @@ pub struct Config {
 /// Which table the parser is currently inside.
 enum Section {
     Set(usize),
-    Units,
     Observers,
 }
 
@@ -72,7 +65,6 @@ impl Config {
     /// Parse the config text; validates rule names against the registry.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut sets: Vec<RuleSet> = Vec::new();
-        let mut units: BTreeMap<String, Unit> = BTreeMap::new();
         let mut observers: Vec<String> = Vec::new();
         let mut section: Option<Section> = None;
         let mut lines = text.lines().enumerate().peekable();
@@ -92,14 +84,11 @@ impl Config {
                         rules: Vec::new(),
                     });
                     section = Some(Section::Set(sets.len() - 1));
-                } else if header == "units" {
-                    section = Some(Section::Units);
                 } else if header == "observers" {
                     section = Some(Section::Observers);
                 } else {
                     return Err(format!(
-                        "line {}: only [set.<name>], [units], and [observers] tables are \
-                         supported",
+                        "line {}: only [set.<name>] and [observers] tables are supported",
                         n + 1
                     ));
                 }
@@ -129,17 +118,6 @@ impl Config {
                             return Err(format!("line {}: unknown key `{other}`", n + 1))
                         }
                     }
-                }
-                Some(Section::Units) => {
-                    let s = parse_string(&value)
-                        .map_err(|e| format!("line {}: {e}", n + 1))?;
-                    let unit = Unit::parse(&s).ok_or_else(|| {
-                        format!(
-                            "line {}: `{s}` is not a unit (tokens/blocks/seconds/bytes/count)",
-                            n + 1
-                        )
-                    })?;
-                    units.insert(key.to_string(), unit);
                 }
                 Some(Section::Observers) => {
                     if key != "names" {
@@ -175,11 +153,7 @@ impl Config {
                 }
             }
         }
-        Ok(Config {
-            sets,
-            units,
-            observers,
-        })
+        Ok(Config { sets, observers })
     }
 
     /// The paths every set naming `rule` covers.
@@ -209,15 +183,6 @@ fn strip_comment(line: &str) -> &str {
 
 fn balanced(value: &str) -> bool {
     value.starts_with('[') && value.trim_end().ends_with(']')
-}
-
-fn parse_string(value: &str) -> Result<String, String> {
-    value
-        .trim()
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .map(str::to_string)
-        .ok_or_else(|| format!("value `{value}` is not a quoted string"))
 }
 
 fn parse_string_array(value: &str) -> Result<Vec<String>, String> {
@@ -253,9 +218,9 @@ mod tests {
              paths = [\n  \"crates/sim/src\", # inline comment\n  \"crates/core/src\",\n]\n\
              rules = [\"no-instant-now\", \"no-hash-collections\"]\n\
              \n\
-             [set.accounting]\n\
-             paths = [\"crates/kvcache/src\"]\n\
-             rules = [\"unit-mismatch\"]\n",
+             [set.observers]\n\
+             paths = [\"crates/core/src\"]\n\
+             rules = [\"observer-purity\"]\n",
         )
         .unwrap();
         assert_eq!(cfg.sets.len(), 2);
@@ -264,7 +229,7 @@ mod tests {
             cfg.paths_with_rule("no-instant-now"),
             vec!["crates/sim/src", "crates/core/src"]
         );
-        assert!(cfg.paths_with_rule("unit-mismatch") == vec!["crates/kvcache/src"]);
+        assert!(cfg.paths_with_rule("observer-purity") == vec!["crates/core/src"]);
     }
 
     #[test]
@@ -283,22 +248,31 @@ mod tests {
     }
 
     #[test]
-    fn parses_units_and_observers() {
+    fn parses_observers() {
         let cfg = Config::parse(
-            "[set.x]\npaths = [\"a\"]\nrules = [\"unit-mismatch\"]\n\
-             [units]\nheld = \"blocks\" # annotation\ndemand = \"tokens\"\n\
-             [observers]\nnames = [\"occupancy\", \"trace_buf\"]\n",
+            "[set.x]\npaths = [\"a\"]\nrules = [\"observer-purity\"]\n\
+             [observers] # annotation\nnames = [\"occupancy\", \"trace_buf\"]\n",
         )
         .unwrap();
-        assert_eq!(cfg.units.get("held"), Some(&Unit::Blocks));
-        assert_eq!(cfg.units.get("demand"), Some(&Unit::Tokens));
         assert_eq!(cfg.observers, vec!["occupancy", "trace_buf"]);
     }
 
     #[test]
-    fn rejects_bad_unit_and_unknown_table() {
-        assert!(Config::parse("[units]\nx = \"furlongs\"\n").is_err());
+    fn rejects_unknown_tables() {
+        assert!(Config::parse("[units]\nheld = \"blocks\"\n").is_err());
         assert!(Config::parse("[nonsense]\nx = \"y\"\n").is_err());
         assert!(Config::parse("[observers]\nother = [\"x\"]\n").is_err());
+    }
+
+    /// The analyzer holds no hash collection: the committed config bans
+    /// them in its own sources.
+    #[test]
+    fn the_committed_config_bans_hash_collections_in_the_analyzer() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let cfg = Config::load(&root.join("analyzer.toml")).unwrap();
+        assert!(
+            cfg.paths_with_rule("no-hash-collections").contains(&"crates/analyzer/src"),
+            "{cfg:?}"
+        );
     }
 }

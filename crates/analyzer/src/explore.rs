@@ -3,10 +3,10 @@
 //! `tdpipe-kvcache`'s tests, the session-KV retention code itself. Every
 //! state reachable from the initial one is expanded once, in discovery
 //! order, and the first broken property comes back with the shortest
-//! interleaving that reaches it.
+//! interleaving that reaches it. The seen-set is ordered (a `BTreeSet`),
+//! so no hash order exists to leak; the visit order is the queue's.
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Safety valve: scenarios in the checked ranges stay far below this.
 const MAX_STATES: usize = 1_000_000;
@@ -41,7 +41,7 @@ pub type Step<S> = (String, S, Option<String>);
 /// terminal properties; a non-terminal state with no transition is a
 /// `deadlock`. `discovered` sees the label of every transition that
 /// reaches a new state.
-pub fn explore<S: Clone + Eq + Hash>(
+pub fn explore<S: Clone + Ord>(
     init: S,
     deadlock: &str,
     successors: impl Fn(&S) -> Vec<Step<S>>,
@@ -50,8 +50,7 @@ pub fn explore<S: Clone + Eq + Hash>(
 ) -> Result<usize, Violation> {
     let mut states: Vec<S> = vec![init.clone()];
     let mut parent: Vec<Option<(usize, String)>> = vec![None];
-    let mut seen: HashMap<S, usize> = HashMap::new();
-    seen.insert(init, 0);
+    let mut seen: BTreeSet<S> = BTreeSet::from([init]);
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
 
     let trace_to = |parent: &[Option<(usize, String)>], mut i: usize, extra: Option<String>| {
@@ -92,15 +91,14 @@ pub fn explore<S: Clone + Eq + Hash>(
                     trace: trace_to(&parent, i, Some(label)),
                 });
             }
-            if seen.contains_key(&next) {
+            if seen.contains(&next) {
                 continue;
             }
             discovered(&label);
-            let idx = states.len();
+            queue.push_back(states.len());
             states.push(next.clone());
             parent.push(Some((i, label)));
-            seen.insert(next, idx);
-            queue.push_back(idx);
+            seen.insert(next);
             if states.len() > MAX_STATES {
                 return Err(Violation {
                     message: format!("state space exceeded {MAX_STATES} states"),

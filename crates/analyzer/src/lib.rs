@@ -11,25 +11,20 @@
 //!    `analyzer.toml`:
 //!
 //!    * *determinism rules* for every crate that feeds serialized
-//!      reports — no `Instant::now` / `SystemTime`, no
-//!      `HashMap`/`HashSet` (iteration order leaks into output), no f64
-//!      sorts bypassing `total_cmp`;
-//!    * the **accounting-dimension check** (`unit-mismatch`) — flags
-//!      `+`/`-`/comparison between values whose inferred units differ
-//!      (tokens vs blocks vs seconds vs bytes vs count — suffix
-//!      conventions plus the `[units]` table);
-//!    * *semantic rules* — hash-order iteration via collection-type
-//!      tracking (the iterator calls clippy's `iter_over_hash_type`,
-//!      which sees only `for` loops, misses), and observer purity:
-//!      branches gated on `EngineConfig::record_*` may only assign to
-//!      the `[observers]` allow-list.
+//!      reports, and for this crate itself — no `Instant::now` /
+//!      `SystemTime`, no `HashMap`/`HashSet` (iteration order leaks into
+//!      output), no f64 sorts bypassing `total_cmp`;
+//!    * *observer purity* — branches gated on `EngineConfig::record_*`
+//!      may only assign to the `[observers]` allow-list.
 //!
 //!    Panic-safety (no non-test `unwrap`/`expect`/`panic!`/`todo!`/
 //!    `unimplemented!` on the supervised execution plane) and float-to-int
 //!    casts in accounting code are clippy lints, not rules here: each
 //!    covered crate denies them in its `Cargo.toml` (in `crates/core`,
 //!    per file), with `#[expect(clippy::<lint>, reason = "..")]` as the
-//!    escape, and `scripts/ci.sh` runs clippy before this pass.
+//!    escape, and `scripts/ci.sh` runs clippy before this pass. Mixing
+//!    KV blocks with tokens is a type error: block counts are
+//!    `tdpipe_kvcache::Blocks`.
 //!
 //!    A committed ratchet baseline ([`findings`]) makes CI fail on any
 //!    *new* finding while tolerating (and reporting) the baseline.
@@ -47,7 +42,8 @@
 //!    Its breadth-first explorer ([`explore`]) is public: the session-KV
 //!    retention code (`tdpipe_kvcache::SessionKv`) is model-checked by
 //!    the same explorer in that crate's tests, on the real type and a real
-//!    allocator rather than a restatement.
+//!    allocator rather than a restatement. It keys its seen-set by `Ord`,
+//!    so this crate holds no hash collection.
 
 #![forbid(unsafe_code)]
 

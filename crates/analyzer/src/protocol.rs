@@ -46,7 +46,7 @@ use std::collections::{BTreeSet, VecDeque};
 pub use crate::explore::Violation;
 
 /// Transfer mode, as far as message order is concerned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Mode {
     /// Fire-and-forget forwarding (also covers `Blocking`).
     Async,
@@ -56,7 +56,7 @@ pub enum Mode {
 
 /// Injected fault, mirroring `runtime::FaultPlan`. `job` indexes the
 /// k-th job *processed by that rank*, as in the real plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Fault {
     /// No fault.
     None,
@@ -74,7 +74,7 @@ pub enum Fault {
 
 /// Deliberately re-introduced protocol bugs, proving the checker is not
 /// vacuous: each mutation must produce a counterexample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Mutation {
     /// The faithful protocol.
     None,
@@ -104,7 +104,7 @@ pub struct Scenario {
 /// Failure classification, ordered by severity exactly as
 /// `RuntimeError::severity`: a panic outranks a protocol violation
 /// outranks a bare disconnect outranks the timeouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ErrKind {
     /// Engine gave up waiting for a completion.
     CompletionTimedOut,
@@ -119,20 +119,20 @@ pub enum ErrKind {
 }
 
 /// A message in a stage inbox.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Msg {
     Job(u8),
     Shutdown,
 }
 
 /// A start-ack travelling upstream (rendezvous mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Ack {
     corrupt: bool,
 }
 
 /// A stage worker's phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum WState {
     /// Blocked on (or able to read) its inbox.
     Running,
@@ -145,7 +145,7 @@ enum WState {
 }
 
 /// The engine's phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Phase {
     /// Launched `0..n` jobs so far.
     Launching(u8),
@@ -158,7 +158,7 @@ enum Phase {
 }
 
 /// One global state of the model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct State {
     phase: Phase,
     /// Sticky first error the engine observed (the one `run()` returns).

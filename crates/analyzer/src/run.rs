@@ -69,7 +69,6 @@ pub fn analyze_root(root: &Path, cfg: &Config) -> Result<Analysis, String> {
     }
 
     let ctx = RuleCtx {
-        units: &cfg.units,
         observers: &cfg.observers,
     };
     let mut out = Analysis {

@@ -154,11 +154,10 @@ fn allow_escapes_suppress_only_with_justification() {
 }
 
 /// Single-rule fixture config over `sem/<rule-file>.rs`, with the
-/// [units] / [observers] tables the semantic rules consume.
+/// [observers] table the observer-purity rule consumes.
 fn semantic_config(file: &str, rule: &str) -> String {
     format!(
         "[set.fixture]\npaths = [\"sem/{file}\"]\nrules = [\"{rule}\"]\n\n\
-         [units]\nheld = \"tokens\"\n\n\
          [observers]\nnames = [\"occupancy\"]\n"
     )
 }
@@ -183,86 +182,21 @@ fn lines_for(fix: &Fixture, cfg_text: &str, rule: &str) -> (Vec<usize>, Vec<usiz
 }
 
 #[test]
-fn unit_mismatch_catches_the_doctored_tokens_plus_blocks_bug() {
-    // The full-repo scan is clean, so the dimension lint's value is
-    // proven here instead: a deliberately doctored `tokens + blocks`
-    // accounting bug, alongside same-unit / conversion / table-driven /
-    // escaped / test-scoped neighbours.
-    let fix = Fixture::new("units");
-    fix.write(
-        "sem/units.rs",
-        "fn doctored(prompt_tokens: u64, retained_blocks: u64) -> u64 {\n\
-             prompt_tokens + retained_blocks\n\
-         }\n\
-         fn fine(prompt_tokens: u64, decode_tokens: u64) -> u64 {\n\
-             prompt_tokens + decode_tokens\n\
-         }\n\
-         fn conversion(used_blocks: u64, block_size: u64) -> u64 {\n\
-             used_blocks * block_size\n\
-         }\n\
-         fn table(held: u64, free_blocks: u64) -> bool {\n\
-             held < free_blocks\n\
-         }\n\
-         fn escaped(a_tokens: u64, b_blocks: u64) -> u64 {\n\
-             a_tokens + b_blocks // analyzer: allow(unit-mismatch) — fixture: deliberate cross-unit sum\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             fn t(x_tokens: u64, y_blocks: u64) -> u64 { x_tokens + y_blocks }\n\
-         }\n",
-    );
-    let (fired, suppressed) =
-        lines_for(&fix, &semantic_config("units.rs", "unit-mismatch"), "unit-mismatch");
-    // Line 2: the doctored bug. Line 11: `held` is tokens by the [units]
-    // table, so comparing it to `free_blocks` is a mismatch.
-    assert_eq!(fired, vec![2, 11], "{fired:?}");
-    assert_eq!(suppressed, vec![14], "{suppressed:?}");
-}
-
-#[test]
-fn hash_order_iteration_tracks_collection_types() {
+fn iterating_a_hash_collection_fails_at_its_declaration() {
+    // `no-hash-collections` bans the type, so an iterator call over one
+    // (which clippy's `iter_over_hash_type` does not see) cannot be
+    // written in a scope that carries the rule.
     let fix = Fixture::new("hash");
     fix.write(
         "sem/hash.rs",
         "fn bad() {\n\
-             let mut seen: HashMap<u64, u64> = HashMap::new();\n\
-             for k in seen.keys() {\n\
-                 let _ = k;\n\
-             }\n\
-         }\n\
-         fn good() {\n\
-             let mut other: HashMap<u64, u64> = HashMap::new();\n\
-             let _ = other.get(&3);\n\
-             other.insert(1, 2);\n\
-         }\n\
-         fn sorted() {\n\
-             let ordered: BTreeMap<u64, u64> = BTreeMap::new();\n\
-             for k in ordered.keys() {\n\
-                 let _ = k;\n\
-             }\n\
-         }\n\
-         fn escaped() {\n\
-             let pool: HashSet<u64> = HashSet::new();\n\
-             // analyzer: allow(hash-order-iteration) — fixture: order-independent fold\n\
-             for k in pool.iter() {\n\
-                 let _ = k;\n\
-             }\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             fn t() {\n\
-                 let m: HashMap<u64, u64> = HashMap::new();\n\
-                 for k in m.keys() { let _ = k; }\n\
-             }\n\
+             let seen: HashMap<u64, u64> = HashMap::new();\n\
+             let v = seen.iter().count();\n\
          }\n",
     );
-    let (fired, suppressed) = lines_for(
-        &fix,
-        &semantic_config("hash.rs", "hash-order-iteration"),
-        "hash-order-iteration",
-    );
-    assert_eq!(fired, vec![3], "{fired:?}");
-    assert_eq!(suppressed, vec![21], "{suppressed:?}");
+    let cfg = semantic_config("hash.rs", "no-hash-collections");
+    let (fired, _) = lines_for(&fix, &cfg, "no-hash-collections");
+    assert_eq!(fired, vec![2], "{fired:?}");
 }
 
 #[test]

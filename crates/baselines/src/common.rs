@@ -15,7 +15,7 @@ use tdpipe_core::cohort::{DecodeCohort, Recompute, StepEnv};
 use tdpipe_core::config::{BLOCK_SIZE, WATERMARK};
 use tdpipe_core::driver::{RunState, Stall};
 use tdpipe_core::request::{queued, RequestPool};
-use tdpipe_kvcache::BlockAllocator;
+use tdpipe_kvcache::{BlockAllocator, Blocks};
 
 /// One scheduler instance's memory, admission queue and running set.
 pub struct Lane {
@@ -23,7 +23,7 @@ pub struct Lane {
     pub alloc: BlockAllocator,
     /// Requests bound to this lane that still need (re-)prefilling.
     pub pending: VecDeque<u32>,
-    watermark_blocks: u64,
+    watermark_blocks: Blocks,
     /// Prefilled requests decoding one token per step, in admission order.
     pub residents: Vec<usize>,
     /// Running context-token total over `residents`, so decode launches
@@ -43,13 +43,13 @@ pub struct Lane {
 /// requests round-robin (vLLM assigns each arriving request to the
 /// scheduler with the fewest unfinished requests; for an offline
 /// all-at-once trace that is round-robin).
-pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
+pub fn make_lanes(n: usize, lanes: usize, total_blocks: Blocks) -> Vec<Lane> {
     assert!(lanes > 0, "need at least one lane");
-    let blocks = total_blocks / lanes as u64;
+    let blocks = Blocks::new(total_blocks.get() / lanes as u64);
     #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "watermark is in \
         [0,1] and blocks <= 2^32, so the ceil stays inside u64; rounding up is the conservative \
         direction for admission")]
-    let watermark_blocks = (blocks as f64 * WATERMARK).ceil() as u64;
+    let watermark_blocks = Blocks::new((blocks.get() as f64 * WATERMARK).ceil() as u64);
     (0..lanes)
         .map(|lane| {
             Lane {
@@ -74,7 +74,7 @@ pub fn make_lanes(n: usize, lanes: usize, total_blocks: u64) -> Vec<Lane> {
 pub fn stall(lanes: &[Lane], pool: &RequestPool, now: f64) -> Stall {
     let heads = || lanes.iter().filter_map(|l| Some((l, *l.pending.front()? as usize)));
     let oversize = heads().find(|&(_, i)| pool.arrival(i) <= now).map(|(lane, i)| {
-        let capacity = lane.alloc.num_blocks() * lane.alloc.block_size() as u64;
+        let capacity = lane.alloc.num_blocks().tokens(lane.alloc.block_size());
         (i, pool.prefill_tokens(i) as u64, capacity)
     });
     Stall {
@@ -91,7 +91,7 @@ impl Lane {
             None => false,
             Some(&idx) => {
                 let t = pool.prefill_tokens(idx as usize) as u64;
-                let needed = t.div_ceil(self.alloc.block_size() as u64);
+                let needed = Blocks::for_tokens(t, self.alloc.block_size());
                 self.alloc.free_blocks() >= needed + self.watermark_blocks
             }
         }
@@ -203,7 +203,7 @@ mod tests {
     }
 
     fn single_lane(st: &RunState, blocks: u64) -> Lane {
-        let mut lanes = make_lanes(st.pool.len(), 1, blocks);
+        let mut lanes = make_lanes(st.pool.len(), 1, Blocks::new(blocks));
         lanes.pop().expect("one lane")
     }
 
@@ -217,9 +217,9 @@ mod tests {
 
     #[test]
     fn lanes_split_blocks_and_requests_evenly() {
-        let lanes = make_lanes(10, 4, 1000);
+        let lanes = make_lanes(10, 4, Blocks::new(1000));
         assert_eq!(lanes.len(), 4);
-        assert!(lanes.iter().all(|l| l.alloc.num_blocks() == 250));
+        assert!(lanes.iter().all(|l| l.alloc.num_blocks() == Blocks::new(250)));
         let sizes: Vec<usize> = lanes.iter().map(|l| l.pending.len()).collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         // Round-robin binding: lane 0 gets 0, 4, 8.

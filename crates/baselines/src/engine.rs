@@ -27,7 +27,7 @@ use tdpipe_core::engine::{InfeasibleConfig, RunOutcome};
 use tdpipe_core::exec::{ExecError, PipelineExecutor, SimExecutor};
 use tdpipe_core::plan::MemoryPlan;
 use tdpipe_hw::NodeSpec;
-use tdpipe_kvcache::{AllocStats, OccupancyTrace};
+use tdpipe_kvcache::{used_fraction, AllocStats, Blocks, OccupancyTrace};
 use tdpipe_model::ModelSpec;
 use tdpipe_predictor::OutputLenPredictor;
 use tdpipe_sim::SegmentKind;
@@ -406,9 +406,9 @@ impl Policy for LaneRun<'_> {
         }
         job.busy = false;
         if run.metrics.is_enabled() {
-            let used: u64 = self.lanes.iter().map(|l| l.alloc.used_blocks()).sum();
-            let total: u64 = self.lanes.iter().map(|l| l.alloc.num_blocks()).sum();
-            let occ = if total == 0 { 1.0 } else { used as f64 / total as f64 };
+            let used: Blocks = self.lanes.iter().map(|l| l.alloc.used_blocks()).sum();
+            let total: Blocks = self.lanes.iter().map(|l| l.alloc.num_blocks()).sum();
+            let occ = used_fraction(used, total);
             let pending = self.lanes.iter().map(|l| l.pending.len()).sum();
             run.metrics.sample(now, occ, plane.outstanding(), 0, pending);
         }

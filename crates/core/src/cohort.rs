@@ -60,7 +60,7 @@
 
 use crate::request::{queued, RequestPool};
 use std::collections::{BinaryHeap, VecDeque};
-use tdpipe_kvcache::BlockAllocator;
+use tdpipe_kvcache::{BlockAllocator, Blocks};
 
 /// Shared per-request bookkeeping for any number of [`DecodeCohort`]s,
 /// indexed by pool id.
@@ -218,8 +218,9 @@ impl DecodeCohort {
     /// Blocks the *current* step's survivors demand (finishers already
     /// drained do not extend on their finish step).
     #[inline]
-    pub fn step_grows(&self) -> u32 {
-        self.classes[(self.epoch % self.block_size) as usize]
+    pub fn step_grows(&self) -> Blocks {
+        let grows = self.classes[(self.epoch % self.block_size) as usize];
+        Blocks::new(u64::from(grows))
     }
 
     /// Whether banked member `m` crosses a KV block boundary on the
@@ -320,7 +321,7 @@ pub trait StepHooks {
     /// that no batch member holds until `env.alloc.free_blocks() >=
     /// target`, and return whether that worked. `false` makes the step
     /// evict.
-    fn reclaim(&mut self, _target: u64, _env: &mut StepEnv<'_, '_>) -> bool {
+    fn reclaim(&mut self, _target: Blocks, _env: &mut StepEnv<'_, '_>) -> bool {
         false
     }
 
@@ -477,9 +478,8 @@ impl DecodeStepper {
             // The allocation lags the just-generated token by one.
             *ctx -= hooks.retire(m, env) + 1;
         }
-        if env.alloc.free_blocks() >= coh.step_grows() as u64 {
-            env.alloc
-                .extend_cohort(coh.live() as u64, coh.step_grows() as u64);
+        if env.alloc.free_blocks() >= coh.step_grows() {
+            env.alloc.extend_cohort(coh.live() as u64, coh.step_grows());
         } else {
             self.evict_walk(coh, members, ctx, env, hooks);
         }
@@ -511,7 +511,7 @@ impl DecodeStepper {
         // Blocks granted this step; the allocator sees them only in the
         // closing `extend_survivors`, so the real free count is
         // `free_blocks() - grows_taken`.
-        let mut grows_taken = 0u64;
+        let mut grows_taken = Blocks::ZERO;
         let mut extra_extends = 0u64;
         let mut rejections = 0u64;
         let mut i = 0;
@@ -524,15 +524,15 @@ impl DecodeStepper {
                 continue;
             }
             if env.alloc.free_blocks() > grows_taken {
-                grows_taken += 1;
+                grows_taken += Blocks::new(1);
                 i += 1;
                 continue;
             }
             // The per-member loop's extend fails here: one OutOfMemory
             // rejection, then memory outside the batch yields first.
             rejections += 1;
-            if hooks.reclaim(grows_taken + 1, env) {
-                grows_taken += 1;
+            if hooks.reclaim(grows_taken + Blocks::new(1), env) {
+                grows_taken += Blocks::new(1);
                 i += 1;
                 continue;
             }
@@ -602,8 +602,8 @@ mod tests {
         let bs = 4u32;
         let mut coh = DecodeCohort::new(bs);
         let mut cm = CohortMembers::new(16);
-        let mut fast = BlockAllocator::new(1000, bs);
-        let mut slow = BlockAllocator::new(1000, bs);
+        let mut fast = BlockAllocator::new(Blocks::new(1000), bs);
+        let mut slow = BlockAllocator::new(Blocks::new(1000), bs);
         let mut naive: Vec<Option<Member>> = vec![None; 16];
         let mut finishers = Vec::new();
 
@@ -684,8 +684,8 @@ mod tests {
             }
             assert_eq!(fast_finished, naive_finished, "finish schedule drift");
             assert_eq!(coh.live(), alive.len());
-            assert!(coh.step_grows() as u64 <= coh.live() as u64);
-            fast.extend_cohort(coh.live() as u64, coh.step_grows() as u64);
+            assert!(coh.step_grows().get() <= coh.live() as u64);
+            fast.extend_cohort(coh.live() as u64, coh.step_grows());
             assert_eq!(fast.used_blocks(), slow.used_blocks(), "step {step}");
             assert_eq!(fast.resident_tokens(), slow.resident_tokens());
         }
@@ -716,15 +716,15 @@ mod tests {
         coh.join(&mut cm, 0, 8, 10); // 8 % 4 == 0: grows on step 1, 5, 9…
         coh.join(&mut cm, 1, 7, 10); // grows on step 2 (7→8 fills, 8 grows)…
         coh.begin_step();
-        assert_eq!(coh.step_grows(), 1);
+        assert_eq!(coh.step_grows(), Blocks::new(1));
         coh.begin_step();
-        assert_eq!(coh.step_grows(), 1);
+        assert_eq!(coh.step_grows(), Blocks::new(1));
         coh.begin_step();
-        assert_eq!(coh.step_grows(), 0);
+        assert_eq!(coh.step_grows(), Blocks::ZERO);
         coh.begin_step();
-        assert_eq!(coh.step_grows(), 0);
+        assert_eq!(coh.step_grows(), Blocks::ZERO);
         coh.begin_step();
-        assert_eq!(coh.step_grows(), 1); // step 5 ≡ 1 (mod 4) again
+        assert_eq!(coh.step_grows(), Blocks::new(1)); // step 5 ≡ 1 (mod 4) again
     }
 
     #[test]
@@ -920,7 +920,7 @@ mod tests {
             env.alloc.free(m as u64).unwrap()
         }
 
-        fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_, '_>) -> bool {
+        fn reclaim(&mut self, target: Blocks, env: &mut StepEnv<'_, '_>) -> bool {
             while env.alloc.free_blocks() < target {
                 let Some(d) = self.donors.pop_front() else {
                     return false;
@@ -966,7 +966,7 @@ mod tests {
         while i < members.len() {
             let m = members[i];
             if env.alloc.extend_one(m as u64).is_ok()
-                || (hooks.reclaim(1, env) && env.alloc.extend_one(m as u64).is_ok())
+                || (hooks.reclaim(Blocks::new(1), env) && env.alloc.extend_one(m as u64).is_ok())
             {
                 i += 1;
                 continue;
@@ -1005,7 +1005,7 @@ mod tests {
                     .sum();
                 // A handful of slack blocks: decode growth saturates the
                 // pool within a few steps, so the walk evicts repeatedly.
-                let mut alloc = BlockAllocator::new(need + 6 + 3 * donors, bs);
+                let mut alloc = BlockAllocator::new(Blocks::new(need + 6 + 3 * donors), bs);
                 let mut members = Vec::new();
                 let mut ctx = 0;
                 for i in 0..n {

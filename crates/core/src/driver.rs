@@ -18,7 +18,7 @@ use crate::engine::{PhaseRecord, RunOutcome};
 use crate::exec::{ExecError, PipelineExecutor};
 use crate::metrics::EngineMetrics;
 use crate::request::RequestPool;
-use tdpipe_kvcache::{AllocStats, OccupancyTrace, Phase};
+use tdpipe_kvcache::{AllocStats, Blocks, OccupancyTrace, Phase};
 use tdpipe_sim::RunReport;
 use tdpipe_trace::{EvictMode, FlightRecorder, TraceEvent};
 use tdpipe_workload::{Request, Workload};
@@ -112,7 +112,7 @@ pub struct Close {
     pub scheduler: String,
     pub occupancy: OccupancyTrace,
     pub alloc: AllocStats,
-    pub kv_blocks: u64,
+    pub kv_blocks: Blocks,
     pub evict_mode: EvictMode,
     /// The high-water spans of the policy's windows (the driver fills in
     /// the pool's).

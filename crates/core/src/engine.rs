@@ -45,7 +45,7 @@ use crate::steal::WorkStealer;
 use std::collections::VecDeque;
 use tdpipe_hw::{DecodeProfile, NodeSpec};
 use tdpipe_kvcache::{
-    used_fraction, BlockAllocator, OccupancyTrace, Phase, SessionEvent, SessionKv,
+    used_fraction, BlockAllocator, Blocks, OccupancyTrace, Phase, SessionEvent, SessionKv,
 };
 use tdpipe_metrics::MetricsSnapshot;
 use tdpipe_model::ModelSpec;
@@ -273,7 +273,7 @@ impl StepHooks for TdStepHooks<'_, '_> {
 
     #[expect(clippy::expect_used, reason = "a retained donor stays resident until its entry is \
         dropped or claimed")]
-    fn reclaim(&mut self, target: u64, env: &mut StepEnv<'_, '_>) -> bool {
+    fn reclaim(&mut self, target: Blocks, env: &mut StepEnv<'_, '_>) -> bool {
         let (est_cache, journal, now) = (&mut *self.est_cache, &mut *self.journal, env.now);
         // A drop revokes its successor's prefill discount.
         let sink = |e| {
@@ -337,7 +337,7 @@ impl TdPipeEngine {
             ),
         })?;
         // The occupancy trace stores used-block counts as `u32`.
-        if u32::try_from(plan.kv_blocks).is_err() {
+        if u32::try_from(plan.kv_blocks.get()).is_err() {
             return Err(InfeasibleConfig {
                 reason: format!("a KV pool of {} blocks exceeds u32", plan.kv_blocks),
             });
@@ -501,14 +501,14 @@ impl TdPipeEngine {
         // Closed-loop session state: the retention pool gets the
         // configured fraction of KV blocks (zero when reuse is off, so
         // every finished turn frees normally). Open-loop runs never retain.
-        let mut kv = SessionKv::new(0);
+        let mut kv = SessionKv::new(Blocks::ZERO);
         let sess = work.is_sessions().then(|| {
             let frac = e.session_retain_frac.clamp(0.0, 1.0);
             #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "frac is \
                 clamped to [0,1] and kv_blocks <= 2^32, so the product is exact enough and stays \
                 well inside u64")]
-            let budget = (self.plan.kv_blocks as f64 * frac) as u64;
-            kv = SessionKv::new(if e.session_reuse { budget } else { 0 });
+            let budget = Blocks::new((self.plan.kv_blocks.get() as f64 * frac) as u64);
+            kv = SessionKv::new(if e.session_reuse { budget } else { Blocks::ZERO });
             kv.reserve_ids(n);
             SessionRun {
                 work,
@@ -551,13 +551,12 @@ impl TdPipeEngine {
             #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "watermark \
                 is in [0,1] and kv_blocks <= 2^32, so the ceil stays well inside u64 and the \
                 round-up direction is the conservative one for admission")]
-            watermark_blocks: (self.plan.kv_blocks as f64 * WATERMARK).ceil() as u64,
+            watermark_blocks: Blocks::new(
+                (self.plan.kv_blocks.get() as f64 * WATERMARK).ceil() as u64,
+            ),
             // `new` refused pools whose block count exceeds `u32`. Fig. 12's
             // series rides the metrics plane; the peak is kept on every run.
-            occupancy: OccupancyTrace::for_pool(
-                u32::try_from(self.plan.kv_blocks).unwrap_or(u32::MAX),
-                metrics,
-            ),
+            occupancy: OccupancyTrace::for_pool(self.plan.kv_blocks, metrics),
             open: None,
             prefill: PrefillPhase::default(),
             decode: DecodePhase {
@@ -610,7 +609,7 @@ impl TdPipeEngine {
         pool: &RequestPool,
         alloc: &BlockAllocator,
     ) -> PrefillPhaseEstimate {
-        let mut free_tokens = alloc.free_blocks() * BLOCK_SIZE as u64;
+        let mut free_tokens = alloc.free_blocks().tokens(BLOCK_SIZE);
         let mut longest = 0.0f64;
         let mut phase_len = 0.0f64;
         let seq_lens = &mut Vec::new();
@@ -735,7 +734,7 @@ struct PrefillPhase {
     members: Vec<usize>,
     /// Per launched batch: its range in `members` and the KV blocks used
     /// at launch.
-    meta: Vec<(usize, usize, u64)>,
+    meta: Vec<(usize, usize, Blocks)>,
     /// Batches whose completion has been collected.
     collected: usize,
     /// Latest completion so far, never before the packing clock: the
@@ -825,7 +824,7 @@ struct TdRun<'a> {
     unreleased: VecDeque<u32>,
     /// Admitted requests still decoding, in admission order.
     residents: Vec<usize>,
-    watermark_blocks: u64,
+    watermark_blocks: Blocks,
     occupancy: OccupancyTrace,
     /// The phase in progress; `None` between phases.
     open: Option<Phase>,
@@ -937,7 +936,6 @@ impl TdRun<'_> {
         mut now: f64,
     ) -> f64 {
         let eng = self.engine;
-        let block_size = BLOCK_SIZE as u64;
         self.open = Some(Phase::Prefill);
         let pf = &mut self.prefill;
         pf.t0 = now;
@@ -1025,7 +1023,7 @@ impl TdRun<'_> {
                     break;
                 }
                 let full = run.pool.resident_tokens(idx);
-                let needed = full.div_ceil(block_size) + self.watermark_blocks;
+                let needed = Blocks::for_tokens(full, BLOCK_SIZE) + self.watermark_blocks;
                 // Idle retained session prefixes (never this request's own)
                 // yield to live admissions before the packer gives up. A
                 // drop revokes its successor's prefill discount.
@@ -1419,7 +1417,7 @@ impl TdRun<'_> {
             unreleased: &self.unreleased,
             kv: &self.kv,
         };
-        let free_tokens = self.alloc.free_blocks() * BLOCK_SIZE as u64;
+        let free_tokens = self.alloc.free_blocks().tokens(BLOCK_SIZE);
         let dw = &mut *self.decisions;
         dw.decisions += 1;
         #[cfg(test)]

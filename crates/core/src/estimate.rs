@@ -311,7 +311,7 @@ mod tests {
     use super::{PrefillEstimateCache, Queue};
     use crate::request::RequestPool;
     use std::collections::VecDeque;
-    use tdpipe_kvcache::{BlockAllocator, SessionKv};
+    use tdpipe_kvcache::{BlockAllocator, Blocks, SessionKv};
     use tdpipe_workload::{ShareGptLikeConfig, Workload};
 
     /// A retained prefix discounts its successor's prefill, not its
@@ -324,9 +324,9 @@ mod tests {
         let input = pool.input_len(1);
         let shared = u64::from(input.min(10));
         // Request 0 finishes holding the prefix request 1 will resume.
-        let mut alloc = BlockAllocator::new(64, 16);
+        let mut alloc = BlockAllocator::new(Blocks::new(64), 16);
         alloc.allocate(0, shared).unwrap();
-        let mut kv = SessionKv::new(64);
+        let mut kv = SessionKv::new(Blocks::new(64));
         kv.finish(&mut alloc, 0, Some(1), |_| {}).unwrap();
         let (pending, unreleased) = (VecDeque::from([1]), VecDeque::new());
         let prefill = |kv: &SessionKv, idx| {
@@ -342,7 +342,9 @@ mod tests {
         assert_eq!(prefill(&kv, 0), pool.input_len(0), "sibling untouched");
         // Dropped under pressure: the successor prefills in full.
         let (mut dropped, mut a) = (kv.clone(), alloc.clone());
-        assert!(dropped.reclaim(&mut a, 64, None, |_| {}).unwrap());
+        assert!(dropped
+            .reclaim(&mut a, Blocks::new(64), None, |_| {})
+            .unwrap());
         assert_eq!(prefill(&dropped, 1), input);
         // Claimed at admission: a later recompute prefills in full too.
         assert_eq!(kv.admit(&mut alloc, 1, u64::from(input)), Ok(Some(shared)));

@@ -10,7 +10,7 @@
 
 use crate::engine::PhaseRecord;
 use crate::exec::PlaneStats;
-use tdpipe_kvcache::{AllocStats, Phase};
+use tdpipe_kvcache::{used_fraction, AllocStats, Blocks, Phase};
 use tdpipe_metrics::{
     Counter, HistogramId, MetricsSnapshot, Registry, Series, SeriesPoint, SeriesSampler,
     DEFAULT_INTERVAL,
@@ -336,7 +336,7 @@ impl EngineMetrics {
             "Most KV blocks ever held idle by retained session prefixes",
             &[],
         );
-        reg.set(g, stats.retained_blocks_high_water as f64);
+        reg.set(g, stats.retained_blocks_high_water.get() as f64);
     }
 
     /// Feed the series sampler the engine's live state at virtual `now`.
@@ -367,7 +367,7 @@ impl EngineMetrics {
         report: &RunReport,
         phases: &[PhaseRecord],
         alloc: AllocStats,
-        kv_blocks: u64,
+        kv_blocks: Blocks,
         timeline: &Timeline,
         plane: PlaneStats,
     ) -> MetricsSnapshot {
@@ -418,12 +418,10 @@ impl EngineMetrics {
             "Peak fraction of KV blocks in use",
             &[],
         );
-        let frac = if kv_blocks == 0 {
-            1.0
-        } else {
-            alloc.used_blocks_high_water as f64 / kv_blocks as f64
-        };
-        reg.set(hw, frac);
+        reg.set(
+            hw,
+            used_fraction(Blocks::new(alloc.used_blocks_high_water), kv_blocks),
+        );
 
         // Execution-plane stats: per-rank busy/idle virtual seconds (and
         // comm, when segments were kept) plus completion-queue depth.
@@ -552,7 +550,7 @@ mod tests {
             &report,
             &[],
             AllocStats::default(),
-            100,
+            Blocks::new(100),
             &Timeline::new(false),
             PlaneStats::default(),
         );
@@ -604,7 +602,7 @@ mod tests {
                 oom_rejections: 1,
                 used_blocks_high_water: 80,
             },
-            100,
+            Blocks::new(100),
             &Timeline::new(false),
             PlaneStats {
                 queue_depth_high_water: 4,
@@ -645,7 +643,7 @@ mod tests {
                 claims: 7,
                 drops: 3,
                 claimed_tokens: 1400,
-                retained_blocks_high_water: 55,
+                retained_blocks_high_water: Blocks::new(55),
             },
             2,
         );
@@ -665,7 +663,7 @@ mod tests {
             &report,
             &[],
             AllocStats::default(),
-            100,
+            Blocks::new(100),
             &Timeline::new(false),
             PlaneStats::default(),
         );

@@ -19,6 +19,7 @@
 use crate::config::{BLOCK_SIZE, MEM_RESERVE_BYTES};
 use serde::{Deserialize, Serialize};
 use tdpipe_hw::NodeSpec;
+use tdpipe_kvcache::Blocks;
 use tdpipe_model::{kv_budget_bytes, ModelSpec, PipelinePartition, TensorShard};
 
 /// A planned KV pool for one configuration, in blocks of
@@ -26,14 +27,14 @@ use tdpipe_model::{kv_budget_bytes, ModelSpec, PipelinePartition, TensorShard};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryPlan {
     /// Number of KV blocks the allocator manages (binding scope).
-    pub kv_blocks: u64,
+    pub kv_blocks: Blocks,
 }
 
 impl MemoryPlan {
     /// Token capacity of the pool.
     #[inline]
     pub fn token_capacity(&self) -> u64 {
-        self.kv_blocks * BLOCK_SIZE as u64
+        self.kv_blocks.tokens(BLOCK_SIZE)
     }
 
     /// Plan for layer-wise pipeline parallelism over all of the node's
@@ -60,7 +61,7 @@ impl MemoryPlan {
             binding_blocks = binding_blocks.min(blocks);
         }
         Some(MemoryPlan {
-            kv_blocks: binding_blocks,
+            kv_blocks: Blocks::new(binding_blocks),
         })
     }
 
@@ -78,7 +79,9 @@ impl MemoryPlan {
         if blocks == 0 {
             return None;
         }
-        Some(MemoryPlan { kv_blocks: blocks })
+        Some(MemoryPlan {
+            kv_blocks: Blocks::new(blocks),
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! The paged block allocator.
 
 use crate::window::IdWindow;
+use crate::Blocks;
 use serde::{Deserialize, Serialize};
 
 /// Errors the allocator can report.
@@ -9,9 +10,9 @@ pub enum KvError {
     /// Not enough free blocks for the requested growth.
     OutOfMemory {
         /// Blocks the operation needed.
-        needed: u64,
+        needed: Blocks,
         /// Blocks currently free.
-        available: u64,
+        available: Blocks,
     },
     /// `allocate` called twice for the same request.
     DuplicateRequest(u64),
@@ -91,11 +92,11 @@ impl AllocStats {
 /// `used` of `num_blocks` blocks as a fraction in `[0, 1]`; an empty pool
 /// reads full. The one formula behind [`BlockAllocator::occupancy`] and
 /// [`OccupancyTrace`](crate::OccupancyTrace)'s samples.
-pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
-    if num_blocks == 0 {
+pub fn used_fraction(used: Blocks, num_blocks: Blocks) -> f64 {
+    if num_blocks == Blocks::ZERO {
         return 1.0;
     }
-    used as f64 / num_blocks as f64
+    used.get() as f64 / num_blocks.get() as f64
 }
 
 /// A fixed pool of KV blocks with per-request accounting.
@@ -116,9 +117,9 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 /// record only when it is read ([`advance_tokens`](Self::advance_tokens)).
 ///
 /// ```
-/// use tdpipe_kvcache::BlockAllocator;
+/// use tdpipe_kvcache::{BlockAllocator, Blocks};
 ///
-/// let mut pool = BlockAllocator::new(100, 16);
+/// let mut pool = BlockAllocator::new(Blocks::new(100), 16);
 /// pool.allocate(1, 300).unwrap();   // prefill: 19 blocks
 /// pool.extend_one(1).unwrap();      // one decode step
 /// assert_eq!(pool.tokens_of(1).unwrap(), 301);
@@ -128,8 +129,8 @@ pub fn used_fraction(used: u64, num_blocks: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct BlockAllocator {
     block_size: u32,
-    num_blocks: u64,
-    used_blocks: u64,
+    num_blocks: Blocks,
+    used_blocks: Blocks,
     /// Residency table indexed by request id, over the ids in flight.
     residents: IdWindow<Record>,
     /// Count of non-`VACANT` entries in `residents`.
@@ -159,12 +160,12 @@ impl BlockAllocator {
     ///
     /// # Panics
     /// Panics if `block_size == 0`.
-    pub fn new(num_blocks: u64, block_size: u32) -> Self {
+    pub fn new(num_blocks: Blocks, block_size: u32) -> Self {
         assert!(block_size > 0, "block size must be positive");
         BlockAllocator {
             block_size,
             num_blocks,
-            used_blocks: 0,
+            used_blocks: Blocks::ZERO,
             residents: IdWindow::new(),
             num_residents: 0,
             resident_tokens: 0,
@@ -216,19 +217,19 @@ impl BlockAllocator {
 
     /// Pool size in blocks.
     #[inline]
-    pub fn num_blocks(&self) -> u64 {
+    pub fn num_blocks(&self) -> Blocks {
         self.num_blocks
     }
 
     /// Blocks currently allocated.
     #[inline]
-    pub fn used_blocks(&self) -> u64 {
+    pub fn used_blocks(&self) -> Blocks {
         self.used_blocks
     }
 
     /// Blocks currently free.
     #[inline]
-    pub fn free_blocks(&self) -> u64 {
+    pub fn free_blocks(&self) -> Blocks {
         self.num_blocks - self.used_blocks
     }
 
@@ -249,10 +250,6 @@ impl BlockAllocator {
         self.resident_tokens
     }
 
-    fn blocks_for(&self, tokens: u64) -> u64 {
-        tokens.div_ceil(self.block_size as u64)
-    }
-
     /// Lifetime operation counters and the occupancy high-water mark.
     #[inline]
     pub fn stats(&self) -> AllocStats {
@@ -264,7 +261,7 @@ impl BlockAllocator {
         if self.slot(id).is_some() {
             return Err(KvError::DuplicateRequest(id));
         }
-        let needed = self.blocks_for(tokens);
+        let needed = Blocks::for_tokens(tokens, self.block_size);
         let available = self.free_blocks();
         if needed > available {
             self.stats.oom_rejections += 1;
@@ -278,9 +275,7 @@ impl BlockAllocator {
         self.num_residents += 1;
         self.resident_tokens += tokens;
         self.stats.allocs += 1;
-        if self.used_blocks > self.stats.used_blocks_high_water {
-            self.stats.used_blocks_high_water = self.used_blocks;
-        }
+        self.raise_high_water();
         *self.residents.entry(idx, |_| VACANT) = record;
         Ok(())
     }
@@ -292,15 +287,15 @@ impl BlockAllocator {
     /// (the trailing block is full, or there is none). On `OutOfMemory` or
     /// `RecordOverflow` the request is left unchanged.
     pub fn extend_one(&mut self, id: u64) -> Result<(), KvError> {
-        let free = self.num_blocks - self.used_blocks;
+        let free = self.free_blocks();
         let block_size = self.block_size;
         let r = self.slot_mut(id).ok_or(KvError::UnknownRequest(id))?;
         let grows = *r % block_size == 0;
-        if grows && free == 0 {
+        if grows && free == Blocks::ZERO {
             self.stats.oom_rejections += 1;
             return Err(KvError::OutOfMemory {
-                needed: 1,
-                available: 0,
+                needed: Blocks::new(1),
+                available: free,
             });
         }
         if u64::from(*r) == Self::MAX_RECORD_TOKENS {
@@ -311,12 +306,19 @@ impl BlockAllocator {
         self.resident_tokens += 1;
         self.stats.extends += 1;
         if grows {
-            self.used_blocks += 1;
-            if self.used_blocks > self.stats.used_blocks_high_water {
-                self.stats.used_blocks_high_water = self.used_blocks;
-            }
+            self.used_blocks += Blocks::new(1);
+            self.raise_high_water();
         }
         Ok(())
+    }
+
+    /// Lift the high-water mark to the blocks in use now.
+    #[inline]
+    fn raise_high_water(&mut self) {
+        let used = self.used_blocks.get();
+        if used > self.stats.used_blocks_high_water {
+            self.stats.used_blocks_high_water = used;
+        }
     }
 
     /// Aggregate accounting for one event-driven decode step (see
@@ -330,8 +332,8 @@ impl BlockAllocator {
     /// # Panics
     /// Panics if the step overflows the pool — callers must guard
     /// `free_blocks() >= grows` before the step.
-    pub fn extend_cohort(&mut self, live: u64, grows: u64) {
-        debug_assert!(grows <= live, "more block growths than live members");
+    pub fn extend_cohort(&mut self, live: u64, grows: Blocks) {
+        debug_assert!(grows.get() <= live, "more block growths than live members");
         self.used_blocks += grows;
         // A guard violation is a caller bug; the per-call path would have
         // rejected the overflowing extend.
@@ -341,9 +343,7 @@ impl BlockAllocator {
         );
         self.resident_tokens += live;
         self.stats.extends += live;
-        if self.used_blocks > self.stats.used_blocks_high_water {
-            self.stats.used_blocks_high_water = self.used_blocks;
-        }
+        self.raise_high_water();
     }
 
     /// [`extend_cohort`](Self::extend_cohort) for a banked decode step
@@ -363,7 +363,7 @@ impl BlockAllocator {
     pub fn extend_survivors(
         &mut self,
         survivors: u64,
-        grows: u64,
+        grows: Blocks,
         extra_extends: u64,
         rejections: u64,
     ) {
@@ -377,9 +377,9 @@ impl BlockAllocator {
         self.stats.extends += survivors + extra_extends;
         self.stats.oom_rejections += rejections;
         if rejections > 0 {
-            self.stats.used_blocks_high_water = self.num_blocks;
-        } else if self.used_blocks > self.stats.used_blocks_high_water {
-            self.stats.used_blocks_high_water = self.used_blocks;
+            self.stats.used_blocks_high_water = self.num_blocks.get();
+        } else {
+            self.raise_high_water();
         }
     }
 
@@ -417,7 +417,7 @@ impl BlockAllocator {
         let r = self.slot_mut(id).ok_or(KvError::UnknownRequest(id))?;
         let tokens = u64::from(std::mem::replace(r, VACANT));
         self.residents.retire_front(|&t| t == VACANT);
-        self.used_blocks -= self.blocks_for(tokens);
+        self.used_blocks -= Blocks::for_tokens(tokens, self.block_size);
         self.num_residents -= 1;
         self.resident_tokens -= tokens;
         self.stats.frees += 1;
@@ -448,53 +448,53 @@ mod tests {
 
     #[test]
     fn allocate_extend_free_roundtrip() {
-        let mut a = BlockAllocator::new(10, 16);
+        let mut a = BlockAllocator::new(Blocks::new(10), 16);
         a.allocate(1, 17).unwrap(); // 2 blocks
-        assert_eq!(a.used_blocks(), 2);
+        assert_eq!(a.used_blocks(), Blocks::new(2));
         assert_eq!(a.tokens_of(1).unwrap(), 17);
 
         // 15 more tokens fill block 2 exactly (32 total): no new block.
         grow(&mut a, 1, 15);
-        assert_eq!(a.used_blocks(), 2);
+        assert_eq!(a.used_blocks(), Blocks::new(2));
         // One more token opens block 3.
         a.extend_one(1).unwrap();
-        assert_eq!(a.used_blocks(), 3);
+        assert_eq!(a.used_blocks(), Blocks::new(3));
 
         assert_eq!(a.free(1).unwrap(), 33);
-        assert_eq!(a.used_blocks(), 0);
+        assert_eq!(a.used_blocks(), Blocks::ZERO);
         assert_eq!(a.occupancy(), 0.0);
     }
 
     #[test]
     fn out_of_memory_is_clean() {
-        let mut a = BlockAllocator::new(2, 16);
+        let mut a = BlockAllocator::new(Blocks::new(2), 16);
         a.allocate(1, 16).unwrap();
         let err = a.allocate(2, 17).unwrap_err();
         assert_eq!(
             err,
             KvError::OutOfMemory {
-                needed: 2,
-                available: 1
+                needed: Blocks::new(2),
+                available: Blocks::new(1)
             }
         );
         // Failed allocation leaves no residue.
-        assert_eq!(a.used_blocks(), 1);
+        assert_eq!(a.used_blocks(), Blocks::new(1));
         assert!(!a.contains(2));
     }
 
     #[test]
     fn failed_extend_leaves_request_intact() {
-        let mut a = BlockAllocator::new(1, 4);
+        let mut a = BlockAllocator::new(Blocks::new(1), 4);
         a.allocate(1, 4).unwrap();
         let err = a.extend_one(1).unwrap_err();
         assert!(matches!(err, KvError::OutOfMemory { .. }));
         assert_eq!(a.tokens_of(1).unwrap(), 4);
-        assert_eq!(a.used_blocks(), 1);
+        assert_eq!(a.used_blocks(), Blocks::new(1));
     }
 
     #[test]
     fn duplicate_and_unknown_ids() {
-        let mut a = BlockAllocator::new(10, 16);
+        let mut a = BlockAllocator::new(Blocks::new(10), 16);
         a.allocate(1, 1).unwrap();
         assert_eq!(a.allocate(1, 1).unwrap_err(), KvError::DuplicateRequest(1));
         assert_eq!(a.extend_one(9).unwrap_err(), KvError::UnknownRequest(9));
@@ -503,17 +503,17 @@ mod tests {
 
     #[test]
     fn zero_token_allocation_uses_no_blocks() {
-        let mut a = BlockAllocator::new(4, 16);
+        let mut a = BlockAllocator::new(Blocks::new(4), 16);
         a.allocate(1, 0).unwrap();
-        assert_eq!(a.used_blocks(), 0);
+        assert_eq!(a.used_blocks(), Blocks::ZERO);
         assert!(a.contains(1));
         a.extend_one(1).unwrap();
-        assert_eq!(a.used_blocks(), 1);
+        assert_eq!(a.used_blocks(), Blocks::new(1));
     }
 
     #[test]
     fn occupancy_of_empty_pool_is_full() {
-        let mut a = BlockAllocator::new(0, 16);
+        let mut a = BlockAllocator::new(Blocks::ZERO, 16);
         assert_eq!(a.occupancy(), 1.0);
         assert!(a.allocate(1, 1).is_err());
         assert!(a.allocate(2, 0).is_ok());
@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn stats_count_operations_and_high_water() {
-        let mut a = BlockAllocator::new(4, 16);
+        let mut a = BlockAllocator::new(Blocks::new(4), 16);
         a.allocate(1, 32).unwrap(); // 2 blocks
         a.allocate(2, 32).unwrap(); // 4 blocks → high water
         assert!(a.allocate(3, 16).is_err()); // OOM rejection
@@ -539,8 +539,8 @@ mod tests {
     fn cohort_extends_match_sequential_extends() {
         // Lazy cohort accounting (aggregate now, per-id settle later)
         // must be indistinguishable from per-step `extend_one` calls.
-        let mut fast = BlockAllocator::new(100, 4);
-        let mut slow = BlockAllocator::new(100, 4);
+        let mut fast = BlockAllocator::new(Blocks::new(100), 4);
+        let mut slow = BlockAllocator::new(Blocks::new(100), 4);
         for id in 0..3u64 {
             fast.allocate(id, 3 + id).unwrap();
             slow.allocate(id, 3 + id).unwrap();
@@ -550,7 +550,7 @@ mod tests {
             // Member `id` (3 + id tokens at join) grows when its token
             // count entering the step is a multiple of the block size.
             let grows = (0..3u64).filter(|id| (3 + id + s) % 4 == 0).count() as u64;
-            fast.extend_cohort(3, grows);
+            fast.extend_cohort(3, Blocks::new(grows));
             for id in 0..3u64 {
                 slow.extend_one(id).unwrap();
             }
@@ -563,21 +563,21 @@ mod tests {
             assert_eq!(fast.tokens_of(id).unwrap(), slow.tokens_of(id).unwrap());
             assert_eq!(fast.free(id).unwrap(), slow.free(id).unwrap());
         }
-        assert_eq!(fast.used_blocks(), 0);
+        assert_eq!(fast.used_blocks(), Blocks::ZERO);
         assert_eq!(fast.stats(), slow.stats());
     }
 
     #[test]
     #[should_panic(expected = "guard")]
     fn cohort_extend_overflow_is_a_caller_bug() {
-        let mut a = BlockAllocator::new(2, 4);
+        let mut a = BlockAllocator::new(Blocks::new(2), 4);
         a.allocate(0, 8).unwrap();
-        a.extend_cohort(1, 1);
+        a.extend_cohort(1, Blocks::new(1));
     }
 
     #[test]
     fn advance_tokens_zero_steps_is_a_noop() {
-        let mut a = BlockAllocator::new(10, 4);
+        let mut a = BlockAllocator::new(Blocks::new(10), 4);
         a.allocate(7, 5).unwrap();
         a.advance_tokens(7, 0);
         assert_eq!(a.tokens_of(7).unwrap(), 5);
@@ -587,8 +587,8 @@ mod tests {
     fn a_count_past_the_record_limit_is_a_typed_error() {
         // A pool whose token capacity exceeds `u32::MAX`: the record
         // limit, not the pool, is what binds.
-        let mut a = BlockAllocator::new(1 << 29, 16);
-        assert!(a.num_blocks() * 16 >= 2 * u32::MAX as u64);
+        let mut a = BlockAllocator::new(Blocks::new(1 << 29), 16);
+        assert!(a.num_blocks().tokens(16) >= 2 * u32::MAX as u64);
         let max = BlockAllocator::MAX_RECORD_TOKENS;
         for tokens in [max + 1, u32::MAX as u64 + 1, u64::from(u32::MAX) * 2] {
             let err = a.allocate(1, tokens).unwrap_err();
@@ -596,25 +596,25 @@ mod tests {
             assert!(err.to_string().contains(&max.to_string()), "{err}");
         }
         assert!(!a.contains(1));
-        assert_eq!((a.used_blocks(), a.num_residents()), (0, 0));
+        assert_eq!((a.used_blocks(), a.num_residents()), (Blocks::ZERO, 0));
         assert_eq!(a.stats(), AllocStats::default());
 
         a.allocate(2, max).unwrap();
         assert_eq!(a.tokens_of(2), Ok(max));
         let used = a.used_blocks();
-        assert_eq!(used, max.div_ceil(16));
+        assert_eq!(used, Blocks::for_tokens(max, 16));
         let err = a.extend_one(2).unwrap_err();
         let tokens = max + 1;
         assert_eq!(err, KvError::RecordOverflow { id: 2, tokens });
         assert_eq!(a.tokens_of(2), Ok(max));
         assert_eq!((a.used_blocks(), a.stats().extends), (used, 0));
         assert_eq!(a.free(2), Ok(max));
-        assert_eq!(a.used_blocks(), 0);
+        assert_eq!(a.used_blocks(), Blocks::ZERO);
     }
 
     #[test]
     fn resident_tokens_tracks_sum() {
-        let mut a = BlockAllocator::new(100, 16);
+        let mut a = BlockAllocator::new(Blocks::new(100), 16);
         a.allocate(1, 10).unwrap();
         a.allocate(2, 20).unwrap();
         grow(&mut a, 2, 5);

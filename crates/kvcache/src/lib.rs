@@ -6,6 +6,10 @@
 //! the occupancy of a fixed pool of fixed-size *blocks*. This crate
 //! implements that pool:
 //!
+//! * [`Blocks`] — a count of blocks, as a type: tokens stay plain
+//!   integers, so adding or comparing tokens with blocks does not
+//!   compile, and [`Blocks::for_tokens`] and [`Blocks::tokens`] are the
+//!   only conversions. Every block count in this crate's API is one.
 //! * [`BlockAllocator`] — allocate a request's prompt, extend it one token
 //!   per decode step, free it on completion or eviction. Strict
 //!   conservation invariants, O(1) operations.
@@ -29,11 +33,13 @@
 #![forbid(unsafe_code)]
 
 pub mod allocator;
+pub mod blocks;
 pub mod session;
 pub mod usage;
 pub mod window;
 
 pub use allocator::{used_fraction, AllocStats, BlockAllocator, KvError};
+pub use blocks::Blocks;
 pub use session::{RetainStats, SessionEvent, SessionKv};
 pub use usage::{OccupancySample, OccupancyTrace, Phase};
 pub use window::{IdWindow, Slot};

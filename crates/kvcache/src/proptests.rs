@@ -5,6 +5,7 @@
 
 use crate::allocator::BlockAllocator;
 use crate::window::{IdWindow, Slot};
+use crate::Blocks;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -35,7 +36,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #[test]
     fn allocator_conserves_blocks(ops in arb_ops(), num_blocks in 1u64..64, block_size in 1u32..32) {
-        let mut a = BlockAllocator::new(num_blocks, block_size);
+        let mut a = BlockAllocator::new(Blocks::new(num_blocks), block_size);
         // Shadow model: id -> tokens.
         let mut shadow: HashMap<u64, u64> = HashMap::new();
         for op in ops {
@@ -74,7 +75,7 @@ proptest! {
                         // A member grows when its count entering the step
                         // is a multiple of the block size; the engines
                         // guard the step's growth before taking it.
-                        let grows = ids.iter().filter(|id| shadow[id] % bs == 0).count() as u64;
+                        let grows = Blocks::new(ids.iter().filter(|id| shadow[id] % bs == 0).count() as u64);
                         if grows > a.free_blocks() {
                             break;
                         }
@@ -90,13 +91,13 @@ proptest! {
                 }
             }
             // Invariants after every operation.
-            let expect_blocks: u64 = shadow
+            let expect_blocks: Blocks = shadow
                 .values()
-                .map(|&t| t.div_ceil(block_size as u64))
+                .map(|&t| Blocks::for_tokens(t, block_size))
                 .sum();
             prop_assert_eq!(a.used_blocks(), expect_blocks);
-            prop_assert!(a.used_blocks() <= num_blocks);
-            prop_assert_eq!(a.free_blocks(), num_blocks - expect_blocks);
+            prop_assert!(a.used_blocks() <= a.num_blocks());
+            prop_assert_eq!(a.free_blocks(), a.num_blocks() - expect_blocks);
             prop_assert_eq!(a.num_residents(), shadow.len());
             prop_assert_eq!(a.resident_tokens(), shadow.values().sum::<u64>());
             for id in 0u64..20 {
@@ -111,7 +112,7 @@ proptest! {
         for id in ids {
             a.free(id).unwrap();
         }
-        prop_assert_eq!(a.used_blocks(), 0);
+        prop_assert_eq!(a.used_blocks(), Blocks::ZERO);
     }
 }
 

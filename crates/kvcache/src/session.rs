@@ -16,7 +16,7 @@
 //! A test drives the type and a real allocator through every interleaving
 //! of a bounded sweep of sessions, by breadth-first search.
 
-use crate::{BlockAllocator, KvError};
+use crate::{BlockAllocator, Blocks, KvError};
 use std::collections::VecDeque;
 
 /// One retained allocation, reserved for a specific successor request.
@@ -28,7 +28,7 @@ struct RetainedKv {
     /// successor can reuse).
     tokens: u64,
     /// Blocks the retained allocation occupies.
-    blocks: u64,
+    blocks: Blocks,
 }
 
 /// Lifetime counters for the retention pool (plain adds — never branched
@@ -44,7 +44,7 @@ pub struct RetainStats {
     /// Sum of tokens over claimed allocations (tokens never re-prefilled).
     pub claimed_tokens: u64,
     /// Most blocks the idle retention pool ever held at once.
-    pub retained_blocks_high_water: u64,
+    pub retained_blocks_high_water: Blocks,
 }
 
 /// What a [`SessionKv`] transition did, reported in the order it did it.
@@ -78,23 +78,23 @@ pub enum SessionEvent {
 #[derive(Debug, Clone)]
 pub struct SessionKv {
     /// Max blocks the idle pool may hold.
-    budget_blocks: u64,
+    budget: Blocks,
     /// Entry per successor id; `None` = nothing retained for it.
     entries: Vec<Option<RetainedKv>>,
     /// Successor ids in retain order (front = oldest).
     order: VecDeque<u64>,
-    retained_blocks: u64,
+    retained_blocks: Blocks,
     stats: RetainStats,
 }
 
 impl SessionKv {
-    /// A pool allowed to hold at most `budget_blocks` idle blocks.
-    pub fn new(budget_blocks: u64) -> Self {
+    /// A pool allowed to hold at most `budget` idle blocks.
+    pub fn new(budget: Blocks) -> Self {
         SessionKv {
-            budget_blocks,
+            budget,
             entries: Vec::new(),
             order: VecDeque::new(),
-            retained_blocks: 0,
+            retained_blocks: Blocks::ZERO,
             stats: RetainStats::default(),
         }
     }
@@ -144,7 +144,7 @@ impl SessionKv {
             return alloc.free(donor);
         };
         let tokens = alloc.tokens_of(donor)?;
-        let blocks = tokens.div_ceil(u64::from(alloc.block_size()));
+        let blocks = Blocks::for_tokens(tokens, alloc.block_size());
         while !self.fits(blocks) && self.drop_oldest(alloc, None, &mut sink)? {}
         if !self.fits(blocks) {
             return alloc.free(donor);
@@ -179,7 +179,7 @@ impl SessionKv {
     pub fn reclaim(
         &mut self,
         alloc: &mut BlockAllocator,
-        target: u64,
+        target: Blocks,
         keep: Option<u64>,
         mut sink: impl FnMut(SessionEvent),
     ) -> Result<bool, KvError> {
@@ -191,7 +191,7 @@ impl SessionKv {
         Ok(true)
     }
 
-    /// The admission check for `id`, which needs `needed_blocks` once
+    /// The admission check for `id`, which needs `needed` blocks once
     /// resident: its own retained blocks come back at the claim, so only
     /// the rest must be free, and other entries are dropped until it is.
     /// Returns whether `id` fits.
@@ -199,11 +199,11 @@ impl SessionKv {
         &mut self,
         alloc: &mut BlockAllocator,
         id: u64,
-        needed_blocks: u64,
+        needed: Blocks,
         sink: impl FnMut(SessionEvent),
     ) -> Result<bool, KvError> {
-        let own = self.peek(id).map_or(0, |e| e.blocks);
-        self.reclaim(alloc, needed_blocks.saturating_sub(own), Some(id), sink)
+        let own = self.peek(id).map_or(Blocks::ZERO, |e| e.blocks);
+        self.reclaim(alloc, needed.saturating_sub(own), Some(id), sink)
     }
 
     /// Admit `id` at `tokens` resident tokens: claim its retained prefix,
@@ -226,8 +226,8 @@ impl SessionKv {
     }
 
     /// Whether `blocks` more idle blocks fit the budget.
-    fn fits(&self, blocks: u64) -> bool {
-        self.retained_blocks + blocks <= self.budget_blocks
+    fn fits(&self, blocks: Blocks) -> bool {
+        self.retained_blocks + blocks <= self.budget
     }
 
     /// The entry reserved for `successor`, if it survived.
@@ -284,7 +284,7 @@ mod tests {
 
     /// An allocator of `blocks` blocks holding `(id, tokens)` residents.
     fn alloc_with(blocks: u64, residents: &[(u64, u64)]) -> BlockAllocator {
-        let mut a = BlockAllocator::new(blocks, BS);
+        let mut a = BlockAllocator::new(Blocks::new(blocks), BS);
         for &(id, tokens) in residents {
             a.allocate(id, tokens).unwrap();
         }
@@ -301,7 +301,7 @@ mod tests {
     #[test]
     fn retain_then_claim_frees_the_donor_and_allocates_in_full() {
         let mut a = alloc_with(10, &[(2, 11)]);
-        let mut kv = SessionKv::new(10);
+        let mut kv = SessionKv::new(Blocks::new(10));
         let (held, log) = events(|s| kv.finish(&mut a, 2, Some(5), s).unwrap());
         assert_eq!(held, 11);
         assert_eq!(
@@ -313,7 +313,7 @@ mod tests {
         );
         assert_eq!((kv.discount(5), kv.discount(2)), (11, 0));
         assert_eq!(a.tokens_of(2), Ok(11), "the donor stays resident");
-        let (fits, log) = events(|s| kv.make_room(&mut a, 5, 10, s).unwrap());
+        let (fits, log) = events(|s| kv.make_room(&mut a, 5, Blocks::new(10), s).unwrap());
         assert!(
             fits && log.is_empty(),
             "its own 3 blocks come back at the claim"
@@ -328,10 +328,10 @@ mod tests {
     #[test]
     fn budget_drops_oldest_first_and_refuses_what_cannot_fit() {
         let mut a = alloc_with(20, &[(10, 8), (11, 12), (12, 4), (13, 24)]);
-        let mut kv = SessionKv::new(5);
+        let mut kv = SessionKv::new(Blocks::new(5));
         kv.finish(&mut a, 10, Some(1), |_| {}).unwrap();
         kv.finish(&mut a, 11, Some(2), |_| {}).unwrap();
-        assert_eq!(kv.stats().retained_blocks_high_water, 5);
+        assert_eq!(kv.stats().retained_blocks_high_water, Blocks::new(5));
         // Full: the oldest entry (for 1) makes room for a 1-block prefix.
         let (_, log) = events(|s| kv.finish(&mut a, 12, Some(3), s).unwrap());
         let drop1 = SessionEvent::Drop {
@@ -353,31 +353,31 @@ mod tests {
         // the donor is freed.
         let (held, log) = events(|s| kv.finish(&mut a, 13, Some(4), s).unwrap());
         assert_eq!((held, log.len()), (24, 2));
-        assert!(kv.is_empty() && a.used_blocks() == 0);
+        assert!(kv.is_empty() && a.used_blocks() == Blocks::ZERO);
         assert_eq!(kv.stats().drops, 3);
     }
 
     #[test]
     fn a_zero_budget_and_a_last_turn_free_at_once() {
         let mut a = alloc_with(4, &[(0, 5), (1, 5)]);
-        let mut kv = SessionKv::new(0);
+        let mut kv = SessionKv::new(Blocks::ZERO);
         let (held, log) = events(|s| kv.finish(&mut a, 0, Some(2), s).unwrap());
         assert_eq!((held, log.len(), a.contains(0)), (5, 0, false));
-        let mut kv = SessionKv::new(100);
+        let mut kv = SessionKv::new(Blocks::new(100));
         let (held, log) = events(|s| kv.finish(&mut a, 1, None, s).unwrap());
-        assert_eq!((held, log.len(), a.used_blocks()), (5, 0, 0));
+        assert_eq!((held, log.len(), a.used_blocks()), (5, 0, Blocks::ZERO));
     }
 
     #[test]
     fn reclaim_spares_the_kept_entry_and_stops_when_dry() {
         let mut a = alloc_with(6, &[(10, 4), (11, 4), (12, 4)]);
-        let mut kv = SessionKv::new(100);
+        let mut kv = SessionKv::new(Blocks::new(100));
         for (donor, succ) in [(10, 1), (11, 2), (12, 3)] {
             kv.finish(&mut a, donor, Some(succ), |_| {}).unwrap();
         }
         // A claim out of order leaves the queue consistent.
         assert_eq!(kv.admit(&mut a, 2, 4), Ok(Some(4)));
-        let (met, log) = events(|s| kv.reclaim(&mut a, 6, Some(1), s).unwrap());
+        let (met, log) = events(|s| kv.reclaim(&mut a, Blocks::new(6), Some(1), s).unwrap());
         assert!(
             !met,
             "only entry 3 may go, and 4 free blocks are short of 6"
@@ -390,34 +390,34 @@ mod tests {
             }]
         );
         assert_eq!(kv.discount(1), 4, "the kept entry survives");
-        assert!(kv.reclaim(&mut a, 5, None, |_| {}).unwrap());
+        assert!(kv.reclaim(&mut a, Blocks::new(5), None, |_| {}).unwrap());
         assert!(kv.is_empty());
     }
 
     #[test]
     fn admission_counts_its_own_prefix_and_allocator_errors_come_back() {
         let mut a = alloc_with(3, &[(0, 4)]);
-        let mut kv = SessionKv::new(2);
+        let mut kv = SessionKv::new(Blocks::new(2));
         kv.finish(&mut a, 0, Some(1), |_| {}).unwrap();
         // 1 needs all 3 blocks: 2 are free and its donor holds the third.
-        let (fits, log) = events(|s| kv.make_room(&mut a, 1, 3, s).unwrap());
+        let (fits, log) = events(|s| kv.make_room(&mut a, 1, Blocks::new(3), s).unwrap());
         assert!(fits && log.is_empty());
         // Any other request needing 3 drops 1's prefix first.
         let (mut other, mut b) = (kv.clone(), a.clone());
-        assert!(other.make_room(&mut b, 7, 3, |_| {}).unwrap());
-        assert_eq!((other.discount(1), b.free_blocks()), (0, 3));
+        assert!(other.make_room(&mut b, 7, Blocks::new(3), |_| {}).unwrap());
+        assert_eq!((other.discount(1), b.free_blocks()), (0, Blocks::new(3)));
         // A miss allocates at once, and the allocator's refusal comes back.
         let err = kv.admit(&mut a, 7, 12).unwrap_err();
         assert!(matches!(err, KvError::OutOfMemory { .. }), "{err}");
         assert_eq!(kv.admit(&mut a, 1, 12), Ok(Some(4)));
-        assert_eq!(a.free_blocks(), 0);
+        assert_eq!(a.free_blocks(), Blocks::ZERO);
     }
 
     #[test]
     #[should_panic(expected = "already has retained KV")]
     fn double_retain_for_one_successor_is_a_bug() {
         let mut a = alloc_with(10, &[(10, 4), (11, 4)]);
-        let mut kv = SessionKv::new(100);
+        let mut kv = SessionKv::new(Blocks::new(100));
         kv.finish(&mut a, 10, Some(1), |_| {}).unwrap();
         let _ = kv.finish(&mut a, 11, Some(1), |_| {});
     }
@@ -429,7 +429,7 @@ mod tests {
     mod protocol {
         use super::*;
         use analyzer::explore::{explore, Step, Violation};
-        use std::hash::{Hash, Hasher};
+        use std::cmp::Ordering;
 
         /// `sessions` closed-loop sessions of `turns` turns each over a
         /// pool of `pool` blocks and a retention budget; turn `t` holds
@@ -438,8 +438,8 @@ mod tests {
         struct Scenario {
             sessions: u64,
             turns: u64,
-            pool: u64,
-            budget: u64,
+            pool: Blocks,
+            budget: Blocks,
         }
 
         impl Scenario {
@@ -449,12 +449,12 @@ mod tests {
             fn turn(&self, r: u64) -> u64 {
                 r % self.turns
             }
-            fn blocks(&self, r: u64) -> u64 {
-                2 + self.turn(r)
+            fn blocks(&self, r: u64) -> Blocks {
+                Blocks::new(2 + self.turn(r))
             }
             /// Resident tokens: the last block partly filled.
             fn tokens(&self, r: u64) -> u64 {
-                self.blocks(r) * u64::from(BS) - 1
+                self.blocks(r).tokens(BS) - 1
             }
             fn successor(&self, r: u64) -> Option<u64> {
                 (self.turn(r) + 1 < self.turns).then_some(r + 1)
@@ -466,7 +466,7 @@ mod tests {
             usize::try_from(r).expect("scenario ids are small")
         }
 
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         enum Turn {
             /// Its predecessor has not finished.
             NotArrived,
@@ -485,7 +485,12 @@ mod tests {
             turn: Vec<Turn>,
         }
 
-        type Key = (Vec<Option<u64>>, u64, Vec<(u64, u64, u64, u64)>, Vec<Turn>);
+        type Key = (
+            Vec<Option<u64>>,
+            Blocks,
+            Vec<(u64, u64, u64, Blocks)>,
+            Vec<Turn>,
+        );
 
         impl State {
             fn key(&self) -> Key {
@@ -509,9 +514,15 @@ mod tests {
 
         impl Eq for State {}
 
-        impl Hash for State {
-            fn hash<H: Hasher>(&self, h: &mut H) {
-                self.key().hash(h);
+        impl PartialOrd for State {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        impl Ord for State {
+            fn cmp(&self, other: &Self) -> Ordering {
+                self.key().cmp(&other.key())
             }
         }
 
@@ -530,9 +541,9 @@ mod tests {
             let blocks = |r: u64| {
                 s.alloc
                     .tokens_of(r)
-                    .map_or(0, |t| t.div_ceil(u64::from(BS)))
+                    .map_or(Blocks::ZERO, |t| Blocks::for_tokens(t, BS))
             };
-            let live: u64 = (0..sc.n()).map(blocks).sum();
+            let live: Blocks = (0..sc.n()).map(blocks).sum();
             if s.alloc.free_blocks() + live != sc.pool || s.alloc.used_blocks() != live {
                 return Some(format!(
                     "block conservation broken: free {} + held {live} != pool {}",
@@ -540,7 +551,7 @@ mod tests {
                     sc.pool
                 ));
             }
-            let retained: u64 = s.kv.entries.iter().flatten().map(|e| e.blocks).sum();
+            let retained: Blocks = s.kv.entries.iter().flatten().map(|e| e.blocks).sum();
             let queued = s.kv.entries.iter().flatten().count();
             if retained != s.kv.retained_blocks || queued != s.kv.order.len() {
                 return Some(format!(
@@ -729,12 +740,12 @@ mod tests {
         fn sweep() -> impl Iterator<Item = Scenario> {
             (1..=3).flat_map(|sessions| {
                 (1..=2).flat_map(move |turns| {
-                    [3, 6, 7].into_iter().flat_map(move |pool| {
+                    [3, 6, 7].map(Blocks::new).into_iter().flat_map(move |pool| {
                         [0, 2, 4].map(|budget| Scenario {
                             sessions,
                             turns,
                             pool,
-                            budget,
+                            budget: Blocks::new(budget),
                         })
                     })
                 })
@@ -767,8 +778,8 @@ mod tests {
             let sc = Scenario {
                 sessions: 2,
                 turns: 2,
-                pool: 7,
-                budget: 0,
+                pool: Blocks::new(7),
+                budget: Blocks::ZERO,
             };
             let s = check(&sc).unwrap();
             assert_eq!((s.hits, s.drops), (0, 0));

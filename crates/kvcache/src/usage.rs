@@ -1,6 +1,7 @@
 //! Occupancy time series (the data behind paper Figure 12).
 
 use crate::allocator::used_fraction;
+use crate::Blocks;
 use serde::{Deserialize, Serialize, Serializer};
 
 /// Which phase the engine was in when a sample was taken.
@@ -67,9 +68,12 @@ impl OccupancyTrace {
 
     /// An empty trace over a pool of `num_blocks` blocks that keeps every
     /// sample when `recording`, and otherwise only the peak.
-    pub fn for_pool(num_blocks: u32, recording: bool) -> Self {
+    ///
+    /// # Panics
+    /// Panics if the pool has more than `u32::MAX` blocks.
+    pub fn for_pool(num_blocks: Blocks, recording: bool) -> Self {
         OccupancyTrace {
-            num_blocks,
+            num_blocks: u32::try_from(num_blocks.get()).expect("a pool of at most u32::MAX blocks"),
             recording,
             ..Self::default()
         }
@@ -85,17 +89,17 @@ impl OccupancyTrace {
         self.times.is_empty()
     }
 
-    /// Fold a sample of `used_blocks` of the pool into the peak, and
+    /// Fold a sample of `used` blocks of the pool into the peak, and
     /// append it when recording (times should be non-decreasing; enforced
     /// in debug on the recorded samples).
-    pub fn push(&mut self, time: f64, used_blocks: u64, phase: Phase) {
+    pub fn push(&mut self, time: f64, used: Blocks, phase: Phase) {
         debug_assert!(
-            used_blocks <= u64::from(self.num_blocks),
+            used.get() <= u64::from(self.num_blocks),
             "more blocks used than the pool has"
         );
-        #[expect(clippy::cast_possible_truncation, reason = "`used_blocks` is at most the `u32` \
-            pool size (asserted above in debug)")]
-        let used = used_blocks as u32;
+        #[expect(clippy::cast_possible_truncation, reason = "`used` is at most the `u32` pool \
+            size (asserted above in debug)")]
+        let used = used.get() as u32;
         self.peak_used = Some(self.peak_used.map_or(used, |p| p.max(used)));
         if !self.recording {
             return;
@@ -116,7 +120,7 @@ impl OccupancyTrace {
         let run = self.runs.partition_point(|&(start, _)| start <= i) - 1;
         OccupancySample {
             time: self.times[i],
-            occupancy: used_fraction(u64::from(self.used[i]), u64::from(self.num_blocks)),
+            occupancy: used_fraction(blocks(self.used[i]), blocks(self.num_blocks)),
             phase: self.runs[run].1,
         }
     }
@@ -132,9 +136,8 @@ impl OccupancyTrace {
     /// pushed). Division by the pool size is monotone, so this is the
     /// most-used sample's.
     pub fn peak(&self) -> f64 {
-        self.peak_used.map_or(0.0, |u| {
-            used_fraction(u64::from(u), u64::from(self.num_blocks))
-        })
+        self.peak_used
+            .map_or(0.0, |u| used_fraction(blocks(u), blocks(self.num_blocks)))
     }
 
     /// CSV export: `time,occupancy,phase`.
@@ -150,6 +153,11 @@ impl OccupancyTrace {
         }
         out
     }
+}
+
+/// A stored `u32` count as blocks.
+fn blocks(n: u32) -> Blocks {
+    Blocks::new(u64::from(n))
 }
 
 impl Serialize for OccupancyTrace {
@@ -172,12 +180,12 @@ mod tests {
 
     #[test]
     fn peak_and_runs() {
-        let mut t = OccupancyTrace::for_pool(100, true);
-        t.push(0.0, 10, Phase::Prefill);
-        t.push(1.0, 80, Phase::Prefill);
-        t.push(2.0, 95, Phase::Decode);
-        t.push(3.0, 50, Phase::Decode);
-        t.push(4.0, 70, Phase::Prefill);
+        let mut t = OccupancyTrace::for_pool(Blocks::new(100), true);
+        t.push(0.0, Blocks::new(10), Phase::Prefill);
+        t.push(1.0, Blocks::new(80), Phase::Prefill);
+        t.push(2.0, Blocks::new(95), Phase::Decode);
+        t.push(3.0, Blocks::new(50), Phase::Decode);
+        t.push(4.0, Blocks::new(70), Phase::Prefill);
         assert!((t.peak() - 0.95).abs() < 1e-12);
         assert_eq!(t.samples().len(), 5);
         let phases: Vec<Phase> = t.samples().map(|s| s.phase).collect();
@@ -189,12 +197,12 @@ mod tests {
     #[test]
     fn unrecorded_trace_keeps_only_the_peak() {
         let (mut kept, mut peak_only) = (
-            OccupancyTrace::for_pool(7, true),
-            OccupancyTrace::for_pool(7, false),
+            OccupancyTrace::for_pool(Blocks::new(7), true),
+            OccupancyTrace::for_pool(Blocks::new(7), false),
         );
         for (i, used) in [2u64, 6, 3, 5].into_iter().enumerate() {
             for t in [&mut kept, &mut peak_only] {
-                t.push(i as f64, used, Phase::Decode);
+                t.push(i as f64, Blocks::new(used), Phase::Decode);
             }
         }
         assert_eq!(peak_only.peak().to_bits(), kept.peak().to_bits());
@@ -204,15 +212,15 @@ mod tests {
         let mut json = String::new();
         peak_only.serialize(&mut Serializer::new(&mut json, false));
         assert_eq!(json, r#"{"samples":[]}"#);
-        let mut empty = OccupancyTrace::for_pool(0, false);
-        empty.push(0.0, 0, Phase::Prefill);
+        let mut empty = OccupancyTrace::for_pool(Blocks::ZERO, false);
+        empty.push(0.0, Blocks::ZERO, Phase::Prefill);
         assert_eq!(empty.peak(), 1.0, "an empty pool reads full");
     }
 
     #[test]
     fn csv_header() {
-        let mut t = OccupancyTrace::for_pool(4, true);
-        t.push(0.5, 1, Phase::Decode);
+        let mut t = OccupancyTrace::for_pool(Blocks::new(4), true);
+        t.push(0.5, Blocks::new(1), Phase::Decode);
         assert!(t
             .to_csv()
             .starts_with("time,occupancy,phase\n0.500000,0.2500,decode"));
@@ -230,8 +238,8 @@ mod tests {
     /// shape a `Vec<OccupancySample>` field would.
     #[test]
     fn columns_rebuild_the_allocator_reading() {
-        let mut a = crate::BlockAllocator::new(3, 16);
-        let mut t = OccupancyTrace::for_pool(3, true);
+        let mut a = crate::BlockAllocator::new(Blocks::new(3), 16);
+        let mut t = OccupancyTrace::for_pool(Blocks::new(3), true);
         let mut want = Vec::new();
         for (i, tokens) in [(0u64, 16u64), (1, 16), (2, 1)] {
             a.allocate(i, tokens).unwrap();
@@ -260,8 +268,11 @@ mod tests {
         let json = json.0;
         assert!(json.contains("\"occupancy\":0.3333333333333333,\"phase\":\"Prefill\""));
         // An empty pool reads full, like the allocator's.
-        let mut empty = OccupancyTrace::for_pool(0, true);
-        empty.push(0.0, 0, Phase::Decode);
-        assert_eq!(empty.peak(), crate::BlockAllocator::new(0, 16).occupancy());
+        let mut empty = OccupancyTrace::for_pool(Blocks::ZERO, true);
+        empty.push(0.0, Blocks::ZERO, Phase::Decode);
+        assert_eq!(
+            empty.peak(),
+            crate::BlockAllocator::new(Blocks::ZERO, 16).occupancy()
+        );
     }
 }

@@ -12,7 +12,7 @@ use tdpipe_core::driver::{drive, Close, Policy, RunState, Stall, WindowSpans};
 use tdpipe_core::engine::InfeasibleConfig;
 use tdpipe_core::exec::{PipelineExecutor, SimExecutor};
 use tdpipe_hw::NodeSpec;
-use tdpipe_kvcache::OccupancyTrace;
+use tdpipe_kvcache::{Blocks, OccupancyTrace};
 use tdpipe_model::{kv_budget_bytes, ModelSpec};
 use tdpipe_sim::{RunReport, SegmentKind, TransferMode};
 use tdpipe_trace::EvictMode;
@@ -69,8 +69,9 @@ impl OffloadEngine {
     /// Panics if some request cannot fit the host KV pool even alone.
     pub fn run_at_bandwidth(&self, trace: &Trace, host_bw: f64) -> RunReport {
         let run = RunState::new(&Workload::offline(trace), |r| r.output_len, false, false);
-        let kv_blocks =
-            self.host_kv_bytes / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64);
+        let kv_blocks = Blocks::new(
+            self.host_kv_bytes / (self.cost.model().kv_bytes_per_token() * BLOCK_SIZE as u64),
+        );
         let policy = OffloadRun {
             engine: self,
             host_bw,

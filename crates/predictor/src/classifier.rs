@@ -226,11 +226,6 @@ impl SoftmaxClassifier {
         }
         best
     }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
 }
 
 #[cfg(test)]

@@ -107,11 +107,6 @@ impl GaussianNbClassifier {
         }
         probs
     }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
 }
 
 #[cfg(test)]

@@ -293,49 +293,4 @@ mod tests {
         );
         assert!(thr_tl.segments().is_empty(), "no per-job segments kept");
     }
-
-    #[test]
-    fn summary_idle_matches_segment_idle() {
-        // The bounded summary's running `idle` accumulator must agree with
-        // the idle time computed from a full segment log of the same
-        // stream — the `WorkerSummary` plumbing the flight recorder's
-        // stage-idle accounting rides on.
-        let run = |record_segments: bool| {
-            let mut c = Cluster::spawn_with(
-                2,
-                TransferMode::Async,
-                ClusterOptions {
-                    record_segments,
-                    ..ClusterOptions::default()
-                },
-            );
-            for id in 0..20u64 {
-                // Staggered ready times force inter-job gaps on stage 0.
-                c.launch(JobSpec {
-                    id,
-                    ready: id as f64 * 0.05,
-                    exec: vec![0.01; 2],
-                    xfer: vec![0.001],
-                    kind: SegmentKind::Decode,
-                })
-                .unwrap();
-            }
-            for _ in 0..20 {
-                c.next_completion(Duration::from_secs(5)).unwrap();
-            }
-            c.shutdown(Duration::from_secs(5)).unwrap()
-        };
-        let seg_logs = run(true);
-        let sum_logs = run(false);
-        assert_eq!(seg_logs.len(), sum_logs.len());
-        for (rank, (a, b)) in seg_logs.iter().zip(&sum_logs).enumerate() {
-            assert!(
-                (a.idle() - b.idle()).abs() < 1e-9,
-                "rank {rank}: segments {} vs summary {}",
-                a.idle(),
-                b.idle()
-            );
-        }
-        assert!(seg_logs[0].idle() > 0.0, "staggered stream must leave gaps");
-    }
 }

@@ -39,10 +39,6 @@ pub struct WorkerSummary {
     pub first_start: f64,
     /// Latest segment end.
     pub last_end: f64,
-    /// Total idle virtual seconds *between* jobs (gaps inside the span;
-    /// warm-up before the first job is not counted). The stage-idle
-    /// measurement the flight recorder's `StageIdle` events aggregate.
-    pub idle: f64,
 }
 
 impl Default for WorkerSummary {
@@ -52,7 +48,6 @@ impl Default for WorkerSummary {
             busy: 0.0,
             first_start: f64::INFINITY,
             last_end: 0.0,
-            idle: 0.0,
         }
     }
 }
@@ -92,30 +87,10 @@ impl WorkerLog {
         }
     }
 
-    /// Total idle virtual seconds between consecutive jobs on this stage
-    /// (a worker's clock is monotone, so recording order is time order).
-    pub fn idle(&self) -> f64 {
-        match self {
-            WorkerLog::Segments(v) => {
-                let mut idle = 0.0;
-                let mut last_end = f64::INFINITY;
-                for s in v {
-                    idle += (s.start - last_end).max(0.0);
-                    last_end = s.end;
-                }
-                idle
-            }
-            WorkerLog::Summary(s) => s.idle,
-        }
-    }
-
     fn push(&mut self, job: u64, start: f64, end: f64, kind: SegmentKind) {
         match self {
             WorkerLog::Segments(v) => v.push(WorkerSegment { job, start, end, kind }),
             WorkerLog::Summary(s) => {
-                if s.jobs > 0 {
-                    s.idle += (start - s.last_end).max(0.0);
-                }
                 s.jobs += 1;
                 s.busy += end - start;
                 s.first_start = s.first_start.min(start);
@@ -341,8 +316,6 @@ mod tests {
             WorkerLog::Summary(s) => {
                 assert_eq!(s.first_start, 1.0);
                 assert_eq!(s.last_end, 3.5);
-                // One gap: job 0 ends at 2.5, job 1 starts at 3.0.
-                assert!((s.idle - 0.5).abs() < 1e-12);
             }
             _ => unreachable!(),
         }
@@ -360,18 +333,5 @@ mod tests {
         assert_eq!(seg.jobs(), sum.jobs());
         assert!((seg.busy() - sum.busy()).abs() < 1e-12);
         assert_eq!(seg.segments().len(), 10);
-        // Both modes agree on inter-job idle: nine gaps of 0.25 each.
-        assert!((seg.idle() - sum.idle()).abs() < 1e-12);
-        assert!((seg.idle() - 9.0 * 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn idle_ignores_warmup_and_back_to_back_jobs() {
-        let mut sum = WorkerLog::Summary(WorkerSummary::default());
-        sum.push(0, 5.0, 6.0, SegmentKind::Prefill); // warm-up not idle
-        sum.push(1, 6.0, 7.0, SegmentKind::Prefill); // back-to-back
-        assert_eq!(sum.idle(), 0.0);
-        let empty = WorkerLog::Segments(Vec::new());
-        assert_eq!(empty.idle(), 0.0);
     }
 }

@@ -10,9 +10,12 @@
 #      over hash collections (`iter_over_hash_type`) errors; an escape is an
 #      `#[expect(.., reason = "..")]`, and a stale one fails. The dev
 #      profile keeps `#[cfg(debug_assertions)]` oracle code in view; test
-#      code is not checked (no `--all-targets`). Then the invariant lint
-#      pass (crates/analyzer vs the committed baseline — the analyzer
-#      scans its own sources via the `tooling` rule set) plus the
+#      code is not checked (no `--all-targets`). Mixing KV blocks with
+#      tokens is not linted: block counts are `tdpipe_kvcache::Blocks`,
+#      so the build itself rejects it. Then the invariant lint pass
+#      (crates/analyzer vs the committed baseline — the analyzer scans
+#      its own sources via the `tooling` rule set, which bans hash
+#      collections there outright) plus the
 #      bounded cluster↔worker supervision model checker
 #      (`--check-protocols`, proven non-vacuous by seeded mutations); the
 #      session-KV retention code is model-checked in step 3's tests
@@ -22,7 +25,9 @@
 #      on the figure harness (`tdpipe-bench`) through normal dependencies
 #      (`cargo tree --offline -e normal`); shared plumbing such as the
 #      parallel map lives in `tdpipe-core`
-#   3. full test suite (unit + integration, all crates — includes the
+#   3. full test suite (unit + integration + doctests, all crates — the
+#      doctests include `Blocks`'s `compile_fail` pair, which pins that
+#      tokens and blocks do not mix; it includes the
 #      bounded protocol model checkers: the supervision model's, and the
 #      BFS over the real `SessionKv` and `BlockAllocator`, which runs
 #      again in step 3b's debug `tdpipe-kvcache` line)
